@@ -30,12 +30,6 @@ class WallFamily:
     def value(self, coords) -> Fraction:
         return Fraction(linalg.dot(coords, self.normal))
 
-    def nearest_offsets(self, value: Fraction) -> tuple[Fraction, Fraction]:
-        """The wall offsets immediately at-or-below and above a value."""
-        k = floor_frac((value - self.base_offset) / self.offset_step)
-        lo = self.base_offset + k * self.offset_step
-        return lo, lo + self.offset_step
-
     def interval_index(self, value: Fraction) -> int:
         if (value - self.base_offset) % self.offset_step == 0:
             raise ValueError("value sits on a wall of this family")
@@ -118,9 +112,6 @@ class Arrangement:
             raise OnWallError(coords, walls[0])
         sign = tuple(f.interval_index(f.value(coords)) for f in self.families)
         return Chamber(sign_vector=sign, sample=coords)
-
-    def same_chamber(self, a, b) -> bool:
-        return self.chamber_of(a) == self.chamber_of(b)
 
     def separating_walls(self, a, b) -> list[Wall]:
         """Walls meeting the open segment from a to b (endpoints off-wall).

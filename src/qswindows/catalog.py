@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from . import cy_ci, linalg
 from .arrangement import Arrangement, Wall
+from .errors import OnWallError
 from .rep import QSRep, Ternary
 from .root_data import RootDatum
 from .windows import Context
@@ -167,7 +168,7 @@ def adjacent_pairs(ctx: Context, periods: int = 2, per_wall: int = 3,
                 hi = linalg.add(x, linalg.scale(h, step_vec))
                 try:
                     walls = arr.separating_walls(lo, hi)
-                except Exception:
+                except OnWallError:
                     h /= 2
                     continue
                 if walls == [wall]:

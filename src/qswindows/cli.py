@@ -266,7 +266,7 @@ def cmd_cy(args) -> int:
 
 def cmd_verify(args) -> int:
     results = []
-    suites = args.suites.split(",") if args.suites else ["bundled"]
+    suites = args.suites.split(",") if args.suites is not None else ["bundled"]
     suites = [s.strip() for s in suites if s.strip()]
     if not suites:
         print("warning: empty suite selection, nothing to verify")

@@ -86,6 +86,12 @@ def koszul_degree_term(rep: QSRep, fd: FaceData, chi, m: int) -> Counter:
     return tally
 
 
+def top_degree(rep: QSRep, fd: FaceData) -> int:
+    """d_F^+ + l(w0): the degree of the far endpoint of a face complex, and
+    one more than the exchange count of the face."""
+    return fd.d_plus + rep.root_datum.length(rep.root_datum.w0)
+
+
 def complex_terms(rep: QSRep, fd: FaceData, chi) -> ComplexTerms:
     chi = tuple(int(x) for x in chi)
     datum = rep.root_datum
@@ -102,7 +108,7 @@ def complex_terms(rep: QSRep, fd: FaceData, chi) -> ComplexTerms:
                 continue
             degree = m + result.length
             terms.setdefault(degree, Counter())[result.weight] += 1
-    top = fd.d_plus + datum.length(datum.w0)
+    top = top_degree(rep, fd)
     if any(d < 0 or d > top for d in terms):
         raise InternalInconsistencyError("complex terms escaped their degree window")
     return ComplexTerms(

@@ -73,9 +73,6 @@ class Polytope:
     def on_boundary(self, point) -> bool:
         return self.contains(point) and bool(self.tight_indices(point))
 
-    def in_interior(self, point) -> bool:
-        return all(h.value(point) > h.offset for h in self.halfspaces)
-
     def translate(self, v) -> "Polytope":
         v = linalg.vec(v)
         return Polytope(
@@ -84,10 +81,6 @@ class Polytope:
             vertices=tuple(linalg.add(x, v) for x in self.vertices),
             center=None if self.center is None else linalg.add(self.center, v),
         )
-
-    def map_unimodular(self, m) -> "Polytope":
-        """Image under an invertible integer matrix (vertex map + hull)."""
-        return from_vertices([linalg.mat_vec(m, x) for x in self.vertices])
 
     def scale(self, c) -> "Polytope":
         c = Fraction(c)
@@ -198,11 +191,6 @@ class Polytope:
             raise InternalInconsistencyError("boundary point with no tight vertices")
         return self._face_from_vertex_set(vs, tight_of_vertex)
 
-    def face_lattice_points(self, face: Face) -> list[IntVec]:
-        """Integer points lying on the given face."""
-        return [p for p in self.lattice_points()
-                if face.facet_indices <= self.tight_indices(p)]
-
     # -- central symmetry ----------------------------------------------------
 
     def dual_point(self, a) -> Vec:
@@ -298,36 +286,6 @@ def from_halfspaces(halfspaces, center=None) -> Polytope:
     _check_h_v(poly)
     _check_center(poly)
     return poly
-
-
-def from_vertices(points) -> Polytope:
-    """Convex hull of finitely many rational points (full-dim in ambient)."""
-    pts = sorted({linalg.vec(p) for p in points})
-    if not pts:
-        raise InputError("cannot hull an empty point set")
-    dim = len(pts[0])
-    base = pts[0]
-    if linalg.rank([linalg.sub(p, base) for p in pts[1:]]) < dim:
-        raise InputError("from_vertices requires full-dimensional input")
-    halfspaces = []
-    for combo in itertools.combinations(pts, dim):
-        rows = [linalg.sub(p, combo[0]) for p in combo[1:]]
-        if rows:
-            if linalg.rank(rows) < dim - 1:
-                continue
-            kernel = linalg.kernel_basis([list(r) for r in rows])
-        else:
-            kernel = [(Fraction(1),)]
-        if len(kernel) != 1:
-            continue
-        nrm = linalg.primitive(kernel[0])
-        c = linalg.dot(combo[0], nrm)
-        values = [linalg.dot(p, nrm) for p in pts]
-        if all(v >= c for v in values):
-            halfspaces.append(HalfSpace(nrm, c))
-        if all(v <= c for v in values):
-            halfspaces.append(HalfSpace(linalg.primitive(linalg.neg(nrm)), -c))
-    return from_halfspaces(halfspaces)
 
 
 def _check_h_v(poly: Polytope) -> None:

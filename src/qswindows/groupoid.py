@@ -16,6 +16,7 @@ from . import linalg
 from .arrangement import Arrangement
 from .errors import InputError, UnsupportedDimensionError
 from .linalg import Vec
+from .mutation import per_face_counts
 from .rep import QSRep
 from .windows import Context, wall_crossing, mu_of_crossing
 
@@ -345,20 +346,15 @@ def mutation_transcript(rep: QSRep, path: Path, ctx: Context | None = None) -> l
     ctx = ctx or Context(rep)
     arr = ctx.arrangement
     entries = []
-    point = path.start
     for a in path.arrows:
         if isinstance(a, Translate):
             entries.append(TranscriptEntry(kind="shift", shift=tuple(a.m)))
-            point = linalg.add(point, linalg.vec(a.m))
             continue
         if not arrow_is_positive(arr, a):
             raise InputError("transcripts are defined for positive crossings")
         for hop in split_into_hops(arr, a):
             crossing = wall_crossing(rep, arr.to_ambient(hop.src), arr.to_ambient(hop.dst), ctx)
-            counts = {
-                key: fd.d_plus + rep.root_datum.length(rep.root_datum.w0) - 1
-                for key, fd in crossing.faces.items()
-            }
+            counts = per_face_counts(rep, crossing)
             toric_steps = None
             if rep.root_datum.is_torus:
                 (key,) = crossing.faces
@@ -368,7 +364,6 @@ def mutation_transcript(rep: QSRep, path: Path, ctx: Context | None = None) -> l
                 pivot_chars=crossing.common, step_count=toric_steps,
                 per_face_counts=counts,
             ))
-        point = a.dst
     return entries
 
 
@@ -377,13 +372,10 @@ def transcript_window_map(rep: QSRep, path: Path, ctx: Context | None = None) ->
     ctx = ctx or Context(rep)
     arr = ctx.arrangement
     mapping = {chi: chi for chi in ctx.window(arr.to_ambient(path.start)).chars}
-    point = path.start
     for a in path.arrows:
         if isinstance(a, Translate):
-            shift = arr.to_ambient(a.m)
-            shift = tuple(int(x) for x in shift)
+            shift = tuple(int(x) for x in arr.to_ambient(a.m))
             mapping = {src: tuple(linalg.add(dst, shift)) for src, dst in mapping.items()}
-            point = linalg.add(point, linalg.vec(a.m))
             continue
         for hop in split_into_hops(arr, a):
             crossing = wall_crossing(rep, arr.to_ambient(hop.src), arr.to_ambient(hop.dst), ctx)
@@ -392,7 +384,6 @@ def transcript_window_map(rep: QSRep, path: Path, ctx: Context | None = None) ->
             for chi in crossing.window.chars:
                 step[chi] = mu_of_crossing(rep, crossing, chi) if chi in outgoing else chi
             mapping = {src: step[dst] for src, dst in mapping.items()}
-        point = a.dst
     end_window = set(ctx.window(arr.to_ambient(path.end)).chars)
     image = set(mapping.values())
     if image != end_window or len(image) != len(mapping):

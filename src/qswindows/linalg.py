@@ -11,7 +11,6 @@ from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
-Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 def vec(xs: Iterable) -> Vec:
@@ -161,16 +160,6 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
         if dot(row, x) != b:
             return None
     return tuple(x)
-
-
-def invert(m: Sequence[Sequence]) -> Matrix:
-    n = len(m)
-    aug = [list(vec(row)) + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(m)]
-    red = rref(aug)
-    for i in range(n):
-        if red[i][i] != 1:
-            raise ValueError("matrix is singular")
-    return tuple(tuple(red[i][n:]) for i in range(n))
 
 
 def hnf_with_transform(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:

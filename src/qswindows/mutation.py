@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import linalg
-from .complexes import koszul_degree_term
+from .complexes import koszul_degree_term, top_degree
 from .errors import InputError, InternalInconsistencyError
 from .rep import QSRep
 from .root_data import Weight
@@ -75,14 +75,8 @@ class ModuleSpec:
     def of_window(cls, chars) -> "ModuleSpec":
         return cls.from_counter(Counter(Cov(tuple(c)) for c in chars))
 
-    def counter(self) -> Counter:
-        return Counter(dict(self.atoms))
-
     def support(self) -> set[Atom]:
         return {a for a, _ in self.atoms}
-
-    def same_additive_closure(self, other: "ModuleSpec") -> bool:
-        return self.support() == other.support()
 
     def to_json(self) -> dict:
         out = []
@@ -203,12 +197,9 @@ def toric_wall(rep: QSRep, delta, delta_prime, ctx: Context | None = None) -> To
     return ToricWall(rep, wall_crossing(rep, delta, delta_prime, ctx), ctx)
 
 
-def mutate_left(rep: QSRep, spec: ModuleSpec, wall: ToricWall) -> ModuleSpec:
-    return wall.mutate(spec, "left")
-
-
-def mutate_right(rep: QSRep, spec: ModuleSpec, wall: ToricWall) -> ModuleSpec:
-    return wall.mutate(spec, "right")
+def per_face_counts(rep: QSRep, crossing: WallCrossing) -> dict:
+    """The exchange count d_F^+ + l(w0) - 1 of every wall face."""
+    return {key: top_degree(rep, fd) - 1 for key, fd in crossing.faces.items()}
 
 
 def mutation_word(rep: QSRep, delta, delta_prime, ctx: Context | None = None) -> MutationWord:
@@ -220,8 +211,7 @@ def mutation_word(rep: QSRep, delta, delta_prime, ctx: Context | None = None) ->
     """
     ctx = ctx or Context(rep)
     crossing = wall_crossing(rep, delta, delta_prime, ctx)
-    counts = {key: fd.d_plus + rep.root_datum.length(rep.root_datum.w0) - 1
-              for key, fd in crossing.faces.items()}
+    counts = per_face_counts(rep, crossing)
     if not rep.root_datum.is_torus:
         return MutationWord(
             pivot=ModuleSpec.of_window(crossing.common),
@@ -256,13 +246,13 @@ def exchange_count(rep: QSRep, delta, delta_prime, face_key=None,
     from .complexes import summand_sets
     ctx = ctx or Context(rep)
     crossing = wall_crossing(rep, delta, delta_prime, ctx)
+    counts = per_face_counts(rep, crossing)
     out = {}
     for key, fd in sorted(crossing.faces.items()):
         if face_key is not None and key != tuple(face_key):
             continue
         l_set, n_set = summand_sets(rep, crossing, fd, ctx)
-        count = fd.d_plus + rep.root_datum.length(rep.root_datum.w0) - 1
-        out[key] = ExchangeData(count=count, l_set=l_set, n_set=n_set)
+        out[key] = ExchangeData(count=counts[key], l_set=l_set, n_set=n_set)
     if face_key is not None and not out:
         raise InputError(f"face {face_key} does not occur on this wall")
     return out

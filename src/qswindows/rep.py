@@ -15,7 +15,7 @@ from . import geometry, linalg
 from .errors import InputError, InternalInconsistencyError
 from .geometry import HalfSpace, Polytope
 from .linalg import IntVec
-from .root_data import RootDatum, Weight
+from .root_data import RootDatum, Weight, int_rows
 
 
 class Ternary(Enum):
@@ -54,7 +54,7 @@ class QSRep:
 
     @classmethod
     def build(cls, root_datum: RootDatum, weights, assert_generic: bool | None = None) -> "QSRep":
-        weights = tuple(tuple(int(x) for x in b) for b in weights)
+        weights = int_rows(weights, "weights")
         if not weights:
             raise InputError("a representation needs at least one weight")
         if any(len(b) != root_datum.rank for b in weights):
@@ -84,12 +84,17 @@ class QSRep:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QSRep":
+        if not isinstance(data, dict):
+            raise InputError("a representation must be a JSON object")
         try:
             datum = RootDatum.from_dict(data["root_datum"])
             weights = data["weights"]
         except KeyError as exc:
             raise InputError(f"rep input missing {exc}") from exc
-        return cls.build(datum, weights, assert_generic=data.get("assert_generic"))
+        assert_generic = data.get("assert_generic")
+        if assert_generic not in (None, True, False):
+            raise InputError(f"assert_generic must be true, false or absent, got {assert_generic!r}")
+        return cls.build(datum, weights, assert_generic=assert_generic)
 
     @property
     def dim(self) -> int:
@@ -99,19 +104,9 @@ class QSRep:
     def rank(self) -> int:
         return self.root_datum.rank
 
-    def half_sigma_at(self, delta) -> Polytope:
-        return geometry.zonotope(self.weights, Fraction(1, 2)).translate(delta)
-
-    def nabla_at(self, delta) -> Polytope:
-        return self.nabla.translate(delta)
-
     def dominant_halfspaces(self) -> tuple[HalfSpace, ...]:
         """Dot-product half-spaces cutting out the dominant cone."""
-        out = []
-        for a in self.root_datum.positive_roots:
-            converted = linalg.mat_vec(self.root_datum.pairing, a)
-            out.append(HalfSpace(linalg.primitive(converted), Fraction(0)))
-        return tuple(out)
+        return _dominant_cone(self.root_datum)
 
     def to_json(self) -> dict:
         return {
@@ -149,7 +144,8 @@ def slab_candidates(root_datum: RootDatum, weights) -> list[IntVec]:
 
     These are the only directions in which the slab intersection can have a
     facet; correctness is enforced afterwards by the dominant-slice
-    cross-check.
+    cross-check.  For a torus they also contain every facet normal of the
+    hull of any sub-multiset of the weights, which check_generic relies on.
     """
     n = root_datum.rank
     vectors = sorted({tuple(b) for b in weights if not linalg.is_zero(b)}
@@ -187,16 +183,18 @@ def build_nabla(root_datum: RootDatum, weights, sigma: Polytope) -> Polytope:
         halfspaces.append(HalfSpace(converted, -bound * rescale))
         halfspaces.append(HalfSpace(linalg.primitive(linalg.neg(converted)), -bound * rescale))
     nabla = geometry.from_halfspaces(halfspaces, center=(Fraction(0),) * root_datum.rank)
-    _cross_check_nabla(root_datum, weights, sigma, nabla)
+    _cross_check_nabla(root_datum, sigma, nabla)
     return nabla
 
 
-def _cross_check_nabla(root_datum, weights, sigma, nabla) -> None:
-    dominant = []
-    for a in root_datum.positive_roots:
-        converted = linalg.mat_vec(root_datum.pairing, a)
-        dominant.append(HalfSpace(linalg.primitive(converted), Fraction(0)))
-    half_sigma = geometry.zonotope(weights, Fraction(1, 2))
+def _dominant_cone(root_datum: RootDatum) -> tuple[HalfSpace, ...]:
+    return tuple(HalfSpace(linalg.primitive(linalg.mat_vec(root_datum.pairing, a)), Fraction(0))
+                 for a in root_datum.positive_roots)
+
+
+def _cross_check_nabla(root_datum, sigma, nabla) -> None:
+    dominant = _dominant_cone(root_datum)
+    half_sigma = sigma.scale(Fraction(1, 2))
     shifted = half_sigma.translate(linalg.neg(root_datum.rho))
     slice_nabla = geometry.intersect(nabla, dominant)
     slice_sigma = geometry.intersect(shifted, dominant)
@@ -231,7 +229,7 @@ def check_generic(root_datum: RootDatum, weights) -> Ternary:
     if not root_datum.is_torus:
         return Ternary.UNKNOWN
     n = root_datum.rank
-    candidates = _direction_candidates(weights, n)
+    candidates = slab_candidates(root_datum, weights)
     for i in range(len(weights)):
         rest = [b for j, b in enumerate(weights) if j != i]
         if not linalg.lattice_generates(rest, n):
@@ -239,23 +237,6 @@ def check_generic(root_datum: RootDatum, weights) -> Ternary:
         if not _zero_in_interior(rest, n, candidates):
             return Ternary.NO
     return Ternary.YES
-
-
-def _direction_candidates(vectors, n) -> list[IntVec]:
-    """Normals of hyperplanes spanned by (n-1)-subsets; every facet normal
-    of any sub-multiset's cone appears here."""
-    nonzero = sorted({tuple(v) for v in vectors if not linalg.is_zero(v)})
-    if n == 1:
-        return [(1,)]
-    out = set()
-    for combo in itertools.combinations(nonzero, n - 1):
-        rows = [list(v) for v in combo]
-        if linalg.rank(rows) < n - 1:
-            continue
-        kernel = linalg.kernel_basis(rows)
-        if len(kernel) == 1:
-            out.add(linalg.sign_normalized(linalg.primitive(kernel[0])))
-    return sorted(out)
 
 
 def _zero_in_interior(vectors, n, candidates) -> bool:

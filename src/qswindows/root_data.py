@@ -110,19 +110,23 @@ class RootDatum:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RootDatum":
+        if not isinstance(data, dict):
+            raise InputError("the root datum block must be a JSON object")
         builtin = data.get("builtin")
         if builtin == "torus":
-            return cls.torus(int(data["rank"]))
+            return cls.torus(_int_entry(data["rank"], "rank must be an integer"))
         if builtin == "gl":
-            return cls.gl(int(data["n"]))
+            return cls.gl(_int_entry(data["n"], "n must be an integer"))
         if builtin is not None:
             raise InputError(f"unknown builtin root datum {builtin!r}")
         try:
-            rank = int(data["rank"])
+            rank = _int_entry(data["rank"], "rank must be an integer")
             pairing = _parse_matrix(data["pairing"], rank)
-            roots = [tuple(int(x) for x in r) for r in data.get("roots", [])]
-            simples = [tuple(tuple(int(x) for x in row) for row in m) for m in data.get("simple_reflections", [])]
+            roots = int_rows(data.get("roots", []), "roots")
+            simples = [int_rows(m, "simple reflection") for m in data.get("simple_reflections", [])]
             positive = data.get("positive_roots")
+            if positive is not None:
+                positive = int_rows(positive, "positive roots")
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad root datum block: {exc}") from exc
         return cls.from_data(rank, pairing, roots, simples, positive_roots=positive)
@@ -191,9 +195,6 @@ class RootDatum:
             if self.is_strictly_dominant(self.apply(w, shifted)):
                 return DominantRep(w=w, weight=self.dotted(w, chi), length=self.lengths[w])
         raise InputError("no Weyl element moves the weight into the dominant cone")
-
-    def is_invariant_vector(self, v) -> bool:
-        return all(self.apply(w, v) == tuple(v) for w in self.simple_reflections)
 
     @property
     def is_torus(self) -> bool:
@@ -273,5 +274,18 @@ def _parse_matrix(entries, rank):
     return rows
 
 
-def parse_weight(xs) -> Weight:
-    return tuple(int(x) for x in xs)
+def _int_entry(x, message: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InputError(f"{message}, got {x!r}")
+    return x
+
+
+def int_rows(rows, what: str) -> tuple[IntVec, ...]:
+    """Rows of an integer matrix as given on input: a list of lists of ints.
+
+    Anything else, floats and bools included, raises InputError rather than
+    being coerced.
+    """
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
+        raise InputError(f"{what} must be a list of integer lists")
+    return tuple(tuple(_int_entry(x, f"{what} must hold integers only") for x in r) for r in rows)

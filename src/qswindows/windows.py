@@ -87,6 +87,7 @@ class Context:
     def __init__(self, rep: QSRep, arr: Arrangement | None = None):
         self.rep = rep
         self.arrangement = arr if arr is not None else build_arrangement(rep)
+        self._dominant = rep.dominant_halfspaces()
         self._half_sigma_cache: dict = {}
         self._window_cache: dict = {}
 
@@ -106,17 +107,13 @@ class Context:
         key = tuple(delta)
         if key not in self._window_cache:
             shifted = self.rep.nabla.translate(delta)
-            chars = tuple(shifted.lattice_points(extra=self.rep.dominant_halfspaces()))
+            chars = tuple(shifted.lattice_points(extra=self._dominant))
             boundary = [c for c in chars if shifted.tight_indices(c)]
             if boundary:
                 raise InternalInconsistencyError(
                     f"window characters {boundary} on the boundary at off-wall {delta}")
             self._window_cache[key] = Window(delta=key, chars=chars)
         return self._window_cache[key]
-
-
-def window(rep: QSRep, delta, ctx: Context | None = None) -> Window:
-    return (ctx or Context(rep)).window(delta)
 
 
 def face_data_from_face(rep: QSRep, poly: Polytope, face: Face, delta0) -> FaceData:
@@ -289,8 +286,3 @@ def partition(rep: QSRep, delta, delta_prime, ctx: Context | None = None):
     """(common characters, per-face split of the outgoing characters)."""
     crossing = wall_crossing(rep, delta, delta_prime, ctx or Context(rep))
     return crossing.common, dict(crossing.chars_by_face)
-
-
-def wall_faces(rep: QSRep, delta, delta_prime, ctx: Context | None = None) -> dict:
-    crossing = wall_crossing(rep, delta, delta_prime, ctx or Context(rep))
-    return dict(crossing.faces)

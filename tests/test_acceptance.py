@@ -3,16 +3,18 @@
 Each test prints a single pass/fail line; run with ``pytest -s
 tests/test_acceptance.py`` to see them.  The random corpus is seeded and
 shared across criteria; rank-one wall pairs are exhaustive within the
-two-period box, higher ranks are grid-sampled on every wall.
+two-period box, higher ranks are grid-sampled on every wall.  Criteria 2-6
+run the named checks of ``qswindows.verify`` and require the rows they rely
+on to be present, so the CLI's ``verify`` and this suite share one copy of
+every invariant.
 """
 import itertools
 import time
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from qswindows import catalog, complexes, cy_ci, groupoid, linalg, mutation, verify, windows
+from qswindows import catalog, cy_ci, mutation, verify, windows
 from qswindows.rep import QSRep, build_nabla
 from qswindows.root_data import RootDatum
 from qswindows.windows import Context
@@ -85,99 +87,60 @@ def test_criterion_1_gl2_figures(gl2):
     report(1, "gl2 figure reproduction", ok and elapsed < 5.0, f"({elapsed:.2f}s)")
 
 
+def rows_hold(rows, required) -> bool:
+    """Every verify row passed and every required row was produced."""
+    return all(r.passed for r in rows) and set(required) <= {r.name for r in rows}
+
+
+def run_check(check, corpus, required) -> bool:
+    """Run one verify check over every corpus pair."""
+    return all(rows_hold(check(f"corpus[{i}]", rep, ctx, delta, delta_prime), required)
+               for i, (rep, ctx, pairs) in enumerate(corpus)
+               for delta, delta_prime in pairs)
+
+
+@pytest.fixture(scope="module")
+def complex_rows(corpus):
+    """check_complexes rows for every corpus pair, shared by criteria 3 and 5."""
+    return [verify.check_complexes(f"corpus[{i}]", rep, ctx, delta, delta_prime)
+            for i, (rep, ctx, pairs) in enumerate(corpus)
+            for delta, delta_prime in pairs]
+
+
 def test_criterion_2_mu_involution_and_partition(corpus):
     t0 = time.time()
     ok = len(corpus) >= 200
-    n_pairs = 0
-    for rep, ctx, pairs in corpus:
-        for delta, delta_prime in pairs:
-            n_pairs += 1
-            crossing = windows.wall_crossing(rep, delta, delta_prime, ctx)
-            back = windows.wall_crossing(rep, delta_prime, delta, ctx)
-            forward = windows.mu_map(rep, crossing)
-            backward = windows.mu_map(rep, back)
-            ok = ok and all(backward[img] == chi for chi, img in forward.items())
-            ok = ok and len(crossing.window.chars) == len(crossing.window_prime.chars)
-            seen = set(crossing.common)
-            total = len(crossing.common)
-            for chars in crossing.chars_by_face.values():
-                ok = ok and not (seen & set(chars))
-                seen |= set(chars)
-                total += len(chars)
-            ok = ok and seen == set(crossing.window.chars)
-            ok = ok and total == len(crossing.window.chars)
+    ok = ok and run_check(verify.check_crossing_bijection, corpus,
+                          ("mu-involution", "window-sizes-match", "window-partition"))
+    n_pairs = sum(len(pairs) for _, _, pairs in corpus)
     elapsed = time.time() - t0
     report(2, "mu involution and window partition", ok and elapsed < 60.0,
            f"({len(corpus)} reps, {n_pairs} pairs, {elapsed:.1f}s)")
 
 
-def test_criterion_3_toric_wall_identities(corpus):
-    ok = True
-    for rep, ctx, pairs in corpus:
-        for delta, delta_prime in pairs:
-            crossing = windows.wall_crossing(rep, delta, delta_prime, ctx)
-            ok = ok and len(crossing.faces) == 1
-            (key,) = crossing.faces
-            fd = crossing.faces[key]
-            ok = ok and set(crossing.chars_by_face[key]) == set(crossing.outgoing)
-            common = set(crossing.common)
-            l_set, n_set = complexes.summand_sets(rep, crossing, fd, ctx)
-            ok = ok and set(l_set) <= common
-            ok = ok and set(n_set) == common
-            direction = linalg.sub(crossing.delta_prime, crossing.delta)
-            ok = ok and all(linalg.dot(direction, lam) > 0 for lam in fd.inward_normals)
+def test_criterion_3_toric_wall_identities(corpus, complex_rows):
+    ok = run_check(verify.check_wall_crossing, corpus,
+                   ("toric-single-wall-face", "toric-outgoing-equals-face-chars",
+                    "crossing-orientation"))
+    ok = ok and all(rows_hold(rows, ("toric-l-summands-in-common",)) for rows in complex_rows)
     report(3, "toric wall identities", ok)
 
 
 def test_criterion_4_mutation_periodicity(corpus):
-    ok = True
-    for rep, ctx, pairs in corpus:
-        for delta, delta_prime in pairs:
-            wall = mutation.toric_wall(rep, delta, delta_prime, ctx)
-            start = mutation.module_of_window(rep, delta, ctx)
-            far = mutation.module_of_window(rep, delta_prime, ctx)
-            d = wall.face.d_plus
-            spec = start
-            seen = [spec]
-            for _ in range(wall.period):
-                prev = spec
-                spec = wall.mutate(spec, "left")
-                ok = ok and verify._step_telescopes(rep, wall.faces, prev, spec, wall)
-                seen.append(spec)
-            ok = ok and seen[d - 1] == far
-            ok = ok and seen[-1] == start
-            if wall.period > 1:
-                ok = ok and len({s.atoms for s in seen[:-1]}) == wall.period
-            for fd in wall.faces.values():
-                for i in range(1, fd.d_plus - 1):
-                    atom = mutation.Ker(fd.key, (0,) * rep.rank, i)
-                    ok = ok and mutation.atom_rank(atom, rep, wall.faces) == \
-                        mutation.kernel_rank_formula(fd.d_plus, i)
+    ok = run_check(verify.check_mutation, corpus,
+                   ("mutation-reaches-far-window", "mutation-periodicity",
+                    "kernel-rank-binomials", "virtual-class-telescoping"))
     report(4, "toric mutation periodicity and telescoping", ok)
 
 
-def test_criterion_5_complex_endpoints(corpus, gl2):
-    ok = True
-    instances = [(rep, ctx, pairs) for rep, ctx, pairs in corpus]
+def test_criterion_5_complex_endpoints(corpus, complex_rows, gl2):
+    required = ("complex-endpoint-terms", "complex-degree-support")
+    ok = all(rows_hold(rows, required + ("toric-koszul-multiplicities",))
+             for rows in complex_rows)
     gl2rep, gl2ctx = gl2
-    instances.append((gl2rep, gl2ctx, [((F(0), F(0)), (F(1), F(1))),
-                                       ((F(1), F(1)), (F(0), F(0)))]))
-    for rep, ctx, pairs in instances:
-        top_len = rep.root_datum.length(rep.root_datum.w0)
-        for delta, delta_prime in pairs:
-            crossing = windows.wall_crossing(rep, delta, delta_prime, ctx)
-            for key, fd in crossing.faces.items():
-                top = fd.d_plus + top_len
-                for chi in crossing.chars_by_face[key]:
-                    ct = complexes.complex_terms(rep, fd, chi)
-                    image = windows.mu_of_crossing(rep, crossing, chi)
-                    ok = ok and ct.terms.get(0) == Counter({tuple(chi): 1})
-                    ok = ok and ct.terms.get(top) == Counter({image: 1})
-                    ok = ok and all(0 <= deg <= top for deg in ct.terms)
-                    if rep.root_datum.is_torus:
-                        for m in range(fd.d_plus + 1):
-                            ok = ok and ct.terms.get(m, Counter()) == \
-                                complexes.koszul_degree_term(rep, fd, chi, m)
+    for delta, delta_prime in (((F(0), F(0)), (F(1), F(1))), ((F(1), F(1)), (F(0), F(0)))):
+        ok = ok and rows_hold(
+            verify.check_complexes("gl2", gl2rep, gl2ctx, delta, delta_prime), required)
     report(5, "complex endpoint and support invariants", ok)
 
 

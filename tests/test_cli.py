@@ -9,6 +9,9 @@ TORUS22 = {"root_datum": {"builtin": "torus", "rank": 1},
 GL2 = {"root_datum": {"builtin": "gl", "n": 2},
        "weights": [[3, 0], [2, 1], [1, 2], [0, 3], [-3, 0], [-2, -1], [-1, -2], [0, -3]]}
 BAD = {"root_datum": {"builtin": "torus", "rank": 1}, "weights": [[1], [1], [-1]]}
+FLOAT_WEIGHTS = {"root_datum": {"builtin": "torus", "rank": 1}, "weights": [[1.5], [-1.5]]}
+STRING_WEIGHTS = {"root_datum": {"builtin": "torus", "rank": 1}, "weights": "abc"}
+STRING_FLAG = dict(TORUS22, assert_generic="yes")
 RANK3 = {"root_datum": {"builtin": "torus", "rank": 3},
          "weights": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
                      [0, 0, 1], [0, 0, -1], [1, 1, 1], [-1, -1, -1]]}
@@ -17,7 +20,9 @@ RANK3 = {"root_datum": {"builtin": "torus", "rank": 3},
 @pytest.fixture
 def inputs(tmp_path):
     paths = {}
-    for name, payload in (("torus22", TORUS22), ("gl2", GL2), ("bad", BAD), ("rank3", RANK3)):
+    for name, payload in (("torus22", TORUS22), ("gl2", GL2), ("bad", BAD), ("rank3", RANK3),
+                          ("float_weights", FLOAT_WEIGHTS), ("string_weights", STRING_WEIGHTS),
+                          ("list_document", [TORUS22]), ("string_flag", STRING_FLAG)):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(payload))
         paths[name] = str(p)
@@ -35,6 +40,10 @@ def test_window_subcommand(inputs, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["chars"] == [[0], [1]]
+    # a negative rational needs the --delta=... form
+    code, out, _ = run(capsys, "window", "--input", inputs["gl2"], "--delta=-1/4,-1/4")
+    assert code == 0
+    assert len(json.loads(out)["chars"]) == 12
 
 
 def test_wallcross_subcommand(inputs, capsys):
@@ -118,12 +127,18 @@ def test_error_codes(inputs, capsys):
     assert code == 2
     code, _, err = run(capsys, "cy", "--a", "1,1", "--d", "3")
     assert code == 2 and "Calabi-Yau" in err
+    # nothing is coerced: a malformed document exits 2 with a one-line message
+    for name in ("float_weights", "string_weights", "list_document", "string_flag"):
+        code, out, err = run(capsys, "rep", "--input", inputs[name])
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and err.count("\n") == 1
 
 
 def test_verify_empty_suites(capsys):
-    code, out, _ = run(capsys, "verify", "--suites", " ")
-    assert code == 0
-    assert "warning" in out
+    for suites in (" ", ""):
+        code, out, _ = run(capsys, "verify", "--suites", suites)
+        assert code == 0
+        assert "warning" in out
 
 
 def test_verify_corrupted_input(inputs, capsys):

@@ -81,7 +81,7 @@ def test_faces_interval():
 
 
 def test_faces_unit_square():
-    square = geometry.from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
+    square = geometry.zonotope([(1, 0), (0, 1)])
     faces = square.faces()
     assert sum(1 for f in faces if f.codim == 1) == 4
     assert sum(1 for f in faces if f.codim == 2) == 4
@@ -169,6 +169,17 @@ def test_translate_and_scale():
     assert sorted(t.vertices) == [(Fraction(-1, 2),), (Fraction(3, 2),)]
     s = z.scale(Fraction(3))
     assert sorted(s.vertices) == [(-3,), (3,)]
+    # scaling the zonotope equals building it with scaled generators, which
+    # the window-polytope cross-check relies on for half the zonotope
+    for gens in ([(1,), (1,), (-1,)],
+                 [(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)],
+                 [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+                 GL2_WEIGHTS):
+        half = geometry.zonotope(gens, Fraction(1, 2))
+        scaled = geometry.zonotope(gens).scale(Fraction(1, 2))
+        assert scaled.halfspaces == half.halfspaces
+        assert sorted(scaled.vertices) == sorted(half.vertices)
+        assert scaled.center == half.center
 
 
 def test_face_at_rejects_interior_and_outside():

@@ -38,7 +38,7 @@ def test_mutate_left_examples(torus22, ctx22):
     wall = mutation.toric_wall(torus22, (F(1, 2),), (F(3, 2),), ctx22)
     start = mutation.module_of_window(torus22, (F(1, 2),), ctx22)
     assert wall.pivot() == spec_of((1,))
-    stepped = mutation.mutate_left(torus22, start, wall)
+    stepped = wall.mutate(start, "left")
     assert stepped == spec_of((1,), (2,))
 
 
@@ -46,10 +46,10 @@ def test_mutate_left_with_intermediate_kernels(torus33, ctx33):
     wall = mutation.toric_wall(torus33, (F(0),), (F(1),), ctx33)
     assert wall.face.d_plus == 3
     start = mutation.module_of_window(torus33, (F(0),), ctx33)
-    s1 = mutation.mutate_left(torus33, start, wall)
+    s1 = wall.mutate(start, "left")
     kers = [a for a, _ in s1.atoms if isinstance(a, Ker)]
     assert len(kers) == 1 and kers[0].step == 1
-    s2 = mutation.mutate_left(torus33, s1, wall)
+    s2 = wall.mutate(s1, "left")
     assert s2 == mutation.module_of_window(torus33, (F(1),), ctx33)
 
 
