@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -358,9 +359,32 @@ HANDLERS = {
 }
 
 
+_VECTOR_FLAGS = ("--delta", "--delta2", "--chi", "--start")
+_RATIONAL_VECTOR = re.compile(r"-?[0-9]+(/[0-9]+)?(,-?[0-9]+(/[0-9]+)?)*")
+
+
+def _join_vector_flags(argv: list[str]) -> list[str]:
+    """Write ``--delta -1/4,-1/4`` as ``--delta=-1/4,-1/4``.
+
+    argparse takes a token starting with a minus sign for an option, so a
+    negative rational vector after a vector-valued flag is joined to it.
+    """
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        if (argv[i] in _VECTOR_FLAGS and i + 1 < len(argv)
+                and _RATIONAL_VECTOR.fullmatch(argv[i + 1])):
+            out.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_vector_flags(sys.argv[1:] if argv is None else list(argv)))
     try:
         return HANDLERS[args.command](args)
     except (InputError, OnWallError, NotAdjacentError) as exc:

@@ -4,12 +4,23 @@ Polytopes are stored as irredundant half-space lists together with their
 vertex sets, both exact.  Half-spaces use the standard dot product; callers
 working with a nontrivial invariant form convert their normals first.  All
 polytopes here are bounded.
+
+Vertex enumeration runs over the integers: offsets share one denominator,
+and each ``dim``-subset of hyperplane directions costs one fraction-free
+(Bareiss) elimination giving its determinant and adjugate, so every vertex
+candidate is a vector of Cramer numerators over the determinant, screened
+with integer dot products.  Each distinct vertex is re-derived once with
+``linalg.solve``.  The result is then checked against its half-spaces by
+an incidence test that does not enumerate vertices: vertices are feasible,
+tight normals have full rank at each, kept half-spaces support facets, and
+every ridge of every facet lies in exactly two facets.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import linalg
 from .errors import InputError, InternalInconsistencyError
@@ -228,23 +239,93 @@ def _independent(vectors) -> list[Vec]:
     return basis
 
 
+def _bareiss(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss 1968).
+
+    Pivots are taken from the first ``ncols`` columns, and every division
+    is exact.  Returns the pivot columns and the reduced rows, which span
+    the input's row space: row i < len(pivots) holds the last pivot p in
+    column ``pivots[i]`` and zero in every other pivot column, and the
+    rows after them are zero in the first ``ncols`` columns.  For a
+    nonsingular square A augmented with I this gives p*I | M with
+    M A = p I, where p = +-det A, so M b / p solves A x = b and M b are
+    its Cramer numerators.
+    """
+    m = [list(row) for row in rows]
+    pivots: list[int] = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        pr = m[r]
+        p = pr[c]
+        for i, row in enumerate(m):
+            if i != r:
+                a = row[c]
+                m[i] = [(p * x - a * y) // prev for x, y in zip(row, pr)]
+        prev = p
+        pivots.append(c)
+    return pivots, m
+
+
+def _common_denominator(values) -> int:
+    d = 1
+    for x in values:
+        q = Fraction(x).denominator
+        d = d * q // gcd(d, q)
+    return d
+
+
+def _scaled(halfspaces, vertices) -> tuple[list[int], list[IntVec]]:
+    """Offsets and vertices as integers over one common denominator."""
+    denom = _common_denominator([h.offset for h in halfspaces] + [x for v in vertices for x in v])
+    return ([int(h.offset * denom) for h in halfspaces],
+            [tuple(int(x * denom) for x in v) for v in vertices])
+
+
 def _vertex_enumeration(halfspaces, dim) -> list[Vec]:
-    hyperplanes = {}
-    for h in halfspaces:
-        key = linalg.sign_normalized(h.normal)
-        off = Fraction(h.offset) if key == tuple(h.normal) else -Fraction(h.offset)
-        hyperplanes[(key, off)] = None
-    planes = sorted(hyperplanes)
-    verts = set()
-    for combo in itertools.combinations(planes, dim):
-        rows = [list(k[0]) for k in combo]
-        if linalg.rank(rows) < dim:
+    """Vertices of the intersection of the half-spaces, over the integers.
+
+    Offsets are scaled to one common denominator D.  For each ``dim``-subset
+    of distinct hyperplane directions one Bareiss elimination gives the
+    determinant and the adjugate; a zero determinant skips the subset, and
+    every choice of offsets along those directions then costs one
+    matrix-vector product for its Cramer numerators.  A candidate survives
+    if it satisfies every half-space, tested with integer dot products
+    against offset*det.  Each distinct survivor is re-derived once with
+    ``linalg.solve`` and must agree.
+    """
+    denom = _common_denominator(h.offset for h in halfspaces)
+    tests = [(h.normal, int(h.offset * denom)) for h in halfspaces]
+    offsets: dict[IntVec, set[int]] = {}
+    for nrm, off in tests:
+        key = linalg.sign_normalized(nrm)
+        offsets.setdefault(key, set()).add(off if key == tuple(nrm) else -off)
+    unit = linalg.identity_matrix(dim)
+    found: dict[tuple, tuple] = {}
+    for combo in itertools.combinations(sorted(offsets), dim):
+        pivots, m = _bareiss([list(n) + list(e) for n, e in zip(combo, unit)], dim)
+        if len(pivots) < dim:
             continue
-        sol = linalg.solve(rows, [k[1] for k in combo])
-        if sol is None:
-            continue
-        if all(h.contains(sol) for h in halfspaces):
-            verts.add(sol)
+        det = m[-1][dim - 1]
+        adj = [row[dim:] for row in m]
+        if det < 0:
+            det, adj = -det, [[-a for a in row] for row in adj]
+        for rhs in itertools.product(*(sorted(offsets[k]) for k in combo)):
+            nums = [linalg.dot(row, rhs) for row in adj]
+            if all(linalg.dot(nrm, nums) >= off * det for nrm, off in tests):
+                g = gcd(det, *nums)
+                found.setdefault((det // g, tuple(x // g for x in nums)), (combo, rhs))
+    verts = []
+    for (det, nums), (combo, rhs) in found.items():
+        point = tuple(Fraction(x, det * denom) for x in nums)
+        if linalg.solve(combo, [Fraction(b, denom) for b in rhs]) != point:
+            raise InternalInconsistencyError(
+                f"integer vertex {_fmt(point)} disagrees with the exact solve")
+        verts.append(point)
     return sorted(verts)
 
 
@@ -270,9 +351,10 @@ def from_halfspaces(halfspaces, center=None) -> Polytope:
     if not verts:
         raise InputError("half-spaces have empty intersection")
     full_dim = len(verts) > 1 and linalg.rank([linalg.sub(v, verts[0]) for v in verts[1:]]) == dim
+    offsets, pts = _scaled(hs, verts)
     kept = []
-    for h in hs:
-        tight_verts = [v for v in verts if h.tight(v)]
+    for h, off in zip(hs, offsets):
+        tight_verts = [v for v, p in zip(verts, pts) if linalg.dot(h.normal, p) == off]
         if not tight_verts:
             continue
         if full_dim:
@@ -289,9 +371,124 @@ def from_halfspaces(halfspaces, center=None) -> Polytope:
 
 
 def _check_h_v(poly: Polytope) -> None:
-    recomputed = _vertex_enumeration(poly.halfspaces, poly.dim)
-    if set(map(tuple, recomputed)) != set(map(tuple, poly.vertices)):
-        raise InternalInconsistencyError("H and V representations disagree")
+    """Check that the kept half-spaces cut out exactly the hull of the vertices.
+
+    An incidence check over integer coordinates that never enumerates
+    vertices: V*F dot products, then a scan of each facet's own vertices
+    for its ridges.  With k the affine dimension of the vertices:
+
+    * every vertex satisfies every half-space;
+    * the normals tight at each vertex have rank ``dim`` (it is a vertex);
+    * the half-spaces tight on every vertex cut out the affine hull: their
+      normals have rank dim - k and each one's negative lies in their cone,
+      so they hold with equality;
+    * for k = dim every half-space is tight on a (dim-1)-dimensional vertex
+      set, i.e. supports a facet; for k < dim at least one supports a
+      relative facet (a (k-1)-dimensional vertex set) when k >= 1;
+    * every ridge of every (relative) facet, found from that facet's own
+      vertices, lies in exactly two facets.
+
+    Without the last condition a dropped facet of a non-simple polytope
+    goes unseen: the octahedron without one facet still has three tight
+    normals of rank 3 at every old vertex.  With it the facets found are
+    every facet, as the facet-ridge graph of a polytope is connected.
+    """
+    dim, hs, verts = poly.dim, poly.halfspaces, poly.vertices
+    offsets, pts = _scaled(hs, verts)
+    tight_sets: list[list[int]] = [[] for _ in hs]
+    for i, p in enumerate(pts):
+        tight = []
+        for j, (h, off) in enumerate(zip(hs, offsets)):
+            value = linalg.dot(h.normal, p)
+            if value < off:
+                raise InternalInconsistencyError(f"vertex {_fmt(verts[i])} violates a half-space")
+            if value == off:
+                tight.append(h.normal)
+                tight_sets[j].append(i)
+        if _rank(tight) != dim:
+            raise InternalInconsistencyError(f"{_fmt(verts[i])} is not a vertex of the half-spaces")
+    k = _affine_rank(pts)
+    equalities = [h.normal for h, ts in zip(hs, tight_sets) if len(ts) == len(pts)]
+    if _rank(equalities) != dim - k or not all(
+            _in_cone(linalg.neg(n), equalities) for n in equalities):
+        raise InternalInconsistencyError("half-spaces do not cut out the affine hull of the vertices")
+    facets = set()
+    for ts in tight_sets:
+        if ts and _affine_rank([pts[i] for i in ts]) == k - 1:
+            facets.add(frozenset(ts))
+        elif k == dim:
+            raise InternalInconsistencyError("a kept half-space does not support a facet")
+    if k >= 1 and not facets:
+        raise InternalInconsistencyError("no half-space supports a facet of the vertex hull")
+    for facet in facets:
+        for ridge in _ridges(facet, pts):
+            if sum(1 for f in facets if ridge <= f) != 2:
+                raise InternalInconsistencyError(
+                    "a ridge does not lie in exactly two facets: H and V representations disagree")
+
+
+def _fmt(point) -> str:
+    return "(" + ", ".join(str(Fraction(x)) for x in point) + ")"
+
+
+def _rank(rows) -> int:
+    return len(_bareiss(rows, len(rows[0]))[0]) if rows else 0
+
+
+def _affine_rank(pts) -> int:
+    return _rank([linalg.sub(p, pts[0]) for p in pts[1:]])
+
+
+def _in_cone(target, gens) -> bool:
+    """Whether target is a nonnegative combination of the integer vectors.
+
+    By Caratheodory it suffices to try linearly independent subsets, so
+    subsets of at most ``len(target)`` vectors.
+    """
+    for size in range(1, min(len(gens), len(target)) + 1):
+        for sub in itertools.combinations(gens, size):
+            rows = [[g[i] for g in sub] + [t] for i, t in enumerate(target)]
+            pivots, m = _bareiss(rows, size)
+            if len(pivots) < size or any(row[size] for row in m[size:]):
+                continue
+            p = m[0][pivots[0]]
+            if all(row[size] * p >= 0 for row in m[:size]):
+                return True
+    return False
+
+
+def _ridges(facet, pts) -> set[frozenset[int]]:
+    """Facets of the facet, as vertex-index sets, from its vertices alone.
+
+    The vertices go to integer coordinates in a basis of the facet's
+    direction space, where the facet is d-dimensional.  Each affinely
+    independent d-subset of them spans a hyperplane; it bounds a ridge
+    when all the facet's vertices lie on one side.
+    """
+    idx = sorted(facet)
+    diffs = {i: linalg.sub(pts[i], pts[idx[0]]) for i in idx}
+    basis = [row for row in _bareiss(list(diffs.values()), len(pts[0]))[1] if any(row)]
+    d = len(basis)
+    if d == 0:
+        return set()
+    coords = {i: tuple(linalg.dot(b, diff) for b in basis) for i, diff in diffs.items()}
+    ridges: set[frozenset[int]] = set()
+    for combo in itertools.combinations(idx, d):
+        if any(set(combo) <= r for r in ridges):
+            continue
+        base = coords[combo[0]]
+        pivots, m = _bareiss([linalg.sub(coords[i], base) for i in combo[1:]], d)
+        if len(pivots) < d - 1:
+            continue
+        free = next(c for c in range(d) if c not in pivots)
+        y = [0] * d
+        y[free] = m[-1][pivots[-1]] if pivots else 1
+        for row, c in zip(m, pivots):
+            y[c] = -row[free]
+        values = {i: linalg.dot(y, linalg.sub(coords[i], base)) for i in idx}
+        if min(values.values()) >= 0 or max(values.values()) <= 0:
+            ridges.add(frozenset(i for i, v in values.items() if v == 0))
+    return ridges
 
 
 def _check_center(poly: Polytope) -> None:

@@ -7,6 +7,7 @@ cover tori and GL(n).
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -264,14 +265,28 @@ def _invariant_lattice_basis(rank, elements):
 
 
 def _parse_matrix(entries, rank):
+    if not isinstance(entries, (list, tuple)) or not entries:
+        raise InputError("pairing must be a non-empty list")
     if isinstance(entries[0], (list, tuple)):
-        rows = [[Fraction(str(x)) for x in row] for row in entries]
+        rows = [[_rational_entry(x) for x in row] for row in entries]
     else:
-        flat = [Fraction(str(x)) for x in entries]
+        flat = [_rational_entry(x) for x in entries]
         if len(flat) != rank * rank:
             raise InputError("row-major pairing has the wrong length")
         rows = [flat[i * rank:(i + 1) * rank] for i in range(rank)]
     return rows
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def _rational_entry(x) -> Fraction:
+    """A pairing entry: a JSON integer or a "p/q" / "n" string, nothing else."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
+        return Fraction(x)
+    raise InputError(f"pairing entries must be integers or \"p/q\" strings, got {x!r}")
 
 
 def _int_entry(x, message: str) -> int:

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from qswindows import catalog, cy_ci, mutation, verify, windows
+from qswindows.errors import QSWindowsError
 from qswindows.rep import QSRep, build_nabla
 from qswindows.root_data import RootDatum
 from qswindows.windows import Context
@@ -182,6 +183,6 @@ def test_criterion_8_window_polytope_consistency(corpus, gl2):
     for rep in reps:
         try:
             build_nabla(rep.root_datum, rep.weights, rep.sigma)
-        except Exception:
+        except QSWindowsError:
             ok = False
     report(8, "window polytope dominant-slice consistency", ok)

@@ -12,6 +12,7 @@ BAD = {"root_datum": {"builtin": "torus", "rank": 1}, "weights": [[1], [1], [-1]
 FLOAT_WEIGHTS = {"root_datum": {"builtin": "torus", "rank": 1}, "weights": [[1.5], [-1.5]]}
 STRING_WEIGHTS = {"root_datum": {"builtin": "torus", "rank": 1}, "weights": "abc"}
 STRING_FLAG = dict(TORUS22, assert_generic="yes")
+FLOAT_PAIRING = dict(TORUS22, root_datum={"rank": 1, "pairing": [1.5]})
 RANK3 = {"root_datum": {"builtin": "torus", "rank": 3},
          "weights": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
                      [0, 0, 1], [0, 0, -1], [1, 1, 1], [-1, -1, -1]]}
@@ -22,7 +23,8 @@ def inputs(tmp_path):
     paths = {}
     for name, payload in (("torus22", TORUS22), ("gl2", GL2), ("bad", BAD), ("rank3", RANK3),
                           ("float_weights", FLOAT_WEIGHTS), ("string_weights", STRING_WEIGHTS),
-                          ("list_document", [TORUS22]), ("string_flag", STRING_FLAG)):
+                          ("list_document", [TORUS22]), ("string_flag", STRING_FLAG),
+                          ("float_pairing", FLOAT_PAIRING)):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(payload))
         paths[name] = str(p)
@@ -40,10 +42,13 @@ def test_window_subcommand(inputs, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["chars"] == [[0], [1]]
-    # a negative rational needs the --delta=... form
-    code, out, _ = run(capsys, "window", "--input", inputs["gl2"], "--delta=-1/4,-1/4")
+    # a negative rational vector may follow the flag or be joined with "="
+    code, joined, _ = run(capsys, "window", "--input", inputs["gl2"], "--delta=-1/4,-1/4")
     assert code == 0
-    assert len(json.loads(out)["chars"]) == 12
+    assert len(json.loads(joined)["chars"]) == 12
+    code, separate, _ = run(capsys, "window", "--input", inputs["gl2"], "--delta", "-1/4,-1/4")
+    assert code == 0
+    assert separate == joined
 
 
 def test_wallcross_subcommand(inputs, capsys):
@@ -128,7 +133,8 @@ def test_error_codes(inputs, capsys):
     code, _, err = run(capsys, "cy", "--a", "1,1", "--d", "3")
     assert code == 2 and "Calabi-Yau" in err
     # nothing is coerced: a malformed document exits 2 with a one-line message
-    for name in ("float_weights", "string_weights", "list_document", "string_flag"):
+    for name in ("float_weights", "string_weights", "list_document", "string_flag",
+                 "float_pairing"):
         code, out, err = run(capsys, "rep", "--input", inputs[name])
         assert code == 2 and out == ""
         assert err.startswith("input error: ") and err.count("\n") == 1

@@ -1,11 +1,12 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from qswindows import geometry, linalg
-from qswindows.errors import InputError
-from qswindows.geometry import HalfSpace
+from qswindows.errors import InputError, InternalInconsistencyError
+from qswindows.geometry import HalfSpace, Polytope
 
 
 def interval_oracle(generators, scale=Fraction(1)):
@@ -188,3 +189,135 @@ def test_face_at_rejects_interior_and_outside():
         z.face_at((Fraction(0),))
     with pytest.raises(InputError):
         z.face_at((Fraction(5),))
+
+
+# -- the integer vertex kernel and the H/V incidence check --------------------
+
+
+def rref_vertex_enumeration(halfspaces, dim):
+    """Reference oracle: a Fraction rank test and solve for every dim-subset
+    of the distinct hyperplanes, kept if the solution satisfies everything."""
+    hyperplanes = {}
+    for h in halfspaces:
+        key = linalg.sign_normalized(h.normal)
+        off = Fraction(h.offset) if key == tuple(h.normal) else -Fraction(h.offset)
+        hyperplanes[(key, off)] = None
+    verts = set()
+    for combo in itertools.combinations(sorted(hyperplanes), dim):
+        rows = [list(k[0]) for k in combo]
+        if linalg.rank(rows) < dim:
+            continue
+        sol = linalg.solve(rows, [k[1] for k in combo])
+        if sol is not None and all(h.contains(sol) for h in halfspaces):
+            verts.add(sol)
+    return sorted(verts)
+
+
+def halfspace(normal, offset):
+    return HalfSpace(tuple(normal), Fraction(offset))
+
+
+def cube(dim, r=1):
+    """|x_i| <= r."""
+    return [halfspace(linalg.scale(s, e), -Fraction(r))
+            for e in linalg.identity_matrix(dim) for s in (1, -1)]
+
+
+def cross_polytope(dim, r=1):
+    """sum |x_i| <= r: 2^dim facets, each vertex on 2^(dim-1) of them."""
+    return [halfspace(signs, -Fraction(r)) for signs in itertools.product((1, -1), repeat=dim)]
+
+
+def random_halfspaces(rng, dim, count):
+    """Random cuts of a box with mixed-denominator offsets; sometimes an
+    equality pair, so lower-dimensional intersections occur too."""
+    out = [halfspace(h.normal, h.offset / rng.choice((1, 2, 3)) - rng.randint(0, 2))
+           for h in cube(dim, 2)]
+    for _ in range(count):
+        nrm = tuple(rng.randint(-3, 3) for _ in range(dim))
+        if linalg.is_zero(nrm):
+            continue
+        nrm = linalg.primitive(nrm)
+        off = Fraction(rng.randint(-9, 3), rng.choice((1, 2, 3, 5, 7)))
+        out.append(HalfSpace(nrm, off))
+        if rng.random() < 0.15:
+            out.append(HalfSpace(linalg.neg(nrm), -off))
+    return out
+
+
+def named_cases():
+    zono = [[(1,), (1,), (-1,)], GL2_WEIGHTS,
+            [(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)],
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]]
+    cases = [cube(d) for d in (1, 2, 3, 4)] + [cross_polytope(d) for d in (2, 3, 4)]
+    cases += [list(geometry.zonotope(g, Fraction(1, 2)).halfspaces) for g in zono]
+    # a triangle whose (1, 1), (1, -1) elimination ends on the pivot -2
+    cases.append([halfspace((1, 1), Fraction(-1, 2)), halfspace((1, -1), Fraction(-1, 3)),
+                  halfspace((-1, 0), Fraction(-2, 5))])
+    return cases
+
+
+def test_vertex_kernel_matches_rref_oracle():
+    rng = random.Random(20250810)
+    cases = named_cases()
+    for dim, count, sets in ((1, 3, 25), (2, 5, 25), (3, 5, 20), (4, 3, 10)):
+        cases += [random_halfspaces(rng, dim, count) for _ in range(sets)]
+    nonempty = 0
+    for hs in cases:
+        dim = len(hs[0].normal)
+        verts = geometry._vertex_enumeration(hs, dim)
+        assert verts == rref_vertex_enumeration(hs, dim)
+        if verts:
+            nonempty += 1
+            poly = geometry.from_halfspaces(hs)
+            assert sorted(poly.vertices) == verts
+    assert nonempty > len(cases) // 2
+
+
+def test_vertex_kernel_empty_intersection():
+    for hs in ([halfspace((1,), 1), halfspace((-1,), 0)],
+               cube(3) + [halfspace((1, 1, 1), Fraction(7, 2))]):
+        dim = len(hs[0].normal)
+        assert geometry._vertex_enumeration(hs, dim) == []
+        assert rref_vertex_enumeration(hs, dim) == []
+        with pytest.raises(InputError):
+            geometry.from_halfspaces(hs)
+
+
+def test_h_v_check_catches_a_dropped_vertex():
+    octa = geometry.from_halfspaces(cross_polytope(3))
+    bad = Polytope(octa.dim, octa.halfspaces, octa.vertices[1:])
+    with pytest.raises(InternalInconsistencyError):
+        geometry._check_h_v(bad)
+
+
+def test_h_v_check_catches_an_added_point():
+    octa = geometry.from_halfspaces(cross_polytope(3))
+    for extra in ((0, 0, 0), (Fraction(1, 2), Fraction(1, 2), 0)):
+        bad = Polytope(octa.dim, octa.halfspaces, octa.vertices + (linalg.vec(extra),))
+        with pytest.raises(InternalInconsistencyError):
+            geometry._check_h_v(bad)
+
+
+def test_h_v_check_catches_a_dropped_facet_of_a_non_simple_polytope():
+    octa = geometry.from_halfspaces(cross_polytope(3))
+    geometry._check_h_v(octa)
+    kept = tuple(h for h in octa.halfspaces if h.normal != (-1, -1, -1))
+    assert len(kept) == 7
+    with pytest.raises(InternalInconsistencyError):
+        geometry._check_h_v(Polytope(3, kept, octa.vertices))
+    # the remaining half-spaces have the extra vertex (1, 1, 1)
+    assert (1, 1, 1) in rref_vertex_enumeration(kept, 3)
+
+
+def test_h_v_check_on_lower_dimensional_polytopes():
+    point = geometry.from_halfspaces([halfspace((1,), Fraction(1, 2)),
+                                      halfspace((-1,), Fraction(-1, 2))])
+    upper = tuple(h for h in point.halfspaces if h.normal == (1,))
+    with pytest.raises(InternalInconsistencyError):
+        geometry._check_h_v(Polytope(1, upper, point.vertices))
+    segment = geometry.from_halfspaces([halfspace((0, 1), 0), halfspace((0, -1), 0),
+                                        halfspace((1, 0), 0), halfspace((-1, 0), -1)])
+    assert sorted(segment.vertices) == [(0, 0), (1, 0)]
+    with pytest.raises(InternalInconsistencyError):
+        geometry._check_h_v(Polytope(2, segment.halfspaces, ((0, 0),)))
