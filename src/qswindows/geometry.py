@@ -53,7 +53,7 @@ class HalfSpace:
         return HalfSpace(self.normal, self.offset + linalg.dot(v, self.normal))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Face:
     """A face keyed by the set of half-space indices tight on it."""
 

@@ -18,7 +18,7 @@ from .errors import InputError, UnsupportedDimensionError
 from .linalg import Vec
 from .mutation import per_face_counts
 from .rep import QSRep
-from .windows import Context, wall_crossing, mu_of_crossing
+from .windows import Context, mu_map, wall_crossing
 
 
 @dataclass(frozen=True)
@@ -379,10 +379,8 @@ def transcript_window_map(rep: QSRep, path: Path, ctx: Context | None = None) ->
             continue
         for hop in split_into_hops(arr, a):
             crossing = wall_crossing(rep, arr.to_ambient(hop.src), arr.to_ambient(hop.dst), ctx)
-            outgoing = set(crossing.outgoing)
-            step = {}
-            for chi in crossing.window.chars:
-                step[chi] = mu_of_crossing(rep, crossing, chi) if chi in outgoing else chi
+            step = dict(zip(crossing.window.chars, crossing.window.chars))
+            step.update(mu_map(rep, crossing))
             mapping = {src: step[dst] for src, dst in mapping.items()}
     end_window = set(ctx.window(arr.to_ambient(path.end)).chars)
     image = set(mapping.values())

@@ -1,5 +1,5 @@
-"""Dominant-weight windows, face data on the shifted half-zonotope, the
-wall-crossing bijection, and the per-face window partition.
+"""Dominant-weight windows, face data on the shifted half-zonotope, and the
+wall-crossing bijection.
 
 Conventions fixed here:
   * delta parameters are ambient rational vectors lying in the invariant
@@ -8,14 +8,40 @@ Conventions fixed here:
     segment meets the wall (the exact midpoint for symmetric pairs);
   * faces are keyed by their tight facet-index sets on delta_0 + half the
     zonotope, which makes partitions and atom identities deterministic.
+
+Chamber-level and per-call data.  A window depends only on the chamber of
+delta, and a crossing's characters, faces and mu map depend only on the
+ordered pair of chambers, so ``Context`` stores window characters once per
+chamber sign vector and crossing data once per ordered pair of sign vectors
+(exact chambers, not classes mod the lattice).  The first crossing of a
+pair runs every construction and check at its own wall point, the
+reference delta_0.  Every later crossing of the pair still locates both
+endpoints, checks that they are off-wall and adjacent, that its wall point
+lies on the wall and that its direction pairs positively with the inward
+normals; it then reuses the pair's data with its own delta, delta', delta_0
+and windows: each face takes the new delta_0 as its delta0, and its sample
+moves by delta_0 - reference delta_0.  Faces are shared the same way across
+pairs: a face is kept once per facet key, and every miss checks that the
+kept face, moved to its wall point, equals the face it just computed.
+
+Why that is exact: both wall points lie on the wall the two chambers share
+and on no other wall, so they are joined inside the common facet of the two
+chambers, and every tight set (of a character rho + chi, or of a vertex, on
+delta_0 + (1/2)Sigma) is constant along that facet.  So the facet keys are
+too, and a facet key fixes the face of (1/2)Sigma: its vertex indices,
+affine basis, normals, beta^+- and index sets.  Translating (1/2)Sigma moves
+each vertex, and so each face sample, by the difference of the wall points.
+That difference is W-invariant, so it pairs to zero with every coroot and
+leaves dominance alone.  The mu map reads only beta_F^+ and the two windows,
+which depend only on the chambers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import linalg
-from .arrangement import Arrangement, Wall, build_arrangement
+from .arrangement import Arrangement, Chamber, Wall, build_arrangement
 from .errors import InputError, InternalInconsistencyError
 from .geometry import Face, Polytope
 from .linalg import IntVec, Vec
@@ -36,7 +62,7 @@ class Window:
                 "chars": [list(c) for c in self.chars]}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaceData:
     """A face of delta_0 + (1/2)Sigma with its weight-index partition."""
 
@@ -82,38 +108,43 @@ class FaceData:
 
 
 class Context:
-    """Caches the arrangement and shifted polytopes for one representation."""
+    """The arrangement of one representation, with windows stored per chamber
+    and crossing data per ordered chamber pair (see the module docstring)."""
 
     def __init__(self, rep: QSRep, arr: Arrangement | None = None):
         self.rep = rep
         self.arrangement = arr if arr is not None else build_arrangement(rep)
         self._dominant = rep.dominant_halfspaces()
-        self._half_sigma_cache: dict = {}
-        self._window_cache: dict = {}
+        self._half_sigma = rep.sigma.scale(Fraction(1, 2))
+        # the last translate: a crossing's faces, daggers and checks all ask
+        # for the same wall point in a row
+        self._half_sigma_at: tuple = ((), None)
+        self._windows: dict = {}    # chamber sign vector -> window characters
+        self._crossings: dict = {}  # (sign vector, sign vector') -> _PairCrossing
+        self._faces: dict = {}      # facet key -> the first FaceData seen with it
 
     def half_sigma_at(self, delta0) -> Polytope:
-        key = tuple(Fraction(x) for x in delta0)
-        if key not in self._half_sigma_cache:
-            self._half_sigma_cache[key] = self.rep.sigma.scale(Fraction(1, 2)).translate(key)
-        return self._half_sigma_cache[key]
+        delta0 = linalg.vec(delta0)
+        if self._half_sigma_at[0] != delta0:
+            self._half_sigma_at = (delta0, self._half_sigma.translate(delta0))
+        return self._half_sigma_at[1]
 
-    def check_off_wall(self, delta) -> Vec:
-        coords = self.arrangement.to_coords(delta)
-        self.arrangement.chamber_of(coords)
-        return linalg.vec(delta)
-
-    def window(self, delta) -> Window:
-        delta = self.check_off_wall(delta)
-        key = tuple(delta)
-        if key not in self._window_cache:
+    def window(self, delta, chamber: Chamber | None = None) -> Window:
+        """The window at an off-wall delta.  A caller that has already
+        located delta passes its chamber."""
+        delta = linalg.vec(delta)
+        if chamber is None:
+            chamber = self.arrangement.chamber_of(self.arrangement.to_coords(delta))
+        chars = self._windows.get(chamber.sign_vector)
+        if chars is None:
             shifted = self.rep.nabla.translate(delta)
             chars = tuple(shifted.lattice_points(extra=self._dominant))
             boundary = [c for c in chars if shifted.tight_indices(c)]
             if boundary:
                 raise InternalInconsistencyError(
                     f"window characters {boundary} on the boundary at off-wall {delta}")
-            self._window_cache[key] = Window(delta=key, chars=chars)
-        return self._window_cache[key]
+            self._windows[chamber.sign_vector] = chars
+        return Window(delta=delta, chars=chars)
 
 
 def face_data_from_face(rep: QSRep, poly: Polytope, face: Face, delta0) -> FaceData:
@@ -191,6 +222,7 @@ class WallCrossing:
     faces: dict
     chars_by_face: dict
     outgoing: tuple[Weight, ...]
+    pair: _PairCrossing = field(compare=False, repr=False)
 
     @property
     def face_keys(self) -> list:
@@ -203,42 +235,82 @@ class WallCrossing:
         raise InputError(f"{chi} does not leave the window across this wall")
 
 
+class _PairCrossing:
+    """The chamber-pair part of a crossing: the outgoing characters, the wall
+    faces at the first crossing's wall point with their characters, and the
+    mu images once mu_map has asked for them."""
+
+    __slots__ = ("outgoing", "faces", "face_chars", "mu_images")
+
+    def __init__(self, rep: QSRep, ctx: Context, win: Window, win_p: Window, delta0: Vec):
+        self.outgoing = tuple(sorted(set(win.chars) - set(win_p.chars)))
+        nabla0 = rep.nabla.translate(delta0)
+        faces: dict = {}
+        chars_by_face: dict = {}
+        for chi in self.outgoing:
+            if not nabla0.on_boundary(chi):
+                raise InternalInconsistencyError(
+                    "an outgoing character must sit on the wall-point window boundary")
+            fd = face_of(rep, chi, delta0, ctx)
+            if fd.key not in faces:
+                shared = _moved(ctx._faces.setdefault(fd.key, fd), delta0)
+                if shared != fd:
+                    raise InternalInconsistencyError(
+                        f"wall face {list(fd.key)} changed with the wall point")
+                faces[fd.key] = shared
+            chars_by_face.setdefault(fd.key, []).append(chi)
+        self.faces = tuple(faces.values())
+        self.face_chars = tuple(tuple(sorted(chars)) for chars in chars_by_face.values())
+        self.mu_images: tuple | None = None
+
+    def at(self, delta, delta_prime, delta0, wall, win, win_p) -> WallCrossing:
+        """The crossing of this chamber pair along the segment delta -> delta'."""
+        faces = tuple(_moved(fd, delta0) for fd in self.faces)
+        outgoing = set(self.outgoing)
+        return WallCrossing(
+            delta=delta, delta_prime=delta_prime, delta0=delta0, wall=wall,
+            window=win, window_prime=win_p,
+            common=tuple(c for c in win.chars if c not in outgoing),
+            faces={fd.key: fd for fd in faces},
+            chars_by_face={fd.key: chars for fd, chars in zip(faces, self.face_chars)},
+            outgoing=self.outgoing, pair=self,
+        )
+
+
+def _moved(fd: FaceData, delta0: Vec) -> FaceData:
+    """The same face of (1/2)Sigma on the translate at the wall point delta0."""
+    if fd.delta0 == delta0:
+        return fd
+    move = linalg.sub(delta0, fd.delta0)
+    return replace(fd, delta0=delta0,
+                   face=replace(fd.face, sample=linalg.add(fd.face.sample, move)))
+
+
 def wall_crossing(rep: QSRep, delta, delta_prime, ctx: Context | None = None) -> WallCrossing:
     ctx = ctx or Context(rep)
     arr = ctx.arrangement
-    delta = ctx.check_off_wall(delta)
-    delta_prime = ctx.check_off_wall(delta_prime)
-    wall = arr.require_adjacent(arr.to_coords(delta), arr.to_coords(delta_prime))
+    delta, delta_prime = linalg.vec(delta), linalg.vec(delta_prime)
+    coords = arr.to_coords(delta)
+    chamber = arr.chamber_of(coords)
+    coords_p = arr.to_coords(delta_prime)
+    chamber_p = arr.chamber_of(coords_p)
+    wall = arr.require_adjacent(coords, coords_p)
     # the wall point is where the segment meets the wall; for a symmetric
     # pair this is the exact midpoint
     family = arr.families[wall.family_index]
-    lo = family.value(arr.to_coords(delta))
-    hi = family.value(arr.to_coords(delta_prime))
+    lo = family.value(coords)
+    hi = family.value(coords_p)
     t = (wall.offset - lo) / (hi - lo)
     delta0 = linalg.add(delta, linalg.scale(t, linalg.sub(delta_prime, delta)))
-    if not arr.on_wall(arr.to_coords(delta0)):
+    if not arr.on_wall(linalg.add(coords, linalg.scale(t, linalg.sub(coords_p, coords)))):
         raise InternalInconsistencyError("computed wall point is not on the wall")
-    win = ctx.window(delta)
-    win_p = ctx.window(delta_prime)
-    common = tuple(sorted(set(win.chars) & set(win_p.chars)))
-    outgoing = tuple(sorted(set(win.chars) - set(win_p.chars)))
-    nabla0 = rep.nabla.translate(delta0)
-    faces: dict = {}
-    chars_by_face: dict = {}
-    for chi in outgoing:
-        if not nabla0.on_boundary(chi):
-            raise InternalInconsistencyError(
-                "an outgoing character must sit on the wall-point window boundary")
-        fd = face_of(rep, chi, delta0, ctx)
-        faces.setdefault(fd.key, fd)
-        chars_by_face.setdefault(fd.key, []).append(chi)
-    for key in chars_by_face:
-        chars_by_face[key] = tuple(sorted(chars_by_face[key]))
-    crossing = WallCrossing(
-        delta=delta, delta_prime=delta_prime, delta0=delta0, wall=wall,
-        window=win, window_prime=win_p, common=common, faces=faces,
-        chars_by_face=chars_by_face, outgoing=outgoing,
-    )
+    win = ctx.window(delta, chamber)
+    win_p = ctx.window(delta_prime, chamber_p)
+    key = (chamber.sign_vector, chamber_p.sign_vector)
+    pair = ctx._crossings.get(key)
+    if pair is None:
+        pair = ctx._crossings[key] = _PairCrossing(rep, ctx, win, win_p, delta0)
+    crossing = pair.at(delta, delta_prime, delta0, wall, win, win_p)
     _check_crossing(rep, arr, crossing)
     return crossing
 
@@ -279,10 +351,8 @@ def mu_of_crossing(rep: QSRep, crossing: WallCrossing, chi) -> Weight:
 
 
 def mu_map(rep: QSRep, crossing: WallCrossing) -> dict:
-    return {chi: mu_of_crossing(rep, crossing, chi) for chi in crossing.outgoing}
-
-
-def partition(rep: QSRep, delta, delta_prime, ctx: Context | None = None):
-    """(common characters, per-face split of the outgoing characters)."""
-    crossing = wall_crossing(rep, delta, delta_prime, ctx or Context(rep))
-    return crossing.common, dict(crossing.chars_by_face)
+    """mu on every outgoing character; worked out once per chamber pair."""
+    pair = crossing.pair
+    if pair.mu_images is None:
+        pair.mu_images = tuple(mu_of_crossing(rep, crossing, chi) for chi in crossing.outgoing)
+    return dict(zip(crossing.outgoing, pair.mu_images))

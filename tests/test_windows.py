@@ -1,9 +1,10 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from qswindows import catalog, linalg, windows
+from qswindows import catalog, groupoid, linalg, windows
 from qswindows.errors import InputError, NotAdjacentError, OnWallError
 
 F = Fraction
@@ -82,9 +83,9 @@ def test_mu_torus(torus22, ctx22):
 
 
 def test_partition_torus(torus22, ctx22):
-    common, by_face = windows.partition(torus22, (F(1, 2),), (F(3, 2),), ctx22)
-    assert common == ((1,),)
-    assert list(by_face.values()) == [((0,),)]
+    crossing = windows.wall_crossing(torus22, (F(1, 2),), (F(3, 2),), ctx22)
+    assert crossing.common == ((1,),)
+    assert list(crossing.chars_by_face.values()) == [((0,),)]
 
 
 def test_gl2_crossing_frozen(gl2rep, ctxgl2):
@@ -172,8 +173,8 @@ def test_partition_chamber_independence(gl2rep, ctxgl2):
     for delta, delta2 in (((F(0), F(0)), (F(1), F(1))),
                           ((F(-1, 4), F(-1, 4)), (F(5, 4), F(5, 4))),
                           ((F(1, 3), F(1, 3)), (F(3, 5), F(3, 5)))):
-        common, by_face = windows.partition(gl2rep, delta, delta2, ctxgl2)
-        snapshot = (common, tuple(sorted(by_face.items())))
+        crossing = windows.wall_crossing(gl2rep, delta, delta2, ctxgl2)
+        snapshot = (crossing.common, tuple(sorted(crossing.chars_by_face.items())))
         if reference is None:
             reference = snapshot
         assert snapshot == reference
@@ -190,3 +191,100 @@ def test_corpus_involution_and_partition(small_corpus):
             backward = windows.mu_map(rep_obj, back)
             assert all(backward[img] == chi for chi, img in forward.items())
             assert len(crossing.window.chars) == len(crossing.window_prime.chars)
+
+
+def test_window_stored_per_chamber(gl2rep):
+    ctx = windows.Context(gl2rep)
+    first = ctx.window((F(-1, 4), F(-1, 4)))
+    second = ctx.window((F(2, 5), F(2, 5)))
+    assert second.chars == first.chars == GL2_WINDOW
+    assert first.delta == (F(-1, 4), F(-1, 4))
+    assert second.delta == (F(2, 5), F(2, 5))
+    assert len(ctx._windows) == 1
+
+
+def _chamber_pair(arr, delta, delta2):
+    return (arr.chamber_of(arr.to_coords(delta)).sign_vector,
+            arr.chamber_of(arr.to_coords(delta2)).sign_vector)
+
+
+def _same_pair_variants(arr, delta, delta2):
+    """Point pairs crossing the same chamber pair as (delta, delta2): both
+    ends halfway to the wall point, and in rank >= 2 both ends moved along
+    the wall, which moves the wall point too."""
+    c, c2 = arr.to_coords(delta), arr.to_coords(delta2)
+    wall = arr.require_adjacent(c, c2)
+    family = arr.families[wall.family_index]
+    t = (wall.offset - family.value(c)) / (family.value(c2) - family.value(c))
+    c0 = linalg.add(c, linalg.scale(t, linalg.sub(c2, c)))
+    half = F(1, 2)
+    out = [(linalg.scale(half, linalg.add(c, c0)), linalg.scale(half, linalg.add(c2, c0)))]
+    if arr.dim >= 2:
+        n = family.normal
+        along = (n[1], -n[0]) if (n[0], n[1]) != (0, 0) else (1, 0)
+        along += (0,) * (arr.dim - 2)
+        eps = F(1, 8)
+        for _ in range(8):
+            v = linalg.scale(eps, along)
+            moved = (linalg.add(c, v), linalg.add(c2, v))
+            if (not any(arr.on_wall(p) for p in moved)
+                    and [arr.chamber_of(p) for p in moved] == [arr.chamber_of(c),
+                                                                arr.chamber_of(c2)]
+                    and arr.distance(*moved) == 1):
+                out.append(moved)
+                break
+            eps /= 2
+    key = _chamber_pair(arr, delta, delta2)
+    for a, b in out:
+        pair = (arr.to_ambient(a), arr.to_ambient(b))
+        assert _chamber_pair(arr, *pair) == key
+        yield pair
+
+
+def _assert_cached_equals_fresh(rep, ctx, point_pairs):
+    """Every crossing from the warm Context equals one from a fresh Context,
+    whole dataclass and mu map; returns how many reused a pair's data at a
+    different wall point."""
+    arr = ctx.arrangement
+    first_wall_point = {}
+    moved = 0
+    for delta, delta2 in point_pairs:
+        warm = windows.wall_crossing(rep, delta, delta2, ctx)
+        cold = windows.wall_crossing(rep, delta, delta2, windows.Context(rep, arr))
+        assert warm == cold
+        assert windows.mu_map(rep, warm) == windows.mu_map(rep, cold)
+        key = _chamber_pair(arr, delta, delta2)
+        moved += warm.delta0 != first_wall_point.setdefault(key, warm.delta0)
+    assert len(ctx._crossings) == len(first_wall_point)
+    return moved
+
+
+def test_cached_crossings_equal_fresh_on_corpus(small_corpus):
+    moved = 0
+    for rep_obj in small_corpus:
+        ctx = windows.Context(rep_obj)
+        arr = ctx.arrangement
+        point_pairs = []
+        for delta, delta2 in catalog.adjacent_pairs(ctx, periods=2, per_wall=2, max_pairs=12):
+            point_pairs.append((delta, delta2))
+            point_pairs.extend(_same_pair_variants(arr, delta, delta2))
+        moved += _assert_cached_equals_fresh(rep_obj, ctx, point_pairs)
+    assert moved > 0
+
+
+@pytest.mark.parametrize("name", sorted(catalog.bundled_reps()))
+def test_cached_crossings_equal_fresh_on_groupoid_hops(name):
+    rep_obj = catalog.bundled_reps()[name]
+    ctx = windows.Context(rep_obj)
+    arr = ctx.arrangement
+    rng = random.Random(7)
+    point_pairs = []
+    while len(point_pairs) < 400:
+        a, b = (tuple(F(rng.randrange(-24, 24), 8) for _ in range(arr.dim)) for _ in range(2))
+        if arr.on_wall(a) or arr.on_wall(b):
+            continue
+        label = linalg.sub(b, a)
+        for hop in groupoid.split_into_hops(arr, groupoid.Cross(a, b, label)):
+            point_pairs.append((arr.to_ambient(hop.src), arr.to_ambient(hop.dst)))
+    _assert_cached_equals_fresh(rep_obj, ctx, point_pairs)
+    assert len(ctx._crossings) < len(point_pairs)
