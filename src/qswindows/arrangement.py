@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry, linalg
-from .errors import InputError, NotAdjacentError, OnWallError
+from .errors import InputError, NotAdjacentError, OnWallError, _fmt
 from .geometry import ceil_frac, floor_frac
 from .linalg import IntVec, Vec
 from .rep import QSRep
@@ -81,7 +81,7 @@ class Arrangement:
             raise InputError("pass ambient coordinates, not invariant ones")
         sol = linalg.solve(linalg.transpose(self.invariant_basis), point)
         if sol is None:
-            raise InputError(f"point {point} does not lie in the invariant subspace")
+            raise InputError(f"point {_fmt(point)} does not lie in the invariant subspace")
         return sol
 
     def to_ambient(self, coords) -> Vec:
@@ -139,13 +139,10 @@ class Arrangement:
     def distance(self, a, b) -> int:
         return len(self.separating_walls(a, b))
 
-    def is_adjacent(self, a, b) -> bool:
-        return self.distance(a, b) == 1
-
     def require_adjacent(self, a, b) -> Wall:
         walls = self.separating_walls(a, b)
         if len(walls) != 1:
-            raise NotAdjacentError(f"{a} and {b} are at distance {len(walls)}, not 1")
+            raise NotAdjacentError(a, b, len(walls))
         return walls[0]
 
     def orientation(self, direction, family_index: int) -> int:

@@ -1,4 +1,10 @@
 """Exception types shared across the package."""
+from fractions import Fraction
+
+
+def _fmt(point) -> str:
+    """A point as ``(p/q, ...)``, the form in which errors name their witnesses."""
+    return "(" + ", ".join(str(Fraction(x)) for x in point) + ")"
 
 
 class QSWindowsError(Exception):
@@ -15,11 +21,15 @@ class OnWallError(QSWindowsError):
     def __init__(self, point, wall):
         self.point = point
         self.wall = wall
-        super().__init__(f"point {point} lies on wall {wall}")
+        super().__init__(f"point {_fmt(point)} lies on the wall of family "
+                         f"{wall.family_index} at offset {wall.offset}")
 
 
 class NotAdjacentError(QSWindowsError):
     """An operation required an adjacent chamber pair (distance 1)."""
+
+    def __init__(self, a, b, distance: int):
+        super().__init__(f"{_fmt(a)} and {_fmt(b)} are at distance {distance}, not 1")
 
 
 class InternalInconsistencyError(QSWindowsError):

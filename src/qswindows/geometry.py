@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import linalg
-from .errors import InputError, InternalInconsistencyError
+from .errors import InputError, InternalInconsistencyError, _fmt
 from .linalg import IntVec, Vec
 
 
@@ -60,7 +60,6 @@ class Face:
     facet_indices: frozenset[int]
     codim: int
     sample: Vec
-    affine_basis: tuple[Vec, ...]
     vertex_indices: tuple[int, ...]
 
     @property
@@ -165,42 +164,37 @@ class Polytope:
             frontier = new
         out = []
         for vs in known:
-            face = self._face_from_vertex_set(vs, tight_of_vertex)
+            tight = frozenset.intersection(*(tight_of_vertex[i] for i in vs))
+            face = self._face(tight, tuple(sorted(vs)))
             if 1 <= face.codim <= max_codim:
                 out.append(face)
         out.sort(key=lambda f: (f.codim, f.key))
         return out
 
-    def _face_from_vertex_set(self, vs, tight_of_vertex) -> Face:
-        pts = [self.vertices[i] for i in sorted(vs)]
-        base = pts[0]
-        basis = _independent(linalg.sub(p, base) for p in pts[1:])
+    def _face(self, tight, vs) -> Face:
+        pts = [self.vertices[i] for i in vs]
         sample = tuple(sum(Fraction(p[j]) for p in pts) / len(pts) for j in range(self.dim))
-        tight = frozenset.intersection(*(tight_of_vertex[i] for i in vs))
-        return Face(
-            facet_indices=tight,
-            codim=self.dim - len(basis),
-            sample=sample,
-            affine_basis=tuple(basis),
-            vertex_indices=tuple(sorted(vs)),
-        )
+        span = linalg.rank([linalg.sub(p, pts[0]) for p in pts[1:]])
+        return Face(facet_indices=tight, codim=self.dim - span, sample=sample, vertex_indices=vs)
 
     def face_at(self, point) -> Face:
         """The maximal-codimension face whose relative interior holds the point.
 
         That face is the intersection of all facets tight at the point; its
-        vertices are the polytope vertices tight on the same set.
+        vertices are the polytope vertices tight on the same set.  No other
+        half-space is tight on all of them, since one tight on every vertex
+        of the face is tight on the whole face, the point included.
         """
         if not self.contains(point):
-            raise InputError(f"point {point} lies outside the polytope")
+            raise InputError(f"point {_fmt(point)} lies outside the polytope")
         tight = self.tight_indices(point)
         if not tight:
-            raise InputError(f"point {point} lies in the interior, not on a face")
-        tight_of_vertex = [self.tight_indices(v) for v in self.vertices]
-        vs = frozenset(k for k, t in enumerate(tight_of_vertex) if tight <= t)
+            raise InputError(f"point {_fmt(point)} lies in the interior, not on a face")
+        cut = [self.halfspaces[i] for i in tight]
+        vs = tuple(k for k, v in enumerate(self.vertices) if all(h.tight(v) for h in cut))
         if not vs:
             raise InternalInconsistencyError("boundary point with no tight vertices")
-        return self._face_from_vertex_set(vs, tight_of_vertex)
+        return self._face(tight, vs)
 
     # -- central symmetry ----------------------------------------------------
 
@@ -229,14 +223,6 @@ def floor_frac(x) -> int:
 
 def ceil_frac(x) -> int:
     return -floor_frac(-Fraction(x))
-
-
-def _independent(vectors) -> list[Vec]:
-    basis: list[Vec] = []
-    for v in vectors:
-        if linalg.rank(basis + [list(v)]) > len(basis):
-            basis.append(linalg.vec(v))
-    return basis
 
 
 def _bareiss(rows, ncols):
@@ -427,10 +413,6 @@ def _check_h_v(poly: Polytope) -> None:
                     "a ridge does not lie in exactly two facets: H and V representations disagree")
 
 
-def _fmt(point) -> str:
-    return "(" + ", ".join(str(Fraction(x)) for x in point) + ")"
-
-
 def _rank(rows) -> int:
     return len(_bareiss(rows, len(rows[0]))[0]) if rows else 0
 
@@ -562,6 +544,9 @@ def _complement_rows(vectors, dim):
 
 
 def intersect(poly: Polytope, halfspaces) -> Polytope:
+    """The polytope cut by extra half-spaces; with none, the polytope itself."""
+    if not halfspaces:
+        return poly
     return from_halfspaces(list(poly.halfspaces) + list(halfspaces))
 
 

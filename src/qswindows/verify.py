@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import catalog, complexes, cy_ci, groupoid, linalg, mutation, windows
 from .errors import QSWindowsError
-from .rep import QSRep
+from .rep import QSRep, _cross_check_nabla
 from .windows import Context
 
 
@@ -49,10 +49,9 @@ def check_rep_invariants(name: str, rep: QSRep, ctx: Context,
         if plus != minus:
             sym = False
     out.append(_result("eta-symmetry", name, sym))
-    # dominant slice identity and Weyl invariance re-run (raises on failure)
+    # dominant slice identity and Weyl invariance of the stored nabla (raises on failure)
     try:
-        from .rep import build_nabla
-        build_nabla(datum, rep.weights, rep.sigma)
+        _cross_check_nabla(datum, rep.sigma, rep.nabla)
         out.append(_result("window-polytope-cross-check", name, True))
     except QSWindowsError as exc:
         out.append(_result("window-polytope-cross-check", name, False, str(exc)))

@@ -125,7 +125,12 @@ def test_error_codes(inputs, capsys):
     code, _, err = run(capsys, "window", "--input", inputs["torus22"], "--delta", "1/0")
     assert code == 2 and "bad rational" in err
     code, _, err = run(capsys, "window", "--input", inputs["torus22"], "--delta", "1")
-    assert code == 2 and "wall" in err
+    assert code == 2 and "point (1) lies on the wall" in err and "offset 1" in err
+    assert "Fraction(" not in err
+    code, _, err = run(capsys, "wallcross", "--input", inputs["torus22"],
+                       "--delta=-1/2", "--delta2=3/2")
+    assert code == 2 and "(-1/2) and (3/2) are at distance 2, not 1" in err
+    assert "Fraction(" not in err
     code, _, err = run(capsys, "rep", "--input", inputs["bad"])
     assert code == 2 and "quasi-symmetric" in err
     code, _, err = run(capsys, "window", "--input", inputs["torus22"])

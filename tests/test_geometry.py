@@ -183,6 +183,20 @@ def test_translate_and_scale():
         assert scaled.center == half.center
 
 
+def test_face_at_sample_matches_faces(small_corpus):
+    """face_at, from a point's tight set, agrees with the faces found by
+    intersecting facet vertex sets, on half-zonotopes and their translates."""
+    gens = [r.weights for r in small_corpus] + [GL2_WEIGHTS]
+    for weights in gens:
+        half = geometry.zonotope(weights).scale(Fraction(1, 2))
+        shift = tuple(Fraction(1, 3 + j) for j in range(half.dim))
+        for poly in (half, half.translate(shift)):
+            faces = poly.faces()
+            assert faces
+            for f in faces:
+                assert poly.face_at(f.sample) == f
+
+
 def test_face_at_rejects_interior_and_outside():
     z = geometry.zonotope([(1,), (-1,)])
     with pytest.raises(InputError):

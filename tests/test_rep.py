@@ -26,11 +26,11 @@ def test_check_quasi_symmetric_examples():
 
 
 def test_eta_examples(torus22, gl2rep):
-    assert rep.eta_of_rep(torus22, (1,)) == 2
-    assert rep.eta_of_rep(torus22, (-1,)) == 2
-    assert rep.eta_of_rep(gl2rep, (1, 1)) == 12
+    assert rep.eta(torus22.root_datum, torus22.weights, (1,)) == 2
+    assert rep.eta(torus22.root_datum, torus22.weights, (-1,)) == 2
+    assert rep.eta(gl2rep.root_datum, gl2rep.weights, (1, 1)) == 12
     with pytest.raises(InputError):
-        rep.eta_of_rep(torus22, (0,))
+        rep.eta(torus22.root_datum, torus22.weights, (0,))
 
 
 def test_nabla_intervals(torus22, torus33):

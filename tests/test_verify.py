@@ -1,3 +1,5 @@
+import dataclasses
+
 from qswindows import verify
 
 
@@ -27,3 +29,15 @@ def test_check_result_lines():
     bad = verify.CheckResult(name="x", subject="s", passed=False, detail="boom")
     assert good.line().startswith("[pass]")
     assert "boom" in bad.line()
+
+
+def test_cross_check_row_reads_the_stored_nabla(torus22, ctx22, gl2rep, ctxgl2):
+    def cross_check(rep, ctx):
+        rows = verify.check_rep_invariants("r", rep, ctx)
+        return next(r for r in rows if r.name == "window-polytope-cross-check")
+
+    for rep, ctx in ((torus22, ctx22), (gl2rep, ctxgl2)):
+        assert cross_check(rep, ctx).passed
+        doubled = dataclasses.replace(rep, nabla=rep.nabla.scale(2))
+        row = cross_check(doubled, ctx)
+        assert not row.passed and "dominant slice" in row.detail
