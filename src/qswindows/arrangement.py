@@ -2,46 +2,61 @@
 
 Walls are translates of the window-polytope facet hyperplanes intersected
 with the invariant subspace; each direction is stored once, as an exact
-offset coset base + step * Z of a primitive covector on invariant
+offset coset base + step * Z of a primitive covector n on invariant
 coordinates.  Points are rejected, never perturbed, when they lie on a wall.
+
+Queries run over the integers.  When a family is built, its base and step
+are written over one positive denominator, B = b/q and S = s/q.  A point
+enters a query once, as integer numerators over a common positive
+denominator, c = x/d.  Its value on the family is <c, n> = <x, n>/d, so
+
+    (<c, n> - B) / S = (q <x, n> - b d) / (s d),
+
+a quotient of integers whose divisor s d is positive.  Python's floor
+division rounds that quotient towards minus infinity, so one ``divmod``
+gives k = floor((<c, n> - B) / S), the index of the interval
+B + kS <= <c, n> < B + (k+1)S that holds the point, and a remainder that is
+zero exactly when <c, n> = B + kS, that is when the point lies on a wall.
+The indices over all families form the chamber's sign vector.  Between two
+off-wall points with indices k_a and k_b the family has the walls B + kS
+with min(k_a, k_b) < k <= max(k_a, k_b), so separating walls are read off
+two sign vectors.  Families with the same normal can put walls at the same
+offset, and such a hyperplane is recorded once, under its first family.
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
-from . import geometry, linalg
-from .errors import InputError, NotAdjacentError, OnWallError, _fmt
-from .geometry import ceil_frac, floor_frac
+from . import linalg
+from .errors import InputError, NotAdjacentError, OnWallError, _fmt, _require_length
 from .linalg import IntVec, Vec
 from .rep import QSRep
 
 
 @dataclass(frozen=True)
 class WallFamily:
-    """Walls {t : <t, normal> = base_offset + k * offset_step, k in Z}."""
+    """Walls {t : <t, normal> = base_offset + k * offset_step, k in Z}.
+
+    ``base_num`` and ``step_num`` are base and step over the positive
+    denominator ``scale``.
+    """
 
     normal: IntVec
     base_offset: Fraction
     offset_step: Fraction
     source_facet: int
+    scale: int = field(init=False, repr=False, compare=False)
+    base_num: int = field(init=False, repr=False, compare=False)
+    step_num: int = field(init=False, repr=False, compare=False)
 
-    def value(self, coords) -> Fraction:
-        return Fraction(linalg.dot(coords, self.normal))
-
-    def interval_index(self, value: Fraction) -> int:
-        if (value - self.base_offset) % self.offset_step == 0:
-            raise ValueError("value sits on a wall of this family")
-        return floor_frac((value - self.base_offset) / self.offset_step)
-
-    def offsets_between(self, a: Fraction, b: Fraction) -> list[Fraction]:
-        """Offsets strictly between a and b (order-free)."""
-        lo, hi = min(a, b), max(a, b)
-        start = floor_frac((lo - self.base_offset) / self.offset_step) + 1
-        stop = ceil_frac((hi - self.base_offset) / self.offset_step) - 1
-        return [self.base_offset + k * self.offset_step for k in range(start, stop + 1)
-                if lo < self.base_offset + k * self.offset_step < hi]
+    def __post_init__(self):
+        scale = lcm(self.base_offset.denominator, self.offset_step.denominator)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "base_num", int(self.base_offset * scale))
+        object.__setattr__(self, "step_num", int(self.offset_step * scale))
 
 
 @dataclass(frozen=True)
@@ -67,6 +82,8 @@ class Arrangement:
     rep: QSRep
     families: tuple[WallFamily, ...]
     invariant_basis: tuple[IntVec, ...]
+    # weight-zonotope facet normals restricted to the invariant basis
+    label_normals: tuple[IntVec, ...] = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -79,6 +96,7 @@ class Arrangement:
         point = linalg.vec(point)
         if len(point) == self.dim and self.rep.rank != self.dim:
             raise InputError("pass ambient coordinates, not invariant ones")
+        _require_length(point, self.rep.rank)
         sol = linalg.solve(linalg.transpose(self.invariant_basis), point)
         if sol is None:
             raise InputError(f"point {_fmt(point)} does not lie in the invariant subspace")
@@ -90,78 +108,99 @@ class Arrangement:
             out = linalg.add(out, linalg.scale(Fraction(c), b))
         return out
 
+    def _scaled(self, coords: Vec) -> tuple[IntVec, int]:
+        """Invariant coordinates as integer numerators over one positive
+        denominator."""
+        _require_length(coords, self.dim, "invariant coordinates")
+        den = lcm(*(x.denominator for x in coords))
+        return tuple(x.numerator * (den // x.denominator) for x in coords), den
+
+    def _indices(self, coords: Vec) -> list[tuple[int, int]]:
+        """Per family, the interval index of the point and a remainder that
+        is zero exactly when the point is on that family's wall."""
+        nums, den = self._scaled(coords)
+        return [divmod(f.scale * sum(map(mul, nums, f.normal)) - f.base_num * den,
+                       f.step_num * den)
+                for f in self.families]
+
+    def _walls(self, candidates) -> list[Wall]:
+        """One Wall per hyperplane among (family index, k) pairs."""
+        out = []
+        seen = set()
+        for i, k in candidates:
+            f = self.families[i]
+            offset = Fraction(f.base_num + k * f.step_num, f.scale)
+            if (f.normal, offset) not in seen:
+                seen.add((f.normal, offset))
+                out.append(Wall(i, offset))
+        return out
+
+    def _walls_on(self, indices) -> list[Wall]:
+        return self._walls((i, k) for i, (k, r) in enumerate(indices) if not r)
+
     # -- queries -------------------------------------------------------------
 
     def walls_at(self, coords) -> list[Wall]:
-        out = []
-        seen = set()
-        for i, f in enumerate(self.families):
-            v = f.value(coords)
-            if (v - f.base_offset) % f.offset_step == 0 and (f.normal, v) not in seen:
-                seen.add((f.normal, v))
-                out.append(Wall(i, v))
-        return out
+        return self._walls_on(self._indices(linalg.vec(coords)))
 
     def on_wall(self, coords) -> bool:
-        return bool(self.walls_at(coords))
+        return not all(r for _, r in self._indices(linalg.vec(coords)))
 
     def chamber_of(self, coords) -> Chamber:
         coords = linalg.vec(coords)
-        walls = self.walls_at(coords)
-        if walls:
-            raise OnWallError(coords, walls[0])
-        sign = tuple(f.interval_index(f.value(coords)) for f in self.families)
-        return Chamber(sign_vector=sign, sample=coords)
+        indices = self._indices(coords)
+        if not all(r for _, r in indices):
+            raise OnWallError(coords, self._walls_on(indices)[0])
+        return Chamber(sign_vector=tuple(k for k, _ in indices), sample=coords)
 
     def separating_walls(self, a, b) -> list[Wall]:
-        """Walls meeting the open segment from a to b (endpoints off-wall).
+        """Walls meeting the open segment from a to b (endpoints off-wall),
+        sorted by family index and offset."""
+        return self.walls_between(self.chamber_of(a), self.chamber_of(b))
 
-        A hyperplane is one wall even when it belongs to the offset cosets
-        of several facet families, so records are deduplicated by (normal,
-        offset).
-        """
-        a, b = linalg.vec(a), linalg.vec(b)
-        for p in (a, b):
-            walls = self.walls_at(p)
-            if walls:
-                raise OnWallError(p, walls[0])
-        out = []
-        seen = set()
-        for i, f in enumerate(self.families):
-            va, vb = f.value(a), f.value(b)
-            for off in f.offsets_between(va, vb):
-                if (f.normal, off) not in seen:
-                    seen.add((f.normal, off))
-                    out.append(Wall(i, off))
-        out.sort(key=lambda w: (w.family_index, w.offset))
-        return out
+    def walls_between(self, a: Chamber, b: Chamber) -> list[Wall]:
+        """The walls separating two chambers, read off their sign vectors."""
+        return self._walls((i, k)
+                           for i, (ka, kb) in enumerate(zip(a.sign_vector, b.sign_vector))
+                           for k in range(min(ka, kb) + 1, max(ka, kb) + 1))
 
     def distance(self, a, b) -> int:
         return len(self.separating_walls(a, b))
 
-    def require_adjacent(self, a, b) -> Wall:
-        walls = self.separating_walls(a, b)
+    def require_adjacent(self, a: Chamber, b: Chamber) -> Wall:
+        walls = self.walls_between(a, b)
         if len(walls) != 1:
-            raise NotAdjacentError(a, b, len(walls))
+            raise NotAdjacentError(a.sample, b.sample, len(walls))
         return walls[0]
+
+    def crossing_times(self, a, b, walls) -> list[Fraction]:
+        """For each wall, the t at which the segment a + t(b - a) meets it."""
+        (x, da), (y, db) = self._scaled(linalg.vec(a)), self._scaled(linalg.vec(b))
+        out = []
+        for w in walls:
+            normal = self.families[w.family_index].normal
+            xa, yb = sum(map(mul, x, normal)), sum(map(mul, y, normal))
+            p, q = w.offset.numerator, w.offset.denominator
+            # (p/q - xa/da) / (yb/db - xa/da), cleared of denominators
+            out.append(Fraction((p * da - q * xa) * db, q * (yb * da - xa * db)))
+        return out
 
     def orientation(self, direction, family_index: int) -> int:
         """Sign of a direction vector against a wall family's normal."""
-        v = self.families[family_index].value(direction)
-        if v > 0:
-            return 1
-        if v < 0:
-            return -1
-        return 0
+        nums, _ = self._scaled(linalg.vec(direction))
+        v = sum(map(mul, nums, self.families[family_index].normal))
+        return (v > 0) - (v < 0)
+
+    def is_generic_label(self, coords) -> bool:
+        """A label (invariant coordinates) is generic when it lies on none of
+        the linear hyperplanes parallel to the weight-zonotope facets (so
+        the zero label is not generic)."""
+        nums, _ = self._scaled(linalg.vec(coords))
+        return all(sum(map(mul, nums, n)) for n in self.label_normals)
 
     def is_generic_ell(self, ell) -> bool:
-        """A label (ambient, W-invariant) is generic when it lies on none of
-        the linear hyperplanes parallel to the weight-zonotope facets."""
-        ell = linalg.vec(ell)
-        self.to_coords(ell)
-        if linalg.is_zero(ell):
-            return False
-        return all(linalg.dot(ell, h.normal) != 0 for h in self.rep.sigma.halfspaces)
+        """``is_generic_label`` for an ambient, W-invariant label."""
+        return self.is_generic_label(self.to_coords(ell))
 
     def triangle_report(self, a, b, c) -> dict:
         """Separating-set identity and distance inequality for three points."""
@@ -182,21 +221,14 @@ class Arrangement:
     def walls_in_box(self, periods: int = 3) -> list[Wall]:
         """All walls meeting the box [0, periods]^dim in invariant coords,
         one record per hyperplane."""
-        corners = list(itertools.product((Fraction(0), Fraction(periods)), repeat=self.dim))
-        out = []
-        seen = set()
-        for i, f in enumerate(self.families):
-            values = [f.value(c) for c in corners]
-            lo, hi = min(values), max(values)
-            start = ceil_frac((lo - f.base_offset) / f.offset_step)
-            stop = floor_frac((hi - f.base_offset) / f.offset_step)
-            for k in range(start, stop + 1):
-                off = f.base_offset + k * f.offset_step
-                if (f.normal, off) not in seen:
-                    seen.add((f.normal, off))
-                    out.append(Wall(i, off))
-        out.sort(key=lambda w: (w.family_index, w.offset))
-        return out
+        def ks(f: WallFamily) -> range:
+            # the extreme values of <t, normal> over the box's corners
+            ends = (periods * sum(x for x in f.normal if x < 0),
+                    periods * sum(x for x in f.normal if x > 0))
+            lo, hi = min(ends), max(ends)
+            return range(-((f.base_num - f.scale * lo) // f.step_num),
+                         (f.scale * hi - f.base_num) // f.step_num + 1)
+        return self._walls((i, k) for i, f in enumerate(self.families) for k in ks(f))
 
     def to_json(self) -> dict:
         return {
@@ -221,7 +253,14 @@ def build_arrangement(rep: QSRep) -> Arrangement:
     basis = datum.invariant_basis
     if not basis:
         raise InputError("the invariant subspace is zero; no arrangement exists")
-    _require_generic_labels_exist(rep, basis)
+    # (M_R^W)_gen is empty iff some zonotope facet hyperplane contains the
+    # whole invariant subspace
+    label_normals = tuple(tuple(linalg.dot(b, h.normal) for b in basis)
+                          for h in rep.sigma.halfspaces)
+    if any(linalg.is_zero(n) for n in label_normals):
+        raise InputError(
+            "a zonotope facet hyperplane contains the invariant subspace; "
+            "no generic labels exist")
     families: dict[tuple, int] = {}
     for idx, h in enumerate(rep.nabla.halfspaces):
         restricted = tuple(Fraction(linalg.dot(b, h.normal)) for b in basis)
@@ -243,14 +282,5 @@ def build_arrangement(rep: QSRep) -> Arrangement:
     )
     if not fams:
         raise InputError("every window facet direction contains the invariant subspace")
-    return Arrangement(rep=rep, families=fams, invariant_basis=basis)
-
-
-def _require_generic_labels_exist(rep: QSRep, basis) -> None:
-    """(M_R^W)_gen is empty iff some zonotope facet hyperplane contains the
-    whole invariant subspace."""
-    for h in rep.sigma.halfspaces:
-        if all(linalg.dot(b, h.normal) == 0 for b in basis):
-            raise InputError(
-                "a zonotope facet hyperplane contains the invariant subspace; "
-                "no generic labels exist")
+    return Arrangement(rep=rep, families=fams, invariant_basis=basis,
+                       label_normals=label_normals)

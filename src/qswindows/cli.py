@@ -231,6 +231,8 @@ def _parse_path_dsl(arr, text: str | None, start: str | None):
             point = dst
         elif kind == "t":
             m = _parse_int_vector(body)
+            if len(m) != arr.dim:
+                raise InputError(f"translation {chunk!r} has {len(m)} entries, not {arr.dim}")
             if point is None:
                 raise InputError("a path starting with a translation needs --start")
             arrows.append(groupoid.Translate(m))

@@ -15,6 +15,12 @@ class InputError(QSWindowsError):
     """Malformed or inconsistent user input (CLI exit code 2)."""
 
 
+def _require_length(point, n: int, what: str = "coordinates") -> None:
+    """A point with the wrong number of coordinates is an input error."""
+    if len(point) != n:
+        raise InputError(f"point {_fmt(point)} has {len(point)} {what}, not {n}")
+
+
 class OnWallError(QSWindowsError):
     """A parameter point lies on a wall of the periodic arrangement."""
 

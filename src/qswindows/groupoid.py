@@ -68,7 +68,7 @@ def make_path(arr: Arrangement, arrows, start=None) -> Path:
         if isinstance(a, Cross):
             if arr.chamber_of(point) != arr.chamber_of(a.src):
                 raise InputError(f"arrow {a} does not start in the current chamber")
-            if not arr.is_generic_ell(arr.to_ambient(a.label)):
+            if not arr.is_generic_label(a.label):
                 raise InputError(f"arrow label {a.label} is not generic")
             arr.chamber_of(a.dst)
             point = a.dst
@@ -81,10 +81,11 @@ def make_path(arr: Arrangement, arrows, start=None) -> Path:
 def arrow_is_positive(arr: Arrangement, a: Cross) -> bool:
     """Distinct chambers and the label oriented like dst - src on every
     separating wall."""
-    if arr.chamber_of(a.src) == arr.chamber_of(a.dst):
+    src, dst = arr.chamber_of(a.src), arr.chamber_of(a.dst)
+    if src == dst:
         return False
     direction = linalg.sub(a.dst, a.src)
-    for w in arr.separating_walls(a.src, a.dst):
+    for w in arr.walls_between(src, dst):
         ell_sign = arr.orientation(a.label, w.family_index)
         move_sign = arr.orientation(direction, w.family_index)
         if ell_sign == 0 or ell_sign != move_sign:
@@ -320,24 +321,24 @@ def split_into_hops(arr: Arrangement, a: Cross) -> list[Cross]:
     walls = arr.separating_walls(a.src, a.dst)
     if not walls:
         return []
-    direction = linalg.sub(a.dst, a.src)
-    params = []
-    for w in walls:
-        f = arr.families[w.family_index]
-        denom = f.value(direction)
-        t = (w.offset - f.value(a.src)) / denom
-        params.append((t, w))
-    params.sort(key=lambda tw: tw[0])
-    times = [t for t, _ in params]
+    times = sorted(arr.crossing_times(a.src, a.dst, walls))
     if len(set(times)) != len(times):
         raise InputError(
             "segment passes through a wall intersection; perturb the endpoints")
+    direction = linalg.sub(a.dst, a.src)
     cut_points = [a.src]
     for i in range(len(times) - 1):
         mid = (times[i] + times[i + 1]) / 2
         cut_points.append(linalg.add(a.src, linalg.scale(mid, direction)))
     cut_points.append(a.dst)
     return [Cross(cut_points[i], cut_points[i + 1], a.label) for i in range(len(times))]
+
+
+def _hop_crossings(rep: QSRep, ctx: Context, a: Cross):
+    """(hop, its wall crossing) for each adjacent hop of a crossing arrow."""
+    arr = ctx.arrangement
+    for hop in split_into_hops(arr, a):
+        yield hop, wall_crossing(rep, arr.to_ambient(hop.src), arr.to_ambient(hop.dst), ctx)
 
 
 def mutation_transcript(rep: QSRep, path: Path, ctx: Context | None = None) -> list[TranscriptEntry]:
@@ -352,8 +353,7 @@ def mutation_transcript(rep: QSRep, path: Path, ctx: Context | None = None) -> l
             continue
         if not arrow_is_positive(arr, a):
             raise InputError("transcripts are defined for positive crossings")
-        for hop in split_into_hops(arr, a):
-            crossing = wall_crossing(rep, arr.to_ambient(hop.src), arr.to_ambient(hop.dst), ctx)
+        for hop, crossing in _hop_crossings(rep, ctx, a):
             counts = per_face_counts(rep, crossing)
             toric_steps = None
             if rep.root_datum.is_torus:
@@ -377,8 +377,7 @@ def transcript_window_map(rep: QSRep, path: Path, ctx: Context | None = None) ->
             shift = tuple(int(x) for x in arr.to_ambient(a.m))
             mapping = {src: tuple(linalg.add(dst, shift)) for src, dst in mapping.items()}
             continue
-        for hop in split_into_hops(arr, a):
-            crossing = wall_crossing(rep, arr.to_ambient(hop.src), arr.to_ambient(hop.dst), ctx)
+        for _, crossing in _hop_crossings(rep, ctx, a):
             step = dict(zip(crossing.window.chars, crossing.window.chars))
             step.update(mu_map(rep, crossing))
             mapping = {src: step[dst] for src, dst in mapping.items()}

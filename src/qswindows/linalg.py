@@ -14,7 +14,7 @@ IntVec = tuple[int, ...]
 
 
 def vec(xs: Iterable) -> Vec:
-    return tuple(Fraction(x) for x in xs)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
 
 
 def add(x: Sequence, y: Sequence):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog, complexes, cy_ci, groupoid, linalg, mutation, windows
-from .errors import QSWindowsError
+from .errors import QSWindowsError, _fmt
 from .rep import QSRep, _cross_check_nabla
 from .windows import Context
 
@@ -32,6 +32,10 @@ class CheckResult:
 
 def _result(name, subject, passed, detail="") -> CheckResult:
     return CheckResult(name=name, subject=subject, passed=bool(passed), detail=detail)
+
+
+def _pair_subject(name: str, delta, delta_prime) -> str:
+    return f"{name} {_fmt(delta)}->{_fmt(delta_prime)}"
 
 
 # -- per-representation invariants ------------------------------------------------
@@ -66,7 +70,7 @@ def check_rep_invariants(name: str, rep: QSRep, ctx: Context,
         boundary = rep.nabla.translate(ambient).boundary_lattice_points()
         if on_wall != bool(boundary):
             ok = False
-            bad = f"delta={coords}"
+            bad = f"delta={_fmt(coords)}"
             break
     out.append(_result("wall-iff-boundary-points", name, ok, bad))
     # windows are constant on chambers and shift along the invariant lattice
@@ -125,7 +129,7 @@ def check_crossing_bijection(name: str, rep: QSRep, ctx: Context, delta,
     characters."""
     cross = windows.wall_crossing(rep, delta, delta_prime, ctx)
     back = windows.wall_crossing(rep, delta_prime, delta, ctx)
-    return _bijection_rows(f"{name} {delta}->{delta_prime}", rep, cross, back,
+    return _bijection_rows(_pair_subject(name, delta, delta_prime), rep, cross, back,
                            windows.mu_map(rep, cross))
 
 
@@ -148,7 +152,7 @@ def _bijection_rows(subject, rep, cross, back, forward) -> list[CheckResult]:
 
 
 def check_wall_crossing(name: str, rep: QSRep, ctx: Context, delta, delta_prime) -> list[CheckResult]:
-    subject = f"{name} {delta}->{delta_prime}"
+    subject = _pair_subject(name, delta, delta_prime)
     cross = windows.wall_crossing(rep, delta, delta_prime, ctx)
     back = windows.wall_crossing(rep, delta_prime, delta, ctx)
     forward = windows.mu_map(rep, cross)
@@ -239,7 +243,7 @@ def _face_interior_rho_points(rep: QSRep, half, fd):
 
 def check_complexes(name: str, rep: QSRep, ctx: Context, delta, delta_prime) -> list[CheckResult]:
     out = []
-    subject = f"{name} {delta}->{delta_prime}"
+    subject = _pair_subject(name, delta, delta_prime)
     cross = windows.wall_crossing(rep, delta, delta_prime, ctx)
     datum = rep.root_datum
     endpoints = True
@@ -305,7 +309,7 @@ def _euler_consistent(rep, fd, chi, ct) -> bool:
 
 def check_mutation(name: str, rep: QSRep, ctx: Context, delta, delta_prime) -> list[CheckResult]:
     out = []
-    subject = f"{name} {delta}->{delta_prime}"
+    subject = _pair_subject(name, delta, delta_prime)
     if not rep.root_datum.is_torus:
         counts = mutation.exchange_count(rep, delta, delta_prime, ctx=ctx)
         out.append(_result("exchange-count-positive", subject,
@@ -456,7 +460,7 @@ def _random_positive_path(arr, rng: random.Random, max_arrows: int = 3):
             direction = tuple(Fraction(rng.randint(-2, 2)) for _ in range(arr.dim))
             if linalg.is_zero(direction):
                 continue
-            if not arr.is_generic_ell(arr.to_ambient(direction)):
+            if not arr.is_generic_label(direction):
                 continue
             t = Fraction(rng.randint(1, 8), 4)
             target = linalg.add(point, linalg.scale(t, direction))

@@ -42,7 +42,7 @@ from fractions import Fraction
 
 from . import linalg
 from .arrangement import Arrangement, Chamber, Wall, build_arrangement
-from .errors import InputError, InternalInconsistencyError
+from .errors import InputError, InternalInconsistencyError, _require_length
 from .geometry import Face, Polytope
 from .linalg import IntVec, Vec
 from .rep import QSRep
@@ -126,6 +126,7 @@ class Context:
     def half_sigma_at(self, delta0) -> Polytope:
         delta0 = linalg.vec(delta0)
         if self._half_sigma_at[0] != delta0:
+            _require_length(delta0, self.rep.rank)
             self._half_sigma_at = (delta0, self._half_sigma.translate(delta0))
         return self._half_sigma_at[1]
 
@@ -294,13 +295,10 @@ def wall_crossing(rep: QSRep, delta, delta_prime, ctx: Context | None = None) ->
     chamber = arr.chamber_of(coords)
     coords_p = arr.to_coords(delta_prime)
     chamber_p = arr.chamber_of(coords_p)
-    wall = arr.require_adjacent(coords, coords_p)
+    wall = arr.require_adjacent(chamber, chamber_p)
     # the wall point is where the segment meets the wall; for a symmetric
     # pair this is the exact midpoint
-    family = arr.families[wall.family_index]
-    lo = family.value(coords)
-    hi = family.value(coords_p)
-    t = (wall.offset - lo) / (hi - lo)
+    (t,) = arr.crossing_times(coords, coords_p, [wall])
     delta0 = linalg.add(delta, linalg.scale(t, linalg.sub(delta_prime, delta)))
     if not arr.on_wall(linalg.add(coords, linalg.scale(t, linalg.sub(coords_p, coords)))):
         raise InternalInconsistencyError("computed wall point is not on the wall")

@@ -1,12 +1,20 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qswindows import linalg
+from qswindows import groupoid, linalg
+from qswindows.arrangement import Wall
 from qswindows.errors import InputError, NotAdjacentError, OnWallError
+from qswindows.geometry import ceil_frac, floor_frac
+from qswindows.rep import QSRep
+from qswindows.root_data import RootDatum
 from qswindows.windows import Context
 
 F = Fraction
+# GL(2) weights whose facet families share a normal and some wall positions
+OVERLAP_WEIGHTS = [(1, 3), (3, 1), (-1, -3), (-3, -1), (0, 2), (2, 0), (0, -2), (-2, 0)]
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +56,7 @@ def test_separating_and_distance(arr22):
     assert arr22.distance((F(1, 2),), (tiny,)) == 0
     assert arr22.distance((F(1, 2),), (F(3, 2),)) == 1
     with pytest.raises(NotAdjacentError):
-        arr22.require_adjacent((F(1, 2),), (F(5, 2),))
+        arr22.require_adjacent(arr22.chamber_of((F(1, 2),)), arr22.chamber_of((F(5, 2),)))
 
 
 def test_on_wall_endpoint_rejected(arr22):
@@ -118,8 +126,6 @@ def test_to_coords_rejects_non_invariant(arrgl2):
 
 def test_arrangement_needs_generic_labels():
     # an invariant subspace inside a zonotope facet hyperplane is rejected
-    from qswindows.rep import QSRep
-    from qswindows.root_data import RootDatum
     r = QSRep.build(RootDatum.torus(2), [(1, 0), (-1, 0), (0, 1), (0, -1)])
     ctx = Context(r)  # fine: full-rank torus, no facet contains M^W
     assert ctx.arrangement.dim == 2
@@ -129,10 +135,7 @@ def test_overlapping_families_count_hyperplanes_once():
     """Facet families with the same restricted normal can share walls; a
     shared position is still one hyperplane for distances and adjacency."""
     from qswindows import windows
-    from qswindows.rep import QSRep
-    from qswindows.root_data import RootDatum
-    weights = [(1, 3), (3, 1), (-1, -3), (-3, -1), (0, 2), (2, 0), (0, -2), (-2, 0)]
-    r = QSRep.build(RootDatum.gl(2), weights)
+    r = QSRep.build(RootDatum.gl(2), OVERLAP_WEIGHTS)
     ctx = Context(r)
     arr = ctx.arrangement
     steps = sorted(fam.offset_step for fam in arr.families)
@@ -149,3 +152,132 @@ def test_overlapping_families_count_hyperplanes_once():
     forward = windows.mu_map(r, crossing)
     backward = windows.mu_map(r, back)
     assert all(backward[img] == chi for chi, img in forward.items())
+
+
+# -- the Fraction oracle --------------------------------------------------------
+# The wall-family arithmetic that the integer queries replaced, kept here as
+# the reference they must match exactly.
+
+
+def _value(f, coords) -> Fraction:
+    return Fraction(linalg.dot(coords, f.normal))
+
+
+def _interval_index(f, value: Fraction) -> int:
+    if (value - f.base_offset) % f.offset_step == 0:
+        raise ValueError("value sits on a wall of this family")
+    return floor_frac((value - f.base_offset) / f.offset_step)
+
+
+def _offsets_between(f, a: Fraction, b: Fraction) -> list[Fraction]:
+    lo, hi = min(a, b), max(a, b)
+    start = floor_frac((lo - f.base_offset) / f.offset_step) + 1
+    stop = ceil_frac((hi - f.base_offset) / f.offset_step) - 1
+    return [f.base_offset + k * f.offset_step for k in range(start, stop + 1)
+            if lo < f.base_offset + k * f.offset_step < hi]
+
+
+def _oracle_walls_at(arr, coords) -> list[Wall]:
+    out, seen = [], set()
+    for i, f in enumerate(arr.families):
+        v = _value(f, coords)
+        if (v - f.base_offset) % f.offset_step == 0 and (f.normal, v) not in seen:
+            seen.add((f.normal, v))
+            out.append(Wall(i, v))
+    return out
+
+
+def _oracle_chamber(arr, coords) -> tuple[int, ...]:
+    walls = _oracle_walls_at(arr, coords)
+    if walls:
+        raise OnWallError(coords, walls[0])
+    return tuple(_interval_index(f, _value(f, coords)) for f in arr.families)
+
+
+def _oracle_separating_walls(arr, a, b) -> list[Wall]:
+    for p in (a, b):
+        _oracle_chamber(arr, p)
+    out, seen = [], set()
+    for i, f in enumerate(arr.families):
+        for off in _offsets_between(f, _value(f, a), _value(f, b)):
+            if (f.normal, off) not in seen:
+                seen.add((f.normal, off))
+                out.append(Wall(i, off))
+    out.sort(key=lambda w: (w.family_index, w.offset))
+    return out
+
+
+def _oracle_cut_points(arr, a, b) -> list:
+    walls = _oracle_separating_walls(arr, a, b)
+    if not walls:
+        return []
+    direction = linalg.sub(b, a)
+    times = sorted((w.offset - _value(arr.families[w.family_index], a))
+                   / _value(arr.families[w.family_index], direction) for w in walls)
+    if len(set(times)) != len(times):
+        raise InputError("segment passes through a wall intersection; perturb the endpoints")
+    mids = [linalg.add(a, linalg.scale((s + t) / 2, direction)) for s, t in zip(times, times[1:])]
+    return [a, *mids, b]
+
+
+def _oracle_generic_label(arr, coords) -> bool:
+    ell = arr.to_ambient(coords)
+    return (not linalg.is_zero(ell)
+            and all(linalg.dot(ell, h.normal) != 0 for h in arr.rep.sigma.halfspaces))
+
+
+def _outcome(fn, *args):
+    """A query's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (OnWallError, InputError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def oracle_arrangements(ctx22, ctx33, ctxgl2, small_corpus):
+    """The bundled reps, the overlapping-families GL(2) rep, and one rank-2
+    and one rank-3 corpus torus."""
+    corpus = [next(r for r in small_corpus if r.rank == k) for k in (2, 3)]
+    overlap = QSRep.build(RootDatum.gl(2), OVERLAP_WEIGHTS)
+    return [ctx22.arrangement, ctx33.arrangement, ctxgl2.arrangement,
+            Context(overlap).arrangement, *(Context(r).arrangement for r in corpus)]
+
+
+def _draw_point(data, arr):
+    """A random rational point; or one on a wall, or 1/N from it."""
+    coords = [data.draw(st.fractions(-4, 4, max_denominator=12)) for _ in range(arr.dim)]
+    mode = data.draw(st.sampled_from(("free", "on", "near")))
+    if mode != "free":
+        f = arr.families[data.draw(st.integers(0, len(arr.families) - 1))]
+        target = f.base_offset + data.draw(st.integers(-6, 6)) * f.offset_step
+        j = next(i for i, x in enumerate(f.normal) if x)
+        rest = sum(c * x for i, (c, x) in enumerate(zip(coords, f.normal)) if i != j)
+        coords[j] = (target - rest) / f.normal[j]
+        if mode == "near":
+            coords[j] += data.draw(st.sampled_from((1, -1))) * F(1, data.draw(
+                st.integers(2, 10 ** 9)))
+    return tuple(coords)
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_integer_queries_match_fraction_oracle(oracle_arrangements, data):
+    arr = oracle_arrangements[data.draw(st.integers(0, len(oracle_arrangements) - 1))]
+    assert not arr.is_generic_label((0,) * arr.dim)
+    a, b = _draw_point(data, arr), _draw_point(data, arr)
+    for p in (a, b):
+        assert arr.walls_at(p) == _oracle_walls_at(arr, p)
+        assert arr.on_wall(p) == bool(_oracle_walls_at(arr, p))
+        assert (_outcome(lambda q: arr.chamber_of(q).sign_vector, p)
+                == _outcome(_oracle_chamber, arr, p))
+        assert arr.is_generic_label(p) == _oracle_generic_label(arr, p)
+        for i, f in enumerate(arr.families):
+            v = _value(f, p)
+            assert arr.orientation(p, i) == (v > 0) - (v < 0)
+    assert (_outcome(arr.separating_walls, a, b)
+            == _outcome(_oracle_separating_walls, arr, a, b))
+    hops = _outcome(groupoid.split_into_hops, arr, groupoid.Cross(a, b, a))
+    if isinstance(hops, list):
+        hops = [hops[0].src, *(h.dst for h in hops)] if hops else []
+    assert hops == _outcome(_oracle_cut_points, arr, a, b)

@@ -137,6 +137,15 @@ def test_error_codes(inputs, capsys):
     assert code == 2
     code, _, err = run(capsys, "cy", "--a", "1,1", "--d", "3")
     assert code == 2 and "Calabi-Yau" in err
+    # a point or translation with the wrong number of coordinates
+    for argv in (("window", "--delta", "1/3,1/3"),
+                 ("wallcross", "--delta", "1/2", "--delta2", "3/2,1"),
+                 ("faces", "--delta", "1/3,2"),
+                 ("groupoid", "--path", "x(1,+)", "--start", "1/3,1/3"),
+                 ("groupoid", "--path", "x(1,+);t(1,2)")):
+        code, out, err = run(capsys, *argv, "--input", inputs["torus22"])
+        assert code == 2 and out == "", argv
+        assert err.startswith("input error: ") and err.count("\n") == 1, argv
     # nothing is coerced: a malformed document exits 2 with a one-line message
     for name in ("float_weights", "string_weights", "list_document", "string_flag",
                  "float_pairing"):
@@ -150,6 +159,13 @@ def test_verify_empty_suites(capsys):
         code, out, _ = run(capsys, "verify", "--suites", suites)
         assert code == 0
         assert "warning" in out
+
+
+def test_verify_subjects_print_rationals(capsys):
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    assert "torus-1x2pairs (-1/2)->(1/2)" in out
+    assert "Fraction(" not in out
 
 
 def test_verify_corrupted_input(inputs, capsys):

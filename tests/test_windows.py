@@ -213,9 +213,10 @@ def _same_pair_variants(arr, delta, delta2):
     ends halfway to the wall point, and in rank >= 2 both ends moved along
     the wall, which moves the wall point too."""
     c, c2 = arr.to_coords(delta), arr.to_coords(delta2)
-    wall = arr.require_adjacent(c, c2)
+    wall = arr.require_adjacent(arr.chamber_of(c), arr.chamber_of(c2))
     family = arr.families[wall.family_index]
-    t = (wall.offset - family.value(c)) / (family.value(c2) - family.value(c))
+    lo, hi = linalg.dot(c, family.normal), linalg.dot(c2, family.normal)
+    t = (wall.offset - lo) / (hi - lo)
     c0 = linalg.add(c, linalg.scale(t, linalg.sub(c2, c)))
     half = F(1, 2)
     out = [(linalg.scale(half, linalg.add(c, c0)), linalg.scale(half, linalg.add(c2, c0)))]
