@@ -132,10 +132,10 @@ def cmd_faces(args) -> int:
     rep_obj = _load_rep(args)
     ctx = Context(rep_obj)
     delta = _delta(args)
-    poly = ctx.half_sigma_at(delta)
+    ctx.arrangement.to_coords(delta)  # delta must be a W-invariant point
     out = []
-    for face in poly.faces():
-        fd = windows.face_data_from_face(rep_obj, poly, face, delta)
+    for face in ctx.half_sigma.faces():
+        fd = windows.face_data_from_face(rep_obj, ctx.half_sigma, face)
         if args.face is not None and list(fd.key) != list(args.face):
             continue
         out.append(fd.to_json())

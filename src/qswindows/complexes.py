@@ -18,7 +18,7 @@ from . import linalg
 from .errors import InputError, InternalInconsistencyError
 from .rep import QSRep
 from .root_data import SINGULAR, Weight
-from .windows import Context, FaceData, WallCrossing
+from .windows import Context, FaceData, WallCrossing, _index_sum
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def wedge_sums(rep: QSRep, fd: FaceData, m: int) -> set[Weight]:
         raise InputError(f"wedge degree {m} outside 0..{fd.d_plus}")
     out = set()
     for combo in itertools.combinations(fd.plus_indices, m):
-        out.add(_sum_of(rep, combo))
+        out.add(_index_sum(rep, combo))
     return out
 
 
@@ -71,18 +71,11 @@ def wedge_star(rep: QSRep, fd: FaceData) -> set[Weight]:
     return out
 
 
-def _sum_of(rep: QSRep, indices) -> Weight:
-    total = (0,) * rep.rank
-    for i in indices:
-        total = linalg.add(total, rep.weights[i])
-    return tuple(total)
-
-
 def koszul_degree_term(rep: QSRep, fd: FaceData, chi, m: int) -> Counter:
     """Multiset of chi + (m-subset sums), counted with index multiplicity."""
     tally: Counter = Counter()
     for combo in itertools.combinations(fd.plus_indices, m):
-        tally[tuple(linalg.add(chi, _sum_of(rep, combo)))] += 1
+        tally[tuple(linalg.add(chi, _index_sum(rep, combo)))] += 1
     return tally
 
 
@@ -101,7 +94,7 @@ def complex_terms(rep: QSRep, fd: FaceData, chi) -> ComplexTerms:
     dropped = 0
     for m in range(fd.d_plus + 1):
         for combo in itertools.combinations(fd.plus_indices, m):
-            shifted = linalg.add(chi, _sum_of(rep, combo))
+            shifted = linalg.add(chi, _index_sum(rep, combo))
             result = datum.dominant_representative(shifted)
             if result is SINGULAR:
                 dropped += 1

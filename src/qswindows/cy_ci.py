@@ -83,9 +83,8 @@ def _wall_offset(g1: QSRep) -> Fraction:
     return families[0].base_offset
 
 
-def crossing_data(model: CYModel, wall, ctx: Context | None = None) -> tuple[int, int]:
+def crossing_data(model: CYModel, wall, ctx: Context) -> tuple[int, int]:
     """(d^+ of the upward face, d^+ of its dual) at a given wall point."""
-    ctx = ctx or model.context()
     wall = Fraction(wall)
     fam = ctx.arrangement.families[0]
     if (wall - fam.base_offset) % fam.offset_step != 0:
@@ -96,13 +95,12 @@ def crossing_data(model: CYModel, wall, ctx: Context | None = None) -> tuple[int
     return fd.d_plus, fd.d_minus
 
 
-def spherical_twist_word(model: CYModel, m: int, ctx: Context | None = None) -> dict:
+def spherical_twist_word(model: CYModel, m: int, ctx: Context) -> dict:
     """The down-then-up loop at delta = m + alpha/2 + 1 around the wall below.
 
     Its two legs have lengths r and n, total n + r, which is the mutation
     period of the wall; the pivot is the module of the shared window.
     """
-    ctx = ctx or model.context()
     delta = Fraction(m) + Fraction(model.alpha, 2) + 1
     arr = ctx.arrangement
     if arr.on_wall((delta,)):

@@ -81,7 +81,7 @@ class Polytope:
         return frozenset(i for i, h in enumerate(self.halfspaces) if h.tight(point))
 
     def on_boundary(self, point) -> bool:
-        return self.contains(point) and bool(self.tight_indices(point))
+        return min(h.value(point) - h.offset for h in self.halfspaces) == 0
 
     def translate(self, v) -> "Polytope":
         v = linalg.vec(v)
@@ -336,19 +336,13 @@ def from_halfspaces(halfspaces, center=None) -> Polytope:
     verts = _vertex_enumeration(hs, dim)
     if not verts:
         raise InputError("half-spaces have empty intersection")
-    full_dim = len(verts) > 1 and linalg.rank([linalg.sub(v, verts[0]) for v in verts[1:]]) == dim
     offsets, pts = _scaled(hs, verts)
+    full_dim = _affine_rank(pts) == dim
     kept = []
     for h, off in zip(hs, offsets):
-        tight_verts = [v for v, p in zip(verts, pts) if linalg.dot(h.normal, p) == off]
-        if not tight_verts:
-            continue
-        if full_dim:
-            diffs = [linalg.sub(v, tight_verts[0]) for v in tight_verts[1:]]
-            tight_dim = linalg.rank(diffs) if diffs else 0
-            if tight_dim != dim - 1:
-                continue
-        kept.append(h)
+        tight = [p for p in pts if linalg.dot(h.normal, p) == off]
+        if tight and (not full_dim or _affine_rank(tight) == dim - 1):
+            kept.append(h)
     kept.sort(key=lambda h: (h.normal, h.offset))
     poly = Polytope(dim=dim, halfspaces=tuple(kept), vertices=tuple(verts), center=center)
     _check_h_v(poly)

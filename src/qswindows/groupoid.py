@@ -341,10 +341,9 @@ def _hop_crossings(rep: QSRep, ctx: Context, a: Cross):
         yield hop, wall_crossing(rep, arr.to_ambient(hop.src), arr.to_ambient(hop.dst), ctx)
 
 
-def mutation_transcript(rep: QSRep, path: Path, ctx: Context | None = None) -> list[TranscriptEntry]:
+def mutation_transcript(rep: QSRep, path: Path, ctx: Context) -> list[TranscriptEntry]:
     """One entry per adjacent crossing (its pivot window and step count) and
     one per translation (the window shift)."""
-    ctx = ctx or Context(rep)
     arr = ctx.arrangement
     entries = []
     for a in path.arrows:
@@ -367,9 +366,8 @@ def mutation_transcript(rep: QSRep, path: Path, ctx: Context | None = None) -> l
     return entries
 
 
-def transcript_window_map(rep: QSRep, path: Path, ctx: Context | None = None) -> dict:
+def transcript_window_map(rep: QSRep, path: Path, ctx: Context) -> dict:
     """Compose the per-hop bijections and shifts from C_start to C_end."""
-    ctx = ctx or Context(rep)
     arr = ctx.arrangement
     mapping = {chi: chi for chi in ctx.window(arr.to_ambient(path.start)).chars}
     for a in path.arrows:

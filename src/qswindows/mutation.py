@@ -89,8 +89,8 @@ class ModuleSpec:
         return {"atoms": out}
 
 
-def module_of_window(rep: QSRep, delta, ctx: Context | None = None) -> ModuleSpec:
-    return ModuleSpec.of_window((ctx or Context(rep)).window(delta).chars)
+def module_of_window(rep: QSRep, delta, ctx: Context) -> ModuleSpec:
+    return ModuleSpec.of_window(ctx.window(delta).chars)
 
 
 @dataclass(frozen=True)
@@ -192,8 +192,7 @@ class ToricWall:
         return self.face.d_plus + self.dual_face.d_plus - 2
 
 
-def toric_wall(rep: QSRep, delta, delta_prime, ctx: Context | None = None) -> ToricWall:
-    ctx = ctx or Context(rep)
+def toric_wall(rep: QSRep, delta, delta_prime, ctx: Context) -> ToricWall:
     return ToricWall(rep, wall_crossing(rep, delta, delta_prime, ctx), ctx)
 
 
@@ -202,14 +201,13 @@ def per_face_counts(rep: QSRep, crossing: WallCrossing) -> dict:
     return {key: top_degree(rep, fd) - 1 for key, fd in crossing.faces.items()}
 
 
-def mutation_word(rep: QSRep, delta, delta_prime, ctx: Context | None = None) -> MutationWord:
+def mutation_word(rep: QSRep, delta, delta_prime, ctx: Context) -> MutationWord:
     """The word taking the near window module to the far one.
 
     Toric: executable, one step per kernel position (d_F^+ - 1 in total).
     Nonabelian: exchange counts per face only; intermediate kernels are not
     additive in known atoms, so no steps are produced.
     """
-    ctx = ctx or Context(rep)
     crossing = wall_crossing(rep, delta, delta_prime, ctx)
     counts = per_face_counts(rep, crossing)
     if not rep.root_datum.is_torus:
@@ -240,11 +238,9 @@ class ExchangeData:
     n_set: tuple[Weight, ...]
 
 
-def exchange_count(rep: QSRep, delta, delta_prime, face_key=None,
-                   ctx: Context | None = None) -> dict:
+def exchange_count(rep: QSRep, delta, delta_prime, ctx: Context, face_key=None) -> dict:
     """Per wall face: the exchange count d_F^+ + l(w0) - 1 with its (L, N)."""
     from .complexes import summand_sets
-    ctx = ctx or Context(rep)
     crossing = wall_crossing(rep, delta, delta_prime, ctx)
     counts = per_face_counts(rep, crossing)
     out = {}

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import InputError
+from .errors import InputError, _fmt
 from .linalg import IntVec, Vec
 
 WEYL_SIZE_CAP = 10_000
@@ -153,6 +153,13 @@ class RootDatum:
             raise InputError("identity length must be 0")
         if linalg.mat_mul(self.w0, self.w0) != linalg.identity_matrix(n):
             raise InputError("longest element is not an involution")
+        # wall points are W-invariant, so moving by one must keep dominance
+        for v in self.invariant_basis:
+            for a in self.roots:
+                value = self.pair(v, a)
+                if value:
+                    raise InputError(f"root {_fmt(a)} pairs to {value} with the W-invariant "
+                                     f"vector {_fmt(v)}, not to 0")
 
     # -- basic operations --------------------------------------------------
 

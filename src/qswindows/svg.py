@@ -171,7 +171,7 @@ def crossing_figure(rep: QSRep, ctx: Context, delta, delta_prime) -> str:
 def faces_figure(rep: QSRep, ctx: Context, delta, delta_prime) -> str:
     proj = _project(rep.rank)
     crossing = windows.wall_crossing(rep, delta, delta_prime, ctx)
-    half = ctx.half_sigma_at(crossing.delta0)
+    half = ctx.half_sigma.translate(crossing.delta0)
     pts = [proj(v) for v in half.vertices]
     to_px, w, h = _mapper(pts)
     canvas = _Canvas(w, h)

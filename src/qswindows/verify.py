@@ -6,6 +6,7 @@ functions, so the two surfaces cannot drift apart.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -14,6 +15,7 @@ from fractions import Fraction
 from . import catalog, complexes, cy_ci, groupoid, linalg, mutation, windows
 from .errors import QSWindowsError, _fmt
 from .rep import QSRep, _cross_check_nabla
+from .root_data import SINGULAR
 from .windows import Context
 
 
@@ -94,7 +96,6 @@ def check_rep_invariants(name: str, rep: QSRep, ctx: Context,
 
 def default_grid(dim: int, periods: int = 3, step=Fraction(1, 4), seed: int = 0):
     """Full grid in low dimension, a seeded sample of grid points otherwise."""
-    import itertools
     ticks = [k * step for k in range(int(periods / step) + 1)]
     if dim == 1:
         return [(t,) for t in ticks]
@@ -196,46 +197,29 @@ def check_wall_crossing(name: str, rep: QSRep, ctx: Context, delta, delta_prime)
                 if tuple(linalg.add(chi, beta)) not in common:
                     wedge_ok = False
         out.append(_result("toric-wedge-sums-stay-common", subject, wedge_ok))
-    orient_ok = True
-    direction = linalg.sub(cross.delta_prime, cross.delta)
-    for fd in cross.faces.values():
-        for lam in fd.inward_normals:
-            if linalg.dot(direction, lam) <= 0:
-                orient_ok = False
-    out.append(_result("crossing-orientation", subject, orient_ok))
+    out.append(_result("crossing-orientation", subject, cross.oriented))
     return out
 
 
 def _face_lattice_point_check(rep: QSRep, ctx: Context, cross) -> bool:
-    """Interior rho-shifted dominant points of each wall face, and their
-    duals through the face center, stay inside the near half-zonotope."""
-    datum = rep.root_datum
-    half = ctx.half_sigma_at(cross.delta0)
-    near = ctx.half_sigma_at(cross.delta)
-    rho = datum.rho
-    for fd in cross.faces.values():
-        face_center = linalg.sub(fd.delta0, linalg.scale(Fraction(1, 2), fd.beta_plus))
-        for chi in _face_interior_rho_points(rep, half, fd):
-            point = linalg.add(chi, rho)
-            dual = linalg.sub(linalg.scale(2, face_center), point)
-            if not near.contains(point) or not near.contains(dual):
-                return False
-    return True
-
-
-def _face_interior_rho_points(rep: QSRep, half, fd):
-    lo, hi = half.bounding_box()
-    import itertools
+    """Dominant characters chi with rho + chi in the relative interior of a
+    wall face of delta_0 + (1/2)Sigma, and their duals through the face
+    center, stay inside the near half-zonotope."""
     rho = rep.root_datum.rho
-    for chi in itertools.product(*(range(a - 1, b + 2) for a, b in zip(lo, hi))):
+    # chi lies in this translate exactly when rho + chi lies in delta_0 + (1/2)Sigma
+    shifted = ctx.half_sigma.translate(linalg.sub(cross.delta0, rho))
+    near = ctx.half_sigma.translate(cross.delta)
+    faces = {fd.face.facet_indices: fd for fd in cross.faces.values()}
+    for chi in shifted.lattice_points(extra=rep.dominant_halfspaces()):
+        fd = faces.get(shifted.tight_indices(chi))
+        if fd is None:
+            continue
+        face_center = linalg.sub(cross.delta0, linalg.scale(Fraction(1, 2), fd.beta_plus))
         point = linalg.add(chi, rho)
-        if not half.contains(point):
-            continue
-        if half.tight_indices(point) != fd.face.facet_indices:
-            continue
-        if not rep.root_datum.is_dominant(chi):
-            continue
-        yield chi
+        dual = linalg.sub(linalg.scale(2, face_center), point)
+        if not near.contains(point) or not near.contains(dual):
+            return False
+    return True
 
 
 # -- complexes ---------------------------------------------------------------------
@@ -286,8 +270,6 @@ def check_complexes(name: str, rep: QSRep, ctx: Context, delta, delta_prime) -> 
 def _euler_consistent(rep, fd, chi, ct) -> bool:
     """Alternating sum of the stored terms equals the independently signed
     subset-sum character."""
-    import itertools
-    from .root_data import SINGULAR
     datum = rep.root_datum
     expected: Counter = Counter()
     for m in range(fd.d_plus + 1):

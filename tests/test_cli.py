@@ -13,6 +13,10 @@ FLOAT_WEIGHTS = {"root_datum": {"builtin": "torus", "rank": 1}, "weights": [[1.5
 STRING_WEIGHTS = {"root_datum": {"builtin": "torus", "rank": 1}, "weights": "abc"}
 STRING_FLAG = dict(TORUS22, assert_generic="yes")
 FLOAT_PAIRING = dict(TORUS22, root_datum={"rank": 1, "pairing": [1.5]})
+# a root that pairs to 1 with the invariant vector (1): wall points would
+# change dominance
+ROOT_OFF_INVARIANTS = dict(TORUS22, assert_generic=True, root_datum={
+    "rank": 1, "pairing": [1], "roots": [[1], [-1]], "positive_roots": [[1]]})
 RANK3 = {"root_datum": {"builtin": "torus", "rank": 3},
          "weights": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
                      [0, 0, 1], [0, 0, -1], [1, 1, 1], [-1, -1, -1]]}
@@ -24,7 +28,8 @@ def inputs(tmp_path):
     for name, payload in (("torus22", TORUS22), ("gl2", GL2), ("bad", BAD), ("rank3", RANK3),
                           ("float_weights", FLOAT_WEIGHTS), ("string_weights", STRING_WEIGHTS),
                           ("list_document", [TORUS22]), ("string_flag", STRING_FLAG),
-                          ("float_pairing", FLOAT_PAIRING)):
+                          ("float_pairing", FLOAT_PAIRING),
+                          ("root_off_invariants", ROOT_OFF_INVARIANTS)):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(payload))
         paths[name] = str(p)
@@ -152,6 +157,12 @@ def test_error_codes(inputs, capsys):
         code, out, err = run(capsys, "rep", "--input", inputs[name])
         assert code == 2 and out == ""
         assert err.startswith("input error: ") and err.count("\n") == 1
+    # faces are read at W-invariant points only
+    code, out, err = run(capsys, "faces", "--input", inputs["gl2"], "--delta", "1/3,2/3")
+    assert code == 2 and out == "" and "does not lie in the invariant subspace" in err
+    code, out, err = run(capsys, "rep", "--input", inputs["root_off_invariants"])
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert "root (-1) pairs to -1 with the W-invariant vector (1), not to 0" in err
 
 
 def test_verify_empty_suites(capsys):

@@ -43,15 +43,15 @@ def test_invalid_degrees_rejected():
 
 
 def test_crossing_data(quintic, cy33):
-    assert cy_ci.crossing_data(quintic, 3) == (6, 2)
-    assert cy_ci.crossing_data(cy33, F(1, 2)) == (7, 3)
+    assert cy_ci.crossing_data(quintic, 3, quintic.context()) == (6, 2)
+    assert cy_ci.crossing_data(cy33, F(1, 2), cy33.context()) == (7, 3)
     with pytest.raises(InputError):
-        cy_ci.crossing_data(quintic, F(1, 2))
+        cy_ci.crossing_data(quintic, F(1, 2), quintic.context())
 
 
 def test_counting_identity(quintic, cy33):
     for model in (quintic, cy33):
-        d_plus, d_minus = cy_ci.crossing_data(model, model.arrangement_offset)
+        d_plus, d_minus = cy_ci.crossing_data(model, model.arrangement_offset, model.context())
         assert (d_plus - 1) + (d_minus - 1) == model.n + model.r
 
 
@@ -64,12 +64,12 @@ def test_window_sizes(quintic, cy33):
 
 
 def test_twist_words(quintic, cy33):
-    tw = cy_ci.spherical_twist_word(quintic, 0)
+    tw = cy_ci.spherical_twist_word(quintic, 0, quintic.context())
     assert tw["delta"] == F(7, 2)
     assert tw["length"] == 6
     assert tw["down"].total == 1 and tw["up"].total == 5
 
-    tw = cy_ci.spherical_twist_word(cy33, -1)
+    tw = cy_ci.spherical_twist_word(cy33, -1, cy33.context())
     assert tw["delta"] == F(3)
     assert tw["length"] == 8
 

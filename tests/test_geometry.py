@@ -205,6 +205,13 @@ def test_face_at_rejects_interior_and_outside():
         z.face_at((Fraction(5),))
 
 
+def test_on_boundary_means_inside_and_tight():
+    z = geometry.zonotope([(1,), (-1,)])
+    points = [(Fraction(x, 2),) for x in range(-4, 5)]
+    assert [p for p in points if z.on_boundary(p)] == [(-1,), (1,)]
+    assert all(z.on_boundary(p) == (z.contains(p) and bool(z.tight_indices(p))) for p in points)
+
+
 # -- the integer vertex kernel and the H/V incidence check --------------------
 
 

@@ -1,11 +1,14 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from qswindows import catalog, groupoid, linalg, windows
 from qswindows.errors import InputError, NotAdjacentError, OnWallError
+from qswindows.rep import QSRep
+from qswindows.root_data import RootDatum
 
 F = Fraction
 
@@ -68,7 +71,8 @@ def test_face_of_torus_examples(torus22, ctx22):
 def test_dagger_torus(torus22, ctx22):
     fd = windows.face_of(torus22, (0,), (F(1),), ctx22)
     dag = windows.dagger(torus22, fd, ctx22)
-    assert dag.face.sample == (2,)
+    # the sample lies on (1/2)Sigma; moved to the wall point 1 it is 2
+    assert linalg.add(dag.face.sample, (F(1),)) == (2,)
     again = windows.dagger(torus22, dag, ctx22)
     assert again.key == fd.key
 
@@ -153,14 +157,13 @@ def test_face_data_weyl_equivariance(gl2rep, ctxgl2):
     multiset and maps the weight sum accordingly."""
     from collections import Counter
     datum = gl2rep.root_datum
-    delta0 = (F(1, 2), F(1, 2))
-    poly = ctxgl2.half_sigma_at(delta0)
+    poly = ctxgl2.half_sigma
     for face in poly.faces():
-        fd = windows.face_data_from_face(gl2rep, poly, face, delta0)
+        fd = windows.face_data_from_face(gl2rep, poly, face)
         for w in datum.weyl_elements:
             image_sample = datum.apply(w, face.sample)
             image_face = poly.face_at(image_sample)
-            imaged = windows.face_data_from_face(gl2rep, poly, image_face, delta0)
+            imaged = windows.face_data_from_face(gl2rep, poly, image_face)
             moved = Counter(tuple(datum.apply(w, gl2rep.weights[i]))
                             for i in fd.plus_indices)
             target = Counter(gl2rep.weights[i] for i in imaged.plus_indices)
@@ -289,3 +292,57 @@ def test_cached_crossings_equal_fresh_on_groupoid_hops(name):
             point_pairs.append((arr.to_ambient(hop.src), arr.to_ambient(hop.dst)))
     _assert_cached_equals_fresh(rep_obj, ctx, point_pairs)
     assert len(ctx._crossings) < len(point_pairs)
+
+
+def _gl3_std_dual():
+    weights = [tuple(s if j == i else 0 for j in range(3))
+               for _ in range(4) for i in range(3) for s in (1, -1)]
+    return QSRep.build(RootDatum.gl(3), weights)
+
+
+def _assert_face_of_translate(rep, fd, moved, point, delta0):
+    """fd, a face of (1/2)Sigma, is the face of moved = delta_0 + (1/2)Sigma
+    through the point, with its sample moved back by delta_0."""
+    got = windows.face_data_from_face(rep, moved, moved.face_at(point))
+    assert got.face.sample == linalg.add(fd.face.sample, delta0)
+    assert replace(got, face=replace(got.face, sample=fd.face.sample)) == fd
+
+
+def _check_wall_faces_on_half_sigma(rep):
+    """Every wall face is the face of (1/2)Sigma through rho + chi - delta_0
+    and the face of delta_0 + (1/2)Sigma through rho + chi; so is every
+    dagger, computed on either polytope.  Returns how many wall faces were
+    seen and how many of them were dominant, with a dagger."""
+    ctx = windows.Context(rep)
+    half, datum = ctx.half_sigma, rep.root_datum
+    faces = daggers = 0
+    for delta, delta2 in catalog.adjacent_pairs(ctx, periods=2, per_wall=2, max_pairs=12):
+        crossing = windows.wall_crossing(rep, delta, delta2, ctx)
+        delta0 = crossing.delta0
+        moved = half.translate(delta0)
+        for key, chars in crossing.chars_by_face.items():
+            fd = crossing.faces[key]
+            for chi in chars:
+                point = linalg.add(chi, datum.rho)
+                assert fd.face == half.face_at(linalg.sub(point, delta0))
+                _assert_face_of_translate(rep, fd, moved, point, delta0)
+            faces += 1
+            if not fd.dominant:
+                with pytest.raises(InputError):
+                    windows.dagger(rep, fd, ctx)
+                continue
+            dag = windows.dagger(rep, fd, ctx)
+            assert dag.face == half.face_at(
+                datum.apply(datum.w0, half.dual_point(fd.face.sample)))
+            image = datum.apply(datum.w0, moved.dual_point(linalg.add(fd.face.sample, delta0)))
+            _assert_face_of_translate(rep, dag, moved, image, delta0)
+            daggers += 1
+    return faces, daggers
+
+
+def test_wall_faces_live_on_half_sigma(small_corpus, gl2rep):
+    seen = [_check_wall_faces_on_half_sigma(rep) for rep in small_corpus + [gl2rep]]
+    assert all(faces > 0 and daggers == faces for faces, daggers in seen)
+    faces, daggers = _check_wall_faces_on_half_sigma(_gl3_std_dual())
+    # GL(3) wall faces can cross the Weyl walls; they have no dagger
+    assert faces > 0 and daggers < faces
