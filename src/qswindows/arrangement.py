@@ -112,8 +112,7 @@ class Arrangement:
         """Invariant coordinates as integer numerators over one positive
         denominator."""
         _require_length(coords, self.dim, "invariant coordinates")
-        den = lcm(*(x.denominator for x in coords))
-        return tuple(x.numerator * (den // x.denominator) for x in coords), den
+        return linalg._numerators(coords)
 
     def _indices(self, coords: Vec) -> list[tuple[int, int]]:
         """Per family, the interval index of the point and a remainder that

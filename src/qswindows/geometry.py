@@ -14,17 +14,27 @@ with integer dot products.  Each distinct vertex is re-derived once with
 an incidence test that does not enumerate vertices: vertices are feasible,
 tight normals have full rank at each, kept half-spaces support facets, and
 every ridge of every facet lies in exactly two facets.
+
+Queries run over the integers too.  Each polytope holds its half-spaces
+once as integer normals n_i and offset numerators o_i over one common
+denominator D, and ``translate`` shifts the numerators.  A point enters a
+query once, as integer numerators over its own denominator, p = x/e, and
+<p, n_i> >= o_i/D becomes <x, n_i> D >= o_i e.  The lattice scan compares
+each integer box point with the thresholds ceil(o_i/D).  Faces are read off
+one vertex-facet incidence table, worked out on first use.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 
 from . import linalg
 from .errors import InputError, InternalInconsistencyError, _fmt
-from .linalg import IntVec, Vec
+from .linalg import IntVec, Vec, _numerators
 
 
 @dataclass(frozen=True)
@@ -39,18 +49,6 @@ class HalfSpace:
             raise InputError("half-space normal must be nonzero")
         if linalg.vec_gcd(self.normal) != 1:
             raise InputError("half-space normal must be primitive")
-
-    def value(self, point) -> Fraction:
-        return linalg.dot(point, self.normal)
-
-    def contains(self, point) -> bool:
-        return self.value(point) >= self.offset
-
-    def tight(self, point) -> bool:
-        return self.value(point) == self.offset
-
-    def translate(self, v) -> "HalfSpace":
-        return HalfSpace(self.normal, self.offset + linalg.dot(v, self.normal))
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,23 +71,54 @@ class Polytope:
     halfspaces: tuple[HalfSpace, ...]
     vertices: tuple[Vec, ...]
     center: Vec | None = None
+    # the half-spaces over the integers: (normals, offset numerators, their
+    # common denominator); derived from ``halfspaces`` when not given
+    _table: tuple | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self._table is None:
+            den = lcm(*(h.offset.denominator for h in self.halfspaces))
+            object.__setattr__(self, "_table", (
+                tuple(h.normal for h in self.halfspaces),
+                tuple(h.offset.numerator * (den // h.offset.denominator) for h in self.halfspaces),
+                den))
+
+    def _excess(self, point):
+        """Per half-space, the sign-exact excess den * e * (<p, n> - offset)
+        of the point p = x/e: the integer <x, n> den - o e."""
+        nums, e = _numerators(point)
+        normals, offsets, den = self._table
+        return (sum(map(mul, nums, n)) * den - o * e for n, o in zip(normals, offsets))
 
     def contains(self, point) -> bool:
-        return all(h.contains(point) for h in self.halfspaces)
+        return all(v >= 0 for v in self._excess(point))
 
     def tight_indices(self, point) -> frozenset[int]:
-        return frozenset(i for i, h in enumerate(self.halfspaces) if h.tight(point))
+        return frozenset(i for i, v in enumerate(self._excess(point)) if not v)
 
     def on_boundary(self, point) -> bool:
-        return min(h.value(point) - h.offset for h in self.halfspaces) == 0
+        return min(self._excess(point)) == 0
+
+    @cached_property
+    def _incidence(self) -> tuple[frozenset[int], ...]:
+        """Per vertex, the indices of the half-spaces tight at it."""
+        return tuple(self.tight_indices(x) for x in self.vertices)
 
     def translate(self, v) -> "Polytope":
+        """The polytope moved by v.  The offset numerators move by <v, n>,
+        over the least common denominator of theirs and v's."""
         v = linalg.vec(v)
+        nums, e = _numerators(v)
+        normals, offsets, den = self._table
+        common = lcm(den, e)
+        a, b = common // den, common // e
+        moved = tuple(o * a + sum(map(mul, nums, n)) * b for n, o in zip(normals, offsets))
         return Polytope(
             dim=self.dim,
-            halfspaces=tuple(h.translate(v) for h in self.halfspaces),
+            halfspaces=tuple(HalfSpace(n, Fraction(o, common)) for n, o in zip(normals, moved)),
             vertices=tuple(linalg.add(x, v) for x in self.vertices),
             center=None if self.center is None else linalg.add(self.center, v),
+            _table=(normals, moved, common),
         )
 
     def scale(self, c) -> "Polytope":
@@ -114,15 +143,16 @@ class Polytope:
         return tuple(lo), tuple(hi)
 
     def lattice_points(self, extra: tuple[HalfSpace, ...] = ()) -> list[IntVec]:
-        """All integer points, optionally also satisfying extra half-spaces."""
-        lo, hi = self.bounding_box()
-        out = []
-        ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
-        for p in itertools.product(*ranges):
-            if self.contains(p) and all(h.contains(p) for h in extra):
-                out.append(p)
-        out.sort()
-        return out
+        """All integer points, optionally also satisfying extra half-spaces,
+        in lexicographic order.  An integer point meets <p, n> >= o/den
+        exactly when <p, n> >= ceil(o/den), so each box point costs one
+        integer dot product and comparison per half-space."""
+        normals, offsets, den = self._table
+        tests = [(n, -(-o // den)) for n, o in zip(normals, offsets)]
+        tests += [(h.normal, ceil_frac(h.offset)) for h in extra]
+        ranges = [range(a, b + 1) for a, b in zip(*self.bounding_box())]
+        return [p for p in itertools.product(*ranges)
+                if all(sum(map(mul, p, n)) >= t for n, t in tests)]
 
     def boundary_lattice_points(self) -> list[IntVec]:
         return [p for p in self.lattice_points() if self.tight_indices(p)]
@@ -146,7 +176,7 @@ class Polytope:
             raise InputError("face enumeration requires a full-dimensional polytope")
         if max_codim is None:
             max_codim = self.dim
-        tight_of_vertex = [self.tight_indices(v) for v in self.vertices]
+        tight_of_vertex = self._incidence
         known: set[frozenset[int]] = set()
         for i in range(len(self.halfspaces)):
             vs = frozenset(k for k, t in enumerate(tight_of_vertex) if i in t)
@@ -190,8 +220,7 @@ class Polytope:
         tight = self.tight_indices(point)
         if not tight:
             raise InputError(f"point {_fmt(point)} lies in the interior, not on a face")
-        cut = [self.halfspaces[i] for i in tight]
-        vs = tuple(k for k, v in enumerate(self.vertices) if all(h.tight(v) for h in cut))
+        vs = tuple(k for k, t in enumerate(self._incidence) if tight <= t)
         if not vs:
             raise InternalInconsistencyError("boundary point with no tight vertices")
         return self._face(tight, vs)

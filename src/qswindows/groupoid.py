@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import linalg
 from .arrangement import Arrangement
-from .errors import InputError, UnsupportedDimensionError
+from .errors import InputError, UnsupportedDimensionError, _fmt
 from .linalg import Vec
 from .mutation import per_face_counts
 from .rep import QSRep
@@ -67,9 +67,10 @@ def make_path(arr: Arrangement, arrows, start=None) -> Path:
     for a in arrows:
         if isinstance(a, Cross):
             if arr.chamber_of(point) != arr.chamber_of(a.src):
-                raise InputError(f"arrow {a} does not start in the current chamber")
+                raise InputError(f"arrow {_fmt(a.src)}->{_fmt(a.dst)} does not start "
+                                 f"in the current chamber")
             if not arr.is_generic_label(a.label):
-                raise InputError(f"arrow label {a.label} is not generic")
+                raise InputError(f"arrow label {_fmt(a.label)} is not generic")
             arr.chamber_of(a.dst)
             point = a.dst
         else:

@@ -6,7 +6,7 @@ implementations favour clarity over asymptotics.  No floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -79,6 +79,12 @@ def primitive(x: Sequence) -> IntVec:
     ints = [int(a * denom) for a in fracs]
     g = vec_gcd(ints)
     return tuple(a // g for a in ints)
+
+
+def _numerators(point: Sequence) -> tuple[IntVec, int]:
+    """A rational point as integer numerators over one positive denominator."""
+    den = lcm(*(x.denominator for x in point))
+    return tuple(x.numerator * (den // x.denominator) for x in point), den
 
 
 def sign_normalized(x: Sequence[int]) -> IntVec:

@@ -67,8 +67,9 @@ class QSRep:
             raise InputError("weights do not span the weight lattice over the rationals")
         _check_w_invariance(root_datum, weights)
         sigma = geometry.zonotope(weights)
-        nabla = build_nabla(root_datum, weights, sigma)
-        generic = check_generic(root_datum, weights)
+        candidates = slab_candidates(root_datum, weights)
+        nabla = build_nabla(root_datum, weights, sigma, candidates)
+        generic = check_generic(root_datum, weights, candidates)
         if assert_generic is not None and generic is Ternary.UNKNOWN:
             generic = Ternary.YES if assert_generic else Ternary.NO
         return cls(
@@ -161,16 +162,20 @@ def slab_candidates(root_datum: RootDatum, weights) -> list[IntVec]:
     return sorted(found)
 
 
-def build_nabla(root_datum: RootDatum, weights, sigma: Polytope) -> Polytope:
-    """Intersect the slabs |<chi, lam>| <= eta_lam / 2 over candidate normals.
+def build_nabla(root_datum: RootDatum, weights, sigma: Polytope,
+                candidates: list[IntVec] | None = None) -> Polytope:
+    """Intersect the slabs |<chi, lam>| <= eta_lam / 2 over candidate normals
+    (``slab_candidates``, worked out here when not given).
 
     The finite candidate set is verified against the dominant-slice identity
     (the dominant part must equal that of -rho + half the zonotope) and
     against Weyl invariance; any mismatch raises InternalInconsistencyError.
     """
+    if candidates is None:
+        candidates = slab_candidates(root_datum, weights)
     halfspaces = []
     pairing = root_datum.pairing
-    for lam in slab_candidates(root_datum, weights):
+    for lam in candidates:
         bound = eta(root_datum, weights, lam) / 2
         paired = linalg.mat_vec(pairing, lam)
         converted = linalg.primitive(paired)
@@ -212,9 +217,11 @@ def _check_w_invariance(root_datum, weights) -> None:
             raise InputError("weight multiset is not Weyl invariant")
 
 
-def check_generic(root_datum: RootDatum, weights) -> Ternary:
+def check_generic(root_datum: RootDatum, weights,
+                  candidates: list[IntVec] | None = None) -> Ternary:
     """Genericity in the torus case: dropping any one weight must still
-    generate the lattice and keep the origin interior to the hull.
+    generate the lattice and keep the origin interior to the hull.  The
+    ``slab_candidates`` are worked out here when not given.
 
     No combinatorial criterion is implemented for nonabelian groups; those
     report UNKNOWN (overridable by an explicit assertion on input).
@@ -222,7 +229,8 @@ def check_generic(root_datum: RootDatum, weights) -> Ternary:
     if not root_datum.is_torus:
         return Ternary.UNKNOWN
     n = root_datum.rank
-    candidates = slab_candidates(root_datum, weights)
+    if candidates is None:
+        candidates = slab_candidates(root_datum, weights)
     for i in range(len(weights)):
         rest = [b for j, b in enumerate(weights) if j != i]
         if not linalg.lattice_generates(rest, n):

@@ -4,16 +4,29 @@ A root datum is given explicitly by a W-invariant pairing matrix, the root
 set, and the simple reflections; the Weyl group is enumerated from the
 generators (desk scale, hard cap on the group order).  Builtin constructors
 cover tori and GL(n).
+
+The dominance tests and the dotted action run over the integers.  Each
+positive root's paired column P a is scaled once, by a positive integer, to
+an integer vector c_a, so <x, a> = <x, P a> has the sign of x . c_a.  A
+weight chi = x/d (integer numerators over a positive denominator) enters as
+the integer vector u = 2d(chi + rho) = 2x + d * 2rho, which has the signs of
+rho + chi against every c_a; the Weyl matrices act on u, and the dotted
+image w(rho + chi) - rho is (w u - d * 2rho) / 2d, a weight exactly when
+every entry divides.  A torus has no roots, so W is trivial and rho = 0:
+its dominant representative is chi itself once chi is checked to be a
+lattice weight.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from . import linalg
 from .errors import InputError, _fmt
-from .linalg import IntVec, Vec
+from .linalg import IntVec, Vec, _numerators
 
 WEYL_SIZE_CAP = 10_000
 
@@ -55,6 +68,16 @@ class RootDatum:
     w0: WeylMatrix
     two_rho: Weight
     invariant_basis: tuple[Weight, ...]
+    # each positive root's paired column P a, times a positive integer
+    _columns: tuple[IntVec, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        columns = []
+        for a in self.positive_roots:
+            col = linalg.mat_vec(self.pairing, a)
+            den = lcm(*(x.denominator for x in col))
+            columns.append(tuple(int(x * den) for x in col))
+        object.__setattr__(self, "_columns", tuple(columns))
 
     # -- construction ------------------------------------------------------
 
@@ -170,10 +193,12 @@ class RootDatum:
         return linalg.mat_vec(w, chi)
 
     def is_dominant(self, chi) -> bool:
-        return all(self.pair(chi, a) >= 0 for a in self.positive_roots)
+        nums, _ = _numerators(chi)
+        return all(sum(map(mul, nums, c)) >= 0 for c in self._columns)
 
     def is_strictly_dominant(self, x) -> bool:
-        return all(self.pair(x, a) > 0 for a in self.positive_roots)
+        nums, _ = _numerators(x)
+        return all(sum(map(mul, nums, c)) > 0 for c in self._columns)
 
     @property
     def rho(self) -> Vec:
@@ -182,13 +207,26 @@ class RootDatum:
     def length(self, w: WeylMatrix) -> int:
         return self.lengths[w]
 
+    def _doubled(self, chi) -> tuple[IntVec, int]:
+        """2d(chi + rho) as an integer vector, with d the denominator of chi."""
+        nums, den = _numerators(chi)
+        return tuple(2 * x + den * r for x, r in zip(nums, self.two_rho, strict=True)), den
+
+    def _undoubled(self, wu, den) -> Weight:
+        """(wu - d * 2rho) / 2d: the dotted image of chi, read off w applied
+        to its doubled vector."""
+        out = []
+        for x, r in zip(wu, self.two_rho):
+            q, rem = divmod(x - den * r, 2 * den)
+            if rem:
+                raise InputError("dotted action applied to a non-lattice weight")
+            out.append(q)
+        return tuple(out)
+
     def dotted(self, w: WeylMatrix, chi) -> Weight:
         """w * chi = w(rho + chi) - rho; lands back in the weight lattice."""
-        shifted = self.apply(w, linalg.add(chi, self.rho))
-        out = [Fraction(x) for x in linalg.sub(shifted, self.rho)]
-        if any(x.denominator != 1 for x in out):
-            raise InputError("dotted action applied to a non-lattice weight")
-        return tuple(int(x) for x in out)
+        u, den = self._doubled(chi)
+        return self._undoubled(self.apply(w, u), den)
 
     def dominant_representative(self, chi):
         """Unique (w, chi+, l(w)) with w(rho+chi) strictly dominant, or SINGULAR.
@@ -196,17 +234,27 @@ class RootDatum:
         rho+chi is singular exactly when it pairs to zero with some root,
         i.e. when a reflection fixes it.
         """
-        shifted = linalg.add(chi, self.rho)
-        if any(self.pair(shifted, a) == 0 for a in self.roots):
+        if self.is_torus:
+            return DominantRep(w=self.weyl_elements[0], weight=_lattice_weight(chi), length=0)
+        u, den = self._doubled(chi)
+        columns = self._columns
+        if any(sum(map(mul, u, c)) == 0 for c in columns):
             return SINGULAR
         for w in self.weyl_elements:
-            if self.is_strictly_dominant(self.apply(w, shifted)):
-                return DominantRep(w=w, weight=self.dotted(w, chi), length=self.lengths[w])
+            wu = self.apply(w, u)
+            if all(sum(map(mul, wu, c)) > 0 for c in columns):
+                return DominantRep(w=w, weight=self._undoubled(wu, den), length=self.lengths[w])
         raise InputError("no Weyl element moves the weight into the dominant cone")
 
     @property
     def is_torus(self) -> bool:
         return not self.roots
+
+
+def _lattice_weight(chi) -> Weight:
+    if any(x.denominator != 1 for x in chi):
+        raise InputError("dotted action applied to a non-lattice weight")
+    return tuple(int(x) for x in chi)
 
 
 def _enumerate_weyl(rank, simples, size_cap=WEYL_SIZE_CAP):

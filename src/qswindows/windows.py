@@ -42,7 +42,7 @@ from fractions import Fraction
 
 from . import linalg
 from .arrangement import Arrangement, Chamber, Wall, build_arrangement
-from .errors import InputError, InternalInconsistencyError
+from .errors import InputError, InternalInconsistencyError, _fmt
 from .geometry import Face, Polytope
 from .linalg import IntVec, Vec
 from .rep import QSRep
@@ -132,7 +132,8 @@ class Context:
             boundary = [c for c in chars if shifted.tight_indices(c)]
             if boundary:
                 raise InternalInconsistencyError(
-                    f"window characters {boundary} on the boundary at off-wall {delta}")
+                    f"window characters {', '.join(map(_fmt, boundary))} on the boundary "
+                    f"at off-wall {_fmt(delta)}")
             self._windows[chamber.sign_vector] = chars
         return Window(delta=delta, chars=chars)
 

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qswindows import geometry, linalg
 from qswindows.errors import InputError, InternalInconsistencyError
@@ -39,6 +41,21 @@ def hull2d_oracle(points):
 
 
 GL2_WEIGHTS = [(3, 0), (2, 1), (1, 2), (0, 3), (-3, 0), (-2, -1), (-1, -2), (0, -3)]
+
+
+# The Fraction half-space tests that the integer tables replaced, kept as the
+# reference they must match exactly.
+
+def frac_value(h, point) -> Fraction:
+    return sum((Fraction(x) * c for x, c in zip(point, h.normal, strict=True)), Fraction(0))
+
+
+def frac_contains(h, point) -> bool:
+    return frac_value(h, point) >= h.offset
+
+
+def frac_tight(h, point) -> bool:
+    return frac_value(h, point) == h.offset
 
 
 def test_zonotope_intervals():
@@ -136,7 +153,7 @@ def test_lattice_points_match_scan_oracle():
     lo, hi = z.bounding_box()
     oracle = [
         p for p in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-        if all(h.contains(p) for h in z.halfspaces)
+        if all(frac_contains(h, p) for h in z.halfspaces)
     ]
     assert z.lattice_points() == sorted(oracle)
 
@@ -229,7 +246,7 @@ def rref_vertex_enumeration(halfspaces, dim):
         if linalg.rank(rows) < dim:
             continue
         sol = linalg.solve(rows, [k[1] for k in combo])
-        if sol is not None and all(h.contains(sol) for h in halfspaces):
+        if sol is not None and all(frac_contains(h, sol) for h in halfspaces):
             verts.add(sol)
     return sorted(verts)
 
@@ -342,3 +359,72 @@ def test_h_v_check_on_lower_dimensional_polytopes():
     assert sorted(segment.vertices) == [(0, 0), (1, 0)]
     with pytest.raises(InternalInconsistencyError):
         geometry._check_h_v(Polytope(2, segment.halfspaces, ((0, 0),)))
+
+
+# -- the integer read side against the Fraction oracle -------------------------
+
+def frac_lattice_points(poly, extra=()):
+    lo, hi = poly.bounding_box()
+    return [p for p in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+            if all(frac_contains(h, p) for h in poly.halfspaces + tuple(extra))]
+
+
+small_fractions = st.fractions(-3, 3, max_denominator=6)
+
+
+@st.composite
+def rational_polytopes(draw):
+    """A box |x_i| <= r_i cut by random half-spaces, all with mixed
+    denominators; every cut keeps the origin, and an opposite pair through
+    the origin makes it lower-dimensional."""
+    dim = draw(st.integers(1, 4))
+    hs = []
+    for e in linalg.identity_matrix(dim):
+        for s in (1, -1):
+            hs.append(HalfSpace(linalg.scale(s, e),
+                                -draw(st.fractions(Fraction(1, 3), 3, max_denominator=5))))
+    for _ in range(draw(st.integers(0, 3))):
+        nrm = draw(st.tuples(*[st.integers(-3, 3)] * dim).filter(lambda v: any(v)))
+        nrm = linalg.primitive(nrm)
+        if draw(st.integers(0, 9)) == 0:
+            hs += [HalfSpace(nrm, Fraction(0)), HalfSpace(linalg.neg(nrm), Fraction(0))]
+        else:
+            hs.append(HalfSpace(nrm, draw(st.fractions(-3, 0, max_denominator=7))))
+    return geometry.from_halfspaces(hs)
+
+
+@settings(deadline=None, max_examples=100)
+@given(poly=rational_polytopes(), data=st.data())
+def test_integer_half_space_tests_match_fraction_oracle(poly, data):
+    shift = data.draw(st.tuples(*[small_fractions] * poly.dim))
+    moved = poly.translate(shift)
+    assert moved.halfspaces == tuple(HalfSpace(h.normal, h.offset + frac_value(h, shift))
+                                     for h in poly.halfspaces)
+    _check_against_fraction_oracle(data.draw(st.sampled_from((poly, moved))), data)
+
+
+def _check_against_fraction_oracle(poly, data):
+    dim = poly.dim
+    points = [data.draw(st.tuples(*[small_fractions] * dim)),
+              data.draw(st.tuples(*[st.integers(-4, 4)] * dim))]
+    # vertices and midpoints of vertex pairs sit on faces
+    points.append(data.draw(st.sampled_from(poly.vertices)))
+    a, b = data.draw(st.sampled_from(poly.vertices)), data.draw(st.sampled_from(poly.vertices))
+    points.append(tuple((x + y) / 2 for x, y in zip(a, b)))
+    for p in points:
+        tight = frozenset(i for i, h in enumerate(poly.halfspaces) if frac_tight(h, p))
+        inside = all(frac_contains(h, p) for h in poly.halfspaces)
+        assert poly.contains(p) == inside
+        assert poly.tight_indices(p) == tight
+        assert poly.on_boundary(p) == (
+            min(frac_value(h, p) - h.offset for h in poly.halfspaces) == 0)
+        if inside and tight and poly.is_full_dimensional():
+            face = poly.face_at(p)
+            assert face.facet_indices == tight
+            assert face.vertex_indices == tuple(
+                k for k, v in enumerate(poly.vertices)
+                if all(frac_tight(poly.halfspaces[i], v) for i in tight))
+    nrm = data.draw(st.tuples(*[st.integers(-2, 2)] * dim).filter(lambda v: any(v)))
+    extra = (HalfSpace(linalg.primitive(nrm), data.draw(small_fractions)),)
+    assert poly.lattice_points() == frac_lattice_points(poly)
+    assert poly.lattice_points(extra) == frac_lattice_points(poly, extra)

@@ -149,3 +149,15 @@ def test_path_composability_enforced(arr22):
         groupoid.make_path(arr22, [up(F(1, 2), F(3, 2)), up(F(7, 2), F(9, 2))])
     with pytest.raises(InputError):
         groupoid.make_path(arr22, [Translate((1,))])
+
+
+def test_make_path_errors_name_points_in_p_q_form(arr22):
+    """Both input errors of make_path name their witnesses as p/q."""
+    cases = [([up(F(1, 2), F(3, 2)), up(F(7, 2), F(9, 2))],
+              "arrow (7/2)->(9/2) does not start in the current chamber"),
+             ([Cross((F(1, 2),), (F(3, 2),), (F(0),))], "arrow label (0) is not generic")]
+    for arrows, message in cases:
+        with pytest.raises(InputError) as err:
+            groupoid.make_path(arr22, arrows)
+        assert str(err.value) == message
+        assert "Fraction(" not in str(err.value)

@@ -1,11 +1,12 @@
 import itertools
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qswindows.errors import InputError
-from qswindows.root_data import SINGULAR, RootDatum
+from qswindows.root_data import SINGULAR, DominantRep, RootDatum
 
 chi2 = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 
@@ -151,3 +152,74 @@ def test_weyl_size_cap_fails_loudly():
     with pytest.raises(InputError, match="size cap"):
         RootDatum.from_data(3, gl3.pairing, gl3.roots, gl3.simple_reflections,
                             size_cap=4)
+
+
+# -- the integer Weyl action against the Fraction oracle ------------------------
+# The Fraction dominance tests and dotted action that the integer versions
+# replaced, kept as the reference they must match exactly.
+
+def frac_pair(datum, x, y) -> Fraction:
+    py = [sum(Fraction(p) * c for p, c in zip(row, y)) for row in datum.pairing]
+    return sum((Fraction(a) * b for a, b in zip(x, py, strict=True)), Fraction(0))
+
+
+def frac_is_dominant(datum, chi) -> bool:
+    return all(frac_pair(datum, chi, a) >= 0 for a in datum.positive_roots)
+
+
+def frac_is_strictly_dominant(datum, x) -> bool:
+    return all(frac_pair(datum, x, a) > 0 for a in datum.positive_roots)
+
+
+def frac_dotted(datum, w, chi):
+    shifted = datum.apply(w, [Fraction(c) + r for c, r in zip(chi, datum.rho, strict=True)])
+    out = [s - r for s, r in zip(shifted, datum.rho)]
+    if any(x.denominator != 1 for x in out):
+        raise InputError("dotted action applied to a non-lattice weight")
+    return tuple(int(x) for x in out)
+
+
+def frac_dominant_representative(datum, chi):
+    shifted = [Fraction(c) + r for c, r in zip(chi, datum.rho, strict=True)]
+    if any(frac_pair(datum, shifted, a) == 0 for a in datum.roots):
+        return SINGULAR
+    for w in datum.weyl_elements:
+        if frac_is_strictly_dominant(datum, datum.apply(w, shifted)):
+            return DominantRep(w=w, weight=frac_dotted(datum, w, chi), length=datum.lengths[w])
+    raise InputError("no Weyl element moves the weight into the dominant cone")
+
+
+def _outcome(fn, *args):
+    """A call's result, or the type and message of the InputError it raised."""
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return InputError, str(exc)
+
+
+ORACLE_DATA = [
+    RootDatum.gl(2),
+    RootDatum.gl(3),
+    RootDatum.torus(2),
+    # a Weyl-invariant pairing that is not the identity, with p/q entries
+    RootDatum.from_dict({
+        "rank": 2,
+        "pairing": [["1/2", "-1/3"], ["-1/3", "1/2"]],
+        "roots": [[1, -1], [-1, 1]],
+        "simple_reflections": [[[0, 1], [1, 0]]],
+    }),
+]
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_integer_weyl_action_matches_fraction_oracle(data):
+    datum = data.draw(st.sampled_from(ORACLE_DATA))
+    entry = st.one_of(st.integers(-6, 6), st.fractions(-4, 4, max_denominator=4))
+    chi = data.draw(st.tuples(*[entry] * datum.rank))
+    w = data.draw(st.sampled_from(datum.weyl_elements))
+    assert datum.is_dominant(chi) == frac_is_dominant(datum, chi)
+    assert datum.is_strictly_dominant(chi) == frac_is_strictly_dominant(datum, chi)
+    assert _outcome(datum.dotted, w, chi) == _outcome(frac_dotted, datum, w, chi)
+    assert (_outcome(datum.dominant_representative, chi)
+            == _outcome(frac_dominant_representative, datum, chi))
