@@ -103,10 +103,10 @@ class Arrangement:
         return sol
 
     def to_ambient(self, coords) -> Vec:
-        out = (Fraction(0),) * self.rep.rank
-        for c, b in zip(coords, self.invariant_basis, strict=True):
-            out = linalg.add(out, linalg.scale(Fraction(c), b))
-        return out
+        """The ambient point sum_i c_i b_i: integer numerators of the
+        coordinates against each column of the basis, over one denominator."""
+        nums, den = self._scaled(coords)
+        return tuple(Fraction(sum(map(mul, nums, col)), den) for col in zip(*self.invariant_basis))
 
     def _scaled(self, coords: Vec) -> tuple[IntVec, int]:
         """Invariant coordinates as integer numerators over one positive

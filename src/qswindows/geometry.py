@@ -10,7 +10,10 @@ and each ``dim``-subset of hyperplane directions costs one fraction-free
 (Bareiss) elimination giving its determinant and adjugate, so every vertex
 candidate is a vector of Cramer numerators over the determinant, screened
 with integer dot products.  Each distinct vertex is re-derived once with
-``linalg.solve``.  The result is then checked against its half-spaces by
+``linalg.solve``, which runs the same elimination but checks its answer
+against every equation: the system is nonsingular, so it has one
+solution, and a faulty elimination cannot pass.  The result is then
+checked against its half-spaces by
 an incidence test that does not enumerate vertices: vertices are feasible,
 tight normals have full rank at each, kept half-spaces support facets, and
 every ridge of every facet lies in exactly two facets.
@@ -34,7 +37,7 @@ from operator import mul
 
 from . import linalg
 from .errors import InputError, InternalInconsistencyError, _fmt
-from .linalg import IntVec, Vec, _numerators
+from .linalg import IntVec, Vec, _bareiss, _numerators
 
 
 @dataclass(frozen=True)
@@ -254,38 +257,6 @@ def ceil_frac(x) -> int:
     return -floor_frac(-Fraction(x))
 
 
-def _bareiss(rows, ncols):
-    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss 1968).
-
-    Pivots are taken from the first ``ncols`` columns, and every division
-    is exact.  Returns the pivot columns and the reduced rows, which span
-    the input's row space: row i < len(pivots) holds the last pivot p in
-    column ``pivots[i]`` and zero in every other pivot column, and the
-    rows after them are zero in the first ``ncols`` columns.  For a
-    nonsingular square A augmented with I this gives p*I | M with
-    M A = p I, where p = +-det A, so M b / p solves A x = b and M b are
-    its Cramer numerators.
-    """
-    m = [list(row) for row in rows]
-    pivots: list[int] = []
-    prev = 1
-    for c in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pr = m[r]
-        p = pr[c]
-        for i, row in enumerate(m):
-            if i != r:
-                a = row[c]
-                m[i] = [(p * x - a * y) // prev for x, y in zip(row, pr)]
-        prev = p
-        pivots.append(c)
-    return pivots, m
-
-
 def _common_denominator(values) -> int:
     d = 1
     for x in values:
@@ -311,7 +282,8 @@ def _vertex_enumeration(halfspaces, dim) -> list[Vec]:
     matrix-vector product for its Cramer numerators.  A candidate survives
     if it satisfies every half-space, tested with integer dot products
     against offset*det.  Each distinct survivor is re-derived once with
-    ``linalg.solve`` and must agree.
+    ``linalg.solve`` and must agree; that solve checks its answer against
+    every equation, so it does not rest on the elimination being right.
     """
     denom = _common_denominator(h.offset for h in halfspaces)
     tests = [(h.normal, int(h.offset * denom)) for h in halfspaces]

@@ -1,12 +1,19 @@
 """Small exact linear algebra over Fraction vectors and integer lattices.
 
-Everything here is desk scale (dimensions <= 4, a few dozen rows), so the
-implementations favour clarity over asymptotics.  No floating point.
+Row reduction has one implementation, ``_bareiss``: fraction-free
+Gauss-Jordan elimination over the integers (Bareiss 1968), in which every
+division is exact.  ``rref`` writes each row as integer numerators over its
+own positive denominator (a positive row scale leaves the reduced form
+unchanged), eliminates once, and divides each pivot row by its pivot, so
+Fractions are made only for the output; ``rank``, ``kernel_basis`` and
+``solve`` read that form, and ``solve`` checks its answer against every
+equation over the integers.  No floating point.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -70,14 +77,10 @@ def primitive(x: Sequence) -> IntVec:
 
     The sign is preserved (the result is a positive multiple of the input).
     """
-    fracs = [Fraction(a) for a in x]
-    if all(a == 0 for a in fracs):
-        raise ValueError("zero vector has no primitive form")
-    denom = 1
-    for a in fracs:
-        denom = denom * a.denominator // gcd(denom, a.denominator)
-    ints = [int(a * denom) for a in fracs]
+    ints, _ = _numerators(x)
     g = vec_gcd(ints)
+    if not g:
+        raise ValueError("zero vector has no primitive form")
     return tuple(a // g for a in ints)
 
 
@@ -95,31 +98,58 @@ def sign_normalized(x: Sequence[int]) -> IntVec:
     return tuple(x)
 
 
+def _bareiss(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss 1968).
+
+    Pivots are taken from the first ``ncols`` columns, and every division
+    is exact.  Returns the pivot columns and the reduced rows, which span
+    the input's row space: row i < len(pivots) holds the last pivot p in
+    column ``pivots[i]`` and zero in every other pivot column, and the
+    rows after them are zero in the first ``ncols`` columns.  For a
+    nonsingular square A augmented with I this gives p*I | M with
+    M A = p I, where p = +-det A, so M b / p solves A x = b and M b are
+    its Cramer numerators.
+    """
+    m = [list(row) for row in rows]
+    pivots: list[int] = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        pr = m[r]
+        p = pr[c]
+        for i, row in enumerate(m):
+            if i != r:
+                a = row[c]
+                m[i] = [(p * x - a * y) // prev for x, y in zip(row, pr)]
+        prev = p
+        pivots.append(c)
+    return pivots, m
+
+
+def _integer_rows(rows) -> list[Sequence[int]]:
+    """Each row as integer numerators over its own positive denominator.
+
+    Scaling a row by a positive integer changes neither its row space nor
+    the reduced echelon form, so ``rref`` and ``solve`` work on these."""
+    return [row if all(type(a) is int for a in row) else _numerators(row)[0] for row in rows]
+
+
 def rref(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Reduced row echelon form (returns a fresh list of Fraction rows)."""
-    m = [[Fraction(a) for a in row] for row in rows]
-    if not m:
+    """Reduced row echelon form (returns a fresh list of Fraction rows).
+
+    One Bareiss elimination over the integer rows, then each pivot row is
+    divided by its pivot; zero rows stay at the bottom."""
+    if not rows:
         return []
-    ncols = len(m[0])
-    lead = 0
-    for r in range(len(m)):
-        if lead >= ncols:
-            break
-        pivot = next((i for i in range(r, len(m)) if m[i][lead] != 0), None)
-        while pivot is None:
-            lead += 1
-            if lead >= ncols:
-                return m
-            pivot = next((i for i in range(r, len(m)) if m[i][lead] != 0), None)
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][lead]
-        m[r] = [a / pv for a in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][lead] != 0:
-                c = m[i][lead]
-                m[i] = [a - c * b for a, b in zip(m[i], m[r])]
-        lead += 1
-    return m
+    ncols = len(rows[0])
+    pivots, m = _bareiss(_integer_rows(rows), ncols)
+    zero = Fraction(0)
+    return [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(m, pivots)] + \
+        [[zero] * ncols for _ in m[len(pivots):]]
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -150,9 +180,13 @@ def kernel_basis(rows: Sequence[Sequence]) -> list[Vec]:
 
 
 def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
-    """One exact solution of A x = b, or None if inconsistent."""
+    """One exact solution of A x = b, or None if inconsistent.
+
+    The solution read off the reduced form is checked against every
+    equation over the integers, so a faulty elimination cannot pass a
+    system with one solution."""
     ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs, strict=True)]
+    aug = _integer_rows([*row, b] for row, b in zip(rows, rhs, strict=True))
     m = rref(aug)
     x = [Fraction(0)] * ncols
     for row in m:
@@ -162,8 +196,9 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
         if nz == ncols:
             return None
         x[nz] = row[ncols]
-    for row, b in zip(rows, rhs, strict=True):
-        if dot(row, x) != b:
+    nums, den = _numerators(x)
+    for row in aug:
+        if sum(map(mul, row, nums)) != row[ncols] * den:
             return None
     return tuple(x)
 

@@ -126,14 +126,16 @@ def eta(root_datum: RootDatum, weights, lam) -> Fraction:
     """Weighted count of the negative-side weights minus the root correction.
 
     For a one-parameter subgroup lam, sums <-b, lam> over weights pairing
-    negatively with lam and subtracts the same sum over the roots.
+    negatively with lam and subtracts the same sum over the roots.  Each
+    pairing is an integer dot product with Q lam, the paired column over
+    the pairing's one denominator.
     """
     if linalg.is_zero(lam):
         raise InputError("eta is undefined at lambda = 0")
-    pair = root_datum.pair
-    weight_part = sum(max(0, -pair(b, lam)) for b in weights)
-    root_part = sum(max(0, pair(a, lam)) for a in root_datum.roots)
-    return Fraction(weight_part - root_part)
+    col, den = root_datum._paired(lam)
+    weight_part = sum(max(0, -linalg.dot(b, col)) for b in weights)
+    root_part = sum(max(0, linalg.dot(a, col)) for a in root_datum.roots)
+    return Fraction(weight_part - root_part, den)
 
 
 def slab_candidates(root_datum: RootDatum, weights) -> list[IntVec]:
@@ -147,15 +149,16 @@ def slab_candidates(root_datum: RootDatum, weights) -> list[IntVec]:
     n = root_datum.rank
     vectors = sorted({tuple(b) for b in weights if not linalg.is_zero(b)}
                      | set(root_datum.roots))
-    pairing = root_datum.pairing
     found = set()
     if n == 1:
         return [(1,)]
+    # the rows P v scaled by the pairing's positive denominator: integer
+    # rows with the same rank and kernel
     for combo in itertools.combinations(vectors, n - 1):
-        rows = [linalg.mat_vec(pairing, v) for v in combo]
+        rows = [root_datum._paired(v)[0] for v in combo]
         if linalg.rank(rows) < n - 1:
             continue
-        kernel = linalg.kernel_basis([list(r) for r in rows])
+        kernel = linalg.kernel_basis(rows)
         if len(kernel) != 1:
             continue
         found.add(linalg.sign_normalized(linalg.primitive(kernel[0])))

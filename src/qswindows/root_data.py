@@ -68,16 +68,20 @@ class RootDatum:
     w0: WeylMatrix
     two_rho: Weight
     invariant_basis: tuple[Weight, ...]
-    # each positive root's paired column P a, times a positive integer
+    # the pairing P as integer rows Q over one positive denominator q, P = Q/q
+    _int_pairing: tuple[IntVec, ...] = field(init=False, repr=False, compare=False)
+    _pairing_den: int = field(init=False, repr=False, compare=False)
+    # each positive root's paired column Q a = q P a
     _columns: tuple[IntVec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        columns = []
-        for a in self.positive_roots:
-            col = linalg.mat_vec(self.pairing, a)
-            den = lcm(*(x.denominator for x in col))
-            columns.append(tuple(int(x * den) for x in col))
-        object.__setattr__(self, "_columns", tuple(columns))
+        den = lcm(*(x.denominator for row in self.pairing for x in row))
+        rows = tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                     for row in self.pairing)
+        object.__setattr__(self, "_int_pairing", rows)
+        object.__setattr__(self, "_pairing_den", den)
+        object.__setattr__(self, "_columns", tuple(self._paired(a)[0]
+                                                   for a in self.positive_roots))
 
     # -- construction ------------------------------------------------------
 
@@ -187,7 +191,12 @@ class RootDatum:
     # -- basic operations --------------------------------------------------
 
     def pair(self, x, y) -> Fraction:
-        return linalg.dot(x, linalg.mat_vec(self.pairing, y))
+        col, den = self._paired(y)
+        return Fraction(linalg.dot(x, col), den)
+
+    def _paired(self, y) -> tuple[tuple, int]:
+        """P y as Q y over the positive denominator q; integer for integer y."""
+        return linalg.mat_vec(self._int_pairing, y), self._pairing_den
 
     def apply(self, w: WeylMatrix, chi):
         return linalg.mat_vec(w, chi)

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -220,8 +221,16 @@ def _oracle_cut_points(arr, a, b) -> list:
     return [a, *mids, b]
 
 
+def _oracle_to_ambient(arr, coords):
+    """The ambient point as a Fraction sum of scaled basis vectors."""
+    out = (F(0),) * arr.rep.rank
+    for c, b in zip(coords, arr.invariant_basis, strict=True):
+        out = linalg.add(out, linalg.scale(F(c), b))
+    return out
+
+
 def _oracle_generic_label(arr, coords) -> bool:
-    ell = arr.to_ambient(coords)
+    ell = _oracle_to_ambient(arr, coords)
     return (not linalg.is_zero(ell)
             and all(linalg.dot(ell, h.normal) != 0 for h in arr.rep.sigma.halfspaces))
 
@@ -281,3 +290,19 @@ def test_integer_queries_match_fraction_oracle(oracle_arrangements, data):
     if isinstance(hops, list):
         hops = [hops[0].src, *(h.dst for h in hops)] if hops else []
     assert hops == _outcome(_oracle_cut_points, arr, a, b)
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_to_ambient_matches_fraction_oracle(oracle_arrangements, data):
+    arr = oracle_arrangements[data.draw(st.integers(0, len(oracle_arrangements) - 1))]
+    if data.draw(st.booleans()):
+        # to_ambient reads nothing but the basis; try one with larger entries
+        vector = st.tuples(*[st.integers(-5, 5)] * arr.rep.rank)
+        basis = data.draw(st.lists(vector, min_size=arr.dim, max_size=arr.dim))
+        arr = dataclasses.replace(arr, invariant_basis=tuple(basis))
+    entry = st.one_of(st.integers(-9, 9), st.fractions(-4, 4, max_denominator=12))
+    coords = data.draw(st.tuples(*[entry] * arr.dim))
+    got = arr.to_ambient(coords)
+    assert got == _oracle_to_ambient(arr, coords)
+    assert all(type(x) is F for x in got)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qswindows import geometry, linalg
 from qswindows.errors import InputError, InternalInconsistencyError
 from qswindows.geometry import HalfSpace, Polytope
+from test_linalg import frac_rref, frac_solve
 
 
 def interval_oracle(generators, scale=Fraction(1)):
@@ -233,8 +234,9 @@ def test_on_boundary_means_inside_and_tight():
 
 
 def rref_vertex_enumeration(halfspaces, dim):
-    """Reference oracle: a Fraction rank test and solve for every dim-subset
-    of the distinct hyperplanes, kept if the solution satisfies everything."""
+    """Reference oracle: a Fraction rank test and solve, by Gauss-Jordan
+    over Fraction, for every dim-subset of the distinct hyperplanes, kept if
+    the solution satisfies everything."""
     hyperplanes = {}
     for h in halfspaces:
         key = linalg.sign_normalized(h.normal)
@@ -243,9 +245,9 @@ def rref_vertex_enumeration(halfspaces, dim):
     verts = set()
     for combo in itertools.combinations(sorted(hyperplanes), dim):
         rows = [list(k[0]) for k in combo]
-        if linalg.rank(rows) < dim:
+        if any(not any(row) for row in frac_rref(rows)):
             continue
-        sol = linalg.solve(rows, [k[1] for k in combo])
+        sol = frac_solve(rows, [k[1] for k in combo])
         if sol is not None and all(frac_contains(h, sol) for h in halfspaces):
             verts.add(sol)
     return sorted(verts)

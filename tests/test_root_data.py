@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qswindows import linalg, rep
 from qswindows.errors import InputError
 from qswindows.root_data import SINGULAR, DominantRep, RootDatum
 
@@ -223,3 +224,53 @@ def test_integer_weyl_action_matches_fraction_oracle(data):
     assert _outcome(datum.dotted, w, chi) == _outcome(frac_dotted, datum, w, chi)
     assert (_outcome(datum.dominant_representative, chi)
             == _outcome(frac_dominant_representative, datum, chi))
+
+
+# -- the integer-scaled pairing against the Fraction oracle ---------------------
+
+def frac_eta(datum, weights, lam) -> Fraction:
+    weight_part = sum(max(0, -frac_pair(datum, b, lam)) for b in weights)
+    root_part = sum(max(0, frac_pair(datum, a, lam)) for a in datum.roots)
+    return Fraction(weight_part - root_part)
+
+
+def _det(m):
+    if not m:
+        return Fraction(1)
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def frac_slab_candidates(datum, weights):
+    """Normals of the hyperplanes spanned by (n-1)-subsets of the paired
+    weights and roots, each the vector of signed maximal minors, which is
+    orthogonal to the rows and zero exactly when they are dependent."""
+    n = datum.rank
+    if n == 1:
+        return [(1,)]
+    vectors = sorted({tuple(b) for b in weights if any(b)} | set(datum.roots))
+    units = [tuple(int(i == k) for k in range(n)) for i in range(n)]
+    found = set()
+    for combo in itertools.combinations(vectors, n - 1):
+        # row P v, entry by entry
+        rows = [[frac_pair(datum, e, v) for e in units] for v in combo]
+        normal = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in rows]) for j in range(n)]
+        if any(normal):
+            found.add(linalg.sign_normalized(linalg.primitive(normal)))
+    return sorted(found)
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_integer_pairing_matches_fraction_oracle(data):
+    datum = data.draw(st.sampled_from(ORACLE_DATA))
+    n = datum.rank
+    entry = st.one_of(st.integers(-6, 6), st.fractions(-4, 4, max_denominator=4))
+    x, y = (data.draw(st.tuples(*[entry] * n)) for _ in range(2))
+    got = datum.pair(x, y)
+    assert type(got) is Fraction and got == frac_pair(datum, x, y)
+    weight = st.tuples(*[st.integers(-3, 3)] * n)
+    weights = data.draw(st.lists(weight, max_size=8))
+    lam = data.draw(weight.filter(any))
+    assert rep.eta(datum, weights, lam) == frac_eta(datum, weights, lam)
+    assert rep.slab_candidates(datum, weights) == frac_slab_candidates(datum, weights)
