@@ -13,10 +13,10 @@ with integer dot products.  Each distinct vertex is re-derived once with
 ``linalg.solve``, which runs the same elimination but checks its answer
 against every equation: the system is nonsingular, so it has one
 solution, and a faulty elimination cannot pass.  The result is then
-checked against its half-spaces by
-an incidence test that does not enumerate vertices: vertices are feasible,
-tight normals have full rank at each, kept half-spaces support facets, and
-every ridge of every facet lies in exactly two facets.
+checked against its half-spaces by an incidence test that does not
+enumerate vertices: vertices are feasible, tight normals have full rank
+at each, kept half-spaces support facets, and every ridge of every facet
+lies in exactly two facets.
 
 Queries run over the integers too.  Each polytope holds its half-spaces
 once as integer normals n_i and offset numerators o_i over one common

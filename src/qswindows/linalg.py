@@ -148,8 +148,8 @@ def rref(rows: Sequence[Sequence]) -> list[list[Fraction]]:
     ncols = len(rows[0])
     pivots, m = _bareiss(_integer_rows(rows), ncols)
     zero = Fraction(0)
-    return [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(m, pivots)] + \
-        [[zero] * ncols for _ in m[len(pivots):]]
+    reduced = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(m, pivots)]
+    return reduced + [[zero] * ncols for _ in m[len(pivots):]]
 
 
 def rank(rows: Sequence[Sequence]) -> int:
