@@ -338,8 +338,13 @@ def split_into_hops(arr: Arrangement, a: Cross) -> list[Cross]:
 def _hop_crossings(rep: QSRep, ctx: Context, a: Cross):
     """(hop, its wall crossing) for each adjacent hop of a crossing arrow."""
     arr = ctx.arrangement
-    for hop in split_into_hops(arr, a):
-        yield hop, wall_crossing(rep, arr.to_ambient(hop.src), arr.to_ambient(hop.dst), ctx)
+    hops = split_into_hops(arr, a)
+    # each cut point is located once; a hop's chambers are its endpoints'
+    chambers = [arr.chamber_of(p) for p in (a.src, *(hop.dst for hop in hops))]
+    points = [arr.to_ambient(c.sample) for c in chambers]
+    for i, hop in enumerate(hops):
+        yield hop, wall_crossing(rep, points[i], points[i + 1], ctx,
+                                 chambers=(chambers[i], chambers[i + 1]))
 
 
 def mutation_transcript(rep: QSRep, path: Path, ctx: Context) -> list[TranscriptEntry]:

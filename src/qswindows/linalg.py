@@ -41,7 +41,9 @@ def scale(c, x: Sequence):
 
 
 def dot(x: Sequence, y: Sequence):
-    return sum(a * b for a, b in zip(x, y, strict=True))
+    if len(x) != len(y):
+        raise ValueError(f"dot of vectors of lengths {len(x)} and {len(y)}")
+    return sum(map(mul, x, y))
 
 
 def is_zero(x: Sequence) -> bool:

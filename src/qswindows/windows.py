@@ -21,11 +21,14 @@ ordered pair of chambers, so ``Context`` stores window characters once per
 chamber sign vector and crossing data once per ordered pair of sign vectors
 (exact chambers, not classes mod the lattice).  The first crossing of a
 pair runs every construction and check at its own wall point.  Every later
-crossing of the pair still locates both endpoints, checks that they are
-off-wall and adjacent, that its wall point lies on the wall and that its
-direction pairs positively with the inward normals; it then reuses the
-pair's outgoing characters and faces as they are, with its own delta,
-delta', delta_0 and windows.
+crossing of the pair still has both endpoints located, off-wall and
+adjacent, its wall point on the wall and its direction pairing positively
+with the inward normals; it then reuses the pair's outgoing characters and
+faces as they are, with its own delta, delta', delta_0 and windows.  An
+endpoint is located by ``to_coords`` and ``chamber_of``, or by the caller:
+the groupoid's hop loop locates each cut point of an arrow once, in
+invariant coordinates, and passes the two chambers, whose samples are
+checked to map back to delta and delta' under ``to_ambient``.
 
 Why that is exact: both wall points lie on the wall the two chambers share
 and on no other wall, so they are joined inside the common facet of the two
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .arrangement import Arrangement, Chamber, Wall, build_arrangement
@@ -213,8 +217,9 @@ class WallCrossing:
     def oriented(self) -> bool:
         """Whether the direction delta -> delta' pairs positively with every
         inward normal of every wall face."""
-        direction = linalg.sub(self.delta_prime, self.delta)
-        return all(linalg.dot(direction, lam) > 0
+        # numerators over one positive denominator keep every sign
+        nums, _ = linalg._numerators(linalg.sub(self.delta_prime, self.delta))
+        return all(sum(map(mul, nums, lam)) > 0
                    for fd in self.faces.values() for lam in fd.inward_normals)
 
     def face_of_char(self, chi) -> FaceData:
@@ -235,13 +240,17 @@ class _PairCrossing:
         self.outgoing = tuple(sorted(set(win.chars) - set(win_p.chars)))
         self.faces: dict = {}
         chars_by_face: dict = {}
+        shift = linalg.sub(rep.root_datum.rho, delta0)
         for chi in self.outgoing:
             if not rep.nabla.on_boundary(linalg.sub(chi, delta0)):
                 raise InternalInconsistencyError(
                     "an outgoing character must sit on the wall-point window boundary")
-            fd = face_of(rep, chi, delta0, ctx)
-            self.faces.setdefault(fd.key, fd)
-            chars_by_face.setdefault(fd.key, []).append(chi)
+            # a face's key is the tight set of rho + chi - delta_0, so only a
+            # new tight set needs face_of
+            key = tuple(sorted(ctx.half_sigma.tight_indices(linalg.add(chi, shift))))
+            if key not in self.faces:
+                self.faces[key] = face_of(rep, chi, delta0, ctx)
+            chars_by_face.setdefault(key, []).append(chi)
         self.chars_by_face = {key: tuple(sorted(chars)) for key, chars in chars_by_face.items()}
         self.mu_images: tuple | None = None
 
@@ -257,13 +266,22 @@ class _PairCrossing:
         )
 
 
-def wall_crossing(rep: QSRep, delta, delta_prime, ctx: Context) -> WallCrossing:
+def wall_crossing(rep: QSRep, delta, delta_prime, ctx: Context,
+                  chambers: tuple[Chamber, Chamber] | None = None) -> WallCrossing:
+    """The crossing from delta to delta'.  A caller that has already
+    located both points passes their chambers, whose samples are their
+    invariant coordinates; each must map back to its point."""
     arr = ctx.arrangement
     delta, delta_prime = linalg.vec(delta), linalg.vec(delta_prime)
-    coords = arr.to_coords(delta)
-    chamber = arr.chamber_of(coords)
-    coords_p = arr.to_coords(delta_prime)
-    chamber_p = arr.chamber_of(coords_p)
+    if chambers is None:
+        chamber = arr.chamber_of(arr.to_coords(delta))
+        chamber_p = arr.chamber_of(arr.to_coords(delta_prime))
+    else:
+        chamber, chamber_p = chambers
+        for c, point in ((chamber, delta), (chamber_p, delta_prime)):
+            if arr.to_ambient(c.sample) != point:
+                raise InputError(f"chamber sample {_fmt(c.sample)} does not map to {_fmt(point)}")
+    coords, coords_p = chamber.sample, chamber_p.sample
     wall = arr.require_adjacent(chamber, chamber_p)
     # the wall point is where the segment meets the wall; for a symmetric
     # pair this is the exact midpoint

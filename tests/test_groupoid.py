@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from qswindows import groupoid, verify
+from qswindows import catalog, groupoid, verify
+from qswindows.arrangement import Arrangement
 from qswindows.errors import InputError, UnsupportedDimensionError
 from qswindows.groupoid import Cross, Translate
+from qswindows.windows import Context
 
 F = Fraction
 
@@ -161,3 +163,26 @@ def test_make_path_errors_name_points_in_p_q_form(arr22):
             groupoid.make_path(arr22, arrows)
         assert str(err.value) == message
         assert "Fraction(" not in str(err.value)
+
+
+@pytest.mark.parametrize("name", sorted(catalog.bundled_reps()))
+def test_transcripts_solve_only_for_their_end_windows(name, monkeypatch):
+    """Hops cross in invariant coordinates: one transcript_window_map and one
+    mutation_transcript on a multi-hop path run to_coords twice, for the
+    start and end windows of the map."""
+    rep = catalog.bundled_reps()[name]
+    ctx = Context(rep)
+    arr = ctx.arrangement
+    rng = random.Random(11)
+    while True:
+        path = verify._random_positive_path(arr, rng)
+        if path is not None and sum(len(groupoid.split_into_hops(arr, a))
+                                    for a in path.arrows) > 2:
+            break
+    calls = []
+    to_coords = Arrangement.to_coords
+    monkeypatch.setattr(Arrangement, "to_coords",
+                        lambda self, point: calls.append(point) or to_coords(self, point))
+    groupoid.transcript_window_map(rep, path, ctx)
+    groupoid.mutation_transcript(rep, path, ctx)
+    assert calls == [arr.to_ambient(path.start), arr.to_ambient(path.end)]

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -196,3 +197,25 @@ def test_rref_edge_cases():
     rows = [(0, -2, 4, Fraction(-1, 3)), (0, 3, -6, Fraction(1, 2)), (0, -1, 1, 0)]
     assert linalg.rref(rows) == frac_rref(rows)
     assert linalg.rank(rows) == 2
+
+
+def test_dot_rejects_mismatched_lengths():
+    with pytest.raises(ValueError):
+        linalg.dot((1, 2), (1, 2, 3))
+    with pytest.raises(ValueError):
+        linalg.dot((Fraction(1, 2),), ())
+    assert linalg.dot((), ()) == 0
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 6).flatmap(
+    lambda n: st.tuples(*(st.lists(entries, min_size=n, max_size=n) for _ in range(2)))))
+def test_dot_matches_fraction_sum(pair):
+    x, y = pair
+    expected = Fraction(0)
+    for a, b in zip(x, y):
+        expected += Fraction(a) * Fraction(b)
+    got = linalg.dot(x, y)
+    assert got == expected
+    if all(type(a) is int for a in (*x, *y)):
+        assert type(got) is int

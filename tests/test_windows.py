@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qswindows import catalog, groupoid, linalg, windows
+from qswindows import catalog, groupoid, linalg, verify, windows
 from qswindows.errors import InputError, NotAdjacentError, OnWallError
 from qswindows.rep import QSRep
 from qswindows.root_data import RootDatum
@@ -346,3 +346,50 @@ def test_wall_faces_live_on_half_sigma(small_corpus, gl2rep):
     faces, daggers = _check_wall_faces_on_half_sigma(_gl3_std_dual())
     # GL(3) wall faces can cross the Weyl walls; they have no dagger
     assert faces > 0 and daggers < faces
+
+
+def _criterion6_hops(rep_obj, arr):
+    """The hops of criterion 6's seeded paths (seed 11, 1000 draws)."""
+    rng = random.Random(11)
+    for _ in range(1000):
+        path = verify._random_positive_path(arr, rng)
+        if path is not None:
+            for a in path.arrows:
+                yield a, groupoid.split_into_hops(arr, a)
+
+
+@pytest.mark.parametrize("name", sorted(catalog.bundled_reps()))
+def test_located_chambers_match_unlocated_crossing(name):
+    rep_obj = catalog.bundled_reps()[name]
+    located_ctx = windows.Context(rep_obj)
+    arr = located_ctx.arrangement
+    plain_ctx = windows.Context(rep_obj, arr)
+    hops = 0
+    for a, split in _criterion6_hops(rep_obj, arr):
+        loop = list(groupoid._hop_crossings(rep_obj, located_ctx, a))
+        assert [hop for hop, _ in loop] == split
+        # the hop loop passes located chambers; plain_ctx locates afresh
+        for hop, located in loop:
+            plain = windows.wall_crossing(
+                rep_obj, arr.to_ambient(hop.src), arr.to_ambient(hop.dst), plain_ctx)
+            assert located == plain
+            assert windows.mu_map(rep_obj, located) == windows.mu_map(rep_obj, plain)
+            hops += 1
+    assert hops > 100
+
+
+def test_located_chamber_must_map_to_its_point(gl2rep, ctxgl2):
+    arr = ctxgl2.arrangement
+    delta, delta2 = (F(0), F(0)), (F(1), F(1))
+    here, there = (arr.chamber_of(arr.to_coords(d)) for d in (delta, delta2))
+    located = windows.wall_crossing(gl2rep, delta, delta2, ctxgl2, chambers=(here, there))
+    assert located == windows.wall_crossing(gl2rep, delta, delta2, ctxgl2)
+    with pytest.raises(InputError, match="chamber sample"):
+        windows.wall_crossing(gl2rep, delta, delta2, ctxgl2, chambers=(there, here))
+    # same chambers, other points: samples are checked, not just sign vectors
+    nearby = arr.chamber_of(linalg.add(here.sample, (F(1, 8),)))
+    assert nearby == here
+    with pytest.raises(InputError, match="chamber sample"):
+        windows.wall_crossing(gl2rep, delta, delta2, ctxgl2, chambers=(nearby, there))
+    with pytest.raises(InputError, match="chamber sample"):
+        windows.wall_crossing(gl2rep, delta, delta2, ctxgl2, chambers=(here, nearby))
