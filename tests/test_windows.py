@@ -348,7 +348,7 @@ def test_wall_faces_live_on_half_sigma(small_corpus, gl2rep):
     assert faces > 0 and daggers < faces
 
 
-def _criterion6_hops(rep_obj, arr):
+def _criterion6_hops(arr):
     """The hops of criterion 6's seeded paths (seed 11, 1000 draws)."""
     rng = random.Random(11)
     for _ in range(1000):
@@ -365,7 +365,7 @@ def test_located_chambers_match_unlocated_crossing(name):
     arr = located_ctx.arrangement
     plain_ctx = windows.Context(rep_obj, arr)
     hops = 0
-    for a, split in _criterion6_hops(rep_obj, arr):
+    for a, split in _criterion6_hops(arr):
         loop = list(groupoid._hop_crossings(rep_obj, located_ctx, a))
         assert [hop for hop, _ in loop] == split
         # the hop loop passes located chambers; plain_ctx locates afresh
