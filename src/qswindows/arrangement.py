@@ -21,7 +21,9 @@ The indices over all families form the chamber's sign vector.  Between two
 off-wall points with indices k_a and k_b the family has the walls B + kS
 with min(k_a, k_b) < k <= max(k_a, k_b), so separating walls are read off
 two sign vectors.  Families with the same normal can put walls at the same
-offset, and such a hyperplane is recorded once, under its first family.
+offset, and such a hyperplane is recorded once, under its first family; offsets
+are compared as integer numerators over the common scale of the normal's
+families.  A chamber keeps its sample's numerators, and queries read them.
 """
 from __future__ import annotations
 
@@ -65,10 +67,12 @@ class Wall:
     offset: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Chamber:
     sign_vector: tuple[int, ...]
     sample: Vec
+    nums: IntVec = field(repr=False)  # the sample over one positive denominator
+    den: int = field(repr=False)
 
     def __eq__(self, other):
         return isinstance(other, Chamber) and self.sign_vector == other.sign_vector
@@ -84,6 +88,16 @@ class Arrangement:
     invariant_basis: tuple[IntVec, ...]
     # weight-zonotope facet normals restricted to the invariant basis
     label_normals: tuple[IntVec, ...] = field(repr=False, compare=False)
+    # per family: its normal's index and the factor to that normal's common scale
+    _wall_keys: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        scales: dict[IntVec, int] = {}
+        for f in self.families:
+            scales[f.normal] = lcm(scales.get(f.normal, 1), f.scale)
+        group = {n: g for g, n in enumerate(scales)}
+        object.__setattr__(self, "_wall_keys", tuple(
+            (group[f.normal], scales[f.normal] // f.scale) for f in self.families))
 
     @property
     def dim(self) -> int:
@@ -102,22 +116,24 @@ class Arrangement:
             raise InputError(f"point {_fmt(point)} does not lie in the invariant subspace")
         return sol
 
-    def to_ambient(self, coords) -> Vec:
-        """The ambient point sum_i c_i b_i: integer numerators of the
-        coordinates against each column of the basis, over one denominator."""
-        nums, den = self._scaled(coords)
+    def to_ambient(self, point) -> Vec:
+        """The ambient point sum_i c_i b_i of coordinates or of a chamber: integer
+        numerators of the coordinates against each column of the basis, over one denominator."""
+        nums, den = self._scaled(point)
         return tuple(Fraction(sum(map(mul, nums, col)), den) for col in zip(*self.invariant_basis))
 
-    def _scaled(self, coords: Vec) -> tuple[IntVec, int]:
-        """Invariant coordinates as integer numerators over one positive
-        denominator."""
-        _require_length(coords, self.dim, "invariant coordinates")
-        return linalg._numerators(coords)
+    def _scaled(self, point) -> tuple[IntVec, int]:
+        """Invariant coordinates, or a chamber's sample, as integer
+        numerators over one positive denominator."""
+        if type(point) is Chamber:
+            return point.nums, point.den
+        point = linalg.vec(point)
+        _require_length(point, self.dim, "invariant coordinates")
+        return linalg._numerators(point)
 
-    def _indices(self, coords: Vec) -> list[tuple[int, int]]:
-        """Per family, the interval index of the point and a remainder that
-        is zero exactly when the point is on that family's wall."""
-        nums, den = self._scaled(coords)
+    def _indices(self, nums: IntVec, den: int) -> list[tuple[int, int]]:
+        """Per family, the interval index of the point nums/den and a remainder
+        that is zero exactly when the point is on that family's wall."""
         return [divmod(f.scale * sum(map(mul, nums, f.normal)) - f.base_num * den,
                        f.step_num * den)
                 for f in self.families]
@@ -128,10 +144,11 @@ class Arrangement:
         seen = set()
         for i, k in candidates:
             f = self.families[i]
-            offset = Fraction(f.base_num + k * f.step_num, f.scale)
-            if (f.normal, offset) not in seen:
-                seen.add((f.normal, offset))
-                out.append(Wall(i, offset))
+            group, factor = self._wall_keys[i]
+            num = f.base_num + k * f.step_num
+            if (group, num * factor) not in seen:
+                seen.add((group, num * factor))
+                out.append(Wall(i, Fraction(num, f.scale)))
         return out
 
     def _walls_on(self, indices) -> list[Wall]:
@@ -140,17 +157,18 @@ class Arrangement:
     # -- queries -------------------------------------------------------------
 
     def walls_at(self, coords) -> list[Wall]:
-        return self._walls_on(self._indices(linalg.vec(coords)))
+        return self._walls_on(self._indices(*self._scaled(coords)))
 
     def on_wall(self, coords) -> bool:
-        return not all(r for _, r in self._indices(linalg.vec(coords)))
+        return not all(r for _, r in self._indices(*self._scaled(coords)))
 
     def chamber_of(self, coords) -> Chamber:
         coords = linalg.vec(coords)
-        indices = self._indices(coords)
+        nums, den = self._scaled(coords)
+        indices = self._indices(nums, den)
         if not all(r for _, r in indices):
             raise OnWallError(coords, self._walls_on(indices)[0])
-        return Chamber(sign_vector=tuple(k for k, _ in indices), sample=coords)
+        return Chamber(tuple(k for k, _ in indices), coords, nums, den)
 
     def separating_walls(self, a, b) -> list[Wall]:
         """Walls meeting the open segment from a to b (endpoints off-wall),
@@ -163,9 +181,6 @@ class Arrangement:
                            for i, (ka, kb) in enumerate(zip(a.sign_vector, b.sign_vector))
                            for k in range(min(ka, kb) + 1, max(ka, kb) + 1))
 
-    def distance(self, a, b) -> int:
-        return len(self.separating_walls(a, b))
-
     def require_adjacent(self, a: Chamber, b: Chamber) -> Wall:
         walls = self.walls_between(a, b)
         if len(walls) != 1:
@@ -173,8 +188,8 @@ class Arrangement:
         return walls[0]
 
     def crossing_times(self, a, b, walls) -> list[Fraction]:
-        """For each wall, the t at which the segment a + t(b - a) meets it."""
-        (x, da), (y, db) = self._scaled(linalg.vec(a)), self._scaled(linalg.vec(b))
+        """Per wall, the t at which the segment a + t(b - a) meets it; a, b may be chambers."""
+        (x, da), (y, db) = self._scaled(a), self._scaled(b)
         out = []
         for w in walls:
             normal = self.families[w.family_index].normal
@@ -184,17 +199,17 @@ class Arrangement:
             out.append(Fraction((p * da - q * xa) * db, q * (yb * da - xa * db)))
         return out
 
-    def orientation(self, direction, family_index: int) -> int:
-        """Sign of a direction vector against a wall family's normal."""
-        nums, _ = self._scaled(linalg.vec(direction))
-        v = sum(map(mul, nums, self.families[family_index].normal))
-        return (v > 0) - (v < 0)
+    def orientations(self, direction, walls) -> list[int]:
+        """Signs of a direction vector against the normals of the walls."""
+        nums, _ = self._scaled(direction)
+        values = [sum(map(mul, nums, self.families[w.family_index].normal)) for w in walls]
+        return [(v > 0) - (v < 0) for v in values]
 
     def is_generic_label(self, coords) -> bool:
         """A label (invariant coordinates) is generic when it lies on none of
         the linear hyperplanes parallel to the weight-zonotope facets (so
         the zero label is not generic)."""
-        nums, _ = self._scaled(linalg.vec(coords))
+        nums, _ = self._scaled(coords)
         return all(sum(map(mul, nums, n)) for n in self.label_normals)
 
     def is_generic_ell(self, ell) -> bool:

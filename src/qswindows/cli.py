@@ -274,6 +274,8 @@ def cmd_verify(args) -> int:
     if not suites:
         print("warning: empty suite selection, nothing to verify")
         return 0
+    if "input" in suites and args.input is None:
+        raise InputError("the input suite needs --input FILE")
     for suite in suites:
         if suite == "bundled":
             results.extend(verify.run_bundled(seed=args.seed))
@@ -386,8 +388,9 @@ def _join_vector_flags(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_join_vector_flags(sys.argv[1:] if argv is None else list(argv)))
     try:
+        # argparse runs the ``type=`` parsers, which raise InputError
+        args = parser.parse_args(_join_vector_flags(sys.argv[1:] if argv is None else list(argv)))
         return HANDLERS[args.command](args)
     except (InputError, OnWallError, NotAdjacentError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

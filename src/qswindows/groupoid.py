@@ -3,17 +3,19 @@ positivity and minimality of paths, the five rewriting relations, rank-one
 normal forms, and mutation transcripts.
 
 All points and labels live in invariant coordinates; chamber identity is the
-sign vector from the arrangement.  Word reduction is implemented only in
+sign vector from the arrangement.  A path carries the chambers ``make_path``
+located (its start and the point after each arrow), and the functions below
+read them instead of locating again.  Word reduction is implemented only in
 rank one, where the groupoid is free on single-wall crossings and
 translations commute to the end of the word.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .arrangement import Arrangement
+from .arrangement import Arrangement, Chamber
 from .errors import InputError, UnsupportedDimensionError, _fmt
 from .linalg import Vec
 from .mutation import per_face_counts
@@ -44,60 +46,66 @@ Arrow = Cross | Translate
 
 @dataclass(frozen=True)
 class Path:
+    """Arrows from ``start``, with the chambers ``make_path`` located."""
+
     arrows: tuple[Arrow, ...]
     start: Vec
+    chambers: tuple[Chamber, ...] = field(compare=False, repr=False)
 
     @property
     def end(self) -> Vec:
-        point = self.start
-        for a in self.arrows:
-            point = a.dst if isinstance(a, Cross) else linalg.add(point, linalg.vec(a.m))
-        return point
+        return self.chambers[-1].sample
+
+    def located(self, arr: Arrangement):
+        """Each arrow with the chambers of its two ends.  A crossing that
+        does not start at the point before it has its start located here."""
+        for a, here, there in zip(self.arrows, self.chambers, self.chambers[1:]):
+            if isinstance(a, Cross) and a.src != here.sample:
+                here = arr.chamber_of(a.src)
+            yield a, here, there
 
 
 def make_path(arr: Arrangement, arrows, start=None) -> Path:
-    """Validate composability at every junction and label genericity."""
+    """Validate composability at every junction and label genericity,
+    locating the start and the point after each arrow once."""
     arrows = tuple(arrows)
     if start is None:
         if not arrows or not isinstance(arrows[0], Cross):
             raise InputError("a path starting with a translation needs an explicit start")
         start = arrows[0].src
-    start = linalg.vec(start)
-    point = start
+    here = arr.chamber_of(start)
+    chambers = [here]
     for a in arrows:
         if isinstance(a, Cross):
-            if arr.chamber_of(point) != arr.chamber_of(a.src):
+            if a.src != here.sample and arr.chamber_of(a.src) != here:
                 raise InputError(f"arrow {_fmt(a.src)}->{_fmt(a.dst)} does not start "
                                  f"in the current chamber")
             if not arr.is_generic_label(a.label):
                 raise InputError(f"arrow label {_fmt(a.label)} is not generic")
-            arr.chamber_of(a.dst)
-            point = a.dst
+            here = arr.chamber_of(a.dst)
         else:
-            point = linalg.add(point, linalg.vec(a.m))
-            arr.chamber_of(point)
-    return Path(arrows=arrows, start=start)
+            here = arr.chamber_of(linalg.add(here.sample, linalg.vec(a.m)))
+        chambers.append(here)
+    return Path(arrows=arrows, start=chambers[0].sample, chambers=tuple(chambers))
 
 
-def arrow_is_positive(arr: Arrangement, a: Cross) -> bool:
+def arrow_is_positive(arr: Arrangement, a: Cross, chambers=None) -> bool:
     """Distinct chambers and the label oriented like dst - src on every
-    separating wall."""
-    src, dst = arr.chamber_of(a.src), arr.chamber_of(a.dst)
+    separating wall; ``chambers`` are the ends' chambers, if located."""
+    src, dst = chambers or (arr.chamber_of(a.src), arr.chamber_of(a.dst))
     if src == dst:
         return False
-    direction = linalg.sub(a.dst, a.src)
-    for w in arr.walls_between(src, dst):
-        ell_sign = arr.orientation(a.label, w.family_index)
-        move_sign = arr.orientation(direction, w.family_index)
-        if ell_sign == 0 or ell_sign != move_sign:
-            return False
-    return True
+    walls = arr.walls_between(src, dst)
+    moves = arr.orientations(linalg.sub(a.dst, a.src), walls)
+    return all(ell != 0 and ell == move
+               for ell, move in zip(arr.orientations(a.label, walls), moves))
 
 
 def is_positive(arr: Arrangement, path: Path) -> bool:
     if not path.arrows:
         return False
-    return all(isinstance(a, Cross) and arrow_is_positive(arr, a) for a in path.arrows)
+    return all(isinstance(a, Cross) and arrow_is_positive(arr, a, (here, there))
+               for a, here, there in path.located(arr))
 
 
 def is_minimal(arr: Arrangement, path: Path) -> bool:
@@ -110,8 +118,9 @@ def is_minimal(arr: Arrangement, path: Path) -> bool:
     """
     if not is_positive(arr, path):
         raise InputError("minimality is defined for positive paths only")
-    crossings = [arr.separating_walls(a.src, a.dst) for a in path.arrows]
-    total = arr.separating_walls(path.arrows[0].src, path.arrows[-1].dst)
+    located = list(path.located(arr))
+    crossings = [arr.walls_between(here, there) for _, here, there in located]
+    total = arr.walls_between(located[0][1], located[-1][2])
     additive = len(total) == sum(len(c) for c in crossings)
     union = set().union(*map(set, crossings)) if crossings else set()
     disjoint_union = (set(total) == union
@@ -121,13 +130,10 @@ def is_minimal(arr: Arrangement, path: Path) -> bool:
         for i in range(len(crossings)) for j in range(i + 1, len(crossings))
     )
     displacement = linalg.sub(path.arrows[-1].dst, path.arrows[0].src)
-    oriented = True
-    for a, crossed in zip(path.arrows, crossings):
-        for w in crossed:
-            shift_sign = arr.orientation(displacement, w.family_index)
-            ell_sign = arr.orientation(a.label, w.family_index)
-            if shift_sign == 0 or ell_sign != shift_sign:
-                oriented = False
+    oriented = all(shift != 0 and ell == shift
+                   for a, crossed in zip(path.arrows, crossings)
+                   for ell, shift in zip(arr.orientations(a.label, crossed),
+                                         arr.orientations(displacement, crossed)))
     votes = {additive, disjoint_union, pairwise, oriented}
     if len(votes) != 1:
         raise InputError(
@@ -152,7 +158,7 @@ def apply_relation(arr: Arrangement, path: Path, rule: str, position: int,
     rule = rule.upper()
     if rule == "R1":
         if label is not None:
-            chamber_point = path.start if position == 0 else _point_after(path, position - 1)
+            chamber_point = path.chambers[min(position, len(arrows))].sample
             arrows.insert(position, Cross(chamber_point, chamber_point, linalg.vec(label)))
         else:
             a = _expect_cross(arrows, position)
@@ -175,9 +181,9 @@ def apply_relation(arr: Arrangement, path: Path, rule: str, position: int,
         if label is None:
             raise InputError("R3 needs the replacement label")
         new = linalg.vec(label)
-        for w in arr.separating_walls(a.src, a.dst):
-            if arr.orientation(a.label, w.family_index) != arr.orientation(new, w.family_index):
-                raise InputError("R3 labels must agree on every separating wall")
+        walls = arr.separating_walls(a.src, a.dst)
+        if arr.orientations(a.label, walls) != arr.orientations(new, walls):
+            raise InputError("R3 labels must agree on every separating wall")
         arrows[position] = Cross(a.src, a.dst, new)
     elif rule == "R4":
         first, second = arrows[position], arrows[position + 1]
@@ -209,13 +215,6 @@ def apply_relation(arr: Arrangement, path: Path, rule: str, position: int,
     return make_path(arr, arrows, start=path.start)
 
 
-def _point_after(path: Path, position: int) -> Vec:
-    point = path.start
-    for a in path.arrows[:position + 1]:
-        point = a.dst if isinstance(a, Cross) else linalg.add(point, linalg.vec(a.m))
-    return point
-
-
 def _expect_cross(arrows, position) -> Cross:
     if position >= len(arrows) or not isinstance(arrows[position], Cross):
         raise InputError(f"no crossing arrow at position {position}")
@@ -238,13 +237,13 @@ def _letters(arr: Arrangement, path: Path) -> tuple[list[tuple[Fraction, int]], 
         raise UnsupportedDimensionError("word reduction is implemented in rank one only")
     letters: list[tuple[Fraction, int]] = []
     shift = Fraction(0)
-    for a in path.arrows:
+    for a, here, there in path.located(arr):
         if isinstance(a, Translate):
             shift += Fraction(a.m[0])
             continue
         src, dst = a.src[0], a.dst[0]
         direction = 1 if dst > src else -1
-        walls = arr.separating_walls(a.src, a.dst)
+        walls = arr.walls_between(here, there)
         offsets = sorted((w.offset for w in walls), reverse=direction < 0)
         for off in offsets:
             letters.append((off - shift, direction))
@@ -286,7 +285,7 @@ def normal_form_word(arr: Arrangement, path: Path):
 
 
 def paths_equivalent_rank1(arr: Arrangement, p: Path, q: Path) -> bool:
-    if arr.chamber_of(p.start) != arr.chamber_of(q.start):
+    if p.chambers[0] != q.chambers[0]:
         return False
     return normal_form_word(arr, p) == normal_form_word(arr, q)
 
@@ -317,12 +316,13 @@ class TranscriptEntry:
         }
 
 
-def split_into_hops(arr: Arrangement, a: Cross) -> list[Cross]:
-    """Cut a crossing arrow into adjacent hops along its segment."""
-    walls = arr.separating_walls(a.src, a.dst)
+def split_into_hops(arr: Arrangement, a: Cross, chambers=None) -> list[Cross]:
+    """Cut a crossing arrow into adjacent hops along its segment;
+    ``chambers`` are the ends' chambers, if located."""
+    walls = arr.walls_between(*chambers) if chambers else arr.separating_walls(a.src, a.dst)
     if not walls:
         return []
-    times = sorted(arr.crossing_times(a.src, a.dst, walls))
+    times = sorted(arr.crossing_times(*(chambers or (a.src, a.dst)), walls))
     if len(set(times)) != len(times):
         raise InputError(
             "segment passes through a wall intersection; perturb the endpoints")
@@ -335,16 +335,16 @@ def split_into_hops(arr: Arrangement, a: Cross) -> list[Cross]:
     return [Cross(cut_points[i], cut_points[i + 1], a.label) for i in range(len(times))]
 
 
-def _hop_crossings(rep: QSRep, ctx: Context, a: Cross):
-    """(hop, its wall crossing) for each adjacent hop of a crossing arrow."""
+def _hop_crossings(rep: QSRep, ctx: Context, a: Cross, chambers: tuple[Chamber, Chamber]):
+    """(hop, its wall crossing) for each hop of an arrow with these end chambers."""
     arr = ctx.arrangement
-    hops = split_into_hops(arr, a)
-    # each cut point is located once; a hop's chambers are its endpoints'
-    chambers = [arr.chamber_of(p) for p in (a.src, *(hop.dst for hop in hops))]
-    points = [arr.to_ambient(c.sample) for c in chambers]
+    hops = split_into_hops(arr, a, chambers)
+    # each inner cut point is located once; a hop's chambers are its endpoints'
+    located = [chambers[0], *(arr.chamber_of(hop.dst) for hop in hops[:-1]), chambers[1]]
+    points = [arr.to_ambient(c) for c in located]
     for i, hop in enumerate(hops):
         yield hop, wall_crossing(rep, points[i], points[i + 1], ctx,
-                                 chambers=(chambers[i], chambers[i + 1]))
+                                 chambers=(located[i], located[i + 1]))
 
 
 def mutation_transcript(rep: QSRep, path: Path, ctx: Context) -> list[TranscriptEntry]:
@@ -352,13 +352,13 @@ def mutation_transcript(rep: QSRep, path: Path, ctx: Context) -> list[Transcript
     one per translation (the window shift)."""
     arr = ctx.arrangement
     entries = []
-    for a in path.arrows:
+    for a, here, there in path.located(arr):
         if isinstance(a, Translate):
             entries.append(TranscriptEntry(kind="shift", shift=tuple(a.m)))
             continue
-        if not arrow_is_positive(arr, a):
+        if not arrow_is_positive(arr, a, (here, there)):
             raise InputError("transcripts are defined for positive crossings")
-        for hop, crossing in _hop_crossings(rep, ctx, a):
+        for hop, crossing in _hop_crossings(rep, ctx, a, (here, there)):
             counts = per_face_counts(rep, crossing)
             toric_steps = None
             if rep.root_datum.is_torus:
@@ -375,17 +375,18 @@ def mutation_transcript(rep: QSRep, path: Path, ctx: Context) -> list[Transcript
 def transcript_window_map(rep: QSRep, path: Path, ctx: Context) -> dict:
     """Compose the per-hop bijections and shifts from C_start to C_end."""
     arr = ctx.arrangement
-    mapping = {chi: chi for chi in ctx.window(arr.to_ambient(path.start)).chars}
-    for a in path.arrows:
+    first, last = path.chambers[0], path.chambers[-1]
+    mapping = {chi: chi for chi in ctx.window(arr.to_ambient(first), first).chars}
+    for a, here, there in path.located(arr):
         if isinstance(a, Translate):
             shift = tuple(int(x) for x in arr.to_ambient(a.m))
             mapping = {src: tuple(linalg.add(dst, shift)) for src, dst in mapping.items()}
             continue
-        for _, crossing in _hop_crossings(rep, ctx, a):
+        for _, crossing in _hop_crossings(rep, ctx, a, (here, there)):
             step = dict(zip(crossing.window.chars, crossing.window.chars))
             step.update(mu_map(rep, crossing))
             mapping = {src: step[dst] for src, dst in mapping.items()}
-    end_window = set(ctx.window(arr.to_ambient(path.end)).chars)
+    end_window = set(ctx.window(arr.to_ambient(last), last).chars)
     image = set(mapping.values())
     if image != end_window or len(image) != len(mapping):
         raise InputError("transcript composition failed to match the target window")

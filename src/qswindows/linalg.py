@@ -21,6 +21,9 @@ IntVec = tuple[int, ...]
 
 
 def vec(xs: Iterable) -> Vec:
+    """A Fraction tuple; one that is already all Fraction is returned as is."""
+    if type(xs) is tuple and all(type(x) is Fraction for x in xs):
+        return xs
     return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
 
 

@@ -407,8 +407,7 @@ def check_groupoid(name: str, rep: QSRep, ctx: Context, seed: int = 0,
             if [repr(a) for a in again.arrows] != [repr(a) for a in reduced.arrows]:
                 reduction_ok = False
             if minimal:
-                key = (arr.chamber_of(path.start).sign_vector,
-                       arr.chamber_of(path.end).sign_vector)
+                key = (path.chambers[0].sign_vector, path.chambers[-1].sign_vector)
                 word = groupoid.normal_form_word(arr, path)
                 if key in minimal_words and minimal_words[key] != word:
                     reduction_ok = False
@@ -426,7 +425,8 @@ def check_groupoid(name: str, rep: QSRep, ctx: Context, seed: int = 0,
 
 def _random_positive_path(arr, rng: random.Random, max_arrows: int = 3):
     """Arrows along random generic directions; labels equal the hop
-    direction, so positivity holds by construction."""
+    direction, so positivity holds by construction.  Each candidate target
+    is located once."""
     point = None
     for denom in (2, 4, 8, 16):
         cand = tuple(Fraction(rng.randrange(-4 * denom, 4 * denom), denom)
@@ -436,6 +436,7 @@ def _random_positive_path(arr, rng: random.Random, max_arrows: int = 3):
             break
     if point is None:
         return None
+    here = arr.chamber_of(point)
     arrows = []
     for _ in range(rng.randint(1, max_arrows)):
         for _ in range(20):
@@ -446,14 +447,16 @@ def _random_positive_path(arr, rng: random.Random, max_arrows: int = 3):
                 continue
             t = Fraction(rng.randint(1, 8), 4)
             target = linalg.add(point, linalg.scale(t, direction))
-            if arr.on_wall(target) or arr.chamber_of(target) == arr.chamber_of(point):
-                continue
-            try:
-                groupoid.split_into_hops(arr, groupoid.Cross(point, target, direction))
+            arrow = groupoid.Cross(point, target, direction)
+            try:  # an on-wall target raises OnWallError
+                there = arr.chamber_of(target)
+                if there == here:
+                    continue
+                groupoid.split_into_hops(arr, arrow, (here, there))
             except QSWindowsError:
                 continue
-            arrows.append(groupoid.Cross(point, target, direction))
-            point = target
+            arrows.append(arrow)
+            point, here = target, there
             break
         else:
             break

@@ -279,13 +279,13 @@ def wall_crossing(rep: QSRep, delta, delta_prime, ctx: Context,
     else:
         chamber, chamber_p = chambers
         for c, point in ((chamber, delta), (chamber_p, delta_prime)):
-            if arr.to_ambient(c.sample) != point:
+            if arr.to_ambient(c) != point:
                 raise InputError(f"chamber sample {_fmt(c.sample)} does not map to {_fmt(point)}")
     coords, coords_p = chamber.sample, chamber_p.sample
     wall = arr.require_adjacent(chamber, chamber_p)
     # the wall point is where the segment meets the wall; for a symmetric
     # pair this is the exact midpoint
-    (t,) = arr.crossing_times(coords, coords_p, [wall])
+    (t,) = arr.crossing_times(chamber, chamber_p, [wall])
     delta0 = linalg.add(delta, linalg.scale(t, linalg.sub(delta_prime, delta)))
     if not arr.on_wall(linalg.add(coords, linalg.scale(t, linalg.sub(coords_p, coords)))):
         raise InternalInconsistencyError("computed wall point is not on the wall")

@@ -1,12 +1,13 @@
 import dataclasses
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qswindows import groupoid, linalg
-from qswindows.arrangement import Wall
+from qswindows import catalog, groupoid, linalg
+from qswindows.arrangement import Arrangement, Wall, WallFamily, build_arrangement
 from qswindows.errors import InputError, NotAdjacentError, OnWallError
 from qswindows.geometry import ceil_frac, floor_frac
 from qswindows.rep import QSRep
@@ -52,10 +53,10 @@ def test_chamber_of_examples(arr22):
 def test_separating_and_distance(arr22):
     walls = arr22.separating_walls((F(1, 2),), (F(3, 2),))
     assert [(w.family_index, w.offset) for w in walls] == [(0, 1)]
-    assert arr22.distance((F(1, 2),), (F(5, 2),)) == 2
+    assert len(arr22.separating_walls((F(1, 2),), (F(5, 2),))) == 2
     tiny = F(1, 2) + F(1, 10 ** 9)
-    assert arr22.distance((F(1, 2),), (tiny,)) == 0
-    assert arr22.distance((F(1, 2),), (F(3, 2),)) == 1
+    assert len(arr22.separating_walls((F(1, 2),), (tiny,))) == 0
+    assert len(arr22.separating_walls((F(1, 2),), (F(3, 2),))) == 1
     with pytest.raises(NotAdjacentError):
         arr22.require_adjacent(arr22.chamber_of((F(1, 2),)), arr22.chamber_of((F(5, 2),)))
 
@@ -88,16 +89,16 @@ def test_triangle_identity(arr22):
 def test_periodicity(arr22, arrgl2):
     for arr, shift in ((arr22, (3,)), (arrgl2, (-2,))):
         a, b = (F(1, 4),), (F(9, 4),)
-        da = arr.distance(a, b)
+        da = len(arr.separating_walls(a, b))
         a2 = linalg.add(a, shift)
         b2 = linalg.add(b, shift)
-        assert arr.distance(a2, b2) == da
+        assert len(arr.separating_walls(a2, b2)) == da
         assert arr.chamber_of(a).sign_vector != arr.chamber_of(a2).sign_vector
 
 
 def test_distance_symmetry(arr33):
     a, b = (F(1, 4),), (F(13, 4),)
-    assert arr33.distance(a, b) == arr33.distance(b, a) == 3
+    assert len(arr33.separating_walls(a, b)) == len(arr33.separating_walls(b, a)) == 3
 
 
 def test_gl2_walls_on_diagonal(arrgl2):
@@ -144,8 +145,8 @@ def test_overlapping_families_count_hyperplanes_once():
     walls = arr.separating_walls((F(1, 16),), (F(33, 16),))
     positions = [w.offset for w in walls]
     assert positions == sorted(set(positions))
-    assert arr.distance((F(1, 16),), (F(33, 16),)) == 4
-    assert arr.distance((F(1, 4),), (F(3, 4),)) == 1
+    assert len(arr.separating_walls((F(1, 16),), (F(33, 16),))) == 4
+    assert len(arr.separating_walls((F(1, 4),), (F(3, 4),))) == 1
     crossing = windows.wall_crossing(
         r, arr.to_ambient((F(1, 4),)), arr.to_ambient((F(3, 4),)), ctx)
     back = windows.wall_crossing(
@@ -281,9 +282,9 @@ def test_integer_queries_match_fraction_oracle(oracle_arrangements, data):
         assert (_outcome(lambda q: arr.chamber_of(q).sign_vector, p)
                 == _outcome(_oracle_chamber, arr, p))
         assert arr.is_generic_label(p) == _oracle_generic_label(arr, p)
-        for i, f in enumerate(arr.families):
-            v = _value(f, p)
-            assert arr.orientation(p, i) == (v > 0) - (v < 0)
+        every = [Wall(i, f.base_offset) for i, f in enumerate(arr.families)]
+        values = [_value(f, p) for f in arr.families]
+        assert arr.orientations(p, every) == [(v > 0) - (v < 0) for v in values]
     assert (_outcome(arr.separating_walls, a, b)
             == _outcome(_oracle_separating_walls, arr, a, b))
     hops = _outcome(groupoid.split_into_hops, arr, groupoid.Cross(a, b, a))
@@ -306,3 +307,90 @@ def test_to_ambient_matches_fraction_oracle(oracle_arrangements, data):
     got = arr.to_ambient(coords)
     assert got == _oracle_to_ambient(arr, coords)
     assert all(type(x) is F for x in got)
+
+
+# -- wall dedupe by integer keys -------------------------------------------------
+
+
+def _oracle_walls(arr, candidates) -> list[Wall]:
+    """The dedupe that integer wall keys replaced: one Wall per (normal,
+    Fraction offset), under the first family that puts a wall there."""
+    out, seen = [], set()
+    for i, k in candidates:
+        f = arr.families[i]
+        offset = F(f.base_num + k * f.step_num, f.scale)
+        if (f.normal, offset) not in seen:
+            seen.add((f.normal, offset))
+            out.append(Wall(i, offset))
+    return out
+
+
+@contextmanager
+def _walls_checked_against_oracle():
+    """Every ``Arrangement._walls`` call in the block must return exactly
+    the oracle's walls for the same candidates; yields (candidates, walls)
+    counts per call."""
+    keyed = Arrangement._walls
+    calls = []
+
+    def checked(self, candidates):
+        candidates = list(candidates)
+        got = keyed(self, candidates)
+        assert got == _oracle_walls(self, candidates)
+        calls.append((len(candidates), len(got)))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Arrangement, "_walls", checked)
+        yield calls
+
+
+@pytest.fixture(scope="module")
+def wall_key_arrangements(arr22, arrgl2):
+    """Every arrangement of the seeded acceptance corpus, GL(2), GL(3)
+    4 x (std + dual), the overlapping-families GL(2) rep, and hand-made
+    families on one normal with scales 2, 3, 4 and 6 next to a second
+    normal."""
+    gl3 = [tuple(s if j == i else 0 for j in range(3))
+           for _ in range(4) for i in range(3) for s in (1, -1)]
+    built = [build_arrangement(r) for r in catalog.random_corpus(20250810)]
+    built += [arrgl2, build_arrangement(QSRep.build(RootDatum.gl(3), gl3)),
+              build_arrangement(QSRep.build(RootDatum.gl(2), OVERLAP_WEIGHTS))]
+    several = (WallFamily((1,), F(0), F(1, 2), 0), WallFamily((1,), F(1, 3), F(1, 3), 1),
+               WallFamily((1,), F(1, 4), F(1, 4), 2), WallFamily((1,), F(1, 6), F(5, 6), 3))
+    built.append(dataclasses.replace(arr22, families=several))
+    plane = dataclasses.replace(arr22, invariant_basis=((1, 0), (0, 1)), families=(
+        WallFamily((1, 0), F(0), F(1, 2), 0), WallFamily((1, 0), F(1, 3), F(2, 3), 1),
+        WallFamily((1, 1), F(1, 5), F(1, 2), 2), WallFamily((1, 1), F(0), F(1, 3), 3)))
+    return built + [plane]
+
+
+def test_wall_keys_match_fraction_dedupe_in_boxes(wall_key_arrangements):
+    scales = {}
+    with _walls_checked_against_oracle() as calls:
+        for arr in wall_key_arrangements:
+            assert arr.walls_in_box(3)
+            for f in arr.families:
+                scales.setdefault(f.normal, set()).add(f.scale)
+    assert len(calls) == len(wall_key_arrangements)
+    # some candidates share a hyperplane, and one normal has four scales
+    assert any(walls < candidates for candidates, walls in calls)
+    assert max(len(s) for s in scales.values()) >= 4
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_wall_keys_match_fraction_dedupe_between_chambers(wall_key_arrangements, data):
+    # half the draws go to GL(2), GL(3) and the families with shared normals
+    arr = data.draw(st.sampled_from(wall_key_arrangements[-5:])
+                    | st.sampled_from(wall_key_arrangements))
+    chambers = []
+    for _ in range(2):
+        coords = data.draw(st.tuples(*[st.fractions(-4, 4, max_denominator=12)] * arr.dim))
+        try:
+            chambers.append(arr.chamber_of(coords))
+        except OnWallError:
+            return
+    with _walls_checked_against_oracle() as calls:
+        arr.walls_between(*chambers)
+    assert calls

@@ -163,6 +163,14 @@ def test_error_codes(inputs, capsys):
     code, out, err = run(capsys, "rep", "--input", inputs["root_off_invariants"])
     assert code == 2 and out == "" and err.count("\n") == 1
     assert "root (-1) pairs to -1 with the W-invariant vector (1), not to 0" in err
+    # a bad --face is an input error on any subcommand, not a traceback
+    for command in ("rep", "faces", "verify"):
+        code, out, err = run(capsys, command, "--face", "a", "--input", inputs["torus22"])
+        assert (code, out, err) == (2, "", "input error: bad integer vector 'a'\n")
+    # the input suite without --input is an input error, not a FAIL row
+    code, out, err = run(capsys, "verify", "--suites", "input")
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
 
 
 def test_verify_empty_suites(capsys):

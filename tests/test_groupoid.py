@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qswindows import catalog, groupoid, verify
+from qswindows import catalog, groupoid, linalg, verify
 from qswindows.arrangement import Arrangement
 from qswindows.errors import InputError, UnsupportedDimensionError
 from qswindows.groupoid import Cross, Translate
@@ -146,6 +148,58 @@ def test_transcript_endpoint_coherence(torus33, ctx33):
     assert len(set(mapping.values())) == len(mapping)
 
 
+def test_located_reads_each_crossing_from_its_own_start(arr22):
+    """A crossing may start anywhere in the current chamber; the path keeps
+    the chamber of the point before it, and ``located`` the arrow's own."""
+    p = groupoid.make_path(arr22, [up(F(1, 2), F(3, 2)), up(F(7, 4), F(5, 2))])
+    assert [c.sample for c in p.chambers] == [(F(1, 2),), (F(3, 2),), (F(5, 2),)]
+    (_, a, b), (_, c, d) = p.located(arr22)
+    assert [x.sample for x in (a, b, c, d)] == [(F(1, 2),), (F(3, 2),), (F(7, 4),), (F(5, 2),)]
+    assert b == c
+    assert groupoid.is_minimal(arr22, p)
+
+
+@pytest.fixture(scope="module")
+def path_arrangements(small_corpus):
+    """The three bundled reps and one rank-2 and one rank-3 corpus torus."""
+    corpus = [next(r for r in small_corpus if r.rank == k) for k in (2, 3)]
+    return [Context(r).arrangement for r in (*catalog.bundled_reps().values(), *corpus)]
+
+
+def _assert_chambers_are_fresh(arr, path):
+    """The path's chambers are those of its start and of the point after
+    each arrow, walked here from the arrows, sign vector, sample and
+    numerators alike."""
+    points = [path.start]
+    for a in path.arrows:
+        points.append(a.dst if isinstance(a, Cross) else linalg.add(points[-1], a.m))
+    assert path.end == points[-1]
+    for point, stored in zip(points, path.chambers, strict=True):
+        fresh = arr.chamber_of(point)
+        assert ((stored.sign_vector, stored.sample, stored.nums, stored.den)
+                == (fresh.sign_vector, fresh.sample, fresh.nums, fresh.den))
+    for a, here, there in path.located(arr):
+        if isinstance(a, Cross):
+            assert (here.sample, there.sample) == (a.src, a.dst)
+            assert arr.walls_between(here, there) == arr.separating_walls(a.src, a.dst)
+            assert (groupoid.split_into_hops(arr, a, (here, there))
+                    == groupoid.split_into_hops(arr, a))
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_paths_carry_the_chambers_of_their_points(path_arrangements, data):
+    arr = data.draw(st.sampled_from(path_arrangements))
+    path = verify._random_positive_path(arr, random.Random(data.draw(st.integers(0, 2 ** 32))))
+    assume(path is not None)
+    _assert_chambers_are_fresh(arr, path)
+    # a translation, commuted to the front by R4, shifts every chamber
+    m = data.draw(st.tuples(*[st.integers(-2, 2)] * arr.dim))
+    moved = groupoid.make_path(arr, [*path.arrows, Translate(m)], start=path.start)
+    _assert_chambers_are_fresh(arr, moved)
+    _assert_chambers_are_fresh(arr, groupoid.apply_relation(arr, moved, "R4", len(path.arrows) - 1))
+
+
 def test_path_composability_enforced(arr22):
     with pytest.raises(InputError):
         groupoid.make_path(arr22, [up(F(1, 2), F(3, 2)), up(F(7, 2), F(9, 2))])
@@ -167,9 +221,10 @@ def test_make_path_errors_name_points_in_p_q_form(arr22):
 
 @pytest.mark.parametrize("name", sorted(catalog.bundled_reps()))
 def test_transcripts_solve_only_for_their_end_windows(name, monkeypatch):
-    """Hops cross in invariant coordinates: one transcript_window_map and one
-    mutation_transcript on a multi-hop path run to_coords twice, for the
-    start and end windows of the map."""
+    """Hops cross in invariant coordinates, and the start and end windows
+    of the map read the chambers the path carries: one
+    transcript_window_map and one mutation_transcript on a multi-hop path
+    never run to_coords."""
     rep = catalog.bundled_reps()[name]
     ctx = Context(rep)
     arr = ctx.arrangement
@@ -185,4 +240,4 @@ def test_transcripts_solve_only_for_their_end_windows(name, monkeypatch):
                         lambda self, point: calls.append(point) or to_coords(self, point))
     groupoid.transcript_window_map(rep, path, ctx)
     groupoid.mutation_transcript(rep, path, ctx)
-    assert calls == [arr.to_ambient(path.start), arr.to_ambient(path.end)]
+    assert calls == []

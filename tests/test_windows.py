@@ -234,7 +234,7 @@ def _same_pair_variants(arr, delta, delta2):
             if (not any(arr.on_wall(p) for p in moved)
                     and [arr.chamber_of(p) for p in moved] == [arr.chamber_of(c),
                                                                 arr.chamber_of(c2)]
-                    and arr.distance(*moved) == 1):
+                    and len(arr.separating_walls(*moved)) == 1):
                 out.append(moved)
                 break
             eps /= 2
@@ -349,13 +349,14 @@ def test_wall_faces_live_on_half_sigma(small_corpus, gl2rep):
 
 
 def _criterion6_hops(arr):
-    """The hops of criterion 6's seeded paths (seed 11, 1000 draws)."""
+    """The arrows of criterion 6's seeded paths (seed 11, 1000 draws), each
+    with the chambers its path located and its hops."""
     rng = random.Random(11)
     for _ in range(1000):
         path = verify._random_positive_path(arr, rng)
         if path is not None:
-            for a in path.arrows:
-                yield a, groupoid.split_into_hops(arr, a)
+            for a, here, there in path.located(arr):
+                yield a, (here, there), groupoid.split_into_hops(arr, a)
 
 
 @pytest.mark.parametrize("name", sorted(catalog.bundled_reps()))
@@ -365,8 +366,8 @@ def test_located_chambers_match_unlocated_crossing(name):
     arr = located_ctx.arrangement
     plain_ctx = windows.Context(rep_obj, arr)
     hops = 0
-    for a, split in _criterion6_hops(arr):
-        loop = list(groupoid._hop_crossings(rep_obj, located_ctx, a))
+    for a, chambers, split in _criterion6_hops(arr):
+        loop = list(groupoid._hop_crossings(rep_obj, located_ctx, a, chambers))
         assert [hop for hop, _ in loop] == split
         # the hop loop passes located chambers; plain_ctx locates afresh
         for hop, located in loop:
