@@ -55,10 +55,10 @@ class WallFamily:
     step_num: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        scale = lcm(self.base_offset.denominator, self.offset_step.denominator)
+        (base, step), scale = linalg._numerators((self.base_offset, self.offset_step))
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "base_num", int(self.base_offset * scale))
-        object.__setattr__(self, "step_num", int(self.offset_step * scale))
+        object.__setattr__(self, "base_num", base)
+        object.__setattr__(self, "step_num", step)
 
 
 @dataclass(frozen=True)
@@ -277,17 +277,14 @@ def build_arrangement(rep: QSRep) -> Arrangement:
             "no generic labels exist")
     families: dict[tuple, int] = {}
     for idx, h in enumerate(rep.nabla.halfspaces):
-        restricted = tuple(Fraction(linalg.dot(b, h.normal)) for b in basis)
+        restricted = tuple(linalg.dot(b, h.normal) for b in basis)
         if linalg.is_zero(restricted):
             continue
-        primitive = linalg.primitive(restricted)
+        # scaling the covector to be primitive scales its offsets and unit step alike
+        primitive, step = linalg.primitive_scale(restricted)
         normalized = linalg.sign_normalized(primitive)
-        j = next(i for i, x in enumerate(normalized) if x != 0)
-        rescale = Fraction(normalized[j]) / restricted[j]
-        step = abs(rescale) * Fraction(1)
-        base = h.offset * rescale
-        base = base % step
-        key = (normalized, step, base)
+        rescale = step if normalized == primitive else -step
+        key = (normalized, step, h.offset * rescale % step)
         if key not in families:
             families[key] = idx
     fams = tuple(

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -17,14 +16,15 @@ from . import complexes, cy_ci, groupoid, mutation, svg, verify, windows
 from .errors import (InputError, NotAdjacentError, OnWallError, QSWindowsError,
                      UnsupportedDimensionError)
 from .rep import QSRep
+from .root_data import _RATIONAL
 from .windows import Context
 
 
 def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational {text!r}: {exc}") from exc
+    """A ``p/q`` or integer string; decimals and ``_`` separators are refused."""
+    if not _RATIONAL.fullmatch(text.strip()):
+        raise InputError(f"bad rational {text!r}: expected p/q with q > 0")
+    return Fraction(text)
 
 
 def _parse_vector(text: str) -> tuple[Fraction, ...]:
@@ -364,7 +364,6 @@ HANDLERS = {
 
 
 _VECTOR_FLAGS = ("--delta", "--delta2", "--chi", "--start")
-_RATIONAL_VECTOR = re.compile(r"-?[0-9]+(/[0-9]+)?(,-?[0-9]+(/[0-9]+)?)*")
 
 
 def _join_vector_flags(argv: list[str]) -> list[str]:
@@ -377,7 +376,7 @@ def _join_vector_flags(argv: list[str]) -> list[str]:
     i = 0
     while i < len(argv):
         if (argv[i] in _VECTOR_FLAGS and i + 1 < len(argv)
-                and _RATIONAL_VECTOR.fullmatch(argv[i + 1])):
+                and all(_RATIONAL.fullmatch(x) for x in argv[i + 1].split(","))):
             out.append(f"{argv[i]}={argv[i + 1]}")
             i += 2
         else:

@@ -29,6 +29,7 @@ one vertex-facet incidence table, worked out on first use.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -36,8 +37,11 @@ from math import gcd, lcm
 from operator import mul
 
 from . import linalg
-from .errors import InputError, InternalInconsistencyError, _fmt
+from .errors import InputError, InternalInconsistencyError, UnsupportedDimensionError, _fmt
 from .linalg import IntVec, Vec, _bareiss, _numerators
+
+# the most integer points a lattice scan's bounding box may hold
+LATTICE_SCAN_LIMIT = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -80,11 +84,9 @@ class Polytope:
 
     def __post_init__(self):
         if self._table is None:
-            den = lcm(*(h.offset.denominator for h in self.halfspaces))
-            object.__setattr__(self, "_table", (
-                tuple(h.normal for h in self.halfspaces),
-                tuple(h.offset.numerator * (den // h.offset.denominator) for h in self.halfspaces),
-                den))
+            offsets, den = _numerators([h.offset for h in self.halfspaces])
+            object.__setattr__(self, "_table", (tuple(h.normal for h in self.halfspaces),
+                                                offsets, den))
 
     def _excess(self, point):
         """Per half-space, the sign-exact excess den * e * (<p, n> - offset)
@@ -138,22 +140,24 @@ class Polytope:
     def bounding_box(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if not self.vertices:
             raise InputError("empty polytope has no bounding box")
-        lo, hi = [], []
-        for j in range(self.dim):
-            coords = [Fraction(v[j]) for v in self.vertices]
-            lo.append(ceil_frac(min(coords)))
-            hi.append(floor_frac(max(coords)))
-        return tuple(lo), tuple(hi)
+        columns = list(zip(*self.vertices))
+        return tuple(math.ceil(min(c)) for c in columns), tuple(math.floor(max(c)) for c in columns)
 
     def lattice_points(self, extra: tuple[HalfSpace, ...] = ()) -> list[IntVec]:
         """All integer points, optionally also satisfying extra half-spaces,
         in lexicographic order.  An integer point meets <p, n> >= o/den
         exactly when <p, n> >= ceil(o/den), so each box point costs one
-        integer dot product and comparison per half-space."""
+        integer dot product and comparison per half-space.  A box of more
+        than ``LATTICE_SCAN_LIMIT`` points is refused before the scan."""
         normals, offsets, den = self._table
         tests = [(n, -(-o // den)) for n, o in zip(normals, offsets)]
-        tests += [(h.normal, ceil_frac(h.offset)) for h in extra]
-        ranges = [range(a, b + 1) for a, b in zip(*self.bounding_box())]
+        tests += [(h.normal, math.ceil(h.offset)) for h in extra]
+        lo, hi = self.bounding_box()
+        count = math.prod(max(0, b - a + 1) for a, b in zip(lo, hi))
+        if count > LATTICE_SCAN_LIMIT:
+            raise UnsupportedDimensionError(
+                f"lattice scan of a box of {count} points exceeds the limit {LATTICE_SCAN_LIMIT}")
+        ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
         return [p for p in itertools.product(*ranges)
                 if all(sum(map(mul, p, n)) >= t for n, t in tests)]
 
@@ -168,8 +172,8 @@ class Polytope:
 
     # -- faces ---------------------------------------------------------------
 
-    def faces(self, max_codim: int | None = None) -> list[Face]:
-        """All faces of codimension 1..max_codim, keyed by tight facet sets.
+    def faces(self) -> list[Face]:
+        """All proper faces, keyed by tight facet sets.
 
         Faces are meets of facets, so closing the facet vertex sets under
         pairwise intersection enumerates them all.  Requires a
@@ -177,8 +181,6 @@ class Polytope:
         """
         if not self.is_full_dimensional():
             raise InputError("face enumeration requires a full-dimensional polytope")
-        if max_codim is None:
-            max_codim = self.dim
         tight_of_vertex = self._incidence
         known: set[frozenset[int]] = set()
         for i in range(len(self.halfspaces)):
@@ -199,7 +201,7 @@ class Polytope:
         for vs in known:
             tight = frozenset.intersection(*(tight_of_vertex[i] for i in vs))
             face = self._face(tight, tuple(sorted(vs)))
-            if 1 <= face.codim <= max_codim:
+            if face.codim >= 1:
                 out.append(face)
         out.sort(key=lambda f: (f.codim, f.key))
         return out
@@ -248,28 +250,11 @@ class Polytope:
         }
 
 
-def floor_frac(x) -> int:
-    x = Fraction(x)
-    return x.numerator // x.denominator
-
-
-def ceil_frac(x) -> int:
-    return -floor_frac(-Fraction(x))
-
-
-def _common_denominator(values) -> int:
-    d = 1
-    for x in values:
-        q = Fraction(x).denominator
-        d = d * q // gcd(d, q)
-    return d
-
-
-def _scaled(halfspaces, vertices) -> tuple[list[int], list[IntVec]]:
+def _scaled(halfspaces, vertices) -> tuple[IntVec, list[IntVec]]:
     """Offsets and vertices as integers over one common denominator."""
-    denom = _common_denominator([h.offset for h in halfspaces] + [x for v in vertices for x in v])
-    return ([int(h.offset * denom) for h in halfspaces],
-            [tuple(int(x * denom) for x in v) for v in vertices])
+    k, d = len(halfspaces), len(vertices[0])
+    nums, _ = _numerators([h.offset for h in halfspaces] + [x for v in vertices for x in v])
+    return nums[:k], [nums[i:i + d] for i in range(k, len(nums), d)]
 
 
 def _vertex_enumeration(halfspaces, dim) -> list[Vec]:
@@ -285,8 +270,8 @@ def _vertex_enumeration(halfspaces, dim) -> list[Vec]:
     ``linalg.solve`` and must agree; that solve checks its answer against
     every equation, so it does not rest on the elimination being right.
     """
-    denom = _common_denominator(h.offset for h in halfspaces)
-    tests = [(h.normal, int(h.offset * denom)) for h in halfspaces]
+    scaled, denom = _numerators([h.offset for h in halfspaces])
+    tests = [(h.normal, off) for h, off in zip(halfspaces, scaled)]
     offsets: dict[IntVec, set[int]] = {}
     for nrm, off in tests:
         key = linalg.sign_normalized(nrm)

@@ -153,12 +153,15 @@ def apply_relation(arr: Arrangement, path: Path, rule: str, position: int,
     ``via`` point); R3 relabels an arrow with an orientation-equivalent
     ``label``; R4 commutes a crossing with a translation (self-inverse);
     R5 merges two consecutive translations (or splits one at ``m_split``).
+    Positions index arrows from 0; an R1 insertion may also go at the end.
     """
     arrows = list(path.arrows)
     rule = rule.upper()
     if rule == "R1":
         if label is not None:
-            chamber_point = path.chambers[min(position, len(arrows))].sample
+            if not 0 <= position <= len(arrows):
+                raise InputError(f"no insertion point at position {position}")
+            chamber_point = path.chambers[position].sample
             arrows.insert(position, Cross(chamber_point, chamber_point, linalg.vec(label)))
         else:
             a = _expect_cross(arrows, position)
@@ -186,7 +189,7 @@ def apply_relation(arr: Arrangement, path: Path, rule: str, position: int,
             raise InputError("R3 labels must agree on every separating wall")
         arrows[position] = Cross(a.src, a.dst, new)
     elif rule == "R4":
-        first, second = arrows[position], arrows[position + 1]
+        first, second = _arrow(arrows, position), _arrow(arrows, position + 1)
         if isinstance(first, Cross) and isinstance(second, Translate):
             shift = linalg.vec(second.m)
             arrows[position:position + 2] = [
@@ -215,14 +218,20 @@ def apply_relation(arr: Arrangement, path: Path, rule: str, position: int,
     return make_path(arr, arrows, start=path.start)
 
 
+def _arrow(arrows, position):
+    if not 0 <= position < len(arrows):
+        raise InputError(f"no arrow at position {position} of a path of {len(arrows)}")
+    return arrows[position]
+
+
 def _expect_cross(arrows, position) -> Cross:
-    if position >= len(arrows) or not isinstance(arrows[position], Cross):
+    if not isinstance(_arrow(arrows, position), Cross):
         raise InputError(f"no crossing arrow at position {position}")
     return arrows[position]
 
 
 def _expect_translate(arrows, position) -> Translate:
-    if position >= len(arrows) or not isinstance(arrows[position], Translate):
+    if not isinstance(_arrow(arrows, position), Translate):
         raise InputError(f"no translation arrow at position {position}")
     return arrows[position]
 

@@ -82,15 +82,21 @@ def primitive(x: Sequence) -> IntVec:
 
     The sign is preserved (the result is a positive multiple of the input).
     """
-    ints, _ = _numerators(x)
+    return primitive_scale(x)[0]
+
+
+def primitive_scale(x: Sequence) -> tuple[IntVec, Fraction]:
+    """The primitive integer vector c x of a nonzero rational vector x, and c > 0."""
+    ints, den = _numerators(x)
     g = vec_gcd(ints)
     if not g:
         raise ValueError("zero vector has no primitive form")
-    return tuple(a // g for a in ints)
+    return tuple(a // g for a in ints), Fraction(den, g)
 
 
 def _numerators(point: Sequence) -> tuple[IntVec, int]:
-    """A rational point as integer numerators over one positive denominator."""
+    """A rational point as integer numerators over one positive denominator,
+    the least common multiple of its entries' denominators."""
     den = lcm(*(x.denominator for x in point))
     return tuple(x.numerator * (den // x.denominator) for x in point), den
 

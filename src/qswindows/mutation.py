@@ -238,20 +238,13 @@ class ExchangeData:
     n_set: tuple[Weight, ...]
 
 
-def exchange_count(rep: QSRep, delta, delta_prime, ctx: Context, face_key=None) -> dict:
+def exchange_count(rep: QSRep, delta, delta_prime, ctx: Context) -> dict:
     """Per wall face: the exchange count d_F^+ + l(w0) - 1 with its (L, N)."""
     from .complexes import summand_sets
     crossing = wall_crossing(rep, delta, delta_prime, ctx)
     counts = per_face_counts(rep, crossing)
-    out = {}
-    for key, fd in sorted(crossing.faces.items()):
-        if face_key is not None and key != tuple(face_key):
-            continue
-        l_set, n_set = summand_sets(rep, crossing, fd, ctx)
-        out[key] = ExchangeData(count=counts[key], l_set=l_set, n_set=n_set)
-    if face_key is not None and not out:
-        raise InputError(f"face {face_key} does not occur on this wall")
-    return out
+    return {key: ExchangeData(counts[key], *summand_sets(rep, crossing, fd, ctx))
+            for key, fd in sorted(crossing.faces.items())}
 
 
 def virtual_class(spec: ModuleSpec, rep: QSRep | None = None,

@@ -177,23 +177,18 @@ def build_nabla(root_datum: RootDatum, weights, sigma: Polytope,
     if candidates is None:
         candidates = slab_candidates(root_datum, weights)
     halfspaces = []
-    pairing = root_datum.pairing
     for lam in candidates:
-        bound = eta(root_datum, weights, lam) / 2
-        paired = linalg.mat_vec(pairing, lam)
-        converted = linalg.primitive(paired)
-        j = next(i for i, x in enumerate(converted) if x != 0)
-        rescale = Fraction(converted[j]) / Fraction(paired[j])
-        halfspaces.append(HalfSpace(converted, -bound * rescale))
-        halfspaces.append(HalfSpace(linalg.primitive(linalg.neg(converted)), -bound * rescale))
+        converted, rescale = linalg.primitive_scale(linalg.mat_vec(root_datum.pairing, lam))
+        offset = -eta(root_datum, weights, lam) / 2 * rescale
+        halfspaces.append(HalfSpace(converted, offset))
+        halfspaces.append(HalfSpace(linalg.neg(converted), offset))
     nabla = geometry.from_halfspaces(halfspaces, center=(Fraction(0),) * root_datum.rank)
     _cross_check_nabla(root_datum, sigma, nabla)
     return nabla
 
 
 def _dominant_cone(root_datum: RootDatum) -> tuple[HalfSpace, ...]:
-    return tuple(HalfSpace(linalg.primitive(linalg.mat_vec(root_datum.pairing, a)), Fraction(0))
-                 for a in root_datum.positive_roots)
+    return tuple(HalfSpace(linalg.primitive(c), Fraction(0)) for c in root_datum._columns)
 
 
 def _cross_check_nabla(root_datum, sigma, nabla) -> None:
@@ -206,9 +201,11 @@ def _cross_check_nabla(root_datum, sigma, nabla) -> None:
     if not geometry.polytopes_equal(slice_nabla, slice_sigma):
         raise InternalInconsistencyError(
             "dominant slice of the window polytope does not match the shifted zonotope")
-    for w in root_datum.weyl_elements:
+    # nabla is convex and the simple reflections generate W, so s(nabla) in
+    # nabla for each simple s gives w(nabla) in nabla for every w
+    for s in root_datum.simple_reflections:
         for v in nabla.vertices:
-            if not nabla.contains(root_datum.apply(w, v)):
+            if not nabla.contains(root_datum.apply(s, v)):
                 raise InternalInconsistencyError("window polytope is not Weyl invariant")
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from . import linalg
@@ -75,10 +74,9 @@ class RootDatum:
     _columns: tuple[IntVec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        den = lcm(*(x.denominator for row in self.pairing for x in row))
-        rows = tuple(tuple(x.numerator * (den // x.denominator) for x in row)
-                     for row in self.pairing)
-        object.__setattr__(self, "_int_pairing", rows)
+        flat, den = _numerators([x for row in self.pairing for x in row])
+        object.__setattr__(self, "_int_pairing", tuple(
+            flat[i:i + self.rank] for i in range(0, len(flat), self.rank)))
         object.__setattr__(self, "_pairing_den", den)
         object.__setattr__(self, "_columns", tuple(self._paired(a)[0]
                                                    for a in self.positive_roots))
@@ -111,6 +109,8 @@ class RootDatum:
     def from_data(cls, rank, pairing, roots, simple_reflections, positive_roots=None,
                   size_cap: int = WEYL_SIZE_CAP) -> "RootDatum":
         pairing = tuple(tuple(Fraction(x) for x in row) for row in pairing)
+        if len(pairing) != rank or any(len(row) != rank for row in pairing):
+            raise InputError(f"pairing must be a {rank} x {rank} matrix")
         roots = tuple(sorted({tuple(int(x) for x in r) for r in roots}))
         simples = tuple(tuple(tuple(int(x) for x in row) for row in s) for s in simple_reflections)
         elements, lengths = _enumerate_weyl(rank, simples, size_cap)
@@ -167,11 +167,11 @@ class RootDatum:
         pos = set(self.positive_roots)
         if pos | {linalg.neg(r) for r in pos} != root_set or pos & {linalg.neg(r) for r in pos}:
             raise InputError("positive roots do not split the root set")
-        for w in self.weyl_elements:
-            if {self.apply(w, r) for r in root_set} != root_set:
-                raise InputError("a Weyl element does not permute the roots")
         basis = linalg.identity_matrix(n)
+        # the simple reflections generate W, so checking them checks all of W
         for s in self.simple_reflections:
+            if {self.apply(s, r) for r in root_set} != root_set:
+                raise InputError("a simple reflection does not permute the roots")
             for x in basis:
                 for y in basis:
                     if self.pair(self.apply(s, x), self.apply(s, y)) != self.pair(x, y):
@@ -204,10 +204,6 @@ class RootDatum:
     def is_dominant(self, chi) -> bool:
         nums, _ = _numerators(chi)
         return all(sum(map(mul, nums, c)) >= 0 for c in self._columns)
-
-    def is_strictly_dominant(self, x) -> bool:
-        nums, _ = _numerators(x)
-        return all(sum(map(mul, nums, c)) > 0 for c in self._columns)
 
     @property
     def rho(self) -> Vec:

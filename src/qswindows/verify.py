@@ -43,8 +43,7 @@ def _pair_subject(name: str, delta, delta_prime) -> str:
 # -- per-representation invariants ------------------------------------------------
 
 
-def check_rep_invariants(name: str, rep: QSRep, ctx: Context,
-                         grid_points=None) -> list[CheckResult]:
+def check_rep_invariants(name: str, rep: QSRep, ctx: Context) -> list[CheckResult]:
     out = []
     datum = rep.root_datum
     # eta symmetry under quasi-symmetry
@@ -63,10 +62,9 @@ def check_rep_invariants(name: str, rep: QSRep, ctx: Context,
         out.append(_result("window-polytope-cross-check", name, False, str(exc)))
     # on-wall iff boundary lattice points, on a grid
     arr = ctx.arrangement
-    pts = grid_points if grid_points is not None else default_grid(arr.dim)
     ok = True
     bad = ""
-    for coords in pts:
+    for coords in default_grid(arr.dim):
         ambient = arr.to_ambient(coords)
         on_wall = arr.on_wall(coords)
         boundary = rep.nabla.translate(ambient).boundary_lattice_points()
@@ -94,12 +92,13 @@ def check_rep_invariants(name: str, rep: QSRep, ctx: Context,
     return out
 
 
-def default_grid(dim: int, periods: int = 3, step=Fraction(1, 4), seed: int = 0):
-    """Full grid in low dimension, a seeded sample of grid points otherwise."""
-    ticks = [k * step for k in range(int(periods / step) + 1)]
+def default_grid(dim: int):
+    """The quarter points of [0, 3]: all of them in rank one, a seeded
+    sample of 40 grid points otherwise."""
+    ticks = [Fraction(k, 4) for k in range(13)]
     if dim == 1:
         return [(t,) for t in ticks]
-    rng = random.Random(seed)
+    rng = random.Random(0)
     pts = [tuple(rng.choice(ticks) for _ in range(dim)) for _ in range(40)]
     return sorted(set(pts))
 
@@ -383,8 +382,8 @@ def _cycle_position(wall, atom):
 # -- groupoid -----------------------------------------------------------------------
 
 
-def check_groupoid(name: str, rep: QSRep, ctx: Context, seed: int = 0,
-                   n_paths: int = 50) -> list[CheckResult]:
+def check_groupoid(name: str, rep: QSRep, ctx: Context, seed: int,
+                   n_paths: int) -> list[CheckResult]:
     out = []
     arr = ctx.arrangement
     rng = random.Random(seed)
@@ -423,7 +422,7 @@ def check_groupoid(name: str, rep: QSRep, ctx: Context, seed: int = 0,
     return out
 
 
-def _random_positive_path(arr, rng: random.Random, max_arrows: int = 3):
+def _random_positive_path(arr, rng: random.Random):
     """Arrows along random generic directions; labels equal the hop
     direction, so positivity holds by construction.  Each candidate target
     is located once."""
@@ -438,7 +437,7 @@ def _random_positive_path(arr, rng: random.Random, max_arrows: int = 3):
         return None
     here = arr.chamber_of(point)
     arrows = []
-    for _ in range(rng.randint(1, max_arrows)):
+    for _ in range(rng.randint(1, 3)):
         for _ in range(20):
             direction = tuple(Fraction(rng.randint(-2, 2)) for _ in range(arr.dim))
             if linalg.is_zero(direction):
@@ -507,29 +506,20 @@ def _cy_loop_map(model, ctx, delta) -> bool:
 # -- top level ----------------------------------------------------------------------
 
 
-def run_bundled(seed: int = 0, periods: int = 2) -> list[CheckResult]:
+def run_bundled(seed: int = 0) -> list[CheckResult]:
     results = []
     for name, rep_obj in catalog.bundled_reps().items():
-        ctx = Context(rep_obj)
-        results.extend(check_rep_invariants(name, rep_obj, ctx))
-        pairs = catalog.adjacent_pairs(ctx, periods=periods, per_wall=2, max_pairs=6)
-        for delta, delta_prime in pairs:
-            results.extend(check_wall_crossing(name, rep_obj, ctx, delta, delta_prime))
-            results.extend(check_complexes(name, rep_obj, ctx, delta, delta_prime))
-            results.extend(check_mutation(name, rep_obj, ctx, delta, delta_prime))
-        results.extend(check_groupoid(name, rep_obj, ctx, seed=seed))
+        results.extend(run_rep(name, rep_obj, seed=seed, n_paths=50))
     results.extend(check_cy_models())
     return results
 
 
-def run_rep(name: str, rep_obj: QSRep, seed: int = 0, periods: int = 2,
-            max_pairs: int = 6) -> list[CheckResult]:
+def run_rep(name: str, rep_obj: QSRep, seed: int = 0, n_paths: int = 20) -> list[CheckResult]:
     ctx = Context(rep_obj)
     results = check_rep_invariants(name, rep_obj, ctx)
-    pairs = catalog.adjacent_pairs(ctx, periods=periods, per_wall=2, max_pairs=max_pairs)
-    for delta, delta_prime in pairs:
+    for delta, delta_prime in catalog.adjacent_pairs(ctx, periods=2, per_wall=2, max_pairs=6):
         results.extend(check_wall_crossing(name, rep_obj, ctx, delta, delta_prime))
         results.extend(check_complexes(name, rep_obj, ctx, delta, delta_prime))
         results.extend(check_mutation(name, rep_obj, ctx, delta, delta_prime))
-    results.extend(check_groupoid(name, rep_obj, ctx, seed=seed, n_paths=20))
+    results.extend(check_groupoid(name, rep_obj, ctx, seed=seed, n_paths=n_paths))
     return results

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from qswindows import catalog, groupoid, linalg
 from qswindows.arrangement import Arrangement, Wall, WallFamily, build_arrangement
 from qswindows.errors import InputError, NotAdjacentError, OnWallError
-from qswindows.geometry import ceil_frac, floor_frac
 from qswindows.rep import QSRep
 from qswindows.root_data import RootDatum
 from qswindows.windows import Context
@@ -168,13 +168,13 @@ def _value(f, coords) -> Fraction:
 def _interval_index(f, value: Fraction) -> int:
     if (value - f.base_offset) % f.offset_step == 0:
         raise ValueError("value sits on a wall of this family")
-    return floor_frac((value - f.base_offset) / f.offset_step)
+    return math.floor((value - f.base_offset) / f.offset_step)
 
 
 def _offsets_between(f, a: Fraction, b: Fraction) -> list[Fraction]:
     lo, hi = min(a, b), max(a, b)
-    start = floor_frac((lo - f.base_offset) / f.offset_step) + 1
-    stop = ceil_frac((hi - f.base_offset) / f.offset_step) - 1
+    start = math.floor((lo - f.base_offset) / f.offset_step) + 1
+    stop = math.ceil((hi - f.base_offset) / f.offset_step) - 1
     return [f.base_offset + k * f.offset_step for k in range(start, stop + 1)
             if lo < f.base_offset + k * f.offset_step < hi]
 

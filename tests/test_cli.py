@@ -17,6 +17,9 @@ FLOAT_PAIRING = dict(TORUS22, root_datum={"rank": 1, "pairing": [1.5]})
 # change dominance
 ROOT_OFF_INVARIANTS = dict(TORUS22, assert_generic=True, root_datum={
     "rank": 1, "pairing": [1], "roots": [[1], [-1]], "positive_roots": [[1]]})
+# a rank-one torus whose window box holds 10^30 lattice points
+HUGE = {"root_datum": {"builtin": "torus", "rank": 1},
+        "weights": [[10 ** 30], [-10 ** 30]]}
 RANK3 = {"root_datum": {"builtin": "torus", "rank": 3},
          "weights": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
                      [0, 0, 1], [0, 0, -1], [1, 1, 1], [-1, -1, -1]]}
@@ -29,7 +32,7 @@ def inputs(tmp_path):
                           ("float_weights", FLOAT_WEIGHTS), ("string_weights", STRING_WEIGHTS),
                           ("list_document", [TORUS22]), ("string_flag", STRING_FLAG),
                           ("float_pairing", FLOAT_PAIRING),
-                          ("root_off_invariants", ROOT_OFF_INVARIANTS)):
+                          ("root_off_invariants", ROOT_OFF_INVARIANTS), ("huge", HUGE)):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(payload))
         paths[name] = str(p)
@@ -127,8 +130,10 @@ def test_determinism(inputs, capsys):
 
 
 def test_error_codes(inputs, capsys):
-    code, _, err = run(capsys, "window", "--input", inputs["torus22"], "--delta", "1/0")
-    assert code == 2 and "bad rational" in err
+    # rationals are p/q strings: no zero denominator, decimal or digit separator
+    for delta in ("1/0", "0.5", "1_0/3"):
+        code, out, err = run(capsys, "window", "--input", inputs["torus22"], "--delta", delta)
+        assert code == 2 and out == "" and "bad rational" in err, delta
     code, _, err = run(capsys, "window", "--input", inputs["torus22"], "--delta", "1")
     assert code == 2 and "point (1) lies on the wall" in err and "offset 1" in err
     assert "Fraction(" not in err
@@ -167,6 +172,10 @@ def test_error_codes(inputs, capsys):
     for command in ("rep", "faces", "verify"):
         code, out, err = run(capsys, command, "--face", "a", "--input", inputs["torus22"])
         assert (code, out, err) == (2, "", "input error: bad integer vector 'a'\n")
+    # a lattice scan over a huge box is refused before it starts
+    code, out, err = run(capsys, "window", "--input", inputs["huge"], "--delta", "1/2")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert "lattice scan of a box of 1000000000000000000000000000000 points" in err
     # the input suite without --input is an input error, not a FAIL row
     code, out, err = run(capsys, "verify", "--suites", "input")
     assert code == 2 and out == ""

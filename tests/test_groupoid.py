@@ -76,6 +76,19 @@ def test_relations(arr22):
         groupoid.apply_relation(arr22, two, "R3", 0, label=(F(-1),))
 
 
+def test_relation_positions_outside_the_path_are_input_errors(arr22):
+    p = groupoid.make_path(arr22, [up(F(1, 2), F(3, 2)), Translate((2,))])
+    two = groupoid.make_path(arr22, [up(F(1, 2), F(3, 2)), up(F(3, 2), F(5, 2))])
+    # R4 at the last arrow has no next arrow; a negative position is not
+    # Python indexing from the end
+    for path, rule, position, kwargs in ((p, "R4", 1, {}), (p, "R4", -1, {}),
+                                         (two, "R3", -1, {"label": (F(7),)}),
+                                         (two, "R2", 1, {}), (two, "R2", -2, {}),
+                                         (p, "R5", 1, {}), (two, "R1", 3, {"label": (F(1),)})):
+        with pytest.raises(InputError, match="position"):
+            groupoid.apply_relation(arr22, path, rule, position, **kwargs)
+
+
 def test_relation_preserves_endpoints_and_word(arr22):
     p = groupoid.make_path(arr22, [up(F(1, 2), F(3, 2)), Translate((2,)), up(F(7, 2), F(9, 2))])
     word = groupoid.normal_form_word(arr22, p)

@@ -15,6 +15,16 @@ def test_primitive():
     assert linalg.primitive((-3,)) == (-3 // 3,)
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.fractions(-20, 20, max_denominator=12), min_size=1, max_size=4)
+       .filter(lambda x: any(x)))
+def test_primitive_scale_matches_fraction_oracle(x):
+    p, c = linalg.primitive_scale(x)
+    assert c > 0 and tuple(c * Fraction(a) for a in x) == p
+    assert all(type(a) is int for a in p) and linalg.vec_gcd(p) == 1
+    assert linalg.primitive(x) == p
+
+
 def test_sign_normalized():
     assert linalg.sign_normalized((0, -2, 1)) == (0, 2, -1)
     assert linalg.sign_normalized((3, -1)) == (3, -1)

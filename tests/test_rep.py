@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qswindows import catalog, geometry, linalg, rep
-from qswindows.errors import InputError
+from qswindows.errors import InputError, InternalInconsistencyError
 from qswindows.rep import QSRep, Ternary
 from qswindows.root_data import RootDatum
 
@@ -58,6 +58,29 @@ def test_gl2_dominant_slice_identity(gl2rep):
     for w in datum.weyl_elements:
         for v in gl2rep.nabla.vertices:
             assert gl2rep.nabla.contains(datum.apply(w, v))
+
+
+def _all_elements_invariant(datum, poly) -> bool:
+    """The oracle of the generator-only checks: every Weyl element maps
+    every vertex into the polytope."""
+    return all(poly.contains(datum.apply(w, v))
+               for w in datum.weyl_elements for v in poly.vertices)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_weyl_check_by_simple_reflections_matches_all_elements(n):
+    std_dual = [tuple(s * (j == i) for j in range(n)) for i in range(n) for s in (1, -1)]
+    built = QSRep.build(RootDatum.gl(n), std_dual * 4)
+    datum = built.root_datum
+    assert _all_elements_invariant(datum, built.nabla)
+    rep._cross_check_nabla(datum, built.sigma, built.nabla)
+    # cut away a non-dominant corner: the dominant slice is unchanged, but
+    # the polytope is no longer Weyl invariant
+    cut = geometry.intersect(built.nabla, [geometry.HalfSpace(
+        tuple(1 if j == 0 else -1 if j == 1 else 0 for j in range(n)), Fraction(-1, 2))])
+    assert not _all_elements_invariant(datum, cut)
+    with pytest.raises(InternalInconsistencyError, match="not Weyl invariant"):
+        rep._cross_check_nabla(datum, built.sigma, cut)
 
 
 def test_generic_examples():
