@@ -19,11 +19,12 @@ B + kS <= <c, n> < B + (k+1)S that holds the point, and a remainder that is
 zero exactly when <c, n> = B + kS, that is when the point lies on a wall.
 The indices over all families form the chamber's sign vector.  Between two
 off-wall points with indices k_a and k_b the family has the walls B + kS
-with min(k_a, k_b) < k <= max(k_a, k_b), so separating walls are read off
-two sign vectors.  Families with the same normal can put walls at the same
-offset, and such a hyperplane is recorded once, under its first family; offsets
-are compared as integer numerators over the common scale of the normal's
-families.  A chamber keeps its sample's numerators, and queries read them.
+with min(k_a, k_b) < k <= max(k_a, k_b), so the separating walls of two
+points, or of two chambers already located, are read off two sign vectors.
+Families with the same normal can put walls at the same offset, and such a
+hyperplane is recorded once, under its first family; offsets are compared as
+integer numerators over the common scale of the normal's families.  A
+chamber keeps its sample's numerators, and queries read them.
 """
 from __future__ import annotations
 
@@ -171,18 +172,15 @@ class Arrangement:
         return Chamber(tuple(k for k, _ in indices), coords, nums, den)
 
     def separating_walls(self, a, b) -> list[Wall]:
-        """Walls meeting the open segment from a to b (endpoints off-wall),
-        sorted by family index and offset."""
-        return self.walls_between(self.chamber_of(a), self.chamber_of(b))
-
-    def walls_between(self, a: Chamber, b: Chamber) -> list[Wall]:
-        """The walls separating two chambers, read off their sign vectors."""
-        return self._walls((i, k)
-                           for i, (ka, kb) in enumerate(zip(a.sign_vector, b.sign_vector))
+        """The walls separating two off-wall points or two chambers, read off
+        their sign vectors, sorted by family index and offset."""
+        a, b = (x.sign_vector if type(x) is Chamber else self.chamber_of(x).sign_vector
+                for x in (a, b))
+        return self._walls((i, k) for i, (ka, kb) in enumerate(zip(a, b))
                            for k in range(min(ka, kb) + 1, max(ka, kb) + 1))
 
     def require_adjacent(self, a: Chamber, b: Chamber) -> Wall:
-        walls = self.walls_between(a, b)
+        walls = self.separating_walls(a, b)
         if len(walls) != 1:
             raise NotAdjacentError(a.sample, b.sample, len(walls))
         return walls[0]

@@ -60,6 +60,9 @@ LINE_PATTERNS_SMALL = (
     (2, -1, -1),
 )
 
+# the most weights a random torus representation may have
+_MAX_WEIGHTS = 12
+
 
 def _random_direction(rng: random.Random, rank: int, spread: int):
     while True:
@@ -68,7 +71,7 @@ def _random_direction(rng: random.Random, rank: int, spread: int):
             return linalg.primitive(v)
 
 
-def random_torus_rep(rng: random.Random, rank: int, max_weights: int = 12) -> QSRep:
+def random_torus_rep(rng: random.Random, rank: int) -> QSRep:
     """A random generic quasi-symmetric torus representation.
 
     Every line through the origin carries a zero-sum multiset of multiples
@@ -93,7 +96,7 @@ def random_torus_rep(rng: random.Random, rank: int, max_weights: int = 12) -> QS
             for c in rng.choice(patterns):
                 weights.append(linalg.scale(c, v))
         weights = [tuple(int(x) for x in w) for w in weights]
-        if not weights or len(weights) > max_weights:
+        if not weights or len(weights) > _MAX_WEIGHTS:
             continue
         if linalg.rank(weights) < rank:
             continue

@@ -31,11 +31,31 @@ def _parse_vector(text: str) -> tuple[Fraction, ...]:
     return tuple(_parse_fraction(part) for part in text.split(","))
 
 
+def _is_int(text: str) -> bool:
+    """Digits with an optional minus sign, the p/q grammar without a
+    denominator; surrounding spaces are stripped, ``_`` and ``+`` refused."""
+    text = text.strip()
+    return "/" not in text and bool(_RATIONAL.fullmatch(text))
+
+
+def _parse_int(text: str) -> int:
+    if not _is_int(text):
+        raise InputError(f"bad integer {text!r}: expected digits with an optional minus sign")
+    return int(text)
+
+
+def _parse_count(text: str) -> int:
+    count = _parse_int(text)
+    if count < 0:
+        raise InputError(f"bad count {text!r}: expected zero or more")
+    return count
+
+
 def _parse_int_vector(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise InputError(f"bad integer vector {text!r}") from exc
+    parts = text.split(",")
+    if not all(map(_is_int, parts)):
+        raise InputError(f"bad integer vector {text!r}")
+    return tuple(map(int, parts))
 
 
 def _load_rep(args) -> QSRep:
@@ -328,12 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--delta2", help="second rational point")
     parser.add_argument("--face", type=_parse_int_vector, help="face key (facet indices)")
     parser.add_argument("--chi", help="dominant weight, comma separated integers")
-    parser.add_argument("--steps", type=int, help="number of mutation steps")
+    parser.add_argument("--steps", type=_parse_count, help="number of mutation steps")
     parser.add_argument("--direction", choices=("left", "right"), default="left")
-    parser.add_argument("--box", type=int, default=3, help="periods for wall enumeration")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--box", type=_parse_count, default=3,
+                        help="periods for wall enumeration")
+    parser.add_argument("--threads", type=_parse_int, default=1,
                         help="accepted for interface stability; all code is pure")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_parse_int, default=0)
     parser.add_argument("--format", choices=("json", "svg", "both"), default="json")
     parser.add_argument("--out", help="output directory for SVG files")
     parser.add_argument("--path", help="groupoid path DSL, e.g. \"x(1,+);t(1)\"")
@@ -341,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--suites", help="verify suites: bundled,input")
     parser.add_argument("--a", help="cy: weights a1,..,an")
     parser.add_argument("--d", help="cy: degrees d1,..,dr")
-    parser.add_argument("--twist", type=int, help="cy: twist line-bundle degree m")
+    parser.add_argument("--twist", type=_parse_int, help="cy: twist line-bundle degree m")
     parser.add_argument("command", choices=(
         "rep", "arrangement", "window", "wallcross", "faces", "complex",
         "mutate", "groupoid", "cy", "verify", "export-svg"))

@@ -462,44 +462,36 @@ def _check_center(poly: Polytope) -> None:
             raise InternalInconsistencyError("claimed center is not a symmetry center")
 
 
-def zonotope(generators, scale=Fraction(1)) -> Polytope:
-    """Minkowski sum of the segments scale*[0,1]*g over the generators.
+def zonotope(generators) -> Polytope:
+    """Minkowski sum of the segments [0,1]*g over the generators.
 
     Facet normals are the primitive vectors orthogonal to independent
-    (r-1)-subsets of the generators, r the rank of their span.  Every
-    zonotope is centrally symmetric about scale/2 times the generator sum,
-    and that center is recorded.
+    (r-1)-subsets of the generators and to the normals cutting out their
+    span, r the rank of that span.  The subset lies in the span and those
+    normals in its orthogonal complement, so their ranks add, and one
+    kernel per subset answers both questions: a dependent subset leaves a
+    kernel of dimension two or more.  Every zonotope is centrally symmetric
+    about half the generator sum, and that center is recorded.
     """
     gens = [tuple(int(x) for x in g) for g in generators]
     if not gens:
         raise InputError("zonotope needs at least one generator")
-    scale = Fraction(scale)
-    if scale <= 0:
-        raise InputError("zonotope scale must be positive")
     dim = len(gens[0])
     nonzero = sorted({g for g in gens if not linalg.is_zero(g)})
-    r = linalg.rank(nonzero) if nonzero else 0
-    total = tuple(sum(c) for c in zip(*gens))
-    center = linalg.scale(scale / 2, total)
-    if r == 0:
-        point = center
+    center = linalg.scale(Fraction(1, 2), tuple(sum(c) for c in zip(*gens)))
+    if not nonzero:
         hs = []
         for e in linalg.identity_matrix(dim):
-            c = linalg.dot(point, e)
+            c = linalg.dot(center, e)
             hs.append(HalfSpace(tuple(e), c))
             hs.append(HalfSpace(linalg.primitive(linalg.neg(e)), -c))
-        return Polytope(dim=dim, halfspaces=tuple(hs), vertices=(point,), center=point)
-    span_cuts = _complement_rows(nonzero, dim)
+        return Polytope(dim=dim, halfspaces=tuple(hs), vertices=(center,), center=center)
+    span_cuts = _complement_rows(nonzero)
     normals = set()
-    for combo in itertools.combinations(nonzero, r - 1):
-        rows = [list(v) for v in combo]
-        if rows and linalg.rank(rows) < r - 1:
-            continue
-        rows += [list(v) for v in span_cuts]
-        if rows:
-            kernel = linalg.kernel_basis(rows)
-        else:
-            kernel = [(Fraction(1),)] if dim == 1 else []
+    for combo in itertools.combinations(nonzero, dim - len(span_cuts) - 1):
+        rows = [*combo, *span_cuts]
+        # no rows at all only for a spanning set in dimension one
+        kernel = linalg.kernel_basis(rows) if rows else [(Fraction(1),)]
         if len(kernel) != 1:
             continue
         nrm = linalg.primitive(kernel[0])
@@ -507,20 +499,18 @@ def zonotope(generators, scale=Fraction(1)) -> Polytope:
         normals.add(linalg.primitive(linalg.neg(nrm)))
     halfspaces = []
     for nrm in sorted(normals):
-        upper = scale * sum(max(0, linalg.dot(g, nrm)) for g in gens)
-        halfspaces.append(HalfSpace(linalg.primitive(linalg.neg(nrm)), -upper))
+        upper = sum(max(0, linalg.dot(g, nrm)) for g in gens)
+        halfspaces.append(HalfSpace(linalg.primitive(linalg.neg(nrm)), Fraction(-upper)))
     for b in span_cuts:
         halfspaces.append(HalfSpace(b, Fraction(0)))
         halfspaces.append(HalfSpace(linalg.primitive(linalg.neg(b)), Fraction(0)))
     return from_halfspaces(halfspaces, center=center)
 
 
-def _complement_rows(vectors, dim):
-    """Primitive normals cutting out the linear span of the vectors."""
-    rows = [list(v) for v in vectors]
-    if linalg.rank(rows) == dim:
-        return []
-    return [linalg.primitive(b) for b in linalg.kernel_basis(rows)]
+def _complement_rows(vectors) -> list[IntVec]:
+    """Primitive normals cutting out the linear span of the vectors; none
+    when they span the whole space."""
+    return [linalg.primitive(b) for b in linalg.kernel_basis(vectors)]
 
 
 def intersect(poly: Polytope, halfspaces) -> Polytope:

@@ -92,13 +92,11 @@ def make_path(arr: Arrangement, arrows, start=None) -> Path:
 def arrow_is_positive(arr: Arrangement, a: Cross, chambers=None) -> bool:
     """Distinct chambers and the label oriented like dst - src on every
     separating wall; ``chambers`` are the ends' chambers, if located."""
-    src, dst = chambers or (arr.chamber_of(a.src), arr.chamber_of(a.dst))
-    if src == dst:
-        return False
-    walls = arr.walls_between(src, dst)
+    walls = arr.separating_walls(*(chambers or (a.src, a.dst)))
     moves = arr.orientations(linalg.sub(a.dst, a.src), walls)
-    return all(ell != 0 and ell == move
-               for ell, move in zip(arr.orientations(a.label, walls), moves))
+    # no separating wall means one chamber
+    return bool(walls) and all(ell != 0 and ell == move
+                               for ell, move in zip(arr.orientations(a.label, walls), moves))
 
 
 def is_positive(arr: Arrangement, path: Path) -> bool:
@@ -119,8 +117,8 @@ def is_minimal(arr: Arrangement, path: Path) -> bool:
     if not is_positive(arr, path):
         raise InputError("minimality is defined for positive paths only")
     located = list(path.located(arr))
-    crossings = [arr.walls_between(here, there) for _, here, there in located]
-    total = arr.walls_between(located[0][1], located[-1][2])
+    crossings = [arr.separating_walls(here, there) for _, here, there in located]
+    total = arr.separating_walls(located[0][1], located[-1][2])
     additive = len(total) == sum(len(c) for c in crossings)
     union = set().union(*map(set, crossings)) if crossings else set()
     disjoint_union = (set(total) == union
@@ -252,7 +250,7 @@ def _letters(arr: Arrangement, path: Path) -> tuple[list[tuple[Fraction, int]], 
             continue
         src, dst = a.src[0], a.dst[0]
         direction = 1 if dst > src else -1
-        walls = arr.walls_between(here, there)
+        walls = arr.separating_walls(here, there)
         offsets = sorted((w.offset for w in walls), reverse=direction < 0)
         for off in offsets:
             letters.append((off - shift, direction))
@@ -328,10 +326,11 @@ class TranscriptEntry:
 def split_into_hops(arr: Arrangement, a: Cross, chambers=None) -> list[Cross]:
     """Cut a crossing arrow into adjacent hops along its segment;
     ``chambers`` are the ends' chambers, if located."""
-    walls = arr.walls_between(*chambers) if chambers else arr.separating_walls(a.src, a.dst)
+    ends = chambers or (a.src, a.dst)
+    walls = arr.separating_walls(*ends)
     if not walls:
         return []
-    times = sorted(arr.crossing_times(*(chambers or (a.src, a.dst)), walls))
+    times = sorted(arr.crossing_times(*ends, walls))
     if len(set(times)) != len(times):
         raise InputError(
             "segment passes through a wall intersection; perturb the endpoints")
@@ -350,10 +349,8 @@ def _hop_crossings(rep: QSRep, ctx: Context, a: Cross, chambers: tuple[Chamber, 
     hops = split_into_hops(arr, a, chambers)
     # each inner cut point is located once; a hop's chambers are its endpoints'
     located = [chambers[0], *(arr.chamber_of(hop.dst) for hop in hops[:-1]), chambers[1]]
-    points = [arr.to_ambient(c) for c in located]
-    for i, hop in enumerate(hops):
-        yield hop, wall_crossing(rep, points[i], points[i + 1], ctx,
-                                 chambers=(located[i], located[i + 1]))
+    for hop, here, there in zip(hops, located, located[1:]):
+        yield hop, wall_crossing(rep, here, there, ctx)
 
 
 def mutation_transcript(rep: QSRep, path: Path, ctx: Context) -> list[TranscriptEntry]:
@@ -384,8 +381,7 @@ def mutation_transcript(rep: QSRep, path: Path, ctx: Context) -> list[Transcript
 def transcript_window_map(rep: QSRep, path: Path, ctx: Context) -> dict:
     """Compose the per-hop bijections and shifts from C_start to C_end."""
     arr = ctx.arrangement
-    first, last = path.chambers[0], path.chambers[-1]
-    mapping = {chi: chi for chi in ctx.window(arr.to_ambient(first), first).chars}
+    mapping = {chi: chi for chi in ctx.window(path.chambers[0]).chars}
     for a, here, there in path.located(arr):
         if isinstance(a, Translate):
             shift = tuple(int(x) for x in arr.to_ambient(a.m))
@@ -395,7 +391,7 @@ def transcript_window_map(rep: QSRep, path: Path, ctx: Context) -> dict:
             step = dict(zip(crossing.window.chars, crossing.window.chars))
             step.update(mu_map(rep, crossing))
             mapping = {src: step[dst] for src, dst in mapping.items()}
-    end_window = set(ctx.window(arr.to_ambient(last), last).chars)
+    end_window = set(ctx.window(path.chambers[-1]).chars)
     image = set(mapping.values())
     if image != end_window or len(image) != len(mapping):
         raise InputError("transcript composition failed to match the target window")

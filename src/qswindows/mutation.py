@@ -247,8 +247,7 @@ def exchange_count(rep: QSRep, delta, delta_prime, ctx: Context) -> dict:
             for key, fd in sorted(crossing.faces.items())}
 
 
-def virtual_class(spec: ModuleSpec, rep: QSRep | None = None,
-                  faces: dict | None = None) -> dict:
+def virtual_class(spec: ModuleSpec, rep: QSRep, faces: dict) -> dict:
     """Split class of a spec as a weight -> integer map.
 
     Kernel atoms expand through the telescoping alternating sum of the
@@ -262,10 +261,10 @@ def virtual_class(spec: ModuleSpec, rep: QSRep | None = None,
     return {w: c for w, c in out.items() if c}
 
 
-def atom_class(atom: Atom, rep: QSRep | None = None, faces: dict | None = None) -> dict:
+def atom_class(atom: Atom, rep: QSRep, faces: dict) -> dict:
     if isinstance(atom, Cov):
         return {atom.chi: 1}
-    if rep is None or faces is None or atom.face_key not in faces:
+    if atom.face_key not in faces:
         raise InputError("kernel atom classes need the owning face data")
     fd = faces[atom.face_key]
     out: Counter = Counter()
@@ -276,7 +275,7 @@ def atom_class(atom: Atom, rep: QSRep | None = None, faces: dict | None = None) 
     return {w: c for w, c in out.items() if c}
 
 
-def atom_rank(atom: Atom, rep: QSRep | None = None, faces: dict | None = None) -> int:
+def atom_rank(atom: Atom, rep: QSRep, faces: dict) -> int:
     return sum(atom_class(atom, rep, faces).values())
 
 

@@ -153,12 +153,10 @@ def slab_candidates(root_datum: RootDatum, weights) -> list[IntVec]:
     if n == 1:
         return [(1,)]
     # the rows P v scaled by the pairing's positive denominator: integer
-    # rows with the same rank and kernel
+    # rows with the same kernel, which is a line exactly when they are
+    # independent
     for combo in itertools.combinations(vectors, n - 1):
-        rows = [root_datum._paired(v)[0] for v in combo]
-        if linalg.rank(rows) < n - 1:
-            continue
-        kernel = linalg.kernel_basis(rows)
+        kernel = linalg.kernel_basis([root_datum._paired(v)[0] for v in combo])
         if len(kernel) != 1:
             continue
         found.add(linalg.sign_normalized(linalg.primitive(kernel[0])))
@@ -235,19 +233,17 @@ def check_generic(root_datum: RootDatum, weights,
         rest = [b for j, b in enumerate(weights) if j != i]
         if not linalg.lattice_generates(rest, n):
             return Ternary.NO
-        if not _zero_in_interior(rest, n, candidates):
+        if not _zero_in_interior(rest, candidates):
             return Ternary.NO
     return Ternary.YES
 
 
-def _zero_in_interior(vectors, n, candidates) -> bool:
+def _zero_in_interior(vectors, candidates) -> bool:
     """0 is interior to conv(vectors) iff every candidate direction sees
-    vectors on both sides (strictly)."""
-    nonzero = [tuple(v) for v in vectors if not linalg.is_zero(v)]
-    if linalg.rank(nonzero) < n:
-        return False
+    vectors strictly on both sides.  The vectors must span: check_generic
+    asks only after they generate the lattice."""
     for lam in candidates:
-        values = [linalg.dot(v, lam) for v in nonzero]
+        values = [linalg.dot(v, lam) for v in vectors]
         if max(values) <= 0 or min(values) >= 0:
             return False
     return True

@@ -25,10 +25,12 @@ crossing of the pair still has both endpoints located, off-wall and
 adjacent, its wall point on the wall and its direction pairing positively
 with the inward normals; it then reuses the pair's outgoing characters and
 faces as they are, with its own delta, delta', delta_0 and windows.  An
-endpoint is located by ``to_coords`` and ``chamber_of``, or by the caller:
-the groupoid's hop loop locates each cut point of an arrow once, in
-invariant coordinates, and passes the two chambers, whose samples are
-checked to map back to delta and delta' under ``to_ambient``.
+endpoint is an off-wall ambient point or the chamber that holds it, and
+either stands for the other: a point is located by ``to_coords`` and
+``chamber_of``, and a chamber's sample, its invariant coordinates, gives
+the point under ``to_ambient`` once per call, which ``Window.delta`` then
+carries.  The groupoid's hop loop locates each cut point of an arrow once
+and passes chambers.
 
 Why that is exact: both wall points lie on the wall the two chambers share
 and on no other wall, so they are joined inside the common facet of the two
@@ -57,9 +59,6 @@ from .root_data import SINGULAR, Weight
 class Window:
     delta: Vec
     chars: tuple[Weight, ...]
-
-    def __contains__(self, chi) -> bool:
-        return tuple(chi) in set(self.chars)
 
     def to_json(self) -> dict:
         return {"delta": [str(Fraction(x)) for x in self.delta],
@@ -123,12 +122,10 @@ class Context:
         self._windows: dict = {}    # chamber sign vector -> window characters
         self._crossings: dict = {}  # (sign vector, sign vector') -> _PairCrossing
 
-    def window(self, delta, chamber: Chamber | None = None) -> Window:
-        """The window at an off-wall delta.  A caller that has already
-        located delta passes its chamber."""
-        delta = linalg.vec(delta)
-        if chamber is None:
-            chamber = self.arrangement.chamber_of(self.arrangement.to_coords(delta))
+    def window(self, delta) -> Window:
+        """The window at an off-wall ambient delta, or at its chamber."""
+        chamber = _located(self.arrangement, delta)
+        delta = self.arrangement.to_ambient(chamber) if chamber is delta else linalg.vec(delta)
         chars = self._windows.get(chamber.sign_vector)
         if chars is None:
             shifted = self.rep.nabla.translate(delta)
@@ -140,6 +137,11 @@ class Context:
                     f"at off-wall {_fmt(delta)}")
             self._windows[chamber.sign_vector] = chars
         return Window(delta=delta, chars=chars)
+
+
+def _located(arr: Arrangement, delta) -> Chamber:
+    """The chamber of an off-wall ambient point; a chamber is its own."""
+    return delta if type(delta) is Chamber else arr.chamber_of(arr.to_coords(delta))
 
 
 def face_data_from_face(rep: QSRep, poly: Polytope, face: Face) -> FaceData:
@@ -266,31 +268,22 @@ class _PairCrossing:
         )
 
 
-def wall_crossing(rep: QSRep, delta, delta_prime, ctx: Context,
-                  chambers: tuple[Chamber, Chamber] | None = None) -> WallCrossing:
-    """The crossing from delta to delta'.  A caller that has already
-    located both points passes their chambers, whose samples are their
-    invariant coordinates; each must map back to its point."""
+def wall_crossing(rep: QSRep, delta, delta_prime, ctx: Context) -> WallCrossing:
+    """The crossing from delta to delta', each an off-wall ambient point or
+    its chamber."""
     arr = ctx.arrangement
-    delta, delta_prime = linalg.vec(delta), linalg.vec(delta_prime)
-    if chambers is None:
-        chamber = arr.chamber_of(arr.to_coords(delta))
-        chamber_p = arr.chamber_of(arr.to_coords(delta_prime))
-    else:
-        chamber, chamber_p = chambers
-        for c, point in ((chamber, delta), (chamber_p, delta_prime)):
-            if arr.to_ambient(c) != point:
-                raise InputError(f"chamber sample {_fmt(c.sample)} does not map to {_fmt(point)}")
-    coords, coords_p = chamber.sample, chamber_p.sample
+    chamber, chamber_p = _located(arr, delta), _located(arr, delta_prime)
     wall = arr.require_adjacent(chamber, chamber_p)
+    # each window holds its ambient point, worked out once
+    win, win_p = ctx.window(chamber), ctx.window(chamber_p)
+    delta, delta_prime = win.delta, win_p.delta
+    coords, coords_p = chamber.sample, chamber_p.sample
     # the wall point is where the segment meets the wall; for a symmetric
     # pair this is the exact midpoint
     (t,) = arr.crossing_times(chamber, chamber_p, [wall])
     delta0 = linalg.add(delta, linalg.scale(t, linalg.sub(delta_prime, delta)))
     if not arr.on_wall(linalg.add(coords, linalg.scale(t, linalg.sub(coords_p, coords)))):
         raise InternalInconsistencyError("computed wall point is not on the wall")
-    win = ctx.window(delta, chamber)
-    win_p = ctx.window(delta_prime, chamber_p)
     key = (chamber.sign_vector, chamber_p.sign_vector)
     pair = ctx._crossings.get(key)
     if pair is None:
@@ -306,13 +299,8 @@ def wall_crossing(rep: QSRep, delta, delta_prime, ctx: Context,
     return crossing
 
 
-def mu(rep: QSRep, delta, delta_prime, chi, ctx: Context) -> Weight:
-    """The wall-crossing image (chi + beta_F^+)^+ of an outgoing character."""
-    crossing = wall_crossing(rep, delta, delta_prime, ctx)
-    return mu_of_crossing(rep, crossing, chi)
-
-
 def mu_of_crossing(rep: QSRep, crossing: WallCrossing, chi) -> Weight:
+    """The wall-crossing image (chi + beta_F^+)^+ of an outgoing character."""
     chi = tuple(int(x) for x in chi)
     if chi not in set(crossing.outgoing):
         raise InputError(f"{chi} is not in the outgoing part of the window")

@@ -8,7 +8,9 @@ run the named checks of ``qswindows.verify`` and require the rows they rely
 on to be present, so the CLI's ``verify`` and this suite share one copy of
 every invariant.
 """
+import hashlib
 import itertools
+import json
 import time
 from fractions import Fraction
 
@@ -24,6 +26,9 @@ F = Fraction
 
 CORPUS_SEED = 20250810
 CORPUS_COUNTS = {1: 120, 2: 60, 3: 30}
+# sha256 of QSRep.to_json, one sorted-key JSON line per rep, over the corpus,
+# GL(2) and GL(3) 4x(std+dual): the built polytopes and flags, pinned
+TO_JSON_SHA256 = "738607fe27dfb455e196a0393c8c2ef665955544bc0eeada7bfa6db6b0bea280"
 
 
 def report(number, name, passed, extra=""):
@@ -186,3 +191,12 @@ def test_criterion_8_window_polytope_consistency(corpus, gl2):
         except QSWindowsError:
             ok = False
     report(8, "window polytope dominant-slice consistency", ok)
+
+
+def test_to_json_pinned(corpus, gl2):
+    gl3 = QSRep.build(RootDatum.gl(3), [tuple(s if j == i else 0 for j in range(3))
+                                        for _ in range(4) for i in range(3) for s in (1, -1)])
+    digest = hashlib.sha256()
+    for rep in [rep for rep, _, _ in corpus] + [gl2[0], gl3]:
+        digest.update(json.dumps(rep.to_json(), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == TO_JSON_SHA256

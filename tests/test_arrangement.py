@@ -392,5 +392,6 @@ def test_wall_keys_match_fraction_dedupe_between_chambers(wall_key_arrangements,
         except OnWallError:
             return
     with _walls_checked_against_oracle() as calls:
-        arr.walls_between(*chambers)
+        walls = arr.separating_walls(*chambers)
     assert calls
+    assert walls == arr.separating_walls(*(c.sample for c in chambers))

@@ -172,6 +172,22 @@ def test_error_codes(inputs, capsys):
     for command in ("rep", "faces", "verify"):
         code, out, err = run(capsys, command, "--face", "a", "--input", inputs["torus22"])
         assert (code, out, err) == (2, "", "input error: bad integer vector 'a'\n")
+    # integers are digits with an optional minus sign, counts are not negative
+    halves = ("--delta", "1/2", "--delta2", "3/2")
+    for argv in (("complex", *halves, "--chi", "0_0"), ("complex", *halves, "--chi", "+0"),
+                 ("arrangement", "--box", "0_1"), ("arrangement", "--box", "a"),
+                 ("arrangement", "--box", "-1"), ("mutate", *halves, "--steps", "+1"),
+                 ("mutate", *halves, "--steps", "-1"), ("verify", "--seed", "1_0"),
+                 ("rep", "--threads", "+1"), ("rep", "--face", "0_1"),
+                 ("groupoid", "--path", "x(1,+);t(+1)"),
+                 ("cy", "--a", "1,1,1,1,1", "--d", "5", "--twist", "1_0"),
+                 ("cy", "--a", "1,1,1,1,+1", "--d", "5"), ("cy", "--a", "1,1,1,1,1", "--d", "5.0")):
+        code, out, err = run(capsys, *argv, "--input", inputs["torus22"])
+        assert code == 2 and out == "", argv
+        assert err.startswith("input error: bad ") and err.count("\n") == 1, argv
+    for argv in (("arrangement", "--box", " 2 "), ("mutate", *halves, "--steps", "0"),
+                 ("complex", *halves, "--chi", " 0")):
+        assert run(capsys, *argv, "--input", inputs["torus22"])[0] == 0, argv
     # a lattice scan over a huge box is refused before it starts
     code, out, err = run(capsys, "window", "--input", inputs["huge"], "--delta", "1/2")
     assert code == 2 and out == "" and err.count("\n") == 1

@@ -63,7 +63,7 @@ def test_zonotope_intervals():
     z = geometry.zonotope([(1,), (1,), (-1,), (-1,)])
     assert sorted(z.vertices) == [(-2,), (2,)]
     assert z.center == (0,)
-    z = geometry.zonotope([(1,), (-1,)], Fraction(1, 2))
+    z = geometry.zonotope([(1,), (-1,)]).scale(Fraction(1, 2))
     assert sorted(z.vertices) == [(Fraction(-1, 2),), (Fraction(1, 2),)]
     lo, hi = interval_oracle([(1,), (1,), (-1,), (-1,)])
     assert (lo, hi) == (-2, 2)
@@ -88,6 +88,32 @@ def test_zonotope_matches_hull_oracle():
     assert len(z.halfspaces) == 8
 
 
+@st.composite
+def generator_sets(draw):
+    """Integer generators in dims 1-3, as combinations of a random basis of
+    k <= dim vectors, so some sets span a proper subspace; zeros allowed."""
+    dim = draw(st.integers(1, 3))
+    coord = st.integers(-3, 3)
+    basis = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=dim))
+    coeffs = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(basis),
+                                    max_size=len(basis)), min_size=1, max_size=6))
+    return [tuple(sum(c * b[i] for c, b in zip(cs, basis)) for i in range(dim))
+            for cs in coeffs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets())
+def test_zonotope_matches_subset_sum_oracle(gens):
+    """The zonotope is the hull of the 0/1 subset sums: each vertex is one,
+    each one is contained, and the center is half the generator sum."""
+    z = geometry.zonotope(gens)
+    sums = {tuple(sum(c) for c in zip(*combo)) if combo else (0,) * len(gens[0])
+            for k in range(len(gens) + 1) for combo in itertools.combinations(gens, k)}
+    assert set(z.vertices) <= sums
+    assert all(z.contains(s) for s in sums)
+    assert z.center == tuple(Fraction(sum(c), 2) for c in zip(*gens))
+
+
 def test_zonotope_empty_rejected():
     with pytest.raises(InputError):
         geometry.zonotope([])
@@ -107,7 +133,7 @@ def test_faces_unit_square():
 
 
 def test_faces_octagon():
-    z = geometry.zonotope(GL2_WEIGHTS, Fraction(1, 2))
+    z = geometry.zonotope(GL2_WEIGHTS).scale(Fraction(1, 2))
     faces = z.faces()
     assert sum(1 for f in faces if f.codim == 1) == 8
     assert sum(1 for f in faces if f.codim == 2) == 8
@@ -150,7 +176,7 @@ def test_lattice_points_non_integral_point():
 
 
 def test_lattice_points_match_scan_oracle():
-    z = geometry.zonotope(GL2_WEIGHTS, Fraction(1, 2))
+    z = geometry.zonotope(GL2_WEIGHTS).scale(Fraction(1, 2))
     lo, hi = z.bounding_box()
     oracle = [
         p for p in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
@@ -169,7 +195,7 @@ def test_dual_point_and_face():
 
 
 def test_dual_face_involution_octagon():
-    z = geometry.zonotope(GL2_WEIGHTS, Fraction(1, 2))
+    z = geometry.zonotope(GL2_WEIGHTS).scale(Fraction(1, 2))
     for f in z.faces():
         g = z.dual_face(f)
         assert g.codim == f.codim
@@ -188,17 +214,18 @@ def test_translate_and_scale():
     assert sorted(t.vertices) == [(Fraction(-1, 2),), (Fraction(3, 2),)]
     s = z.scale(Fraction(3))
     assert sorted(s.vertices) == [(-3,), (3,)]
-    # scaling the zonotope equals building it with scaled generators, which
+    # scaling the zonotope equals cutting it out with halved offsets, which
     # the window-polytope cross-check relies on for half the zonotope
     for gens in ([(1,), (1,), (-1,)],
                  [(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)],
                  [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
                  GL2_WEIGHTS):
-        half = geometry.zonotope(gens, Fraction(1, 2))
-        scaled = geometry.zonotope(gens).scale(Fraction(1, 2))
+        z = geometry.zonotope(gens)
+        half = geometry.from_halfspaces([HalfSpace(h.normal, h.offset / 2) for h in z.halfspaces])
+        scaled = z.scale(Fraction(1, 2))
         assert scaled.halfspaces == half.halfspaces
         assert sorted(scaled.vertices) == sorted(half.vertices)
-        assert scaled.center == half.center
+        assert scaled.center == linalg.scale(Fraction(1, 2), z.center)
 
 
 def test_face_at_sample_matches_faces(small_corpus):
@@ -290,7 +317,7 @@ def named_cases():
             [(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)],
             [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]]
     cases = [cube(d) for d in (1, 2, 3, 4)] + [cross_polytope(d) for d in (2, 3, 4)]
-    cases += [list(geometry.zonotope(g, Fraction(1, 2)).halfspaces) for g in zono]
+    cases += [list(geometry.zonotope(g).scale(Fraction(1, 2)).halfspaces) for g in zono]
     # a triangle whose (1, 1), (1, -1) elimination ends on the pivot -2
     cases.append([halfspace((1, 1), Fraction(-1, 2)), halfspace((1, -1), Fraction(-1, 3)),
                   halfspace((-1, 0), Fraction(-2, 5))])

@@ -59,6 +59,7 @@ CALLS = {
     "gl3-faces": ("faces", "gl3", "--delta", "1/2,1/2,1/2"),
     "cy-quintic": ("cy", None, "--a", "1,1,1,1,1", "--d", "5", "--twist", "0"),
     "cy-3-3": ("cy", None, "--a", "1,1,1,1,1,1", "--d", "3,3", "--twist", "1"),
+    "verify-bundled": ("verify", None, "--suites", "bundled"),
 }
 
 SVG_CALLS = {

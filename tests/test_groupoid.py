@@ -194,7 +194,7 @@ def _assert_chambers_are_fresh(arr, path):
     for a, here, there in path.located(arr):
         if isinstance(a, Cross):
             assert (here.sample, there.sample) == (a.src, a.dst)
-            assert arr.walls_between(here, there) == arr.separating_walls(a.src, a.dst)
+            assert arr.separating_walls(here, there) == arr.separating_walls(a.src, a.dst)
             assert (groupoid.split_into_hops(arr, a, (here, there))
                     == groupoid.split_into_hops(arr, a))
 

@@ -115,6 +115,8 @@ def test_virtual_class_frozen(torus22, ctx22):
     k = Ker(wall.face.key, (0,), 1)
     assert mutation.atom_class(k, torus22, wall.faces) == {(1,): 2, (0,): -1}
     assert mutation.atom_rank(k, torus22, wall.faces) == 1
+    with pytest.raises(InputError, match="owning face data"):
+        mutation.atom_class(Ker((99,), (0,), 1), torus22, wall.faces)
 
 
 def test_virtual_class_additive(torus33, ctx33):

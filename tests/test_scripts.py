@@ -29,3 +29,15 @@ def test_render_figures(tmp_path):
     out = run_script("render_figures.py", "--out", str(tmp_path))
     assert out == f"wrote 3 figures to {tmp_path}/\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["faces.svg", "wallcross.svg", "window.svg"]
+
+
+def test_code_size(tmp_path):
+    (tmp_path / "m.py").write_text(
+        '"""Module\ndocstring."""\n\n# a comment\nx = 1  # trailing\n\n\n'
+        'def f():\n    """Doc."""\n    return """a\nb"""\n')
+    out = run_script("code_size.py", "--src", str(tmp_path))
+    assert out.splitlines() == ["module            lines   code",
+                                "m.py                 11      4",
+                                "total                11      4"]
+    name, lines, code = run_script("code_size.py").splitlines()[-1].split()
+    assert name == "total" and 0 < int(code) < int(lines)

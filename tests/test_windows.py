@@ -78,12 +78,14 @@ def test_dagger_torus(torus22, ctx22):
 
 
 def test_mu_torus(torus22, ctx22):
-    assert windows.mu(torus22, (F(1, 2),), (F(3, 2),), (0,), ctx22) == (2,)
-    assert windows.mu(torus22, (F(3, 2),), (F(1, 2),), (2,), ctx22) == (0,)
+    forward = windows.wall_crossing(torus22, (F(1, 2),), (F(3, 2),), ctx22)
+    back = windows.wall_crossing(torus22, (F(3, 2),), (F(1, 2),), ctx22)
+    assert windows.mu_of_crossing(torus22, forward, (0,)) == (2,)
+    assert windows.mu_of_crossing(torus22, back, (2,)) == (0,)
     with pytest.raises(InputError):
-        windows.mu(torus22, (F(1, 2),), (F(3, 2),), (1,), ctx22)
+        windows.mu_of_crossing(torus22, forward, (1,))
     with pytest.raises(NotAdjacentError):
-        windows.mu(torus22, (F(1, 2),), (F(5, 2),), (0,), ctx22)
+        windows.wall_crossing(torus22, (F(1, 2),), (F(5, 2),), ctx22)
 
 
 def test_partition_torus(torus22, ctx22):
@@ -379,18 +381,17 @@ def test_located_chambers_match_unlocated_crossing(name):
     assert hops > 100
 
 
-def test_located_chamber_must_map_to_its_point(gl2rep, ctxgl2):
+def test_located_chamber_stands_for_its_point(gl2rep, ctxgl2):
     arr = ctxgl2.arrangement
     delta, delta2 = (F(0), F(0)), (F(1), F(1))
     here, there = (arr.chamber_of(arr.to_coords(d)) for d in (delta, delta2))
-    located = windows.wall_crossing(gl2rep, delta, delta2, ctxgl2, chambers=(here, there))
-    assert located == windows.wall_crossing(gl2rep, delta, delta2, ctxgl2)
-    with pytest.raises(InputError, match="chamber sample"):
-        windows.wall_crossing(gl2rep, delta, delta2, ctxgl2, chambers=(there, here))
-    # same chambers, other points: samples are checked, not just sign vectors
+    plain = windows.wall_crossing(gl2rep, delta, delta2, ctxgl2)
+    assert windows.wall_crossing(gl2rep, here, there, ctxgl2) == plain
+    assert windows.wall_crossing(gl2rep, here, delta2, ctxgl2) == plain
+    assert ctxgl2.window(here) == ctxgl2.window(delta)
+    # a chamber stands for its own sample's point, not for every point in it
     nearby = arr.chamber_of(linalg.add(here.sample, (F(1, 8),)))
     assert nearby == here
-    with pytest.raises(InputError, match="chamber sample"):
-        windows.wall_crossing(gl2rep, delta, delta2, ctxgl2, chambers=(nearby, there))
-    with pytest.raises(InputError, match="chamber sample"):
-        windows.wall_crossing(gl2rep, delta, delta2, ctxgl2, chambers=(here, nearby))
+    moved = windows.wall_crossing(gl2rep, nearby, there, ctxgl2)
+    assert moved.delta == arr.to_ambient(nearby) != delta
+    assert moved.window.chars == plain.window.chars
