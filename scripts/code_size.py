@@ -3,8 +3,7 @@
 lines, and code lines.  A code line holds a token other than a comment and
 lies outside every docstring (the first string statement of a module,
 class or function, found with the AST); blank and comment-only lines do not
-count.  Run from anywhere: ``python scripts/code_size.py [--src DIR]``."""
-import argparse
+count.  Run from anywhere: ``python scripts/code_size.py``."""
 import ast
 import io
 import sys
@@ -37,13 +36,9 @@ def code_lines(source: str) -> int:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--src", type=Path, default=PACKAGE,
-                        help="package directory (default: src/qswindows)")
-    args = parser.parse_args()
     total_lines = total_code = 0
     print(f"{'module':<16} {'lines':>6} {'code':>6}")
-    for path in sorted(args.src.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text()
         n_lines, n_code = len(source.splitlines()), code_lines(source)
         total_lines += n_lines
