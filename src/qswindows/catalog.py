@@ -170,16 +170,16 @@ def adjacent_pairs(ctx: Context, periods: int = 2, per_wall: int = 3,
                 lo = linalg.sub(x, linalg.scale(h, step_vec))
                 hi = linalg.add(x, linalg.scale(h, step_vec))
                 try:
-                    walls = arr.separating_walls(lo, hi)
+                    ends = arr.chamber_of(lo), arr.chamber_of(hi)
                 except OnWallError:
                     h /= 2
                     continue
-                if walls == [wall]:
+                if arr.separating_walls(*ends) == [wall]:
                     break
                 h /= 2
             else:
                 continue
-            key = (arr.chamber_of(lo).sign_vector, arr.chamber_of(hi).sign_vector)
+            key = tuple(c.sign_vector for c in ends)
             if key in seen:
                 continue
             seen.add(key)

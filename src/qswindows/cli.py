@@ -124,7 +124,7 @@ def cmd_wallcross(args) -> int:
     crossing = windows.wall_crossing(rep_obj, delta, delta2, ctx)
     mapping = windows.mu_map(rep_obj, crossing)
     faces = []
-    for key in crossing.face_keys:
+    for key in sorted(crossing.faces):
         fd = crossing.faces[key]
         chars = crossing.chars_by_face[key]
         faces.append({

@@ -81,8 +81,9 @@ def koszul_degree_term(rep: QSRep, fd: FaceData, chi, m: int) -> Counter:
 
 def top_degree(rep: QSRep, fd: FaceData) -> int:
     """d_F^+ + l(w0): the degree of the far endpoint of a face complex, and
-    one more than the exchange count of the face."""
-    return fd.d_plus + rep.root_datum.length(rep.root_datum.w0)
+    one more than the exchange count of the face.  w0 negates every
+    positive root, so l(w0) is their number."""
+    return fd.d_plus + len(rep.root_datum.positive_roots)
 
 
 def complex_terms(rep: QSRep, fd: FaceData, chi) -> ComplexTerms:

@@ -42,6 +42,8 @@ from .linalg import IntVec, Vec, _bareiss, _numerators
 
 # the most integer points a lattice scan's bounding box may hold
 LATTICE_SCAN_LIMIT = 10 ** 6
+# the most subsets one subset enumeration may try
+SUBSET_LIMIT = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -237,9 +239,6 @@ class Polytope:
             raise InputError("polytope has no center")
         return linalg.sub(linalg.scale(2, self.center), linalg.vec(a))
 
-    def dual_face(self, face: Face) -> Face:
-        return self.face_at(self.dual_point(face.sample))
-
     def to_json(self) -> dict:
         return {
             "halfspaces": [
@@ -248,6 +247,16 @@ class Polytope:
             ],
             "vertices": sorted([str(Fraction(x)) for x in v] for v in self.vertices),
         }
+
+
+def _subsets(items, k):
+    """The k-subsets of the items, refused before the first when there are
+    more than ``SUBSET_LIMIT`` of them."""
+    count = math.comb(len(items), k)
+    if count > SUBSET_LIMIT:
+        raise UnsupportedDimensionError(
+            f"enumeration of {count} subsets exceeds the limit {SUBSET_LIMIT}")
+    return itertools.combinations(items, k)
 
 
 def _scaled(halfspaces, vertices) -> tuple[IntVec, list[IntVec]]:
@@ -278,7 +287,7 @@ def _vertex_enumeration(halfspaces, dim) -> list[Vec]:
         offsets.setdefault(key, set()).add(off if key == tuple(nrm) else -off)
     unit = linalg.identity_matrix(dim)
     found: dict[tuple, tuple] = {}
-    for combo in itertools.combinations(sorted(offsets), dim):
+    for combo in _subsets(sorted(offsets), dim):
         pivots, m = _bareiss([list(n) + list(e) for n, e in zip(combo, unit)], dim)
         if len(pivots) < dim:
             continue
@@ -408,7 +417,7 @@ def _in_cone(target, gens) -> bool:
     subsets of at most ``len(target)`` vectors.
     """
     for size in range(1, min(len(gens), len(target)) + 1):
-        for sub in itertools.combinations(gens, size):
+        for sub in _subsets(gens, size):
             rows = [[g[i] for g in sub] + [t] for i, t in enumerate(target)]
             pivots, m = _bareiss(rows, size)
             if len(pivots) < size or any(row[size] for row in m[size:]):
@@ -435,7 +444,7 @@ def _ridges(facet, pts) -> set[frozenset[int]]:
         return set()
     coords = {i: tuple(linalg.dot(b, diff) for b in basis) for i, diff in diffs.items()}
     ridges: set[frozenset[int]] = set()
-    for combo in itertools.combinations(idx, d):
+    for combo in _subsets(idx, d):
         if any(set(combo) <= r for r in ridges):
             continue
         base = coords[combo[0]]
@@ -488,7 +497,7 @@ def zonotope(generators) -> Polytope:
         return Polytope(dim=dim, halfspaces=tuple(hs), vertices=(center,), center=center)
     span_cuts = _complement_rows(nonzero)
     normals = set()
-    for combo in itertools.combinations(nonzero, dim - len(span_cuts) - 1):
+    for combo in _subsets(nonzero, dim - len(span_cuts) - 1):
         rows = [*combo, *span_cuts]
         # no rows at all only for a spanning set in dimension one
         kernel = linalg.kernel_basis(rows) if rows else [(Fraction(1),)]

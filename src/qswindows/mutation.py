@@ -75,9 +75,6 @@ class ModuleSpec:
     def of_window(cls, chars) -> "ModuleSpec":
         return cls.from_counter(Counter(Cov(tuple(c)) for c in chars))
 
-    def support(self) -> set[Atom]:
-        return {a for a, _ in self.atoms}
-
     def to_json(self) -> dict:
         out = []
         for atom, mult in self.atoms:

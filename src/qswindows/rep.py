@@ -6,14 +6,13 @@ downstream refers to positions in ``weights``.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from . import geometry, linalg
 from .errors import InputError, InternalInconsistencyError
-from .geometry import HalfSpace, Polytope
+from .geometry import HalfSpace, Polytope, _subsets
 from .linalg import IntVec
 from .root_data import RootDatum, Weight, int_rows
 
@@ -155,7 +154,7 @@ def slab_candidates(root_datum: RootDatum, weights) -> list[IntVec]:
     # the rows P v scaled by the pairing's positive denominator: integer
     # rows with the same kernel, which is a line exactly when they are
     # independent
-    for combo in itertools.combinations(vectors, n - 1):
+    for combo in _subsets(vectors, n - 1):
         kernel = linalg.kernel_basis([root_datum._paired(v)[0] for v in combo])
         if len(kernel) != 1:
             continue

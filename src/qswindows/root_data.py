@@ -1,33 +1,37 @@
-"""Root data: weight lattice, roots, Weyl group, and the dotted action.
+"""Root data: weight lattice, roots, Weyl group, and dominant representatives.
 
 A root datum is given explicitly by a W-invariant pairing matrix, the root
-set, and the simple reflections; the Weyl group is enumerated from the
-generators (desk scale, hard cap on the group order).  Builtin constructors
-cover tori and GL(n).
+set, and the simple reflections; builtin constructors cover tori and GL(n).
+W is never listed.  Each simple reflection negates its simple root and
+permutes the other positive roots (checked on input), so reflecting in a
+simple root negative on a vector leaves one positive root fewer negative on
+it, and that descent reaches the open dominant cone in l(w) steps, l(w) the
+number of positive roots negative at the start (Humphreys, *Reflection
+Groups and Coxeter Groups*, 1.6-1.8).  It gives dominant representatives
+with their lengths, and w0 as the product of the steps from -2rho.
 
-The dominance tests and the dotted action run over the integers.  Each
-positive root's paired column P a is scaled once, by a positive integer, to
-an integer vector c_a, so <x, a> = <x, P a> has the sign of x . c_a.  A
+The dominance tests and the descent run over the integers.  Each positive
+root's paired column P a is scaled once, by a positive integer, to an
+integer vector c_a, so <x, a> = <x, P a> has the sign of x . c_a.  A
 weight chi = x/d (integer numerators over a positive denominator) enters as
 the integer vector u = 2d(chi + rho) = 2x + d * 2rho, which has the signs of
-rho + chi against every c_a; the Weyl matrices act on u, and the dotted
-image w(rho + chi) - rho is (w u - d * 2rho) / 2d, a weight exactly when
-every entry divides.  A torus has no roots, so W is trivial and rho = 0:
-its dominant representative is chi itself once chi is checked to be a
-lattice weight.
+rho + chi against every c_a; the simple reflections act on u, and the
+dotted image w(rho + chi) - rho is (w u - d * 2rho) / 2d, a weight exactly
+when every entry divides.  A torus has no roots, so W is trivial and
+rho = 0: its dominant representative is chi itself once chi is checked to
+be a lattice weight.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from . import linalg
 from .errors import InputError, _fmt
 from .linalg import IntVec, Vec, _numerators
-
-WEYL_SIZE_CAP = 10_000
 
 Weight = IntVec
 WeylMatrix = tuple[IntVec, ...]
@@ -50,7 +54,6 @@ SINGULAR = _Singular()
 class DominantRep:
     """Outcome of moving rho+chi into the open dominant cone."""
 
-    w: WeylMatrix
     weight: Weight
     length: int
 
@@ -62,9 +65,6 @@ class RootDatum:
     roots: tuple[Weight, ...]
     positive_roots: tuple[Weight, ...]
     simple_reflections: tuple[WeylMatrix, ...]
-    weyl_elements: tuple[WeylMatrix, ...]
-    lengths: dict
-    w0: WeylMatrix
     two_rho: Weight
     invariant_basis: tuple[Weight, ...]
     # the pairing P as integer rows Q over one positive denominator q, P = Q/q
@@ -106,30 +106,29 @@ class RootDatum:
         return cls.from_data(n, linalg.identity_matrix(n), roots, simples)
 
     @classmethod
-    def from_data(cls, rank, pairing, roots, simple_reflections, positive_roots=None,
-                  size_cap: int = WEYL_SIZE_CAP) -> "RootDatum":
+    def from_data(cls, rank, pairing, roots, simple_reflections,
+                  positive_roots=None) -> "RootDatum":
         pairing = tuple(tuple(Fraction(x) for x in row) for row in pairing)
         if len(pairing) != rank or any(len(row) != rank for row in pairing):
             raise InputError(f"pairing must be a {rank} x {rank} matrix")
         roots = tuple(sorted({tuple(int(x) for x in r) for r in roots}))
         simples = tuple(tuple(tuple(int(x) for x in row) for row in s) for s in simple_reflections)
-        elements, lengths = _enumerate_weyl(rank, simples, size_cap)
-        w0 = max(elements, key=lambda w: (lengths[w], w))
-        if positive_roots is None:
+        positive = (None if positive_roots is None
+                    else tuple(sorted({tuple(int(x) for x in r) for r in positive_roots})))
+        rows = (row for s in simples for row in s)
+        if any(len(x) != rank for x in (*roots, *(positive or ()), *simples, *rows)):
+            raise InputError(f"roots and the rows of simple reflections need {rank} entries, "
+                             f"and simple reflections {rank} rows")
+        if positive is None:
             positive = _derive_positive_roots(rank, roots, simples)
-        else:
-            positive = tuple(sorted({tuple(int(x) for x in r) for r in positive_roots}))
         two_rho = tuple(sum(col) for col in zip(*positive)) if positive else (0,) * rank
-        inv = _invariant_lattice_basis(rank, elements)
+        inv = _invariant_lattice_basis(rank, simples)
         datum = cls(
             rank=rank,
             pairing=pairing,
             roots=roots,
             positive_roots=positive,
             simple_reflections=simples,
-            weyl_elements=elements,
-            lengths=lengths,
-            w0=w0,
             two_rho=two_rho,
             invariant_basis=inv,
         )
@@ -172,14 +171,17 @@ class RootDatum:
         for s in self.simple_reflections:
             if {self.apply(s, r) for r in root_set} != root_set:
                 raise InputError("a simple reflection does not permute the roots")
+            # what the descent relies on: one positive root negated, the rest permuted
+            negated = _negated(s, pos)
+            if len(negated) != 1:
+                raise InputError(f"a simple reflection negates {len(negated)} positive roots, not 1")
+            rest = pos - set(negated)
+            if {self.apply(s, r) for r in rest} != rest:
+                raise InputError("a simple reflection does not permute the other positive roots")
             for x in basis:
                 for y in basis:
                     if self.pair(self.apply(s, x), self.apply(s, y)) != self.pair(x, y):
                         raise InputError("pairing is not Weyl invariant")
-        if self.lengths[linalg.identity_matrix(n)] != 0:
-            raise InputError("identity length must be 0")
-        if linalg.mat_mul(self.w0, self.w0) != linalg.identity_matrix(n):
-            raise InputError("longest element is not an involution")
         # wall points are W-invariant, so moving by one must keep dominance
         for v in self.invariant_basis:
             for a in self.roots:
@@ -187,6 +189,11 @@ class RootDatum:
                 if value:
                     raise InputError(f"root {_fmt(a)} pairs to {value} with the W-invariant "
                                      f"vector {_fmt(v)}, not to 0")
+        # -2rho must descend through every positive root for w0 to be longest
+        if any(sum(map(mul, self.two_rho, c)) <= 0 for c in self._columns):
+            raise InputError("2rho does not pair positively with every positive root")
+        if linalg.mat_mul(self.w0, self.w0) != basis:
+            raise InputError("longest element is not an involution")
 
     # -- basic operations --------------------------------------------------
 
@@ -209,9 +216,6 @@ class RootDatum:
     def rho(self) -> Vec:
         return tuple(Fraction(x, 2) for x in self.two_rho)
 
-    def length(self, w: WeylMatrix) -> int:
-        return self.lengths[w]
-
     def _doubled(self, chi) -> tuple[IntVec, int]:
         """2d(chi + rho) as an integer vector, with d the denominator of chi."""
         nums, den = _numerators(chi)
@@ -228,28 +232,51 @@ class RootDatum:
             out.append(q)
         return tuple(out)
 
-    def dotted(self, w: WeylMatrix, chi) -> Weight:
-        """w * chi = w(rho + chi) - rho; lands back in the weight lattice."""
-        u, den = self._doubled(chi)
-        return self._undoubled(self.apply(w, u), den)
+    @cached_property
+    def _simple_columns(self) -> tuple[IntVec, ...]:
+        """Per simple reflection, the paired column Q a of the one positive
+        root a it negates (``_validate`` checks there is exactly one)."""
+        return tuple(self._paired(_negated(s, self.positive_roots)[0])[0]
+                     for s in self.simple_reflections)
+
+    def _descent(self, u, length: int) -> tuple[IntVec, list[WeylMatrix]]:
+        """u carried into the open dominant cone, with the simple reflections
+        applied, in order; ``length`` is the number of positive roots
+        negative on u, and none may be orthogonal to it."""
+        steps = []
+        for _ in range(length):
+            s = next((s for s, c in zip(self.simple_reflections, self._simple_columns)
+                      if sum(map(mul, u, c)) < 0), None)
+            if s is None:
+                raise InputError("no simple root is negative on a weight outside the dominant cone")
+            u = self.apply(s, u)
+            steps.append(s)
+        return u, steps
+
+    @cached_property
+    def w0(self) -> WeylMatrix:
+        """The longest element: the product of the simple reflections that
+        carry -2rho, negative on every positive root, into the dominant cone."""
+        w = linalg.identity_matrix(self.rank)
+        for s in self._descent(linalg.neg(self.two_rho), len(self.positive_roots))[1]:
+            w = linalg.mat_mul(s, w)
+        return w
 
     def dominant_representative(self, chi):
-        """Unique (w, chi+, l(w)) with w(rho+chi) strictly dominant, or SINGULAR.
+        """The dominant chi+ = w(rho+chi) - rho with the length l(w) of the w
+        that makes w(rho+chi) strictly dominant, or SINGULAR.
 
         rho+chi is singular exactly when it pairs to zero with some root,
         i.e. when a reflection fixes it.
         """
         if self.is_torus:
-            return DominantRep(w=self.weyl_elements[0], weight=_lattice_weight(chi), length=0)
+            return DominantRep(weight=_lattice_weight(chi), length=0)
         u, den = self._doubled(chi)
-        columns = self._columns
-        if any(sum(map(mul, u, c)) == 0 for c in columns):
+        values = [sum(map(mul, u, c)) for c in self._columns]
+        if not all(values):
             return SINGULAR
-        for w in self.weyl_elements:
-            wu = self.apply(w, u)
-            if all(sum(map(mul, wu, c)) > 0 for c in columns):
-                return DominantRep(w=w, weight=self._undoubled(wu, den), length=self.lengths[w])
-        raise InputError("no Weyl element moves the weight into the dominant cone")
+        length = sum(v < 0 for v in values)
+        return DominantRep(weight=self._undoubled(self._descent(u, length)[0], den), length=length)
 
     @property
     def is_torus(self) -> bool:
@@ -262,23 +289,9 @@ def _lattice_weight(chi) -> Weight:
     return tuple(int(x) for x in chi)
 
 
-def _enumerate_weyl(rank, simples, size_cap=WEYL_SIZE_CAP):
-    identity = linalg.identity_matrix(rank)
-    lengths = {identity: 0}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in simples:
-                ws = linalg.mat_mul(s, w)
-                if ws not in lengths:
-                    lengths[ws] = lengths[w] + 1
-                    nxt.append(ws)
-        frontier = nxt
-        if len(lengths) > size_cap:
-            raise InputError(f"Weyl group exceeds the size cap {size_cap}")
-    elements = tuple(sorted(lengths, key=lambda w: (lengths[w], w)))
-    return elements, lengths
+def _negated(s: WeylMatrix, roots) -> list[Weight]:
+    """The roots that the reflection s sends to their negatives, sorted."""
+    return sorted(r for r in roots if linalg.mat_vec(s, r) == linalg.neg(r))
 
 
 def _derive_positive_roots(rank, roots, simples):
@@ -293,7 +306,7 @@ def _derive_positive_roots(rank, roots, simples):
         raise InputError("nonempty root set needs simple reflections")
     simple_roots = []
     for s in simples:
-        negated = sorted(r for r in roots if linalg.mat_vec(s, r) == linalg.neg(r))
+        negated = _negated(s, roots)
         if not negated:
             raise InputError("a simple reflection negates no root")
         simple_roots.append(negated[-1])
@@ -309,15 +322,12 @@ def _derive_positive_roots(rank, roots, simples):
     return tuple(sorted(positive))
 
 
-def _invariant_lattice_basis(rank, elements):
-    """Z-basis of the fixed sublattice of all Weyl elements."""
-    rows = []
+def _invariant_lattice_basis(rank, simples):
+    """Z-basis of the sublattice every simple reflection fixes, which is
+    the sublattice W fixes, as they generate it."""
     identity = linalg.identity_matrix(rank)
-    for w in elements:
-        if w == identity:
-            continue
-        for r in range(rank):
-            rows.append(tuple(w[r][c] - identity[r][c] for c in range(rank)))
+    rows = [tuple(s[r][c] - identity[r][c] for c in range(rank))
+            for s in simples for r in range(rank)]
     if not rows:
         return tuple(identity)
     basis = linalg.integer_kernel_basis(rows)

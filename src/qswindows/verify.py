@@ -80,7 +80,9 @@ def check_rep_invariants(name: str, rep: QSRep, ctx: Context) -> list[CheckResul
     nudged = tuple(c + Fraction(1, 64) for c in sample)
     if arr.on_wall(nudged) or arr.chamber_of(nudged) != arr.chamber_of(sample):
         nudged = sample
-    if ctx.window(arr.to_ambient(nudged)).chars != win.chars:
+    # a fresh Context, so that the nudged window is worked out, not read
+    # back from the cache of the sample's chamber
+    if Context(rep, arr).window(arr.to_ambient(nudged)).chars != win.chars:
         ok = False
     shift_coords = tuple(1 for _ in range(arr.dim))
     shifted = ctx.window(arr.to_ambient(linalg.add(sample, shift_coords)))

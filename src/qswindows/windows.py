@@ -16,21 +16,22 @@ Conventions fixed here:
     lattice (``RootDatum`` rejects any other input).
 
 Chamber-level and per-call data.  A window depends only on the chamber of
-delta, and a crossing's characters, faces and mu map depend only on the
-ordered pair of chambers, so ``Context`` stores window characters once per
-chamber sign vector and crossing data once per ordered pair of sign vectors
-(exact chambers, not classes mod the lattice).  The first crossing of a
-pair runs every construction and check at its own wall point.  Every later
-crossing of the pair still has both endpoints located, off-wall and
-adjacent, its wall point on the wall and its direction pairing positively
-with the inward normals; it then reuses the pair's outgoing characters and
-faces as they are, with its own delta, delta', delta_0 and windows.  An
-endpoint is an off-wall ambient point or the chamber that holds it, and
-either stands for the other: a point is located by ``to_coords`` and
-``chamber_of``, and a chamber's sample, its invariant coordinates, gives
-the point under ``to_ambient`` once per call, which ``Window.delta`` then
-carries.  The groupoid's hop loop locates each cut point of an arrow once
-and passes chambers.
+delta, and a crossing's wall, characters, faces and mu map depend only on
+the ordered pair of chambers, so ``Context`` stores window characters once
+per chamber sign vector and crossing data once per ordered pair of sign
+vectors (exact chambers, not classes mod the lattice).  The first crossing
+of a pair checks that the chambers are adjacent, which depends only on
+their sign vectors, and runs every construction and check at its own wall
+point.  Every later crossing of the pair still has both endpoints located
+and off-wall, its wall point on the stored wall and its direction pairing
+positively with the inward normals; it then reuses the pair's wall,
+characters and faces as they are, with its own delta, delta', delta_0 and
+windows.  An endpoint is an off-wall ambient point or the chamber that
+holds it, and either stands for the other: a point is located by
+``to_coords`` and ``chamber_of``, and a chamber's sample, its invariant
+coordinates, gives the point under ``to_ambient`` once per call, which
+``Window.delta`` then carries.  The groupoid's hop loop locates each cut
+point of an arrow once and passes chambers.
 
 Why that is exact: both wall points lie on the wall the two chambers share
 and on no other wall, so they are joined inside the common facet of the two
@@ -212,10 +213,6 @@ class WallCrossing:
     pair: _PairCrossing = field(compare=False, repr=False)
 
     @property
-    def face_keys(self) -> list:
-        return sorted(self.faces)
-
-    @property
     def oriented(self) -> bool:
         """Whether the direction delta -> delta' pairs positively with every
         inward normal of every wall face."""
@@ -232,14 +229,19 @@ class WallCrossing:
 
 
 class _PairCrossing:
-    """The chamber-pair part of a crossing: the outgoing characters, their
-    wall faces with the characters on each, and the mu images once mu_map
-    has asked for them."""
+    """The chamber-pair part of a crossing: the wall the two chambers share,
+    the common and outgoing characters, the outgoing characters' wall faces
+    with the characters on each, and the mu images once mu_map has asked
+    for them."""
 
-    __slots__ = ("outgoing", "faces", "chars_by_face", "mu_images")
+    __slots__ = ("wall", "common", "outgoing", "faces", "chars_by_face", "mu_images")
 
-    def __init__(self, rep: QSRep, ctx: Context, win: Window, win_p: Window, delta0: Vec):
-        self.outgoing = tuple(sorted(set(win.chars) - set(win_p.chars)))
+    def __init__(self, rep: QSRep, ctx: Context, wall: Wall, win: Window, win_p: Window,
+                 delta0: Vec):
+        self.wall = wall
+        outgoing = set(win.chars) - set(win_p.chars)
+        self.outgoing = tuple(sorted(outgoing))
+        self.common = tuple(c for c in win.chars if c not in outgoing)
         self.faces: dict = {}
         chars_by_face: dict = {}
         shift = linalg.sub(rep.root_datum.rho, delta0)
@@ -256,24 +258,16 @@ class _PairCrossing:
         self.chars_by_face = {key: tuple(sorted(chars)) for key, chars in chars_by_face.items()}
         self.mu_images: tuple | None = None
 
-    def at(self, delta, delta_prime, delta0, wall, win, win_p) -> WallCrossing:
-        """The crossing of this chamber pair along the segment delta -> delta'."""
-        outgoing = set(self.outgoing)
-        return WallCrossing(
-            delta=delta, delta_prime=delta_prime, delta0=delta0, wall=wall,
-            window=win, window_prime=win_p,
-            common=tuple(c for c in win.chars if c not in outgoing),
-            faces=dict(self.faces), chars_by_face=dict(self.chars_by_face),
-            outgoing=self.outgoing, pair=self,
-        )
-
 
 def wall_crossing(rep: QSRep, delta, delta_prime, ctx: Context) -> WallCrossing:
     """The crossing from delta to delta', each an off-wall ambient point or
     its chamber."""
     arr = ctx.arrangement
     chamber, chamber_p = _located(arr, delta), _located(arr, delta_prime)
-    wall = arr.require_adjacent(chamber, chamber_p)
+    key = (chamber.sign_vector, chamber_p.sign_vector)
+    pair = ctx._crossings.get(key)
+    # adjacency depends only on the two sign vectors: checked once per pair
+    wall = arr.require_adjacent(chamber, chamber_p) if pair is None else pair.wall
     # each window holds its ambient point, worked out once
     win, win_p = ctx.window(chamber), ctx.window(chamber_p)
     delta, delta_prime = win.delta, win_p.delta
@@ -284,11 +278,13 @@ def wall_crossing(rep: QSRep, delta, delta_prime, ctx: Context) -> WallCrossing:
     delta0 = linalg.add(delta, linalg.scale(t, linalg.sub(delta_prime, delta)))
     if not arr.on_wall(linalg.add(coords, linalg.scale(t, linalg.sub(coords_p, coords)))):
         raise InternalInconsistencyError("computed wall point is not on the wall")
-    key = (chamber.sign_vector, chamber_p.sign_vector)
-    pair = ctx._crossings.get(key)
     if pair is None:
-        pair = ctx._crossings[key] = _PairCrossing(rep, ctx, win, win_p, delta0)
-    crossing = pair.at(delta, delta_prime, delta0, wall, win, win_p)
+        pair = ctx._crossings[key] = _PairCrossing(rep, ctx, wall, win, win_p, delta0)
+    crossing = WallCrossing(
+        delta=delta, delta_prime=delta_prime, delta0=delta0, wall=wall,
+        window=win, window_prime=win_p, common=pair.common, faces=pair.faces,
+        chars_by_face=pair.chars_by_face, outgoing=pair.outgoing, pair=pair,
+    )
     # wall faces carry a dominance flag but are not required to be dominant
     # here: faces of large nonabelian representations can cross Weyl walls
     # even though the crossing bijection still lands correctly (the

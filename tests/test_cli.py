@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -20,6 +21,18 @@ ROOT_OFF_INVARIANTS = dict(TORUS22, assert_generic=True, root_datum={
 # a rank-one torus whose window box holds 10^30 lattice points
 HUGE = {"root_datum": {"builtin": "torus", "rank": 1},
         "weights": [[10 ** 30], [-10 ** 30]]}
+# GL(8) on std + dual: the zonotope is the 8-cube, and the ridges of one of
+# its facets would take C(128, 7) vertex subsets
+GL8 = {"root_datum": {"builtin": "gl", "n": 8},
+       "weights": [[s * (j == i) for j in range(8)] for i in range(8) for s in (1, -1)]}
+# GL(3) roots with "positive" roots e1-e2, e2-e3, e3-e1: they split the root
+# set, but the swap of 1 and 2 sends e2-e3 to e1-e3, which is negative
+GL3_CYCLIC = {"root_datum": {
+    "rank": 3, "pairing": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    "roots": [[1, -1, 0], [-1, 1, 0], [0, 1, -1], [0, -1, 1], [-1, 0, 1], [1, 0, -1]],
+    "positive_roots": [[1, -1, 0], [0, 1, -1], [-1, 0, 1]],
+    "simple_reflections": [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1], [0, 1, 0]]]},
+    "weights": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]]}
 RANK3 = {"root_datum": {"builtin": "torus", "rank": 3},
          "weights": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
                      [0, 0, 1], [0, 0, -1], [1, 1, 1], [-1, -1, -1]]}
@@ -32,7 +45,8 @@ def inputs(tmp_path):
                           ("float_weights", FLOAT_WEIGHTS), ("string_weights", STRING_WEIGHTS),
                           ("list_document", [TORUS22]), ("string_flag", STRING_FLAG),
                           ("float_pairing", FLOAT_PAIRING),
-                          ("root_off_invariants", ROOT_OFF_INVARIANTS), ("huge", HUGE)):
+                          ("root_off_invariants", ROOT_OFF_INVARIANTS), ("huge", HUGE),
+                          ("gl8", GL8), ("gl3_cyclic", GL3_CYCLIC)):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(payload))
         paths[name] = str(p)
@@ -192,6 +206,16 @@ def test_error_codes(inputs, capsys):
     code, out, err = run(capsys, "window", "--input", inputs["huge"], "--delta", "1/2")
     assert code == 2 and out == "" and err.count("\n") == 1
     assert "lattice scan of a box of 1000000000000000000000000000000 points" in err
+    # so is a subset enumeration beyond the subset limit, well within 10 s
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rep", "--input", inputs["gl8"])
+    assert time.perf_counter() - start < 10
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("unsupported: enumeration of 94525795200 subsets exceeds the limit")
+    # simple reflections must permute the positive roots other than their own
+    code, out, err = run(capsys, "rep", "--input", inputs["gl3_cyclic"])
+    assert (code, out, err) == (2, "", "input error: a simple reflection does not permute "
+                                "the other positive roots\n")
     # the input suite without --input is an input error, not a FAIL row
     code, out, err = run(capsys, "verify", "--suites", "input")
     assert code == 2 and out == ""

@@ -61,7 +61,7 @@ def test_gl2_edge_complex_frozen(gl2rep, ctxgl2):
 
 def test_endpoint_invariants(gl2rep, ctxgl2):
     crossing = windows.wall_crossing(gl2rep, (F(0), F(0)), (F(1), F(1)), ctxgl2)
-    top_len = gl2rep.root_datum.length(gl2rep.root_datum.w0)
+    top_len = len(gl2rep.root_datum.positive_roots)
     for key, fd in crossing.faces.items():
         for chi in crossing.chars_by_face[key]:
             ct = complexes.complex_terms(gl2rep, fd, chi)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qswindows import geometry, linalg
-from qswindows.errors import InputError, InternalInconsistencyError
+from qswindows.errors import InputError, InternalInconsistencyError, UnsupportedDimensionError
 from qswindows.geometry import HalfSpace, Polytope
 from test_linalg import frac_rref, frac_solve
 
@@ -185,21 +185,33 @@ def test_lattice_points_match_scan_oracle():
     assert z.lattice_points() == sorted(oracle)
 
 
+def test_subset_limit_refuses_before_enumerating():
+    # one facet of the 8-cube has 128 vertices, and its ridges would take
+    # C(128, 7) vertex subsets
+    with pytest.raises(UnsupportedDimensionError,
+                       match="enumeration of 94525795200 subsets exceeds the limit"):
+        geometry.zonotope(linalg.identity_matrix(8))
+    # the count is read before anything is enumerated, up to the limit itself
+    assert next(geometry._subsets(range(geometry.SUBSET_LIMIT), 1)) == (0,)
+    with pytest.raises(UnsupportedDimensionError, match=f"{geometry.SUBSET_LIMIT + 1} subsets"):
+        geometry._subsets(range(geometry.SUBSET_LIMIT + 1), 1)
+
+
 def test_dual_point_and_face():
     box = geometry.zonotope([(1,), (1,)])
     assert box.dual_point((0,)) == (2,)
     f0 = box.face_at((Fraction(0),))
-    f2 = box.dual_face(f0)
+    f2 = box.face_at(box.dual_point(f0.sample))
     assert f2.sample == (2,)
-    assert box.dual_face(f2).facet_indices == f0.facet_indices
+    assert box.face_at(box.dual_point(f2.sample)).facet_indices == f0.facet_indices
 
 
 def test_dual_face_involution_octagon():
     z = geometry.zonotope(GL2_WEIGHTS).scale(Fraction(1, 2))
     for f in z.faces():
-        g = z.dual_face(f)
+        g = z.face_at(z.dual_point(f.sample))
         assert g.codim == f.codim
-        assert z.dual_face(g).facet_indices == f.facet_indices
+        assert z.face_at(z.dual_point(g.sample)).facet_indices == f.facet_indices
 
 
 def test_h_v_cross_validation():

@@ -94,7 +94,7 @@ def test_complex_support_bound_still_holds(gl3rep, ctx3):
     crossing = windows.wall_crossing(
         gl3rep, arr.to_ambient((F(1, 4),)), arr.to_ambient((F(5, 4),)), ctx3)
     (fd,) = crossing.faces.values()
-    top_len = gl3rep.root_datum.length(gl3rep.root_datum.w0)
+    top_len = len(gl3rep.root_datum.positive_roots)
     assert top_len == 3
     ct = complexes.complex_terms(gl3rep, fd, (0, 0, 0))
     assert ct.terms[0] == Counter({(0, 0, 0): 1})

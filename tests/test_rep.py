@@ -8,6 +8,7 @@ from qswindows import catalog, geometry, linalg, rep
 from qswindows.errors import InputError, InternalInconsistencyError
 from qswindows.rep import QSRep, Ternary
 from qswindows.root_data import RootDatum
+from test_root_data import weyl_lengths
 
 GL2_NABLA_VERTICES = {
     (Fraction(5, 2), Fraction(5, 2)), (Fraction(5, 2), Fraction(1, 2)),
@@ -55,7 +56,7 @@ def test_gl2_dominant_slice_identity(gl2rep):
     shifted = gl2rep.sigma.scale(Fraction(1, 2)).translate(linalg.neg(datum.rho))
     slice_sigma = geometry.intersect(shifted, cone)
     assert geometry.polytopes_equal(slice_nabla, slice_sigma)
-    for w in datum.weyl_elements:
+    for w in weyl_lengths(datum):
         for v in gl2rep.nabla.vertices:
             assert gl2rep.nabla.contains(datum.apply(w, v))
 
@@ -64,7 +65,7 @@ def _all_elements_invariant(datum, poly) -> bool:
     """The oracle of the generator-only checks: every Weyl element maps
     every vertex into the polytope."""
     return all(poly.contains(datum.apply(w, v))
-               for w in datum.weyl_elements for v in poly.vertices)
+               for w in weyl_lengths(datum) for v in poly.vertices)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -1,6 +1,7 @@
 import dataclasses
 
-from qswindows import verify
+from qswindows import linalg, verify
+from qswindows.windows import Context
 
 
 def test_bundled_suite_all_pass():
@@ -41,3 +42,26 @@ def test_cross_check_row_reads_the_stored_nabla(torus22, ctx22, gl2rep, ctxgl2):
         doubled = dataclasses.replace(rep, nabla=rep.nabla.scale(2))
         row = cross_check(doubled, ctx)
         assert not row.passed and "dominant slice" in row.detail
+
+
+def test_window_row_works_the_nudged_window_out_afresh(torus22, gl2rep):
+    """Wrong windows stored for the sample's chamber and for its lattice
+    shift, consistent with each other, pass the shift half of
+    window-chamber-and-shift; the chamber half must still FAIL, because it
+    reads the nudged point's window from a fresh Context."""
+    def window_row(rep, ctx):
+        rows = verify.check_rep_invariants("r", rep, ctx)
+        return next(r for r in rows if r.name == "window-chamber-and-shift")
+
+    for rep in (torus22, gl2rep):
+        ctx = Context(rep)
+        assert window_row(rep, ctx).passed
+        arr = ctx.arrangement
+        sample = verify._off_wall_point(arr)
+        shift = (1,) * arr.dim
+        m = tuple(int(x) for x in arr.to_ambient(shift))
+        poisoned = ctx.window(arr.to_ambient(sample)).chars[1:]
+        for coords, move in ((sample, (0,) * rep.rank), (linalg.add(sample, shift), m)):
+            key = arr.chamber_of(coords).sign_vector
+            ctx._windows[key] = tuple(sorted(tuple(linalg.add(c, move)) for c in poisoned))
+        assert not window_row(rep, ctx).passed

@@ -9,6 +9,7 @@ from qswindows import catalog, groupoid, linalg, verify, windows
 from qswindows.errors import InputError, NotAdjacentError, OnWallError
 from qswindows.rep import QSRep
 from qswindows.root_data import RootDatum
+from test_root_data import weyl_lengths
 
 F = Fraction
 
@@ -162,7 +163,7 @@ def test_face_data_weyl_equivariance(gl2rep, ctxgl2):
     poly = ctxgl2.half_sigma
     for face in poly.faces():
         fd = windows.face_data_from_face(gl2rep, poly, face)
-        for w in datum.weyl_elements:
+        for w in weyl_lengths(datum):
             image_sample = datum.apply(w, face.sample)
             image_face = poly.face_at(image_sample)
             imaged = windows.face_data_from_face(gl2rep, poly, image_face)
