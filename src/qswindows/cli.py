@@ -238,7 +238,7 @@ def _parse_path_dsl(arr, text: str | None, start: str | None):
         if kind == "x":
             off_text, sign_text = [p.strip() for p in body.split(",")]
             offset = _parse_fraction(off_text)
-            if (offset - family.base_offset) % family.offset_step != 0:
+            if not arr.on_wall((offset,)):
                 raise InputError(f"{offset} is not a wall of this arrangement")
             direction = {"+": 1, "-": -1}.get(sign_text)
             if direction is None:

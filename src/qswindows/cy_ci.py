@@ -86,10 +86,9 @@ def _wall_offset(g1: QSRep) -> Fraction:
 def crossing_data(model: CYModel, wall, ctx: Context) -> tuple[int, int]:
     """(d^+ of the upward face, d^+ of its dual) at a given wall point."""
     wall = Fraction(wall)
-    fam = ctx.arrangement.families[0]
-    if (wall - fam.base_offset) % fam.offset_step != 0:
+    if not ctx.arrangement.on_wall((wall,)):
         raise InputError(f"{wall} is not a wall of this model")
-    half = fam.offset_step / 2
+    half = ctx.arrangement.families[0].offset_step / 2
     crossing = wall_crossing(model.g1_rep, (wall - half,), (wall + half,), ctx)
     (fd,) = crossing.faces.values()
     return fd.d_plus, fd.d_minus

@@ -92,18 +92,15 @@ def make_path(arr: Arrangement, arrows, start=None) -> Path:
 def arrow_is_positive(arr: Arrangement, a: Cross, chambers=None) -> bool:
     """Distinct chambers and the label oriented like dst - src on every
     separating wall; ``chambers`` are the ends' chambers, if located."""
-    walls = arr.separating_walls(*(chambers or (a.src, a.dst)))
+    return _positive_across(arr, a, arr.separating_walls(*(chambers or (a.src, a.dst))))
+
+
+def _positive_across(arr: Arrangement, a: Cross, walls) -> bool:
+    """``arrow_is_positive`` given the walls separating the arrow's ends."""
     moves = arr.orientations(linalg.sub(a.dst, a.src), walls)
     # no separating wall means one chamber
     return bool(walls) and all(ell != 0 and ell == move
                                for ell, move in zip(arr.orientations(a.label, walls), moves))
-
-
-def is_positive(arr: Arrangement, path: Path) -> bool:
-    if not path.arrows:
-        return False
-    return all(isinstance(a, Cross) and arrow_is_positive(arr, a, (here, there))
-               for a, here, there in path.located(arr))
 
 
 def is_minimal(arr: Arrangement, path: Path) -> bool:
@@ -114,10 +111,11 @@ def is_minimal(arr: Arrangement, path: Path) -> bool:
     disjoint, (4) every label is oriented like the total displacement on its
     own separating walls.
     """
-    if not is_positive(arr, path):
-        raise InputError("minimality is defined for positive paths only")
     located = list(path.located(arr))
     crossings = [arr.separating_walls(here, there) for _, here, there in located]
+    if not located or not all(isinstance(a, Cross) and _positive_across(arr, a, walls)
+                              for (a, _, _), walls in zip(located, crossings)):
+        raise InputError("minimality is defined for positive paths only")
     total = arr.separating_walls(located[0][1], located[-1][2])
     additive = len(total) == sum(len(c) for c in crossings)
     union = set().union(*map(set, crossings)) if crossings else set()

@@ -7,6 +7,11 @@ complex attached to a wall face, with the canonical rewrites Ker(F,chi,0) ->
 Cov(chi) and Ker(F,chi,d-1) -> Cov(chi+beta_F^+) applied on construction.
 Exchanges are summand bookkeeping, never honest module maps; equality of
 specs is canonical-multiset equality.
+
+Around a toric wall the non-pivot atoms lie on one closed cycle per outgoing
+character chi: the chain of Ker(F, chi, i) out to Cov(chi+beta_F^+) and the
+chain of Ker(F*, chi+beta_F^+, i) back.  ``ToricWall`` builds these chains
+once; a mutation step moves each atom one place along them.
 """
 from __future__ import annotations
 
@@ -123,9 +128,13 @@ class MutationWord:
 class ToricWall:
     """Mutation context for one adjacent toric pair.
 
-    Holds the unique wall face F, its dual F*, and the pivot; left mutation
-    advances every non-pivot atom one kernel step along the cycle of length
-    d_F^+ + d_F*^+ - 2, right mutation retreats one step.
+    Holds the unique wall face F, its dual F*, the pivot, and the cycle of
+    length d_F^+ + d_F*^+ - 2 as ``chains``: for each outgoing chi, the
+    canonical atoms Ker(F, chi, i), i < d_F^+, from Cov(chi) to
+    Cov(chi + beta_F^+), and Ker(F*, chi + beta_F^+, i), i < d_F*^+, back to
+    Cov(chi), each stored as (face, base character, atoms).  Left mutation
+    moves every non-pivot atom to its successor on a chain, right mutation to
+    its predecessor.
     """
 
     def __init__(self, rep: QSRep, crossing: WallCrossing, ctx: Context):
@@ -144,44 +153,29 @@ class ToricWall:
         self.dual_face = dagger(rep, self.face, ctx)
         self.faces = {self.face.key: self.face, self.dual_face.key: self.dual_face}
         self.pivot_chars = set(crossing.common)
-        self.out_forward = set(crossing.chars_by_face[self.face.key])
-        self.out_backward = {tuple(linalg.add(c, self.face.beta_plus)) for c in self.out_forward}
+        self.chains = []
+        for chi in crossing.chars_by_face[self.face.key]:
+            back = tuple(linalg.add(chi, self.face.beta_plus))
+            for fd, base in ((self.face, chi), (self.dual_face, back)):
+                key = fd.key  # FaceData.key sorts on every read
+                atoms = tuple(canonical_atom(Ker(key, base, i), self.faces)
+                              for i in range(fd.d_plus))
+                self.chains.append((fd, base, atoms))
+        self._successor = {a: b for _, _, atoms in self.chains for a, b in zip(atoms, atoms[1:])}
+        self._predecessor = {b: a for a, b in self._successor.items()}
 
     def pivot(self) -> ModuleSpec:
         return ModuleSpec.of_window(sorted(self.pivot_chars))
 
-    def _advance(self, atom: Atom) -> Atom:
-        if isinstance(atom, Ker):
-            return canonical_atom(Ker(atom.face_key, atom.chi, atom.step + 1), self.faces)
-        chi = atom.chi
-        if chi in self.pivot_chars:
-            return atom
-        if chi in self.out_forward:
-            return canonical_atom(Ker(self.face.key, chi, 1), self.faces)
-        if chi in self.out_backward:
-            return canonical_atom(Ker(self.dual_face.key, chi, 1), self.faces)
-        raise InputError(f"atom {atom} is not attached to this wall")
-
-    def _retreat(self, atom: Atom) -> Atom:
-        if isinstance(atom, Ker):
-            return canonical_atom(Ker(atom.face_key, atom.chi, atom.step - 1), self.faces)
-        chi = atom.chi
-        if chi in self.pivot_chars:
-            return atom
-        if chi in self.out_forward:
-            back = tuple(linalg.add(chi, self.face.beta_plus))
-            return canonical_atom(
-                Ker(self.dual_face.key, back, self.dual_face.d_plus - 2), self.faces)
-        if chi in self.out_backward:
-            fwd = tuple(linalg.sub(chi, self.face.beta_plus))
-            return canonical_atom(Ker(self.face.key, fwd, self.face.d_plus - 2), self.faces)
-        raise InputError(f"atom {atom} is not attached to this wall")
-
     def mutate(self, spec: ModuleSpec, direction: str = "left") -> ModuleSpec:
-        mover = self._advance if direction == "left" else self._retreat
+        moves = self._successor if direction == "left" else self._predecessor
         tally: Counter = Counter()
         for atom, mult in spec.atoms:
-            tally[mover(atom)] += mult
+            if not (isinstance(atom, Cov) and atom.chi in self.pivot_chars):
+                if atom not in moves:
+                    raise InputError(f"atom {atom} is not attached to this wall")
+                atom = moves[atom]
+            tally[atom] += mult
         return ModuleSpec.from_counter(tally)
 
     @property

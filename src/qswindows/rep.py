@@ -11,7 +11,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import geometry, linalg
-from .errors import InputError, InternalInconsistencyError
+from .errors import InputError, InternalInconsistencyError, _fmt
 from .geometry import HalfSpace, Polytope, _subsets
 from .linalg import IntVec
 from .root_data import RootDatum, Weight, int_rows
@@ -175,8 +175,13 @@ def build_nabla(root_datum: RootDatum, weights, sigma: Polytope,
         candidates = slab_candidates(root_datum, weights)
     halfspaces = []
     for lam in candidates:
+        eta_lam = eta(root_datum, weights, lam)
+        # every slab contains 0 unless its width is negative
+        if eta_lam < 0:
+            raise InputError(f"the window polytope is empty: eta = {eta_lam} < 0 at "
+                             f"lambda = {_fmt(lam)}")
         converted, rescale = linalg.primitive_scale(linalg.mat_vec(root_datum.pairing, lam))
-        offset = -eta(root_datum, weights, lam) / 2 * rescale
+        offset = -eta_lam / 2 * rescale
         halfspaces.append(HalfSpace(converted, offset))
         halfspaces.append(HalfSpace(linalg.neg(converted), offset))
     nabla = geometry.from_halfspaces(halfspaces, center=(Fraction(0),) * root_datum.rank)

@@ -25,6 +25,9 @@ HUGE = {"root_datum": {"builtin": "torus", "rank": 1},
 # its facets would take C(128, 7) vertex subsets
 GL8 = {"root_datum": {"builtin": "gl", "n": 8},
        "weights": [[s * (j == i) for j in range(8)] for i in range(8) for s in (1, -1)]}
+# GL(4) on std + dual: eta = -2 at lambda = (0, 0, 0, 1) empties the window polytope
+GL4 = {"root_datum": {"builtin": "gl", "n": 4},
+       "weights": [[s * (j == i) for j in range(4)] for i in range(4) for s in (1, -1)]}
 # GL(3) roots with "positive" roots e1-e2, e2-e3, e3-e1: they split the root
 # set, but the swap of 1 and 2 sends e2-e3 to e1-e3, which is negative
 GL3_CYCLIC = {"root_datum": {
@@ -46,7 +49,7 @@ def inputs(tmp_path):
                           ("list_document", [TORUS22]), ("string_flag", STRING_FLAG),
                           ("float_pairing", FLOAT_PAIRING),
                           ("root_off_invariants", ROOT_OFF_INVARIANTS), ("huge", HUGE),
-                          ("gl8", GL8), ("gl3_cyclic", GL3_CYCLIC)):
+                          ("gl8", GL8), ("gl4", GL4), ("gl3_cyclic", GL3_CYCLIC)):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(payload))
         paths[name] = str(p)
@@ -212,6 +215,12 @@ def test_error_codes(inputs, capsys):
     assert time.perf_counter() - start < 10
     assert code == 2 and out == "" and err.count("\n") == 1
     assert err.startswith("unsupported: enumeration of 94525795200 subsets exceeds the limit")
+    code, out, err = run(capsys, "groupoid", "--input", inputs["torus22"], "--path", "x(1/3,+)")
+    assert (code, out, err) == (2, "", "input error: 1/3 is not a wall of this arrangement\n")
+    # an empty window polytope names the slab that empties it
+    code, out, err = run(capsys, "rep", "--input", inputs["gl4"])
+    assert (code, out, err) == (2, "", "input error: the window polytope is empty: "
+                                "eta = -2 < 0 at lambda = (0, 0, 0, 1)\n")
     # simple reflections must permute the positive roots other than their own
     code, out, err = run(capsys, "rep", "--input", inputs["gl3_cyclic"])
     assert (code, out, err) == (2, "", "input error: a simple reflection does not permute "

@@ -45,7 +45,7 @@ def test_invalid_degrees_rejected():
 def test_crossing_data(quintic, cy33):
     assert cy_ci.crossing_data(quintic, 3, quintic.context()) == (6, 2)
     assert cy_ci.crossing_data(cy33, F(1, 2), cy33.context()) == (7, 3)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^1/2 is not a wall of this model$"):
         cy_ci.crossing_data(quintic, F(1, 2), quintic.context())
 
 

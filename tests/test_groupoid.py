@@ -40,9 +40,10 @@ def test_minimality_examples(arr22, ctx22):
     assert not groupoid.is_minimal(arr22, q)
     single = groupoid.make_path(arr22, [up(F(1, 2), F(3, 2))])
     assert groupoid.is_minimal(arr22, single)
-    with pytest.raises(InputError):
-        groupoid.is_minimal(arr22, groupoid.make_path(
-            arr22, [Cross((F(1, 2),), (F(3, 2),), (F(-1),))]))
+    for arrows in ([Cross((F(1, 2),), (F(3, 2),), (F(-1),))],
+                   [up(F(1, 2), F(3, 2)), Translate((1,))]):
+        with pytest.raises(InputError, match="positive paths only"):
+            groupoid.is_minimal(arr22, groupoid.make_path(arr22, arrows))
 
 
 def test_minimality_criteria_agree_on_random_paths(torus22, ctx22):

@@ -1,8 +1,9 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from qswindows import catalog, mutation, windows
+from qswindows import catalog, linalg, mutation, windows
 from qswindows.errors import InputError, NotAdjacentError
 from qswindows.mutation import Cov, Ker, ModuleSpec
 
@@ -11,6 +12,121 @@ F = Fraction
 
 def spec_of(*chars):
     return ModuleSpec.of_window(chars)
+
+
+# -- oracle: per-atom stepping, each atom's place on the cycle worked out afresh --
+
+
+def _outgoing(wall):
+    forward = set(wall.crossing.chars_by_face[wall.face.key])
+    return forward, {tuple(linalg.add(c, wall.face.beta_plus)) for c in forward}
+
+
+def oracle_advance(wall, atom):
+    if isinstance(atom, Ker):
+        return mutation.canonical_atom(Ker(atom.face_key, atom.chi, atom.step + 1), wall.faces)
+    forward, backward = _outgoing(wall)
+    if atom.chi in wall.pivot_chars:
+        return atom
+    if atom.chi in forward:
+        return mutation.canonical_atom(Ker(wall.face.key, atom.chi, 1), wall.faces)
+    if atom.chi in backward:
+        return mutation.canonical_atom(Ker(wall.dual_face.key, atom.chi, 1), wall.faces)
+    raise InputError(f"atom {atom} is not attached to this wall")
+
+
+def oracle_retreat(wall, atom):
+    if isinstance(atom, Ker):
+        return mutation.canonical_atom(Ker(atom.face_key, atom.chi, atom.step - 1), wall.faces)
+    forward, backward = _outgoing(wall)
+    if atom.chi in wall.pivot_chars:
+        return atom
+    if atom.chi in forward:
+        back = tuple(linalg.add(atom.chi, wall.face.beta_plus))
+        return mutation.canonical_atom(
+            Ker(wall.dual_face.key, back, wall.dual_face.d_plus - 2), wall.faces)
+    if atom.chi in backward:
+        fwd = tuple(linalg.sub(atom.chi, wall.face.beta_plus))
+        return mutation.canonical_atom(
+            Ker(wall.face.key, fwd, wall.face.d_plus - 2), wall.faces)
+    raise InputError(f"atom {atom} is not attached to this wall")
+
+
+def oracle_mutate(wall, spec, direction):
+    move = oracle_advance if direction == "left" else oracle_retreat
+    tally = Counter()
+    for atom, mult in spec.atoms:
+        tally[move(wall, atom)] += mult
+    return ModuleSpec.from_counter(tally)
+
+
+def _or_error(f, *args):
+    try:
+        return f(*args)
+    except InputError:
+        return InputError
+
+
+def _check_chains_against_oracle(reps) -> int:
+    """Left and right mutation of every chain and pivot atom, and both whole
+    orbits from the near window, agree with the oracle; every orbit atom lies
+    on a chain or is a pivot.  Returns the number of walls checked."""
+    walls = 0
+    for rep in reps:
+        ctx = windows.Context(rep)
+        for delta, delta_prime in catalog.adjacent_pairs(ctx, periods=2, per_wall=2,
+                                                         max_pairs=12):
+            wall = mutation.toric_wall(rep, delta, delta_prime, ctx)
+            walls += 1
+            pivots = {Cov(chi) for chi in wall.pivot_chars}
+            on_chains = {a for _, _, atoms in wall.chains for a in atoms}
+            assert len(wall.chains) == 2 * len(wall.crossing.chars_by_face[wall.face.key])
+            for atom in on_chains | pivots:
+                one = ModuleSpec(((atom, 1),))
+                for direction in ("left", "right"):
+                    assert (_or_error(wall.mutate, one, direction)
+                            == _or_error(oracle_mutate, wall, one, direction)), (atom, direction)
+            start = mutation.module_of_window(rep, delta, ctx)
+            for direction in ("left", "right"):
+                spec = expected = start
+                for _ in range(wall.period):
+                    spec = wall.mutate(spec, direction)
+                    expected = oracle_mutate(wall, expected, direction)
+                    assert spec == expected
+                    assert {a for a, _ in spec.atoms} <= on_chains | pivots
+                assert spec == start
+    return walls
+
+
+def test_chains_match_oracle_on_bundled_tori():
+    reps = [r for r in catalog.bundled_reps().values() if r.root_datum.is_torus]
+    assert _check_chains_against_oracle(reps) >= 4
+
+
+def test_chains_match_oracle_on_cy_models():
+    reps = [m.g1_rep for m in catalog.bundled_cy_models().values()]
+    assert _check_chains_against_oracle(reps) >= 4
+
+
+def test_chains_match_oracle_on_corpus_slice(small_corpus):
+    assert _check_chains_against_oracle(small_corpus) >= len(small_corpus)
+
+
+def test_one_atom_dual_chain():
+    """d_F*^+ = 1: the word still reaches the far window; stepping past the
+    chain's single atom is refused."""
+    r = catalog.torus_rep((1,), (1,), (1,), (-3,))
+    ctx = windows.Context(r)
+    wall = mutation.toric_wall(r, (F(0),), (F(1),), ctx)
+    assert (wall.face.d_plus, wall.dual_face.d_plus) == (3, 1)
+    assert [atoms for _, _, atoms in wall.chains] == [
+        (Cov((-1,)), Ker(wall.face.key, (-1,), 1), Cov((2,))), (Cov((2,)),)]
+    word = mutation.mutation_word(r, (F(0),), (F(1),), ctx)
+    assert word.steps[-1].spec == mutation.module_of_window(r, (F(1),), ctx)
+    with pytest.raises(InputError, match="not attached to this wall"):
+        wall.mutate(word.steps[-1].spec, "left")
+    with pytest.raises(InputError, match="not attached to this wall"):
+        wall.mutate(mutation.module_of_window(r, (F(0),), ctx), "right")
 
 
 def test_module_of_window(torus22, ctx22):

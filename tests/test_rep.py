@@ -34,6 +34,13 @@ def test_eta_examples(torus22, gl2rep):
         rep.eta(torus22.root_datum, torus22.weights, (0,))
 
 
+def test_zero_width_slab_leaves_nabla_nonempty():
+    """GL(2) on std + dual has a slab with eta = 0; only eta < 0 empties nabla."""
+    datum, weights = RootDatum.gl(2), ((1, 0), (-1, 0), (0, 1), (0, -1))
+    assert 0 in {rep.eta(datum, weights, lam) for lam in rep.slab_candidates(datum, weights)}
+    assert QSRep.build(datum, weights).nabla.vertices
+
+
 def test_nabla_intervals(torus22, torus33):
     assert sorted(torus22.nabla.vertices) == [(-1,), (1,)]
     assert sorted(torus33.nabla.vertices) == [(Fraction(-3, 2),), (Fraction(3, 2),)]

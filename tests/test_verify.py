@@ -1,6 +1,11 @@
 import dataclasses
+import random
+from fractions import Fraction
 
-from qswindows import linalg, verify
+import pytest
+
+from qswindows import groupoid, linalg, mutation, verify
+from qswindows.errors import InternalInconsistencyError
 from qswindows.windows import Context
 
 
@@ -65,3 +70,33 @@ def test_window_row_works_the_nudged_window_out_afresh(torus22, gl2rep):
             key = arr.chamber_of(coords).sign_vector
             ctx._windows[key] = tuple(sorted(tuple(linalg.add(c, move)) for c in poisoned))
         assert not window_row(rep, ctx).passed
+
+
+def test_broken_chain_fails_telescoping(torus33, ctx33, monkeypatch):
+    """A chain that skips its interior kernel makes virtual-class-telescoping
+    FAIL; the orbit rows read the successor table and still pass."""
+    pair = ((Fraction(0),), (Fraction(1),))
+    rows = verify.check_mutation("t33", torus33, ctx33, *pair)
+    assert all(r.passed for r in rows)
+    built = mutation.toric_wall
+
+    def broken(*args):
+        wall = built(*args)
+        fd, base, atoms = wall.chains[0]
+        assert len(atoms) == 3
+        wall.chains[0] = (fd, base, (atoms[0], atoms[-1]))
+        return wall
+
+    monkeypatch.setattr(mutation, "toric_wall", broken)
+    rows = verify.check_mutation("t33", torus33, ctx33, *pair)
+    assert [r.name for r in rows if not r.passed] == ["virtual-class-telescoping"]
+
+
+def test_random_path_lets_internal_errors_through(ctx22, monkeypatch):
+    """Only an on-wall target or an input error drops a candidate arrow."""
+    def boom(*args):
+        raise InternalInconsistencyError("boom")
+
+    monkeypatch.setattr(groupoid, "split_into_hops", boom)
+    with pytest.raises(InternalInconsistencyError, match="boom"):
+        verify._random_positive_path(ctx22.arrangement, random.Random(0))
