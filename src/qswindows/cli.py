@@ -72,6 +72,16 @@ def _emit(payload) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
+def _output(args, payload, name: str, figure) -> int:
+    """By ``--format``: print the JSON payload, write the SVG ``figure()`` to
+    ``name`` under ``--out``, or both."""
+    if args.format != "json":
+        _write_svg(args, name, figure())
+    if args.format != "svg":
+        _emit(payload)
+    return 0
+
+
 def _delta(args, name="delta"):
     value = getattr(args, name)
     if value is None:
@@ -92,12 +102,8 @@ def cmd_arrangement(args) -> int:
         {"family": w.family_index, "offset": str(w.offset)}
         for w in ctx.arrangement.walls_in_box(args.box)
     ]
-    if args.format in ("svg", "both"):
-        _write_svg(args, "arrangement.svg",
-                   svg.window_figure(rep_obj, ctx, _first_off_wall(ctx), box=args.box))
-    if args.format != "svg":
-        _emit(payload)
-    return 0
+    return _output(args, payload, "arrangement.svg", lambda: svg.window_figure(
+        rep_obj, ctx, _first_off_wall(ctx), box=args.box))
 
 
 def _first_off_wall(ctx: Context):
@@ -109,12 +115,8 @@ def cmd_window(args) -> int:
     rep_obj = _load_rep(args)
     ctx = Context(rep_obj)
     delta = _delta(args)
-    win = ctx.window(delta)
-    if args.format in ("svg", "both"):
-        _write_svg(args, "window.svg", svg.window_figure(rep_obj, ctx, delta, box=args.box))
-    if args.format != "svg":
-        _emit(win.to_json())
-    return 0
+    return _output(args, ctx.window(delta).to_json(), "window.svg",
+                   lambda: svg.window_figure(rep_obj, ctx, delta, box=args.box))
 
 
 def cmd_wallcross(args) -> int:
@@ -141,11 +143,8 @@ def cmd_wallcross(args) -> int:
         "common": [list(c) for c in crossing.common],
         "faces": faces,
     }
-    if args.format in ("svg", "both"):
-        _write_svg(args, "wallcross.svg", svg.crossing_figure(rep_obj, ctx, delta, delta2))
-    if args.format != "svg":
-        _emit(payload)
-    return 0
+    return _output(args, payload, "wallcross.svg",
+                   lambda: svg.crossing_figure(rep_obj, ctx, delta, delta2))
 
 
 def cmd_faces(args) -> int:
@@ -363,10 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--a", help="cy: weights a1,..,an")
     parser.add_argument("--d", help="cy: degrees d1,..,dr")
     parser.add_argument("--twist", type=_parse_int, help="cy: twist line-bundle degree m")
-    parser.add_argument("command", choices=(
-        "rep", "arrangement", "window", "wallcross", "faces", "complex",
-        "mutate", "groupoid", "cy", "verify", "export-svg"))
+    parser.add_argument("command", choices=HANDLERS)
+    parser.error = _usage_error
     return parser
+
+
+def _usage_error(message: str):
+    """A usage error is an input error: one line and exit 2, not the usage block."""
+    raise InputError(message)
 
 
 HANDLERS = {

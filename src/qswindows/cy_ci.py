@@ -98,7 +98,7 @@ def spherical_twist_word(model: CYModel, m: int, ctx: Context) -> dict:
     """The down-then-up loop at delta = m + alpha/2 + 1 around the wall below.
 
     Its two legs have lengths r and n, total n + r, which is the mutation
-    period of the wall; the pivot is the module of the shared window.
+    period of the wall; each leg's pivot is the module of the shared window.
     """
     delta = Fraction(m) + Fraction(model.alpha, 2) + 1
     arr = ctx.arrangement
@@ -115,5 +115,4 @@ def spherical_twist_word(model: CYModel, m: int, ctx: Context) -> dict:
         "down": down,
         "up": up,
         "length": total,
-        "pivot": down.pivot,
     }

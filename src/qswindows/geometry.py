@@ -338,7 +338,6 @@ def from_halfspaces(halfspaces, center=None) -> Polytope:
         tight = [p for p in pts if linalg.dot(h.normal, p) == off]
         if tight and (not full_dim or _affine_rank(tight) == dim - 1):
             kept.append(h)
-    kept.sort(key=lambda h: (h.normal, h.offset))
     poly = Polytope(dim=dim, halfspaces=tuple(kept), vertices=tuple(verts), center=center)
     _check_h_v(poly)
     _check_center(poly)

@@ -96,33 +96,14 @@ def module_of_window(rep: QSRep, delta, ctx: Context) -> ModuleSpec:
 
 
 @dataclass(frozen=True)
-class MutationStep:
-    direction: str
-    face_key: FaceKey | None
-    spec: ModuleSpec
-
-
-@dataclass(frozen=True)
 class MutationWord:
+    """The specs after each left step (toric only), with the exchange counts."""
+
     pivot: ModuleSpec
-    steps: tuple[MutationStep, ...]
+    steps: tuple[ModuleSpec, ...]
     total: int
     executable: bool
     per_face_counts: dict
-
-    def to_json(self) -> dict:
-        return {
-            "pivot": self.pivot.to_json(),
-            "total": self.total,
-            "executable": self.executable,
-            "per_face_counts": {str(list(k)): v for k, v in sorted(self.per_face_counts.items())},
-            "steps": [
-                {"direction": s.direction,
-                 "face": None if s.face_key is None else list(s.face_key),
-                 "spec": s.spec.to_json()}
-                for s in self.steps
-            ],
-        }
 
 
 class ToricWall:
@@ -212,9 +193,8 @@ def mutation_word(rep: QSRep, delta, delta_prime, ctx: Context) -> MutationWord:
     steps = []
     for _ in range(wall.face.d_plus - 1):
         spec = wall.mutate(spec, "left")
-        steps.append(MutationStep(direction="left", face_key=wall.face.key, spec=spec))
-    expected = module_of_window(rep, delta_prime, ctx)
-    if steps and steps[-1].spec != expected:
+        steps.append(spec)
+    if steps and steps[-1] != module_of_window(rep, delta_prime, ctx):
         raise InternalInconsistencyError("mutation word did not land on the far window module")
     return MutationWord(
         pivot=wall.pivot(), steps=tuple(steps), total=wall.face.d_plus - 1,

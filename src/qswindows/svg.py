@@ -9,6 +9,7 @@ lines.  Everything above rank 2 is rejected.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import linalg, windows
@@ -31,7 +32,6 @@ class _Canvas:
             f'viewBox="0 0 {width} {height}">',
             f'<rect width="{width}" height="{height}" fill="white"/>',
         ]
-        self.height = height
 
     def point(self, xy, color, r=4, cls="pt"):
         x, y = xy
@@ -77,21 +77,31 @@ def _project(rank):
         f"SVG export supports weight lattices of rank <= 2, got {rank}")
 
 
-def _extent(points):
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    return min(xs), max(xs), min(ys), max(ys)
+def _placement(proj, points):
+    """Project, then map to pixels: the place function and the canvas size.
+
+    A rank-one number line has an empty y-extent, so its points sit at
+    y = PAD, half the canvas height.
+    """
+    xs, ys = zip(*map(proj, points))
+    x0, y0 = min(xs), min(ys)
+    width = (max(xs) - x0) * SCALE + 2 * PAD
+    height = (max(ys) - y0) * SCALE + 2 * PAD
+
+    def place(v):
+        x, y = proj(v)
+        return (PAD + (x - x0) * SCALE, height - PAD - (y - y0) * SCALE)
+
+    return place, width, height
 
 
-def _mapper(points):
-    x0, x1, y0, y1 = _extent(points)
-    width = (x1 - x0) * SCALE + 2 * PAD
-    height = (y1 - y0) * SCALE + 2 * PAD
-
-    def to_px(p):
-        return (PAD + (p[0] - x0) * SCALE, height - PAD - (p[1] - y0) * SCALE)
-
-    return to_px, max(width, 2 * PAD), max(height, 2 * PAD)
+def _outline(canvas, place, poly, color, cls, width):
+    """A segment in rank one, a polygon in boundary order in rank two."""
+    if poly.dim == 1:
+        canvas.line(place(poly.vertices[0]), place(poly.vertices[-1]), color,
+                    width=width, cls=cls)
+    else:
+        canvas.polygon([place(v) for v in _cyclic(poly.vertices)], color, cls=cls)
 
 
 def _wall_points(ctx: Context, box: int):
@@ -100,11 +110,8 @@ def _wall_points(ctx: Context, box: int):
     if arr.dim != 1:
         return pts
     for wall in arr.walls_in_box(box):
-        f = arr.families[wall.family_index]
-        coords = (Fraction(wall.offset) / f.normal[0],)
-        pts.append(arr.to_ambient(coords))
-        neg = (-Fraction(wall.offset) / f.normal[0],)
-        pts.append(arr.to_ambient(neg))
+        x = Fraction(wall.offset) / arr.families[wall.family_index].normal[0]
+        pts += [arr.to_ambient((x,)), arr.to_ambient((-x,))]
     return sorted(set(map(tuple, pts)))
 
 
@@ -113,27 +120,17 @@ def window_figure(rep: QSRep, ctx: Context, delta, box: int = 3) -> str:
     win = ctx.window(delta)
     shifted = rep.nabla.translate(linalg.vec(delta))
     walls = _wall_points(ctx, box)
-    pts = [proj(v) for v in shifted.vertices] + [proj(c) for c in win.chars]
-    pts += [proj(w) for w in walls] or pts
-    to_px, w, h = _mapper(pts)
+    place, w, h = _placement(proj, [*shifted.vertices, *win.chars, *walls])
     canvas = _Canvas(w, h)
     if rep.rank == 1:
-        y = h / 2
-        canvas.line((0, y), (w, y), "#999", cls="axis")
-        lo, hi = proj(shifted.vertices[0]), proj(shifted.vertices[-1])
-        canvas.line((to_px(lo)[0], y), (to_px(hi)[0], y), "black", width=3, cls="window")
-        for c in win.chars:
-            canvas.point((to_px(proj(c))[0], y), "black", cls="char")
-        for wp in walls:
-            canvas.point((to_px(proj(wp))[0], y), "red", r=3, cls="wall")
-    else:
-        hull = _cyclic(shifted.vertices)
-        canvas.polygon([to_px(proj(v)) for v in hull], "black", cls="window")
-        for c in win.chars:
-            canvas.point(to_px(proj(c)), "black", cls="char")
-        for wp in walls:
-            canvas.point(to_px(proj(wp)), "red", r=3, cls="wall")
-        canvas.point(to_px(proj(delta)), "#007700", r=3, cls="delta")
+        canvas.line((0, h / 2), (w, h / 2), "#999", cls="axis")
+    _outline(canvas, place, shifted, "black", "window", 3)
+    for c in win.chars:
+        canvas.point(place(c), "black", cls="char")
+    for wp in walls:
+        canvas.point(place(wp), "red", r=3, cls="wall")
+    if rep.rank == 2:
+        canvas.point(place(delta), "#007700", r=3, cls="delta")
     canvas.text((10, 16), f"window at {[str(Fraction(x)) for x in delta]}")
     return canvas.render()
 
@@ -144,20 +141,10 @@ def crossing_figure(rep: QSRep, ctx: Context, delta, delta_prime) -> str:
     mapping = windows.mu_map(rep, crossing)
     near = rep.nabla.translate(crossing.delta)
     far = rep.nabla.translate(crossing.delta_prime)
-    pts = [proj(v) for v in near.vertices] + [proj(v) for v in far.vertices]
-    to_px, w, h = _mapper(pts)
+    place, w, h = _placement(proj, [*near.vertices, *far.vertices])
     canvas = _Canvas(w, h)
-    y_mid = h / 2
     for poly, color in ((near, "#cc0000"), (far, "#0000cc")):
-        if rep.rank == 1:
-            lo, hi = poly.vertices[0], poly.vertices[-1]
-            canvas.line((to_px(proj(lo))[0], y_mid), (to_px(proj(hi))[0], y_mid),
-                        color, width=3, cls="window")
-        else:
-            canvas.polygon([to_px(proj(v)) for v in _cyclic(poly.vertices)], color, cls="window")
-    def place(c):
-        p = to_px(proj(c))
-        return (p[0], y_mid) if rep.rank == 1 else p
+        _outline(canvas, place, poly, color, "window", 3)
     for c in crossing.common:
         canvas.point(place(c), "#555555", cls="common")
     for src, dst in sorted(mapping.items()):
@@ -172,24 +159,13 @@ def faces_figure(rep: QSRep, ctx: Context, delta, delta_prime) -> str:
     proj = _project(rep.rank)
     crossing = windows.wall_crossing(rep, delta, delta_prime, ctx)
     half = ctx.half_sigma.translate(crossing.delta0)
-    pts = [proj(v) for v in half.vertices]
-    to_px, w, h = _mapper(pts)
+    place, w, h = _placement(proj, half.vertices)
     canvas = _Canvas(w, h)
-    y_mid = h / 2
-    def place(v):
-        p = to_px(proj(v))
-        return (p[0], y_mid) if rep.rank == 1 else p
-    if rep.rank == 1:
-        lo, hi = half.vertices[0], half.vertices[-1]
-        canvas.line(place(lo), place(hi), "black", width=2, cls="polytope")
-    else:
-        canvas.polygon([to_px(proj(v)) for v in _cyclic(half.vertices)], "black", cls="polytope")
-    from .windows import dagger
+    _outline(canvas, place, half, "black", "polytope", 2)
     for fd in crossing.faces.values():
         for idx in fd.face.vertex_indices:
             canvas.point(place(half.vertices[idx]), "#cc0000", r=5, cls="face")
-        dag = dagger(rep, fd, ctx)
-        for idx in dag.face.vertex_indices:
+        for idx in windows.dagger(rep, fd, ctx).face.vertex_indices:
             canvas.point(place(half.vertices[idx]), "#0000cc", r=5, cls="dagger")
     canvas.text((10, 16), "wall faces and daggers")
     return canvas.render()
@@ -197,7 +173,6 @@ def faces_figure(rep: QSRep, ctx: Context, delta, delta_prime) -> str:
 
 def _cyclic(vertices):
     """Vertices of a 2-d polytope in boundary order (angle sort)."""
-    import math
     cx = sum(float(v[0]) for v in vertices) / len(vertices)
     cy = sum(float(v[1]) for v in vertices) / len(vertices)
     return sorted(vertices, key=lambda v: math.atan2(float(v[1]) - cy, float(v[0]) - cx))

@@ -304,7 +304,6 @@ def check_mutation(name: str, rep: QSRep, ctx: Context, delta, delta_prime) -> l
     d = wall.face.d_plus
     seen = [start]
     spec = start
-    ranks_ok = True
     faces = wall.faces
     for _ in range(wall.period):
         spec = wall.mutate(spec, "left")
@@ -315,17 +314,10 @@ def check_mutation(name: str, rep: QSRep, ctx: Context, delta, delta_prime) -> l
                        and len({s.atoms for s in seen[:-1]}) == wall.period))
     out.append(_result("mutation-right-inverts-left", subject,
                        wall.mutate(seen[1], "right") == start))
-    for key, fd in faces.items():
-        for i in range(fd.d_plus):
-            kr = mutation.atom_rank(mutation.Ker(key, (0,) * rep.rank, i)
-                                    if i not in (0, fd.d_plus - 1)
-                                    else mutation.Cov((0,) * rep.rank), rep, faces)
-            if i in (0, fd.d_plus - 1):
-                expected = 1
-            else:
-                expected = mutation.kernel_rank_formula(fd.d_plus, i)
-            if kr != expected:
-                ranks_ok = False
+    ranks_ok = all(
+        mutation.atom_rank(mutation.Ker(key, (0,) * rep.rank, i), rep, faces)
+        == mutation.kernel_rank_formula(fd.d_plus, i)
+        for key, fd in faces.items() for i in range(fd.d_plus))
     out.append(_result("kernel-rank-binomials", subject, ranks_ok))
     out.append(_result("virtual-class-telescoping", subject, _chains_telescope(rep, wall)))
     counts = mutation.exchange_count(rep, delta, delta_prime, ctx=ctx)

@@ -76,7 +76,6 @@ class FaceData:
     minus_indices: tuple[int, ...]
     zero_indices: tuple[int, ...]
     beta_plus: Weight
-    beta_minus: Weight
     dominant: bool
 
     @property
@@ -168,7 +167,6 @@ def face_data_from_face(rep: QSRep, poly: Polytope, face: Face) -> FaceData:
         minus_indices=tuple(minus),
         zero_indices=tuple(zero),
         beta_plus=_index_sum(rep, plus),
-        beta_minus=_index_sum(rep, minus),
         dominant=dominant,
     )
 

@@ -202,6 +202,12 @@ def test_error_codes(inputs, capsys):
         code, out, err = run(capsys, *argv, "--input", inputs["torus22"])
         assert code == 2 and out == "", argv
         assert err.startswith("input error: bad ") and err.count("\n") == 1, argv
+    # a usage error is one line too, not the argparse usage block
+    for argv in (("bogus",), ("window", "--direction", "up"), ("window", "--format", "pdf"),
+                 ("rep", "--nope")):
+        code, out, err = run(capsys, *argv, "--input", inputs["torus22"])
+        assert code == 2 and out == "", argv
+        assert err.startswith("input error: ") and err.count("\n") == 1, argv
     for argv in (("arrangement", "--box", " 2 "), ("mutate", *halves, "--steps", "0"),
                  ("complex", *halves, "--chi", " 0")):
         assert run(capsys, *argv, "--input", inputs["torus22"])[0] == 0, argv

@@ -112,6 +112,25 @@ def test_export_svg_matches_golden(name, tmp_path):
         assert content == (GOLDEN / f"{name}-{fname}").read_text(), fname
 
 
+def test_format_writes_json_svg_or_both(tmp_path):
+    """``--format both`` prints the JSON and writes the figure; ``svg`` only writes."""
+    out_dir = tmp_path / "both"
+    code, out = _run(_argv("window", "t2", ["--delta", "1/2", "--format", "both",
+                                            "--out", str(out_dir)], tmp_path))
+    assert code == 0 and out == (GOLDEN / "t2-window.out").read_text()
+    assert (out_dir / "window.svg").read_text() == (GOLDEN / "t2-svg-window.svg").read_text()
+    out_dir = tmp_path / "svg"
+    code, out = _run(_argv("wallcross", "t2", ["--delta", "1/2", "--delta2", "3/2",
+                                               "--format", "svg", "--out", str(out_dir)], tmp_path))
+    assert code == 0 and out == ""
+    assert ((out_dir / "wallcross.svg").read_text()
+            == (GOLDEN / "t2-svg-wallcross.svg").read_text())
+    code, out = _run(_argv("arrangement", "t2", ["--format", "svg", "--out", str(out_dir)],
+                           tmp_path))
+    assert code == 0 and out == ""
+    assert (out_dir / "arrangement.svg").read_text().startswith("<svg")
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name in CALLS:

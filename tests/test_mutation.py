@@ -122,9 +122,9 @@ def test_one_atom_dual_chain():
     assert [atoms for _, _, atoms in wall.chains] == [
         (Cov((-1,)), Ker(wall.face.key, (-1,), 1), Cov((2,))), (Cov((2,)),)]
     word = mutation.mutation_word(r, (F(0),), (F(1),), ctx)
-    assert word.steps[-1].spec == mutation.module_of_window(r, (F(1),), ctx)
+    assert word.steps[-1] == mutation.module_of_window(r, (F(1),), ctx)
     with pytest.raises(InputError, match="not attached to this wall"):
-        wall.mutate(word.steps[-1].spec, "left")
+        wall.mutate(word.steps[-1], "left")
     with pytest.raises(InputError, match="not attached to this wall"):
         wall.mutate(mutation.module_of_window(r, (F(0),), ctx), "right")
 
@@ -198,7 +198,7 @@ def test_right_mutation_inverts_left(torus33, ctx33):
 def test_mutation_word(torus22, ctx22):
     word = mutation.mutation_word(torus22, (F(1, 2),), (F(3, 2),), ctx22)
     assert word.total == 1 and word.executable
-    assert word.steps[-1].spec == spec_of((1,), (2,))
+    assert word.steps[-1] == spec_of((1,), (2,))
     back = mutation.mutation_word(torus22, (F(3, 2),), (F(1, 2),), ctx22)
     assert back.total == 1
     assert word.total + back.total == 2  # round trip equals the period
