@@ -522,9 +522,7 @@ def _complement_rows(vectors) -> list[IntVec]:
 
 
 def intersect(poly: Polytope, halfspaces) -> Polytope:
-    """The polytope cut by extra half-spaces; with none, the polytope itself."""
-    if not halfspaces:
-        return poly
+    """The polytope cut by extra half-spaces."""
     return from_halfspaces(list(poly.halfspaces) + list(halfspaces))
 
 

@@ -99,7 +99,6 @@ def module_of_window(rep: QSRep, delta, ctx: Context) -> ModuleSpec:
 class MutationWord:
     """The specs after each left step (toric only), with the exchange counts."""
 
-    pivot: ModuleSpec
     steps: tuple[ModuleSpec, ...]
     total: int
     executable: bool
@@ -183,11 +182,8 @@ def mutation_word(rep: QSRep, delta, delta_prime, ctx: Context) -> MutationWord:
     crossing = wall_crossing(rep, delta, delta_prime, ctx)
     counts = per_face_counts(rep, crossing)
     if not rep.root_datum.is_torus:
-        return MutationWord(
-            pivot=ModuleSpec.of_window(crossing.common),
-            steps=(), total=max(counts.values(), default=0), executable=False,
-            per_face_counts=counts,
-        )
+        return MutationWord(steps=(), total=max(counts.values(), default=0), executable=False,
+                            per_face_counts=counts)
     wall = ToricWall(rep, crossing, ctx)
     spec = module_of_window(rep, delta, ctx)
     steps = []
@@ -197,7 +193,7 @@ def mutation_word(rep: QSRep, delta, delta_prime, ctx: Context) -> MutationWord:
     if steps and steps[-1] != module_of_window(rep, delta_prime, ctx):
         raise InternalInconsistencyError("mutation word did not land on the far window module")
     return MutationWord(
-        pivot=wall.pivot(), steps=tuple(steps), total=wall.face.d_plus - 1,
+        steps=tuple(steps), total=wall.face.d_plus - 1,
         executable=True, per_face_counts=counts,
     )
 

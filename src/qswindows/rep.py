@@ -141,8 +141,8 @@ def slab_candidates(root_datum: RootDatum, weights) -> list[IntVec]:
     """Primitive normals of hyperplanes spanned by (n-1)-subsets of wt(X) + roots.
 
     These are the only directions in which the slab intersection can have a
-    facet; correctness is enforced afterwards by the dominant-slice
-    cross-check.  For a torus they also contain every facet normal of the
+    facet; correctness is enforced afterwards by ``_cross_check_nabla``.
+    For a torus they also contain every facet normal of the
     hull of any sub-multiset of the weights, which check_generic relies on.
     """
     n = root_datum.rank
@@ -164,38 +164,57 @@ def slab_candidates(root_datum: RootDatum, weights) -> list[IntVec]:
 
 def build_nabla(root_datum: RootDatum, weights, sigma: Polytope,
                 candidates: list[IntVec] | None = None) -> Polytope:
-    """Intersect the slabs |<chi, lam>| <= eta_lam / 2 over candidate normals
-    (``slab_candidates``, worked out here when not given).
+    """The slabs |<chi, lam>| <= eta_lam / 2 over candidate normals
+    (``slab_candidates`` when not given), intersected: for a torus, half the
+    zonotope as ``zonotope`` built and checked it, not enumerated again.
+    ``_cross_check_nabla`` proves the result right either way."""
+    slabs = _slabs(root_datum, weights, candidates)
+    nabla = (sigma.scale(Fraction(1, 2)) if root_datum.is_torus
+             else geometry.from_halfspaces(slabs, center=(Fraction(0),) * root_datum.rank))
+    _cross_check_nabla(root_datum, sigma, nabla, slabs)
+    return nabla
 
-    The finite candidate set is verified against the dominant-slice identity
-    (the dominant part must equal that of -rho + half the zonotope) and
-    against Weyl invariance; any mismatch raises InternalInconsistencyError.
-    """
-    if candidates is None:
-        candidates = slab_candidates(root_datum, weights)
+
+def _slabs(root_datum: RootDatum, weights, candidates=None) -> list[HalfSpace]:
+    """Both sides of each candidate slab, as dot-product half-spaces."""
     halfspaces = []
-    for lam in candidates:
+    for lam in slab_candidates(root_datum, weights) if candidates is None else candidates:
         eta_lam = eta(root_datum, weights, lam)
         # every slab contains 0 unless its width is negative
         if eta_lam < 0:
             raise InputError(f"the window polytope is empty: eta = {eta_lam} < 0 at "
                              f"lambda = {_fmt(lam)}")
-        converted, rescale = linalg.primitive_scale(linalg.mat_vec(root_datum.pairing, lam))
-        offset = -eta_lam / 2 * rescale
-        halfspaces.append(HalfSpace(converted, offset))
-        halfspaces.append(HalfSpace(linalg.neg(converted), offset))
-    nabla = geometry.from_halfspaces(halfspaces, center=(Fraction(0),) * root_datum.rank)
-    _cross_check_nabla(root_datum, sigma, nabla)
-    return nabla
+        converted, rescale = linalg.primitive_scale(root_datum._paired(lam)[0])
+        offset = -eta_lam / 2 * rescale * root_datum._pairing_den
+        halfspaces += [HalfSpace(converted, offset), HalfSpace(linalg.neg(converted), offset)]
+    return halfspaces
 
 
 def _dominant_cone(root_datum: RootDatum) -> tuple[HalfSpace, ...]:
     return tuple(HalfSpace(linalg.primitive(c), Fraction(0)) for c in root_datum._columns)
 
 
-def _cross_check_nabla(root_datum, sigma, nabla) -> None:
-    # A torus has no positive roots, so the dominant cone is the whole space
-    # and rho = 0: the slice comparison is then exactly nabla = sigma / 2.
+def _cross_check_nabla(root_datum, sigma, nabla, slabs) -> None:
+    """Torus: nabla, with its facets as half-spaces, is the slab polytope S,
+    by two integer containments over one denominator: each vertex meets the
+    tightest slab along each normal (nabla in S), and each facet is a slab
+    with the same normal and an offset at least as tight (S in nabla).
+    Nonabelian: the dominant slice of nabla is that of -rho + sigma / 2, and
+    nabla is Weyl invariant; ``slabs`` are not read."""
+    if root_datum.is_torus:
+        k = len(nabla.halfspaces)
+        offsets, pts = geometry._scaled([*nabla.halfspaces, *slabs], nabla.vertices)
+        # sorted, so the last and tightest offset along each normal is kept
+        tightest = dict(sorted(zip((h.normal for h in slabs), offsets[k:])))
+        for v, p in zip(nabla.vertices, pts):
+            for n, off in tightest.items():
+                if linalg.dot(n, p) < off:
+                    raise InternalInconsistencyError(f"vertex {_fmt(v)} lies outside slab {_fmt(n)}")
+        for h, off in zip(nabla.halfspaces, offsets[:k]):
+            if h.normal not in tightest or tightest[h.normal] < off:
+                raise InternalInconsistencyError(
+                    f"facet {_fmt(h.normal)} >= {h.offset} has no slab as tight")
+        return
     dominant = _dominant_cone(root_datum)
     shifted = sigma.scale(Fraction(1, 2)).translate(linalg.neg(root_datum.rho))
     slice_nabla = geometry.intersect(nabla, dominant)

@@ -31,7 +31,7 @@ from operator import mul
 
 from . import linalg
 from .errors import InputError, _fmt
-from .linalg import IntVec, Vec, _numerators
+from .linalg import IntVec, Vec, _bareiss, _numerators
 
 Weight = IntVec
 WeylMatrix = tuple[IntVec, ...]
@@ -194,6 +194,12 @@ class RootDatum:
             raise InputError("2rho does not pair positively with every positive root")
         if linalg.mat_mul(self.w0, self.w0) != basis:
             raise InputError("longest element is not an involution")
+        p = self.pairing
+        for i, j in ((i, j) for i in range(n) for j in range(i) if p[i][j] != p[j][i]):
+            raise InputError(f"pairing is not symmetric: entry ({i + 1}, {j + 1}) is {p[i][j]} "
+                             f"but entry ({j + 1}, {i + 1}) is {p[j][i]}")
+        if len(_bareiss(self._int_pairing, n)[0]) < n:
+            raise InputError(f"pairing with rows {', '.join(map(_fmt, p))} is singular")
 
     # -- basic operations --------------------------------------------------
 

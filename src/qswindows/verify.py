@@ -12,9 +12,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import catalog, complexes, cy_ci, groupoid, linalg, mutation, windows
+from . import catalog, complexes, cy_ci, geometry, groupoid, linalg, mutation, windows
 from .errors import InputError, OnWallError, QSWindowsError, _fmt
-from .rep import QSRep, _cross_check_nabla
+from .rep import QSRep, _cross_check_nabla, _slabs
 from .root_data import SINGULAR
 from .windows import Context
 
@@ -54,9 +54,10 @@ def check_rep_invariants(name: str, rep: QSRep, ctx: Context) -> list[CheckResul
         if plus != minus:
             sym = False
     out.append(_result("eta-symmetry", name, sym))
-    # dominant slice identity and Weyl invariance of the stored nabla (raises on failure)
     try:
-        _cross_check_nabla(datum, rep.sigma, rep.nabla)
+        if datum.is_torus:  # the slab containments read nabla's half-spaces as its facets
+            geometry._check_h_v(rep.nabla)
+        _cross_check_nabla(datum, rep.sigma, rep.nabla, _slabs(datum, rep.weights))
         out.append(_result("window-polytope-cross-check", name, True))
     except QSWindowsError as exc:
         out.append(_result("window-polytope-cross-check", name, False, str(exc)))

@@ -14,6 +14,12 @@ FLOAT_WEIGHTS = {"root_datum": {"builtin": "torus", "rank": 1}, "weights": [[1.5
 STRING_WEIGHTS = {"root_datum": {"builtin": "torus", "rank": 1}, "weights": "abc"}
 STRING_FLAG = dict(TORUS22, assert_generic="yes")
 FLOAT_PAIRING = dict(TORUS22, root_datum={"rank": 1, "pairing": [1.5]})
+# pairings that are no inner product: singular, or not symmetric
+RANK2 = {"weights": [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1]]}
+ZERO_PAIRING = dict(TORUS22, root_datum={"rank": 1, "pairing": [[0]]})
+SINGULAR_PAIRING = dict(RANK2, root_datum={"rank": 2, "pairing": [[1, 1], [1, 1]]})
+SKEW_PAIRING = dict(RANK2, root_datum={"rank": 2, "pairing": [[2, 1], [0, 1]]})
+HALF_SKEW_PAIRING = dict(RANK2, root_datum={"rank": 2, "pairing": [[1, "1/2"], ["-1/2", 1]]})
 # a root that pairs to 1 with the invariant vector (1): wall points would
 # change dominance
 ROOT_OFF_INVARIANTS = dict(TORUS22, assert_generic=True, root_datum={
@@ -47,7 +53,9 @@ def inputs(tmp_path):
     for name, payload in (("torus22", TORUS22), ("gl2", GL2), ("bad", BAD), ("rank3", RANK3),
                           ("float_weights", FLOAT_WEIGHTS), ("string_weights", STRING_WEIGHTS),
                           ("list_document", [TORUS22]), ("string_flag", STRING_FLAG),
-                          ("float_pairing", FLOAT_PAIRING),
+                          ("float_pairing", FLOAT_PAIRING), ("zero_pairing", ZERO_PAIRING),
+                          ("singular_pairing", SINGULAR_PAIRING), ("skew_pairing", SKEW_PAIRING),
+                          ("half_skew_pairing", HALF_SKEW_PAIRING),
                           ("root_off_invariants", ROOT_OFF_INVARIANTS), ("huge", HUGE),
                           ("gl8", GL8), ("gl4", GL4), ("gl3_cyclic", GL3_CYCLIC)):
         p = tmp_path / f"{name}.json"
@@ -179,6 +187,14 @@ def test_error_codes(inputs, capsys):
         code, out, err = run(capsys, "rep", "--input", inputs[name])
         assert code == 2 and out == ""
         assert err.startswith("input error: ") and err.count("\n") == 1
+    # a pairing must be symmetric and nonsingular; the message names its entries
+    for name, message in (
+            ("zero_pairing", "pairing with rows (0) is singular"),
+            ("singular_pairing", "pairing with rows (1, 1), (1, 1) is singular"),
+            ("skew_pairing", "pairing is not symmetric: entry (2, 1) is 0 but entry (1, 2) is 1"),
+            ("half_skew_pairing",
+             "pairing is not symmetric: entry (2, 1) is -1/2 but entry (1, 2) is 1/2")):
+        assert run(capsys, "rep", "--input", inputs[name]) == (2, "", f"input error: {message}\n")
     # faces are read at W-invariant points only
     code, out, err = run(capsys, "faces", "--input", inputs["gl2"], "--delta", "1/3,2/3")
     assert code == 2 and out == "" and "does not lie in the invariant subspace" in err

@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qswindows import catalog, geometry, linalg, rep
 from qswindows.errors import InputError, InternalInconsistencyError
+from qswindows.geometry import HalfSpace
 from qswindows.rep import QSRep, Ternary
 from qswindows.root_data import RootDatum
+from test_acceptance import CORPUS_COUNTS, CORPUS_SEED
 from test_root_data import weyl_lengths
 
 GL2_NABLA_VERTICES = {
@@ -46,10 +49,71 @@ def test_nabla_intervals(torus22, torus33):
     assert sorted(torus33.nabla.vertices) == [(Fraction(-3, 2),), (Fraction(3, 2),)]
 
 
-def test_torus_nabla_is_half_sigma(small_corpus):
-    for r in small_corpus[:6]:
-        half = r.sigma.scale(Fraction(1, 2))
-        assert geometry.polytopes_equal(r.nabla, half)
+def slab_oracle(datum, weights) -> geometry.Polytope:
+    """The window polytope the old way: both sides of every candidate slab,
+    intersected by vertex enumeration."""
+    halfspaces = []
+    for lam in rep.slab_candidates(datum, weights):
+        normal, rescale = linalg.primitive_scale(linalg.mat_vec(datum.pairing, lam))
+        offset = -rep.eta(datum, weights, lam) / 2 * rescale
+        halfspaces += [HalfSpace(normal, offset), HalfSpace(linalg.neg(normal), offset)]
+    return geometry.from_halfspaces(halfspaces, center=(Fraction(0),) * datum.rank)
+
+
+# a Weyl-invariant pairing of a rank-two torus that is not the identity
+SKEW_TORUS = RootDatum.from_dict({"rank": 2, "pairing": [["1/2", "-1/3"], ["-1/3", "1/2"]]})
+
+
+def test_certified_nabla_matches_slab_oracle_on_corpus():
+    reps = catalog.random_corpus(CORPUS_SEED, CORPUS_COUNTS)
+    assert len(reps) == 210
+    for r in reps:
+        assert r.nabla.to_json() == slab_oracle(r.root_datum, r.weights).to_json()
+
+
+def test_certified_nabla_matches_slab_oracle_with_non_identity_pairing():
+    """The pairing moves the slab normals lam, not the polytope they cut out."""
+    weights = catalog.random_torus_rep(random.Random(7), 2).weights
+    assert rep.slab_candidates(SKEW_TORUS, weights) != rep.slab_candidates(RootDatum.torus(2), weights)
+    built = QSRep.build(SKEW_TORUS, weights)
+    assert built.nabla.to_json() == slab_oracle(SKEW_TORUS, weights).to_json()
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_certified_nabla_matches_slab_oracle_on_random_tori(data):
+    """Quasi-symmetric tori, generic or not: each drawn direction carries
+    one zero-sum pattern of multiples."""
+    datum = data.draw(st.sampled_from([RootDatum.torus(1), RootDatum.torus(2), SKEW_TORUS,
+                                       RootDatum.torus(3)]))
+    direction = st.tuples(*[st.integers(-2, 2)] * datum.rank)
+    lines = data.draw(st.lists(st.tuples(direction, st.sampled_from(catalog.LINE_PATTERNS_RICH)),
+                               min_size=1, max_size=4 if datum.rank < 3 else 3))
+    weights = [linalg.scale(c, v) for v, pattern in lines for c in pattern]
+    assume(linalg.rank(weights) == datum.rank)
+    built = QSRep.build(datum, weights)
+    assert built.nabla.to_json() == slab_oracle(datum, weights).to_json()
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda h, facet: None if h.normal == facet else h, "has no slab as tight"),
+    (lambda h, facet: HalfSpace(h.normal, h.offset - Fraction(1, 2)) if h.normal == facet else h,
+     "has no slab as tight"),
+    (lambda h, facet: HalfSpace(h.normal, h.offset + Fraction(1, 2)) if h.normal == facet else h,
+     "lies outside slab"),
+], ids=["missing", "widened", "narrowed"])
+def test_slab_check_rejects_a_missing_widened_or_narrowed_slab(small_corpus, change, message):
+    """A slab set without one facet normal, or with one facet slab widened
+    by 1/2, no longer proves the slab polytope inside half the zonotope; a
+    slab narrowed by 1/2 cuts off vertices."""
+    for r in small_corpus:
+        datum, half = r.root_datum, r.sigma.scale(Fraction(1, 2))
+        slabs = rep._slabs(datum, r.weights)
+        rep._cross_check_nabla(datum, r.sigma, half, slabs)
+        for facet in {h.normal for h in half.halfspaces}:
+            changed = [c for c in (change(h, facet) for h in slabs) if c is not None]
+            with pytest.raises(InternalInconsistencyError, match=message):
+                rep._cross_check_nabla(datum, r.sigma, half, changed)
 
 
 def test_gl2_nabla_octagon(gl2rep):
@@ -81,14 +145,15 @@ def test_weyl_check_by_simple_reflections_matches_all_elements(n):
     built = QSRep.build(RootDatum.gl(n), std_dual * 4)
     datum = built.root_datum
     assert _all_elements_invariant(datum, built.nabla)
-    rep._cross_check_nabla(datum, built.sigma, built.nabla)
+    slabs = rep._slabs(datum, built.weights)
+    rep._cross_check_nabla(datum, built.sigma, built.nabla, slabs)
     # cut away a non-dominant corner: the dominant slice is unchanged, but
     # the polytope is no longer Weyl invariant
     cut = geometry.intersect(built.nabla, [geometry.HalfSpace(
         tuple(1 if j == 0 else -1 if j == 1 else 0 for j in range(n)), Fraction(-1, 2))])
     assert not _all_elements_invariant(datum, cut)
     with pytest.raises(InternalInconsistencyError, match="not Weyl invariant"):
-        rep._cross_check_nabla(datum, built.sigma, cut)
+        rep._cross_check_nabla(datum, built.sigma, cut, slabs)
 
 
 def test_generic_examples():

@@ -42,11 +42,30 @@ def test_cross_check_row_reads_the_stored_nabla(torus22, ctx22, gl2rep, ctxgl2):
         rows = verify.check_rep_invariants("r", rep, ctx)
         return next(r for r in rows if r.name == "window-polytope-cross-check")
 
-    for rep, ctx in ((torus22, ctx22), (gl2rep, ctxgl2)):
+    for rep, ctx, message in ((torus22, ctx22, "lies outside slab"),
+                              (gl2rep, ctxgl2, "dominant slice")):
         assert cross_check(rep, ctx).passed
         doubled = dataclasses.replace(rep, nabla=rep.nabla.scale(2))
         row = cross_check(doubled, ctx)
-        assert not row.passed and "dominant slice" in row.detail
+        assert not row.passed and message in row.detail
+
+
+def test_cross_check_row_fails_a_shrunk_torus_nabla(torus33, ctx33):
+    """A torus nabla is checked against its slabs, not against half the
+    zonotope it was taken from: a shrunk one still cuts out the hull of its
+    vertices, but its facets are tighter than the slabs.  Shrunk vertices
+    under the slabs' own half-spaces pass both containments, and fail
+    because those half-spaces do not cut out their hull."""
+    def cross_check(nabla):
+        rows = verify.check_rep_invariants("r", dataclasses.replace(torus33, nabla=nabla), ctx33)
+        return next(r for r in rows if r.name == "window-polytope-cross-check")
+
+    shrunk = torus33.nabla.scale(Fraction(1, 2))
+    row = cross_check(shrunk)
+    assert not row.passed and row.detail == "facet (-1) >= -3/4 has no slab as tight"
+    mixed = dataclasses.replace(shrunk, halfspaces=torus33.nabla.halfspaces, _table=None)
+    row = cross_check(mixed)
+    assert not row.passed and row.detail == "(-3/4) is not a vertex of the half-spaces"
 
 
 def test_window_row_works_the_nudged_window_out_afresh(torus22, gl2rep):
