@@ -25,6 +25,12 @@ Families with the same normal can put walls at the same offset, and such a
 hyperplane is recorded once, under its first family; offsets are compared as
 integer numerators over the common scale of the normal's families.  A
 chamber keeps its sample's numerators, and queries read them.
+
+A wall keeps its offset as the integer numerator over its family's scale,
+and a crossing time t, where the segment a + t(b - a) meets a wall, is an
+integer pair (p, q) with q > 0.  ``Fraction``s are made only for output: a
+wall's ``offset`` when it is printed or compared with user input, and the
+ambient point of invariant coordinates.
 """
 from __future__ import annotations
 
@@ -62,10 +68,17 @@ class WallFamily:
         object.__setattr__(self, "step_num", step)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Wall:
+    """The wall <t, normal> = num / scale of one family, over that family's scale."""
+
     family_index: int
-    offset: Fraction
+    num: int
+    scale: int
+
+    @property
+    def offset(self) -> Fraction:
+        return Fraction(self.num, self.scale)
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,9 +131,12 @@ class Arrangement:
         return sol
 
     def to_ambient(self, point) -> Vec:
-        """The ambient point sum_i c_i b_i of coordinates or of a chamber: integer
-        numerators of the coordinates against each column of the basis, over one denominator."""
-        nums, den = self._scaled(point)
+        """The ambient point sum_i c_i b_i of coordinates or of a chamber."""
+        return self._ambient(*self._scaled(point))
+
+    def _ambient(self, nums: IntVec, den: int) -> Vec:
+        """``to_ambient`` of the coordinates nums/den: integer numerators
+        against each column of the basis, over the one denominator."""
         return tuple(Fraction(sum(map(mul, nums, col)), den) for col in zip(*self.invariant_basis))
 
     def _scaled(self, point) -> tuple[IntVec, int]:
@@ -149,7 +165,7 @@ class Arrangement:
             num = f.base_num + k * f.step_num
             if (group, num * factor) not in seen:
                 seen.add((group, num * factor))
-                out.append(Wall(i, Fraction(num, f.scale)))
+                out.append(Wall(i, num, f.scale))
         return out
 
     def _walls_on(self, indices) -> list[Wall]:
@@ -185,17 +201,25 @@ class Arrangement:
             raise NotAdjacentError(a.sample, b.sample, len(walls))
         return walls[0]
 
-    def crossing_times(self, a, b, walls) -> list[Fraction]:
-        """Per wall, the t at which the segment a + t(b - a) meets it; a, b may be chambers."""
+    def crossing_times(self, a, b, walls) -> list[tuple[int, int]]:
+        """Per wall, the t = p/q (q > 0) at which the segment a + t(b - a)
+        meets it; a, b may be chambers."""
         (x, da), (y, db) = self._scaled(a), self._scaled(b)
         out = []
         for w in walls:
             normal = self.families[w.family_index].normal
             xa, yb = sum(map(mul, x, normal)), sum(map(mul, y, normal))
-            p, q = w.offset.numerator, w.offset.denominator
-            # (p/q - xa/da) / (yb/db - xa/da), cleared of denominators
-            out.append(Fraction((p * da - q * xa) * db, q * (yb * da - xa * db)))
+            # (num/scale - xa/da) / (yb/db - xa/da), cleared of denominators
+            p, q = (w.num * da - w.scale * xa) * db, w.scale * (yb * da - xa * db)
+            out.append((p, q) if q > 0 else (-p, -q))
         return out
+
+    def _on_segment(self, a, b, p: int, q: int) -> tuple[IntVec, int]:
+        """The point a + (p/q)(b - a), q > 0, of two points or chambers, as integer
+        numerators over one positive denominator: with a = x/d and b = y/e it is
+        (q e x + p (d y - e x)) / (q d e)."""
+        (x, d), (y, e) = self._scaled(a), self._scaled(b)
+        return tuple(q * e * u + p * (d * v - e * u) for u, v in zip(x, y)), q * d * e
 
     def orientations(self, direction, walls) -> list[int]:
         """Signs of a direction vector against the normals of the walls."""

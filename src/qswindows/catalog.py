@@ -125,12 +125,10 @@ def random_corpus(seed: int, counts: dict[int, int] | None = None) -> list[QSRep
 def _wall_samples(arr: Arrangement, wall: Wall, periods: int, grid: Fraction,
                   limit: int):
     """Rational points on one wall inside the box, off every other wall."""
-    f = arr.families[wall.family_index]
-    nrm = f.normal
-    dim = arr.dim
+    nrm = arr.families[wall.family_index].normal
     norm_sq = linalg.dot(nrm, nrm)
-    base_point = linalg.scale(Fraction(wall.offset) / norm_sq, nrm)
-    if dim == 1:
+    base_point = linalg.scale(wall.offset / norm_sq, nrm)
+    if arr.dim == 1:
         others = [w for w in arr.walls_at(base_point) if w != wall]
         return [] if others else [base_point]
     directions = [linalg.vec(b) for b in linalg.kernel_basis([list(nrm)])]
@@ -183,10 +181,8 @@ def adjacent_pairs(ctx: Context, periods: int = 2, per_wall: int = 3,
             if key in seen:
                 continue
             seen.add(key)
-            delta = arr.to_ambient(lo)
-            delta_prime = arr.to_ambient(hi)
-            pairs.append((delta, delta_prime))
-            pairs.append((delta_prime, delta))
+            delta, delta_prime = arr.to_ambient(lo), arr.to_ambient(hi)
+            pairs += [(delta, delta_prime), (delta_prime, delta)]
             if max_pairs is not None and len(pairs) >= max_pairs:
                 return pairs
     return pairs

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -414,7 +415,15 @@ def main(argv=None) -> int:
     try:
         # argparse runs the ``type=`` parsers, which raise InputError
         args = parser.parse_args(_join_vector_flags(sys.argv[1:] if argv is None else list(argv)))
-        return HANDLERS[args.command](args)
+        status = HANDLERS[args.command](args)
+        # a reader that closed stdout early shows here, not at interpreter exit
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # send what is still buffered to devnull (the recipe in Python's
+        # signal module docs), so that exit prints no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (InputError, OnWallError, NotAdjacentError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

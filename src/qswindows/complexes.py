@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import InputError, InternalInconsistencyError
+from .errors import InputError, InternalInconsistencyError, _fmt
 from .rep import QSRep
 from .root_data import SINGULAR, Weight
 from .windows import Context, FaceData, WallCrossing, _index_sum
@@ -90,7 +90,7 @@ def complex_terms(rep: QSRep, fd: FaceData, chi) -> ComplexTerms:
     chi = tuple(int(x) for x in chi)
     datum = rep.root_datum
     if not datum.is_dominant(chi):
-        raise InputError(f"{chi} is not dominant")
+        raise InputError(f"{_fmt(chi)} is not dominant")
     terms: dict[int, Counter] = {}
     dropped = 0
     for m in range(fd.d_plus + 1):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .arrangement import Arrangement, Chamber
@@ -235,28 +236,29 @@ def _expect_translate(arrows, position) -> Translate:
 # -- rank-one normal form ------------------------------------------------------
 
 
-def _letters(arr: Arrangement, path: Path) -> tuple[list[tuple[Fraction, int]], Fraction]:
+def _letters(arr: Arrangement, path: Path) -> tuple[list[tuple[int, int]], int, int]:
     """Crossing letters (wall position, direction) with translations pushed
-    to the end; only valid in rank one."""
+    to the end, and the net translation; only valid in rank one.  Every
+    rank-one wall normal is (1,), so a wall position is a coordinate, and it
+    is kept as an integer numerator over the common scale, also returned."""
     if arr.dim != 1:
         raise UnsupportedDimensionError("word reduction is implemented in rank one only")
-    letters: list[tuple[Fraction, int]] = []
-    shift = Fraction(0)
+    scale = arr.families[0].scale * arr._wall_keys[0][1]
+    letters: list[tuple[int, int]] = []
+    shift = 0
     for a, here, there in path.located(arr):
         if isinstance(a, Translate):
-            shift += Fraction(a.m[0])
+            shift += a.m[0]
             continue
-        src, dst = a.src[0], a.dst[0]
-        direction = 1 if dst > src else -1
-        walls = arr.separating_walls(here, there)
-        offsets = sorted((w.offset for w in walls), reverse=direction < 0)
-        for off in offsets:
-            letters.append((off - shift, direction))
-    return letters, shift
+        direction = 1 if a.dst[0] > a.src[0] else -1
+        positions = sorted((w.num * arr._wall_keys[w.family_index][1]
+                            for w in arr.separating_walls(here, there)), reverse=direction < 0)
+        letters += [(pos - shift * scale, direction) for pos in positions]
+    return letters, shift, scale
 
 
-def _freely_reduce(letters: list[tuple[Fraction, int]]) -> list[tuple[Fraction, int]]:
-    out: list[tuple[Fraction, int]] = []
+def _freely_reduce(letters: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    out: list[tuple[int, int]] = []
     for letter in letters:
         if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
             out.pop()
@@ -269,24 +271,24 @@ def reduce_rank1(arr: Arrangement, path: Path) -> Path:
     """Unique normal form: freely reduced adjacent crossings, then one
     translation.  Rebuilt samples sit at chamber midpoints (rank-one wall
     normals are always the covector (1,), so values are coordinates)."""
-    letters, shift = _letters(arr, path)
-    letters = _freely_reduce(letters)
+    letters, shift, scale = _letters(arr, path)
     arrows: list[Arrow] = []
     point = path.start
-    f = arr.families[0]
-    for off, direction in letters:
-        dst = (off + direction * f.offset_step / 2,)
+    # the first family's step over the common scale
+    step = arr.families[0].step_num * arr._wall_keys[0][1]
+    for pos, direction in _freely_reduce(letters):
+        dst = (Fraction(2 * pos + direction * step, 2 * scale),)
         arrows.append(Cross(point, dst, (Fraction(direction),)))
         point = dst
     if shift != 0:
-        arrows.append(Translate((int(shift),)))
+        arrows.append(Translate((shift,)))
     return make_path(arr, arrows, start=path.start)
 
 
 def normal_form_word(arr: Arrangement, path: Path):
     """(freely reduced letters, net translation) identifying the morphism."""
-    letters, shift = _letters(arr, path)
-    return tuple(_freely_reduce(letters)), shift
+    letters, shift, scale = _letters(arr, path)
+    return tuple((Fraction(pos, scale), d) for pos, d in _freely_reduce(letters)), Fraction(shift)
 
 
 def paths_equivalent_rank1(arr: Arrangement, p: Path, q: Path) -> bool:
@@ -328,17 +330,17 @@ def split_into_hops(arr: Arrangement, a: Cross, chambers=None) -> list[Cross]:
     walls = arr.separating_walls(*ends)
     if not walls:
         return []
-    times = sorted(arr.crossing_times(*ends, walls))
-    if len(set(times)) != len(times):
+    # the times p/q over one positive denominator, as integers
+    times = arr.crossing_times(*ends, walls)
+    den = lcm(*(q for _, q in times))
+    keys = sorted(p * (den // q) for p, q in times)
+    if len(set(keys)) != len(keys):
         raise InputError(
             "segment passes through a wall intersection; perturb the endpoints")
-    direction = linalg.sub(a.dst, a.src)
-    cut_points = [a.src]
-    for i in range(len(times) - 1):
-        mid = (times[i] + times[i + 1]) / 2
-        cut_points.append(linalg.add(a.src, linalg.scale(mid, direction)))
-    cut_points.append(a.dst)
-    return [Cross(cut_points[i], cut_points[i + 1], a.label) for i in range(len(times))]
+    # a cut point at the mean (s + t) / (2 den) of two consecutive times
+    mids = (arr._on_segment(*ends, s + t, 2 * den) for s, t in zip(keys, keys[1:]))
+    cut_points = [a.src, *(tuple(Fraction(n, d) for n in nums) for nums, d in mids), a.dst]
+    return [Cross(src, dst, a.label) for src, dst in zip(cut_points, cut_points[1:])]
 
 
 def _hop_crossings(rep: QSRep, ctx: Context, a: Cross, chambers: tuple[Chamber, Chamber]):

@@ -30,8 +30,14 @@ windows.  An endpoint is an off-wall ambient point or the chamber that
 holds it, and either stands for the other: a point is located by
 ``to_coords`` and ``chamber_of``, and a chamber's sample, its invariant
 coordinates, gives the point under ``to_ambient`` once per call, which
-``Window.delta`` then carries.  The groupoid's hop loop locates each cut
-point of an arrow once and passes chambers.
+``Window.delta`` then carries.  The wall point is formed over the integers:
+from the two chambers' sample numerators and the crossing time p/q, as
+numerators over one positive denominator in invariant coordinates, checked
+on the wall by the arrangement's ``divmod`` indices, and taken to the
+ambient delta_0 once, through the integer core of ``to_ambient``; the
+orientation check reads the numerators of delta and delta'.  The
+groupoid's hop loop locates each cut point of an arrow once and passes
+chambers.
 
 Why that is exact: both wall points lie on the wall the two chambers share
 and on no other wall, so they are joined inside the common facet of the two
@@ -214,16 +220,17 @@ class WallCrossing:
     def oriented(self) -> bool:
         """Whether the direction delta -> delta' pairs positively with every
         inward normal of every wall face."""
-        # numerators over one positive denominator keep every sign
-        nums, _ = linalg._numerators(linalg.sub(self.delta_prime, self.delta))
-        return all(sum(map(mul, nums, lam)) > 0
+        # with delta = u/e and delta' = v/e' over positive denominators,
+        # <delta' - delta, lam> > 0 exactly when e <v, lam> > e' <u, lam>
+        (u, e), (v, e_p) = map(linalg._numerators, (self.delta, self.delta_prime))
+        return all(e * sum(map(mul, v, lam)) > e_p * sum(map(mul, u, lam))
                    for fd in self.faces.values() for lam in fd.inward_normals)
 
     def face_of_char(self, chi) -> FaceData:
         for key, chars in self.chars_by_face.items():
             if tuple(chi) in chars:
                 return self.faces[key]
-        raise InputError(f"{chi} does not leave the window across this wall")
+        raise InputError(f"{_fmt(chi)} does not leave the window across this wall")
 
 
 class _PairCrossing:
@@ -269,13 +276,14 @@ def wall_crossing(rep: QSRep, delta, delta_prime, ctx: Context) -> WallCrossing:
     # each window holds its ambient point, worked out once
     win, win_p = ctx.window(chamber), ctx.window(chamber_p)
     delta, delta_prime = win.delta, win_p.delta
-    coords, coords_p = chamber.sample, chamber_p.sample
-    # the wall point is where the segment meets the wall; for a symmetric
-    # pair this is the exact midpoint
-    (t,) = arr.crossing_times(chamber, chamber_p, [wall])
-    delta0 = linalg.add(delta, linalg.scale(t, linalg.sub(delta_prime, delta)))
-    if not arr.on_wall(linalg.add(coords, linalg.scale(t, linalg.sub(coords_p, coords)))):
+    # the wall point is where the segment meets the wall (for a symmetric
+    # pair, the exact midpoint), over the integers in invariant coordinates;
+    # it lies on no other hyperplane, as both ends are off-wall
+    ((p, q),) = arr.crossing_times(chamber, chamber_p, [wall])
+    nums, den = arr._on_segment(chamber, chamber_p, p, q)
+    if arr._walls_on(arr._indices(nums, den)) != [wall]:
         raise InternalInconsistencyError("computed wall point is not on the wall")
+    delta0 = arr._ambient(nums, den)
     if pair is None:
         pair = ctx._crossings[key] = _PairCrossing(rep, ctx, wall, win, win_p, delta0)
     crossing = WallCrossing(
@@ -297,7 +305,7 @@ def mu_of_crossing(rep: QSRep, crossing: WallCrossing, chi) -> Weight:
     """The wall-crossing image (chi + beta_F^+)^+ of an outgoing character."""
     chi = tuple(int(x) for x in chi)
     if chi not in set(crossing.outgoing):
-        raise InputError(f"{chi} is not in the outgoing part of the window")
+        raise InputError(f"{_fmt(chi)} is not in the outgoing part of the window")
     fd = crossing.face_of_char(chi)
     shifted = linalg.add(chi, fd.beta_plus)
     rep_result = rep.root_datum.dominant_representative(shifted)

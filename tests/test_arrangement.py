@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -7,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qswindows import catalog, groupoid, linalg
+from qswindows import catalog, groupoid, linalg, windows
 from qswindows.arrangement import Arrangement, Wall, WallFamily, build_arrangement
 from qswindows.errors import InputError, NotAdjacentError, OnWallError
 from qswindows.rep import QSRep
 from qswindows.root_data import RootDatum
 from qswindows.windows import Context
+from test_windows import _criterion6_hops
 
 F = Fraction
 # GL(2) weights whose facet families share a normal and some wall positions
@@ -158,7 +160,14 @@ def test_overlapping_families_count_hyperplanes_once():
 
 # -- the Fraction oracle --------------------------------------------------------
 # The wall-family arithmetic that the integer queries replaced, kept here as
-# the reference they must match exactly.
+# the reference they must match exactly.  Oracle walls are (family index,
+# Fraction offset) pairs, and the program's walls are compared as such pairs.
+
+OracleWall = namedtuple("OracleWall", "family_index offset")
+
+
+def _pairs(walls) -> list[tuple[int, Fraction]]:
+    return [(w.family_index, w.offset) for w in walls]
 
 
 def _value(f, coords) -> Fraction:
@@ -179,13 +188,13 @@ def _offsets_between(f, a: Fraction, b: Fraction) -> list[Fraction]:
             if lo < f.base_offset + k * f.offset_step < hi]
 
 
-def _oracle_walls_at(arr, coords) -> list[Wall]:
+def _oracle_walls_at(arr, coords) -> list[OracleWall]:
     out, seen = [], set()
     for i, f in enumerate(arr.families):
         v = _value(f, coords)
         if (v - f.base_offset) % f.offset_step == 0 and (f.normal, v) not in seen:
             seen.add((f.normal, v))
-            out.append(Wall(i, v))
+            out.append(OracleWall(i, v))
     return out
 
 
@@ -196,7 +205,7 @@ def _oracle_chamber(arr, coords) -> tuple[int, ...]:
     return tuple(_interval_index(f, _value(f, coords)) for f in arr.families)
 
 
-def _oracle_separating_walls(arr, a, b) -> list[Wall]:
+def _oracle_separating_walls(arr, a, b) -> list[OracleWall]:
     for p in (a, b):
         _oracle_chamber(arr, p)
     out, seen = [], set()
@@ -204,8 +213,8 @@ def _oracle_separating_walls(arr, a, b) -> list[Wall]:
         for off in _offsets_between(f, _value(f, a), _value(f, b)):
             if (f.normal, off) not in seen:
                 seen.add((f.normal, off))
-                out.append(Wall(i, off))
-    out.sort(key=lambda w: (w.family_index, w.offset))
+                out.append(OracleWall(i, off))
+    out.sort()
     return out
 
 
@@ -277,15 +286,15 @@ def test_integer_queries_match_fraction_oracle(oracle_arrangements, data):
     assert not arr.is_generic_label((0,) * arr.dim)
     a, b = _draw_point(data, arr), _draw_point(data, arr)
     for p in (a, b):
-        assert arr.walls_at(p) == _oracle_walls_at(arr, p)
+        assert _pairs(arr.walls_at(p)) == _oracle_walls_at(arr, p)
         assert arr.on_wall(p) == bool(_oracle_walls_at(arr, p))
         assert (_outcome(lambda q: arr.chamber_of(q).sign_vector, p)
                 == _outcome(_oracle_chamber, arr, p))
         assert arr.is_generic_label(p) == _oracle_generic_label(arr, p)
-        every = [Wall(i, f.base_offset) for i, f in enumerate(arr.families)]
+        every = [Wall(i, f.base_num, f.scale) for i, f in enumerate(arr.families)]
         values = [_value(f, p) for f in arr.families]
         assert arr.orientations(p, every) == [(v > 0) - (v < 0) for v in values]
-    assert (_outcome(arr.separating_walls, a, b)
+    assert (_outcome(lambda *ends: _pairs(arr.separating_walls(*ends)), a, b)
             == _outcome(_oracle_separating_walls, arr, a, b))
     hops = _outcome(groupoid.split_into_hops, arr, groupoid.Cross(a, b, a))
     if isinstance(hops, list):
@@ -309,11 +318,84 @@ def test_to_ambient_matches_fraction_oracle(oracle_arrangements, data):
     assert all(type(x) is F for x in got)
 
 
+# -- crossing times and wall points ---------------------------------------------
+# The Fraction formulas that the integer crossing times and wall points
+# replaced: t = (offset - <a, n>) / (<b, n> - <a, n>), the wall point
+# a + t(b - a) on the wall, and delta + t(delta' - delta) in ambient terms.
+
+
+def _oracle_times(arr, a, b, walls) -> list[Fraction]:
+    out = []
+    for w in walls:
+        f = arr.families[w.family_index]
+        out.append((w.offset - _value(f, a)) / (_value(f, b) - _value(f, a)))
+    return out
+
+
+def _check_crossing_against_oracle(ctx, here, there) -> int:
+    """The crossing times of two chambers' samples on their separating walls
+    and, for an adjacent pair, its wall point and direction, against the
+    Fraction oracle; returns the number of walls."""
+    arr = ctx.arrangement
+    a, b = here.sample, there.sample
+    walls = arr.separating_walls(here, there)
+    times = arr.crossing_times(here, there, walls)
+    assert all(type(p) is int and type(q) is int and q > 0 for p, q in times)
+    assert [F(p, q) for p, q in times] == _oracle_times(arr, a, b, walls)
+    if len(walls) == 1:
+        (t,) = _oracle_times(arr, a, b, walls)
+        point = linalg.add(a, linalg.scale(t, linalg.sub(b, a)))
+        assert _pairs(walls)[0] in _oracle_walls_at(arr, point)
+        crossing = windows.wall_crossing(arr.rep, here, there, ctx)
+        delta, delta2 = _oracle_to_ambient(arr, a), _oracle_to_ambient(arr, b)
+        direction = linalg.sub(delta2, delta)
+        assert crossing.delta0 == linalg.add(delta, linalg.scale(t, direction))
+        assert crossing.delta0 == _oracle_to_ambient(arr, point)
+        assert all(linalg.dot(direction, lam) > 0
+                   for fd in crossing.faces.values() for lam in fd.inward_normals)
+    return len(walls)
+
+
+@pytest.fixture(scope="module")
+def oracle_contexts(oracle_arrangements):
+    return [Context(arr.rep, arr) for arr in oracle_arrangements]
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_crossing_times_and_wall_points_match_fraction_oracle(oracle_contexts, data):
+    ctx = data.draw(st.sampled_from(oracle_contexts))
+    arr = ctx.arrangement
+    a, b = _draw_point(data, arr), _draw_point(data, arr)
+    if arr.on_wall(a) or arr.on_wall(b):
+        return
+    _check_crossing_against_oracle(ctx, arr.chamber_of(a), arr.chamber_of(b))
+    cuts = _outcome(_oracle_cut_points, arr, a, b)
+    if isinstance(cuts, list):
+        # consecutive oracle cut points are adjacent
+        for p, q in zip(cuts, cuts[1:]):
+            assert _check_crossing_against_oracle(ctx, arr.chamber_of(p), arr.chamber_of(q)) == 1
+
+
+@pytest.mark.parametrize("name", sorted(catalog.bundled_reps()))
+def test_criterion6_crossings_match_fraction_oracle(name):
+    ctx = Context(catalog.bundled_reps()[name])
+    arr = ctx.arrangement
+    hops = 0
+    for a, (here, there), split in _criterion6_hops(arr):
+        _check_crossing_against_oracle(ctx, here, there)
+        assert [split[0].src, *(h.dst for h in split)] == _oracle_cut_points(arr, a.src, a.dst)
+        located = [here, *(arr.chamber_of(h.dst) for h in split[:-1]), there]
+        for pair in zip(located, located[1:]):
+            hops += _check_crossing_against_oracle(ctx, *pair)
+    assert hops > 100
+
+
 # -- wall dedupe by integer keys -------------------------------------------------
 
 
-def _oracle_walls(arr, candidates) -> list[Wall]:
-    """The dedupe that integer wall keys replaced: one Wall per (normal,
+def _oracle_walls(arr, candidates) -> list[OracleWall]:
+    """The dedupe that integer wall keys replaced: one wall per (normal,
     Fraction offset), under the first family that puts a wall there."""
     out, seen = [], set()
     for i, k in candidates:
@@ -321,7 +403,7 @@ def _oracle_walls(arr, candidates) -> list[Wall]:
         offset = F(f.base_num + k * f.step_num, f.scale)
         if (f.normal, offset) not in seen:
             seen.add((f.normal, offset))
-            out.append(Wall(i, offset))
+            out.append(OracleWall(i, offset))
     return out
 
 
@@ -336,7 +418,7 @@ def _walls_checked_against_oracle():
     def checked(self, candidates):
         candidates = list(candidates)
         got = keyed(self, candidates)
-        assert got == _oracle_walls(self, candidates)
+        assert _pairs(got) == _oracle_walls(self, candidates)
         calls.append((len(candidates), len(got)))
         return got
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -251,6 +255,27 @@ def test_error_codes(inputs, capsys):
     code, out, err = run(capsys, "verify", "--suites", "input")
     assert code == 2 and out == ""
     assert err.startswith("input error: ") and err.count("\n") == 1
+    # a character that does not leave the window is named in p/q form
+    code, out, err = run(capsys, "complex", "--input", inputs["torus22"],
+                         "--delta=1/2", "--delta2=3/2", "--chi=9")
+    assert (code, out, err) == (2, "", "input error: (9) does not leave the window "
+                                "across this wall\n")
+
+
+def test_closed_stdout_exits_1_without_a_traceback(inputs):
+    """A reader that stops early (``| head -c 10``) closes the pipe while
+    the JSON is still being written; the output is far larger than the pipe
+    buffer, so the write fails."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qswindows.cli", "arrangement", "--input", inputs["gl2"],
+         "--box", "20000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (1, b"")
 
 
 def test_verify_empty_suites(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -6,10 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qswindows import catalog, groupoid, linalg, verify
-from qswindows.arrangement import Arrangement
-from qswindows.errors import InputError, UnsupportedDimensionError
+from qswindows.arrangement import Arrangement, WallFamily
+from qswindows.errors import InputError, OnWallError, UnsupportedDimensionError
 from qswindows.groupoid import Cross, Translate
+from qswindows.rep import QSRep
+from qswindows.root_data import RootDatum
 from qswindows.windows import Context
+from test_arrangement import OVERLAP_WEIGHTS
 
 F = Fraction
 
@@ -116,6 +120,78 @@ def test_reduce_rank1_equal_endpoints_equal_words(arr22):
     p = groupoid.make_path(arr22, [up(F(1, 4), F(5, 4)), up(F(5, 4), F(9, 4))])
     q = groupoid.make_path(arr22, [Cross((F(1, 2),), (F(11, 5),), (F(1),))])
     assert groupoid.paths_equivalent_rank1(arr22, p, q)
+
+
+# -- the Fraction oracle for rank-one words --------------------------------------
+# The letters that integer wall positions replaced: Fraction wall offsets
+# less the translation so far, and reduced arrows half a step of the first
+# family past each letter's wall.
+
+
+def _oracle_word(arr, path):
+    letters, shift = [], F(0)
+    for a, here, there in path.located(arr):
+        if isinstance(a, Translate):
+            shift += F(a.m[0])
+            continue
+        direction = 1 if a.dst[0] > a.src[0] else -1
+        offsets = sorted((w.offset for w in arr.separating_walls(here, there)),
+                         reverse=direction < 0)
+        letters += [(off - shift, direction) for off in offsets]
+    return tuple(groupoid._freely_reduce(letters)), shift
+
+
+def _oracle_reduced(arr, path):
+    word, shift = _oracle_word(arr, path)
+    arrows, point = [], path.start
+    for off, direction in word:
+        dst = (off + direction * arr.families[0].offset_step / 2,)
+        arrows.append(Cross(point, dst, (F(direction),)))
+        point = dst
+    if shift:
+        arrows.append(Translate((int(shift),)))
+    return groupoid.make_path(arr, arrows, start=path.start).arrows
+
+
+def _arrows_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except OnWallError as exc:
+        return str(exc)
+
+
+@pytest.fixture(scope="module")
+def rank1_arrangements(ctx22, ctx33, ctxgl2):
+    """The bundled reps, the GL(2) rep with two families on one normal, and
+    hand-made families with scales 2, 3, 4 and 6."""
+    overlap = Context(QSRep.build(RootDatum.gl(2), OVERLAP_WEIGHTS)).arrangement
+    scales = dataclasses.replace(ctx22.arrangement, families=(
+        WallFamily((1,), F(0), F(1, 2), 0), WallFamily((1,), F(1, 3), F(1, 3), 1),
+        WallFamily((1,), F(1, 4), F(1, 4), 2), WallFamily((1,), F(1, 6), F(5, 6), 3)))
+    return [ctx22.arrangement, ctx33.arrangement, ctxgl2.arrangement, overlap, scales]
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_rank1_words_match_fraction_oracle(rank1_arrangements, data):
+    arr = data.draw(st.sampled_from(rank1_arrangements))
+    point = (data.draw(st.fractions(-4, 4, max_denominator=8)),)
+    assume(not arr.on_wall(point))
+    start, arrows = point, []
+    for _ in range(data.draw(st.integers(1, 6))):
+        if data.draw(st.booleans()):
+            m = data.draw(st.integers(-3, 3))
+            arrows.append(Translate((m,)))
+            point = (point[0] + m,)
+        else:
+            dst = (data.draw(st.fractions(-6, 6, max_denominator=8)),)
+            assume(dst != point and not arr.on_wall(dst))
+            arrows.append(Cross(point, dst, (F(1 if dst > point else -1),)))
+            point = dst
+    path = groupoid.make_path(arr, arrows, start=start)
+    assert groupoid.normal_form_word(arr, path) == _oracle_word(arr, path)
+    assert (_arrows_or_error(lambda: groupoid.reduce_rank1(arr, path).arrows)
+            == _arrows_or_error(_oracle_reduced, arr, path))
 
 
 def test_reduce_rank1_rejects_higher_rank():

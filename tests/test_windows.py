@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qswindows import catalog, groupoid, linalg, verify, windows
+from qswindows import catalog, complexes, groupoid, linalg, verify, windows
 from qswindows.errors import InputError, NotAdjacentError, OnWallError
 from qswindows.rep import QSRep
 from qswindows.root_data import RootDatum
@@ -83,8 +83,10 @@ def test_mu_torus(torus22, ctx22):
     back = windows.wall_crossing(torus22, (F(3, 2),), (F(1, 2),), ctx22)
     assert windows.mu_of_crossing(torus22, forward, (0,)) == (2,)
     assert windows.mu_of_crossing(torus22, back, (2,)) == (0,)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^\(1\) is not in the outgoing part"):
         windows.mu_of_crossing(torus22, forward, (1,))
+    with pytest.raises(InputError, match=r"^\(1\) does not leave the window"):
+        forward.face_of_char((1,))
     with pytest.raises(NotAdjacentError):
         windows.wall_crossing(torus22, (F(1, 2),), (F(5, 2),), ctx22)
 
@@ -105,6 +107,8 @@ def test_gl2_crossing_frozen(gl2rep, ctxgl2):
     assert stats == [(1, 3, (3, 6)), (2, 4, (0, 6))]
     mapping = windows.mu_map(gl2rep, crossing)
     assert mapping == GL2_MU_ARROWS
+    with pytest.raises(InputError, match=r"^\(-2, -1\) is not dominant"):
+        complexes.complex_terms(gl2rep, next(iter(crossing.faces.values())), (-2, -1))
     edge = next(fd for fd in crossing.faces.values() if fd.codim == 1)
     assert sorted(crossing.chars_by_face[edge.key]) == [(-2, -2), (-1, -2)]
 
