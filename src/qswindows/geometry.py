@@ -25,6 +25,10 @@ query once, as integer numerators over its own denominator, p = x/e, and
 <p, n_i> >= o_i/D becomes <x, n_i> D >= o_i e.  The lattice scan compares
 each integer box point with the thresholds ceil(o_i/D).  Faces are read off
 one vertex-facet incidence table, worked out on first use.
+
+Hyperplanes spanned by vectors are found with subsets over lines: the
+distinct lines through the vectors, not the vectors, are the subsets'
+members, and each subset's normal is one integer kernel (``_line``).
 """
 from __future__ import annotations
 
@@ -447,39 +451,49 @@ def _ridges(facet, pts) -> set[frozenset[int]]:
         if any(set(combo) <= r for r in ridges):
             continue
         base = coords[combo[0]]
-        pivots, m = _bareiss([linalg.sub(coords[i], base) for i in combo[1:]], d)
-        if len(pivots) < d - 1:
+        y = _line([linalg.sub(coords[i], base) for i in combo[1:]], d)
+        if y is None:
             continue
-        free = next(c for c in range(d) if c not in pivots)
-        y = [0] * d
-        y[free] = m[-1][pivots[-1]] if pivots else 1
-        for row, c in zip(m, pivots):
-            y[c] = -row[free]
         values = {i: linalg.dot(y, linalg.sub(coords[i], base)) for i in idx}
         if min(values.values()) >= 0 or max(values.values()) <= 0:
             ridges.add(frozenset(i for i, v in values.items() if v == 0))
     return ridges
 
 
+def _line(rows, dim) -> IntVec | None:
+    """The primitive integer vector spanning the kernel of the integer rows,
+    read off the free column of one Bareiss elimination, or None when the
+    kernel is not a line."""
+    pivots, m = _bareiss(rows, dim)
+    if len(pivots) != dim - 1:
+        return None
+    free = next(c for c in range(dim) if c not in pivots)
+    y = [0] * dim
+    y[free] = m[len(pivots) - 1][pivots[-1]] if pivots else 1
+    for row, c in zip(m, pivots):
+        y[c] = -row[free]
+    g = linalg.vec_gcd(y)
+    return tuple(a // g for a in y)
+
+
 def _check_center(poly: Polytope) -> None:
+    """The claimed center c is a symmetry center: 2c - v is a vertex for
+    every vertex v, compared as integers over one denominator."""
     if poly.center is None:
         return
-    vert_set = set(poly.vertices)
-    for v in poly.vertices:
-        if tuple(poly.dual_point(v)) not in vert_set:
-            raise InternalInconsistencyError("claimed center is not a symmetry center")
+    _, (c, *pts) = _scaled((), (poly.center, *poly.vertices))
+    vert_set = set(pts)
+    if any(tuple(2 * a - b for a, b in zip(c, p)) not in vert_set for p in pts):
+        raise InternalInconsistencyError("claimed center is not a symmetry center")
 
 
 def zonotope(generators) -> Polytope:
     """Minkowski sum of the segments [0,1]*g over the generators.
 
-    Facet normals are the primitive vectors orthogonal to independent
-    (r-1)-subsets of the generators and to the normals cutting out their
-    span, r the rank of that span.  The subset lies in the span and those
-    normals in its orthogonal complement, so their ranks add, and one
-    kernel per subset answers both questions: a dependent subset leaves a
-    kernel of dimension two or more.  Every zonotope is centrally symmetric
-    about half the generator sum, and that center is recorded.
+    Its facet normals are the ``spanned_normals`` of the generators, worked
+    out over lines, within the normals cutting out their span.  Every
+    zonotope is centrally symmetric about half the generator sum, and that
+    center is recorded.
     """
     gens = [tuple(int(x) for x in g) for g in generators]
     if not gens:
@@ -495,24 +509,41 @@ def zonotope(generators) -> Polytope:
             hs.append(HalfSpace(linalg.primitive(linalg.neg(e)), -c))
         return Polytope(dim=dim, halfspaces=tuple(hs), vertices=(center,), center=center)
     span_cuts = _complement_rows(nonzero)
-    normals = set()
-    for combo in _subsets(nonzero, dim - len(span_cuts) - 1):
-        rows = [*combo, *span_cuts]
-        # no rows at all only for a spanning set in dimension one
-        kernel = linalg.kernel_basis(rows) if rows else [(Fraction(1),)]
-        if len(kernel) != 1:
-            continue
-        nrm = linalg.primitive(kernel[0])
-        normals.add(nrm)
-        normals.add(linalg.primitive(linalg.neg(nrm)))
     halfspaces = []
-    for nrm in sorted(normals):
+    for nrm in spanned_normals(nonzero, dim, span_cuts):
         upper = sum(max(0, linalg.dot(g, nrm)) for g in gens)
-        halfspaces.append(HalfSpace(linalg.primitive(linalg.neg(nrm)), Fraction(-upper)))
+        halfspaces.append(HalfSpace(linalg.neg(nrm), Fraction(-upper)))
     for b in span_cuts:
         halfspaces.append(HalfSpace(b, Fraction(0)))
         halfspaces.append(HalfSpace(linalg.primitive(linalg.neg(b)), Fraction(0)))
     return from_halfspaces(halfspaces, center=center)
+
+
+def _lines(vectors) -> list[IntVec]:
+    """The distinct lines through the nonzero vectors, each as its
+    sign-normalized primitive vector, sorted."""
+    return sorted({linalg.sign_normalized(linalg.primitive(v))
+                   for v in vectors if not linalg.is_zero(v)})
+
+
+def spanned_normals(vectors, dim, span_cuts=()) -> list[IntVec]:
+    """Both primitive normals, sorted, of each hyperplane of the vectors'
+    span that independent vectors among them span.  The span has rank r,
+    and ``span_cuts`` are the dim - r normals cutting it out.
+
+    Subsets over lines: a subset's kernel depends only on the lines its
+    vectors lie on, and a subset that repeats a line is dependent, so each
+    (r-1)-subset of the distinct lines costs one ``_line`` elimination of
+    it with the cuts.  The subset lies in the span and the cuts in its
+    orthogonal complement, so their ranks add, and a dependent subset
+    leaves a kernel of dimension two or more.
+    """
+    normals = set()
+    for combo in _subsets(_lines(vectors), dim - len(span_cuts) - 1):
+        nrm = _line([*combo, *span_cuts], dim)
+        if nrm is not None:
+            normals.update((nrm, linalg.neg(nrm)))
+    return sorted(normals)
 
 
 def _complement_rows(vectors) -> list[IntVec]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import sub
 
 from . import geometry, linalg
 from .errors import InputError, InternalInconsistencyError, _fmt
@@ -66,9 +67,8 @@ class QSRep:
             raise InputError("weights do not span the weight lattice over the rationals")
         _check_w_invariance(root_datum, weights)
         sigma = geometry.zonotope(weights)
-        candidates = slab_candidates(root_datum, weights)
-        nabla = build_nabla(root_datum, weights, sigma, candidates)
-        generic = check_generic(root_datum, weights, candidates)
+        nabla = build_nabla(root_datum, weights, sigma)
+        generic = check_generic(root_datum, weights)
         if assert_generic is not None and generic is Ternary.UNKNOWN:
             generic = Ternary.YES if assert_generic else Ternary.NO
         return cls(
@@ -142,43 +142,42 @@ def slab_candidates(root_datum: RootDatum, weights) -> list[IntVec]:
 
     These are the only directions in which the slab intersection can have a
     facet; correctness is enforced afterwards by ``_cross_check_nabla``.
-    For a torus they also contain every facet normal of the
-    hull of any sub-multiset of the weights, which check_generic relies on.
+    Each lam is orthogonal under the pairing, not the dot product, to the
+    vectors that span it.  Subsets run over the distinct lines through the
+    vectors.  The kernels stay ``linalg.kernel_basis``, not
+    ``geometry.spanned_normals``: this route is the independent one that
+    the torus containments check half the zonotope against.
     """
     n = root_datum.rank
-    vectors = sorted({tuple(b) for b in weights if not linalg.is_zero(b)}
-                     | set(root_datum.roots))
-    found = set()
     if n == 1:
         return [(1,)]
+    found = set()
     # the rows P v scaled by the pairing's positive denominator: integer
     # rows with the same kernel, which is a line exactly when they are
     # independent
-    for combo in _subsets(vectors, n - 1):
+    for combo in _subsets(geometry._lines([*weights, *root_datum.roots]), n - 1):
         kernel = linalg.kernel_basis([root_datum._paired(v)[0] for v in combo])
-        if len(kernel) != 1:
-            continue
-        found.add(linalg.sign_normalized(linalg.primitive(kernel[0])))
+        if len(kernel) == 1:
+            found.add(linalg.sign_normalized(linalg.primitive(kernel[0])))
     return sorted(found)
 
 
-def build_nabla(root_datum: RootDatum, weights, sigma: Polytope,
-                candidates: list[IntVec] | None = None) -> Polytope:
-    """The slabs |<chi, lam>| <= eta_lam / 2 over candidate normals
-    (``slab_candidates`` when not given), intersected: for a torus, half the
-    zonotope as ``zonotope`` built and checked it, not enumerated again.
-    ``_cross_check_nabla`` proves the result right either way."""
-    slabs = _slabs(root_datum, weights, candidates)
+def build_nabla(root_datum: RootDatum, weights, sigma: Polytope) -> Polytope:
+    """The slabs |<chi, lam>| <= eta_lam / 2 over the ``slab_candidates``,
+    intersected: for a torus, half the zonotope as ``zonotope`` built and
+    checked it, not enumerated again.  ``_cross_check_nabla`` proves the
+    result right either way."""
+    slabs = _slabs(root_datum, weights)
     nabla = (sigma.scale(Fraction(1, 2)) if root_datum.is_torus
              else geometry.from_halfspaces(slabs, center=(Fraction(0),) * root_datum.rank))
     _cross_check_nabla(root_datum, sigma, nabla, slabs)
     return nabla
 
 
-def _slabs(root_datum: RootDatum, weights, candidates=None) -> list[HalfSpace]:
+def _slabs(root_datum: RootDatum, weights) -> list[HalfSpace]:
     """Both sides of each candidate slab, as dot-product half-spaces."""
     halfspaces = []
-    for lam in slab_candidates(root_datum, weights) if candidates is None else candidates:
+    for lam in slab_candidates(root_datum, weights):
         eta_lam = eta(root_datum, weights, lam)
         # every slab contains 0 unless its width is negative
         if eta_lam < 0:
@@ -238,11 +237,15 @@ def _check_w_invariance(root_datum, weights) -> None:
             raise InputError("weight multiset is not Weyl invariant")
 
 
-def check_generic(root_datum: RootDatum, weights,
-                  candidates: list[IntVec] | None = None) -> Ternary:
+def check_generic(root_datum: RootDatum, weights) -> Ternary:
     """Genericity in the torus case: dropping any one weight must still
-    generate the lattice and keep the origin interior to the hull.  The
-    ``slab_candidates`` are worked out here when not given.
+    generate the lattice and keep the origin interior to the hull of the
+    rest.  Given that the rest spans, 0 is interior exactly when each
+    hyperplane spanned by weights has some of the rest strictly on each
+    side, so per ``spanned_normals`` normal (dot product, both signs) the
+    weights strictly on its positive side are counted once, and dropping a
+    weight must leave no count at 0.  Equal weights drop alike, so each
+    distinct one is dropped once.  Only the weights matter, not the pairing.
 
     No combinatorial criterion is implemented for nonabelian groups; those
     report UNKNOWN (overridable by an explicit assertion on input).
@@ -250,23 +253,13 @@ def check_generic(root_datum: RootDatum, weights,
     if not root_datum.is_torus:
         return Ternary.UNKNOWN
     n = root_datum.rank
-    if candidates is None:
-        candidates = slab_candidates(root_datum, weights)
-    for i in range(len(weights)):
-        rest = [b for j, b in enumerate(weights) if j != i]
-        if not linalg.lattice_generates(rest, n):
-            return Ternary.NO
-        if not _zero_in_interior(rest, candidates):
+    weights = [tuple(b) for b in weights]
+    normals = geometry.spanned_normals(weights, n)
+    above = {b: [linalg.dot(b, nrm) > 0 for nrm in normals] for b in weights}
+    counts = [sum(col) for col in zip(*(above[b] for b in weights))]
+    for b, sides in above.items():
+        rest = list(weights)
+        rest.remove(b)
+        if 0 in map(sub, counts, sides) or not linalg.lattice_generates(rest, n):
             return Ternary.NO
     return Ternary.YES
-
-
-def _zero_in_interior(vectors, candidates) -> bool:
-    """0 is interior to conv(vectors) iff every candidate direction sees
-    vectors strictly on both sides.  The vectors must span: check_generic
-    asks only after they generate the lattice."""
-    for lam in candidates:
-        values = [linalg.dot(v, lam) for v in vectors]
-        if max(values) <= 0 or min(values) >= 0:
-            return False
-    return True

@@ -114,6 +114,37 @@ def test_zonotope_matches_subset_sum_oracle(gens):
     assert z.center == tuple(Fraction(sum(c), 2) for c in zip(*gens))
 
 
+def frac_spanned_normals(vectors, dim, span_cuts):
+    """The hyperplane normals the old way: a Fraction kernel basis of every
+    (r-1)-subset of the distinct nonzero vectors with the span cuts, r the
+    rank of their span; a one-vector basis gives both its primitive signs."""
+    nonzero = sorted({tuple(v) for v in vectors if any(v)})
+    normals = set()
+    for combo in itertools.combinations(nonzero, dim - len(span_cuts) - 1):
+        rows = [*combo, *span_cuts]
+        kernel = linalg.kernel_basis(rows) if rows else [(Fraction(1),)]
+        if len(kernel) == 1:
+            nrm = linalg.primitive(kernel[0])
+            normals |= {nrm, linalg.neg(nrm)}
+    return sorted(normals)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_spanned_normals_match_fraction_kernel_oracle(data):
+    """Subsets over lines give the normals of subsets over vectors, with
+    parallel generators (b, 2b, -b), zero vectors and non-spanning sets."""
+    dim = data.draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(-2, 2)] * dim)
+    base = data.draw(st.lists(vector.filter(any), min_size=1, max_size=4))
+    multiples = st.sampled_from([(1,), (1, 2), (1, -1), (1, 2, -1)])
+    vectors = [linalg.scale(c, b) for b in base for c in data.draw(multiples)]
+    vectors += data.draw(st.lists(vector, max_size=2))
+    span_cuts = [linalg.primitive(b) for b in linalg.kernel_basis(vectors)]
+    assert (geometry.spanned_normals(vectors, dim, span_cuts)
+            == frac_spanned_normals(vectors, dim, span_cuts))
+
+
 def test_zonotope_empty_rejected():
     with pytest.raises(InputError):
         geometry.zonotope([])

@@ -183,6 +183,9 @@ def test_rank1_words_match_fraction_oracle(rank1_arrangements, data):
             m = data.draw(st.integers(-3, 3))
             arrows.append(Translate((m,)))
             point = (point[0] + m,)
+            # the hand-made family with step 5/6 is not periodic under
+            # integer translations, so a translate can land on one of its walls
+            assume(not arr.on_wall(point))
         else:
             dst = (data.draw(st.fractions(-6, 6, max_denominator=8)),)
             assume(dst != point and not arr.on_wall(dst))

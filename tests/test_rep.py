@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qswindows import catalog, geometry, linalg, rep
+from qswindows import catalog, cli, geometry, linalg, rep
 from qswindows.errors import InputError, InternalInconsistencyError
 from qswindows.geometry import HalfSpace
 from qswindows.rep import QSRep, Ternary
@@ -64,10 +65,15 @@ def slab_oracle(datum, weights) -> geometry.Polytope:
 SKEW_TORUS = RootDatum.from_dict({"rank": 2, "pairing": [["1/2", "-1/3"], ["-1/3", "1/2"]]})
 
 
-def test_certified_nabla_matches_slab_oracle_on_corpus():
+@pytest.fixture(scope="module")
+def corpus():
     reps = catalog.random_corpus(CORPUS_SEED, CORPUS_COUNTS)
     assert len(reps) == 210
-    for r in reps:
+    return reps
+
+
+def test_certified_nabla_matches_slab_oracle_on_corpus(corpus):
+    for r in corpus:
         assert r.nabla.to_json() == slab_oracle(r.root_datum, r.weights).to_json()
 
 
@@ -79,17 +85,21 @@ def test_certified_nabla_matches_slab_oracle_with_non_identity_pairing():
     assert built.nabla.to_json() == slab_oracle(SKEW_TORUS, weights).to_json()
 
 
+def quasi_symmetric_weights(data, rank):
+    """Quasi-symmetric weights, generic or not: each drawn direction
+    carries one zero-sum pattern of multiples."""
+    direction = st.tuples(*[st.integers(-2, 2)] * rank)
+    lines = data.draw(st.lists(st.tuples(direction, st.sampled_from(catalog.LINE_PATTERNS_RICH)),
+                               min_size=1, max_size=4 if rank < 3 else 3))
+    return [linalg.scale(c, v) for v, pattern in lines for c in pattern]
+
+
 @settings(deadline=None, max_examples=60)
 @given(data=st.data())
 def test_certified_nabla_matches_slab_oracle_on_random_tori(data):
-    """Quasi-symmetric tori, generic or not: each drawn direction carries
-    one zero-sum pattern of multiples."""
     datum = data.draw(st.sampled_from([RootDatum.torus(1), RootDatum.torus(2), SKEW_TORUS,
                                        RootDatum.torus(3)]))
-    direction = st.tuples(*[st.integers(-2, 2)] * datum.rank)
-    lines = data.draw(st.lists(st.tuples(direction, st.sampled_from(catalog.LINE_PATTERNS_RICH)),
-                               min_size=1, max_size=4 if datum.rank < 3 else 3))
-    weights = [linalg.scale(c, v) for v, pattern in lines for c in pattern]
+    weights = quasi_symmetric_weights(data, datum.rank)
     assume(linalg.rank(weights) == datum.rank)
     built = QSRep.build(datum, weights)
     assert built.nabla.to_json() == slab_oracle(datum, weights).to_json()
@@ -161,6 +171,62 @@ def test_generic_examples():
     assert rep.check_generic(t1, [(1,), (1,), (-1,), (-1,)]) is Ternary.YES
     assert rep.check_generic(t1, [(1,), (-1,)]) is Ternary.NO
     assert rep.check_generic(RootDatum.gl(2), catalog.GL2_WEIGHTS) is Ternary.UNKNOWN
+
+
+def generic_oracle(weights) -> Ternary:
+    """Genericity the old way: per weight position, the rest generates the
+    lattice and has weights strictly on both sides of every slab candidate
+    of the identity pairing, which are the hyperplanes spanned by weights."""
+    n = len(weights[0])
+    candidates = rep.slab_candidates(RootDatum.torus(n), weights)
+    for i in range(len(weights)):
+        rest = weights[:i] + weights[i + 1:]
+        if not linalg.lattice_generates(rest, n):
+            return Ternary.NO
+        for lam in candidates:
+            values = [linalg.dot(v, lam) for v in rest]
+            if max(values) <= 0 or min(values) >= 0:
+                return Ternary.NO
+    return Ternary.YES
+
+
+# dropping (1, 0) leaves 0 on the edge from (-2, 1) to (2, -1)
+EDGE_THROUGH_ZERO = [[-2, 1], [2, -1], [-1, 0], [1, 0]]
+
+
+@pytest.mark.parametrize("datum", [RootDatum.torus(2), SKEW_TORUS], ids=["identity", "skew"])
+def test_generic_is_no_whatever_the_pairing(datum, tmp_path, capsys):
+    """Genericity reads the weights' hull in the dot product: a pairing
+    moves the slab normals, not the weights."""
+    path = tmp_path / "rep.json"
+    pairing = [[str(x) for x in row] for row in datum.pairing]
+    path.write_text(json.dumps({"root_datum": {"rank": 2, "pairing": pairing},
+                                "weights": EDGE_THROUGH_ZERO}))
+    assert cli.main(["rep", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["generic"] == "no"
+    assert generic_oracle([tuple(b) for b in EDGE_THROUGH_ZERO]) is Ternary.NO
+
+
+def test_generic_matches_oracle_on_corpus(corpus):
+    for r in corpus:
+        assert r.generic is rep.check_generic(r.root_datum, r.weights) is generic_oracle(r.weights)
+
+
+@settings(deadline=None, max_examples=80)
+@given(data=st.data())
+def test_generic_matches_oracle_on_random_tori(data):
+    """Quasi-symmetric or arbitrary weights, spanning or not; rank two is
+    also checked under a non-identity pairing, which must not matter."""
+    rank = data.draw(st.integers(1, 3))
+    if data.draw(st.booleans()):
+        weights = quasi_symmetric_weights(data, rank)
+    else:
+        weights = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank),
+                                     min_size=1, max_size=7))
+    verdict = rep.check_generic(RootDatum.torus(rank), weights)
+    assert verdict is generic_oracle([tuple(b) for b in weights])
+    if rank == 2:
+        assert rep.check_generic(SKEW_TORUS, weights) is verdict
 
 
 def test_generic_assertion_flag():
