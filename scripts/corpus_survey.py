@@ -31,8 +31,7 @@ def main() -> int:
             widths.add(len(ctx.window(delta).chars))
             wall = mutation.toric_wall(rep, delta, delta_prime, ctx)
             periods.add(wall.period)
-            for data in mutation.exchange_count(rep, delta, delta_prime, ctx=ctx).values():
-                exchange_tally[data.count] += 1
+            exchange_tally.update(mutation.per_face_counts(rep, wall.crossing).values())
         print(f"{rep.rank:>4} {rep.dim:>3} {len(pairs):>5} "
               f"{','.join(map(str, sorted(widths))):>4} "
               f"{','.join(map(str, sorted(periods))):>8}")

@@ -27,14 +27,13 @@ def main() -> int:
     rep = catalog.torus_rep(*weights)
     ctx = Context(rep)
     wall = mutation.toric_wall(rep, (args.delta,), (args.delta2,), ctx)
-    spec = mutation.module_of_window(rep, (args.delta,), ctx)
+    start = mutation.module_of_window(rep, (args.delta,), ctx)
 
     print(f"weights {args.weights}; wall between {args.delta} and {args.delta2}")
     print(f"pivot {wall.pivot().atoms}; period {wall.period}")
-    for step in range(wall.period + 1):
+    for step, spec in enumerate(wall.walk(start, wall.period)):
         cls = mutation.virtual_class(spec, rep, wall.faces)
         print(f"step {step}: {list(spec.atoms)}  class {cls}")
-        spec = wall.mutate(spec, "left")
     return 0
 
 

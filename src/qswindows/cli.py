@@ -184,15 +184,11 @@ def cmd_mutate(args) -> int:
     wall = mutation.toric_wall(rep_obj, delta, delta2, ctx)
     spec = mutation.module_of_window(rep_obj, delta, ctx)
     steps = args.steps if args.steps is not None else wall.face.d_plus - 1
-    trace = [spec.to_json()]
-    for _ in range(steps):
-        spec = wall.mutate(spec, args.direction)
-        trace.append(spec.to_json())
     _emit({
         "direction": args.direction,
         "pivot": wall.pivot().to_json(),
         "period": wall.period,
-        "trace": trace,
+        "trace": [s.to_json() for s in wall.walk(spec, steps, args.direction)],
     })
     return 0
 
@@ -236,7 +232,10 @@ def _parse_path_dsl(arr, text: str | None, start: str | None):
             raise InputError(f"bad path chunk {chunk!r}")
         kind, body = chunk[0], chunk[2:-1]
         if kind == "x":
-            off_text, sign_text = [p.strip() for p in body.split(",")]
+            fields = [p.strip() for p in body.split(",")]
+            if len(fields) != 2:
+                raise InputError(f"crossing {chunk!r} needs a wall offset and a direction")
+            off_text, sign_text = fields
             offset = _parse_fraction(off_text)
             if not arr.on_wall((offset,)):
                 raise InputError(f"{offset} is not a wall of this arrangement")
@@ -280,8 +279,8 @@ def cmd_cy(args) -> int:
             "delta": str(tw["delta"]),
             "convention": tw["convention"],
             "twist_word_length": tw["length"],
-            "down_steps": tw["down"].total,
-            "up_steps": tw["up"].total,
+            "down_steps": tw["down"],
+            "up_steps": tw["up"],
         }
     _emit(payload)
     return 0

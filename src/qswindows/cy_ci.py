@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalInconsistencyError
-from .mutation import mutation_word
+from .mutation import module_of_window, toric_wall
 from .rep import QSRep
 from .root_data import RootDatum
 from .windows import Context, wall_crossing
@@ -97,22 +97,28 @@ def crossing_data(model: CYModel, wall, ctx: Context) -> tuple[int, int]:
 def spherical_twist_word(model: CYModel, m: int, ctx: Context) -> dict:
     """The down-then-up loop at delta = m + alpha/2 + 1 around the wall below.
 
-    Its two legs have lengths r and n, total n + r, which is the mutation
-    period of the wall; each leg's pivot is the module of the shared window.
+    Both legs walk one mutation cycle of that wall: down takes d_F^+ - 1
+    steps to the module of the window below, up takes d_F*^+ - 1 steps back.
+    The loop is one full period, n + r steps.
     """
     delta = Fraction(m) + Fraction(model.alpha, 2) + 1
     arr = ctx.arrangement
     if arr.on_wall((delta,)):
         raise InternalInconsistencyError("twist base point unexpectedly on a wall")
-    down = mutation_word(model.g1_rep, (delta,), (delta - 1,), ctx)
-    up = mutation_word(model.g1_rep, (delta - 1,), (delta,), ctx)
-    total = down.total + up.total
-    if total != model.n + model.r:
+    wall = toric_wall(model.g1_rep, (delta,), (delta - 1,), ctx)
+    down, up = wall.face.d_plus - 1, wall.dual_face.d_plus - 1
+    start = module_of_window(model.g1_rep, (delta,), ctx)
+    trace = wall.walk(start, down + up)
+    if trace[down] != module_of_window(model.g1_rep, (delta - 1,), ctx):
+        raise InternalInconsistencyError("the down leg did not land on the window below")
+    if trace[-1] != start:
+        raise InternalInconsistencyError("the twist loop did not close")
+    if down + up != model.n + model.r:
         raise InternalInconsistencyError("twist word length must equal n + r")
     return {
         "delta": delta,
         "convention": "down-then-up",
         "down": down,
         "up": up,
-        "length": total,
+        "length": down + up,
     }

@@ -368,8 +368,7 @@ def mutation_transcript(rep: QSRep, path: Path, ctx: Context) -> list[Transcript
             counts = per_face_counts(rep, crossing)
             toric_steps = None
             if rep.root_datum.is_torus:
-                (key,) = crossing.faces
-                toric_steps = crossing.faces[key].d_plus - 1
+                (toric_steps,) = counts.values()
             entries.append(TranscriptEntry(
                 kind="cross", src=hop.src, dst=hop.dst,
                 pivot_chars=crossing.common, step_count=toric_steps,

@@ -95,16 +95,6 @@ def module_of_window(rep: QSRep, delta, ctx: Context) -> ModuleSpec:
     return ModuleSpec.of_window(ctx.window(delta).chars)
 
 
-@dataclass(frozen=True)
-class MutationWord:
-    """The specs after each left step (toric only), with the exchange counts."""
-
-    steps: tuple[ModuleSpec, ...]
-    total: int
-    executable: bool
-    per_face_counts: dict
-
-
 class ToricWall:
     """Mutation context for one adjacent toric pair.
 
@@ -158,6 +148,13 @@ class ToricWall:
             tally[atom] += mult
         return ModuleSpec.from_counter(tally)
 
+    def walk(self, spec: ModuleSpec, steps: int, direction: str = "left") -> list[ModuleSpec]:
+        """``spec`` followed by each of its ``steps`` images under ``mutate``."""
+        trace = [spec]
+        for _ in range(steps):
+            trace.append(self.mutate(trace[-1], direction))
+        return trace
+
     @property
     def period(self) -> int:
         return self.face.d_plus + self.dual_face.d_plus - 2
@@ -170,48 +167,6 @@ def toric_wall(rep: QSRep, delta, delta_prime, ctx: Context) -> ToricWall:
 def per_face_counts(rep: QSRep, crossing: WallCrossing) -> dict:
     """The exchange count d_F^+ + l(w0) - 1 of every wall face."""
     return {key: top_degree(rep, fd) - 1 for key, fd in crossing.faces.items()}
-
-
-def mutation_word(rep: QSRep, delta, delta_prime, ctx: Context) -> MutationWord:
-    """The word taking the near window module to the far one.
-
-    Toric: executable, one step per kernel position (d_F^+ - 1 in total).
-    Nonabelian: exchange counts per face only; intermediate kernels are not
-    additive in known atoms, so no steps are produced.
-    """
-    crossing = wall_crossing(rep, delta, delta_prime, ctx)
-    counts = per_face_counts(rep, crossing)
-    if not rep.root_datum.is_torus:
-        return MutationWord(steps=(), total=max(counts.values(), default=0), executable=False,
-                            per_face_counts=counts)
-    wall = ToricWall(rep, crossing, ctx)
-    spec = module_of_window(rep, delta, ctx)
-    steps = []
-    for _ in range(wall.face.d_plus - 1):
-        spec = wall.mutate(spec, "left")
-        steps.append(spec)
-    if steps and steps[-1] != module_of_window(rep, delta_prime, ctx):
-        raise InternalInconsistencyError("mutation word did not land on the far window module")
-    return MutationWord(
-        steps=tuple(steps), total=wall.face.d_plus - 1,
-        executable=True, per_face_counts=counts,
-    )
-
-
-@dataclass(frozen=True)
-class ExchangeData:
-    count: int
-    l_set: tuple[Weight, ...]
-    n_set: tuple[Weight, ...]
-
-
-def exchange_count(rep: QSRep, delta, delta_prime, ctx: Context) -> dict:
-    """Per wall face: the exchange count d_F^+ + l(w0) - 1 with its (L, N)."""
-    from .complexes import summand_sets
-    crossing = wall_crossing(rep, delta, delta_prime, ctx)
-    counts = per_face_counts(rep, crossing)
-    return {key: ExchangeData(counts[key], *summand_sets(rep, crossing, fd, ctx))
-            for key, fd in sorted(crossing.faces.items())}
 
 
 def virtual_class(spec: ModuleSpec, rep: QSRep, faces: dict) -> dict:

@@ -47,8 +47,6 @@ class QSRep:
     weights: tuple[Weight, ...]
     sigma: Polytope
     nabla: Polytope
-    spans: bool
-    quasi_symmetric: bool
     generic: Ternary
     symplectic: bool
 
@@ -59,11 +57,9 @@ class QSRep:
             raise InputError("a representation needs at least one weight")
         if any(len(b) != root_datum.rank for b in weights):
             raise InputError("weight length does not match the lattice rank")
-        qs = check_quasi_symmetric(weights)
-        spans = linalg.rank(weights) == root_datum.rank
-        if not qs:
+        if not check_quasi_symmetric(weights):
             raise InputError("weights are not quasi-symmetric")
-        if not spans:
+        if linalg.rank(weights) != root_datum.rank:
             raise InputError("weights do not span the weight lattice over the rationals")
         _check_w_invariance(root_datum, weights)
         sigma = geometry.zonotope(weights)
@@ -76,8 +72,6 @@ class QSRep:
             weights=weights,
             sigma=sigma,
             nabla=nabla,
-            spans=spans,
-            quasi_symmetric=qs,
             generic=generic,
             symplectic=is_symplectic(weights),
         )
@@ -92,7 +86,7 @@ class QSRep:
         except KeyError as exc:
             raise InputError(f"rep input missing {exc}") from exc
         assert_generic = data.get("assert_generic")
-        if assert_generic not in (None, True, False):
+        if assert_generic is not None and not isinstance(assert_generic, bool):
             raise InputError(f"assert_generic must be true, false or absent, got {assert_generic!r}")
         return cls.build(datum, weights, assert_generic=assert_generic)
 
@@ -112,8 +106,8 @@ class QSRep:
         return {
             "rank": self.rank,
             "weights": [list(b) for b in self.weights],
-            "quasi_symmetric": self.quasi_symmetric,
-            "spans": self.spans,
+            "quasi_symmetric": True,
+            "spans": True,
             "generic": self.generic.value,
             "symplectic": self.symplectic,
             "sigma": self.sigma.to_json(),
@@ -247,6 +241,10 @@ def check_generic(root_datum: RootDatum, weights) -> Ternary:
     weight must leave no count at 0.  Equal weights drop alike, so each
     distinct one is dropped once.  Only the weights matter, not the pairing.
 
+    The weights must be quasi-symmetric: then the other weights on b's line
+    sum to -b, so every rest generates the lattice that all the weights do,
+    and one lattice test serves every drop.
+
     No combinatorial criterion is implemented for nonabelian groups; those
     report UNKNOWN (overridable by an explicit assertion on input).
     """
@@ -257,9 +255,8 @@ def check_generic(root_datum: RootDatum, weights) -> Ternary:
     normals = geometry.spanned_normals(weights, n)
     above = {b: [linalg.dot(b, nrm) > 0 for nrm in normals] for b in weights}
     counts = [sum(col) for col in zip(*(above[b] for b in weights))]
-    for b, sides in above.items():
-        rest = list(weights)
-        rest.remove(b)
-        if 0 in map(sub, counts, sides) or not linalg.lattice_generates(rest, n):
-            return Ternary.NO
+    if not linalg.lattice_generates(weights, n):
+        return Ternary.NO
+    if any(0 in map(sub, counts, sides) for sides in above.values()):
+        return Ternary.NO
     return Ternary.YES

@@ -295,20 +295,16 @@ def check_mutation(name: str, rep: QSRep, ctx: Context, delta, delta_prime) -> l
     out = []
     subject = _pair_subject(name, delta, delta_prime)
     if not rep.root_datum.is_torus:
-        counts = mutation.exchange_count(rep, delta, delta_prime, ctx=ctx)
+        counts = mutation.per_face_counts(rep, windows.wall_crossing(rep, delta, delta_prime, ctx))
         out.append(_result("exchange-count-positive", subject,
-                           all(e.count >= 1 for e in counts.values())))
+                           all(c >= 1 for c in counts.values())))
         return out
     wall = mutation.toric_wall(rep, delta, delta_prime, ctx)
     start = mutation.module_of_window(rep, delta, ctx)
     far = mutation.module_of_window(rep, delta_prime, ctx)
     d = wall.face.d_plus
-    seen = [start]
-    spec = start
+    seen = wall.walk(start, wall.period)
     faces = wall.faces
-    for _ in range(wall.period):
-        spec = wall.mutate(spec, "left")
-        seen.append(spec)
     out.append(_result("mutation-reaches-far-window", subject, seen[d - 1] == far))
     out.append(_result("mutation-periodicity", subject,
                        seen[-1] == start
@@ -321,11 +317,11 @@ def check_mutation(name: str, rep: QSRep, ctx: Context, delta, delta_prime) -> l
         for key, fd in faces.items() for i in range(fd.d_plus))
     out.append(_result("kernel-rank-binomials", subject, ranks_ok))
     out.append(_result("virtual-class-telescoping", subject, _chains_telescope(rep, wall)))
-    counts = mutation.exchange_count(rep, delta, delta_prime, ctx=ctx)
+    counts = mutation.per_face_counts(rep, wall.crossing)
     out.append(_result("exchange-count-positive", subject,
-                       all(e.count >= 1 for e in counts.values())))
+                       all(c >= 1 for c in counts.values())))
     out.append(_result("exchange-count-value", subject,
-                       all(e.count == d - 1 for e in counts.values())))
+                       all(c == d - 1 for c in counts.values())))
     return out
 
 

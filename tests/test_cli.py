@@ -176,12 +176,13 @@ def test_error_codes(inputs, capsys):
     assert code == 2
     code, _, err = run(capsys, "cy", "--a", "1,1", "--d", "3")
     assert code == 2 and "Calabi-Yau" in err
-    # a point or translation with the wrong number of coordinates
+    # a point, crossing or translation with the wrong number of fields
     for argv in (("window", "--delta", "1/3,1/3"),
                  ("wallcross", "--delta", "1/2", "--delta2", "3/2,1"),
                  ("faces", "--delta", "1/3,2"),
                  ("groupoid", "--path", "x(1,+)", "--start", "1/3,1/3"),
-                 ("groupoid", "--path", "x(1,+);t(1,2)")):
+                 ("groupoid", "--path", "x(1,+);t(1,2)"),
+                 ("groupoid", "--path", "x(0)"), ("groupoid", "--path", "x(0,+,1)")):
         code, out, err = run(capsys, *argv, "--input", inputs["torus22"])
         assert code == 2 and out == "", argv
         assert err.startswith("input error: ") and err.count("\n") == 1, argv
@@ -260,6 +261,17 @@ def test_error_codes(inputs, capsys):
                          "--delta=1/2", "--delta2=3/2", "--chi=9")
     assert (code, out, err) == (2, "", "input error: (9) does not leave the window "
                                 "across this wall\n")
+
+
+def test_assert_generic_must_be_a_bool(tmp_path, capsys):
+    """A number is not a boolean: 1, 1.0 and 0 are refused, not read as
+    true or false."""
+    path = tmp_path / "rep.json"
+    for flag in (1, 1.0, 0):
+        path.write_text(json.dumps(dict(GL2, assert_generic=flag)))
+        code, out, err = run(capsys, "rep", "--input", str(path))
+        assert code == 2 and out == "", flag
+        assert err.startswith("input error: assert_generic must be") and err.count("\n") == 1
 
 
 def test_closed_stdout_exits_1_without_a_traceback(inputs):

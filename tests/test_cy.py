@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qswindows import cy_ci, groupoid
+from qswindows import cy_ci, groupoid, mutation
 from qswindows.errors import InputError
 
 F = Fraction
@@ -67,7 +67,7 @@ def test_twist_words(quintic, cy33):
     tw = cy_ci.spherical_twist_word(quintic, 0, quintic.context())
     assert tw["delta"] == F(7, 2)
     assert tw["length"] == 6
-    assert tw["down"].total == 1 and tw["up"].total == 5
+    assert tw["down"] == 1 and tw["up"] == 5
 
     tw = cy_ci.spherical_twist_word(cy33, -1, cy33.context())
     assert tw["delta"] == F(3)
@@ -75,13 +75,29 @@ def test_twist_words(quintic, cy33):
 
 
 def test_twist_length_equals_period(quintic, cy33):
-    from qswindows import mutation
     for model, m in ((quintic, 0), (quintic, 2), (cy33, -1), (cy33, 1)):
         ctx = model.context()
         tw = cy_ci.spherical_twist_word(model, m, ctx)
         delta = tw["delta"]
         wall = mutation.toric_wall(model.g1_rep, (delta,), (delta - 1,), ctx)
         assert tw["length"] == wall.period == model.n + model.r
+
+
+@pytest.mark.parametrize("m", range(-3, 4))
+def test_twist_matches_two_leg_route(quintic, cy33, m):
+    """Oracle: the up leg on its own wall, delta - 1 to delta, moves atoms as
+    the down wall's cycle does and lands where one cycle lands."""
+    for model in (quintic, cy33):
+        ctx = model.context()
+        tw = cy_ci.spherical_twist_word(model, m, ctx)
+        delta = tw["delta"]
+        down = mutation.toric_wall(model.g1_rep, (delta,), (delta - 1,), ctx)
+        up = mutation.toric_wall(model.g1_rep, (delta - 1,), (delta,), ctx)
+        assert up._successor == down._successor
+        below = mutation.module_of_window(model.g1_rep, (delta - 1,), ctx)
+        landed = up.walk(below, up.face.d_plus - 1)[-1]
+        assert landed == mutation.module_of_window(model.g1_rep, (delta,), ctx)
+        assert (down.face.d_plus - 1, up.face.d_plus - 1) == (tw["down"], tw["up"])
 
 
 def test_twist_loop_is_window_identity(quintic):

@@ -104,9 +104,9 @@ def test_complex_support_bound_still_holds(gl3rep, ctx3):
     assert ct.terms[max(ct.degrees)] == Counter({image: 1})
 
 
-def test_exchange_counts_report_formula(gl3rep, ctx3):
+def test_face_counts_report_formula(gl3rep, ctx3):
     arr = ctx3.arrangement
-    counts = mutation.exchange_count(
-        gl3rep, arr.to_ambient((F(1, 4),)), arr.to_ambient((F(5, 4),)), ctx=ctx3)
-    (data,) = counts.values()
-    assert data.count == 4 + 3 - 1
+    crossing = windows.wall_crossing(
+        gl3rep, arr.to_ambient((F(1, 4),)), arr.to_ambient((F(5, 4),)), ctx3)
+    (count,) = mutation.per_face_counts(gl3rep, crossing).values()
+    assert count == 4 + 3 - 1

@@ -113,7 +113,7 @@ def test_chains_match_oracle_on_corpus_slice(small_corpus):
 
 
 def test_one_atom_dual_chain():
-    """d_F*^+ = 1: the word still reaches the far window; stepping past the
+    """d_F*^+ = 1: the walk still reaches the far window; stepping past the
     chain's single atom is refused."""
     r = catalog.torus_rep((1,), (1,), (1,), (-3,))
     ctx = windows.Context(r)
@@ -121,10 +121,10 @@ def test_one_atom_dual_chain():
     assert (wall.face.d_plus, wall.dual_face.d_plus) == (3, 1)
     assert [atoms for _, _, atoms in wall.chains] == [
         (Cov((-1,)), Ker(wall.face.key, (-1,), 1), Cov((2,))), (Cov((2,)),)]
-    word = mutation.mutation_word(r, (F(0),), (F(1),), ctx)
-    assert word.steps[-1] == mutation.module_of_window(r, (F(1),), ctx)
+    far = wall.walk(mutation.module_of_window(r, (F(0),), ctx), wall.face.d_plus - 1)[-1]
+    assert far == mutation.module_of_window(r, (F(1),), ctx)
     with pytest.raises(InputError, match="not attached to this wall"):
-        wall.mutate(word.steps[-1], "left")
+        wall.mutate(far, "left")
     with pytest.raises(InputError, match="not attached to this wall"):
         wall.mutate(mutation.module_of_window(r, (F(0),), ctx), "right")
 
@@ -177,11 +177,7 @@ def test_periodicity(torus22, ctx22, torus33, ctx33):
         wall = mutation.toric_wall(rep_obj, *pair, ctx)
         period = wall.period
         assert period == wall.face.d_plus + wall.dual_face.d_plus - 2
-        spec = mutation.module_of_window(rep_obj, pair[0], ctx)
-        seen = [spec]
-        for _ in range(period):
-            spec = wall.mutate(spec, "left")
-            seen.append(spec)
+        seen = wall.walk(mutation.module_of_window(rep_obj, pair[0], ctx), period)
         assert seen[-1] == seen[0]
         assert len({s.atoms for s in seen[:-1]}) == period
 
@@ -195,33 +191,32 @@ def test_right_mutation_inverts_left(torus33, ctx33):
     assert wall.mutate(back, "left") == spec
 
 
-def test_mutation_word(torus22, ctx22):
-    word = mutation.mutation_word(torus22, (F(1, 2),), (F(3, 2),), ctx22)
-    assert word.total == 1 and word.executable
-    assert word.steps[-1] == spec_of((1,), (2,))
-    back = mutation.mutation_word(torus22, (F(3, 2),), (F(1, 2),), ctx22)
-    assert back.total == 1
-    assert word.total + back.total == 2  # round trip equals the period
+def test_toric_wall_counts(torus22, ctx22):
+    wall = mutation.toric_wall(torus22, (F(1, 2),), (F(3, 2),), ctx22)
+    assert mutation.per_face_counts(torus22, wall.crossing) == {wall.face.key: 1}
+    start = mutation.module_of_window(torus22, (F(1, 2),), ctx22)
+    assert wall.walk(start, 1)[-1] == spec_of((1,), (2,))
+    back = mutation.toric_wall(torus22, (F(3, 2),), (F(1, 2),), ctx22)
+    (back_count,) = mutation.per_face_counts(torus22, back.crossing).values()
+    assert 1 + back_count == wall.period == 2  # round trip equals the period
     with pytest.raises(NotAdjacentError):
-        mutation.mutation_word(torus22, (F(1, 2),), (F(5, 2),), ctx22)
+        mutation.toric_wall(torus22, (F(1, 2),), (F(5, 2),), ctx22)
 
 
-def test_mutation_word_nonabelian_counts(gl2rep, ctxgl2):
-    word = mutation.mutation_word(gl2rep, (F(0), F(0)), (F(1), F(1)), ctxgl2)
-    assert not word.executable
-    assert not word.steps
-    assert sorted(word.per_face_counts.values()) == [3, 4]
-
-
-def test_exchange_counts(torus22, ctx22, torus33, ctx33, gl2rep, ctxgl2):
-    (data,) = mutation.exchange_count(torus22, (F(1, 2),), (F(3, 2),), ctx=ctx22).values()
-    assert data.count == 1
-    assert data.l_set == ((1,),) and data.n_set == ((1,),)
-    (data,) = mutation.exchange_count(torus33, (F(0),), (F(1),), ctx=ctx33).values()
-    assert data.count == 2
-    counts = {k: v.count for k, v in
-              mutation.exchange_count(gl2rep, (F(0), F(0)), (F(1), F(1)), ctx=ctxgl2).items()}
+def test_nonabelian_face_counts(gl2rep, ctxgl2):
     crossing = windows.wall_crossing(gl2rep, (F(0), F(0)), (F(1), F(1)), ctxgl2)
+    assert sorted(mutation.per_face_counts(gl2rep, crossing).values()) == [3, 4]
+    with pytest.raises(InputError, match="torus actions only"):
+        mutation.ToricWall(gl2rep, crossing, ctxgl2)
+
+
+def test_face_counts(torus33, ctx33, gl2rep, ctxgl2):
+    """d_F^+ + l(w0) - 1 per face; the (L, N) pair of the torus wall is
+    asserted on ``complexes.summand_sets`` in test_complexes."""
+    crossing = windows.wall_crossing(torus33, (F(0),), (F(1),), ctx33)
+    assert list(mutation.per_face_counts(torus33, crossing).values()) == [2]
+    crossing = windows.wall_crossing(gl2rep, (F(0), F(0)), (F(1), F(1)), ctxgl2)
+    counts = mutation.per_face_counts(gl2rep, crossing)
     for key, fd in crossing.faces.items():
         assert counts[key] == fd.d_plus + 1 - 1
 
