@@ -238,20 +238,6 @@ class Arrangement:
         """``is_generic_label`` for an ambient, W-invariant label."""
         return self.is_generic_label(self.to_coords(ell))
 
-    def triangle_report(self, a, b, c) -> dict:
-        """Separating-set identity and distance inequality for three points."""
-        ab = set(self.separating_walls(a, b))
-        bc = set(self.separating_walls(b, c))
-        ac = set(self.separating_walls(a, c))
-        symmetric_difference = (ab | bc) - (ab & bc)
-        return {
-            "sets": {"ab": ab, "bc": bc, "ac": ac},
-            "identity_holds": ac == symmetric_difference,
-            "triangle_inequality": len(ac) <= len(ab) + len(bc),
-            "equality": len(ac) == len(ab) + len(bc),
-            "equality_iff_disjoint": (len(ac) == len(ab) + len(bc)) == (not ab & bc),
-        }
-
     # -- enumeration ---------------------------------------------------------
 
     def walls_in_box(self, periods: int = 3) -> list[Wall]:

@@ -1,6 +1,6 @@
 """The chamber groupoid: labeled crossing arrows, translation arrows,
-positivity and minimality of paths, the five rewriting relations, rank-one
-normal forms, and mutation transcripts.
+positivity and minimality of paths, rank-one normal forms, and mutation
+transcripts.
 
 All points and labels live in invariant coordinates; chamber identity is the
 sign vector from the arrangement.  A path carries the chambers ``make_path``
@@ -90,14 +90,9 @@ def make_path(arr: Arrangement, arrows, start=None) -> Path:
     return Path(arrows=arrows, start=chambers[0].sample, chambers=tuple(chambers))
 
 
-def arrow_is_positive(arr: Arrangement, a: Cross, chambers=None) -> bool:
+def arrow_is_positive(arr: Arrangement, a: Cross, walls) -> bool:
     """Distinct chambers and the label oriented like dst - src on every
-    separating wall; ``chambers`` are the ends' chambers, if located."""
-    return _positive_across(arr, a, arr.separating_walls(*(chambers or (a.src, a.dst))))
-
-
-def _positive_across(arr: Arrangement, a: Cross, walls) -> bool:
-    """``arrow_is_positive`` given the walls separating the arrow's ends."""
+    separating wall; ``walls`` are the walls separating the arrow's ends."""
     moves = arr.orientations(linalg.sub(a.dst, a.src), walls)
     # no separating wall means one chamber
     return bool(walls) and all(ell != 0 and ell == move
@@ -114,7 +109,7 @@ def is_minimal(arr: Arrangement, path: Path) -> bool:
     """
     located = list(path.located(arr))
     crossings = [arr.separating_walls(here, there) for _, here, there in located]
-    if not located or not all(isinstance(a, Cross) and _positive_across(arr, a, walls)
+    if not located or not all(isinstance(a, Cross) and arrow_is_positive(arr, a, walls)
                               for (a, _, _), walls in zip(located, crossings)):
         raise InputError("minimality is defined for positive paths only")
     total = arr.separating_walls(located[0][1], located[-1][2])
@@ -136,101 +131,6 @@ def is_minimal(arr: Arrangement, path: Path) -> bool:
         raise InputError(
             f"minimality criteria disagree: {additive}, {disjoint_union}, {pairwise}, {oriented}")
     return additive
-
-
-# -- rewriting relations -----------------------------------------------------
-
-
-def apply_relation(arr: Arrangement, path: Path, rule: str, position: int,
-                   label=None, via=None, m_split=None) -> Path:
-    """Rewrite the path at the given position per one of the five relations.
-
-    R1 drops a same-chamber arrow (or, with ``label``, inserts one);
-    R2 merges two consecutive arrows with a common label (or splits one at a
-    ``via`` point); R3 relabels an arrow with an orientation-equivalent
-    ``label``; R4 commutes a crossing with a translation (self-inverse);
-    R5 merges two consecutive translations (or splits one at ``m_split``).
-    Positions index arrows from 0; an R1 insertion may also go at the end.
-    """
-    arrows = list(path.arrows)
-    rule = rule.upper()
-    if rule == "R1":
-        if label is not None:
-            if not 0 <= position <= len(arrows):
-                raise InputError(f"no insertion point at position {position}")
-            chamber_point = path.chambers[position].sample
-            arrows.insert(position, Cross(chamber_point, chamber_point, linalg.vec(label)))
-        else:
-            a = _expect_cross(arrows, position)
-            if arr.chamber_of(a.src) != arr.chamber_of(a.dst):
-                raise InputError("R1 applies to same-chamber arrows only")
-            del arrows[position]
-    elif rule == "R2":
-        if via is not None:
-            a = _expect_cross(arrows, position)
-            via = linalg.vec(via)
-            arr.chamber_of(via)
-            arrows[position:position + 1] = [Cross(a.src, via, a.label), Cross(via, a.dst, a.label)]
-        else:
-            a, b = _expect_cross(arrows, position), _expect_cross(arrows, position + 1)
-            if a.label != b.label:
-                raise InputError("R2 needs a common label")
-            arrows[position:position + 2] = [Cross(a.src, b.dst, a.label)]
-    elif rule == "R3":
-        a = _expect_cross(arrows, position)
-        if label is None:
-            raise InputError("R3 needs the replacement label")
-        new = linalg.vec(label)
-        walls = arr.separating_walls(a.src, a.dst)
-        if arr.orientations(a.label, walls) != arr.orientations(new, walls):
-            raise InputError("R3 labels must agree on every separating wall")
-        arrows[position] = Cross(a.src, a.dst, new)
-    elif rule == "R4":
-        first, second = _arrow(arrows, position), _arrow(arrows, position + 1)
-        if isinstance(first, Cross) and isinstance(second, Translate):
-            shift = linalg.vec(second.m)
-            arrows[position:position + 2] = [
-                Translate(second.m),
-                Cross(linalg.add(first.src, shift), linalg.add(first.dst, shift), first.label),
-            ]
-        elif isinstance(first, Translate) and isinstance(second, Cross):
-            shift = linalg.vec(first.m)
-            arrows[position:position + 2] = [
-                Cross(linalg.sub(second.src, shift), linalg.sub(second.dst, shift), second.label),
-                Translate(first.m),
-            ]
-        else:
-            raise InputError("R4 needs a crossing next to a translation")
-    elif rule == "R5":
-        if m_split is not None:
-            t = _expect_translate(arrows, position)
-            rest = tuple(a - b for a, b in zip(t.m, m_split))
-            arrows[position:position + 1] = [Translate(tuple(m_split)), Translate(rest)]
-        else:
-            t1, t2 = _expect_translate(arrows, position), _expect_translate(arrows, position + 1)
-            merged = Translate(tuple(a + b for a, b in zip(t1.m, t2.m)))
-            arrows[position:position + 2] = [merged] if any(merged.m) else []
-    else:
-        raise InputError(f"unknown relation {rule!r}")
-    return make_path(arr, arrows, start=path.start)
-
-
-def _arrow(arrows, position):
-    if not 0 <= position < len(arrows):
-        raise InputError(f"no arrow at position {position} of a path of {len(arrows)}")
-    return arrows[position]
-
-
-def _expect_cross(arrows, position) -> Cross:
-    if not isinstance(_arrow(arrows, position), Cross):
-        raise InputError(f"no crossing arrow at position {position}")
-    return arrows[position]
-
-
-def _expect_translate(arrows, position) -> Translate:
-    if not isinstance(_arrow(arrows, position), Translate):
-        raise InputError(f"no translation arrow at position {position}")
-    return arrows[position]
 
 
 # -- rank-one normal form ------------------------------------------------------
@@ -289,12 +189,6 @@ def normal_form_word(arr: Arrangement, path: Path):
     """(freely reduced letters, net translation) identifying the morphism."""
     letters, shift, scale = _letters(arr, path)
     return tuple((Fraction(pos, scale), d) for pos, d in _freely_reduce(letters)), Fraction(shift)
-
-
-def paths_equivalent_rank1(arr: Arrangement, p: Path, q: Path) -> bool:
-    if p.chambers[0] != q.chambers[0]:
-        return False
-    return normal_form_word(arr, p) == normal_form_word(arr, q)
 
 
 # -- transcripts ----------------------------------------------------------------
@@ -362,7 +256,7 @@ def mutation_transcript(rep: QSRep, path: Path, ctx: Context) -> list[Transcript
         if isinstance(a, Translate):
             entries.append(TranscriptEntry(kind="shift", shift=tuple(a.m)))
             continue
-        if not arrow_is_positive(arr, a, (here, there)):
+        if not arrow_is_positive(arr, a, arr.separating_walls(here, there)):
             raise InputError("transcripts are defined for positive crossings")
         for hop, crossing in _hop_crossings(rep, ctx, a, (here, there)):
             counts = per_face_counts(rep, crossing)

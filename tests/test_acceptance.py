@@ -6,7 +6,14 @@ shared across criteria; rank-one wall pairs are exhaustive within the
 two-period box, higher ranks are grid-sampled on every wall.  Criteria 2-6
 run the named checks of ``qswindows.verify`` and require the rows they rely
 on to be present, so the CLI's ``verify`` and this suite share one copy of
-every invariant.
+every invariant: criterion 2 reads the three bijection rows of
+``check_wall_crossing``, criterion 3 its torus single-face rows and the
+L-summand row of ``check_complexes``, and criterion 5 the endpoint row (on
+tori with the Koszul row).  Two properties have no row, because the program
+raises ``InternalInconsistencyError`` before a check could see them fail: a
+crossing direction that does not pair positively with the inward normals
+(``wall_crossing``), and complex terms outside their degree window
+(``complex_terms``).
 """
 import hashlib
 import itertools
@@ -116,7 +123,7 @@ def complex_rows(corpus):
 def test_criterion_2_mu_involution_and_partition(corpus):
     t0 = time.time()
     ok = len(corpus) >= 200
-    ok = ok and run_check(verify.check_crossing_bijection, corpus,
+    ok = ok and run_check(verify.check_wall_crossing, corpus,
                           ("mu-involution", "window-sizes-match", "window-partition"))
     n_pairs = sum(len(pairs) for _, _, pairs in corpus)
     elapsed = time.time() - t0
@@ -126,8 +133,7 @@ def test_criterion_2_mu_involution_and_partition(corpus):
 
 def test_criterion_3_toric_wall_identities(corpus, complex_rows):
     ok = run_check(verify.check_wall_crossing, corpus,
-                   ("toric-single-wall-face", "toric-outgoing-equals-face-chars",
-                    "crossing-orientation"))
+                   ("toric-single-wall-face", "toric-outgoing-equals-face-chars"))
     ok = ok and all(rows_hold(rows, ("toric-l-summands-in-common",)) for rows in complex_rows)
     report(3, "toric wall identities", ok)
 
@@ -140,7 +146,7 @@ def test_criterion_4_mutation_periodicity(corpus):
 
 
 def test_criterion_5_complex_endpoints(corpus, complex_rows, gl2):
-    required = ("complex-endpoint-terms", "complex-degree-support")
+    required = ("complex-endpoint-terms",)
     ok = all(rows_hold(rows, required + ("toric-koszul-multiplicities",))
              for rows in complex_rows)
     gl2rep, gl2ctx = gl2

@@ -1,10 +1,13 @@
 """The command-line scripts run to completion and print their summaries."""
+import ast
+import re
 import runpy
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def run_script(name, *args):
@@ -38,3 +41,27 @@ def test_code_size():
                       'def f():\n    """Doc."""\n    return """a\nb"""\n') == 4
     name, lines, code = run_script("code_size.py").splitlines()[-1].split()
     assert name == "total" and 0 < int(code) < int(lines)
+
+
+def test_every_src_definition_is_used_outside_the_tests():
+    """Each function, class and method defined under src/qswindows is named
+    somewhere in src/, scripts/ or benchmark/ outside its own definition.
+    One that only tests call belongs in the tests.  Dunder methods are
+    called by Python itself and are skipped."""
+    sources = {path: path.read_text() for folder in ("src", "scripts", "benchmark")
+               for path in sorted((ROOT / folder).rglob("*.py"))}
+    unused = []
+    for path, text in sources.items():
+        if path.parent.name != "qswindows":
+            continue
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    or node.name.startswith("__") and node.name.endswith("__")):
+                continue
+            outside = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
+            word = re.compile(rf"\b{re.escape(node.name)}\b")
+            if not any(word.search(outside if other == path else other_text)
+                       for other, other_text in sources.items()):
+                unused.append(f"{path.name}:{node.name}")
+    assert unused == []

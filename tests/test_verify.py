@@ -18,7 +18,7 @@ def test_bundled_suite_all_pass():
     for expected in (
         "eta-symmetry", "wall-iff-boundary-points", "window-polytope-cross-check",
         "mu-involution", "window-partition", "dagger-pairing", "beta-dagger-duality",
-        "face-lattice-point-symmetry", "crossing-orientation",
+        "face-lattice-point-symmetry",
         "toric-single-wall-face", "toric-wedge-sums-stay-common",
         "complex-endpoint-terms", "complex-euler-telescope",
         "mutation-reaches-far-window", "mutation-periodicity",
