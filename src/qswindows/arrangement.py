@@ -135,9 +135,14 @@ class Arrangement:
         return self._ambient(*self._scaled(point))
 
     def _ambient(self, nums: IntVec, den: int) -> Vec:
-        """``to_ambient`` of the coordinates nums/den: integer numerators
-        against each column of the basis, over the one denominator."""
-        return tuple(Fraction(sum(map(mul, nums, col)), den) for col in zip(*self.invariant_basis))
+        """``to_ambient`` of the coordinates nums/den: the character of the
+        numerators, over the one denominator."""
+        return tuple(Fraction(x, den) for x in self.character(nums))
+
+    def character(self, m: IntVec) -> IntVec:
+        """The ambient integer vector sum_i m_i b_i of integer invariant
+        coordinates m; a W-invariant character, as the b_i are."""
+        return tuple(sum(map(mul, m, col)) for col in zip(*self.invariant_basis))
 
     def _scaled(self, point) -> tuple[IntVec, int]:
         """Invariant coordinates, or a chamber's sample, as integer

@@ -17,7 +17,7 @@ from math import lcm
 
 from . import linalg
 from .arrangement import Arrangement, Chamber
-from .errors import InputError, UnsupportedDimensionError, _fmt
+from .errors import InputError, InternalInconsistencyError, UnsupportedDimensionError, _fmt
 from .linalg import Vec
 from .mutation import per_face_counts
 from .rep import QSRep
@@ -277,13 +277,18 @@ def transcript_window_map(rep: QSRep, path: Path, ctx: Context) -> dict:
     mapping = {chi: chi for chi in ctx.window(path.chambers[0]).chars}
     for a, here, there in path.located(arr):
         if isinstance(a, Translate):
-            shift = tuple(int(x) for x in arr.to_ambient(a.m))
+            shift = arr.character(a.m)
             mapping = {src: tuple(linalg.add(dst, shift)) for src, dst in mapping.items()}
             continue
         for _, crossing in _hop_crossings(rep, ctx, a, (here, there)):
             step = dict(zip(crossing.window.chars, crossing.window.chars))
             step.update(mu_map(rep, crossing))
-            mapping = {src: step[dst] for src, dst in mapping.items()}
+            try:
+                mapping = {src: step[dst] for src, dst in mapping.items()}
+            except KeyError as exc:
+                lost, near = _fmt(exc.args[0]), _fmt(crossing.delta)
+                raise InternalInconsistencyError(
+                    f"hops do not chain: {lost} is not in the window at {near}") from None
     end_window = set(ctx.window(path.chambers[-1]).chars)
     image = set(mapping.values())
     if image != end_window or len(image) != len(mapping):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from . import linalg
@@ -32,6 +33,7 @@ FaceKey = tuple
 @dataclass(frozen=True)
 class Cov:
     chi: Weight
+    sort_key = cached_property(repr)  # specs list atoms in repr order, formatted once
 
     def __repr__(self):
         return f"Cov{self.chi}"
@@ -42,6 +44,7 @@ class Ker:
     face_key: FaceKey
     chi: Weight
     step: int
+    sort_key = cached_property(repr)
 
     def __repr__(self):
         return f"Ker({self.face_key},{self.chi},{self.step})"
@@ -73,7 +76,7 @@ class ModuleSpec:
     @classmethod
     def from_counter(cls, tally: Counter) -> "ModuleSpec":
         items = tuple(sorted(((a, m) for a, m in tally.items() if m),
-                             key=lambda am: (repr(am[0]), am[1])))
+                             key=lambda am: (am[0].sort_key, am[1])))
         return cls(atoms=items)
 
     @classmethod

@@ -81,13 +81,13 @@ def check_rep_invariants(name: str, rep: QSRep, ctx: Context) -> list[CheckResul
     nudged = tuple(c + Fraction(1, 64) for c in sample)
     if arr.on_wall(nudged) or arr.chamber_of(nudged) != arr.chamber_of(sample):
         nudged = sample
-    # a fresh Context, so that the nudged window is worked out, not read
-    # back from the cache of the sample's chamber
+    # fresh Contexts, so that the nudged and shifted windows are worked
+    # out, not read back from (or translated by) the cache of the sample
     if Context(rep, arr).window(arr.to_ambient(nudged)).chars != win.chars:
         ok = False
-    shift_coords = tuple(1 for _ in range(arr.dim))
-    shifted = ctx.window(arr.to_ambient(linalg.add(sample, shift_coords)))
-    m_ambient = tuple(int(x) for x in arr.to_ambient(shift_coords))
+    shift_coords = (1,) * arr.dim
+    shifted = Context(rep, arr).window(arr.to_ambient(linalg.add(sample, shift_coords)))
+    m_ambient = arr.character(shift_coords)
     expected = tuple(sorted(tuple(linalg.add(c, m_ambient)) for c in win.chars))
     if shifted.chars != expected:
         ok = False

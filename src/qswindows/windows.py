@@ -17,27 +17,18 @@ Conventions fixed here:
 
 Chamber-level and per-call data.  A window depends only on the chamber of
 delta, and a crossing's wall, characters, faces and mu map depend only on
-the ordered pair of chambers, so ``Context`` stores window characters once
-per chamber sign vector and crossing data once per ordered pair of sign
-vectors (exact chambers, not classes mod the lattice).  The first crossing
-of a pair checks that the chambers are adjacent, which depends only on
-their sign vectors, and runs every construction and check at its own wall
-point.  Every later crossing of the pair still has both endpoints located
-and off-wall, its wall point on the stored wall and its direction pairing
-positively with the inward normals; it then reuses the pair's wall,
-characters and faces as they are, with its own delta, delta', delta_0 and
-windows.  An endpoint is an off-wall ambient point or the chamber that
-holds it, and either stands for the other: a point is located by
-``to_coords`` and ``chamber_of``, and a chamber's sample, its invariant
-coordinates, gives the point under ``to_ambient`` once per call, which
-``Window.delta`` then carries.  The wall point is formed over the integers:
-from the two chambers' sample numerators and the crossing time p/q, as
-numerators over one positive denominator in invariant coordinates, checked
-on the wall by the arrangement's ``divmod`` indices, and taken to the
-ambient delta_0 once, through the integer core of ``to_ambient``; the
-orientation check reads the numerators of delta and delta'.  The
-groupoid's hop loop locates each cut point of an arrow once and passes
-chambers.
+the ordered pair of chambers, so ``Context`` stores window characters per
+chamber sign vector and crossing data per ordered pair of sign vectors.  An
+exact miss looks both up by class modulo the W-invariant characters, on
+which ``invariant_basis`` is a Z-basis: a sample nums/den, with
+m = floor(nums/den), has the sign vector of (nums - den m)/den as class key
+and sum_i m_i b_i as shift; a pair reduces both chambers by the first one's
+m, each over its own den.  Only a class miss scans the lattice or builds a
+pair, with every construction and check at its own wall point.  Each exact
+pair is checked adjacent once, and every crossing still has both endpoints
+located and off-wall, its wall point (formed over the integers) on the
+stored wall and its direction pairing positively with the inward normals.
+A dagger depends only on its face of (1/2)Sigma and is stored per face key.
 
 Why that is exact: both wall points lie on the wall the two chambers share
 and on no other wall, so they are joined inside the common facet of the two
@@ -45,13 +36,20 @@ chambers, and every tight set (of rho + chi - delta_0 on (1/2)Sigma, or of
 chi on delta_0 + nabla) is constant along that facet.  So the outgoing
 characters on the wall-point window boundary and their faces are the same
 at both wall points.  The mu map reads only beta_F^+ and the two windows,
-which depend only on the chambers.
+which depend only on the chambers.  The arrangement is periodic under a
+W-invariant character s, and two chambers (pairs) with one class key differ
+by s, the difference of their shifts.  The window at delta + s is the one
+at delta moved by s, in the same lexicographic order, as
+M(delta + s + nabla) = M(delta + nabla) (x) O(s) and every root pairs to
+zero with s.  The wall point moves by s, so rho + chi - delta_0, and with it
+every face and face key, stays; the outgoing characters, their split by
+face and the mu images (chi + beta_F^+)^+ move by s.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from . import linalg
 from .arrangement import Arrangement, Chamber, Wall, build_arrangement
@@ -117,8 +115,8 @@ class FaceData:
 
 class Context:
     """The arrangement and the half-zonotope (1/2)Sigma of one representation,
-    with windows stored per chamber and crossing data per ordered chamber
-    pair (see the module docstring)."""
+    with windows and crossing data stored per chamber (pair) and per class
+    mod the lattice, and daggers per face (see the module docstring)."""
 
     def __init__(self, rep: QSRep, arr: Arrangement | None = None):
         self.rep = rep
@@ -127,20 +125,33 @@ class Context:
         self._dominant = rep.dominant_halfspaces()
         self._windows: dict = {}    # chamber sign vector -> window characters
         self._crossings: dict = {}  # (sign vector, sign vector') -> _PairCrossing
+        self._classes: dict = {}    # class key -> (window chars or _PairCrossing, shift)
+        self._daggers: dict = {}    # face key -> its dagger FaceData
 
     def window(self, delta) -> Window:
         """The window at an off-wall ambient delta, or at its chamber."""
-        chamber = _located(self.arrangement, delta)
-        delta = self.arrangement.to_ambient(chamber) if chamber is delta else linalg.vec(delta)
+        return self._window(_located(self.arrangement, delta), delta)
+
+    def _window(self, chamber: Chamber, delta) -> Window:
+        """``window`` of delta, an ambient point or the chamber, in the chamber."""
+        arr = self.arrangement
+        delta = arr.to_ambient(chamber) if chamber is delta else linalg.vec(delta)
         chars = self._windows.get(chamber.sign_vector)
         if chars is None:
-            shifted = self.rep.nabla.translate(delta)
-            chars = tuple(shifted.lattice_points(extra=self._dominant))
-            boundary = [c for c in chars if shifted.tight_indices(c)]
-            if boundary:
-                raise InternalInconsistencyError(
-                    f"window characters {', '.join(map(_fmt, boundary))} on the boundary "
-                    f"at off-wall {_fmt(delta)}")
+            key, shift = _class_key(arr, (chamber,))
+            hit = self._classes.get(key)
+            if hit is not None:
+                step = linalg.sub(shift, hit[1])
+                chars = tuple(tuple(map(add, c, step)) for c in hit[0])
+            else:
+                shifted = self.rep.nabla.translate(delta)
+                chars = tuple(shifted.lattice_points(extra=self._dominant))
+                boundary = [c for c in chars if shifted.tight_indices(c)]
+                if boundary:
+                    raise InternalInconsistencyError(
+                        f"window characters {', '.join(map(_fmt, boundary))} on the boundary "
+                        f"at off-wall {_fmt(delta)}")
+                self._classes[key] = chars, shift
             self._windows[chamber.sign_vector] = chars
         return Window(delta=delta, chars=chars)
 
@@ -148,6 +159,14 @@ class Context:
 def _located(arr: Arrangement, delta) -> Chamber:
     """The chamber of an off-wall ambient point; a chamber is its own."""
     return delta if type(delta) is Chamber else arr.chamber_of(arr.to_coords(delta))
+
+
+def _class_key(arr: Arrangement, chambers) -> tuple[tuple, IntVec]:
+    """The sign vectors of the chambers' samples less m, the integer part of
+    the first sample, each over its own denominator; and m's character."""
+    m = [x // chambers[0].den for x in chambers[0].nums]
+    return tuple(tuple(k for k, _ in arr._indices([x - c.den * y for x, y in zip(c.nums, m)],
+                                                   c.den)) for c in chambers), arr.character(m)
 
 
 def face_data_from_face(rep: QSRep, poly: Polytope, face: Face) -> FaceData:
@@ -192,11 +211,14 @@ def dagger(rep: QSRep, fd: FaceData, ctx: Context) -> FaceData:
     """w0 applied to the central-symmetry dual face; dominant again."""
     if not fd.dominant:
         raise InputError("dagger is defined only for dominant faces")
-    half = ctx.half_sigma
-    image = rep.root_datum.apply(rep.root_datum.w0, half.dual_point(fd.face.sample))
-    out = face_data_from_face(rep, half, half.face_at(image))
-    if out.codim != fd.codim or not out.dominant:
-        raise InternalInconsistencyError("dagger face must stay dominant with equal codim")
+    out = ctx._daggers.get(fd.key)
+    if out is None:
+        half = ctx.half_sigma
+        image = rep.root_datum.apply(rep.root_datum.w0, half.dual_point(fd.face.sample))
+        out = face_data_from_face(rep, half, half.face_at(image))
+        if out.codim != fd.codim or not out.dominant:
+            raise InternalInconsistencyError("dagger face must stay dominant with equal codim")
+        ctx._daggers[fd.key] = out
     return out
 
 
@@ -263,18 +285,35 @@ class _PairCrossing:
         self.chars_by_face = {key: tuple(sorted(chars)) for key, chars in chars_by_face.items()}
         self.mu_images: tuple | None = None
 
+    def translated(self, wall: Wall, win: Window, win_p: Window, shift) -> _PairCrossing:
+        """This pair moved by the invariant character ``shift`` onto ``wall``,
+        ``win`` and ``win_p``: the same faces, with ``win``'s character tuples."""
+        out = _PairCrossing.__new__(_PairCrossing)
+        out.wall, out.faces = wall, self.faces
+        outgoing = set(win.chars) - set(win_p.chars)
+        out.outgoing = tuple(sorted(outgoing))
+        out.common = tuple(c for c in win.chars if c not in outgoing)
+        if [tuple(map(add, c, shift)) for c in self.outgoing] != list(out.outgoing):
+            raise InternalInconsistencyError("a translate must move the outgoing characters")
+        # a shift keeps the lexicographic order, so the sorted tuples align
+        moved = dict(zip(self.outgoing, out.outgoing))
+        out.chars_by_face = {key: tuple(map(moved.__getitem__, chars))
+                             for key, chars in self.chars_by_face.items()}
+        out.mu_images = None if self.mu_images is None else tuple(
+            tuple(map(add, c, shift)) for c in self.mu_images)
+        return out
+
 
 def wall_crossing(rep: QSRep, delta, delta_prime, ctx: Context) -> WallCrossing:
-    """The crossing from delta to delta', each an off-wall ambient point or
-    its chamber."""
+    """The crossing from delta to delta', each an off-wall ambient point,
+    kept as given, or its chamber."""
     arr = ctx.arrangement
     chamber, chamber_p = _located(arr, delta), _located(arr, delta_prime)
     key = (chamber.sign_vector, chamber_p.sign_vector)
     pair = ctx._crossings.get(key)
     # adjacency depends only on the two sign vectors: checked once per pair
     wall = arr.require_adjacent(chamber, chamber_p) if pair is None else pair.wall
-    # each window holds its ambient point, worked out once
-    win, win_p = ctx.window(chamber), ctx.window(chamber_p)
+    win, win_p = ctx._window(chamber, delta), ctx._window(chamber_p, delta_prime)
     delta, delta_prime = win.delta, win_p.delta
     # the wall point is where the segment meets the wall (for a symmetric
     # pair, the exact midpoint), over the integers in invariant coordinates;
@@ -285,7 +324,14 @@ def wall_crossing(rep: QSRep, delta, delta_prime, ctx: Context) -> WallCrossing:
         raise InternalInconsistencyError("computed wall point is not on the wall")
     delta0 = arr._ambient(nums, den)
     if pair is None:
-        pair = ctx._crossings[key] = _PairCrossing(rep, ctx, wall, win, win_p, delta0)
+        class_key, shift = _class_key(arr, (chamber, chamber_p))
+        hit = ctx._classes.get(class_key)
+        if hit is None:
+            pair = _PairCrossing(rep, ctx, wall, win, win_p, delta0)
+            ctx._classes[class_key] = pair, shift
+        else:
+            pair = hit[0].translated(wall, win, win_p, linalg.sub(shift, hit[1]))
+        ctx._crossings[key] = pair
     crossing = WallCrossing(
         delta=delta, delta_prime=delta_prime, delta0=delta0, wall=wall,
         window=win, window_prime=win_p, common=pair.common, faces=pair.faces,

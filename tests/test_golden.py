@@ -1,9 +1,10 @@
 """CLI output pinned byte for byte.
 
-Each call below exits 0, and its stdout must equal the file of the same
-name under ``tests/golden/``; ``export-svg`` calls compare the files they
-write instead.  To re-record after an intended output change, run
-``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+Each call below exits 0, or with the code ``EXIT_CODES`` names, and its
+stdout must equal the file of the same name under ``tests/golden/``;
+``export-svg`` calls compare the files they write instead.  To re-record
+after an intended output change, run ``PYTHONPATH=src python
+tests/test_golden.py`` and review the diff.
 """
 import contextlib
 import io
@@ -60,7 +61,10 @@ CALLS = {
     "cy-quintic": ("cy", None, "--a", "1,1,1,1,1", "--d", "5", "--twist", "0"),
     "cy-3-3": ("cy", None, "--a", "1,1,1,1,1,1", "--d", "3,3", "--twist", "1"),
     "verify-bundled": ("verify", None, "--suites", "bundled"),
+    "gl3-verify-input": ("verify", "gl3", "--suites", "input"),
 }
+# GL(3) 4x(std+dual) FAILs 18 rows: its wall faces are not all dominant
+EXIT_CODES = {"gl3-verify-input": 1}
 
 SVG_CALLS = {
     "gl2-svg": ("gl2", "--delta", "0,0", "--delta2", "1,1"),
@@ -99,7 +103,7 @@ def _svgs(name, tmp: Path):
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_cli_stdout_matches_golden(name, tmp_path):
     code, out = _stdout(name, tmp_path)
-    assert code == 0
+    assert code == EXIT_CODES.get(name, 0)
     assert out == (GOLDEN / f"{name}.out").read_text()
 
 
@@ -135,7 +139,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name in CALLS:
             code, out = _stdout(name, Path(tmp))
-            if code != 0:
+            if code != EXIT_CODES.get(name, 0):
                 sys.exit(f"{name} exited {code}")
             (GOLDEN / f"{name}.out").write_text(out)
         for name in SVG_CALLS:

@@ -272,3 +272,12 @@ def test_nongeneric_wall_rejected():
     # wall is fine and mutation must work
     wall = mutation.toric_wall(r, (F(1, 4),), (F(5, 4),), ctx)
     assert wall.face.d_plus >= 2
+
+
+def test_specs_list_atoms_in_repr_order():
+    """Atoms sort by their repr strings, so Cov(10,) comes before Cov(2,);
+    the pinned mutate outputs list them in this order."""
+    atoms = [Cov((2,)), Cov((10,)), Ker((0,), (-1,), 1), Ker((0,), (1,), 1), Cov((-3,))]
+    spec = ModuleSpec.from_counter(Counter(dict.fromkeys(atoms, 1)))
+    assert [a for a, _ in spec.atoms] == sorted(atoms, key=repr)
+    assert spec.atoms[1:3] == ((Cov((10,)), 1), (Cov((2,)), 1))

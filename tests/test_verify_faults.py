@@ -12,7 +12,9 @@ every ``_result`` name in ``verify.py`` must have an entry here.
 Two properties have no row, because the program raises on them first: a
 crossing direction that does not pair positively with the inward normals
 of its wall faces (``wall_crossing``), and complex terms outside their
-degree window (``complex_terms``).  The last two tests reach those raises.
+degree window (``complex_terms``).  Two tests reach those raises.  Hops that
+do not chain raise a package error in ``transcript_window_map``, which the
+groupoid check reports as a FAIL, not a crash.
 """
 import ast
 import dataclasses
@@ -281,3 +283,24 @@ def test_complex_terms_past_the_top_degree_raise(monkeypatch):
     with pytest.raises(InternalInconsistencyError,
                        match="complex terms escaped their degree window"):
         complexes.complex_terms(rep, fd, cross.chars_by_face[key][0])
+
+
+def _last_hop_dropped(monkeypatch):
+    real = groupoid.split_into_hops
+    monkeypatch.setattr(groupoid, "split_into_hops",
+                        lambda arr, a, chambers=None: real(arr, a, chambers)[:-1])
+
+
+def test_hops_that_do_not_chain_fail_the_transcript_row(monkeypatch):
+    """Without the last hop of each arrow, a one-hop arrow crosses nothing,
+    so the next arrow's hops start from a window the map is not in."""
+    _last_hop_dropped(monkeypatch)
+    rep = _REPS[T3]
+    ctx = Context(rep)
+    path = groupoid.make_path(ctx.arrangement, [groupoid.Cross((F(0),), (F(1),), (F(1),)),
+                                                groupoid.Cross((F(1),), (F(4),), (F(1),))])
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"^hops do not chain: \(-1\) is not in the window at \(1\)$"):
+        groupoid.transcript_window_map(rep, path, ctx)
+    rows = verify.check_groupoid(T3, rep, Context(rep), seed=0, n_paths=20)
+    assert [r.passed for r in rows if r.name == "transcript-window-bijections"] == [False]

@@ -4,8 +4,11 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qswindows import catalog, complexes, groupoid, linalg, verify, windows
+from qswindows import catalog, complexes, geometry, groupoid, linalg, verify, windows
+from qswindows.arrangement import Arrangement
 from qswindows.errors import InputError, NotAdjacentError, OnWallError
 from qswindows.rep import QSRep
 from qswindows.root_data import RootDatum
@@ -400,3 +403,102 @@ def test_located_chamber_stands_for_its_point(gl2rep, ctxgl2):
     moved = windows.wall_crossing(gl2rep, nearby, there, ctxgl2)
     assert moved.delta == arr.to_ambient(nearby) != delta
     assert moved.window.chars == plain.window.chars
+
+
+# -- lattice translates ------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def translate_inputs(gl2rep):
+    """Reps with adjacent pairs: the first four rank-one and the first six
+    rank-two reps of the acceptance corpus (seed 20250810), and GL(2)."""
+    corpus = catalog.random_corpus(20250810, {1: 120, 2: 6})
+    out = []
+    for rep_obj in corpus[:4] + corpus[120:] + [gl2rep]:
+        ctx = windows.Context(rep_obj)
+        pairs = catalog.adjacent_pairs(ctx, periods=1, per_wall=1, max_pairs=6)
+        out.append((rep_obj, ctx.arrangement, pairs))
+    return out
+
+
+def _assert_equals_fresh(rep_obj, arr, crossing):
+    """The crossing, and its mu map, equal the ones a fresh Context builds."""
+    fresh = windows.wall_crossing(rep_obj, crossing.delta, crossing.delta_prime,
+                                  windows.Context(rep_obj, arr))
+    assert crossing == fresh and crossing.wall == fresh.wall
+    assert windows.mu_map(rep_obj, crossing) == windows.mu_map(rep_obj, fresh)
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_translated_crossings_equal_fresh(translate_inputs, data):
+    rep_obj, arr, pairs = data.draw(st.sampled_from(translate_inputs))
+    delta, delta2 = data.draw(st.sampled_from(pairs))
+    m = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=arr.dim, max_size=arr.dim)))
+    ctx = windows.Context(rep_obj, arr)
+    first = windows.wall_crossing(rep_obj, delta, delta2, ctx)
+    if data.draw(st.booleans()):  # a base pair with, or without, its mu images
+        windows.mu_map(rep_obj, first)
+    classes = len(ctx._classes)
+    shift = arr.character(m)
+    moved = windows.wall_crossing(rep_obj, linalg.add(delta, shift),
+                                  linalg.add(delta2, shift), ctx)
+    # both windows and the pair were class hits
+    assert len(ctx._classes) == classes
+    _assert_equals_fresh(rep_obj, arr, moved)
+    assert moved.window.chars == tuple(tuple(linalg.add(c, shift)) for c in first.window.chars)
+
+
+@settings(deadline=None, max_examples=30)
+@given(name=st.sampled_from(sorted(catalog.bundled_reps())), seed=st.integers(0, 10**6),
+       m=st.integers(-3, 3))
+def test_translated_path_crossings_equal_fresh(name, seed, m):
+    """A path there and back, t(m), then there and back again one lattice
+    step away: every hop crossing equals a fresh one, and the transcript
+    moves each character by the character of m."""
+    rep_obj = catalog.bundled_reps()[name]
+    ctx = windows.Context(rep_obj)
+    arr = ctx.arrangement
+    path = verify._random_positive_path(arr, random.Random(seed))
+    if path is None:
+        return
+    there = list(path.arrows)
+    back = [groupoid.Cross(a.dst, a.src, linalg.neg(a.label)) for a in reversed(there)]
+    again = [groupoid.Cross(linalg.add(a.src, (m,)), linalg.add(a.dst, (m,)), a.label)
+             for a in there + back]
+    path = groupoid.make_path(arr, there + back + [groupoid.Translate((m,))] + again)
+    for a, here, end in path.located(arr):
+        if isinstance(a, groupoid.Cross):
+            for _, crossing in groupoid._hop_crossings(rep_obj, ctx, a, (here, end)):
+                _assert_equals_fresh(rep_obj, arr, crossing)
+    shift = arr.character((m,))
+    mapping = groupoid.transcript_window_map(rep_obj, path, ctx)
+    assert mapping == {chi: tuple(linalg.add(chi, shift)) for chi in mapping}
+
+
+def test_translate_scans_and_builds_once(small_corpus, monkeypatch):
+    """Crossing (delta, delta') and then (delta + m, delta' + m) scans one
+    window per chamber class and builds one pair; neither crossing rebuilds
+    its points, and a dagger is worked out once per face."""
+    rep_obj = next(r for r in small_corpus if r.rank == 2)
+    ctx = windows.Context(rep_obj)
+    arr = ctx.arrangement
+    delta, delta2 = catalog.adjacent_pairs(ctx, periods=1, per_wall=1, max_pairs=2)[0]
+    shift = arr.character((1, -2))
+    calls = []
+    for owner, name in ((geometry.Polytope, "lattice_points"), (geometry.Polytope, "face_at"),
+                        (windows._PairCrossing, "__init__"), (Arrangement, "to_ambient")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, name=name, **k: (
+            calls.append(name), real(*a, **k))[1])
+    first = windows.wall_crossing(rep_obj, delta, delta2, ctx)
+    ends = linalg.add(delta, shift), linalg.add(delta2, shift)
+    moved = windows.wall_crossing(rep_obj, *ends, ctx)
+    assert calls.count("lattice_points") == 2 and calls.count("__init__") == 1
+    assert calls.count("to_ambient") == 0
+    assert (moved.delta, moved.delta_prime) == ends
+    assert moved.faces is first.faces
+    fd = next(iter(first.faces.values()))
+    before = calls.count("face_at")
+    assert windows.dagger(rep_obj, fd, ctx) is windows.dagger(rep_obj, fd, ctx)
+    assert calls.count("face_at") == before + 1
