@@ -129,8 +129,7 @@ def _wall_samples(arr: Arrangement, wall: Wall, periods: int, grid: Fraction,
     norm_sq = linalg.dot(nrm, nrm)
     base_point = linalg.scale(wall.offset / norm_sq, nrm)
     if arr.dim == 1:
-        others = [w for w in arr.walls_at(base_point) if w != wall]
-        return [] if others else [base_point]
+        return [base_point] if arr.walls_at(base_point) == [wall] else []
     directions = [linalg.vec(b) for b in linalg.kernel_basis([list(nrm)])]
     ticks = int(periods / grid)
     offsets = [grid * k + grid / 7 for k in range(-ticks, ticks + 1)]
@@ -139,8 +138,7 @@ def _wall_samples(arr: Arrangement, wall: Wall, periods: int, grid: Fraction,
         pt = base_point
         for c, d in zip(combo, directions):
             pt = linalg.add(pt, linalg.scale(c, d))
-        others = [w for w in arr.walls_at(pt) if w != wall]
-        if not others and arr.walls_at(pt):
+        if arr.walls_at(pt) == [wall]:
             out.append(pt)
         if len(out) >= limit:
             break

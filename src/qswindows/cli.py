@@ -69,6 +69,11 @@ def _load_rep(args) -> QSRep:
     return QSRep.from_dict(data)
 
 
+def _rep_and_context(args) -> tuple[QSRep, Context]:
+    rep_obj = _load_rep(args)
+    return rep_obj, Context(rep_obj)
+
+
 def _emit(payload) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
@@ -86,8 +91,8 @@ def _output(args, payload, name: str, figure) -> int:
 def _delta(args, name="delta"):
     value = getattr(args, name)
     if value is None:
-        raise InputError(f"--{name.replace('_', '')} is required")
-    return _parse_vector(value)
+        raise InputError(f"--{name} is required")
+    return value
 
 
 def cmd_rep(args) -> int:
@@ -96,8 +101,7 @@ def cmd_rep(args) -> int:
 
 
 def cmd_arrangement(args) -> int:
-    rep_obj = _load_rep(args)
-    ctx = Context(rep_obj)
+    rep_obj, ctx = _rep_and_context(args)
     payload = ctx.arrangement.to_json()
     payload["walls_in_box"] = [
         {"family": w.family_index, "offset": str(w.offset)}
@@ -113,16 +117,14 @@ def _first_off_wall(ctx: Context):
 
 
 def cmd_window(args) -> int:
-    rep_obj = _load_rep(args)
-    ctx = Context(rep_obj)
+    rep_obj, ctx = _rep_and_context(args)
     delta = _delta(args)
     return _output(args, ctx.window(delta).to_json(), "window.svg",
                    lambda: svg.window_figure(rep_obj, ctx, delta, box=args.box))
 
 
 def cmd_wallcross(args) -> int:
-    rep_obj = _load_rep(args)
-    ctx = Context(rep_obj)
+    rep_obj, ctx = _rep_and_context(args)
     delta, delta2 = _delta(args), _delta(args, "delta2")
     crossing = windows.wall_crossing(rep_obj, delta, delta2, ctx)
     mapping = windows.mu_map(rep_obj, crossing)
@@ -149,8 +151,7 @@ def cmd_wallcross(args) -> int:
 
 
 def cmd_faces(args) -> int:
-    rep_obj = _load_rep(args)
-    ctx = Context(rep_obj)
+    rep_obj, ctx = _rep_and_context(args)
     delta = _delta(args)
     ctx.arrangement.to_coords(delta)  # delta must be a W-invariant point
     out = []
@@ -164,22 +165,19 @@ def cmd_faces(args) -> int:
 
 
 def cmd_complex(args) -> int:
-    rep_obj = _load_rep(args)
-    ctx = Context(rep_obj)
+    rep_obj, ctx = _rep_and_context(args)
     delta, delta2 = _delta(args), _delta(args, "delta2")
     crossing = windows.wall_crossing(rep_obj, delta, delta2, ctx)
     if args.chi is None:
         raise InputError("--chi is required")
-    chi = _parse_int_vector(args.chi)
-    fd = crossing.face_of_char(chi)
-    terms = complexes.complex_terms(rep_obj, fd, chi)
+    fd = crossing.face_of_char(args.chi)
+    terms = complexes.complex_terms(rep_obj, fd, args.chi)
     _emit(terms.to_json())
     return 0
 
 
 def cmd_mutate(args) -> int:
-    rep_obj = _load_rep(args)
-    ctx = Context(rep_obj)
+    rep_obj, ctx = _rep_and_context(args)
     delta, delta2 = _delta(args), _delta(args, "delta2")
     wall = mutation.toric_wall(rep_obj, delta, delta2, ctx)
     spec = mutation.module_of_window(rep_obj, delta, ctx)
@@ -194,8 +192,7 @@ def cmd_mutate(args) -> int:
 
 
 def cmd_groupoid(args) -> int:
-    rep_obj = _load_rep(args)
-    ctx = Context(rep_obj)
+    rep_obj, ctx = _rep_and_context(args)
     arr = ctx.arrangement
     path = _parse_path_dsl(arr, args.path, args.start)
     reduced = groupoid.reduce_rank1(arr, path)
@@ -209,7 +206,7 @@ def cmd_groupoid(args) -> int:
     return 0
 
 
-def _parse_path_dsl(arr, text: str | None, start: str | None):
+def _parse_path_dsl(arr, text: str | None, start: tuple[Fraction, ...] | None):
     """Paths like "x(1,+);t(1);x(2,-)": x crosses the wall at the given
     offset; t translates by an integer lattice vector."""
     if not text:
@@ -217,13 +214,10 @@ def _parse_path_dsl(arr, text: str | None, start: str | None):
     if arr.dim != 1:
         raise UnsupportedDimensionError("the path DSL is rank-one only")
     family = arr.families[0]
-    point = None
-    if start is not None:
-        point = _parse_vector(start)
-        if arr.on_wall(point):
-            raise InputError("--start must be off the walls")
+    if start is not None and arr.on_wall(start):
+        raise InputError("--start must be off the walls")
     arrows = []
-    origin = point
+    point = origin = start
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
@@ -316,14 +310,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_svg(args) -> int:
-    rep_obj = _load_rep(args)
-    ctx = Context(rep_obj)
+    rep_obj, ctx = _rep_and_context(args)
     delta = _delta(args)
     figures = {"window.svg": svg.window_figure(rep_obj, ctx, delta, box=args.box)}
     if args.delta2 is not None:
-        delta2 = _delta(args, "delta2")
-        figures["wallcross.svg"] = svg.crossing_figure(rep_obj, ctx, delta, delta2)
-        figures["faces.svg"] = svg.faces_figure(rep_obj, ctx, delta, delta2)
+        figures["wallcross.svg"] = svg.crossing_figure(rep_obj, ctx, delta, args.delta2)
+        figures["faces.svg"] = svg.faces_figure(rep_obj, ctx, delta, args.delta2)
     for name, content in figures.items():
         _write_svg(args, name, content)
     return 0
@@ -343,10 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact wall-crossing combinatorics of quasi-symmetric representations",
     )
     parser.add_argument("--input", help="representation JSON file")
-    parser.add_argument("--delta", help="rational point p/q[,p/q...]")
-    parser.add_argument("--delta2", help="second rational point")
+    parser.add_argument("--delta", type=_parse_vector, help="rational point p/q[,p/q...]")
+    parser.add_argument("--delta2", type=_parse_vector, help="second rational point")
     parser.add_argument("--face", type=_parse_int_vector, help="face key (facet indices)")
-    parser.add_argument("--chi", help="dominant weight, comma separated integers")
+    parser.add_argument("--chi", type=_parse_int_vector,
+                        help="dominant weight, comma separated integers")
     parser.add_argument("--steps", type=_parse_count, help="number of mutation steps")
     parser.add_argument("--direction", choices=("left", "right"), default="left")
     parser.add_argument("--box", type=_parse_count, default=3,
@@ -357,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "svg", "both"), default="json")
     parser.add_argument("--out", help="output directory for SVG files")
     parser.add_argument("--path", help="groupoid path DSL, e.g. \"x(1,+);t(1)\"")
-    parser.add_argument("--start", help="starting point for groupoid paths")
+    parser.add_argument("--start", type=_parse_vector,
+                        help="starting point for groupoid paths")
     parser.add_argument("--suites", help="verify suites: bundled,input")
     parser.add_argument("--a", help="cy: weights a1,..,an")
     parser.add_argument("--d", help="cy: degrees d1,..,dr")

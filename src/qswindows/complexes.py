@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import InputError, InternalInconsistencyError, _fmt
 from .rep import QSRep
-from .root_data import SINGULAR, Weight
+from .root_data import Weight, _lattice_weight
 from .windows import Context, FaceData, WallCrossing, _index_sum
 
 
@@ -53,22 +53,11 @@ class ComplexTerms:
         }
 
 
-def wedge_sums(rep: QSRep, fd: FaceData, m: int) -> set[Weight]:
-    """Distinct m-fold sums of the face's positive weights over index subsets."""
-    if m < 0 or m > fd.d_plus:
-        raise InputError(f"wedge degree {m} outside 0..{fd.d_plus}")
-    out = set()
-    for combo in itertools.combinations(fd.plus_indices, m):
-        out.add(_index_sum(rep, combo))
-    return out
-
-
 def wedge_star(rep: QSRep, fd: FaceData) -> set[Weight]:
-    """Union of the wedge sums in degrees 1..d_F^+ - 1."""
-    out: set[Weight] = set()
-    for m in range(1, fd.d_plus):
-        out |= wedge_sums(rep, fd, m)
-    return out
+    """The distinct sums of the face's positive weights over the index
+    subsets of sizes 1..d_F^+ - 1."""
+    return {_index_sum(rep, combo) for m in range(1, fd.d_plus)
+            for combo in itertools.combinations(fd.plus_indices, m)}
 
 
 def koszul_degree_term(rep: QSRep, fd: FaceData, chi, m: int) -> Counter:
@@ -87,7 +76,7 @@ def top_degree(rep: QSRep, fd: FaceData) -> int:
 
 
 def complex_terms(rep: QSRep, fd: FaceData, chi) -> ComplexTerms:
-    chi = tuple(int(x) for x in chi)
+    chi = _lattice_weight(chi)
     datum = rep.root_datum
     if not datum.is_dominant(chi):
         raise InputError(f"{_fmt(chi)} is not dominant")
@@ -97,7 +86,7 @@ def complex_terms(rep: QSRep, fd: FaceData, chi) -> ComplexTerms:
         for combo in itertools.combinations(fd.plus_indices, m):
             shifted = linalg.add(chi, _index_sum(rep, combo))
             result = datum.dominant_representative(shifted)
-            if result is SINGULAR:
+            if result is None:
                 dropped += 1
                 continue
             degree = m + result.length
@@ -126,12 +115,12 @@ def summand_sets(rep: QSRep, crossing: WallCrossing, fd: FaceData,
         raise InputError("face does not occur in this wall crossing")
     datum = rep.root_datum
     chars = crossing.chars_by_face[fd.key]
+    betas = wedge_star(rep, fd)
     l_set: set[Weight] = set()
     for chi in chars:
-        for beta in wedge_star(rep, fd):
+        for beta in betas:
             result = datum.dominant_representative(linalg.add(chi, beta))
-            if result is SINGULAR:
-                continue
-            l_set.add(result.weight)
+            if result is not None:
+                l_set.add(result.weight)
     n_set = tuple(sorted(set(crossing.window.chars) - set(chars)))
     return tuple(sorted(l_set)), n_set

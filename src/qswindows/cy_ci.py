@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arrangement import build_arrangement
 from .errors import InputError, InternalInconsistencyError
 from .mutation import module_of_window, toric_wall
 from .rep import QSRep
@@ -76,8 +77,7 @@ def build(a, d) -> CYModel:
 
 
 def _wall_offset(g1: QSRep) -> Fraction:
-    ctx = Context(g1)
-    families = ctx.arrangement.families
+    families = build_arrangement(g1).families
     if len(families) != 1 or families[0].offset_step != 1:
         raise InternalInconsistencyError("the rank-one model must have unit wall spacing")
     return families[0].base_offset

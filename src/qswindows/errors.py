@@ -25,8 +25,6 @@ class OnWallError(QSWindowsError):
     """A parameter point lies on a wall of the periodic arrangement."""
 
     def __init__(self, point, wall):
-        self.point = point
-        self.wall = wall
         super().__init__(f"point {_fmt(point)} lies on the wall of family "
                          f"{wall.family_index} at offset {wall.offset}")
 

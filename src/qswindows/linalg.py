@@ -16,15 +16,24 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
+from .errors import InputError
+
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
 
 
 def vec(xs: Iterable) -> Vec:
-    """A Fraction tuple; one that is already all Fraction is returned as is."""
+    """A Fraction tuple; one that is already all Fraction is returned as is.
+    A float is refused, as its binary value is not the rational it spells."""
     if type(xs) is tuple and all(type(x) is Fraction for x in xs):
         return xs
-    return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
+    return tuple(x if type(x) is Fraction else _exact(x) for x in xs)
+
+
+def _exact(x) -> Fraction:
+    if isinstance(x, float):
+        raise InputError(f"{x!r} is a float, not an exact rational; give it as p/q")
+    return Fraction(x)
 
 
 def add(x: Sequence, y: Sequence):

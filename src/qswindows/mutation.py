@@ -138,7 +138,7 @@ class ToricWall:
         self._predecessor = {b: a for a, b in self._successor.items()}
 
     def pivot(self) -> ModuleSpec:
-        return ModuleSpec.of_window(sorted(self.pivot_chars))
+        return ModuleSpec.of_window(self.pivot_chars)
 
     def mutate(self, spec: ModuleSpec, direction: str = "left") -> ModuleSpec:
         moves = self._successor if direction == "left" else self._predecessor

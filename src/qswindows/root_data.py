@@ -15,11 +15,13 @@ root's paired column P a is scaled once, by a positive integer, to an
 integer vector c_a, so <x, a> = <x, P a> has the sign of x . c_a.  A
 weight chi = x/d (integer numerators over a positive denominator) enters as
 the integer vector u = 2d(chi + rho) = 2x + d * 2rho, which has the signs of
-rho + chi against every c_a; the simple reflections act on u, and the
-dotted image w(rho + chi) - rho is (w u - d * 2rho) / 2d, a weight exactly
-when every entry divides.  A torus has no roots, so W is trivial and
-rho = 0: its dominant representative is chi itself once chi is checked to
-be a lattice weight.
+rho + chi against every c_a; the simple reflections act on u.  The dotted
+action sends lattice weights, and only them, to lattice weights, as
+s(2rho) = 2rho - 2a for the simple reflection s in a.  So a nonsingular chi
+is checked to be a lattice weight, d = 1, and its dotted image
+w(rho + chi) - rho is (w u - 2rho) / 2 exactly.  A torus has no roots, so W
+is trivial and rho = 0: its dominant representative is chi itself once chi
+is checked to be a lattice weight.
 """
 from __future__ import annotations
 
@@ -35,19 +37,6 @@ from .linalg import IntVec, Vec, _bareiss, _numerators
 
 Weight = IntVec
 WeylMatrix = tuple[IntVec, ...]
-
-
-class _Singular:
-    """Sentinel for weights whose shifted Weyl orbit hits a wall."""
-
-    def __repr__(self) -> str:
-        return "Singular"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-SINGULAR = _Singular()
 
 
 @dataclass(frozen=True)
@@ -120,7 +109,7 @@ class RootDatum:
             raise InputError(f"roots and the rows of simple reflections need {rank} entries, "
                              f"and simple reflections {rank} rows")
         if positive is None:
-            positive = _derive_positive_roots(rank, roots, simples)
+            positive = _derive_positive_roots(roots, simples)
         two_rho = tuple(sum(col) for col in zip(*positive)) if positive else (0,) * rank
         inv = _invariant_lattice_basis(rank, simples)
         datum = cls(
@@ -222,21 +211,10 @@ class RootDatum:
     def rho(self) -> Vec:
         return tuple(Fraction(x, 2) for x in self.two_rho)
 
-    def _doubled(self, chi) -> tuple[IntVec, int]:
+    def _doubled(self, chi) -> IntVec:
         """2d(chi + rho) as an integer vector, with d the denominator of chi."""
         nums, den = _numerators(chi)
-        return tuple(2 * x + den * r for x, r in zip(nums, self.two_rho, strict=True)), den
-
-    def _undoubled(self, wu, den) -> Weight:
-        """(wu - d * 2rho) / 2d: the dotted image of chi, read off w applied
-        to its doubled vector."""
-        out = []
-        for x, r in zip(wu, self.two_rho):
-            q, rem = divmod(x - den * r, 2 * den)
-            if rem:
-                raise InputError("dotted action applied to a non-lattice weight")
-            out.append(q)
-        return tuple(out)
+        return tuple(2 * x + den * r for x, r in zip(nums, self.two_rho, strict=True))
 
     @cached_property
     def _simple_columns(self) -> tuple[IntVec, ...]:
@@ -268,21 +246,25 @@ class RootDatum:
             w = linalg.mat_mul(s, w)
         return w
 
-    def dominant_representative(self, chi):
+    def dominant_representative(self, chi) -> DominantRep | None:
         """The dominant chi+ = w(rho+chi) - rho with the length l(w) of the w
-        that makes w(rho+chi) strictly dominant, or SINGULAR.
+        that makes w(rho+chi) strictly dominant, or ``None`` when rho+chi is
+        singular.
 
         rho+chi is singular exactly when it pairs to zero with some root,
         i.e. when a reflection fixes it.
         """
         if self.is_torus:
             return DominantRep(weight=_lattice_weight(chi), length=0)
-        u, den = self._doubled(chi)
+        u = self._doubled(chi)
         values = [sum(map(mul, u, c)) for c in self._columns]
         if not all(values):
-            return SINGULAR
+            return None
+        _lattice_weight(chi)
         length = sum(v < 0 for v in values)
-        return DominantRep(weight=self._undoubled(self._descent(u, length)[0], den), length=length)
+        wu = self._descent(u, length)[0]
+        return DominantRep(weight=tuple((x - r) // 2 for x, r in zip(wu, self.two_rho)),
+                           length=length)
 
     @property
     def is_torus(self) -> bool:
@@ -290,9 +272,11 @@ class RootDatum:
 
 
 def _lattice_weight(chi) -> Weight:
-    if any(x.denominator != 1 for x in chi):
-        raise InputError("dotted action applied to a non-lattice weight")
-    return tuple(int(x) for x in chi)
+    """chi as an integer vector; only ints and integral Fractions are entries
+    of one, so a bool, a float or a p/q with q > 1 is refused, not truncated."""
+    if not all(type(x) is int or type(x) is Fraction and x.denominator == 1 for x in chi):
+        raise InputError(f"{_fmt(chi)} is not a lattice weight")
+    return tuple(map(int, chi))
 
 
 def _negated(s: WeylMatrix, roots) -> list[Weight]:
@@ -300,7 +284,7 @@ def _negated(s: WeylMatrix, roots) -> list[Weight]:
     return sorted(r for r in roots if linalg.mat_vec(s, r) == linalg.neg(r))
 
 
-def _derive_positive_roots(rank, roots, simples):
+def _derive_positive_roots(roots, simples):
     """Split the roots using the simple-root basis.
 
     Each simple reflection negates a unique root pair; a root is positive

@@ -57,7 +57,7 @@ from .errors import InputError, InternalInconsistencyError, _fmt
 from .geometry import Face, Polytope
 from .linalg import IntVec, Vec
 from .rep import QSRep
-from .root_data import SINGULAR, Weight
+from .root_data import Weight, _lattice_weight
 
 
 @dataclass(frozen=True)
@@ -349,13 +349,13 @@ def wall_crossing(rep: QSRep, delta, delta_prime, ctx: Context) -> WallCrossing:
 
 def mu_of_crossing(rep: QSRep, crossing: WallCrossing, chi) -> Weight:
     """The wall-crossing image (chi + beta_F^+)^+ of an outgoing character."""
-    chi = tuple(int(x) for x in chi)
+    chi = _lattice_weight(chi)
     if chi not in set(crossing.outgoing):
         raise InputError(f"{_fmt(chi)} is not in the outgoing part of the window")
     fd = crossing.face_of_char(chi)
     shifted = linalg.add(chi, fd.beta_plus)
     rep_result = rep.root_datum.dominant_representative(shifted)
-    if rep_result is SINGULAR:
+    if rep_result is None:
         raise InternalInconsistencyError("wall-crossing image is never singular")
     image = rep_result.weight
     if image not in set(crossing.window_prime.chars) or image in set(crossing.window.chars):

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -5,7 +6,6 @@ import pytest
 
 from qswindows import complexes, windows
 from qswindows.errors import InputError
-from qswindows.root_data import SINGULAR
 
 F = Fraction
 
@@ -22,14 +22,13 @@ GL2_EDGE_TABLE = {
 }
 
 
-def test_wedge_sums_examples(torus22, ctx22):
+def test_wedge_sums_examples(torus22, ctx22, torus33, ctx33):
     fd = windows.face_of(torus22, (0,), (F(1),), ctx22)
-    assert complexes.wedge_sums(torus22, fd, 0) == {(0,)}
-    assert complexes.wedge_sums(torus22, fd, 1) == {(1,)}
-    assert complexes.wedge_sums(torus22, fd, 2) == {(2,)}
+    assert fd.d_plus == 2
     assert complexes.wedge_star(torus22, fd) == {(1,)}
-    with pytest.raises(InputError):
-        complexes.wedge_sums(torus22, fd, 3)
+    fd = windows.face_of(torus33, (-1,), (F(1, 2),), ctx33)
+    assert fd.d_plus == 3
+    assert complexes.wedge_star(torus33, fd) == {(1,), (2,)}
 
 
 def test_torus_koszul_table(torus22, ctx22):
@@ -74,10 +73,11 @@ def test_endpoint_invariants(gl2rep, ctxgl2):
                 if 0 < d < top:
                     allowed = set()
                     for m in range(1, fd.d_plus):
-                        for beta in complexes.wedge_sums(gl2rep, fd, m):
-                            shifted = tuple(a + b for a, b in zip(chi, beta))
+                        for combo in itertools.combinations(fd.plus_indices, m):
+                            shifted = tuple(a + sum(gl2rep.weights[i][j] for i in combo)
+                                            for j, a in enumerate(chi))
                             res = gl2rep.root_datum.dominant_representative(shifted)
-                            if res is not SINGULAR:
+                            if res is not None:
                                 allowed.add(res.weight)
                     assert set(tally) <= allowed
 
@@ -87,6 +87,13 @@ def test_rejects_non_dominant_chi(gl2rep, ctxgl2):
     edge = next(iter(crossing.faces.values()))
     with pytest.raises(InputError):
         complexes.complex_terms(gl2rep, edge, (0, 2))
+
+
+def test_complex_terms_refuses_a_non_integral_character(torus22, ctx22):
+    fd = windows.face_of(torus22, (0,), (F(1),), ctx22)
+    for chi in ((F(1, 2),), (0.5,)):
+        with pytest.raises(InputError, match=r"^\(1/2\) is not a lattice weight"):
+            complexes.complex_terms(torus22, fd, chi)
 
 
 def test_summand_sets_torus(torus22, ctx22):

@@ -5,8 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qswindows import linalg
+from qswindows.errors import InputError
 
 ints = st.integers(min_value=-6, max_value=6)
+
+
+def test_vec_refuses_floats():
+    assert linalg.vec((1, Fraction(1, 2))) == (Fraction(1), Fraction(1, 2))
+    with pytest.raises(InputError, match=r"^0\.5 is a float"):
+        linalg.vec((1, 0.5))
 
 
 def test_primitive():

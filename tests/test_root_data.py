@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qswindows import linalg, rep
-from qswindows.errors import InputError
-from qswindows.root_data import SINGULAR, DominantRep, RootDatum
+from qswindows.errors import InputError, _fmt
+from qswindows.root_data import DominantRep, RootDatum
 
 chi2 = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 
@@ -81,12 +81,22 @@ def test_dominant_representative_examples(gl2):
     res = t.dominant_representative((5,))
     assert (res.weight, res.length) == ((5,), 0)
 
-    assert gl2.dominant_representative((-1, 0)) is SINGULAR
+    assert gl2.dominant_representative((-1, 0)) is None
 
     res = gl2.dominant_representative((0, 2))
     assert res.weight == (1, 1)
     assert res.length == 1
     assert frac_dotted(gl2, gl2.w0, (0, 2)) == (1, 1)
+
+
+def test_dominant_representative_names_a_non_lattice_weight(gl2):
+    torus = RootDatum.torus(2)
+    for datum in (torus, gl2):
+        with pytest.raises(InputError, match=r"^\(1/3, 0\) is not a lattice weight"):
+            datum.dominant_representative((Fraction(1, 3), 0))
+    for chi in ((0.0, 1), (True, 1)):
+        with pytest.raises(InputError, match=r"is not a lattice weight"):
+            torus.dominant_representative(chi)
 
 
 def test_apply_examples(gl2):
@@ -101,7 +111,7 @@ def test_dominant_rep_postconditions(gl2):
     lengths = weyl_lengths(gl2)
     for chi in itertools.product(range(-4, 5), repeat=2):
         res = gl2.dominant_representative(chi)
-        if res is SINGULAR:
+        if res is None:
             continue
         assert gl2.is_dominant(res.weight)
         assert any(frac_dotted(gl2, w, chi) == res.weight
@@ -117,7 +127,7 @@ def _orbit_checks(datum, chi):
         moved = frac_dotted(datum, w2, chi)
         assert frac_dotted(datum, w1, moved) == frac_dotted(datum, linalg.mat_mul(w1, w2), chi)
         res = datum.dominant_representative(moved)
-        assert res is SINGULAR if base is SINGULAR else res.weight == base.weight
+        assert res is None if base is None else res.weight == base.weight
 
 
 @given(chi2)
@@ -128,10 +138,10 @@ def test_dotted_composition(chi):
 @given(chi2)
 def test_singularity_is_orbit_invariant(chi):
     gl2 = RootDatum.gl(2)
-    base = gl2.dominant_representative(chi) is SINGULAR
+    base = gl2.dominant_representative(chi) is None
     for w in weyl_lengths(gl2):
         moved = frac_dotted(gl2, w, chi)
-        assert (gl2.dominant_representative(moved) is SINGULAR) == base
+        assert (gl2.dominant_representative(moved) is None) == base
 
 
 def test_gl3_dotted_composition_spot():
@@ -224,14 +234,14 @@ def frac_dotted(datum, w, chi):
     shifted = datum.apply(w, [Fraction(c) + r for c, r in zip(chi, datum.rho, strict=True)])
     out = [s - r for s, r in zip(shifted, datum.rho)]
     if any(x.denominator != 1 for x in out):
-        raise InputError("dotted action applied to a non-lattice weight")
+        raise InputError(f"{_fmt(chi)} is not a lattice weight")
     return tuple(int(x) for x in out)
 
 
 def frac_dominant_representative(datum, chi):
     shifted = [Fraction(c) + r for c, r in zip(chi, datum.rho, strict=True)]
     if any(frac_pair(datum, shifted, a) == 0 for a in datum.roots):
-        return SINGULAR
+        return None
     for w, length in weyl_lengths(datum).items():
         if frac_is_strictly_dominant(datum, datum.apply(w, shifted)):
             return DominantRep(weight=frac_dotted(datum, w, chi), length=length)

@@ -19,7 +19,7 @@ def test_bundled_suite_all_pass():
         "eta-symmetry", "wall-iff-boundary-points", "window-polytope-cross-check",
         "mu-involution", "window-partition", "dagger-pairing", "beta-dagger-duality",
         "face-lattice-point-symmetry",
-        "toric-single-wall-face", "toric-wedge-sums-stay-common",
+        "toric-single-wall-face",
         "complex-endpoint-terms", "complex-euler-telescope",
         "mutation-reaches-far-window", "mutation-periodicity",
         "virtual-class-telescoping", "kernel-rank-binomials",

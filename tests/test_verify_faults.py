@@ -18,6 +18,7 @@ groupoid check reports as a FAIL, not a crash.
 """
 import ast
 import dataclasses
+import itertools
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -133,8 +134,9 @@ def _dagger_keeps_beta(mp, name, ctx):
 
 def _wedge_star_to_top(mp, name, ctx):
     """wedge_star runs through degree d_F^+, one past its range."""
-    mp.setattr(complexes, "wedge_star", lambda rep, fd: set().union(
-        *(complexes.wedge_sums(rep, fd, m) for m in range(1, fd.d_plus + 1))))
+    mp.setattr(complexes, "wedge_star", lambda rep, fd: {
+        windows._index_sum(rep, combo) for m in range(1, fd.d_plus + 1)
+        for combo in itertools.combinations(fd.plus_indices, m)})
 
 
 def _top_degree_plus_one(mp, name, ctx):
@@ -219,7 +221,6 @@ FAULTS = {
     "face-lattice-point-symmetry": Fault("crossing", T2, _faces_replaced(beta_plus=(0,))),
     "toric-single-wall-face": Fault("crossing", T3, _face_split_in_two),
     "toric-outgoing-equals-face-chars": Fault("crossing", T3, _outgoing_gains_a_common_char),
-    "toric-wedge-sums-stay-common": Fault("crossing", T3, _wedge_star_to_top),
     "complex-endpoint-terms": Fault("complexes", GL2, _top_degree_plus_one),
     "toric-koszul-multiplicities": Fault("complexes", T3, _koszul_once),
     "toric-l-summands-in-common": Fault("complexes", T3, _wedge_star_to_top),

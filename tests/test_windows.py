@@ -94,6 +94,23 @@ def test_mu_torus(torus22, ctx22):
         windows.wall_crossing(torus22, (F(1, 2),), (F(5, 2),), ctx22)
 
 
+def test_mu_refuses_a_non_integral_character(torus22, ctx22):
+    """1/2 is no lattice weight: it is refused, not truncated to the
+    outgoing character 0, whose image is (2,)."""
+    forward = windows.wall_crossing(torus22, (F(1, 2),), (F(3, 2),), ctx22)
+    for chi in ((F(1, 2),), (0.5,), (True,)):
+        with pytest.raises(InputError, match=r"is not a lattice weight"):
+            windows.mu_of_crossing(torus22, forward, chi)
+    assert windows.mu_of_crossing(torus22, forward, (F(0),)) == (2,)
+
+
+def test_window_refuses_a_float(torus22):
+    """The float 0.1 is not 1/10, so it is refused rather than read as its
+    binary value."""
+    with pytest.raises(InputError, match=r"0\.1 is a float"):
+        windows.Context(torus22).window((0.1,))
+
+
 def test_partition_torus(torus22, ctx22):
     crossing = windows.wall_crossing(torus22, (F(1, 2),), (F(3, 2),), ctx22)
     assert crossing.common == ((1,),)
