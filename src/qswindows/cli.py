@@ -207,8 +207,8 @@ def cmd_groupoid(args) -> int:
 
 
 def _parse_path_dsl(arr, text: str | None, start: tuple[Fraction, ...] | None):
-    """Paths like "x(1,+);t(1);x(2,-)": x crosses the wall at the given
-    offset; t translates by an integer lattice vector."""
+    """Paths like "x(1,+);t(1);x(2,-)": x crosses exactly the wall at the
+    given offset from the current point; t translates by a lattice vector."""
     if not text:
         raise InputError("--path is required, e.g. \"x(1,+);t(1)\"")
     if arr.dim != 1:
@@ -240,6 +240,9 @@ def _parse_path_dsl(arr, text: str | None, start: tuple[Fraction, ...] | None):
                 point = (offset - direction * family.offset_step / 2,)
                 origin = point
             dst = (offset + direction * family.offset_step / 2,)
+            if [w.offset for w in arr.separating_walls(point, dst)] != [offset]:
+                raise InputError(f"x({offset},{sign_text}) does not cross the wall at {offset} "
+                                 f"from {point[0]}")
             arrows.append(groupoid.Cross(point, dst, (Fraction(direction),)))
             point = dst
         elif kind == "t":

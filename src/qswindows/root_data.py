@@ -204,7 +204,7 @@ class RootDatum:
         return linalg.mat_vec(w, chi)
 
     def is_dominant(self, chi) -> bool:
-        nums, _ = _numerators(chi)
+        nums, _ = _numerators(linalg.vec(chi))
         return all(sum(map(mul, nums, c)) >= 0 for c in self._columns)
 
     @property
@@ -213,7 +213,7 @@ class RootDatum:
 
     def _doubled(self, chi) -> IntVec:
         """2d(chi + rho) as an integer vector, with d the denominator of chi."""
-        nums, den = _numerators(chi)
+        nums, den = _numerators(linalg.vec(chi))
         return tuple(2 * x + den * r for x, r in zip(nums, self.two_rho, strict=True))
 
     @cached_property

@@ -18,17 +18,16 @@ Conventions fixed here:
 Chamber-level and per-call data.  A window depends only on the chamber of
 delta, and a crossing's wall, characters, faces and mu map depend only on
 the ordered pair of chambers, so ``Context`` stores window characters per
-chamber sign vector and crossing data per ordered pair of sign vectors.  An
-exact miss looks both up by class modulo the W-invariant characters, on
-which ``invariant_basis`` is a Z-basis: a sample nums/den, with
-m = floor(nums/den), has the sign vector of (nums - den m)/den as class key
-and sum_i m_i b_i as shift; a pair reduces both chambers by the first one's
-m, each over its own den.  Only a class miss scans the lattice or builds a
-pair, with every construction and check at its own wall point.  Each exact
-pair is checked adjacent once, and every crossing still has both endpoints
+chamber sign vector and crossing data per ordered pair of sign vectors.  A
+window missing there is looked up by class modulo the W-invariant
+characters, on which ``invariant_basis`` is a Z-basis: a sample nums/den,
+with m = floor(nums/den), has the sign vector of (nums - den m)/den as class
+key and sum_i m_i b_i as shift; only a class miss scans the lattice.  A
+face of (1/2)Sigma is its tight set, so its data is stored per tight set,
+and its dagger per face key.  Each exact pair is checked adjacent and built
+once, at its first wall point, and every crossing still has both endpoints
 located and off-wall, its wall point (formed over the integers) on the
 stored wall and its direction pairing positively with the inward normals.
-A dagger depends only on its face of (1/2)Sigma and is stored per face key.
 
 Why that is exact: both wall points lie on the wall the two chambers share
 and on no other wall, so they are joined inside the common facet of the two
@@ -37,13 +36,11 @@ chi on delta_0 + nabla) is constant along that facet.  So the outgoing
 characters on the wall-point window boundary and their faces are the same
 at both wall points.  The mu map reads only beta_F^+ and the two windows,
 which depend only on the chambers.  The arrangement is periodic under a
-W-invariant character s, and two chambers (pairs) with one class key differ
-by s, the difference of their shifts.  The window at delta + s is the one
-at delta moved by s, in the same lexicographic order, as
+W-invariant character s, and two chambers with one class key differ by s,
+the difference of their shifts.  The window at delta + s is the one at
+delta moved by s, in the same lexicographic order, as
 M(delta + s + nabla) = M(delta + nabla) (x) O(s) and every root pairs to
-zero with s.  The wall point moves by s, so rho + chi - delta_0, and with it
-every face and face key, stays; the outgoing characters, their split by
-face and the mu images (chi + beta_F^+)^+ move by s.
+zero with s.
 """
 from __future__ import annotations
 
@@ -114,9 +111,9 @@ class FaceData:
 
 
 class Context:
-    """The arrangement and the half-zonotope (1/2)Sigma of one representation,
-    with windows and crossing data stored per chamber (pair) and per class
-    mod the lattice, and daggers per face (see the module docstring)."""
+    """The arrangement and the half-zonotope (1/2)Sigma of one representation;
+    stores windows per chamber and per class mod the lattice, crossings per
+    chamber pair, faces per tight set and daggers per face."""
 
     def __init__(self, rep: QSRep, arr: Arrangement | None = None):
         self.rep = rep
@@ -124,8 +121,9 @@ class Context:
         self.half_sigma = rep.sigma.scale(Fraction(1, 2))
         self._dominant = rep.dominant_halfspaces()
         self._windows: dict = {}    # chamber sign vector -> window characters
+        self._classes: dict = {}    # class key -> (window characters, shift)
         self._crossings: dict = {}  # (sign vector, sign vector') -> _PairCrossing
-        self._classes: dict = {}    # class key -> (window chars or _PairCrossing, shift)
+        self._faces: dict = {}      # tight set -> FaceData of that face
         self._daggers: dict = {}    # face key -> its dagger FaceData
 
     def window(self, delta) -> Window:
@@ -138,7 +136,7 @@ class Context:
         delta = arr.to_ambient(chamber) if chamber is delta else linalg.vec(delta)
         chars = self._windows.get(chamber.sign_vector)
         if chars is None:
-            key, shift = _class_key(arr, (chamber,))
+            key, shift = _class_key(arr, chamber)
             hit = self._classes.get(key)
             if hit is not None:
                 step = linalg.sub(shift, hit[1])
@@ -161,12 +159,11 @@ def _located(arr: Arrangement, delta) -> Chamber:
     return delta if type(delta) is Chamber else arr.chamber_of(arr.to_coords(delta))
 
 
-def _class_key(arr: Arrangement, chambers) -> tuple[tuple, IntVec]:
-    """The sign vectors of the chambers' samples less m, the integer part of
-    the first sample, each over its own denominator; and m's character."""
-    m = [x // chambers[0].den for x in chambers[0].nums]
-    return tuple(tuple(k for k, _ in arr._indices([x - c.den * y for x, y in zip(c.nums, m)],
-                                                   c.den)) for c in chambers), arr.character(m)
+def _class_key(arr: Arrangement, chamber: Chamber) -> tuple[tuple, IntVec]:
+    """The sign vector of the sample's fractional part, and its integer part's character."""
+    nums, den = chamber.nums, chamber.den
+    return (tuple(k for k, _ in arr._indices([x % den for x in nums], den)),
+            arr.character([x // den for x in nums]))
 
 
 def face_data_from_face(rep: QSRep, poly: Polytope, face: Face) -> FaceData:
@@ -203,8 +200,17 @@ def _index_sum(rep: QSRep, indices) -> Weight:
 
 def face_of(rep: QSRep, chi, delta0, ctx: Context) -> FaceData:
     """The maximal-codimension face of (1/2)Sigma through rho + chi - delta_0."""
-    point = linalg.sub(linalg.add(linalg.vec(chi), rep.root_datum.rho), delta0)
-    return face_data_from_face(rep, ctx.half_sigma, ctx.half_sigma.face_at(point))
+    return _face(rep, ctx, linalg.sub(linalg.add(linalg.vec(chi), rep.root_datum.rho), delta0))
+
+
+def _face(rep: QSRep, ctx: Context, point) -> FaceData:
+    """The face of (1/2)Sigma through the point, built once per tight set."""
+    half = ctx.half_sigma
+    fd = ctx._faces.get(half.tight_indices(point))
+    if fd is None or not half.contains(point):
+        fd = face_data_from_face(rep, half, half.face_at(point))
+        ctx._faces[fd.face.facet_indices] = fd
+    return fd
 
 
 def dagger(rep: QSRep, fd: FaceData, ctx: Context) -> FaceData:
@@ -213,9 +219,8 @@ def dagger(rep: QSRep, fd: FaceData, ctx: Context) -> FaceData:
         raise InputError("dagger is defined only for dominant faces")
     out = ctx._daggers.get(fd.key)
     if out is None:
-        half = ctx.half_sigma
-        image = rep.root_datum.apply(rep.root_datum.w0, half.dual_point(fd.face.sample))
-        out = face_data_from_face(rep, half, half.face_at(image))
+        image = rep.root_datum.apply(rep.root_datum.w0, ctx.half_sigma.dual_point(fd.face.sample))
+        out = _face(rep, ctx, image)
         if out.codim != fd.codim or not out.dominant:
             raise InternalInconsistencyError("dagger face must stay dominant with equal codim")
         ctx._daggers[fd.key] = out
@@ -224,19 +229,20 @@ def dagger(rep: QSRep, fd: FaceData, ctx: Context) -> FaceData:
 
 @dataclass(frozen=True)
 class WallCrossing:
-    """Everything attached to one ordered adjacent pair."""
+    """One ordered adjacent pair: its windows, wall point and chamber-pair data."""
 
-    delta: Vec
-    delta_prime: Vec
-    delta0: Vec
-    wall: Wall
     window: Window
     window_prime: Window
-    common: tuple[Weight, ...]
-    faces: dict
-    chars_by_face: dict
-    outgoing: tuple[Weight, ...]
-    pair: _PairCrossing = field(compare=False, repr=False)
+    delta0: Vec
+    pair: _PairCrossing
+
+    delta = property(lambda self: self.window.delta)
+    delta_prime = property(lambda self: self.window_prime.delta)
+    wall = property(lambda self: self.pair.wall)
+    common = property(lambda self: self.pair.common)
+    outgoing = property(lambda self: self.pair.outgoing)
+    faces = property(lambda self: self.pair.faces)
+    chars_by_face = property(lambda self: self.pair.chars_by_face)
 
     @property
     def oriented(self) -> bool:
@@ -255,13 +261,19 @@ class WallCrossing:
         raise InputError(f"{_fmt(chi)} does not leave the window across this wall")
 
 
+@dataclass(slots=True, init=False)
 class _PairCrossing:
     """The chamber-pair part of a crossing: the wall the two chambers share,
     the common and outgoing characters, the outgoing characters' wall faces
     with the characters on each, and the mu images once mu_map has asked
     for them."""
 
-    __slots__ = ("wall", "common", "outgoing", "faces", "chars_by_face", "mu_images")
+    wall: Wall
+    common: tuple[Weight, ...]
+    outgoing: tuple[Weight, ...]
+    faces: dict
+    chars_by_face: dict
+    mu_images: tuple | None = field(compare=False)
 
     def __init__(self, rep: QSRep, ctx: Context, wall: Wall, win: Window, win_p: Window,
                  delta0: Vec):
@@ -269,39 +281,16 @@ class _PairCrossing:
         outgoing = set(win.chars) - set(win_p.chars)
         self.outgoing = tuple(sorted(outgoing))
         self.common = tuple(c for c in win.chars if c not in outgoing)
-        self.faces: dict = {}
-        chars_by_face: dict = {}
-        shift = linalg.sub(rep.root_datum.rho, delta0)
+        self.faces, chars_by_face = {}, {}
         for chi in self.outgoing:
             if not rep.nabla.on_boundary(linalg.sub(chi, delta0)):
                 raise InternalInconsistencyError(
                     "an outgoing character must sit on the wall-point window boundary")
-            # a face's key is the tight set of rho + chi - delta_0, so only a
-            # new tight set needs face_of
-            key = tuple(sorted(ctx.half_sigma.tight_indices(linalg.add(chi, shift))))
-            if key not in self.faces:
-                self.faces[key] = face_of(rep, chi, delta0, ctx)
-            chars_by_face.setdefault(key, []).append(chi)
+            fd = face_of(rep, chi, delta0, ctx)
+            self.faces[fd.key] = fd
+            chars_by_face.setdefault(fd.key, []).append(chi)
         self.chars_by_face = {key: tuple(sorted(chars)) for key, chars in chars_by_face.items()}
-        self.mu_images: tuple | None = None
-
-    def translated(self, wall: Wall, win: Window, win_p: Window, shift) -> _PairCrossing:
-        """This pair moved by the invariant character ``shift`` onto ``wall``,
-        ``win`` and ``win_p``: the same faces, with ``win``'s character tuples."""
-        out = _PairCrossing.__new__(_PairCrossing)
-        out.wall, out.faces = wall, self.faces
-        outgoing = set(win.chars) - set(win_p.chars)
-        out.outgoing = tuple(sorted(outgoing))
-        out.common = tuple(c for c in win.chars if c not in outgoing)
-        if [tuple(map(add, c, shift)) for c in self.outgoing] != list(out.outgoing):
-            raise InternalInconsistencyError("a translate must move the outgoing characters")
-        # a shift keeps the lexicographic order, so the sorted tuples align
-        moved = dict(zip(self.outgoing, out.outgoing))
-        out.chars_by_face = {key: tuple(map(moved.__getitem__, chars))
-                             for key, chars in self.chars_by_face.items()}
-        out.mu_images = None if self.mu_images is None else tuple(
-            tuple(map(add, c, shift)) for c in self.mu_images)
-        return out
+        self.mu_images = None
 
 
 def wall_crossing(rep: QSRep, delta, delta_prime, ctx: Context) -> WallCrossing:
@@ -314,7 +303,6 @@ def wall_crossing(rep: QSRep, delta, delta_prime, ctx: Context) -> WallCrossing:
     # adjacency depends only on the two sign vectors: checked once per pair
     wall = arr.require_adjacent(chamber, chamber_p) if pair is None else pair.wall
     win, win_p = ctx._window(chamber, delta), ctx._window(chamber_p, delta_prime)
-    delta, delta_prime = win.delta, win_p.delta
     # the wall point is where the segment meets the wall (for a symmetric
     # pair, the exact midpoint), over the integers in invariant coordinates;
     # it lies on no other hyperplane, as both ends are off-wall
@@ -324,19 +312,8 @@ def wall_crossing(rep: QSRep, delta, delta_prime, ctx: Context) -> WallCrossing:
         raise InternalInconsistencyError("computed wall point is not on the wall")
     delta0 = arr._ambient(nums, den)
     if pair is None:
-        class_key, shift = _class_key(arr, (chamber, chamber_p))
-        hit = ctx._classes.get(class_key)
-        if hit is None:
-            pair = _PairCrossing(rep, ctx, wall, win, win_p, delta0)
-            ctx._classes[class_key] = pair, shift
-        else:
-            pair = hit[0].translated(wall, win, win_p, linalg.sub(shift, hit[1]))
-        ctx._crossings[key] = pair
-    crossing = WallCrossing(
-        delta=delta, delta_prime=delta_prime, delta0=delta0, wall=wall,
-        window=win, window_prime=win_p, common=pair.common, faces=pair.faces,
-        chars_by_face=pair.chars_by_face, outgoing=pair.outgoing, pair=pair,
-    )
+        pair = ctx._crossings[key] = _PairCrossing(rep, ctx, wall, win, win_p, delta0)
+    crossing = WallCrossing(window=win, window_prime=win_p, delta0=delta0, pair=pair)
     # wall faces carry a dominance flag but are not required to be dominant
     # here: faces of large nonabelian representations can cross Weyl walls
     # even though the crossing bijection still lands correctly (the

@@ -244,6 +244,13 @@ def test_error_codes(inputs, capsys):
     assert err.startswith("unsupported: enumeration of 94525795200 subsets exceeds the limit")
     code, out, err = run(capsys, "groupoid", "--input", inputs["torus22"], "--path", "x(1/3,+)")
     assert (code, out, err) == (2, "", "input error: 1/3 is not a wall of this arrangement\n")
+    # a crossing must cross exactly its wall from the current point
+    for name, path, message in (
+            ("torus22", "x(1,+);x(0,+)", "x(0,+) does not cross the wall at 0 from 3/2"),
+            ("torus22", "x(1,+);x(1,+)", "x(1,+) does not cross the wall at 1 from 3/2"),
+            ("gl2", "x(1/2,+);x(-1/2,+)", "x(-1/2,+) does not cross the wall at -1/2 from 1")):
+        code, out, err = run(capsys, "groupoid", "--input", inputs[name], "--path", path)
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
     # an empty window polytope names the slab that empties it
     code, out, err = run(capsys, "rep", "--input", inputs["gl4"])
     assert (code, out, err) == (2, "", "input error: the window polytope is empty: "

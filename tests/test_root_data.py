@@ -99,6 +99,12 @@ def test_dominant_representative_names_a_non_lattice_weight(gl2):
             torus.dominant_representative(chi)
 
 
+def test_nonabelian_float_weight_is_an_input_error(gl2):
+    for call in (gl2.is_dominant, gl2.dominant_representative):
+        with pytest.raises(InputError, match=r"^0\.5 is a float, not an exact rational"):
+            call((0.5, 0))
+
+
 def test_apply_examples(gl2):
     ident = ((1, 0), (0, 1))
     assert gl2.apply(ident, (3, 1)) == (3, 1)

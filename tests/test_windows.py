@@ -460,7 +460,7 @@ def test_translated_crossings_equal_fresh(translate_inputs, data):
     shift = arr.character(m)
     moved = windows.wall_crossing(rep_obj, linalg.add(delta, shift),
                                   linalg.add(delta2, shift), ctx)
-    # both windows and the pair were class hits
+    # both windows were exact or class hits: no lattice scan
     assert len(ctx._classes) == classes
     _assert_equals_fresh(rep_obj, arr, moved)
     assert moved.window.chars == tuple(tuple(linalg.add(c, shift)) for c in first.window.chars)
@@ -495,8 +495,9 @@ def test_translated_path_crossings_equal_fresh(name, seed, m):
 
 def test_translate_scans_and_builds_once(small_corpus, monkeypatch):
     """Crossing (delta, delta') and then (delta + m, delta' + m) scans one
-    window per chamber class and builds one pair; neither crossing rebuilds
-    its points, and a dagger is worked out once per face."""
+    window per chamber class and builds one pair per exact chamber pair,
+    whose faces come from one store; neither crossing rebuilds its points,
+    and a dagger is worked out once per face."""
     rep_obj = next(r for r in small_corpus if r.rank == 2)
     ctx = windows.Context(rep_obj)
     arr = ctx.arrangement
@@ -504,18 +505,36 @@ def test_translate_scans_and_builds_once(small_corpus, monkeypatch):
     shift = arr.character((1, -2))
     calls = []
     for owner, name in ((geometry.Polytope, "lattice_points"), (geometry.Polytope, "face_at"),
-                        (windows._PairCrossing, "__init__"), (Arrangement, "to_ambient")):
+                        (geometry.Polytope, "dual_point"), (windows._PairCrossing, "__init__"),
+                        (Arrangement, "to_ambient")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, real=real, name=name, **k: (
             calls.append(name), real(*a, **k))[1])
     first = windows.wall_crossing(rep_obj, delta, delta2, ctx)
     ends = linalg.add(delta, shift), linalg.add(delta2, shift)
     moved = windows.wall_crossing(rep_obj, *ends, ctx)
-    assert calls.count("lattice_points") == 2 and calls.count("__init__") == 1
+    assert calls.count("lattice_points") == 2 and calls.count("__init__") == 2
+    assert calls.count("face_at") == len(first.faces)
+    assert all(moved.faces[k] is fd for k, fd in first.faces.items())
     assert calls.count("to_ambient") == 0
     assert (moved.delta, moved.delta_prime) == ends
-    assert moved.faces is first.faces
     fd = next(iter(first.faces.values()))
-    before = calls.count("face_at")
     assert windows.dagger(rep_obj, fd, ctx) is windows.dagger(rep_obj, fd, ctx)
-    assert calls.count("face_at") == before + 1
+    assert calls.count("dual_point") == 1
+
+
+@pytest.mark.parametrize("name", ["torus-1x3pairs", "gl2-cube-pair"])
+def test_face_data_built_once_per_tight_set(name, monkeypatch):
+    """Crossing sampled pairs and taking each wall face's dagger builds the
+    data of each face of (1/2)Sigma once per Context."""
+    rep_obj = catalog.bundled_reps()[name]
+    ctx = windows.Context(rep_obj)
+    built = []
+    real = windows.face_data_from_face
+    monkeypatch.setattr(windows, "face_data_from_face", lambda rep, poly, face: (
+        built.append(face.facet_indices), real(rep, poly, face))[1])
+    seen = set()
+    for delta, delta2 in catalog.adjacent_pairs(ctx, periods=2, per_wall=2, max_pairs=6):
+        for fd in windows.wall_crossing(rep_obj, delta, delta2, ctx).faces.values():
+            seen |= {fd.face.facet_indices, windows.dagger(rep_obj, fd, ctx).face.facet_indices}
+    assert len(built) == len(set(built)) and set(built) == seen
