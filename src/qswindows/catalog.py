@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import cy_ci, linalg
 from .arrangement import Arrangement, Wall
 from .errors import OnWallError
-from .rep import QSRep, Ternary
+from .rep import QSRep, Ternary, check_generic, check_quasi_symmetric
 from .root_data import RootDatum
 from .windows import Context
 
@@ -79,7 +79,6 @@ def random_torus_rep(rng: random.Random, rank: int) -> QSRep:
     and pass the genericity test (checked before the window polytope is
     built, which is the expensive part).
     """
-    from .rep import check_generic, check_quasi_symmetric
     datum = RootDatum.torus(rank)
     patterns = LINE_PATTERNS_RICH if rank == 1 else LINE_PATTERNS_SMALL
     spread = 2 if rank <= 2 else 1

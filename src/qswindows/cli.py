@@ -102,18 +102,12 @@ def cmd_rep(args) -> int:
 
 def cmd_arrangement(args) -> int:
     rep_obj, ctx = _rep_and_context(args)
-    payload = ctx.arrangement.to_json()
-    payload["walls_in_box"] = [
-        {"family": w.family_index, "offset": str(w.offset)}
-        for w in ctx.arrangement.walls_in_box(args.box)
-    ]
+    arr = ctx.arrangement
+    payload = arr.to_json()
+    payload["walls_in_box"] = [{"family": w.family_index, "offset": str(w.offset)}
+                               for w in arr.walls_in_box(args.box)]
     return _output(args, payload, "arrangement.svg", lambda: svg.window_figure(
-        rep_obj, ctx, _first_off_wall(ctx), box=args.box))
-
-
-def _first_off_wall(ctx: Context):
-    from .verify import _off_wall_point
-    return ctx.arrangement.to_ambient(_off_wall_point(ctx.arrangement))
+        rep_obj, ctx, arr.to_ambient(verify._off_wall_point(arr)), box=args.box))
 
 
 def cmd_window(args) -> int:

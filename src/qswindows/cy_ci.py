@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import build_arrangement
 from .errors import InputError, InternalInconsistencyError
+from .linalg import _int_entry
 from .mutation import module_of_window, toric_wall
 from .rep import QSRep
 from .root_data import RootDatum
@@ -52,8 +52,8 @@ class CYModel:
 
 
 def build(a, d) -> CYModel:
-    a = tuple(int(x) for x in a)
-    d = tuple(int(x) for x in d)
+    a = tuple(_int_entry(x, "degrees must be integers") for x in a)
+    d = tuple(_int_entry(x, "degrees must be integers") for x in d)
     if not a or not d or any(x <= 0 for x in a + d):
         raise InputError("degree lists must be nonempty positive integers")
     alpha = sum(a)
@@ -63,24 +63,14 @@ def build(a, d) -> CYModel:
     bigraded = [(1, 0)] + [(ai, 0) for ai in a] + [(-1, 1)] + [(-dj, 1) for dj in d]
     weights = [(1,)] + [(ai,) for ai in a] + [(-1,)] + [(-dj,) for dj in d]
     g1 = QSRep.build(RootDatum.torus(1), weights)
-    model = CYModel(
-        a=a, d=d, alpha=alpha,
-        bigraded_weights=tuple(bigraded),
-        g1_rep=g1,
-        arrangement_offset=_wall_offset(g1),
-    )
-    expected = Fraction(1, 2) if alpha % 2 == 0 else Fraction(0)
-    if model.arrangement_offset != expected:
-        raise InternalInconsistencyError(
-            "computed wall pattern contradicts the parity rule")
-    return model
-
-
-def _wall_offset(g1: QSRep) -> Fraction:
-    families = build_arrangement(g1).families
+    families = g1.arrangement.families
     if len(families) != 1 or families[0].offset_step != 1:
         raise InternalInconsistencyError("the rank-one model must have unit wall spacing")
-    return families[0].base_offset
+    offset = families[0].base_offset
+    if offset != (Fraction(1, 2) if alpha % 2 == 0 else Fraction(0)):
+        raise InternalInconsistencyError("computed wall pattern contradicts the parity rule")
+    return CYModel(a=a, d=d, alpha=alpha, bigraded_weights=tuple(bigraded), g1_rep=g1,
+                   arrangement_offset=offset)
 
 
 def crossing_data(model: CYModel, wall, ctx: Context) -> tuple[int, int]:

@@ -66,16 +66,17 @@ class HalfSpace:
 
 @dataclass(frozen=True, slots=True)
 class Face:
-    """A face keyed by the set of half-space indices tight on it."""
+    """A face keyed by the set of half-space indices tight on it, sorted
+    once into ``key``."""
 
     facet_indices: frozenset[int]
     codim: int
     sample: Vec
     vertex_indices: tuple[int, ...]
+    key: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> tuple[int, ...]:
-        return tuple(sorted(self.facet_indices))
+    def __post_init__(self):
+        object.__setattr__(self, "key", tuple(sorted(self.facet_indices)))
 
 
 @dataclass(frozen=True)
@@ -495,7 +496,7 @@ def zonotope(generators) -> Polytope:
     zonotope is centrally symmetric about half the generator sum, and that
     center is recorded.
     """
-    gens = [tuple(int(x) for x in g) for g in generators]
+    gens = linalg.int_rows(generators, "zonotope generators")
     if not gens:
         raise InputError("zonotope needs at least one generator")
     dim = len(gens[0])

@@ -3,10 +3,11 @@ positivity and minimality of paths, rank-one normal forms, and mutation
 transcripts.
 
 All points and labels live in invariant coordinates; chamber identity is the
-sign vector from the arrangement.  A path carries the chambers ``make_path``
-located (its start and the point after each arrow), and the functions below
-read them instead of locating again.  Word reduction is implemented only in
-rank one, where the groupoid is free on single-wall crossings and
+sign vector from the arrangement.  ``make_path`` records each arrow's step,
+the chambers of its two ends and, for a crossing, the walls between them.
+Nothing below locates an arrow's end again, and positivity, minimality and
+rank-one words read the recorded walls.  Word reduction is implemented only
+in rank one, where the groupoid is free on single-wall crossings and
 translations commute to the end of the word.
 """
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .arrangement import Arrangement, Chamber
+from .arrangement import Arrangement, Chamber, Wall
 from .errors import InputError, InternalInconsistencyError, UnsupportedDimensionError, _fmt
 from .linalg import Vec
 from .mutation import per_face_counts
@@ -45,49 +46,62 @@ class Translate:
 Arrow = Cross | Translate
 
 
+@dataclass(frozen=True, slots=True)
+class Step:
+    """One arrow as ``make_path`` walked it: the chambers of its two ends, each
+    with that end as sample, and for a crossing the walls separating them."""
+
+    here: Chamber
+    there: Chamber
+    walls: tuple[Wall, ...] = ()
+
+
 @dataclass(frozen=True)
 class Path:
-    """Arrows from ``start``, with the chambers ``make_path`` located."""
+    """Arrows from ``start``, with the chamber of ``start`` and one ``Step`` per arrow."""
 
     arrows: tuple[Arrow, ...]
     start: Vec
-    chambers: tuple[Chamber, ...] = field(compare=False, repr=False)
+    origin: Chamber = field(compare=False, repr=False)
+    steps: tuple[Step, ...] = field(compare=False, repr=False)
+
+    @property
+    def chambers(self) -> tuple[Chamber, ...]:
+        """The chambers of the start and of the point after each arrow."""
+        return (self.origin, *(s.there for s in self.steps))
 
     @property
     def end(self) -> Vec:
         return self.chambers[-1].sample
 
-    def located(self, arr: Arrangement):
-        """Each arrow with the chambers of its two ends.  A crossing that
-        does not start at the point before it has its start located here."""
-        for a, here, there in zip(self.arrows, self.chambers, self.chambers[1:]):
-            if isinstance(a, Cross) and a.src != here.sample:
-                here = arr.chamber_of(a.src)
-            yield a, here, there
-
 
 def make_path(arr: Arrangement, arrows, start=None) -> Path:
     """Validate composability at every junction and label genericity,
-    locating the start and the point after each arrow once."""
+    locating the start and the point after each arrow once, and a
+    crossing's start again only when it is not the point before it."""
     arrows = tuple(arrows)
     if start is None:
         if not arrows or not isinstance(arrows[0], Cross):
             raise InputError("a path starting with a translation needs an explicit start")
         start = arrows[0].src
-    here = arr.chamber_of(start)
-    chambers = [here]
+    origin = here = arr.chamber_of(start)
+    steps = []
     for a in arrows:
         if isinstance(a, Cross):
-            if a.src != here.sample and arr.chamber_of(a.src) != here:
+            src_chamber = here if a.src == here.sample else arr.chamber_of(a.src)
+            if src_chamber != here:
                 raise InputError(f"arrow {_fmt(a.src)}->{_fmt(a.dst)} does not start "
                                  f"in the current chamber")
+            here = src_chamber
             if not arr.is_generic_label(a.label):
                 raise InputError(f"arrow label {_fmt(a.label)} is not generic")
-            here = arr.chamber_of(a.dst)
+            there = arr.chamber_of(a.dst)
+            steps.append(Step(here, there, tuple(arr.separating_walls(here, there))))
         else:
-            here = arr.chamber_of(linalg.add(here.sample, linalg.vec(a.m)))
-        chambers.append(here)
-    return Path(arrows=arrows, start=chambers[0].sample, chambers=tuple(chambers))
+            there = arr.chamber_of(linalg.add(here.sample, linalg.vec(a.m)))
+            steps.append(Step(here, there))
+        here = there
+    return Path(arrows=arrows, start=origin.sample, origin=origin, steps=tuple(steps))
 
 
 def arrow_is_positive(arr: Arrangement, a: Cross, walls) -> bool:
@@ -107,12 +121,11 @@ def is_minimal(arr: Arrangement, path: Path) -> bool:
     disjoint, (4) every label is oriented like the total displacement on its
     own separating walls.
     """
-    located = list(path.located(arr))
-    crossings = [arr.separating_walls(here, there) for _, here, there in located]
-    if not located or not all(isinstance(a, Cross) and arrow_is_positive(arr, a, walls)
-                              for (a, _, _), walls in zip(located, crossings)):
+    crossings = [s.walls for s in path.steps]
+    if not path.steps or not all(isinstance(a, Cross) and arrow_is_positive(arr, a, walls)
+                                 for a, walls in zip(path.arrows, crossings)):
         raise InputError("minimality is defined for positive paths only")
-    total = arr.separating_walls(located[0][1], located[-1][2])
+    total = arr.separating_walls(path.steps[0].here, path.steps[-1].there)
     additive = len(total) == sum(len(c) for c in crossings)
     union = set().union(*map(set, crossings)) if crossings else set()
     disjoint_union = (set(total) == union
@@ -146,13 +159,13 @@ def _letters(arr: Arrangement, path: Path) -> tuple[list[tuple[int, int]], int, 
     scale = arr.families[0].scale * arr._wall_keys[0][1]
     letters: list[tuple[int, int]] = []
     shift = 0
-    for a, here, there in path.located(arr):
+    for a, step in zip(path.arrows, path.steps):
         if isinstance(a, Translate):
             shift += a.m[0]
             continue
         direction = 1 if a.dst[0] > a.src[0] else -1
         positions = sorted((w.num * arr._wall_keys[w.family_index][1]
-                            for w in arr.separating_walls(here, there)), reverse=direction < 0)
+                            for w in step.walls), reverse=direction < 0)
         letters += [(pos - shift * scale, direction) for pos in positions]
     return letters, shift, scale
 
@@ -237,12 +250,12 @@ def split_into_hops(arr: Arrangement, a: Cross, chambers=None) -> list[Cross]:
     return [Cross(src, dst, a.label) for src, dst in zip(cut_points, cut_points[1:])]
 
 
-def _hop_crossings(rep: QSRep, ctx: Context, a: Cross, chambers: tuple[Chamber, Chamber]):
-    """(hop, its wall crossing) for each hop of an arrow with these end chambers."""
+def _hop_crossings(rep: QSRep, ctx: Context, a: Cross, step: Step):
+    """(hop, its wall crossing) for each hop of a crossing arrow and its step."""
     arr = ctx.arrangement
-    hops = split_into_hops(arr, a, chambers)
+    hops = split_into_hops(arr, a, (step.here, step.there))
     # each inner cut point is located once; a hop's chambers are its endpoints'
-    located = [chambers[0], *(arr.chamber_of(hop.dst) for hop in hops[:-1]), chambers[1]]
+    located = [step.here, *(arr.chamber_of(hop.dst) for hop in hops[:-1]), step.there]
     for hop, here, there in zip(hops, located, located[1:]):
         yield hop, wall_crossing(rep, here, there, ctx)
 
@@ -250,15 +263,14 @@ def _hop_crossings(rep: QSRep, ctx: Context, a: Cross, chambers: tuple[Chamber, 
 def mutation_transcript(rep: QSRep, path: Path, ctx: Context) -> list[TranscriptEntry]:
     """One entry per adjacent crossing (its pivot window and step count) and
     one per translation (the window shift)."""
-    arr = ctx.arrangement
     entries = []
-    for a, here, there in path.located(arr):
+    for a, step in zip(path.arrows, path.steps):
         if isinstance(a, Translate):
             entries.append(TranscriptEntry(kind="shift", shift=tuple(a.m)))
             continue
-        if not arrow_is_positive(arr, a, arr.separating_walls(here, there)):
+        if not arrow_is_positive(ctx.arrangement, a, step.walls):
             raise InputError("transcripts are defined for positive crossings")
-        for hop, crossing in _hop_crossings(rep, ctx, a, (here, there)):
+        for hop, crossing in _hop_crossings(rep, ctx, a, step):
             counts = per_face_counts(rep, crossing)
             toric_steps = None
             if rep.root_datum.is_torus:
@@ -274,17 +286,17 @@ def mutation_transcript(rep: QSRep, path: Path, ctx: Context) -> list[Transcript
 def transcript_window_map(rep: QSRep, path: Path, ctx: Context) -> dict:
     """Compose the per-hop bijections and shifts from C_start to C_end."""
     arr = ctx.arrangement
-    mapping = {chi: chi for chi in ctx.window(path.chambers[0]).chars}
-    for a, here, there in path.located(arr):
+    mapping = {chi: chi for chi in ctx.window(path.origin).chars}
+    for a, step in zip(path.arrows, path.steps):
         if isinstance(a, Translate):
             shift = arr.character(a.m)
             mapping = {src: tuple(linalg.add(dst, shift)) for src, dst in mapping.items()}
             continue
-        for _, crossing in _hop_crossings(rep, ctx, a, (here, there)):
-            step = dict(zip(crossing.window.chars, crossing.window.chars))
-            step.update(mu_map(rep, crossing))
+        for _, crossing in _hop_crossings(rep, ctx, a, step):
+            bijection = dict(zip(crossing.window.chars, crossing.window.chars))
+            bijection.update(mu_map(rep, crossing))
             try:
-                mapping = {src: step[dst] for src, dst in mapping.items()}
+                mapping = {src: bijection[dst] for src, dst in mapping.items()}
             except KeyError as exc:
                 lost, near = _fmt(exc.args[0]), _fmt(crossing.delta)
                 raise InternalInconsistencyError(

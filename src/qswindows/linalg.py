@@ -31,9 +31,23 @@ def vec(xs: Iterable) -> Vec:
 
 
 def _exact(x) -> Fraction:
-    if isinstance(x, float):
-        raise InputError(f"{x!r} is a float, not an exact rational; give it as p/q")
+    if isinstance(x, (float, bool)):
+        raise InputError(f"{x!r} is a {type(x).__name__}, not an exact rational; give it as p/q")
     return Fraction(x)
+
+
+def _int_entry(x, message: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InputError(f"{message}, got {x!r}")
+    return x
+
+
+def int_rows(rows, what: str) -> tuple[IntVec, ...]:
+    """Rows of an integer matrix as given on input, a list of lists of ints;
+    anything else, floats and bools included, is refused, not coerced."""
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
+        raise InputError(f"{what} must be a list of integer lists")
+    return tuple(tuple(_int_entry(x, f"{what} must hold integers only") for x in r) for r in rows)
 
 
 def add(x: Sequence, y: Sequence):

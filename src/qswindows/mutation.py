@@ -25,7 +25,7 @@ from .complexes import koszul_degree_term, top_degree
 from .errors import InputError, InternalInconsistencyError
 from .rep import QSRep
 from .root_data import Weight
-from .windows import Context, WallCrossing, wall_crossing
+from .windows import Context, WallCrossing, dagger, wall_crossing
 
 FaceKey = tuple
 
@@ -115,7 +115,6 @@ class ToricWall:
             raise InputError("stepwise mutation is implemented for torus actions only")
         if len(crossing.faces) != 1:
             raise InternalInconsistencyError("a toric wall must carry exactly one face")
-        from .windows import dagger
         self.rep = rep
         self.crossing = crossing
         self.face = next(iter(crossing.faces.values()))
@@ -130,8 +129,7 @@ class ToricWall:
         for chi in crossing.chars_by_face[self.face.key]:
             back = tuple(linalg.add(chi, self.face.beta_plus))
             for fd, base in ((self.face, chi), (self.dual_face, back)):
-                key = fd.key  # FaceData.key sorts on every read
-                atoms = tuple(canonical_atom(Ker(key, base, i), self.faces)
+                atoms = tuple(canonical_atom(Ker(fd.key, base, i), self.faces)
                               for i in range(fd.d_plus))
                 self.chains.append((fd, base, atoms))
         self._successor = {a: b for _, _, atoms in self.chains for a, b in zip(atoms, atoms[1:])}

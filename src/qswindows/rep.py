@@ -6,16 +6,18 @@ downstream refers to positions in ``weights``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from operator import sub
 
 from . import geometry, linalg
 from .errors import InputError, InternalInconsistencyError, _fmt
 from .geometry import HalfSpace, Polytope, _subsets
-from .linalg import IntVec
-from .root_data import RootDatum, Weight, int_rows
+from .linalg import IntVec, int_rows
+from .root_data import RootDatum, Weight
 
 
 class Ternary(Enum):
@@ -36,19 +38,22 @@ def check_quasi_symmetric(weights) -> bool:
 
 def is_symplectic(weights) -> bool:
     """Whether the weight multiset is invariant under negation."""
-    from collections import Counter
     tally = Counter(tuple(b) for b in weights)
     return tally == Counter(tuple(linalg.neg(b)) for b in weights)
 
 
 @dataclass(frozen=True)
 class QSRep:
+    """Weights with Sigma, (1/2)Sigma and the window polytope nabla, each built
+    once (on a torus nabla is (1/2)Sigma), and the arrangement, on first use."""
+
     root_datum: RootDatum
     weights: tuple[Weight, ...]
     sigma: Polytope
     nabla: Polytope
     generic: Ternary
     symplectic: bool
+    half_sigma: Polytope = field(repr=False, compare=False)
 
     @classmethod
     def build(cls, root_datum: RootDatum, weights, assert_generic: bool | None = None) -> "QSRep":
@@ -63,7 +68,8 @@ class QSRep:
             raise InputError("weights do not span the weight lattice over the rationals")
         _check_w_invariance(root_datum, weights)
         sigma = geometry.zonotope(weights)
-        nabla = build_nabla(root_datum, weights, sigma)
+        half_sigma = sigma.scale(Fraction(1, 2))
+        nabla = build_nabla(root_datum, weights, half_sigma)
         generic = check_generic(root_datum, weights)
         if assert_generic is not None and generic is Ternary.UNKNOWN:
             generic = Ternary.YES if assert_generic else Ternary.NO
@@ -74,6 +80,7 @@ class QSRep:
             nabla=nabla,
             generic=generic,
             symplectic=is_symplectic(weights),
+            half_sigma=half_sigma,
         )
 
     @classmethod
@@ -98,9 +105,12 @@ class QSRep:
     def rank(self) -> int:
         return self.root_datum.rank
 
-    def dominant_halfspaces(self) -> tuple[HalfSpace, ...]:
-        """Dot-product half-spaces cutting out the dominant cone."""
-        return _dominant_cone(self.root_datum)
+    @cached_property
+    def arrangement(self):
+        """The wall arrangement, built on first use."""
+        # arrangement imports rep (for QSRep), so rep imports it here
+        from .arrangement import build_arrangement
+        return build_arrangement(self)
 
     def to_json(self) -> dict:
         return {
@@ -156,15 +166,15 @@ def slab_candidates(root_datum: RootDatum, weights) -> list[IntVec]:
     return sorted(found)
 
 
-def build_nabla(root_datum: RootDatum, weights, sigma: Polytope) -> Polytope:
+def build_nabla(root_datum: RootDatum, weights, half_sigma: Polytope) -> Polytope:
     """The slabs |<chi, lam>| <= eta_lam / 2 over the ``slab_candidates``,
-    intersected: for a torus, half the zonotope as ``zonotope`` built and
-    checked it, not enumerated again.  ``_cross_check_nabla`` proves the
-    result right either way."""
+    intersected: for a torus, half the zonotope itself, as ``zonotope``
+    built and checked it, not enumerated again.  ``_cross_check_nabla``
+    proves the result right either way."""
     slabs = _slabs(root_datum, weights)
-    nabla = (sigma.scale(Fraction(1, 2)) if root_datum.is_torus
+    nabla = (half_sigma if root_datum.is_torus
              else geometry.from_halfspaces(slabs, center=(Fraction(0),) * root_datum.rank))
-    _cross_check_nabla(root_datum, sigma, nabla, slabs)
+    _cross_check_nabla(root_datum, half_sigma, nabla, slabs)
     return nabla
 
 
@@ -183,17 +193,13 @@ def _slabs(root_datum: RootDatum, weights) -> list[HalfSpace]:
     return halfspaces
 
 
-def _dominant_cone(root_datum: RootDatum) -> tuple[HalfSpace, ...]:
-    return tuple(HalfSpace(linalg.primitive(c), Fraction(0)) for c in root_datum._columns)
-
-
-def _cross_check_nabla(root_datum, sigma, nabla, slabs) -> None:
+def _cross_check_nabla(root_datum, half_sigma, nabla, slabs) -> None:
     """Torus: nabla, with its facets as half-spaces, is the slab polytope S,
     by two integer containments over one denominator: each vertex meets the
     tightest slab along each normal (nabla in S), and each facet is a slab
     with the same normal and an offset at least as tight (S in nabla).
-    Nonabelian: the dominant slice of nabla is that of -rho + sigma / 2, and
-    nabla is Weyl invariant; ``slabs`` are not read."""
+    Nonabelian: the dominant slice of nabla is that of -rho + (1/2)Sigma,
+    and nabla is Weyl invariant; ``slabs`` are not read."""
     if root_datum.is_torus:
         k = len(nabla.halfspaces)
         offsets, pts = geometry._scaled([*nabla.halfspaces, *slabs], nabla.vertices)
@@ -208,10 +214,9 @@ def _cross_check_nabla(root_datum, sigma, nabla, slabs) -> None:
                 raise InternalInconsistencyError(
                     f"facet {_fmt(h.normal)} >= {h.offset} has no slab as tight")
         return
-    dominant = _dominant_cone(root_datum)
-    shifted = sigma.scale(Fraction(1, 2)).translate(linalg.neg(root_datum.rho))
-    slice_nabla = geometry.intersect(nabla, dominant)
-    slice_sigma = geometry.intersect(shifted, dominant)
+    cone = root_datum.dominant_cone
+    slice_nabla = geometry.intersect(nabla, cone)
+    slice_sigma = geometry.intersect(half_sigma.translate(linalg.neg(root_datum.rho)), cone)
     if not geometry.polytopes_equal(slice_nabla, slice_sigma):
         raise InternalInconsistencyError(
             "dominant slice of the window polytope does not match the shifted zonotope")
@@ -224,7 +229,6 @@ def _cross_check_nabla(root_datum, sigma, nabla, slabs) -> None:
 
 
 def _check_w_invariance(root_datum, weights) -> None:
-    from collections import Counter
     tally = Counter(weights)
     for w in root_datum.simple_reflections:
         if Counter(tuple(root_datum.apply(w, b)) for b in weights) != tally:

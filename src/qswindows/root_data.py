@@ -33,7 +33,8 @@ from operator import mul
 
 from . import linalg
 from .errors import InputError, _fmt
-from .linalg import IntVec, Vec, _bareiss, _numerators
+from .geometry import HalfSpace
+from .linalg import IntVec, Vec, _bareiss, _int_entry, _numerators, int_rows
 
 Weight = IntVec
 WeylMatrix = tuple[IntVec, ...]
@@ -97,13 +98,13 @@ class RootDatum:
     @classmethod
     def from_data(cls, rank, pairing, roots, simple_reflections,
                   positive_roots=None) -> "RootDatum":
-        pairing = tuple(tuple(Fraction(x) for x in row) for row in pairing)
+        pairing = tuple(tuple(map(linalg._exact, row)) for row in pairing)
         if len(pairing) != rank or any(len(row) != rank for row in pairing):
             raise InputError(f"pairing must be a {rank} x {rank} matrix")
-        roots = tuple(sorted({tuple(int(x) for x in r) for r in roots}))
-        simples = tuple(tuple(tuple(int(x) for x in row) for row in s) for s in simple_reflections)
+        roots = tuple(sorted(set(int_rows(roots, "roots"))))
+        simples = tuple(int_rows(s, "simple reflection") for s in simple_reflections)
         positive = (None if positive_roots is None
-                    else tuple(sorted({tuple(int(x) for x in r) for r in positive_roots})))
+                    else tuple(sorted(set(int_rows(positive_roots, "positive roots")))))
         rows = (row for s in simples for row in s)
         if any(len(x) != rank for x in (*roots, *(positive or ()), *simples, *rows)):
             raise InputError(f"roots and the rows of simple reflections need {rank} entries, "
@@ -141,8 +142,6 @@ class RootDatum:
             roots = int_rows(data.get("roots", []), "roots")
             simples = [int_rows(m, "simple reflection") for m in data.get("simple_reflections", [])]
             positive = data.get("positive_roots")
-            if positive is not None:
-                positive = int_rows(positive, "positive roots")
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad root datum block: {exc}") from exc
         return cls.from_data(rank, pairing, roots, simples, positive_roots=positive)
@@ -207,9 +206,14 @@ class RootDatum:
         nums, _ = _numerators(linalg.vec(chi))
         return all(sum(map(mul, nums, c)) >= 0 for c in self._columns)
 
-    @property
+    @cached_property
     def rho(self) -> Vec:
         return tuple(Fraction(x, 2) for x in self.two_rho)
+
+    @cached_property
+    def dominant_cone(self) -> tuple[HalfSpace, ...]:
+        """Dot-product half-spaces cutting out the dominant cone, one per positive root."""
+        return tuple(HalfSpace(linalg.primitive(c), Fraction(0)) for c in self._columns)
 
     def _doubled(self, chi) -> IntVec:
         """2d(chi + rho) as an integer vector, with d the denominator of chi."""
@@ -347,20 +351,3 @@ def _rational_entry(x) -> Fraction:
     if isinstance(x, str) and _RATIONAL.fullmatch(x):
         return Fraction(x)
     raise InputError(f"pairing entries must be integers or \"p/q\" strings, got {x!r}")
-
-
-def _int_entry(x, message: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise InputError(f"{message}, got {x!r}")
-    return x
-
-
-def int_rows(rows, what: str) -> tuple[IntVec, ...]:
-    """Rows of an integer matrix as given on input: a list of lists of ints.
-
-    Anything else, floats and bools included, raises InputError rather than
-    being coerced.
-    """
-    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
-        raise InputError(f"{what} must be a list of integer lists")
-    return tuple(tuple(_int_entry(x, f"{what} must hold integers only") for x in r) for r in rows)

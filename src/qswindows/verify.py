@@ -55,7 +55,7 @@ def check_rep_invariants(name: str, rep: QSRep, ctx: Context) -> list[CheckResul
     try:
         if datum.is_torus:  # the slab containments read nabla's half-spaces as its facets
             geometry._check_h_v(rep.nabla)
-        _cross_check_nabla(datum, rep.sigma, rep.nabla, _slabs(datum, rep.weights))
+        _cross_check_nabla(datum, rep.half_sigma, rep.nabla, _slabs(datum, rep.weights))
         out.append(_result("window-polytope-cross-check", name, True))
     except QSWindowsError as exc:
         out.append(_result("window-polytope-cross-check", name, False, str(exc)))
@@ -81,10 +81,10 @@ def check_rep_invariants(name: str, rep: QSRep, ctx: Context) -> list[CheckResul
         nudged = sample
     # fresh Contexts, so that the nudged and shifted windows are worked
     # out, not read back from (or translated by) the cache of the sample
-    if Context(rep, arr).window(arr.to_ambient(nudged)).chars != win.chars:
+    if Context(rep).window(arr.to_ambient(nudged)).chars != win.chars:
         ok = False
     shift_coords = (1,) * arr.dim
-    shifted = Context(rep, arr).window(arr.to_ambient(linalg.add(sample, shift_coords)))
+    shifted = Context(rep).window(arr.to_ambient(linalg.add(sample, shift_coords)))
     m_ambient = arr.character(shift_coords)
     expected = tuple(sorted(tuple(linalg.add(c, m_ambient)) for c in win.chars))
     if shifted.chars != expected:
@@ -190,7 +190,7 @@ def _face_lattice_point_check(rep: QSRep, ctx: Context, cross) -> bool:
     shifted = ctx.half_sigma.translate(linalg.sub(cross.delta0, rho))
     near = ctx.half_sigma.translate(cross.delta)
     faces = {fd.face.facet_indices: fd for fd in cross.faces.values()}
-    for chi in shifted.lattice_points(extra=rep.dominant_halfspaces()):
+    for chi in shifted.lattice_points(extra=rep.root_datum.dominant_cone):
         fd = faces.get(shifted.tight_indices(chi))
         if fd is None:
             continue
@@ -347,7 +347,7 @@ def check_groupoid(name: str, rep: QSRep, ctx: Context, seed: int,
             if [repr(a) for a in again.arrows] != [repr(a) for a in reduced.arrows]:
                 reduction_ok = False
             if minimal:
-                key = (path.chambers[0].sign_vector, path.chambers[-1].sign_vector)
+                key = (path.origin.sign_vector, path.chambers[-1].sign_vector)
                 word = groupoid.normal_form_word(arr, path)
                 if key in minimal_words and minimal_words[key] != word:
                     reduction_ok = False

@@ -15,10 +15,12 @@ Conventions fixed here:
     delta_0 is W-invariant and every root pairs to zero with the invariant
     lattice (``RootDatum`` rejects any other input).
 
-Chamber-level and per-call data.  A window depends only on the chamber of
-delta, and a crossing's wall, characters, faces and mu map depend only on
-the ordered pair of chambers, so ``Context`` stores window characters per
-chamber sign vector and crossing data per ordered pair of sign vectors.  A
+Chamber-level and per-call data.  A ``Context`` holds memo tables only: the
+arrangement and (1/2)Sigma are built once per representation.  A window
+depends only on the chamber of delta, and a crossing's wall, characters,
+faces and mu map depend only on the ordered pair of chambers, so
+``Context`` stores window characters per chamber sign vector and crossing
+data per ordered pair of sign vectors.  A
 window missing there is looked up by class modulo the W-invariant
 characters, on which ``invariant_basis`` is a Z-basis: a sample nums/den,
 with m = floor(nums/den), has the sign vector of (nums - den m)/den as class
@@ -49,7 +51,7 @@ from fractions import Fraction
 from operator import add, mul
 
 from . import linalg
-from .arrangement import Arrangement, Chamber, Wall, build_arrangement
+from .arrangement import Arrangement, Chamber, Wall
 from .errors import InputError, InternalInconsistencyError, _fmt
 from .geometry import Face, Polytope
 from .linalg import IntVec, Vec
@@ -111,15 +113,14 @@ class FaceData:
 
 
 class Context:
-    """The arrangement and the half-zonotope (1/2)Sigma of one representation;
-    stores windows per chamber and per class mod the lattice, crossings per
-    chamber pair, faces per tight set and daggers per face."""
+    """Memo tables of one representation: windows per chamber and per class
+    mod the lattice, crossings per chamber pair, faces per tight set and
+    daggers per face; its arrangement and (1/2)Sigma are the rep's own."""
 
-    def __init__(self, rep: QSRep, arr: Arrangement | None = None):
+    def __init__(self, rep: QSRep):
         self.rep = rep
-        self.arrangement = arr if arr is not None else build_arrangement(rep)
-        self.half_sigma = rep.sigma.scale(Fraction(1, 2))
-        self._dominant = rep.dominant_halfspaces()
+        self.arrangement = rep.arrangement
+        self.half_sigma = rep.half_sigma
         self._windows: dict = {}    # chamber sign vector -> window characters
         self._classes: dict = {}    # class key -> (window characters, shift)
         self._crossings: dict = {}  # (sign vector, sign vector') -> _PairCrossing
@@ -143,7 +144,7 @@ class Context:
                 chars = tuple(tuple(map(add, c, step)) for c in hit[0])
             else:
                 shifted = self.rep.nabla.translate(delta)
-                chars = tuple(shifted.lattice_points(extra=self._dominant))
+                chars = tuple(shifted.lattice_points(extra=self.rep.root_datum.dominant_cone))
                 boundary = [c for c in chars if shifted.tight_indices(c)]
                 if boundary:
                     raise InternalInconsistencyError(

@@ -193,7 +193,7 @@ def test_criterion_8_window_polytope_consistency(corpus, gl2):
     reps = [rep for rep, _, _ in corpus] + [gl2rep]
     for rep in reps:
         try:
-            build_nabla(rep.root_datum, rep.weights, rep.sigma)
+            build_nabla(rep.root_datum, rep.weights, rep.half_sigma)
         except QSWindowsError:
             ok = False
     report(8, "window polytope dominant-slice consistency", ok)

@@ -373,7 +373,7 @@ def _check_crossing_against_oracle(ctx, here, there) -> int:
 
 @pytest.fixture(scope="module")
 def oracle_contexts(oracle_arrangements):
-    return [Context(arr.rep, arr) for arr in oracle_arrangements]
+    return [Context(arr.rep) for arr in oracle_arrangements]
 
 
 @settings(deadline=None, max_examples=150)
@@ -397,7 +397,8 @@ def test_criterion6_crossings_match_fraction_oracle(name):
     ctx = Context(catalog.bundled_reps()[name])
     arr = ctx.arrangement
     hops = 0
-    for a, (here, there), split in _criterion6_hops(arr):
+    for a, step, split in _criterion6_hops(arr):
+        here, there = step.here, step.there
         _check_crossing_against_oracle(ctx, here, there)
         assert [split[0].src, *(h.dst for h in split)] == _oracle_cut_points(arr, a.src, a.dst)
         located = [here, *(arr.chamber_of(h.dst) for h in split[:-1]), there]

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qswindows import cy_ci, groupoid, mutation
+from qswindows import arrangement, cy_ci, groupoid, mutation
 from qswindows.errors import InputError
 
 F = Fraction
@@ -40,6 +40,27 @@ def test_invalid_degrees_rejected():
         cy_ci.build((1, 1), (3,))
     with pytest.raises(InputError):
         cy_ci.build((1, 0), (1,))
+
+
+@pytest.mark.parametrize("a, d, bad", [((1.5, 1, 1, 1, 1), (5,), "1.5"),
+                                       ((1, 1, 1, 1, 1), (5.0,), "5.0"),
+                                       ((True, 1, 1, 1, 1), (5,), "True")])
+def test_degrees_must_be_ints(a, d, bad):
+    """A float or bool degree is refused, not truncated to an int."""
+    with pytest.raises(InputError, match=f"^degrees must be integers, got {bad}$"):
+        cy_ci.build(a, d)
+
+
+def test_one_arrangement_per_model(monkeypatch):
+    """The model's wall offset and its Contexts read one arrangement, the
+    rank-one representation's own."""
+    real, calls = arrangement.build_arrangement, []
+    monkeypatch.setattr(arrangement, "build_arrangement",
+                        lambda rep: calls.append(rep) or real(rep))
+    model = cy_ci.build((1, 1, 1, 1, 1), (5,))
+    for ctx in (model.context(), model.context()):
+        assert ctx.arrangement is model.g1_rep.arrangement
+    assert calls == [model.g1_rep]
 
 
 def test_crossing_data(quintic, cy33):

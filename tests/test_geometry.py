@@ -150,6 +150,15 @@ def test_zonotope_empty_rejected():
         geometry.zonotope([])
 
 
+def test_zonotope_refuses_non_integer_generators():
+    """A float, bool or fraction entry is refused, not truncated to an int."""
+    for gens, bad in (([(1.7,), (-1.2,)], "1.7"), ([(1, 0), (0, True)], "True"),
+                      ([(Fraction(1, 2),)], "Fraction")):
+        with pytest.raises(InputError, match=f"^zonotope generators must hold integers only, "
+                                             f"got {bad}"):
+            geometry.zonotope(gens)
+
+
 def test_faces_interval():
     box = geometry.zonotope([(1,), (1,)])
     faces = box.faces()

@@ -176,12 +176,12 @@ def test_reduce_rank1_equal_endpoints_equal_words(arr22):
 
 def _oracle_word(arr, path):
     letters, shift = [], F(0)
-    for a, here, there in path.located(arr):
+    for a, step in zip(path.arrows, path.steps):
         if isinstance(a, Translate):
             shift += F(a.m[0])
             continue
         direction = 1 if a.dst[0] > a.src[0] else -1
-        offsets = sorted((w.offset for w in arr.separating_walls(here, there)),
+        offsets = sorted((w.offset for w in arr.separating_walls(step.here, step.there)),
                          reverse=direction < 0)
         letters += [(off - shift, direction) for off in offsets]
     return tuple(groupoid._freely_reduce(letters)), shift
@@ -289,13 +289,39 @@ def test_transcript_endpoint_coherence(torus33, ctx33):
 
 def test_located_reads_each_crossing_from_its_own_start(arr22):
     """A crossing may start anywhere in the current chamber; the path keeps
-    the chamber of the point before it, and ``located`` the arrow's own."""
+    the chamber of the point before it, and the arrow's step its own."""
     p = groupoid.make_path(arr22, [up(F(1, 2), F(3, 2)), up(F(7, 4), F(5, 2))])
     assert [c.sample for c in p.chambers] == [(F(1, 2),), (F(3, 2),), (F(5, 2),)]
-    (_, a, b), (_, c, d) = p.located(arr22)
+    (a, b), (c, d) = ((s.here, s.there) for s in p.steps)
     assert [x.sample for x in (a, b, c, d)] == [(F(1, 2),), (F(3, 2),), (F(7, 4),), (F(5, 2),)]
     assert b == c
     assert groupoid.is_minimal(arr22, p)
+
+
+# the transcript of the path below, worked out by locating every arrow end
+# afresh; reading the recorded steps must give it unchanged
+AWAY_TRANSCRIPT = [
+    {"kind": "cross", "src": ["1/4"], "dst": ["3/4"], "pivot_size": 2, "step_count": 2,
+     "per_face_counts": {"[1]": 2}},
+    {"kind": "cross", "src": ["7/8"], "dst": ["13/8"], "pivot_size": 2, "step_count": 2,
+     "per_face_counts": {"[1]": 2}},
+]
+
+
+def test_recorded_steps_are_not_located_again(torus33, monkeypatch):
+    """A crossing that starts away from the previous arrow's end is located
+    by ``make_path`` alone: minimality and the transcript read its step."""
+    ctx = Context(torus33)
+    arr = ctx.arrangement
+    p = groupoid.make_path(arr, [Cross((F(1, 4),), (F(3, 4),), (F(1),)),
+                                 Cross((F(7, 8),), (F(13, 8),), (F(1),))])
+    real, located = Arrangement.chamber_of, []
+    monkeypatch.setattr(Arrangement, "chamber_of",
+                        lambda self, coords: located.append(coords) or real(self, coords))
+    assert groupoid.is_minimal(arr, p)
+    entries = groupoid.mutation_transcript(torus33, p, ctx)
+    assert located == []
+    assert [e.to_json() for e in entries] == AWAY_TRANSCRIPT
 
 
 @pytest.fixture(scope="module")
@@ -317,12 +343,15 @@ def _assert_chambers_are_fresh(arr, path):
         fresh = arr.chamber_of(point)
         assert ((stored.sign_vector, stored.sample, stored.nums, stored.den)
                 == (fresh.sign_vector, fresh.sample, fresh.nums, fresh.den))
-    for a, here, there in path.located(arr):
+    for a, step in zip(path.arrows, path.steps, strict=True):
+        here, there = step.here, step.there
         if isinstance(a, Cross):
             assert (here.sample, there.sample) == (a.src, a.dst)
-            assert arr.separating_walls(here, there) == arr.separating_walls(a.src, a.dst)
+            assert list(step.walls) == arr.separating_walls(a.src, a.dst)
             assert (groupoid.split_into_hops(arr, a, (here, there))
                     == groupoid.split_into_hops(arr, a))
+        else:
+            assert step.walls == ()
 
 
 @settings(deadline=None, max_examples=150)

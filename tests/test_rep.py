@@ -119,11 +119,17 @@ def test_slab_check_rejects_a_missing_widened_or_narrowed_slab(small_corpus, cha
     for r in small_corpus:
         datum, half = r.root_datum, r.sigma.scale(Fraction(1, 2))
         slabs = rep._slabs(datum, r.weights)
-        rep._cross_check_nabla(datum, r.sigma, half, slabs)
+        rep._cross_check_nabla(datum, half, half, slabs)
         for facet in {h.normal for h in half.halfspaces}:
             changed = [c for c in (change(h, facet) for h in slabs) if c is not None]
             with pytest.raises(InternalInconsistencyError, match=message):
-                rep._cross_check_nabla(datum, r.sigma, half, changed)
+                rep._cross_check_nabla(datum, half, half, changed)
+
+
+def test_torus_nabla_is_half_sigma(small_corpus):
+    """On a torus the window polytope is (1/2)Sigma itself, one object."""
+    assert small_corpus and all(r.root_datum.is_torus for r in small_corpus)
+    assert all(r.nabla is r.half_sigma for r in small_corpus)
 
 
 def test_gl2_nabla_octagon(gl2rep):
@@ -132,7 +138,7 @@ def test_gl2_nabla_octagon(gl2rep):
 
 def test_gl2_dominant_slice_identity(gl2rep):
     datum = gl2rep.root_datum
-    cone = gl2rep.dominant_halfspaces()
+    cone = datum.dominant_cone
     slice_nabla = geometry.intersect(gl2rep.nabla, cone)
     shifted = gl2rep.sigma.scale(Fraction(1, 2)).translate(linalg.neg(datum.rho))
     slice_sigma = geometry.intersect(shifted, cone)
@@ -156,14 +162,14 @@ def test_weyl_check_by_simple_reflections_matches_all_elements(n):
     datum = built.root_datum
     assert _all_elements_invariant(datum, built.nabla)
     slabs = rep._slabs(datum, built.weights)
-    rep._cross_check_nabla(datum, built.sigma, built.nabla, slabs)
+    rep._cross_check_nabla(datum, built.half_sigma, built.nabla, slabs)
     # cut away a non-dominant corner: the dominant slice is unchanged, but
     # the polytope is no longer Weyl invariant
     cut = geometry.intersect(built.nabla, [geometry.HalfSpace(
         tuple(1 if j == 0 else -1 if j == 1 else 0 for j in range(n)), Fraction(-1, 2))])
     assert not _all_elements_invariant(datum, cut)
     with pytest.raises(InternalInconsistencyError, match="not Weyl invariant"):
-        rep._cross_check_nabla(datum, built.sigma, cut, slabs)
+        rep._cross_check_nabla(datum, built.half_sigma, cut, slabs)
 
 
 def test_generic_examples():

@@ -219,6 +219,34 @@ def test_bad_inputs_rejected():
         RootDatum.from_dict({"rank": 1, "pairing": [[1, 2]]})
 
 
+def test_from_data_refuses_floats_and_bools():
+    """Float or bool entries are refused, not truncated to ints or turned
+    into the binary value of the float."""
+    gl2 = RootDatum.gl(2)
+    cases = [
+        (dict(pairing=((0.1, 0), (0, 1))), r"^0\.1 is a float, not an exact rational"),
+        (dict(pairing=((True, 0), (0, 1))), r"^True is a bool, not an exact rational"),
+        (dict(roots=[(1.0, -1), (-1, 1)]), r"^roots must hold integers only, got 1\.0$"),
+        (dict(roots=[(Fraction(1, 2), -1), (-1, 1)]), "^roots must hold integers only"),
+        (dict(simple_reflections=[((0, 1), (1, False))]),
+         "^simple reflection must hold integers only, got False$"),
+        (dict(positive_roots=[(1, -1.0)]), "^positive roots must hold integers only"),
+    ]
+    for changes, message in cases:
+        args = dict(pairing=gl2.pairing, roots=gl2.roots,
+                    simple_reflections=gl2.simple_reflections, positive_roots=None)
+        args.update(changes)
+        with pytest.raises(InputError, match=message):
+            RootDatum.from_data(2, **args)
+
+
+def test_rho_and_dominant_cone_are_built_once():
+    gl3 = RootDatum.gl(3)
+    assert gl3.rho is gl3.rho and gl3.rho == (1, 0, -1)
+    assert gl3.dominant_cone is gl3.dominant_cone
+    assert [h.normal for h in gl3.dominant_cone] == [(0, 1, -1), (1, -1, 0), (1, 0, -1)]
+
+
 # -- the integer Weyl action against the Fraction oracle ------------------------
 # The Fraction dominance tests and dotted action that the integer versions
 # replaced, kept as the reference they must match exactly.

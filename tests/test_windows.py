@@ -281,7 +281,7 @@ def _assert_cached_equals_fresh(rep, ctx, point_pairs):
     moved = 0
     for delta, delta2 in point_pairs:
         warm = windows.wall_crossing(rep, delta, delta2, ctx)
-        cold = windows.wall_crossing(rep, delta, delta2, windows.Context(rep, arr))
+        cold = windows.wall_crossing(rep, delta, delta2, windows.Context(rep))
         assert warm == cold
         assert windows.mu_map(rep, warm) == windows.mu_map(rep, cold)
         key = _chamber_pair(arr, delta, delta2)
@@ -377,13 +377,13 @@ def test_wall_faces_live_on_half_sigma(small_corpus, gl2rep):
 
 def _criterion6_hops(arr):
     """The arrows of criterion 6's seeded paths (seed 11, 1000 draws), each
-    with the chambers its path located and its hops."""
+    with the step its path recorded and its hops."""
     rng = random.Random(11)
     for _ in range(1000):
         path = verify._random_positive_path(arr, rng)
         if path is not None:
-            for a, here, there in path.located(arr):
-                yield a, (here, there), groupoid.split_into_hops(arr, a)
+            for a, step in zip(path.arrows, path.steps):
+                yield a, step, groupoid.split_into_hops(arr, a)
 
 
 @pytest.mark.parametrize("name", sorted(catalog.bundled_reps()))
@@ -391,10 +391,10 @@ def test_located_chambers_match_unlocated_crossing(name):
     rep_obj = catalog.bundled_reps()[name]
     located_ctx = windows.Context(rep_obj)
     arr = located_ctx.arrangement
-    plain_ctx = windows.Context(rep_obj, arr)
+    plain_ctx = windows.Context(rep_obj)
     hops = 0
-    for a, chambers, split in _criterion6_hops(arr):
-        loop = list(groupoid._hop_crossings(rep_obj, located_ctx, a, chambers))
+    for a, step, split in _criterion6_hops(arr):
+        loop = list(groupoid._hop_crossings(rep_obj, located_ctx, a, step))
         assert [hop for hop, _ in loop] == split
         # the hop loop passes located chambers; plain_ctx locates afresh
         for hop, located in loop:
@@ -404,6 +404,15 @@ def test_located_chambers_match_unlocated_crossing(name):
             assert windows.mu_map(rep_obj, located) == windows.mu_map(rep_obj, plain)
             hops += 1
     assert hops > 100
+
+
+def test_contexts_share_the_representation_s_objects(torus22, gl2rep):
+    """Fresh Contexts build neither the arrangement nor (1/2)Sigma: both
+    are the representation's own objects."""
+    for rep_obj in (torus22, gl2rep):
+        for ctx in (windows.Context(rep_obj), windows.Context(rep_obj)):
+            assert ctx.arrangement is rep_obj.arrangement
+            assert ctx.half_sigma is rep_obj.half_sigma
 
 
 def test_located_chamber_stands_for_its_point(gl2rep, ctxgl2):
@@ -438,10 +447,10 @@ def translate_inputs(gl2rep):
     return out
 
 
-def _assert_equals_fresh(rep_obj, arr, crossing):
+def _assert_equals_fresh(rep_obj, crossing):
     """The crossing, and its mu map, equal the ones a fresh Context builds."""
     fresh = windows.wall_crossing(rep_obj, crossing.delta, crossing.delta_prime,
-                                  windows.Context(rep_obj, arr))
+                                  windows.Context(rep_obj))
     assert crossing == fresh and crossing.wall == fresh.wall
     assert windows.mu_map(rep_obj, crossing) == windows.mu_map(rep_obj, fresh)
 
@@ -452,7 +461,7 @@ def test_translated_crossings_equal_fresh(translate_inputs, data):
     rep_obj, arr, pairs = data.draw(st.sampled_from(translate_inputs))
     delta, delta2 = data.draw(st.sampled_from(pairs))
     m = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=arr.dim, max_size=arr.dim)))
-    ctx = windows.Context(rep_obj, arr)
+    ctx = windows.Context(rep_obj)
     first = windows.wall_crossing(rep_obj, delta, delta2, ctx)
     if data.draw(st.booleans()):  # a base pair with, or without, its mu images
         windows.mu_map(rep_obj, first)
@@ -462,7 +471,7 @@ def test_translated_crossings_equal_fresh(translate_inputs, data):
                                   linalg.add(delta2, shift), ctx)
     # both windows were exact or class hits: no lattice scan
     assert len(ctx._classes) == classes
-    _assert_equals_fresh(rep_obj, arr, moved)
+    _assert_equals_fresh(rep_obj, moved)
     assert moved.window.chars == tuple(tuple(linalg.add(c, shift)) for c in first.window.chars)
 
 
@@ -484,10 +493,10 @@ def test_translated_path_crossings_equal_fresh(name, seed, m):
     again = [groupoid.Cross(linalg.add(a.src, (m,)), linalg.add(a.dst, (m,)), a.label)
              for a in there + back]
     path = groupoid.make_path(arr, there + back + [groupoid.Translate((m,))] + again)
-    for a, here, end in path.located(arr):
+    for a, step in zip(path.arrows, path.steps):
         if isinstance(a, groupoid.Cross):
-            for _, crossing in groupoid._hop_crossings(rep_obj, ctx, a, (here, end)):
-                _assert_equals_fresh(rep_obj, arr, crossing)
+            for _, crossing in groupoid._hop_crossings(rep_obj, ctx, a, step):
+                _assert_equals_fresh(rep_obj, crossing)
     shift = arr.character((m,))
     mapping = groupoid.transcript_window_map(rep_obj, path, ctx)
     assert mapping == {chi: tuple(linalg.add(chi, shift)) for chi in mapping}
