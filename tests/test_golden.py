@@ -30,6 +30,14 @@ INPUTS = {
     "gl3": {"root_datum": {"builtin": "gl", "n": 3},
             "weights": [[s * x for x in e] for _ in range(4) for e in
                         [(1, 0, 0), (0, 1, 0), (0, 0, 1)] for s in (1, -1)]},
+    # nabla is the point 0, cut out by the half-spaces +-e1 and +-e2
+    "gl2-std-dual": {"root_datum": {"builtin": "gl", "n": 2},
+                     "weights": [[1, 0], [-1, 0], [0, 1], [0, -1]]},
+    # the S3-orbit of +-(2,1,0): nabla has 20 vertices and 18 facets
+    "gl3-orbit": {"root_datum": {"builtin": "gl", "n": 3},
+                  "weights": [[s * x for x in p] for p in
+                              [(2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 0, 2), (0, 2, 1), (0, 1, 2)]
+                              for s in (1, -1)]},
 }
 
 CALLS = {
@@ -56,6 +64,8 @@ CALLS = {
     "gl2-complex": ("complex", "gl2", "--delta", "0,0", "--delta2", "1,1", "--chi", "-2,-2"),
     "gl2-wallcross-back": ("wallcross", "gl2", "--delta", "1,1", "--delta2", "0,0"),
     "gl2-groupoid": ("groupoid", "gl2", "--path", "x(1/2,+);t(1)"),
+    "gl2-std-dual-rep": ("rep", "gl2-std-dual"),
+    "gl3-orbit-rep": ("rep", "gl3-orbit"),
     "gl3-window": ("window", "gl3", "--delta", "1/4,1/4,1/4"),
     "gl3-faces": ("faces", "gl3", "--delta", "1/2,1/2,1/2"),
     "cy-quintic": ("cy", None, "--a", "1,1,1,1,1", "--d", "5", "--twist", "0"),
