@@ -16,7 +16,10 @@ solution, and a faulty elimination cannot pass.  The result is then
 checked against its half-spaces by an incidence test that does not
 enumerate vertices: vertices are feasible, tight normals have full rank
 at each, kept half-spaces support facets, and every ridge of every facet
-lies in exactly two facets.
+lies in exactly two facets.  ``intersect`` enumerates nothing either: it
+cuts a polytope from its own vertices and incidence table, one
+double-description step per half-space.  Both keep facets by the one rule
+of ``_polytope``.
 
 Queries run over the integers too.  Each polytope holds its half-spaces
 once as integer normals n_i and offset numerators o_i over one common
@@ -264,11 +267,12 @@ def _subsets(items, k):
     return itertools.combinations(items, k)
 
 
-def _scaled(halfspaces, vertices) -> tuple[IntVec, list[IntVec]]:
-    """Offsets and vertices as integers over one common denominator."""
+def _scaled(halfspaces, vertices) -> tuple[IntVec, list[IntVec], int]:
+    """Offsets and vertices as integers over one common denominator, and
+    that denominator."""
     k, d = len(halfspaces), len(vertices[0])
-    nums, _ = _numerators([h.offset for h in halfspaces] + [x for v in vertices for x in v])
-    return nums[:k], [nums[i:i + d] for i in range(k, len(nums), d)]
+    nums, den = _numerators([h.offset for h in halfspaces] + [x for v in vertices for x in v])
+    return nums[:k], [nums[i:i + d] for i in range(k, len(nums), d)], den
 
 
 def _vertex_enumeration(halfspaces, dim) -> list[Vec]:
@@ -316,34 +320,40 @@ def _vertex_enumeration(halfspaces, dim) -> list[Vec]:
 
 
 def from_halfspaces(halfspaces, center=None) -> Polytope:
-    """Build a polytope from possibly redundant half-spaces.
-
-    Per normal only the tightest offset is kept; after vertex enumeration a
-    half-space survives only if its tight vertex set is (dim-1)-dimensional,
-    i.e. it supports a facet.  Lower-dimensional intersections keep every
-    tight half-space instead (the facet test is vacuous there).
-    """
-    best: dict[IntVec, Fraction] = {}
-    for h in halfspaces:
-        nrm = tuple(h.normal)
-        off = Fraction(h.offset)
-        if nrm not in best or off > best[nrm]:
-            best[nrm] = off
-    hs = [HalfSpace(nrm, off) for nrm, off in sorted(best.items())]
+    """Build a polytope from possibly redundant half-spaces, by vertex
+    enumeration and then the facet rule of ``_polytope``."""
+    hs = _tightest(halfspaces)
     if not hs:
         raise InputError("a polytope needs at least one half-space")
-    dim = len(hs[0].normal)
-    verts = _vertex_enumeration(hs, dim)
+    verts = _vertex_enumeration(hs, len(hs[0].normal))
     if not verts:
         raise InputError("half-spaces have empty intersection")
-    offsets, pts = _scaled(hs, verts)
+    return _polytope(hs, verts, center)
+
+
+def _tightest(halfspaces) -> list[HalfSpace]:
+    """Per normal only the tightest offset, sorted by normal: sorting puts
+    the largest offset along each normal last, and the dict keeps it."""
+    best = dict(sorted((tuple(h.normal), Fraction(h.offset)) for h in halfspaces))
+    return [HalfSpace(nrm, off) for nrm, off in best.items()]
+
+
+def _polytope(hs, verts, center=None) -> Polytope:
+    """The polytope with the given vertices whose half-spaces are those of
+    ``hs`` (one per normal, sorted, each holding on every vertex) that the
+    facet rule keeps: a half-space stays only if its tight vertex set is
+    (dim-1)-dimensional, i.e. it supports a facet.  Lower-dimensional
+    vertex sets keep every tight half-space instead (the facet test is
+    vacuous there).  The result is checked by ``_check_h_v``."""
+    dim = len(hs[0].normal)
+    offsets, pts, _ = _scaled(hs, verts)
     full_dim = _affine_rank(pts) == dim
     kept = []
     for h, off in zip(hs, offsets):
         tight = [p for p in pts if linalg.dot(h.normal, p) == off]
         if tight and (not full_dim or _affine_rank(tight) == dim - 1):
             kept.append(h)
-    poly = Polytope(dim=dim, halfspaces=tuple(kept), vertices=tuple(verts), center=center)
+    poly = Polytope(dim=dim, halfspaces=tuple(kept), vertices=tuple(sorted(verts)), center=center)
     _check_h_v(poly)
     _check_center(poly)
     return poly
@@ -373,7 +383,7 @@ def _check_h_v(poly: Polytope) -> None:
     every facet, as the facet-ridge graph of a polytope is connected.
     """
     dim, hs, verts = poly.dim, poly.halfspaces, poly.vertices
-    offsets, pts = _scaled(hs, verts)
+    offsets, pts, _ = _scaled(hs, verts)
     tight_sets: list[list[int]] = [[] for _ in hs]
     for i, p in enumerate(pts):
         tight = []
@@ -446,6 +456,8 @@ def _ridges(facet, pts) -> set[frozenset[int]]:
     d = len(basis)
     if d == 0:
         return set()
+    if len(idx) == d + 1:  # a simplex: every d of its vertices span a ridge
+        return {frozenset(c) for c in itertools.combinations(idx, d)}
     coords = {i: tuple(linalg.dot(b, diff) for b in basis) for i, diff in diffs.items()}
     ridges: set[frozenset[int]] = set()
     for combo in _subsets(idx, d):
@@ -482,7 +494,7 @@ def _check_center(poly: Polytope) -> None:
     every vertex v, compared as integers over one denominator."""
     if poly.center is None:
         return
-    _, (c, *pts) = _scaled((), (poly.center, *poly.vertices))
+    _, (c, *pts), _ = _scaled((), (poly.center, *poly.vertices))
     vert_set = set(pts)
     if any(tuple(2 * a - b for a, b in zip(c, p)) not in vert_set for p in pts):
         raise InternalInconsistencyError("claimed center is not a symmetry center")
@@ -554,9 +566,34 @@ def _complement_rows(vectors) -> list[IntVec]:
 
 
 def intersect(poly: Polytope, halfspaces) -> Polytope:
-    """The polytope cut by extra half-spaces."""
-    return from_halfspaces(list(poly.halfspaces) + list(halfspaces))
+    """The polytope cut by extra half-spaces, from its own vertices and
+    incidence table: one double-description step per half-space (Motzkin et
+    al. 1953; Fukuda and Prodon 1996), with no vertex enumeration.
 
-
-def polytopes_equal(a: Polytope, b: Polytope) -> bool:
-    return all(b.contains(v) for v in a.vertices) and all(a.contains(v) for v in b.vertices)
+    A point is integer numerators x over a positive scale e, x/(eD) with D
+    the common denominator, and lies s = <x, n> - o e above the cut
+    <p, n> >= o/D.  The vertices with s >= 0 stay; each edge from s > 0 to
+    s' < 0 gives s (x', e') - s' (x, e), reduced, where the plane meets it.
+    Two vertices span an edge when the normals tight at both have rank
+    dim - 1, and the new point is tight on those and the cut.  The facet
+    rule of ``_polytope`` then keeps the facets and checks the result.
+    """
+    hs = [*poly.halfspaces, *halfspaces]
+    offsets, pts, den = _scaled(hs, poly.vertices)
+    # each point as (*x, e), tight on the half-spaces of its index set
+    rows = [((*x, 1), t) for x, t in zip(pts, poly._incidence)]
+    for j in range(len(poly.halfspaces), len(hs)):
+        cut = (*hs[j].normal, -offsets[j])
+        signed = [(sum(map(mul, p, cut)), p, t) for p, t in rows]
+        rows = [(p, t | {j} if s == 0 else t) for s, p, t in signed if s >= 0]
+        for (s, p, t), (s2, p2, t2) in itertools.product(
+                [r for r in signed if r[0] > 0], [r for r in signed if r[0] < 0]):
+            common = t & t2
+            if len(common) >= poly.dim - 1 and _rank([hs[i].normal for i in common]) == poly.dim - 1:
+                y = [s * b - s2 * a for a, b in zip(p, p2)]
+                g = gcd(*y)
+                rows.append((tuple(a // g for a in y), common | {j}))
+        if not rows:
+            raise InputError("half-spaces have empty intersection")
+    verts = [tuple(Fraction(a, p[-1] * den) for a in p[:-1]) for p, _ in rows]
+    return _polytope(_tightest(hs), verts)

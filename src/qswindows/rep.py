@@ -1,5 +1,10 @@
 """Quasi-symmetric representation data: the weight zonotope, the window
-polytope cut out by the one-parameter-subgroup slabs, and validity flags.
+polytope, and validity flags.
+
+The window polytope is the intersection of the one-parameter-subgroup
+slabs.  It is not enumerated from them: on a torus it is half the
+zonotope, and otherwise the hull of the Weyl orbits of its dominant
+slice's vertices.  The slabs are the independent check of both.
 
 Weight indices carry identity (values may repeat); all index bookkeeping
 downstream refers to positions in ``weights``.
@@ -70,7 +75,7 @@ class QSRep:
         sigma = geometry.zonotope(weights)
         half_sigma = sigma.scale(Fraction(1, 2))
         nabla = build_nabla(root_datum, weights, half_sigma)
-        generic = check_generic(root_datum, weights)
+        generic = check_generic(root_datum, weights, [h.normal for h in sigma.halfspaces])
         if assert_generic is not None and generic is Ternary.UNKNOWN:
             generic = Ternary.YES if assert_generic else Ternary.NO
         return cls(
@@ -167,15 +172,44 @@ def slab_candidates(root_datum: RootDatum, weights) -> list[IntVec]:
 
 
 def build_nabla(root_datum: RootDatum, weights, half_sigma: Polytope) -> Polytope:
-    """The slabs |<chi, lam>| <= eta_lam / 2 over the ``slab_candidates``,
-    intersected: for a torus, half the zonotope itself, as ``zonotope``
-    built and checked it, not enumerated again.  ``_cross_check_nabla``
-    proves the result right either way."""
+    """The window polytope.  For a torus it is half the zonotope itself, as
+    ``zonotope`` built and checked it, not enumerated again.  Otherwise it
+    is convex and W-invariant with dominant slice (-rho + (1/2)Sigma) ∩ C
+    (Špenko and Van den Bergh; Halpern-Leistner and Sam), so it is the hull
+    of the W-orbits of that slice's vertices: the slice is cut from
+    (1/2)Sigma's own vertices, and ``_weyl_hull`` takes the hull with no
+    vertex enumeration.  ``_cross_check_nabla`` proves it the slab
+    polytope either way."""
     slabs = _slabs(root_datum, weights)
-    nabla = (half_sigma if root_datum.is_torus
-             else geometry.from_halfspaces(slabs, center=(Fraction(0),) * root_datum.rank))
-    _cross_check_nabla(root_datum, half_sigma, nabla, slabs)
+    dominant = None if root_datum.is_torus else geometry.intersect(
+        half_sigma.translate(linalg.neg(root_datum.rho)), root_datum.dominant_cone)
+    nabla = half_sigma if dominant is None else _weyl_hull(root_datum, dominant, slabs)
+    _cross_check_nabla(root_datum, half_sigma, nabla, slabs, dominant)
     return nabla
+
+
+def _weyl_hull(root_datum, dominant: Polytope, slabs) -> Polytope:
+    """The hull of the W-orbits of the dominant slice's vertices, closed
+    under the simple reflections on integer numerators over one
+    denominator.  Each slab normal bounds the closed points at its
+    minimum; the points tight on normals of full rank are the vertices,
+    and ``geometry._polytope`` keeps the facets.  A lower-dimensional hull
+    keeps exactly the normals whose slab is tight, as the slab polytope
+    does."""
+    offsets, pts, den = geometry._scaled(slabs, dominant.vertices)
+    new = pts = set(pts)
+    while new:
+        new = {root_datum.apply(s, p) for s in root_datum.simple_reflections for p in new} - pts
+        pts |= new
+    # sorted, so the last and tightest offset along each normal is kept
+    tightest = dict(sorted(zip((h.normal for h in slabs), offsets)))
+    low = {n: min(linalg.dot(n, p) for p in pts) for n in tightest}
+    verts = [p for p in pts
+             if geometry._rank([n for n in low if linalg.dot(n, p) == low[n]]) == dominant.dim]
+    full = geometry._affine_rank(verts) == dominant.dim
+    hs = [HalfSpace(n, Fraction(m, den)) for n, m in low.items() if full or m == tightest[n]]
+    return geometry._polytope(hs, [tuple(Fraction(x, den) for x in p) for p in verts],
+                              center=(Fraction(0),) * dominant.dim)
 
 
 def _slabs(root_datum: RootDatum, weights) -> list[HalfSpace]:
@@ -193,39 +227,40 @@ def _slabs(root_datum: RootDatum, weights) -> list[HalfSpace]:
     return halfspaces
 
 
-def _cross_check_nabla(root_datum, half_sigma, nabla, slabs) -> None:
-    """Torus: nabla, with its facets as half-spaces, is the slab polytope S,
-    by two integer containments over one denominator: each vertex meets the
-    tightest slab along each normal (nabla in S), and each facet is a slab
-    with the same normal and an offset at least as tight (S in nabla).
-    Nonabelian: the dominant slice of nabla is that of -rho + (1/2)Sigma,
-    and nabla is Weyl invariant; ``slabs`` are not read."""
-    if root_datum.is_torus:
-        k = len(nabla.halfspaces)
-        offsets, pts = geometry._scaled([*nabla.halfspaces, *slabs], nabla.vertices)
-        # sorted, so the last and tightest offset along each normal is kept
-        tightest = dict(sorted(zip((h.normal for h in slabs), offsets[k:])))
-        for v, p in zip(nabla.vertices, pts):
-            for n, off in tightest.items():
-                if linalg.dot(n, p) < off:
-                    raise InternalInconsistencyError(f"vertex {_fmt(v)} lies outside slab {_fmt(n)}")
-        for h, off in zip(nabla.halfspaces, offsets[:k]):
-            if h.normal not in tightest or tightest[h.normal] < off:
-                raise InternalInconsistencyError(
-                    f"facet {_fmt(h.normal)} >= {h.offset} has no slab as tight")
-        return
-    cone = root_datum.dominant_cone
-    slice_nabla = geometry.intersect(nabla, cone)
-    slice_sigma = geometry.intersect(half_sigma.translate(linalg.neg(root_datum.rho)), cone)
-    if not geometry.polytopes_equal(slice_nabla, slice_sigma):
-        raise InternalInconsistencyError(
-            "dominant slice of the window polytope does not match the shifted zonotope")
-    # nabla is convex and the simple reflections generate W, so s(nabla) in
-    # nabla for each simple s gives w(nabla) in nabla for every w
-    for s in root_datum.simple_reflections:
-        for v in nabla.vertices:
-            if not nabla.contains(root_datum.apply(s, v)):
-                raise InternalInconsistencyError("window polytope is not Weyl invariant")
+def _cross_check_nabla(root_datum, half_sigma, nabla, slabs, dominant=None) -> None:
+    """Nonabelian: the dominant slice of nabla, cut from nabla's vertices,
+    is ``dominant``, that of -rho + (1/2)Sigma (cut here when not given),
+    and the simple reflections permute nabla's vertices, compared as
+    integers over one denominator.  Then on every rep nabla, with its facets
+    as half-spaces, is the slab polytope S, by two integer containments
+    over one denominator: each vertex meets the tightest slab along each
+    normal (nabla in S), and each facet is a slab with the same normal and
+    an offset at least as tight (S in nabla)."""
+    k = len(nabla.halfspaces)
+    offsets, pts, _ = geometry._scaled([*nabla.halfspaces, *slabs], nabla.vertices)
+    if not root_datum.is_torus:
+        cone = root_datum.dominant_cone
+        if dominant is None:
+            dominant = geometry.intersect(half_sigma.translate(linalg.neg(root_datum.rho)), cone)
+        # both are checked polytopes, so they are equal when their vertices are
+        if geometry.intersect(nabla, cone).vertices != dominant.vertices:
+            raise InternalInconsistencyError(
+                "dominant slice of the window polytope does not match the shifted zonotope")
+        # nabla is convex and the simple reflections generate W; an involution
+        # s keeps nabla exactly when it permutes nabla's vertices
+        if any({root_datum.apply(s, p) for p in pts} != set(pts)
+               for s in root_datum.simple_reflections):
+            raise InternalInconsistencyError("window polytope is not Weyl invariant")
+    # sorted, so the last and tightest offset along each normal is kept
+    tightest = dict(sorted(zip((h.normal for h in slabs), offsets[k:])))
+    for v, p in zip(nabla.vertices, pts):
+        for n, off in tightest.items():
+            if linalg.dot(n, p) < off:
+                raise InternalInconsistencyError(f"vertex {_fmt(v)} lies outside slab {_fmt(n)}")
+    for h, off in zip(nabla.halfspaces, offsets[:k]):
+        if h.normal not in tightest or tightest[h.normal] < off:
+            raise InternalInconsistencyError(
+                f"facet {_fmt(h.normal)} >= {h.offset} has no slab as tight")
 
 
 def _check_w_invariance(root_datum, weights) -> None:
@@ -235,7 +270,7 @@ def _check_w_invariance(root_datum, weights) -> None:
             raise InputError("weight multiset is not Weyl invariant")
 
 
-def check_generic(root_datum: RootDatum, weights) -> Ternary:
+def check_generic(root_datum: RootDatum, weights, normals=None) -> Ternary:
     """Genericity in the torus case: dropping any one weight must still
     generate the lattice and keep the origin interior to the hull of the
     rest.  Given that the rest spans, 0 is interior exactly when each
@@ -244,6 +279,8 @@ def check_generic(root_datum: RootDatum, weights) -> Ternary:
     weights strictly on its positive side are counted once, and dropping a
     weight must leave no count at 0.  Equal weights drop alike, so each
     distinct one is dropped once.  Only the weights matter, not the pairing.
+    ``normals``, when given, are those normals: the facet normals of Sigma,
+    as the weights span.
 
     The weights must be quasi-symmetric: then the other weights on b's line
     sum to -b, so every rest generates the lattice that all the weights do,
@@ -256,7 +293,7 @@ def check_generic(root_datum: RootDatum, weights) -> Ternary:
         return Ternary.UNKNOWN
     n = root_datum.rank
     weights = [tuple(b) for b in weights]
-    normals = geometry.spanned_normals(weights, n)
+    normals = geometry.spanned_normals(weights, n) if normals is None else normals
     above = {b: [linalg.dot(b, nrm) > 0 for nrm in normals] for b in weights}
     counts = [sum(col) for col in zip(*(above[b] for b in weights))]
     if not linalg.lattice_generates(weights, n):

@@ -139,12 +139,12 @@ class RootDatum:
         try:
             rank = _int_entry(data["rank"], "rank must be an integer")
             pairing = _parse_matrix(data["pairing"], rank)
-            roots = int_rows(data.get("roots", []), "roots")
-            simples = [int_rows(m, "simple reflection") for m in data.get("simple_reflections", [])]
-            positive = data.get("positive_roots")
+            # from_data checks the entries; only the iteration is guarded here
+            simples = list(data.get("simple_reflections", []))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad root datum block: {exc}") from exc
-        return cls.from_data(rank, pairing, roots, simples, positive_roots=positive)
+        return cls.from_data(rank, pairing, data.get("roots", []), simples,
+                             positive_roots=data.get("positive_roots"))
 
     def _validate(self) -> None:
         n = self.rank

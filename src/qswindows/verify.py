@@ -53,8 +53,7 @@ def check_rep_invariants(name: str, rep: QSRep, ctx: Context) -> list[CheckResul
             sym = False
     out.append(_result("eta-symmetry", name, sym))
     try:
-        if datum.is_torus:  # the slab containments read nabla's half-spaces as its facets
-            geometry._check_h_v(rep.nabla)
+        geometry._check_h_v(rep.nabla)  # the slab containments read its half-spaces as facets
         _cross_check_nabla(datum, rep.half_sigma, rep.nabla, _slabs(datum, rep.weights))
         out.append(_result("window-polytope-cross-check", name, True))
     except QSWindowsError as exc:

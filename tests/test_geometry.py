@@ -509,3 +509,58 @@ def _check_against_fraction_oracle(poly, data):
     extra = (HalfSpace(linalg.primitive(nrm), data.draw(small_fractions)),)
     assert poly.lattice_points() == frac_lattice_points(poly)
     assert poly.lattice_points(extra) == frac_lattice_points(poly, extra)
+
+
+# -- the double-description cut against vertex enumeration ---------------------
+
+def _cut(data, poly):
+    """One drawn cut of the polytope: through a vertex, missing it (at or
+    below its minimum), past it (an empty result), anywhere in between, or
+    an opposite pair on one plane (a lower-dimensional result)."""
+    nrm = linalg.primitive(data.draw(st.tuples(*[st.integers(-3, 3)] * poly.dim).filter(any)))
+    values = sorted(frac_value(halfspace(nrm, 0), v) for v in poly.vertices)
+    kind = data.draw(st.sampled_from(["vertex", "miss", "empty", "between", "pair"]))
+    if kind == "miss":
+        off = values[0] - data.draw(st.fractions(0, 2, max_denominator=3))
+    elif kind == "empty":
+        off = values[-1] + data.draw(st.fractions(Fraction(1, 7), 2, max_denominator=7))
+    elif kind == "between":
+        off = values[0] + (values[-1] - values[0]) * data.draw(st.fractions(0, 1, max_denominator=7))
+    else:
+        off = data.draw(st.sampled_from(values))
+    if kind == "pair":
+        return [HalfSpace(nrm, off), HalfSpace(linalg.neg(nrm), -off)]
+    return [HalfSpace(nrm, off)]
+
+
+@settings(deadline=None, max_examples=80)
+@given(poly=rational_polytopes(), data=st.data())
+def test_intersect_matches_vertex_enumeration_oracle(poly, data):
+    """The cut from the polytope's own vertices is the polytope that vertex
+    enumeration gives from all the half-spaces: the same half-spaces,
+    vertices and order, or the same refusal of an empty result."""
+    cuts = [h for _ in range(data.draw(st.integers(1, 3))) for h in _cut(data, poly)]
+    try:
+        expected = geometry.from_halfspaces([*poly.halfspaces, *cuts])
+    except InputError as exc:
+        with pytest.raises(InputError, match=f"^{exc}$"):
+            geometry.intersect(poly, cuts)
+        return
+    assert geometry.intersect(poly, cuts) == expected
+
+
+@pytest.mark.parametrize("cuts, count", [
+    ([halfspace((1, 0, 0), 0)], 5),                      # through four vertices
+    ([halfspace((1, 1, 1), 0)], 9),                      # through no vertex
+    ([halfspace((1, 0, 0), -1), halfspace((1, 1, 0), -2)], 6),  # touching, missing
+    ([halfspace((1, 0, 0), 0), halfspace((-1, 0, 0), 0)], 4),   # a square
+    ([halfspace((1, 1, 0), 1), halfspace((1, -1, 0), 1)], 1),   # the vertex e1
+])
+def test_intersect_cuts_the_octahedron(cuts, count):
+    """Cuts of a non-simple polytope, each against vertex enumeration."""
+    octa = geometry.from_halfspaces(cross_polytope(3))
+    cut = geometry.intersect(octa, cuts)
+    assert len(cut.vertices) == count
+    assert cut == geometry.from_halfspaces([*octa.halfspaces, *cuts])
+    with pytest.raises(InputError, match="^half-spaces have empty intersection$"):
+        geometry.intersect(octa, [*cuts, halfspace((1, 1, 1), 2)])

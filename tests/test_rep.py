@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -105,6 +106,85 @@ def test_certified_nabla_matches_slab_oracle_on_random_tori(data):
     assert built.nabla.to_json() == slab_oracle(datum, weights).to_json()
 
 
+def std_dual(n, copies=1):
+    """GL(n) on copies of the standard representation and its dual."""
+    return [tuple(s * (j == i) for j in range(n)) for i in range(n) for s in (1, -1)] * copies
+
+
+def orbits(vectors):
+    """The union of the orbits of the vectors under permuting coordinates
+    and negating, each element once: Weyl invariant and quasi-symmetric
+    for GL(n)."""
+    n = len(vectors[0])
+    return sorted({tuple(s * v[i] for i in perm) for v in vectors
+                   for perm in itertools.permutations(range(n)) for s in (1, -1)})
+
+
+NONABELIAN = {
+    "gl2": (2, catalog.GL2_WEIGHTS),
+    "gl2-std-dual": (2, std_dual(2)),           # nabla is the point 0
+    "gl3-4x-std-dual": (3, std_dual(3, 4)),
+    "gl3-orbit-210": (3, orbits([(2, 1, 0)])),  # 20 vertices, 18 facets
+}
+
+
+@pytest.mark.parametrize("name", sorted(NONABELIAN))
+def test_weyl_hull_matches_slab_oracle(name):
+    n, weights = NONABELIAN[name]
+    built = QSRep.build(RootDatum.gl(n), weights)
+    oracle = slab_oracle(built.root_datum, built.weights)
+    assert built.nabla.to_json() == oracle.to_json()
+    assert built.nabla == oracle
+
+
+@st.composite
+def symmetrized_gl_weights(draw):
+    """GL(2) or GL(3) weights closed under permutations and negation: the
+    union of the orbits of a few small drawn vectors."""
+    n = draw(st.sampled_from([2, 3]))
+    return n, orbits(draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n).filter(any),
+                                   min_size=1, max_size=3 if n == 2 else 1)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(symmetrized_gl_weights())
+def test_weyl_hull_matches_slab_oracle_on_symmetrized_weights(drawn):
+    n, weights = drawn
+    assume(linalg.rank(weights) == n)
+    datum = RootDatum.gl(n)
+    try:
+        built = QSRep.build(datum, weights)
+    except InputError as exc:
+        # only a slab of negative width empties the window polytope
+        assert "the window polytope is empty" in str(exc)
+        return
+    oracle = slab_oracle(datum, built.weights)
+    assert built.nabla.to_json() == oracle.to_json()
+    assert built.nabla == oracle
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_vertex_enumeration_per_nonabelian_build(n, monkeypatch):
+    """Sigma's: the window polytope is cut and closed, not enumerated."""
+    calls = []
+    enumerate_vertices = geometry._vertex_enumeration
+    monkeypatch.setattr(geometry, "_vertex_enumeration",
+                        lambda *args: calls.append(args) or enumerate_vertices(*args))
+    QSRep.build(RootDatum.gl(n), catalog.GL2_WEIGHTS if n == 2 else std_dual(3, 4))
+    assert len(calls) == 1
+
+
+def test_one_spanned_normals_per_torus_build(small_corpus, monkeypatch):
+    """check_generic reads Sigma's facet normals instead of finding them again."""
+    calls = []
+    spanned = geometry.spanned_normals
+    monkeypatch.setattr(geometry, "spanned_normals",
+                        lambda *args: calls.append(args) or spanned(*args))
+    for r in small_corpus:
+        assert QSRep.build(r.root_datum, r.weights).generic is r.generic
+    assert len(calls) == len(small_corpus)
+
+
 @pytest.mark.parametrize("change, message", [
     (lambda h, facet: None if h.normal == facet else h, "has no slab as tight"),
     (lambda h, facet: HalfSpace(h.normal, h.offset - Fraction(1, 2)) if h.normal == facet else h,
@@ -112,18 +192,21 @@ def test_certified_nabla_matches_slab_oracle_on_random_tori(data):
     (lambda h, facet: HalfSpace(h.normal, h.offset + Fraction(1, 2)) if h.normal == facet else h,
      "lies outside slab"),
 ], ids=["missing", "widened", "narrowed"])
-def test_slab_check_rejects_a_missing_widened_or_narrowed_slab(small_corpus, change, message):
+def test_slab_check_rejects_a_missing_widened_or_narrowed_slab(small_corpus, gl2rep, change,
+                                                               message):
     """A slab set without one facet normal, or with one facet slab widened
-    by 1/2, no longer proves the slab polytope inside half the zonotope; a
-    slab narrowed by 1/2 cuts off vertices."""
-    for r in small_corpus:
-        datum, half = r.root_datum, r.sigma.scale(Fraction(1, 2))
+    by 1/2, no longer proves the slab polytope inside nabla; a slab
+    narrowed by 1/2 cuts off vertices.  On GL(2) and GL(3) the dominant
+    slice and Weyl checks, which read no slab, pass first."""
+    gl3 = QSRep.build(RootDatum.gl(3), std_dual(3, 4))
+    for r in [*small_corpus, gl2rep, gl3]:
+        datum, nabla = r.root_datum, r.nabla
         slabs = rep._slabs(datum, r.weights)
-        rep._cross_check_nabla(datum, half, half, slabs)
-        for facet in {h.normal for h in half.halfspaces}:
+        rep._cross_check_nabla(datum, r.half_sigma, nabla, slabs)
+        for facet in {h.normal for h in nabla.halfspaces}:
             changed = [c for c in (change(h, facet) for h in slabs) if c is not None]
             with pytest.raises(InternalInconsistencyError, match=message):
-                rep._cross_check_nabla(datum, half, half, changed)
+                rep._cross_check_nabla(datum, r.half_sigma, nabla, changed)
 
 
 def test_torus_nabla_is_half_sigma(small_corpus):
@@ -142,7 +225,7 @@ def test_gl2_dominant_slice_identity(gl2rep):
     slice_nabla = geometry.intersect(gl2rep.nabla, cone)
     shifted = gl2rep.sigma.scale(Fraction(1, 2)).translate(linalg.neg(datum.rho))
     slice_sigma = geometry.intersect(shifted, cone)
-    assert geometry.polytopes_equal(slice_nabla, slice_sigma)
+    assert slice_nabla.vertices == slice_sigma.vertices
     for w in weyl_lengths(datum):
         for v in gl2rep.nabla.vertices:
             assert gl2rep.nabla.contains(datum.apply(w, v))

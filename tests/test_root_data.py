@@ -219,6 +219,26 @@ def test_bad_inputs_rejected():
         RootDatum.from_dict({"rank": 1, "pairing": [[1, 2]]})
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("roots", [[1.5, -1], [-1, 1]], "roots must hold integers only, got 1.5"),
+    ("roots", [[1, -1], [-1, True]], "roots must hold integers only, got True"),
+    ("simple_reflections", [[[0, True], [1, 0]]],
+     "simple reflection must hold integers only, got True"),
+    ("simple_reflections", ["swap"], "simple reflection must be a list of integer lists"),
+    ("simple_reflections", "swap", "simple reflection must be a list of integer lists"),
+    ("simple_reflections", 7, "bad root datum block: 'int' object is not iterable"),
+], ids=["float-root", "bool-root", "bool-reflection", "string-reflection", "string-list",
+        "int-list"])
+def test_from_dict_errors_are_one_line(key, value, message):
+    """A bad root or simple reflection in a JSON root datum block ends in
+    one pinned line, whichever layer refuses it."""
+    block = {"rank": 2, "pairing": [[1, 0], [0, 1]], "roots": [[1, -1], [-1, 1]],
+             "simple_reflections": [[[0, 1], [1, 0]]], key: value}
+    with pytest.raises(InputError) as err:
+        RootDatum.from_dict(block)
+    assert str(err.value) == message
+
+
 def test_from_data_refuses_floats_and_bools():
     """Float or bool entries are refused, not truncated to ints or turned
     into the binary value of the float."""
