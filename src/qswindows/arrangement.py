@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from . import linalg
@@ -186,11 +186,17 @@ class Arrangement:
 
     def chamber_of(self, coords) -> Chamber:
         coords = linalg.vec(coords)
-        nums, den = self._scaled(coords)
+        return self._chamber(*self._scaled(coords), coords)
+
+    def _chamber(self, nums: IntVec, den: int, sample: Vec | None = None) -> Chamber:
+        """The chamber of the point nums/den, in lowest terms over den > 0,
+        with the point as sample; the sample is made from them if not given."""
+        if sample is None:
+            sample = tuple(Fraction(x, den) for x in nums)
         indices = self._indices(nums, den)
         if not all(r for _, r in indices):
-            raise OnWallError(coords, self._walls_on(indices)[0])
-        return Chamber(tuple(k for k, _ in indices), coords, nums, den)
+            raise OnWallError(sample, self._walls_on(indices)[0])
+        return Chamber(tuple(k for k, _ in indices), sample, nums, den)
 
     def separating_walls(self, a, b) -> list[Wall]:
         """The walls separating two off-wall points or two chambers, read off
@@ -221,10 +227,12 @@ class Arrangement:
 
     def _on_segment(self, a, b, p: int, q: int) -> tuple[IntVec, int]:
         """The point a + (p/q)(b - a), q > 0, of two points or chambers, as integer
-        numerators over one positive denominator: with a = x/d and b = y/e it is
-        (q e x + p (d y - e x)) / (q d e)."""
+        numerators over one positive denominator in lowest terms: with a = x/d
+        and b = y/e it is (q e x + p (d y - e x)) / (q d e), reduced."""
         (x, d), (y, e) = self._scaled(a), self._scaled(b)
-        return tuple(q * e * u + p * (d * v - e * u) for u, v in zip(x, y)), q * d * e
+        nums = [q * e * u + p * (d * v - e * u) for u, v in zip(x, y)]
+        g = gcd(q * d * e, *nums)
+        return tuple(n // g for n in nums), q * d * e // g
 
     def orientations(self, direction, walls) -> list[int]:
         """Signs of a direction vector against the normals of the walls."""

@@ -211,6 +211,8 @@ def _parse_path_dsl(arr, text: str | None, start: tuple[Fraction, ...] | None):
     if start is not None and arr.on_wall(start):
         raise InputError("--start must be off the walls")
     arrows = []
+    # per x(o,±): its arrow's index, o, ± and the point it starts from
+    moves = []
     point = origin = start
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -234,9 +236,7 @@ def _parse_path_dsl(arr, text: str | None, start: tuple[Fraction, ...] | None):
                 point = (offset - direction * family.offset_step / 2,)
                 origin = point
             dst = (offset + direction * family.offset_step / 2,)
-            if [w.offset for w in arr.separating_walls(point, dst)] != [offset]:
-                raise InputError(f"x({offset},{sign_text}) does not cross the wall at {offset} "
-                                 f"from {point[0]}")
+            moves.append((len(arrows), offset, sign_text, point[0]))
             arrows.append(groupoid.Cross(point, dst, (Fraction(direction),)))
             point = dst
         elif kind == "t":
@@ -251,7 +251,12 @@ def _parse_path_dsl(arr, text: str | None, start: tuple[Fraction, ...] | None):
             raise InputError(f"unknown path move {kind!r}")
     if origin is None:
         raise InputError("empty path")
-    return groupoid.make_path(arr, arrows, start=origin)
+    path = groupoid.make_path(arr, arrows, start=origin)
+    for i, offset, sign_text, src in moves:
+        if [w.offset for w in path.steps[i].walls] != [offset]:
+            raise InputError(f"x({offset},{sign_text}) does not cross the wall at {offset} "
+                             f"from {src}")
+    return path
 
 
 def cmd_cy(args) -> int:
@@ -260,9 +265,8 @@ def cmd_cy(args) -> int:
     model = cy_ci.build(_parse_int_vector(args.a), _parse_int_vector(args.d))
     ctx = model.context()
     payload = model.to_json()
-    d_plus, d_minus = cy_ci.crossing_data(model, model.arrangement_offset, ctx)
-    payload["d_plus"] = d_plus
-    payload["d_minus"] = d_minus
+    payload["d_plus"], payload["d_minus"] = cy_ci.crossing_data(
+        model, model.arrangement_offset, ctx)
     if args.twist is not None:
         tw = cy_ci.spherical_twist_word(model, args.twist, ctx)
         payload["twist"] = {

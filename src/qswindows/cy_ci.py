@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import InputError, InternalInconsistencyError
 from .linalg import _int_entry
-from .mutation import module_of_window, toric_wall
+from .mutation import ModuleSpec, toric_wall
 from .rep import QSRep
 from .root_data import RootDatum
 from .windows import Context, wall_crossing
@@ -92,14 +92,14 @@ def spherical_twist_word(model: CYModel, m: int, ctx: Context) -> dict:
     The loop is one full period, n + r steps.
     """
     delta = Fraction(m) + Fraction(model.alpha, 2) + 1
-    arr = ctx.arrangement
-    if arr.on_wall((delta,)):
+    if ctx.arrangement.on_wall((delta,)):
         raise InternalInconsistencyError("twist base point unexpectedly on a wall")
     wall = toric_wall(model.g1_rep, (delta,), (delta - 1,), ctx)
     down, up = wall.face.d_plus - 1, wall.dual_face.d_plus - 1
-    start = module_of_window(model.g1_rep, (delta,), ctx)
+    # the crossing located both windows already
+    start = ModuleSpec.of_window(wall.crossing.window.chars)
     trace = wall.walk(start, down + up)
-    if trace[down] != module_of_window(model.g1_rep, (delta - 1,), ctx):
+    if trace[down] != ModuleSpec.of_window(wall.crossing.window_prime.chars):
         raise InternalInconsistencyError("the down leg did not land on the window below")
     if trace[-1] != start:
         raise InternalInconsistencyError("the twist loop did not close")

@@ -27,7 +27,8 @@ denominator D, and ``translate`` shifts the numerators.  A point enters a
 query once, as integer numerators over its own denominator, p = x/e, and
 <p, n_i> >= o_i/D becomes <x, n_i> D >= o_i e.  The lattice scan compares
 each integer box point with the thresholds ceil(o_i/D).  Faces are read off
-one vertex-facet incidence table, worked out on first use.
+one vertex-facet incidence table, worked out on first use; a translate
+carries it over, since a translation keeps every vertex's tight set.
 
 Hyperplanes spanned by vectors are found with subsets over lines: the
 distinct lines through the vectors, not the vectors, are the subsets'
@@ -121,20 +122,25 @@ class Polytope:
 
     def translate(self, v) -> "Polytope":
         """The polytope moved by v.  The offset numerators move by <v, n>,
-        over the least common denominator of theirs and v's."""
+        over the least common denominator of theirs and v's.  Each vertex
+        keeps its tight set, so an incidence table already worked out is
+        carried over."""
         v = linalg.vec(v)
         nums, e = _numerators(v)
         normals, offsets, den = self._table
         common = lcm(den, e)
         a, b = common // den, common // e
         moved = tuple(o * a + sum(map(mul, nums, n)) * b for n, o in zip(normals, offsets))
-        return Polytope(
+        out = Polytope(
             dim=self.dim,
             halfspaces=tuple(HalfSpace(n, Fraction(o, common)) for n, o in zip(normals, moved)),
             vertices=tuple(linalg.add(x, v) for x in self.vertices),
             center=None if self.center is None else linalg.add(self.center, v),
             _table=(normals, moved, common),
         )
+        if "_incidence" in self.__dict__:
+            out.__dict__["_incidence"] = self._incidence
+        return out
 
     def scale(self, c) -> "Polytope":
         c = Fraction(c)

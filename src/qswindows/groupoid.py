@@ -3,12 +3,13 @@ positivity and minimality of paths, rank-one normal forms, and mutation
 transcripts.
 
 All points and labels live in invariant coordinates; chamber identity is the
-sign vector from the arrangement.  ``make_path`` records each arrow's step,
-the chambers of its two ends and, for a crossing, the walls between them.
-Nothing below locates an arrow's end again, and positivity, minimality and
-rank-one words read the recorded walls.  Word reduction is implemented only
-in rank one, where the groupoid is free on single-wall crossings and
-translations commute to the end of the word.
+sign vector from the arrangement.  ``make_path`` records each arrow's step:
+the chambers of its two ends and, for a crossing, the walls between them and
+the chambers of its hops, cut once from those walls.  Nothing below cuts a
+segment or locates a point again: positivity, minimality and rank-one words
+read the recorded walls, and both transcripts cross the recorded hops.  Word
+reduction is implemented only in rank one, where the groupoid is free on
+single-wall crossings and translations commute to the end of the word.
 """
 from __future__ import annotations
 
@@ -49,11 +50,14 @@ Arrow = Cross | Translate
 @dataclass(frozen=True, slots=True)
 class Step:
     """One arrow as ``make_path`` walked it: the chambers of its two ends, each
-    with that end as sample, and for a crossing the walls separating them."""
+    with that end as sample, and for a crossing the walls separating them and
+    ``hops``, the chambers its segment passes through from ``here`` to
+    ``there``, each pair of neighbours adjacent."""
 
     here: Chamber
     there: Chamber
     walls: tuple[Wall, ...] = ()
+    hops: tuple[Chamber, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -69,10 +73,6 @@ class Path:
     def chambers(self) -> tuple[Chamber, ...]:
         """The chambers of the start and of the point after each arrow."""
         return (self.origin, *(s.there for s in self.steps))
-
-    @property
-    def end(self) -> Vec:
-        return self.chambers[-1].sample
 
 
 def make_path(arr: Arrangement, arrows, start=None) -> Path:
@@ -96,7 +96,8 @@ def make_path(arr: Arrangement, arrows, start=None) -> Path:
             if not arr.is_generic_label(a.label):
                 raise InputError(f"arrow label {_fmt(a.label)} is not generic")
             there = arr.chamber_of(a.dst)
-            steps.append(Step(here, there, tuple(arr.separating_walls(here, there))))
+            walls = tuple(arr.separating_walls(here, there))
+            steps.append(Step(here, there, walls, _hop_chambers(arr, here, there, walls)))
         else:
             there = arr.chamber_of(linalg.add(here.sample, linalg.vec(a.m)))
             steps.append(Step(here, there))
@@ -230,34 +231,29 @@ class TranscriptEntry:
         }
 
 
-def split_into_hops(arr: Arrangement, a: Cross, chambers=None) -> list[Cross]:
-    """Cut a crossing arrow into adjacent hops along its segment;
-    ``chambers`` are the ends' chambers, if located."""
-    ends = chambers or (a.src, a.dst)
-    walls = arr.separating_walls(*ends)
+def _hop_chambers(arr: Arrangement, here: Chamber, there: Chamber, walls) -> tuple[Chamber, ...]:
+    """The chambers the segment from here's sample to there's passes through,
+    in order: one inner chamber between each two consecutive walls, located
+    at the mean of their crossing times."""
     if not walls:
-        return []
+        return (here,)
     # the times p/q over one positive denominator, as integers
-    times = arr.crossing_times(*ends, walls)
+    times = arr.crossing_times(here, there, walls)
     den = lcm(*(q for _, q in times))
     keys = sorted(p * (den // q) for p, q in times)
     if len(set(keys)) != len(keys):
-        raise InputError(
-            "segment passes through a wall intersection; perturb the endpoints")
-    # a cut point at the mean (s + t) / (2 den) of two consecutive times
-    mids = (arr._on_segment(*ends, s + t, 2 * den) for s, t in zip(keys, keys[1:]))
-    cut_points = [a.src, *(tuple(Fraction(n, d) for n in nums) for nums, d in mids), a.dst]
-    return [Cross(src, dst, a.label) for src, dst in zip(cut_points, cut_points[1:])]
+        raise InputError("segment passes through a wall intersection; perturb the endpoints")
+    inner = (arr._chamber(*arr._on_segment(here, there, s + t, 2 * den))
+             for s, t in zip(keys, keys[1:]))
+    return (here, *inner, there)
 
 
-def _hop_crossings(rep: QSRep, ctx: Context, a: Cross, step: Step):
-    """(hop, its wall crossing) for each hop of a crossing arrow and its step."""
-    arr = ctx.arrangement
-    hops = split_into_hops(arr, a, (step.here, step.there))
-    # each inner cut point is located once; a hop's chambers are its endpoints'
-    located = [step.here, *(arr.chamber_of(hop.dst) for hop in hops[:-1]), step.there]
-    for hop, here, there in zip(hops, located, located[1:]):
-        yield hop, wall_crossing(rep, here, there, ctx)
+def split_into_hops(arr: Arrangement, a: Cross, chambers=None) -> list[Cross]:
+    """Cut a crossing arrow into adjacent hops along its segment;
+    ``chambers`` are the ends' chambers, if located."""
+    here, there = chambers or map(arr.chamber_of, (a.src, a.dst))
+    hops = _hop_chambers(arr, here, there, arr.separating_walls(here, there))
+    return [Cross(h.sample, t.sample, a.label) for h, t in zip(hops, hops[1:])]
 
 
 def mutation_transcript(rep: QSRep, path: Path, ctx: Context) -> list[TranscriptEntry]:
@@ -270,16 +266,15 @@ def mutation_transcript(rep: QSRep, path: Path, ctx: Context) -> list[Transcript
             continue
         if not arrow_is_positive(ctx.arrangement, a, step.walls):
             raise InputError("transcripts are defined for positive crossings")
-        for hop, crossing in _hop_crossings(rep, ctx, a, step):
+        for here, there in zip(step.hops, step.hops[1:]):
+            crossing = wall_crossing(rep, here, there, ctx)
             counts = per_face_counts(rep, crossing)
             toric_steps = None
             if rep.root_datum.is_torus:
                 (toric_steps,) = counts.values()
             entries.append(TranscriptEntry(
-                kind="cross", src=hop.src, dst=hop.dst,
-                pivot_chars=crossing.common, step_count=toric_steps,
-                per_face_counts=counts,
-            ))
+                kind="cross", src=here.sample, dst=there.sample, pivot_chars=crossing.common,
+                step_count=toric_steps, per_face_counts=counts))
     return entries
 
 
@@ -292,7 +287,8 @@ def transcript_window_map(rep: QSRep, path: Path, ctx: Context) -> dict:
             shift = arr.character(a.m)
             mapping = {src: tuple(linalg.add(dst, shift)) for src, dst in mapping.items()}
             continue
-        for _, crossing in _hop_crossings(rep, ctx, a, step):
+        for here, there in zip(step.hops, step.hops[1:]):
+            crossing = wall_crossing(rep, here, there, ctx)
             bijection = dict(zip(crossing.window.chars, crossing.window.chars))
             bijection.update(mu_map(rep, crossing))
             try:

@@ -366,32 +366,27 @@ def _random_positive_path(arr, rng: random.Random):
     """Arrows along random generic directions; labels equal the hop
     direction, so positivity holds by construction.  Each candidate target
     is located once."""
-    point = None
     for denom in (2, 4, 8, 16):
-        cand = tuple(Fraction(rng.randrange(-4 * denom, 4 * denom), denom)
-                     for _ in range(arr.dim))
-        if not arr.on_wall(cand):
-            point = cand
+        point = tuple(Fraction(rng.randrange(-4 * denom, 4 * denom), denom)
+                      for _ in range(arr.dim))
+        if not arr.on_wall(point):
             break
-    if point is None:
+    else:
         return None
     here = arr.chamber_of(point)
     arrows = []
     for _ in range(rng.randint(1, 3)):
         for _ in range(20):
             direction = tuple(Fraction(rng.randint(-2, 2)) for _ in range(arr.dim))
-            if linalg.is_zero(direction):
-                continue
-            if not arr.is_generic_label(direction):
+            if not arr.is_generic_label(direction):  # nor is the zero direction
                 continue
             t = Fraction(rng.randint(1, 8), 4)
             target = linalg.add(point, linalg.scale(t, direction))
             arrow = groupoid.Cross(point, target, direction)
             try:  # an on-wall target raises OnWallError
                 there = arr.chamber_of(target)
-                if there == here:
+                if not groupoid.split_into_hops(arr, arrow, (here, there)):  # same chamber
                     continue
-                groupoid.split_into_hops(arr, arrow, (here, there))
             except (OnWallError, InputError):
                 continue
             arrows.append(arrow)

@@ -251,6 +251,11 @@ def test_error_codes(inputs, capsys):
             ("gl2", "x(1/2,+);x(-1/2,+)", "x(-1/2,+) does not cross the wall at -1/2 from 1")):
         code, out, err = run(capsys, "groupoid", "--input", inputs[name], "--path", path)
         assert (code, out, err) == (2, "", f"input error: {message}\n")
+    # that check reads the walls make_path records, so it runs once every
+    # chunk is parsed: of the two faults here the later one is named
+    code, out, err = run(capsys, "groupoid", "--input", inputs["torus22"],
+                         "--path", "x(1,+);x(0,+);x(1/3,+)")
+    assert (code, out, err) == (2, "", "input error: 1/3 is not a wall of this arrangement\n")
     # an empty window polytope names the slab that empties it
     code, out, err = run(capsys, "rep", "--input", inputs["gl4"])
     assert (code, out, err) == (2, "", "input error: the window polytope is empty: "

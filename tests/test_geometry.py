@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qswindows import geometry, linalg
+from qswindows import catalog, geometry, linalg
 from qswindows.errors import InputError, InternalInconsistencyError, UnsupportedDimensionError
 from qswindows.geometry import HalfSpace, Polytope
 from test_linalg import frac_rref, frac_solve
@@ -482,6 +483,27 @@ def test_integer_half_space_tests_match_fraction_oracle(poly, data):
     assert moved.halfspaces == tuple(HalfSpace(h.normal, h.offset + frac_value(h, shift))
                                      for h in poly.halfspaces)
     _check_against_fraction_oracle(data.draw(st.sampled_from((poly, moved))), data)
+
+
+@pytest.fixture(scope="module")
+def bundled_polytopes():
+    """(1/2)Sigma and nabla of each bundled rep."""
+    return [p for rep in catalog.bundled_reps().values() for p in (rep.half_sigma, rep.nabla)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_translate_carries_the_incidence_table(bundled_polytopes, data):
+    """A translation keeps every vertex's tight set, so the table a
+    translate carries equals one worked out afresh; a source without a
+    table passes none on."""
+    poly = data.draw(st.sampled_from(bundled_polytopes))
+    shift = data.draw(st.tuples(*[small_fractions] * poly.dim))
+    assert "_incidence" not in dataclasses.replace(poly).translate(shift).__dict__
+    assert poly._incidence
+    moved = poly.translate(shift)
+    assert "_incidence" in moved.__dict__
+    assert moved._incidence == tuple(moved.tight_indices(x) for x in moved.vertices)
 
 
 def _check_against_fraction_oracle(poly, data):

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from qswindows.rep import QSRep
 from qswindows.root_data import RootDatum
 from qswindows.windows import Context
 from test_arrangement import OVERLAP_WEIGHTS
+from test_windows import _criterion6_hops
 
 F = Fraction
 
@@ -142,10 +144,10 @@ def test_relations(arr22):
 def test_relation_preserves_endpoints_and_word(arr22):
     p = groupoid.make_path(arr22, [up(F(1, 2), F(3, 2)), Translate((2,)), up(F(7, 2), F(9, 2))])
     word = groupoid.normal_form_word(arr22, p)
-    end = arr22.chamber_of(p.end)
+    end = arr22.chamber_of(p.chambers[-1].sample)
     for pos in (0, 1):
         q = apply_relation(arr22, p, "R4", pos)
-        assert arr22.chamber_of(q.end) == end
+        assert arr22.chamber_of(q.chambers[-1].sample) == end
         assert groupoid.normal_form_word(arr22, q) == word
 
 
@@ -282,7 +284,7 @@ def test_transcript_endpoint_coherence(torus33, ctx33):
     p = groupoid.make_path(
         arr, [Cross((F(0),), (F(2),), (F(1),)), Translate((-1,))])
     mapping = groupoid.transcript_window_map(torus33, p, ctx33)
-    target = set(ctx33.window(arr.to_ambient(p.end)).chars)
+    target = set(ctx33.window(arr.to_ambient(p.chambers[-1].sample)).chars)
     assert set(mapping.values()) == target
     assert len(set(mapping.values())) == len(mapping)
 
@@ -338,7 +340,7 @@ def _assert_chambers_are_fresh(arr, path):
     points = [path.start]
     for a in path.arrows:
         points.append(a.dst if isinstance(a, Cross) else linalg.add(points[-1], a.m))
-    assert path.end == points[-1]
+    assert path.chambers[-1].sample == points[-1]
     for point, stored in zip(points, path.chambers, strict=True):
         fresh = arr.chamber_of(point)
         assert ((stored.sign_vector, stored.sample, stored.nums, stored.den)
@@ -388,24 +390,46 @@ def test_make_path_errors_name_points_in_p_q_form(arr22):
 
 
 @pytest.mark.parametrize("name", sorted(catalog.bundled_reps()))
+def test_recorded_hops_match_a_fresh_cut(name):
+    """Each step of criterion 6's paths records the hops that cutting its
+    arrow with freshly located ends gives: the same samples, neighbours
+    adjacent, and every inner chamber the one chamber_of gives its sample."""
+    arr = Context(catalog.bundled_reps()[name]).arrangement
+    inner = 0
+    for a, step, split in _criterion6_hops(arr):
+        assert step.hops[0] is step.here and step.hops[-1] is step.there
+        assert [h.sample for h in step.hops] == [split[0].src, *(h.dst for h in split)]
+        for here, there in zip(step.hops, step.hops[1:]):
+            arr.require_adjacent(here, there)
+        for hop in step.hops[1:-1]:
+            fresh = arr.chamber_of(hop.sample)
+            assert ((hop.sign_vector, hop.nums, hop.den)
+                    == (fresh.sign_vector, fresh.nums, fresh.den))
+            inner += 1
+    assert inner > 0
+
+
+@pytest.mark.parametrize("name", sorted(catalog.bundled_reps()))
 def test_transcripts_solve_only_for_their_end_windows(name, monkeypatch):
-    """Hops cross in invariant coordinates, and the start and end windows
-    of the map read the chambers the path carries: one
-    transcript_window_map and one mutation_transcript on a multi-hop path
-    never run to_coords."""
+    """Hops cross in invariant coordinates between the chambers the path
+    records, and the start and end windows of the map read the chambers the
+    path carries: one transcript_window_map and one mutation_transcript on
+    a multi-hop path never run to_coords and never locate a point.  Walls
+    are separated only by wall_crossing's adjacency check, once per new
+    chamber pair."""
     rep = catalog.bundled_reps()[name]
     ctx = Context(rep)
     arr = ctx.arrangement
     rng = random.Random(11)
     while True:
         path = verify._random_positive_path(arr, rng)
-        if path is not None and sum(len(groupoid.split_into_hops(arr, a))
-                                    for a in path.arrows) > 2:
+        if path is not None and sum(len(s.hops) - 1 for s in path.steps) > 2:
             break
-    calls = []
-    to_coords = Arrangement.to_coords
-    monkeypatch.setattr(Arrangement, "to_coords",
-                        lambda self, point: calls.append(point) or to_coords(self, point))
+    calls = Counter()
+    for method in ("to_coords", "separating_walls", "chamber_of"):
+        real = getattr(Arrangement, method)
+        monkeypatch.setattr(Arrangement, method, lambda self, *args, real=real, method=method: (
+            calls.update([method]) or real(self, *args)))
     groupoid.transcript_window_map(rep, path, ctx)
     groupoid.mutation_transcript(rep, path, ctx)
-    assert calls == []
+    assert calls == Counter(separating_walls=len(ctx._crossings))

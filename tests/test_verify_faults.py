@@ -287,9 +287,8 @@ def test_complex_terms_past_the_top_degree_raise(monkeypatch):
 
 
 def _last_hop_dropped(monkeypatch):
-    real = groupoid.split_into_hops
-    monkeypatch.setattr(groupoid, "split_into_hops",
-                        lambda arr, a, chambers=None: real(arr, a, chambers)[:-1])
+    real = groupoid._hop_chambers
+    monkeypatch.setattr(groupoid, "_hop_chambers", lambda *args: real(*args)[:-1])
 
 
 def test_hops_that_do_not_chain_fail_the_transcript_row(monkeypatch):

@@ -394,12 +394,13 @@ def test_located_chambers_match_unlocated_crossing(name):
     plain_ctx = windows.Context(rep_obj)
     hops = 0
     for a, step, split in _criterion6_hops(arr):
-        loop = list(groupoid._hop_crossings(rep_obj, located_ctx, a, step))
-        assert [hop for hop, _ in loop] == split
-        # the hop loop passes located chambers; plain_ctx locates afresh
-        for hop, located in loop:
+        pairs = list(zip(step.hops, step.hops[1:]))
+        assert [groupoid.Cross(h.sample, t.sample, a.label) for h, t in pairs] == split
+        # the transcripts pass the recorded chambers; plain_ctx locates afresh
+        for here, there in pairs:
+            located = windows.wall_crossing(rep_obj, here, there, located_ctx)
             plain = windows.wall_crossing(
-                rep_obj, arr.to_ambient(hop.src), arr.to_ambient(hop.dst), plain_ctx)
+                rep_obj, arr.to_ambient(here.sample), arr.to_ambient(there.sample), plain_ctx)
             assert located == plain
             assert windows.mu_map(rep_obj, located) == windows.mu_map(rep_obj, plain)
             hops += 1
@@ -493,10 +494,9 @@ def test_translated_path_crossings_equal_fresh(name, seed, m):
     again = [groupoid.Cross(linalg.add(a.src, (m,)), linalg.add(a.dst, (m,)), a.label)
              for a in there + back]
     path = groupoid.make_path(arr, there + back + [groupoid.Translate((m,))] + again)
-    for a, step in zip(path.arrows, path.steps):
-        if isinstance(a, groupoid.Cross):
-            for _, crossing in groupoid._hop_crossings(rep_obj, ctx, a, step):
-                _assert_equals_fresh(rep_obj, crossing)
+    for step in path.steps:
+        for here, there in zip(step.hops, step.hops[1:]):
+            _assert_equals_fresh(rep_obj, windows.wall_crossing(rep_obj, here, there, ctx))
     shift = arr.character((m,))
     mapping = groupoid.transcript_window_map(rep_obj, path, ctx)
     assert mapping == {chi: tuple(linalg.add(chi, shift)) for chi in mapping}
