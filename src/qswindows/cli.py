@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import complexes, cy_ci, groupoid, mutation, svg, verify, windows
 from .errors import (InputError, NotAdjacentError, OnWallError, QSWindowsError,
-                     UnsupportedDimensionError)
+                     UnsupportedDimensionError, _require_length)
 from .rep import QSRep
 from .root_data import _RATIONAL
 from .windows import Context
@@ -164,6 +164,7 @@ def cmd_complex(args) -> int:
     crossing = windows.wall_crossing(rep_obj, delta, delta2, ctx)
     if args.chi is None:
         raise InputError("--chi is required")
+    _require_length(args.chi, rep_obj.rank, "entries")
     fd = crossing.face_of_char(args.chi)
     terms = complexes.complex_terms(rep_obj, fd, args.chi)
     _emit(terms.to_json())
@@ -174,7 +175,7 @@ def cmd_mutate(args) -> int:
     rep_obj, ctx = _rep_and_context(args)
     delta, delta2 = _delta(args), _delta(args, "delta2")
     wall = mutation.toric_wall(rep_obj, delta, delta2, ctx)
-    spec = mutation.module_of_window(rep_obj, delta, ctx)
+    spec = mutation.ModuleSpec.of_window(wall.crossing.window.chars)
     steps = args.steps if args.steps is not None else wall.face.d_plus - 1
     _emit({
         "direction": args.direction,

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import InputError, InternalInconsistencyError, _fmt
+from .errors import InputError, InternalInconsistencyError, _fmt, _require_length
 from .rep import QSRep
 from .root_data import Weight, _lattice_weight
 from .windows import Context, FaceData, WallCrossing, _index_sum
@@ -77,6 +77,7 @@ def top_degree(rep: QSRep, fd: FaceData) -> int:
 
 def complex_terms(rep: QSRep, fd: FaceData, chi) -> ComplexTerms:
     chi = _lattice_weight(chi)
+    _require_length(chi, rep.rank, "entries")
     datum = rep.root_datum
     if not datum.is_dominant(chi):
         raise InputError(f"{_fmt(chi)} is not dominant")

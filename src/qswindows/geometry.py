@@ -12,14 +12,15 @@ candidate is a vector of Cramer numerators over the determinant, screened
 with integer dot products.  Each distinct vertex is re-derived once with
 ``linalg.solve``, which runs the same elimination but checks its answer
 against every equation: the system is nonsingular, so it has one
-solution, and a faulty elimination cannot pass.  The result is then
-checked against its half-spaces by an incidence test that does not
-enumerate vertices: vertices are feasible, tight normals have full rank
-at each, kept half-spaces support facets, and every ridge of every facet
-lies in exactly two facets.  ``intersect`` enumerates nothing either: it
-cuts a polytope from its own vertices and incidence table, one
-double-description step per half-space.  Both keep facets by the one rule
-of ``_polytope``.
+solution, and a faulty elimination cannot pass.  ``intersect`` enumerates
+nothing either: it cuts a polytope from its own vertices and incidence
+table, one double-description step per half-space.  Both hand their
+vertices and candidate half-spaces to ``_facets``: one integer pass over
+candidates and vertices finds every tight set, keeps the facets, and
+checks what it kept without enumerating vertices (vertices are feasible,
+tight normals have full rank at each, and every ridge of every facet lies
+in exactly two facets).  Those tight sets are the polytope's vertex-facet
+incidence table, stored at construction.
 
 Queries run over the integers too.  Each polytope holds its half-spaces
 once as integer normals n_i and offset numerators o_i over one common
@@ -27,8 +28,8 @@ denominator D, and ``translate`` shifts the numerators.  A point enters a
 query once, as integer numerators over its own denominator, p = x/e, and
 <p, n_i> >= o_i/D becomes <x, n_i> D >= o_i e.  The lattice scan compares
 each integer box point with the thresholds ceil(o_i/D).  Faces are read off
-one vertex-facet incidence table, worked out on first use; a translate
-carries it over, since a translation keeps every vertex's tight set.
+the incidence table; a translate or a scaling carries it over, since
+neither changes any vertex's tight set.
 
 Hyperplanes spanned by vectors are found with subsets over lines: the
 distinct lines through the vectors, not the vectors, are the subsets'
@@ -40,7 +41,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
@@ -92,12 +92,17 @@ class Polytope:
     # the half-spaces over the integers: (normals, offset numerators, their
     # common denominator); derived from ``halfspaces`` when not given
     _table: tuple | None = field(default=None, repr=False, compare=False)
+    # per vertex, the indices of the half-spaces tight at it; derived from
+    # the vertices when not given
+    _incidence: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self._table is None:
             offsets, den = _numerators([h.offset for h in self.halfspaces])
             object.__setattr__(self, "_table", (tuple(h.normal for h in self.halfspaces),
                                                 offsets, den))
+        if self._incidence is None:
+            object.__setattr__(self, "_incidence", tuple(map(self.tight_indices, self.vertices)))
 
     def _excess(self, point):
         """Per half-space, the sign-exact excess den * e * (<p, n> - offset)
@@ -115,32 +120,24 @@ class Polytope:
     def on_boundary(self, point) -> bool:
         return min(self._excess(point)) == 0
 
-    @cached_property
-    def _incidence(self) -> tuple[frozenset[int], ...]:
-        """Per vertex, the indices of the half-spaces tight at it."""
-        return tuple(self.tight_indices(x) for x in self.vertices)
-
     def translate(self, v) -> "Polytope":
         """The polytope moved by v.  The offset numerators move by <v, n>,
         over the least common denominator of theirs and v's.  Each vertex
-        keeps its tight set, so an incidence table already worked out is
-        carried over."""
+        keeps its tight set, so the incidence table is carried over."""
         v = linalg.vec(v)
         nums, e = _numerators(v)
         normals, offsets, den = self._table
         common = lcm(den, e)
         a, b = common // den, common // e
         moved = tuple(o * a + sum(map(mul, nums, n)) * b for n, o in zip(normals, offsets))
-        out = Polytope(
+        return Polytope(
             dim=self.dim,
             halfspaces=tuple(HalfSpace(n, Fraction(o, common)) for n, o in zip(normals, moved)),
             vertices=tuple(linalg.add(x, v) for x in self.vertices),
             center=None if self.center is None else linalg.add(self.center, v),
             _table=(normals, moved, common),
+            _incidence=self._incidence,
         )
-        if "_incidence" in self.__dict__:
-            out.__dict__["_incidence"] = self._incidence
-        return out
 
     def scale(self, c) -> "Polytope":
         c = Fraction(c)
@@ -151,6 +148,7 @@ class Polytope:
             halfspaces=tuple(HalfSpace(h.normal, c * h.offset) for h in self.halfspaces),
             vertices=tuple(linalg.scale(c, x) for x in self.vertices),
             center=None if self.center is None else linalg.scale(c, self.center),
+            _incidence=self._incidence,
         )
 
     def bounding_box(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -327,7 +325,7 @@ def _vertex_enumeration(halfspaces, dim) -> list[Vec]:
 
 def from_halfspaces(halfspaces, center=None) -> Polytope:
     """Build a polytope from possibly redundant half-spaces, by vertex
-    enumeration and then the facet rule of ``_polytope``."""
+    enumeration and then the facet rule of ``_facets``."""
     hs = _tightest(halfspaces)
     if not hs:
         raise InputError("a polytope needs at least one half-space")
@@ -346,40 +344,43 @@ def _tightest(halfspaces) -> list[HalfSpace]:
 
 def _polytope(hs, verts, center=None) -> Polytope:
     """The polytope with the given vertices whose half-spaces are those of
-    ``hs`` (one per normal, sorted, each holding on every vertex) that the
-    facet rule keeps: a half-space stays only if its tight vertex set is
-    (dim-1)-dimensional, i.e. it supports a facet.  Lower-dimensional
-    vertex sets keep every tight half-space instead (the facet test is
-    vacuous there).  The result is checked by ``_check_h_v``."""
-    dim = len(hs[0].normal)
-    offsets, pts, _ = _scaled(hs, verts)
-    full_dim = _affine_rank(pts) == dim
-    kept = []
-    for h, off in zip(hs, offsets):
-        tight = [p for p in pts if linalg.dot(h.normal, p) == off]
-        if tight and (not full_dim or _affine_rank(tight) == dim - 1):
-            kept.append(h)
-    poly = Polytope(dim=dim, halfspaces=tuple(kept), vertices=tuple(sorted(verts)), center=center)
-    _check_h_v(poly)
+    ``hs`` (one per normal, sorted, each holding on every vertex) that
+    ``_facets`` keeps, with the tight sets it found as the incidence table."""
+    verts = tuple(sorted(verts))
+    kept, incidence = _facets(hs, verts)
+    poly = Polytope(dim=len(verts[0]), halfspaces=kept, vertices=verts, center=center,
+                    _incidence=incidence)
     _check_center(poly)
     return poly
 
 
 def _check_h_v(poly: Polytope) -> None:
-    """Check that the kept half-spaces cut out exactly the hull of the vertices.
+    """Check that the half-spaces cut out exactly the hull of the vertices:
+    rebuilt from its own H and V by ``_facets``, the polytope keeps every
+    half-space."""
+    if len(_facets(poly.halfspaces, poly.vertices)[0]) != len(poly.halfspaces):
+        raise InternalInconsistencyError("a half-space does not support a facet of the vertex hull")
 
-    An incidence check over integer coordinates that never enumerates
-    vertices: V*F dot products, then a scan of each facet's own vertices
-    for its ridges.  With k the affine dimension of the vertices:
 
-    * every vertex satisfies every half-space;
-    * the normals tight at each vertex have rank ``dim`` (it is a vertex);
-    * the half-spaces tight on every vertex cut out the affine hull: their
-      normals have rank dim - k and each one's negative lies in their cone,
-      so they hold with equality;
-    * for k = dim every half-space is tight on a (dim-1)-dimensional vertex
-      set, i.e. supports a facet; for k < dim at least one supports a
-      relative facet (a (k-1)-dimensional vertex set) when k >= 1;
+def _facets(hs, verts) -> tuple[tuple[HalfSpace, ...], tuple[frozenset[int], ...]]:
+    """The facet rule and its check: the candidate half-spaces that support
+    facets of the hull of the vertices, and per vertex the indices of the
+    kept ones tight at it.
+
+    One pass of V*F integer dot products finds each candidate's tight
+    vertex set.  With k the affine dimension of the vertices, a candidate
+    stays when its tight set is (dim-1)-dimensional, i.e. it supports a
+    facet; for k < dim every tight candidate stays (the facet test is
+    vacuous there).  What stays is then checked, with no vertex
+    enumeration, to cut out exactly the hull:
+
+    * every vertex satisfies every candidate;
+    * the kept normals tight at each vertex have rank ``dim`` (it is a vertex);
+    * the kept half-spaces tight on every vertex cut out the affine hull:
+      their normals have rank dim - k and each one's negative lies in their
+      cone, so they hold with equality;
+    * for k >= 1 at least one supports a (relative) facet, a
+      (k-1)-dimensional vertex set;
     * every ridge of every (relative) facet, found from that facet's own
       vertices, lies in exactly two facets.
 
@@ -388,31 +389,29 @@ def _check_h_v(poly: Polytope) -> None:
     normals of rank 3 at every old vertex.  With it the facets found are
     every facet, as the facet-ridge graph of a polytope is connected.
     """
-    dim, hs, verts = poly.dim, poly.halfspaces, poly.vertices
+    dim = len(verts[0])
     offsets, pts, _ = _scaled(hs, verts)
-    tight_sets: list[list[int]] = [[] for _ in hs]
+    on: list[set[int]] = [set() for _ in hs]
     for i, p in enumerate(pts):
-        tight = []
         for j, (h, off) in enumerate(zip(hs, offsets)):
             value = linalg.dot(h.normal, p)
             if value < off:
                 raise InternalInconsistencyError(f"vertex {_fmt(verts[i])} violates a half-space")
             if value == off:
-                tight.append(h.normal)
-                tight_sets[j].append(i)
-        if _rank(tight) != dim:
-            raise InternalInconsistencyError(f"{_fmt(verts[i])} is not a vertex of the half-spaces")
+                on[j].add(i)
     k = _affine_rank(pts)
-    equalities = [h.normal for h, ts in zip(hs, tight_sets) if len(ts) == len(pts)]
+    ranks = [_affine_rank([pts[i] for i in ts]) if ts else -1 for ts in on]
+    keep = [j for j, r in enumerate(ranks) if r >= 0 and (k < dim or r == dim - 1)]
+    kept = tuple(hs[j] for j in keep)
+    incidence = tuple(frozenset(a for a, j in enumerate(keep) if i in on[j]) for i in range(len(pts)))
+    for v, tight in zip(verts, incidence):
+        if _rank([kept[a].normal for a in tight]) != dim:
+            raise InternalInconsistencyError(f"{_fmt(v)} is not a vertex of the half-spaces")
+    equalities = [hs[j].normal for j in keep if len(on[j]) == len(pts)]
     if _rank(equalities) != dim - k or not all(
             _in_cone(linalg.neg(n), equalities) for n in equalities):
         raise InternalInconsistencyError("half-spaces do not cut out the affine hull of the vertices")
-    facets = set()
-    for ts in tight_sets:
-        if ts and _affine_rank([pts[i] for i in ts]) == k - 1:
-            facets.add(frozenset(ts))
-        elif k == dim:
-            raise InternalInconsistencyError("a kept half-space does not support a facet")
+    facets = {frozenset(on[j]) for j in keep if ranks[j] == k - 1}
     if k >= 1 and not facets:
         raise InternalInconsistencyError("no half-space supports a facet of the vertex hull")
     for facet in facets:
@@ -420,6 +419,7 @@ def _check_h_v(poly: Polytope) -> None:
             if sum(1 for f in facets if ridge <= f) != 2:
                 raise InternalInconsistencyError(
                     "a ridge does not lie in exactly two facets: H and V representations disagree")
+    return kept, incidence
 
 
 def _rank(rows) -> int:
@@ -582,7 +582,7 @@ def intersect(poly: Polytope, halfspaces) -> Polytope:
     s' < 0 gives s (x', e') - s' (x, e), reduced, where the plane meets it.
     Two vertices span an edge when the normals tight at both have rank
     dim - 1, and the new point is tight on those and the cut.  The facet
-    rule of ``_polytope`` then keeps the facets and checks the result.
+    rule of ``_facets`` then keeps the facets and checks the result.
     """
     hs = [*poly.halfspaces, *halfspaces]
     offsets, pts, den = _scaled(hs, poly.vertices)

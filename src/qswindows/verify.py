@@ -53,7 +53,9 @@ def check_rep_invariants(name: str, rep: QSRep, ctx: Context) -> list[CheckResul
             sym = False
     out.append(_result("eta-symmetry", name, sym))
     try:
-        geometry._check_h_v(rep.nabla)  # the slab containments read its half-spaces as facets
+        # rebuilt from its own H and V, nabla keeps every half-space: the slab
+        # containments read them as facets
+        geometry._check_h_v(rep.nabla)
         _cross_check_nabla(datum, rep.half_sigma, rep.nabla, _slabs(datum, rep.weights))
         out.append(_result("window-polytope-cross-check", name, True))
     except QSWindowsError as exc:
@@ -270,8 +272,9 @@ def check_mutation(name: str, rep: QSRep, ctx: Context, delta, delta_prime) -> l
                            all(c >= 1 for c in counts.values())))
         return out
     wall = mutation.toric_wall(rep, delta, delta_prime, ctx)
-    start = mutation.module_of_window(rep, delta, ctx)
-    far = mutation.module_of_window(rep, delta_prime, ctx)
+    # the crossing located both windows already
+    start = mutation.ModuleSpec.of_window(wall.crossing.window.chars)
+    far = mutation.ModuleSpec.of_window(wall.crossing.window_prime.chars)
     d = wall.face.d_plus
     seen = wall.walk(start, wall.period)
     faces = wall.faces

@@ -108,6 +108,12 @@ def test_complex_subcommand(inputs, capsys):
     assert payload["exact"] is True
 
 
+def test_complex_refuses_a_character_of_the_wrong_length(inputs, capsys):
+    code, out, err = run(capsys, "complex", "--input", inputs["gl2"],
+                         "--delta", "0,0", "--delta2", "1,1", "--chi", "1")
+    assert code == 2 and out == "" and "point (1) has 1 entries, not 2" in err
+
+
 def test_mutate_subcommand(inputs, capsys):
     code, out, _ = run(capsys, "mutate", "--input", inputs["torus22"],
                        "--delta", "1/2", "--delta2", "3/2", "--steps", "2")

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from qswindows import complexes, windows
+from qswindows import catalog, complexes, windows
 from qswindows.errors import InputError
+from qswindows.windows import Context
 
 F = Fraction
 
@@ -94,6 +95,15 @@ def test_complex_terms_refuses_a_non_integral_character(torus22, ctx22):
     for chi in ((F(1, 2),), (0.5,)):
         with pytest.raises(InputError, match=r"^\(1/2\) is not a lattice weight"):
             complexes.complex_terms(torus22, fd, chi)
+
+
+def test_complex_terms_refuses_a_character_of_the_wrong_length():
+    rep = catalog.torus_rep((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
+    ctx = Context(rep)
+    delta, delta_prime = catalog.adjacent_pairs(ctx, max_pairs=1)[0]
+    fd = next(iter(windows.wall_crossing(rep, delta, delta_prime, ctx).faces.values()))
+    with pytest.raises(InputError, match=r"^point \(0\) has 1 entries, not 2$"):
+        complexes.complex_terms(rep, fd, (0,))
 
 
 def test_summand_sets_torus(torus22, ctx22):

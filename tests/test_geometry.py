@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from qswindows import catalog, geometry, linalg
 from qswindows.errors import InputError, InternalInconsistencyError, UnsupportedDimensionError
 from qswindows.geometry import HalfSpace, Polytope
+from qswindows.rep import QSRep
+from qswindows.root_data import RootDatum
 from test_linalg import frac_rref, frac_solve
 
 
@@ -430,6 +432,18 @@ def test_h_v_check_catches_a_dropped_facet_of_a_non_simple_polytope():
     assert (1, 1, 1) in rref_vertex_enumeration(kept, 3)
 
 
+def test_h_v_check_refuses_a_supporting_half_space_that_is_no_facet():
+    """x + y + z >= -3 holds on the cube |x_i| <= 1 and is tight only at
+    (-1, -1, -1): it supports the cube at a vertex, not along a facet, so
+    the facet rule drops it and the standalone check refuses it."""
+    corner = halfspace((1, 1, 1), -3)
+    box = geometry.from_halfspaces(cube(3))
+    assert [v for v in box.vertices if sum(v) == -3] == [(-1, -1, -1)]
+    assert geometry.from_halfspaces([*cube(3), corner]) == box
+    with pytest.raises(InternalInconsistencyError, match="does not support a facet"):
+        geometry._check_h_v(Polytope(3, box.halfspaces + (corner,), box.vertices))
+
+
 def test_h_v_check_on_lower_dimensional_polytopes():
     point = geometry.from_halfspaces([halfspace((1,), Fraction(1, 2)),
                                       halfspace((-1,), Fraction(-1, 2))])
@@ -494,16 +508,37 @@ def bundled_polytopes():
 @settings(deadline=None, max_examples=40)
 @given(data=st.data())
 def test_translate_carries_the_incidence_table(bundled_polytopes, data):
-    """A translation keeps every vertex's tight set, so the table a
-    translate carries equals one worked out afresh; a source without a
-    table passes none on."""
+    """A translation or a positive scaling keeps every vertex's tight set,
+    so ``translate`` and ``scale`` carry the table, and it equals one worked
+    out afresh."""
     poly = data.draw(st.sampled_from(bundled_polytopes))
     shift = data.draw(st.tuples(*[small_fractions] * poly.dim))
-    assert "_incidence" not in dataclasses.replace(poly).translate(shift).__dict__
-    assert poly._incidence
-    moved = poly.translate(shift)
-    assert "_incidence" in moved.__dict__
-    assert moved._incidence == tuple(moved.tight_indices(x) for x in moved.vertices)
+    factor = data.draw(st.fractions(Fraction(1, 5), 5, max_denominator=6))
+    for moved in (poly, poly.translate(shift), poly.scale(factor)):
+        assert moved._incidence is poly._incidence
+        assert moved._incidence == tuple(moved.tight_indices(x) for x in moved.vertices)
+
+
+def test_built_polytopes_carry_their_tables(monkeypatch):
+    """Building the bundled GL(2) rep works out no vertex's tight set with
+    ``tight_indices``: each built polytope takes its table from the facet
+    rule, and the scaling and translate carry theirs.  ``face_at`` on
+    (1/2)Sigma then asks only for its query point."""
+    asked = []
+    tight_indices = Polytope.tight_indices
+
+    def counted(self, point):
+        asked.append(tuple(point))
+        return tight_indices(self, point)
+
+    monkeypatch.setattr(Polytope, "tight_indices", counted)
+    rep = QSRep.build(RootDatum.gl(2), catalog.GL2_WEIGHTS)
+    assert asked == []
+    half_sigma = rep.half_sigma
+    sample = half_sigma.faces()[0].sample
+    assert sample not in half_sigma.vertices
+    half_sigma.face_at(sample)
+    assert asked == [sample]
 
 
 def _check_against_fraction_oracle(poly, data):

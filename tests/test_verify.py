@@ -63,7 +63,8 @@ def test_cross_check_row_fails_a_shrunk_torus_nabla(torus33, ctx33):
     shrunk = torus33.nabla.scale(Fraction(1, 2))
     row = cross_check(shrunk)
     assert not row.passed and row.detail == "facet (-1) >= -3/4 has no slab as tight"
-    mixed = dataclasses.replace(shrunk, halfspaces=torus33.nabla.halfspaces, _table=None)
+    mixed = dataclasses.replace(shrunk, halfspaces=torus33.nabla.halfspaces, _table=None,
+                                _incidence=None)
     row = cross_check(mixed)
     assert not row.passed and row.detail == "(-3/4) is not a vertex of the half-spaces"
 
