@@ -31,6 +31,9 @@ each integer box point with the thresholds ceil(o_i/D).  Faces are read off
 the incidence table; a translate or a scaling carries it over, since
 neither changes any vertex's tight set.
 
+Zonotopes are built only from generators that span the space, as the
+weights of a representation span its character lattice, so every zonotope
+is full-dimensional; ``spanned_normals`` asks the same of its vectors.
 Hyperplanes spanned by vectors are found with subsets over lines: the
 distinct lines through the vectors, not the vectors, are the subsets'
 members, and each subset's normal is one integer kernel (``_line``).
@@ -507,34 +510,26 @@ def _check_center(poly: Polytope) -> None:
 
 
 def zonotope(generators) -> Polytope:
-    """Minkowski sum of the segments [0,1]*g over the generators.
+    """Minkowski sum of the segments [0,1]*g over the generators, which
+    must span the space; any others are refused.
 
     Its facet normals are the ``spanned_normals`` of the generators, worked
-    out over lines, within the normals cutting out their span.  Every
-    zonotope is centrally symmetric about half the generator sum, and that
-    center is recorded.
+    out over lines.  Every zonotope is centrally symmetric about half the
+    generator sum, and that center is recorded.
     """
     gens = linalg.int_rows(generators, "zonotope generators")
     if not gens:
         raise InputError("zonotope needs at least one generator")
     dim = len(gens[0])
-    nonzero = sorted({g for g in gens if not linalg.is_zero(g)})
+    if not dim or any(len(g) != dim for g in gens):
+        raise InputError("zonotope generators must share one positive length")
+    if linalg.rank(gens) != dim:
+        raise InputError("zonotope generators must span the space")
     center = linalg.scale(Fraction(1, 2), tuple(sum(c) for c in zip(*gens)))
-    if not nonzero:
-        hs = []
-        for e in linalg.identity_matrix(dim):
-            c = linalg.dot(center, e)
-            hs.append(HalfSpace(tuple(e), c))
-            hs.append(HalfSpace(linalg.primitive(linalg.neg(e)), -c))
-        return Polytope(dim=dim, halfspaces=tuple(hs), vertices=(center,), center=center)
-    span_cuts = _complement_rows(nonzero)
     halfspaces = []
-    for nrm in spanned_normals(nonzero, dim, span_cuts):
+    for nrm in spanned_normals(gens, dim):
         upper = sum(max(0, linalg.dot(g, nrm)) for g in gens)
         halfspaces.append(HalfSpace(linalg.neg(nrm), Fraction(-upper)))
-    for b in span_cuts:
-        halfspaces.append(HalfSpace(b, Fraction(0)))
-        halfspaces.append(HalfSpace(linalg.primitive(linalg.neg(b)), Fraction(0)))
     return from_halfspaces(halfspaces, center=center)
 
 
@@ -545,30 +540,21 @@ def _lines(vectors) -> list[IntVec]:
                    for v in vectors if not linalg.is_zero(v)})
 
 
-def spanned_normals(vectors, dim, span_cuts=()) -> list[IntVec]:
-    """Both primitive normals, sorted, of each hyperplane of the vectors'
-    span that independent vectors among them span.  The span has rank r,
-    and ``span_cuts`` are the dim - r normals cutting it out.
+def spanned_normals(vectors, dim) -> list[IntVec]:
+    """Both primitive normals, sorted, of each hyperplane that independent
+    vectors among them span.  The vectors must span the space.
 
     Subsets over lines: a subset's kernel depends only on the lines its
     vectors lie on, and a subset that repeats a line is dependent, so each
-    (r-1)-subset of the distinct lines costs one ``_line`` elimination of
-    it with the cuts.  The subset lies in the span and the cuts in its
-    orthogonal complement, so their ranks add, and a dependent subset
-    leaves a kernel of dimension two or more.
+    (dim-1)-subset of the distinct lines costs one ``_line`` elimination,
+    and a dependent subset leaves a kernel of dimension two or more.
     """
     normals = set()
-    for combo in _subsets(_lines(vectors), dim - len(span_cuts) - 1):
-        nrm = _line([*combo, *span_cuts], dim)
+    for combo in _subsets(_lines(vectors), dim - 1):
+        nrm = _line(combo, dim)
         if nrm is not None:
             normals.update((nrm, linalg.neg(nrm)))
     return sorted(normals)
-
-
-def _complement_rows(vectors) -> list[IntVec]:
-    """Primitive normals cutting out the linear span of the vectors; none
-    when they span the whole space."""
-    return [linalg.primitive(b) for b in linalg.kernel_basis(vectors)]
 
 
 def intersect(poly: Polytope, halfspaces) -> Polytope:

@@ -192,10 +192,11 @@ def _weyl_hull(root_datum, dominant: Polytope, slabs) -> Polytope:
     """The hull of the W-orbits of the dominant slice's vertices, closed
     under the simple reflections on integer numerators over one
     denominator.  Each slab normal bounds the closed points at its
-    minimum; the points tight on normals of full rank are the vertices,
-    and ``geometry._polytope`` keeps the facets.  A lower-dimensional hull
-    keeps exactly the normals whose slab is tight, as the slab polytope
-    does."""
+    minimum; the points tight on normals of full rank are the vertices.
+    The candidate half-spaces are the normals whose minimum is the
+    tightest slab offset, and ``geometry._polytope`` keeps the facets
+    among them: nabla is the slab polytope, so each of its facets is a
+    tightest slab."""
     offsets, pts, den = geometry._scaled(slabs, dominant.vertices)
     new = pts = set(pts)
     while new:
@@ -206,8 +207,7 @@ def _weyl_hull(root_datum, dominant: Polytope, slabs) -> Polytope:
     low = {n: min(linalg.dot(n, p) for p in pts) for n in tightest}
     verts = [p for p in pts
              if geometry._rank([n for n in low if linalg.dot(n, p) == low[n]]) == dominant.dim]
-    full = geometry._affine_rank(verts) == dominant.dim
-    hs = [HalfSpace(n, Fraction(m, den)) for n, m in low.items() if full or m == tightest[n]]
+    hs = [HalfSpace(n, Fraction(m, den)) for n, m in low.items() if m == tightest[n]]
     return geometry._polytope(hs, [tuple(Fraction(x, den) for x in p) for p in verts],
                               center=(Fraction(0),) * dominant.dim)
 

@@ -368,7 +368,8 @@ def check_groupoid(name: str, rep: QSRep, ctx: Context, seed: int,
 def _random_positive_path(arr, rng: random.Random):
     """Arrows along random generic directions; labels equal the hop
     direction, so positivity holds by construction.  Each candidate target
-    is located once."""
+    is located once here, and ``make_path`` cuts the accepted arrows; a
+    path with an arrow through a wall intersection is dropped."""
     for denom in (2, 4, 8, 16):
         point = tuple(Fraction(rng.randrange(-4 * denom, 4 * denom), denom)
                       for _ in range(arr.dim))
@@ -385,21 +386,23 @@ def _random_positive_path(arr, rng: random.Random):
                 continue
             t = Fraction(rng.randint(1, 8), 4)
             target = linalg.add(point, linalg.scale(t, direction))
-            arrow = groupoid.Cross(point, target, direction)
-            try:  # an on-wall target raises OnWallError
+            try:
                 there = arr.chamber_of(target)
-                if not groupoid.split_into_hops(arr, arrow, (here, there)):  # same chamber
-                    continue
-            except (OnWallError, InputError):
+            except OnWallError:
                 continue
-            arrows.append(arrow)
+            if there == here:
+                continue
+            arrows.append(groupoid.Cross(point, target, direction))
             point, here = target, there
             break
         else:
             break
     if not arrows:
         return None
-    return groupoid.make_path(arr, arrows)
+    try:  # refused when an arrow passes through a wall intersection
+        return groupoid.make_path(arr, arrows)
+    except InputError:
+        return None
 
 
 # -- CY models ----------------------------------------------------------------------

@@ -72,11 +72,16 @@ def test_zonotope_intervals():
     assert (lo, hi) == (-2, 2)
 
 
-def test_zonotope_point():
-    z = geometry.zonotope([(0,)])
-    assert z.vertices == ((0,),)
-    assert z.contains((0,))
-    assert not z.contains((1,))
+@pytest.mark.parametrize("gens, message", [
+    ([(0,), (0,)], "zonotope generators must span the space"),
+    ([(1, 0), (-1, 0), (2, 0)], "zonotope generators must span the space"),
+    ([(1, 0), (1,), (-1, 0), (0, 1), (0, -1)], "zonotope generators must share one positive length"),
+    ([(), ()], "zonotope generators must share one positive length"),
+], ids=["all-zero", "non-spanning", "ragged", "empty-vectors"])
+def test_zonotope_refuses_generators_that_do_not_span(gens, message):
+    with pytest.raises(InputError) as info:
+        geometry.zonotope(gens)
+    assert str(info.value) == message
 
 
 def test_zonotope_matches_hull_oracle():
@@ -93,15 +98,18 @@ def test_zonotope_matches_hull_oracle():
 
 @st.composite
 def generator_sets(draw):
-    """Integer generators in dims 1-3, as combinations of a random basis of
-    k <= dim vectors, so some sets span a proper subspace; zeros allowed."""
+    """Integer generators in dims 1-3 that span: a random basis and up to
+    three combinations of it, so multiples of a basis vector and zero
+    vectors can occur, shuffled."""
     dim = draw(st.integers(1, 3))
     coord = st.integers(-3, 3)
-    basis = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=dim))
-    coeffs = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(basis),
-                                    max_size=len(basis)), min_size=1, max_size=6))
-    return [tuple(sum(c * b[i] for c, b in zip(cs, basis)) for i in range(dim))
-            for cs in coeffs]
+    basis = draw(st.lists(st.tuples(*[coord] * dim), min_size=dim, max_size=dim)
+                 .filter(lambda b: linalg.rank(b) == dim))
+    coeffs = draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
+                           max_size=3))
+    combos = [tuple(sum(c * b[i] for c, b in zip(cs, basis)) for i in range(dim))
+              for cs in coeffs]
+    return draw(st.permutations(basis + combos))
 
 
 @settings(max_examples=150, deadline=None)
@@ -117,15 +125,14 @@ def test_zonotope_matches_subset_sum_oracle(gens):
     assert z.center == tuple(Fraction(sum(c), 2) for c in zip(*gens))
 
 
-def frac_spanned_normals(vectors, dim, span_cuts):
+def frac_spanned_normals(vectors, dim):
     """The hyperplane normals the old way: a Fraction kernel basis of every
-    (r-1)-subset of the distinct nonzero vectors with the span cuts, r the
-    rank of their span; a one-vector basis gives both its primitive signs."""
+    (dim-1)-subset of the distinct nonzero vectors; a one-vector basis gives
+    both its primitive signs."""
     nonzero = sorted({tuple(v) for v in vectors if any(v)})
     normals = set()
-    for combo in itertools.combinations(nonzero, dim - len(span_cuts) - 1):
-        rows = [*combo, *span_cuts]
-        kernel = linalg.kernel_basis(rows) if rows else [(Fraction(1),)]
+    for combo in itertools.combinations(nonzero, dim - 1):
+        kernel = linalg.kernel_basis(combo) if combo else [(Fraction(1),)]
         if len(kernel) == 1:
             nrm = linalg.primitive(kernel[0])
             normals |= {nrm, linalg.neg(nrm)}
@@ -136,16 +143,15 @@ def frac_spanned_normals(vectors, dim, span_cuts):
 @given(data=st.data())
 def test_spanned_normals_match_fraction_kernel_oracle(data):
     """Subsets over lines give the normals of subsets over vectors, with
-    parallel generators (b, 2b, -b), zero vectors and non-spanning sets."""
+    parallel generators (b, 2b, -b) and zero vectors, on spanning sets."""
     dim = data.draw(st.integers(1, 4))
     vector = st.tuples(*[st.integers(-2, 2)] * dim)
-    base = data.draw(st.lists(vector.filter(any), min_size=1, max_size=4))
+    base = data.draw(st.lists(vector, min_size=dim, max_size=max(dim, 4))
+                     .filter(lambda b: linalg.rank(b) == dim))
     multiples = st.sampled_from([(1,), (1, 2), (1, -1), (1, 2, -1)])
     vectors = [linalg.scale(c, b) for b in base for c in data.draw(multiples)]
     vectors += data.draw(st.lists(vector, max_size=2))
-    span_cuts = [linalg.primitive(b) for b in linalg.kernel_basis(vectors)]
-    assert (geometry.spanned_normals(vectors, dim, span_cuts)
-            == frac_spanned_normals(vectors, dim, span_cuts))
+    assert geometry.spanned_normals(vectors, dim) == frac_spanned_normals(vectors, dim)
 
 
 def test_zonotope_empty_rejected():

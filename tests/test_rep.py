@@ -174,6 +174,40 @@ def test_one_vertex_enumeration_per_nonabelian_build(n, monkeypatch):
     assert len(calls) == 1
 
 
+def up_to_scale(points):
+    """A point set up to a positive scale, as sorted integer points with
+    no common factor."""
+    flat = [x for p in points for x in p]
+    ints = linalg.primitive(flat) if any(flat) else flat
+    d = len(points[0])
+    return sorted(tuple(ints[i:i + d]) for i in range(0, len(ints), d))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_nabla_vertex_set_ranked_once_per_nonabelian_build(n, monkeypatch):
+    """The Weyl hull's vertex set is ranked once, by the facet rule, and
+    not again to choose the candidate half-spaces."""
+    ranked, in_hull = [], [False]
+    weyl_hull, affine_rank = rep._weyl_hull, geometry._affine_rank
+
+    def hull(*args):
+        in_hull[0] = True
+        try:
+            return weyl_hull(*args)
+        finally:
+            in_hull[0] = False
+
+    def rank(pts):
+        if in_hull[0]:
+            ranked.append(up_to_scale(pts))
+        return affine_rank(pts)
+
+    monkeypatch.setattr(rep, "_weyl_hull", hull)
+    monkeypatch.setattr(geometry, "_affine_rank", rank)
+    built = QSRep.build(RootDatum.gl(n), catalog.GL2_WEIGHTS if n == 2 else std_dual(3, 4))
+    assert ranked.count(up_to_scale(built.nabla.vertices)) == 1
+
+
 def test_one_spanned_normals_per_torus_build(small_corpus, monkeypatch):
     """check_generic reads Sigma's facet normals instead of finding them again."""
     calls = []

@@ -29,12 +29,6 @@ def test_mutation_orbit():
     assert lines[-1].startswith("step ")
 
 
-def test_render_figures(tmp_path):
-    out = run_script("render_figures.py", "--out", str(tmp_path))
-    assert out == f"wrote 3 figures to {tmp_path}/\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["faces.svg", "wallcross.svg", "window.svg"]
-
-
 def test_code_size():
     code_lines = runpy.run_path(str(SCRIPTS / "code_size.py"))["code_lines"]
     assert code_lines('"""Module\ndocstring."""\n\n# a comment\nx = 1  # trailing\n\n\n'

@@ -113,10 +113,11 @@ def test_broken_chain_fails_telescoping(torus33, ctx33, monkeypatch):
 
 
 def test_random_path_lets_internal_errors_through(ctx22, monkeypatch):
-    """Only an on-wall target or an input error drops a candidate arrow."""
+    """Only an on-wall target drops a candidate arrow, and only an input
+    error from make_path drops the path."""
     def boom(*args):
         raise InternalInconsistencyError("boom")
 
-    monkeypatch.setattr(groupoid, "split_into_hops", boom)
+    monkeypatch.setattr(groupoid, "_hop_chambers", boom)
     with pytest.raises(InternalInconsistencyError, match="boom"):
         verify._random_positive_path(ctx22.arrangement, random.Random(0))
