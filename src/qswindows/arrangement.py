@@ -26,15 +26,23 @@ hyperplane is recorded once, under its first family; offsets are compared as
 integer numerators over the common scale of the normal's families.  A
 chamber keeps its sample's numerators, and queries read them.
 
+An ambient point enters as integer numerators x over e > 0 too.  On first
+use, one reduction of [B^T | I], with B the rows of ``invariant_basis``,
+gives integer rows E with E B^T = D I and N with N B^T = 0: the point lies
+in the invariant subspace exactly when N x = 0, and its coordinates are then
+E x / (D e).  Locating it is two integer products, and no solve.
+
 A wall keeps its offset as the integer numerator over its family's scale,
 and a crossing time t, where the segment a + t(b - a) meets a wall, is an
 integer pair (p, q) with q > 0.  ``Fraction``s are made only for output: a
-wall's ``offset`` when it is printed or compared with user input, and the
-ambient point of invariant coordinates.
+wall's ``offset`` when it is printed or compared with user input, a
+chamber's sample when it is read, the coordinates ``to_coords`` returns and
+the ambient point of invariant coordinates.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -81,12 +89,12 @@ class Wall:
         return Fraction(self.num, self.scale)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Chamber:
     sign_vector: tuple[int, ...]
-    sample: Vec
     nums: IntVec = field(repr=False)  # the sample over one positive denominator
     den: int = field(repr=False)
+    sample = cached_property(lambda self: tuple(Fraction(x, self.den) for x in self.nums))
 
     def __eq__(self, other):
         return isinstance(other, Chamber) and self.sign_vector == other.sign_vector
@@ -121,14 +129,37 @@ class Arrangement:
 
     def to_coords(self, point) -> Vec:
         """Invariant coordinates of an ambient point (must be W-invariant)."""
+        nums, den = self._coords(point)
+        return tuple(Fraction(x, den) for x in nums)
+
+    def _coords(self, point) -> tuple[IntVec, int]:
+        """``to_coords`` as integer numerators over one positive denominator,
+        in lowest terms."""
         point = linalg.vec(point)
         if len(point) == self.dim and self.rep.rank != self.dim:
             raise InputError("pass ambient coordinates, not invariant ones")
         _require_length(point, self.rep.rank)
-        sol = linalg.solve(linalg.transpose(self.invariant_basis), point)
-        if sol is None:
+        x, e = linalg._numerators(point)
+        coords, den, equations = self._inverse
+        if any(sum(map(mul, row, x)) for row in equations):
             raise InputError(f"point {_fmt(point)} does not lie in the invariant subspace")
-        return sol
+        nums = [sum(map(mul, row, x)) for row in coords]
+        g = gcd(den * e, *nums)
+        return tuple(a // g for a in nums), den * e // g
+
+    @cached_property
+    def _inverse(self) -> tuple[tuple[IntVec, ...], int, tuple[IntVec, ...]]:
+        """Integer rows E, their denominator D and rows N with E B^T = D I
+        and N B^T = 0, from one reduction of [B^T | I].  A row [r | s] of
+        its row space has r = s B^T; B has independent rows, so the reduced
+        form is [I | E/D] over [0 | N] and N spans the equations of the
+        invariant subspace."""
+        n, k = self.rep.rank, self.dim
+        reduced = linalg.rref([(*col, *unit) for col, unit in zip(
+            linalg.transpose(self.invariant_basis), linalg.identity_matrix(n))])
+        flat, den = linalg._numerators([x for row in reduced[:k] for x in row[k:]])
+        coords = tuple(flat[i:i + n] for i in range(0, len(flat), n))
+        return coords, den, tuple(linalg._integer_rows(row[k:] for row in reduced[k:]))
 
     def to_ambient(self, point) -> Vec:
         """The ambient point sum_i c_i b_i of coordinates or of a chamber."""
@@ -185,18 +216,21 @@ class Arrangement:
         return not all(r for _, r in self._indices(*self._scaled(coords)))
 
     def chamber_of(self, coords) -> Chamber:
+        """The chamber of off-wall invariant coordinates, which are its sample."""
         coords = linalg.vec(coords)
-        return self._chamber(*self._scaled(coords), coords)
+        chamber = self._chamber(*self._scaled(coords))
+        object.__setattr__(chamber, "sample", coords)  # as given, not made again
+        return chamber
 
-    def _chamber(self, nums: IntVec, den: int, sample: Vec | None = None) -> Chamber:
+    def _chamber(self, nums: IntVec, den: int, named=None) -> Chamber:
         """The chamber of the point nums/den, in lowest terms over den > 0,
-        with the point as sample; the sample is made from them if not given."""
-        if sample is None:
-            sample = tuple(Fraction(x, den) for x in nums)
+        with the point as sample.  An on-wall point is refused, named as
+        ``named``, the point the caller was given, if that is not nums/den."""
         indices = self._indices(nums, den)
         if not all(r for _, r in indices):
-            raise OnWallError(sample, self._walls_on(indices)[0])
-        return Chamber(tuple(k for k, _ in indices), sample, nums, den)
+            raise OnWallError(named or tuple(Fraction(x, den) for x in nums),
+                              self._walls_on(indices)[0])
+        return Chamber(tuple(k for k, _ in indices), nums, den)
 
     def separating_walls(self, a, b) -> list[Wall]:
         """The walls separating two off-wall points or two chambers, read off
@@ -206,10 +240,13 @@ class Arrangement:
         return self._walls((i, k) for i, (ka, kb) in enumerate(zip(a, b))
                            for k in range(min(ka, kb) + 1, max(ka, kb) + 1))
 
-    def require_adjacent(self, a: Chamber, b: Chamber) -> Wall:
+    def require_adjacent(self, a: Chamber, b: Chamber, named=None) -> Wall:
+        """The one wall separating two chambers.  Chambers that are not
+        adjacent are refused, named as ``named``, the two points the caller
+        was given, if not by their samples."""
         walls = self.separating_walls(a, b)
         if len(walls) != 1:
-            raise NotAdjacentError(a.sample, b.sample, len(walls))
+            raise NotAdjacentError(*(named or (a.sample, b.sample)), len(walls))
         return walls[0]
 
     def crossing_times(self, a, b, walls) -> list[tuple[int, int]]:

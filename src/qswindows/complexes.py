@@ -10,7 +10,6 @@ the ``exact`` flag records.
 """
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ from . import linalg
 from .errors import InputError, InternalInconsistencyError, _fmt, _require_length
 from .rep import QSRep
 from .root_data import Weight, _lattice_weight
-from .windows import Context, FaceData, WallCrossing, _index_sum
+from .windows import Context, FaceData, WallCrossing
 
 
 @dataclass(frozen=True)
@@ -56,16 +55,14 @@ class ComplexTerms:
 def wedge_star(rep: QSRep, fd: FaceData) -> set[Weight]:
     """The distinct sums of the face's positive weights over the index
     subsets of sizes 1..d_F^+ - 1."""
-    return {_index_sum(rep, combo) for m in range(1, fd.d_plus)
-            for combo in itertools.combinations(fd.plus_indices, m)}
+    return {beta for sums in fd.subset_sums(rep)[1:fd.d_plus] for beta in sums}
 
 
 def koszul_degree_term(rep: QSRep, fd: FaceData, chi, m: int) -> Counter:
-    """Multiset of chi + (m-subset sums), counted with index multiplicity."""
-    tally: Counter = Counter()
-    for combo in itertools.combinations(fd.plus_indices, m):
-        tally[tuple(linalg.add(chi, _index_sum(rep, combo)))] += 1
-    return tally
+    """Multiset of chi + (m-subset sums), counted with index multiplicity;
+    empty outside degrees 0..d_F^+."""
+    sums = fd.subset_sums(rep)[m] if 0 <= m <= fd.d_plus else ()
+    return Counter(linalg.add(chi, beta) for beta in sums)
 
 
 def top_degree(rep: QSRep, fd: FaceData) -> int:
@@ -83,15 +80,13 @@ def complex_terms(rep: QSRep, fd: FaceData, chi) -> ComplexTerms:
         raise InputError(f"{_fmt(chi)} is not dominant")
     terms: dict[int, Counter] = {}
     dropped = 0
-    for m in range(fd.d_plus + 1):
-        for combo in itertools.combinations(fd.plus_indices, m):
-            shifted = linalg.add(chi, _index_sum(rep, combo))
-            result = datum.dominant_representative(shifted)
+    for m, sums in enumerate(fd.subset_sums(rep)):
+        for beta in sums:
+            result = datum.dominant_representative(linalg.add(chi, beta))
             if result is None:
                 dropped += 1
                 continue
-            degree = m + result.length
-            terms.setdefault(degree, Counter())[result.weight] += 1
+            terms.setdefault(m + result.length, Counter())[result.weight] += 1
     top = top_degree(rep, fd)
     if any(d < 0 or d > top for d in terms):
         raise InternalInconsistencyError("complex terms escaped their degree window")

@@ -107,21 +107,18 @@ class Polytope:
         if self._incidence is None:
             object.__setattr__(self, "_incidence", tuple(map(self.tight_indices, self.vertices)))
 
-    def _excess(self, point):
+    def _excess(self, nums, e: int):
         """Per half-space, the sign-exact excess den * e * (<p, n> - offset)
-        of the point p = x/e: the integer <x, n> den - o e."""
-        nums, e = _numerators(point)
+        of the point p = x/e, given as integer numerators x over e > 0: the
+        integer <x, n> den - o e."""
         normals, offsets, den = self._table
         return (sum(map(mul, nums, n)) * den - o * e for n, o in zip(normals, offsets))
 
     def contains(self, point) -> bool:
-        return all(v >= 0 for v in self._excess(point))
+        return all(v >= 0 for v in self._excess(*_numerators(point)))
 
     def tight_indices(self, point) -> frozenset[int]:
-        return frozenset(i for i, v in enumerate(self._excess(point)) if not v)
-
-    def on_boundary(self, point) -> bool:
-        return min(self._excess(point)) == 0
+        return frozenset(i for i, v in enumerate(self._excess(*_numerators(point))) if not v)
 
     def translate(self, v) -> "Polytope":
         """The polytope moved by v.  The offset numerators move by <v, n>,

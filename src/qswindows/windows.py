@@ -31,6 +31,16 @@ once, at its first wall point, and every crossing still has both endpoints
 located and off-wall, its wall point (formed over the integers) on the
 stored wall and its direction pairing positively with the inward normals.
 
+Points stay integers on the crossing path.  An ambient delta is located by
+two integer products (``Arrangement`` keeps the inverse of its basis), with
+no solve, and the locating makes no ``Fraction`` of its own.  A pair keeps
+its wall point as ambient numerators d over e > 0: an outgoing character chi
+sits on the boundary of delta_0 + nabla when the least excess of
+(e chi - d)/e on nabla is zero, and its face is read at
+rho + chi - delta_0 = (e 2rho + 2e chi - 2d)/2e, where one excess pass gives
+both the tight set and containment.  A face's subset sums of positive
+weights, which the complexes read, are worked out once per face.
+
 Why that is exact: both wall points lie on the wall the two chambers share
 and on no other wall, so they are joined inside the common facet of the two
 chambers, and every tight set (of rho + chi - delta_0 on (1/2)Sigma, or of
@@ -48,6 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from operator import add, mul
 
 from . import linalg
@@ -71,7 +82,8 @@ class Window:
 
 @dataclass(frozen=True, slots=True)
 class FaceData:
-    """A face of (1/2)Sigma with its weight-index partition."""
+    """A face of (1/2)Sigma with its weight-index partition, and the sums of
+    its positive weights once ``subset_sums`` has asked for them."""
 
     face: Face
     inward_normals: tuple[IntVec, ...]
@@ -80,10 +92,21 @@ class FaceData:
     zero_indices: tuple[int, ...]
     beta_plus: Weight
     dominant: bool
+    _sums: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def key(self) -> tuple[int, ...]:
         return self.face.key
+
+    def subset_sums(self, rep: QSRep) -> tuple[tuple[Weight, ...], ...]:
+        """Per size m = 0..d_F^+, the sums of the weights over the m-subsets
+        of ``plus_indices``, in ``itertools.combinations`` order; worked
+        out on first use."""
+        if self._sums is None:
+            object.__setattr__(self, "_sums", tuple(
+                tuple(_index_sum(rep, combo) for combo in combinations(self.plus_indices, m))
+                for m in range(self.d_plus + 1)))
+        return self._sums
 
     @property
     def d_plus(self) -> int:
@@ -156,8 +179,9 @@ class Context:
 
 
 def _located(arr: Arrangement, delta) -> Chamber:
-    """The chamber of an off-wall ambient point; a chamber is its own."""
-    return delta if type(delta) is Chamber else arr.chamber_of(arr.to_coords(delta))
+    """The chamber of an off-wall ambient point, which names the point if it
+    is on a wall; a chamber is its own."""
+    return delta if type(delta) is Chamber else arr._chamber(*arr._coords(delta), delta)
 
 
 def _class_key(arr: Arrangement, chamber: Chamber) -> tuple[tuple, IntVec]:
@@ -199,17 +223,22 @@ def _index_sum(rep: QSRep, indices) -> Weight:
     return tuple(sum(rep.weights[i][j] for i in indices) for j in range(rep.rank))
 
 
-def face_of(rep: QSRep, chi, delta0, ctx: Context) -> FaceData:
-    """The maximal-codimension face of (1/2)Sigma through rho + chi - delta_0."""
-    return _face(rep, ctx, linalg.sub(linalg.add(linalg.vec(chi), rep.root_datum.rho), delta0))
+def face_of(rep: QSRep, chi, delta0: tuple[IntVec, int], ctx: Context) -> FaceData:
+    """The maximal-codimension face of (1/2)Sigma through rho + chi - delta_0,
+    for delta_0 = d/e given as integer numerators d over e > 0: the point is
+    (e 2rho + 2e chi - 2d) / 2e."""
+    (d, e), two_rho = delta0, rep.root_datum.two_rho
+    return _face(rep, ctx, [e * r + 2 * e * c - 2 * x for r, c, x in zip(two_rho, chi, d)], 2 * e)
 
 
-def _face(rep: QSRep, ctx: Context, point) -> FaceData:
-    """The face of (1/2)Sigma through the point, built once per tight set."""
+def _face(rep: QSRep, ctx: Context, nums, den: int) -> FaceData:
+    """The face of (1/2)Sigma through the point nums/den, den > 0, built once
+    per tight set.  One excess pass gives the tight set and containment."""
     half = ctx.half_sigma
-    fd = ctx._faces.get(half.tight_indices(point))
-    if fd is None or not half.contains(point):
-        fd = face_data_from_face(rep, half, half.face_at(point))
+    excess = list(half._excess(nums, den))
+    fd = ctx._faces.get(frozenset(i for i, v in enumerate(excess) if not v))
+    if fd is None or min(excess) < 0:
+        fd = face_data_from_face(rep, half, half.face_at(tuple(Fraction(x, den) for x in nums)))
         ctx._faces[fd.face.facet_indices] = fd
     return fd
 
@@ -221,7 +250,7 @@ def dagger(rep: QSRep, fd: FaceData, ctx: Context) -> FaceData:
     out = ctx._daggers.get(fd.key)
     if out is None:
         image = rep.root_datum.apply(rep.root_datum.w0, ctx.half_sigma.dual_point(fd.face.sample))
-        out = _face(rep, ctx, image)
+        out = _face(rep, ctx, *linalg._numerators(image))
         if out.codim != fd.codim or not out.dominant:
             raise InternalInconsistencyError("dagger face must stay dominant with equal codim")
         ctx._daggers[fd.key] = out
@@ -277,17 +306,20 @@ class _PairCrossing:
     mu_images: tuple | None = field(compare=False)
 
     def __init__(self, rep: QSRep, ctx: Context, wall: Wall, win: Window, win_p: Window,
-                 delta0: Vec):
+                 d: IntVec, e: int):
+        """``d`` and ``e`` > 0 are the wall point's ambient numerators and
+        denominator."""
         self.wall = wall
         outgoing = set(win.chars) - set(win_p.chars)
         self.outgoing = tuple(sorted(outgoing))
         self.common = tuple(c for c in win.chars if c not in outgoing)
         self.faces, chars_by_face = {}, {}
         for chi in self.outgoing:
-            if not rep.nabla.on_boundary(linalg.sub(chi, delta0)):
+            # chi - delta_0 = (e chi - d)/e is on the boundary of nabla
+            if min(rep.nabla._excess([e * c - x for c, x in zip(chi, d)], e)) != 0:
                 raise InternalInconsistencyError(
                     "an outgoing character must sit on the wall-point window boundary")
-            fd = face_of(rep, chi, delta0, ctx)
+            fd = face_of(rep, chi, (d, e), ctx)
             self.faces[fd.key] = fd
             chars_by_face.setdefault(fd.key, []).append(chi)
         self.chars_by_face = {key: tuple(sorted(chars)) for key, chars in chars_by_face.items()}
@@ -302,7 +334,8 @@ def wall_crossing(rep: QSRep, delta, delta_prime, ctx: Context) -> WallCrossing:
     key = (chamber.sign_vector, chamber_p.sign_vector)
     pair = ctx._crossings.get(key)
     # adjacency depends only on the two sign vectors: checked once per pair
-    wall = arr.require_adjacent(chamber, chamber_p) if pair is None else pair.wall
+    wall = pair.wall if pair is not None else arr.require_adjacent(
+        chamber, chamber_p, [d.sample if type(d) is Chamber else d for d in (delta, delta_prime)])
     win, win_p = ctx._window(chamber, delta), ctx._window(chamber_p, delta_prime)
     # the wall point is where the segment meets the wall (for a symmetric
     # pair, the exact midpoint), over the integers in invariant coordinates;
@@ -313,7 +346,8 @@ def wall_crossing(rep: QSRep, delta, delta_prime, ctx: Context) -> WallCrossing:
         raise InternalInconsistencyError("computed wall point is not on the wall")
     delta0 = arr._ambient(nums, den)
     if pair is None:
-        pair = ctx._crossings[key] = _PairCrossing(rep, ctx, wall, win, win_p, delta0)
+        pair = ctx._crossings[key] = _PairCrossing(
+            rep, ctx, wall, win, win_p, arr.character(nums), den)
     crossing = WallCrossing(window=win, window_prime=win_p, delta0=delta0, pair=pair)
     # wall faces carry a dominance flag but are not required to be dominant
     # here: faces of large nonabelian representations can cross Weyl walls

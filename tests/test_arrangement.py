@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qswindows import catalog, groupoid, linalg, windows
+from qswindows import catalog, errors, groupoid, linalg, windows
 from qswindows.arrangement import Arrangement, Wall, WallFamily, build_arrangement
 from qswindows.errors import InputError, NotAdjacentError, OnWallError
 from qswindows.rep import QSRep
@@ -493,3 +493,34 @@ def test_wall_keys_match_fraction_dedupe_between_chambers(wall_key_arrangements,
         walls = arr.separating_walls(*chambers)
     assert calls
     assert walls == arr.separating_walls(*(c.sample for c in chambers))
+
+
+@pytest.fixture(scope="module")
+def coords_arrangements(small_corpus, arrgl2):
+    """One torus of each rank from the small corpus, GL(2) and GL(3)
+    4 x (std + dual)."""
+    gl3 = [tuple(s if j == i else 0 for j in range(3))
+           for _ in range(4) for i in range(3) for s in (1, -1)]
+    tori = [next(r for r in small_corpus if r.rank == k).arrangement for k in (1, 2, 3)]
+    return tori + [arrgl2, build_arrangement(QSRep.build(RootDatum.gl(3), gl3))]
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_to_coords_matches_solve(coords_arrangements, data):
+    """The integer ``to_coords`` equals a Fraction solve of B^T c = p on
+    W-invariant points, and refuses any other point with the same text."""
+    arr = data.draw(st.sampled_from(coords_arrangements))
+    entry = st.one_of(st.integers(-9, 9), st.fractions(-4, 4, max_denominator=12))
+    if data.draw(st.booleans()):
+        point = arr.to_ambient(data.draw(st.tuples(*[entry] * arr.dim)))
+    else:
+        point = linalg.vec(data.draw(st.tuples(*[entry] * arr.rep.rank)))
+    expected = linalg.solve(linalg.transpose(arr.invariant_basis), point)
+    if expected is None:
+        message = f"point {errors._fmt(point)} does not lie in the invariant subspace"
+        with pytest.raises(InputError) as info:
+            arr.to_coords(point)
+        assert str(info.value) == message
+    else:
+        assert arr.to_coords(point) == expected

@@ -176,6 +176,14 @@ def test_error_codes(inputs, capsys):
                        "--delta=-1/2", "--delta2=3/2")
     assert code == 2 and "(-1/2) and (3/2) are at distance 2, not 1" in err
     assert "Fraction(" not in err
+    # on GL(2) the errors name the ambient points given, not invariant coordinates
+    code, _, err = run(capsys, "window", "--input", inputs["gl2"], "--delta=1/2,1/2")
+    assert code == 2 and "point (1/2, 1/2) lies on the wall" in err and "offset 1/2" in err
+    code, _, err = run(capsys, "wallcross", "--input", inputs["gl2"],
+                       "--delta=1/4,1/4", "--delta2=9/4,9/4")
+    assert code == 2 and "(1/4, 1/4) and (9/4, 9/4) are at distance 2, not 1" in err
+    code, _, err = run(capsys, "window", "--input", inputs["gl2"], "--delta=1,0")
+    assert code == 2 and "point (1, 0) does not lie in the invariant subspace" in err
     code, _, err = run(capsys, "rep", "--input", inputs["bad"])
     assert code == 2 and "quasi-symmetric" in err
     code, _, err = run(capsys, "window", "--input", inputs["torus22"])

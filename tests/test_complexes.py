@@ -3,6 +3,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qswindows import catalog, complexes, windows
 from qswindows.errors import InputError
@@ -24,16 +26,16 @@ GL2_EDGE_TABLE = {
 
 
 def test_wedge_sums_examples(torus22, ctx22, torus33, ctx33):
-    fd = windows.face_of(torus22, (0,), (F(1),), ctx22)
+    fd = windows.face_of(torus22, (0,), ((1,), 1), ctx22)
     assert fd.d_plus == 2
     assert complexes.wedge_star(torus22, fd) == {(1,)}
-    fd = windows.face_of(torus33, (-1,), (F(1, 2),), ctx33)
+    fd = windows.face_of(torus33, (-1,), ((1,), 2), ctx33)
     assert fd.d_plus == 3
     assert complexes.wedge_star(torus33, fd) == {(1,), (2,)}
 
 
 def test_torus_koszul_table(torus22, ctx22):
-    fd = windows.face_of(torus22, (0,), (F(1),), ctx22)
+    fd = windows.face_of(torus22, (0,), ((1,), 1), ctx22)
     ct = complexes.complex_terms(torus22, fd, (0,))
     assert ct.exact
     assert ct.singular_dropped == 0
@@ -43,7 +45,7 @@ def test_torus_koszul_table(torus22, ctx22):
 
 
 def test_torus_binomial_multiplicities(torus33, ctx33):
-    fd = windows.face_of(torus33, (-1,), (F(1, 2),), ctx33)
+    fd = windows.face_of(torus33, (-1,), ((1,), 2), ctx33)
     assert fd.d_plus == 3
     ct = complexes.complex_terms(torus33, fd, (-1,))
     ranks = [sum(ct.terms[d].values()) for d in sorted(ct.terms)]
@@ -91,7 +93,7 @@ def test_rejects_non_dominant_chi(gl2rep, ctxgl2):
 
 
 def test_complex_terms_refuses_a_non_integral_character(torus22, ctx22):
-    fd = windows.face_of(torus22, (0,), (F(1),), ctx22)
+    fd = windows.face_of(torus22, (0,), ((1,), 1), ctx22)
     for chi in ((F(1, 2),), (0.5,)):
         with pytest.raises(InputError, match=r"^\(1/2\) is not a lattice weight"):
             complexes.complex_terms(torus22, fd, chi)
@@ -123,3 +125,25 @@ def test_summand_sets_gl2_membership(gl2rep, ctxgl2):
         for chi in l_set:
             assert wall_window.contains(chi)
         assert set(n_set) == set(crossing.window.chars) - set(crossing.chars_by_face[fd.key])
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_subset_sum_table_matches_combinations(small_corpus, gl2rep, data):
+    """A face's table of subset sums is, size by size, the sums over
+    ``itertools.combinations`` of its positive indices, in that order, and
+    the Koszul terms and wedge sums read it as the direct formulas do."""
+    rep = data.draw(st.sampled_from([*small_corpus, gl2rep]))
+    half = rep.half_sigma
+    fd = windows.face_data_from_face(rep, half, data.draw(st.sampled_from(half.faces())))
+    table = fd.subset_sums(rep)
+    assert len(table) == fd.d_plus + 1
+    for m, sums in enumerate(table):
+        combos = list(itertools.combinations(fd.plus_indices, m))
+        assert sums == tuple(windows._index_sum(rep, c) for c in combos)
+        chi = data.draw(st.tuples(*[st.integers(-3, 3)] * rep.rank))
+        assert complexes.koszul_degree_term(rep, fd, chi, m) == Counter(
+            tuple(x + y for x, y in zip(chi, windows._index_sum(rep, c))) for c in combos)
+    assert complexes.wedge_star(rep, fd) == {
+        windows._index_sum(rep, c) for m in range(1, fd.d_plus)
+        for c in itertools.combinations(fd.plus_indices, m)}

@@ -314,8 +314,7 @@ def test_face_at_rejects_interior_and_outside():
 def test_on_boundary_means_inside_and_tight():
     z = geometry.zonotope([(1,), (-1,)])
     points = [(Fraction(x, 2),) for x in range(-4, 5)]
-    assert [p for p in points if z.on_boundary(p)] == [(-1,), (1,)]
-    assert all(z.on_boundary(p) == (z.contains(p) and bool(z.tight_indices(p))) for p in points)
+    assert [p for p in points if z.contains(p) and z.tight_indices(p)] == [(-1,), (1,)]
 
 
 # -- the integer vertex kernel and the H/V incidence check --------------------
@@ -560,7 +559,7 @@ def _check_against_fraction_oracle(poly, data):
         inside = all(frac_contains(h, p) for h in poly.halfspaces)
         assert poly.contains(p) == inside
         assert poly.tight_indices(p) == tight
-        assert poly.on_boundary(p) == (
+        assert (poly.contains(p) and bool(poly.tight_indices(p))) == (
             min(frac_value(h, p) - h.offset for h in poly.halfspaces) == 0)
         if inside and tight and poly.is_full_dimensional():
             face = poly.face_at(p)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qswindows import catalog, complexes, geometry, groupoid, linalg, verify, windows
 from qswindows.arrangement import Arrangement
-from qswindows.errors import InputError, NotAdjacentError, OnWallError
+from qswindows.errors import InputError, InternalInconsistencyError, NotAdjacentError, OnWallError
 from qswindows.rep import QSRep
 from qswindows.root_data import RootDatum
 from test_root_data import weyl_lengths
@@ -57,23 +57,23 @@ def test_window_chamber_independence(gl2rep, ctxgl2):
 
 
 def test_face_of_torus_examples(torus22, ctx22):
-    fd = windows.face_of(torus22, (0,), (F(1),), ctx22)
+    fd = windows.face_of(torus22, (0,), ((1,), 1), ctx22)
     assert fd.inward_normals == ((1,),)
     assert fd.plus_indices == (0, 1)
     assert fd.beta_plus == (2,)
     assert fd.d_plus == 2
     assert fd.dominant
 
-    fd2 = windows.face_of(torus22, (2,), (F(1),), ctx22)
+    fd2 = windows.face_of(torus22, (2,), ((1,), 1), ctx22)
     assert fd2.beta_plus == (-2,)
     assert fd2.d_plus == 2
 
     with pytest.raises(InputError):
-        windows.face_of(torus22, (1,), (F(1),), ctx22)  # interior point
+        windows.face_of(torus22, (1,), ((1,), 1), ctx22)  # interior point
 
 
 def test_dagger_torus(torus22, ctx22):
-    fd = windows.face_of(torus22, (0,), (F(1),), ctx22)
+    fd = windows.face_of(torus22, (0,), ((1,), 1), ctx22)
     dag = windows.dagger(torus22, fd, ctx22)
     # the sample lies on (1/2)Sigma; moved to the wall point 1 it is 2
     assert linalg.add(dag.face.sample, (F(1),)) == (2,)
@@ -169,7 +169,7 @@ def test_dagger_tracks_mu_faces(gl2rep, ctxgl2):
     for chi in crossing.outgoing:
         fd = crossing.face_of_char(chi)
         image = windows.mu_of_crossing(gl2rep, crossing, chi)
-        image_face = windows.face_of(gl2rep, image, crossing.delta0, ctxgl2)
+        image_face = windows.face_of(gl2rep, image, linalg._numerators(crossing.delta0), ctxgl2)
         assert image_face.key == windows.dagger(gl2rep, fd, ctxgl2).key
 
 
@@ -350,8 +350,13 @@ def _check_wall_faces_on_half_sigma(rep):
         for key, chars in crossing.chars_by_face.items():
             fd = crossing.faces[key]
             for chi in chars:
+                # chi - delta_0 on the boundary of nabla, and face_of is the
+                # face of the Fraction point rho + chi - delta_0
+                assert rep.nabla.contains(linalg.sub(chi, delta0))
+                assert rep.nabla.tight_indices(linalg.sub(chi, delta0))
                 point = linalg.add(chi, datum.rho)
-                assert fd.face == half.face_at(linalg.sub(point, delta0))
+                assert fd == windows.face_data_from_face(
+                    rep, half, half.face_at(linalg.sub(point, delta0)))
                 _assert_face_of_translate(rep, fd, moved, point, delta0)
             faces += 1
             if not fd.dominant:
@@ -547,3 +552,60 @@ def test_face_data_built_once_per_tight_set(name, monkeypatch):
         for fd in windows.wall_crossing(rep_obj, delta, delta2, ctx).faces.values():
             seen |= {fd.face.facet_indices, windows.dagger(rep_obj, fd, ctx).face.facet_indices}
     assert len(built) == len(set(built)) and set(built) == seen
+
+
+def test_locating_and_subset_sums_run_once(monkeypatch):
+    """Ambient windows and crossings on one arrangement locate their points
+    with no solve and at most one rref, made once for the arrangement; and
+    each face's positive weights are summed over its subsets once per
+    Context, however often the complexes read them."""
+    rep_obj = QSRep.build(RootDatum.gl(2), catalog.GL2_WEIGHTS)
+    ctx = windows.Context(rep_obj)
+    pairs = catalog.adjacent_pairs(ctx, periods=2, per_wall=2, max_pairs=6)
+    calls = []
+    for owner, name in ((linalg, "solve"), (linalg, "rref"), (windows, "_index_sum")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, name=name: (
+            calls.append(name), real(*a))[1])
+    located = []  # per point located, the rrefs it made
+    real_coords = Arrangement._coords
+
+    def coords(self, point):
+        before = calls.count("rref")
+        out = real_coords(self, point)
+        located.append(calls.count("rref") - before)
+        return out
+    monkeypatch.setattr(Arrangement, "_coords", coords)
+
+    def sweep():
+        before = calls.count("_index_sum")
+        for delta, delta2 in pairs:
+            ctx.window(delta)
+            crossing = windows.wall_crossing(rep_obj, delta, delta2, ctx)
+            for key, fd in crossing.faces.items():
+                for chi in crossing.chars_by_face[key]:
+                    complexes.complex_terms(rep_obj, fd, chi)
+                    complexes.koszul_degree_term(rep_obj, fd, chi, 1)
+                complexes.summand_sets(rep_obj, crossing, fd, ctx)
+        return calls.count("_index_sum") - before
+
+    first = sweep()
+    rrefs = calls.count("rref")
+    assert sweep() == 0
+    assert len(located) == 2 * 3 * len(pairs) and calls.count("solve") == 0
+    # the only rref made while locating is the one that builds the inverse
+    assert sum(located) <= 1 and calls.count("rref") == rrefs
+    faces = ctx._faces.values()
+    assert 0 < first <= sum(1 + 2 ** fd.d_plus for fd in faces)
+
+
+def test_outgoing_characters_off_the_wall_point_boundary_raise(torus22):
+    """An outgoing character inside or outside nabla moved to the wall point
+    is refused, checked on the integer numerators of delta_0."""
+    ctx = windows.Context(torus22)
+    crossing = windows.wall_crossing(torus22, (F(1, 2),), (F(3, 2),), ctx)
+    assert crossing.outgoing == ((0,),) and crossing.delta0 == (1,)
+    for d, e in (((3,), 4), ((5,), 2)):  # (0) - delta_0 inside, then outside, nabla
+        with pytest.raises(InternalInconsistencyError, match="window boundary"):
+            windows._PairCrossing(torus22, ctx, crossing.wall, crossing.window,
+                                  crossing.window_prime, d, e)
