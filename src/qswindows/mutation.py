@@ -3,15 +3,15 @@ mutation around a wall (torus case), periodicity, and split virtual classes.
 
 Atoms are purely formal.  ``Cov(chi)`` stands for the module of covariants of
 a dominant character; ``Ker(face, chi, i)`` for the i-th kernel in the exact
-complex attached to a wall face, with the canonical rewrites Ker(F,chi,0) ->
-Cov(chi) and Ker(F,chi,d-1) -> Cov(chi+beta_F^+) applied on construction.
-Exchanges are summand bookkeeping, never honest module maps; equality of
-specs is canonical-multiset equality.
+complex attached to a wall face.  Exchanges are summand bookkeeping, never
+honest module maps; equality of specs is canonical-multiset equality.
 
 Around a toric wall the non-pivot atoms lie on one closed cycle per outgoing
 character chi: the chain of Ker(F, chi, i) out to Cov(chi+beta_F^+) and the
 chain of Ker(F*, chi+beta_F^+, i) back.  ``ToricWall`` builds these chains
-once; a mutation step moves each atom one place along them.
+once, writing each chain's two ends as covariants: the kernel at step 0 of a
+complex on base b is Cov(b), and the one at step d_F^+ - 1 is
+Cov(b + beta_F^+).  A mutation step moves each atom one place along them.
 """
 from __future__ import annotations
 
@@ -53,22 +53,6 @@ class Ker:
 Atom = Cov | Ker
 
 
-def canonical_atom(atom: Atom, faces: dict) -> Atom:
-    """Apply the endpoint rewrites forced by the exact complexes."""
-    if isinstance(atom, Cov):
-        return atom
-    fd = faces.get(atom.face_key)
-    if fd is None:
-        raise InputError(f"kernel atom references unknown face {atom.face_key}")
-    if atom.step < 0 or atom.step > fd.d_plus - 1:
-        raise InputError(f"kernel step {atom.step} outside 0..{fd.d_plus - 1}")
-    if atom.step == 0:
-        return Cov(atom.chi)
-    if atom.step == fd.d_plus - 1:
-        return Cov(tuple(linalg.add(atom.chi, fd.beta_plus)))
-    return atom
-
-
 @dataclass(frozen=True)
 class ModuleSpec:
     atoms: tuple[tuple[Atom, int], ...]
@@ -103,11 +87,12 @@ class ToricWall:
 
     Holds the unique wall face F, its dual F*, the pivot, and the cycle of
     length d_F^+ + d_F*^+ - 2 as ``chains``: for each outgoing chi, the
-    canonical atoms Ker(F, chi, i), i < d_F^+, from Cov(chi) to
-    Cov(chi + beta_F^+), and Ker(F*, chi + beta_F^+, i), i < d_F*^+, back to
-    Cov(chi), each stored as (face, base character, atoms).  Left mutation
-    moves every non-pivot atom to its successor on a chain, right mutation to
-    its predecessor.
+    atoms Ker(F, chi, i), 0 < i < d_F^+ - 1, from Cov(chi) to
+    Cov(chi + beta_F^+), and Ker(F*, chi + beta_F^+, i), 0 < i < d_F*^+ - 1,
+    back to Cov(chi), each stored as (face, base character, atoms) and cut to
+    its first d^+ atoms, so a one-atom chain is just its Cov start.  Left
+    mutation moves every non-pivot atom to its successor on a chain, right
+    mutation to its predecessor.
     """
 
     def __init__(self, rep: QSRep, crossing: WallCrossing, ctx: Context):
@@ -129,9 +114,9 @@ class ToricWall:
         for chi in crossing.chars_by_face[self.face.key]:
             back = tuple(linalg.add(chi, self.face.beta_plus))
             for fd, base in ((self.face, chi), (self.dual_face, back)):
-                atoms = tuple(canonical_atom(Ker(fd.key, base, i), self.faces)
-                              for i in range(fd.d_plus))
-                self.chains.append((fd, base, atoms))
+                end = Cov(tuple(linalg.add(base, fd.beta_plus)))
+                kers = tuple(Ker(fd.key, base, i) for i in range(1, fd.d_plus - 1))
+                self.chains.append((fd, base, ((Cov(base),) + kers + (end,))[:fd.d_plus]))
         self._successor = {a: b for _, _, atoms in self.chains for a, b in zip(atoms, atoms[1:])}
         self._predecessor = {b: a for a, b in self._successor.items()}
 
@@ -140,14 +125,18 @@ class ToricWall:
 
     def mutate(self, spec: ModuleSpec, direction: str = "left") -> ModuleSpec:
         moves = self._successor if direction == "left" else self._predecessor
-        tally: Counter = Counter()
+        moved = {}
         for atom, mult in spec.atoms:
             if not (isinstance(atom, Cov) and atom.chi in self.pivot_chars):
                 if atom not in moves:
                     raise InputError(f"atom {atom} is not attached to this wall")
                 atom = moves[atom]
-            tally[atom] += mult
-        return ModuleSpec.from_counter(tally)
+            moved[atom] = mult
+        # No two atoms of a spec land on one atom, so nothing is re-tallied:
+        # pivots stay fixed, each chain atom has one successor and one
+        # predecessor, and chains meet only at Cov ends that belong to
+        # different outgoing characters.
+        return ModuleSpec.from_counter(moved)
 
     def walk(self, spec: ModuleSpec, steps: int, direction: str = "left") -> list[ModuleSpec]:
         """``spec`` followed by each of its ``steps`` images under ``mutate``."""

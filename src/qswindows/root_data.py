@@ -203,7 +203,8 @@ class RootDatum:
         return linalg.mat_vec(w, chi)
 
     def is_dominant(self, chi) -> bool:
-        nums, _ = _numerators(linalg.vec(chi))
+        # an all-int character is its own numerator; anything else is checked by vec
+        nums = chi if all(type(x) is int for x in chi) else _numerators(linalg.vec(chi))[0]
         return all(sum(map(mul, nums, c)) >= 0 for c in self._columns)
 
     @cached_property

@@ -303,7 +303,7 @@ def check_mutation(name: str, rep: QSRep, ctx: Context, delta, delta_prime) -> l
 def _chains_telescope(rep, wall) -> bool:
     """Edge i of a chain (G, b) must telescope: [new atom] + [old atom]
     equals the class of the Koszul term K^{i+1}(G, b) whenever the new atom
-    is a stored kernel; at the canonicalized endpoint the rank identity is
+    is a stored kernel; at a chain's covariant end the rank identity is
     asserted instead."""
     faces = wall.faces
     for fd, base, atoms in wall.chains:

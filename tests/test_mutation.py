@@ -17,6 +17,22 @@ def spec_of(*chars):
 # -- oracle: per-atom stepping, each atom's place on the cycle worked out afresh --
 
 
+def canonical_atom(atom, faces):
+    """The endpoint rewrites forced by the exact complexes: Ker(F, chi, 0) is
+    Cov(chi) and Ker(F, chi, d_F^+ - 1) is Cov(chi + beta_F^+); a step
+    outside 0..d_F^+ - 1 is not on the complex."""
+    if isinstance(atom, Cov):
+        return atom
+    fd = faces[atom.face_key]
+    if atom.step < 0 or atom.step > fd.d_plus - 1:
+        raise InputError(f"kernel step {atom.step} outside 0..{fd.d_plus - 1}")
+    if atom.step == 0:
+        return Cov(atom.chi)
+    if atom.step == fd.d_plus - 1:
+        return Cov(tuple(linalg.add(atom.chi, fd.beta_plus)))
+    return atom
+
+
 def _outgoing(wall):
     forward = set(wall.crossing.chars_by_face[wall.face.key])
     return forward, {tuple(linalg.add(c, wall.face.beta_plus)) for c in forward}
@@ -24,30 +40,30 @@ def _outgoing(wall):
 
 def oracle_advance(wall, atom):
     if isinstance(atom, Ker):
-        return mutation.canonical_atom(Ker(atom.face_key, atom.chi, atom.step + 1), wall.faces)
+        return canonical_atom(Ker(atom.face_key, atom.chi, atom.step + 1), wall.faces)
     forward, backward = _outgoing(wall)
     if atom.chi in wall.pivot_chars:
         return atom
     if atom.chi in forward:
-        return mutation.canonical_atom(Ker(wall.face.key, atom.chi, 1), wall.faces)
+        return canonical_atom(Ker(wall.face.key, atom.chi, 1), wall.faces)
     if atom.chi in backward:
-        return mutation.canonical_atom(Ker(wall.dual_face.key, atom.chi, 1), wall.faces)
+        return canonical_atom(Ker(wall.dual_face.key, atom.chi, 1), wall.faces)
     raise InputError(f"atom {atom} is not attached to this wall")
 
 
 def oracle_retreat(wall, atom):
     if isinstance(atom, Ker):
-        return mutation.canonical_atom(Ker(atom.face_key, atom.chi, atom.step - 1), wall.faces)
+        return canonical_atom(Ker(atom.face_key, atom.chi, atom.step - 1), wall.faces)
     forward, backward = _outgoing(wall)
     if atom.chi in wall.pivot_chars:
         return atom
     if atom.chi in forward:
         back = tuple(linalg.add(atom.chi, wall.face.beta_plus))
-        return mutation.canonical_atom(
+        return canonical_atom(
             Ker(wall.dual_face.key, back, wall.dual_face.d_plus - 2), wall.faces)
     if atom.chi in backward:
         fwd = tuple(linalg.sub(atom.chi, wall.face.beta_plus))
-        return mutation.canonical_atom(
+        return canonical_atom(
             Ker(wall.face.key, fwd, wall.face.d_plus - 2), wall.faces)
     raise InputError(f"atom {atom} is not attached to this wall")
 
@@ -67,34 +83,39 @@ def _or_error(f, *args):
         return InputError
 
 
+def _walls(reps):
+    """(rep, ctx, near delta, wall) for up to 12 adjacent pairs of each rep."""
+    for rep in reps:
+        ctx = windows.Context(rep)
+        for delta, delta_prime in catalog.adjacent_pairs(ctx, periods=2, per_wall=2,
+                                                         max_pairs=12):
+            yield rep, ctx, delta, mutation.toric_wall(rep, delta, delta_prime, ctx)
+
+
 def _check_chains_against_oracle(reps) -> int:
     """Left and right mutation of every chain and pivot atom, and both whole
     orbits from the near window, agree with the oracle; every orbit atom lies
     on a chain or is a pivot.  Returns the number of walls checked."""
     walls = 0
-    for rep in reps:
-        ctx = windows.Context(rep)
-        for delta, delta_prime in catalog.adjacent_pairs(ctx, periods=2, per_wall=2,
-                                                         max_pairs=12):
-            wall = mutation.toric_wall(rep, delta, delta_prime, ctx)
-            walls += 1
-            pivots = {Cov(chi) for chi in wall.pivot_chars}
-            on_chains = {a for _, _, atoms in wall.chains for a in atoms}
-            assert len(wall.chains) == 2 * len(wall.crossing.chars_by_face[wall.face.key])
-            for atom in on_chains | pivots:
-                one = ModuleSpec(((atom, 1),))
-                for direction in ("left", "right"):
-                    assert (_or_error(wall.mutate, one, direction)
-                            == _or_error(oracle_mutate, wall, one, direction)), (atom, direction)
-            start = mutation.module_of_window(rep, delta, ctx)
+    for rep, ctx, delta, wall in _walls(reps):
+        walls += 1
+        pivots = {Cov(chi) for chi in wall.pivot_chars}
+        on_chains = {a for _, _, atoms in wall.chains for a in atoms}
+        assert len(wall.chains) == 2 * len(wall.crossing.chars_by_face[wall.face.key])
+        for atom in on_chains | pivots:
+            one = ModuleSpec(((atom, 1),))
             for direction in ("left", "right"):
-                spec = expected = start
-                for _ in range(wall.period):
-                    spec = wall.mutate(spec, direction)
-                    expected = oracle_mutate(wall, expected, direction)
-                    assert spec == expected
-                    assert {a for a, _ in spec.atoms} <= on_chains | pivots
-                assert spec == start
+                assert (_or_error(wall.mutate, one, direction)
+                        == _or_error(oracle_mutate, wall, one, direction)), (atom, direction)
+        start = mutation.module_of_window(rep, delta, ctx)
+        for direction in ("left", "right"):
+            spec = expected = start
+            for _ in range(wall.period):
+                spec = wall.mutate(spec, direction)
+                expected = oracle_mutate(wall, expected, direction)
+                assert spec == expected
+                assert {a for a, _ in spec.atoms} <= on_chains | pivots
+            assert spec == start
     return walls
 
 
@@ -141,13 +162,24 @@ def test_window_shift_identity(torus22, ctx22):
     assert moved == {a for a, _ in shifted.atoms}
 
 
-def test_canonicalization(torus22, ctx22):
-    wall = mutation.toric_wall(torus22, (F(1, 2),), (F(3, 2),), ctx22)
-    fkey = wall.face.key
-    assert mutation.canonical_atom(Ker(fkey, (0,), 0), wall.faces) == Cov((0,))
-    assert mutation.canonical_atom(Ker(fkey, (0,), 1), wall.faces) == Cov((2,))
-    with pytest.raises(InputError):
-        mutation.canonical_atom(Ker(fkey, (0,), 5), wall.faces)
+def test_chains_are_the_rewritten_complexes():
+    """Each chain (G, b) is Ker(G, b, i), i < d_G^+, with the oracle's end
+    rewrites; d^+ = 2 and 3 on the bundled tori, 1 on the dual face of
+    1,1,1,-3."""
+    reps = [r for r in catalog.bundled_reps().values() if r.root_datum.is_torus]
+    reps += [m.g1_rep for m in catalog.bundled_cy_models().values()]
+    walls = [wall for _, _, _, wall in _walls(reps)]
+    r = catalog.torus_rep((1,), (1,), (1,), (-3,))
+    walls.append(mutation.toric_wall(r, (F(0),), (F(1),), windows.Context(r)))
+    d_plus = set()
+    for wall in walls:
+        for fd, base, atoms in wall.chains:
+            assert atoms == tuple(canonical_atom(Ker(fd.key, base, i), wall.faces)
+                                  for i in range(fd.d_plus)), (fd.key, base)
+            d_plus.add(fd.d_plus)
+        # mutate relies on this: no two atoms step onto one
+        assert len(set(wall._successor.values())) == len(wall._successor)
+    assert {1, 2, 3} <= d_plus
 
 
 def test_mutate_left_examples(torus22, ctx22):
@@ -259,7 +291,7 @@ def test_telescoping_identity(torus33, ctx33):
         lhs = {}
         for atom in (new, old):
             for w, c in mutation.atom_class(
-                    mutation.canonical_atom(atom, wall.faces), torus33, wall.faces).items():
+                    canonical_atom(atom, wall.faces), torus33, wall.faces).items():
                 lhs[w] = lhs.get(w, 0) + c
         rhs = dict(koszul_degree_term(torus33, fd, chi, i + 1))
         assert {w: c for w, c in lhs.items() if c} == rhs

@@ -23,10 +23,9 @@ def test_corpus_survey():
 
 
 def test_mutation_orbit():
-    out = run_script("mutation_orbit.py")
-    lines = out.splitlines()
-    assert lines[0] == "weights 1,1,1,-1,-1,-1; wall between 0 and 1"
-    assert lines[-1].startswith("step ")
+    """The default orbit is pinned whole, atoms and classes, byte for byte."""
+    golden = ROOT / "tests" / "golden" / "mutation-orbit.out"
+    assert run_script("mutation_orbit.py") == golden.read_text()
 
 
 def test_code_size():
