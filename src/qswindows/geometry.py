@@ -78,7 +78,6 @@ class Face:
 
     facet_indices: frozenset[int]
     codim: int
-    sample: Vec
     vertex_indices: tuple[int, ...]
     key: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
@@ -91,7 +90,6 @@ class Polytope:
     dim: int
     halfspaces: tuple[HalfSpace, ...]
     vertices: tuple[Vec, ...]
-    center: Vec | None = None
     # the half-spaces over the integers: (normals, offset numerators, their
     # common denominator); derived from ``halfspaces`` when not given
     _table: tuple | None = field(default=None, repr=False, compare=False)
@@ -134,7 +132,6 @@ class Polytope:
             dim=self.dim,
             halfspaces=tuple(HalfSpace(n, Fraction(o, common)) for n, o in zip(normals, moved)),
             vertices=tuple(linalg.add(x, v) for x in self.vertices),
-            center=None if self.center is None else linalg.add(self.center, v),
             _table=(normals, moved, common),
             _incidence=self._incidence,
         )
@@ -147,7 +144,6 @@ class Polytope:
             dim=self.dim,
             halfspaces=tuple(HalfSpace(h.normal, c * h.offset) for h in self.halfspaces),
             vertices=tuple(linalg.scale(c, x) for x in self.vertices),
-            center=None if self.center is None else linalg.scale(c, self.center),
             _incidence=self._incidence,
         )
 
@@ -213,18 +209,22 @@ class Polytope:
             frontier = new
         out = []
         for vs in known:
-            tight = frozenset.intersection(*(tight_of_vertex[i] for i in vs))
-            face = self._face(tight, tuple(sorted(vs)))
+            face = self._face(frozenset.intersection(*(tight_of_vertex[i] for i in vs)))
             if face.codim >= 1:
                 out.append(face)
         out.sort(key=lambda f: (f.codim, f.key))
         return out
 
-    def _face(self, tight, vs) -> Face:
+    def _face(self, tight) -> Face:
+        """The face on which the half-spaces of ``tight`` are tight: its
+        vertices are the polytope vertices tight on all of them.  ``tight``
+        must be the whole tight set of the face."""
+        vs = tuple(k for k, t in enumerate(self._incidence) if tight <= t)
+        if not vs:
+            raise InternalInconsistencyError("boundary point with no tight vertices")
         pts = [self.vertices[i] for i in vs]
-        sample = tuple(sum(Fraction(p[j]) for p in pts) / len(pts) for j in range(self.dim))
         span = linalg.rank([linalg.sub(p, pts[0]) for p in pts[1:]])
-        return Face(facet_indices=tight, codim=self.dim - span, sample=sample, vertex_indices=vs)
+        return Face(facet_indices=tight, codim=self.dim - span, vertex_indices=vs)
 
     def face_at(self, point) -> Face:
         """The maximal-codimension face whose relative interior holds the point.
@@ -239,17 +239,7 @@ class Polytope:
         tight = self.tight_indices(point)
         if not tight:
             raise InputError(f"point {_fmt(point)} lies in the interior, not on a face")
-        vs = tuple(k for k, t in enumerate(self._incidence) if tight <= t)
-        if not vs:
-            raise InternalInconsistencyError("boundary point with no tight vertices")
-        return self._face(tight, vs)
-
-    # -- central symmetry ----------------------------------------------------
-
-    def dual_point(self, a) -> Vec:
-        if self.center is None:
-            raise InputError("polytope has no center")
-        return linalg.sub(linalg.scale(2, self.center), linalg.vec(a))
+        return self._face(tight)
 
     def to_json(self) -> dict:
         return {
@@ -323,7 +313,7 @@ def _vertex_enumeration(halfspaces, dim) -> list[Vec]:
     return sorted(verts)
 
 
-def from_halfspaces(halfspaces, center=None) -> Polytope:
+def from_halfspaces(halfspaces) -> Polytope:
     """Build a polytope from possibly redundant half-spaces, by vertex
     enumeration and then the facet rule of ``_facets``."""
     hs = _tightest(halfspaces)
@@ -332,7 +322,7 @@ def from_halfspaces(halfspaces, center=None) -> Polytope:
     verts = _vertex_enumeration(hs, len(hs[0].normal))
     if not verts:
         raise InputError("half-spaces have empty intersection")
-    return _polytope(hs, verts, center)
+    return _polytope(hs, verts)
 
 
 def _tightest(halfspaces) -> list[HalfSpace]:
@@ -342,16 +332,13 @@ def _tightest(halfspaces) -> list[HalfSpace]:
     return [HalfSpace(nrm, off) for nrm, off in best.items()]
 
 
-def _polytope(hs, verts, center=None) -> Polytope:
+def _polytope(hs, verts) -> Polytope:
     """The polytope with the given vertices whose half-spaces are those of
     ``hs`` (one per normal, sorted, each holding on every vertex) that
     ``_facets`` keeps, with the tight sets it found as the incidence table."""
     verts = tuple(sorted(verts))
     kept, incidence = _facets(hs, verts)
-    poly = Polytope(dim=len(verts[0]), halfspaces=kept, vertices=verts, center=center,
-                    _incidence=incidence)
-    _check_center(poly)
-    return poly
+    return Polytope(dim=len(verts[0]), halfspaces=kept, vertices=verts, _incidence=incidence)
 
 
 def _check_h_v(poly: Polytope) -> None:
@@ -495,24 +482,12 @@ def _line(rows, dim) -> IntVec | None:
     return tuple(a // g for a in y)
 
 
-def _check_center(poly: Polytope) -> None:
-    """The claimed center c is a symmetry center: 2c - v is a vertex for
-    every vertex v, compared as integers over one denominator."""
-    if poly.center is None:
-        return
-    _, (c, *pts), _ = _scaled((), (poly.center, *poly.vertices))
-    vert_set = set(pts)
-    if any(tuple(2 * a - b for a, b in zip(c, p)) not in vert_set for p in pts):
-        raise InternalInconsistencyError("claimed center is not a symmetry center")
-
-
 def zonotope(generators) -> Polytope:
     """Minkowski sum of the segments [0,1]*g over the generators, which
     must span the space; any others are refused.
 
     Its facet normals are the ``spanned_normals`` of the generators, worked
-    out over lines.  Every zonotope is centrally symmetric about half the
-    generator sum, and that center is recorded.
+    out over lines.
     """
     gens = linalg.int_rows(generators, "zonotope generators")
     if not gens:
@@ -522,12 +497,11 @@ def zonotope(generators) -> Polytope:
         raise InputError("zonotope generators must share one positive length")
     if linalg.rank(gens) != dim:
         raise InputError("zonotope generators must span the space")
-    center = linalg.scale(Fraction(1, 2), tuple(sum(c) for c in zip(*gens)))
     halfspaces = []
     for nrm in spanned_normals(gens, dim):
         upper = sum(max(0, linalg.dot(g, nrm)) for g in gens)
         halfspaces.append(HalfSpace(linalg.neg(nrm), Fraction(-upper)))
-    return from_halfspaces(halfspaces, center=center)
+    return from_halfspaces(halfspaces)
 
 
 def _lines(vectors) -> list[IntVec]:

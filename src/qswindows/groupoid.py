@@ -248,10 +248,9 @@ def _hop_chambers(arr: Arrangement, here: Chamber, there: Chamber, walls) -> tup
     return (here, *inner, there)
 
 
-def split_into_hops(arr: Arrangement, a: Cross, chambers=None) -> list[Cross]:
-    """Cut a crossing arrow into adjacent hops along its segment;
-    ``chambers`` are the ends' chambers, if located."""
-    here, there = chambers or map(arr.chamber_of, (a.src, a.dst))
+def split_into_hops(arr: Arrangement, a: Cross) -> list[Cross]:
+    """Cut a crossing arrow into adjacent hops along its segment."""
+    here, there = map(arr.chamber_of, (a.src, a.dst))
     hops = _hop_chambers(arr, here, there, arr.separating_walls(here, there))
     return [Cross(h.sample, t.sample, a.label) for h, t in zip(hops, hops[1:])]
 

@@ -50,7 +50,9 @@ def is_symplectic(weights) -> bool:
 @dataclass(frozen=True)
 class QSRep:
     """Weights with Sigma, (1/2)Sigma and the window polytope nabla, each built
-    once (on a torus nabla is (1/2)Sigma), and the arrangement, on first use."""
+    once (on a torus nabla is (1/2)Sigma), and the arrangement, on first use.
+    ``dagger_facets`` is the permutation of (1/2)Sigma's half-spaces by
+    x -> -w0 x, which ``windows.dagger`` reads."""
 
     root_datum: RootDatum
     weights: tuple[Weight, ...]
@@ -59,6 +61,7 @@ class QSRep:
     generic: Ternary
     symplectic: bool
     half_sigma: Polytope = field(repr=False, compare=False)
+    dagger_facets: tuple[int, ...] = field(repr=False, compare=False)
 
     @classmethod
     def build(cls, root_datum: RootDatum, weights, assert_generic: bool | None = None) -> "QSRep":
@@ -75,6 +78,7 @@ class QSRep:
         sigma = geometry.zonotope(weights)
         half_sigma = sigma.scale(Fraction(1, 2))
         nabla = build_nabla(root_datum, weights, half_sigma)
+        dagger_facets = _minus_w0_facets(root_datum, half_sigma)
         generic = check_generic(root_datum, weights, [h.normal for h in sigma.halfspaces])
         if assert_generic is not None and generic is Ternary.UNKNOWN:
             generic = Ternary.YES if assert_generic else Ternary.NO
@@ -86,6 +90,7 @@ class QSRep:
             generic=generic,
             symplectic=is_symplectic(weights),
             half_sigma=half_sigma,
+            dagger_facets=dagger_facets,
         )
 
     @classmethod
@@ -208,8 +213,27 @@ def _weyl_hull(root_datum, dominant: Polytope, slabs) -> Polytope:
     verts = [p for p in pts
              if geometry._rank([n for n in low if linalg.dot(n, p) == low[n]]) == dominant.dim]
     hs = [HalfSpace(n, Fraction(m, den)) for n, m in low.items() if m == tightest[n]]
-    return geometry._polytope(hs, [tuple(Fraction(x, den) for x in p) for p in verts],
-                              center=(Fraction(0),) * dominant.dim)
+    return geometry._polytope(hs, [tuple(Fraction(x, den) for x in p) for p in verts])
+
+
+def _minus_w0_facets(root_datum: RootDatum, half_sigma: Polytope) -> tuple[int, ...]:
+    """Per half-space of (1/2)Sigma, the index of its image under
+    x -> -w0 x.  The weights are quasi-symmetric, so Sigma is symmetric
+    about 0, and W-invariant, so w0 keeps Sigma; then x -> -w0 x keeps
+    (1/2)Sigma and permutes its facets.  w0 acts on normals by its
+    transpose: <x, n> >= o becomes <y, -w0^T n> >= o at y = -w0 x, as
+    w0 is an involution; the offset stays.  A half-space with no such
+    image is an internal inconsistency, named by its normal and offset."""
+    index = {(h.normal, h.offset): i for i, h in enumerate(half_sigma.halfspaces)}
+    w0_t = linalg.transpose(root_datum.w0)
+    images = []
+    for h in half_sigma.halfspaces:
+        j = index.get((linalg.neg(linalg.mat_vec(w0_t, h.normal)), h.offset))
+        if j is None:
+            raise InternalInconsistencyError(
+                f"facet {_fmt(h.normal)} >= {h.offset} of (1/2)Sigma has no image under -w0")
+        images.append(j)
+    return tuple(images)
 
 
 def _slabs(root_datum: RootDatum, weights) -> list[HalfSpace]:

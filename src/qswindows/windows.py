@@ -11,9 +11,14 @@ Conventions fixed here:
     deterministic.  The face seen from delta_0 through a character chi is
     the face of (1/2)Sigma through rho + chi - delta_0: translating by
     delta_0 keeps every tight set, vertex index, normal, beta^+- and index
-    set, and moves the sample by delta_0.  Dominance is kept too, since
-    delta_0 is W-invariant and every root pairs to zero with the invariant
-    lattice (``RootDatum`` rejects any other input).
+    set.  Dominance is kept too, since delta_0 is W-invariant and every
+    root pairs to zero with the invariant lattice (``RootDatum`` rejects
+    any other input);
+  * the dagger of a dominant face F is w0(-F).  Quasi-symmetric weights
+    make Sigma symmetric about 0 and W-invariant weights make w0 keep it,
+    so x -> -w0 x permutes the facets of (1/2)Sigma (w0 acts on normals by
+    its transpose), and F^dagger is the face tight on the images of F's
+    tight set.  ``QSRep.build`` works that permutation out and checks it.
 
 Chamber-level and per-call data.  A ``Context`` holds memo tables only: the
 arrangement and (1/2)Sigma are built once per representation.  A window
@@ -26,7 +31,7 @@ characters, on which ``invariant_basis`` is a Z-basis: a sample nums/den,
 with m = floor(nums/den), has the sign vector of (nums - den m)/den as class
 key and sum_i m_i b_i as shift; only a class miss scans the lattice.  A
 face of (1/2)Sigma is its tight set, so its data is stored per tight set,
-and its dagger per face key.  Each exact pair is checked adjacent and built
+daggers included.  Each exact pair is checked adjacent and built
 once, at its first wall point, and every crossing still has both endpoints
 located and off-wall, its wall point (formed over the integers) on the
 stored wall and its direction pairing positively with the inward normals.
@@ -137,8 +142,9 @@ class FaceData:
 
 class Context:
     """Memo tables of one representation: windows per chamber and per class
-    mod the lattice, crossings per chamber pair, faces per tight set and
-    daggers per face; its arrangement and (1/2)Sigma are the rep's own."""
+    mod the lattice, crossings per chamber pair, and faces, daggers
+    included, per tight set; its arrangement and (1/2)Sigma are the rep's
+    own."""
 
     def __init__(self, rep: QSRep):
         self.rep = rep
@@ -148,7 +154,6 @@ class Context:
         self._classes: dict = {}    # class key -> (window characters, shift)
         self._crossings: dict = {}  # (sign vector, sign vector') -> _PairCrossing
         self._faces: dict = {}      # tight set -> FaceData of that face
-        self._daggers: dict = {}    # face key -> its dagger FaceData
 
     def window(self, delta) -> Window:
         """The window at an off-wall ambient delta, or at its chamber."""
@@ -244,16 +249,18 @@ def _face(rep: QSRep, ctx: Context, nums, den: int) -> FaceData:
 
 
 def dagger(rep: QSRep, fd: FaceData, ctx: Context) -> FaceData:
-    """w0 applied to the central-symmetry dual face; dominant again."""
+    """F^dagger = w0(-F) of a dominant face, dominant again: the face tight
+    on the images of F's tight set under ``rep.dagger_facets``, the
+    permutation of (1/2)Sigma's half-spaces by x -> -w0 x."""
     if not fd.dominant:
         raise InputError("dagger is defined only for dominant faces")
-    out = ctx._daggers.get(fd.key)
+    tight = frozenset(rep.dagger_facets[i] for i in fd.face.facet_indices)
+    out = ctx._faces.get(tight)
     if out is None:
-        image = rep.root_datum.apply(rep.root_datum.w0, ctx.half_sigma.dual_point(fd.face.sample))
-        out = _face(rep, ctx, *linalg._numerators(image))
-        if out.codim != fd.codim or not out.dominant:
-            raise InternalInconsistencyError("dagger face must stay dominant with equal codim")
-        ctx._daggers[fd.key] = out
+        half = ctx.half_sigma
+        out = ctx._faces[tight] = face_data_from_face(rep, half, half._face(tight))
+    if out.codim != fd.codim or not out.dominant:
+        raise InternalInconsistencyError("dagger face must stay dominant with equal codim")
     return out
 
 

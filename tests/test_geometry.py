@@ -47,6 +47,12 @@ def hull2d_oracle(points):
 GL2_WEIGHTS = [(3, 0), (2, 1), (1, 2), (0, 3), (-3, 0), (-2, -1), (-1, -2), (0, -3)]
 
 
+def barycenter(poly, face):
+    """The mean of a face's vertices, a point of its relative interior."""
+    pts = [poly.vertices[i] for i in face.vertex_indices]
+    return tuple(sum(Fraction(p[j]) for p in pts) / len(pts) for j in range(poly.dim))
+
+
 # The Fraction half-space tests that the integer tables replaced, kept as the
 # reference they must match exactly.
 
@@ -65,7 +71,6 @@ def frac_tight(h, point) -> bool:
 def test_zonotope_intervals():
     z = geometry.zonotope([(1,), (1,), (-1,), (-1,)])
     assert sorted(z.vertices) == [(-2,), (2,)]
-    assert z.center == (0,)
     z = geometry.zonotope([(1,), (-1,)]).scale(Fraction(1, 2))
     assert sorted(z.vertices) == [(Fraction(-1, 2),), (Fraction(1, 2),)]
     lo, hi = interval_oracle([(1,), (1,), (-1,), (-1,)])
@@ -116,13 +121,15 @@ def generator_sets(draw):
 @given(generator_sets())
 def test_zonotope_matches_subset_sum_oracle(gens):
     """The zonotope is the hull of the 0/1 subset sums: each vertex is one,
-    each one is contained, and the center is half the generator sum."""
+    each one is contained, and it is symmetric about half the generator sum:
+    with s the sum, s - v is a vertex for every vertex v."""
     z = geometry.zonotope(gens)
     sums = {tuple(sum(c) for c in zip(*combo)) if combo else (0,) * len(gens[0])
             for k in range(len(gens) + 1) for combo in itertools.combinations(gens, k)}
     assert set(z.vertices) <= sums
     assert all(z.contains(s) for s in sums)
-    assert z.center == tuple(Fraction(sum(c), 2) for c in zip(*gens))
+    total = tuple(sum(c) for c in zip(*gens))
+    assert {linalg.sub(total, v) for v in z.vertices} == set(z.vertices)
 
 
 def frac_spanned_normals(vectors, dim):
@@ -171,7 +178,7 @@ def test_zonotope_refuses_non_integer_generators():
 def test_faces_interval():
     box = geometry.zonotope([(1,), (1,)])
     faces = box.faces()
-    assert sorted((f.codim, f.sample) for f in faces) == [(1, (0,)), (1, (2,))]
+    assert sorted((f.codim, barycenter(box, f)) for f in faces) == [(1, (0,)), (1, (2,))]
 
 
 def test_faces_unit_square():
@@ -187,7 +194,7 @@ def test_faces_octagon():
     assert sum(1 for f in faces if f.codim == 1) == 8
     assert sum(1 for f in faces if f.codim == 2) == 8
     for f in faces:
-        assert z.tight_indices(f.sample) == f.facet_indices
+        assert z.tight_indices(barycenter(z, f)) == f.facet_indices
 
 
 def test_euler_characteristic_spheres():
@@ -247,20 +254,26 @@ def test_subset_limit_refuses_before_enumerating():
 
 
 def test_dual_point_and_face():
+    """[0, 2] is symmetric about 1: the dual 2 - x of one end's barycenter
+    is the other end, and dualising again comes back."""
     box = geometry.zonotope([(1,), (1,)])
-    assert box.dual_point((0,)) == (2,)
     f0 = box.face_at((Fraction(0),))
-    f2 = box.face_at(box.dual_point(f0.sample))
-    assert f2.sample == (2,)
-    assert box.face_at(box.dual_point(f2.sample)).facet_indices == f0.facet_indices
+    f2 = box.face_at(linalg.sub((2,), barycenter(box, f0)))
+    assert barycenter(box, f2) == (2,)
+    assert box.face_at(linalg.sub((2,), barycenter(box, f2))).facet_indices == f0.facet_indices
 
 
 def test_dual_face_involution_octagon():
+    """Half the octagon is symmetric about 0: the face through minus a
+    face's barycenter has the same codimension, the negated normals, and
+    leads back."""
     z = geometry.zonotope(GL2_WEIGHTS).scale(Fraction(1, 2))
+    normals = lambda face: {z.halfspaces[i].normal for i in face.facet_indices}
     for f in z.faces():
-        g = z.face_at(z.dual_point(f.sample))
+        g = z.face_at(linalg.neg(barycenter(z, f)))
         assert g.codim == f.codim
-        assert z.face_at(z.dual_point(g.sample)).facet_indices == f.facet_indices
+        assert normals(g) == {linalg.neg(n) for n in normals(f)}
+        assert z.face_at(linalg.neg(barycenter(z, g))).facet_indices == f.facet_indices
 
 
 def test_h_v_cross_validation():
@@ -286,7 +299,6 @@ def test_translate_and_scale():
         scaled = z.scale(Fraction(1, 2))
         assert scaled.halfspaces == half.halfspaces
         assert sorted(scaled.vertices) == sorted(half.vertices)
-        assert scaled.center == linalg.scale(Fraction(1, 2), z.center)
 
 
 def test_face_at_sample_matches_faces(small_corpus):
@@ -300,7 +312,7 @@ def test_face_at_sample_matches_faces(small_corpus):
             faces = poly.faces()
             assert faces
             for f in faces:
-                assert poly.face_at(f.sample) == f
+                assert poly.face_at(barycenter(poly, f)) == f
 
 
 def test_face_at_rejects_interior_and_outside():
@@ -540,7 +552,7 @@ def test_built_polytopes_carry_their_tables(monkeypatch):
     rep = QSRep.build(RootDatum.gl(2), catalog.GL2_WEIGHTS)
     assert asked == []
     half_sigma = rep.half_sigma
-    sample = half_sigma.faces()[0].sample
+    sample = barycenter(half_sigma, half_sigma.faces()[0])
     assert sample not in half_sigma.vertices
     half_sigma.face_at(sample)
     assert asked == [sample]

@@ -350,8 +350,9 @@ def _assert_chambers_are_fresh(arr, path):
         if isinstance(a, Cross):
             assert (here.sample, there.sample) == (a.src, a.dst)
             assert list(step.walls) == arr.separating_walls(a.src, a.dst)
-            assert (groupoid.split_into_hops(arr, a, (here, there))
-                    == groupoid.split_into_hops(arr, a))
+            hops = groupoid._hop_chambers(arr, here, there, step.walls)
+            assert (groupoid.split_into_hops(arr, a)
+                    == [Cross(h.sample, t.sample, a.label) for h, t in zip(hops, hops[1:])])
         else:
             assert step.walls == ()
 

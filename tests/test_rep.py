@@ -39,6 +39,27 @@ def test_eta_examples(torus22, gl2rep):
         rep.eta(torus22.root_datum, torus22.weights, (0,))
 
 
+def test_half_sigma_off_minus_w0_symmetry_is_refused(torus22, gl2rep, monkeypatch):
+    """Every build works out how x -> -w0 x permutes the half-spaces of
+    (1/2)Sigma.  A translate of (1/2)Sigma is not symmetric that way: the
+    check names the first facet with no image, its normal and offset in
+    p/q form."""
+    moved = torus22.half_sigma.translate((Fraction(1, 2),))
+    with pytest.raises(InternalInconsistencyError) as info:
+        rep._minus_w0_facets(torus22.root_datum, moved)
+    assert str(info.value) == "facet (-1) >= -3/2 of (1/2)Sigma has no image under -w0"
+    moved = gl2rep.half_sigma.translate((Fraction(1, 3), Fraction(0)))
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"^facet \(-?\d+, -?\d+\) >= -?\d+/3 of \(1/2\)Sigma has no image"):
+        rep._minus_w0_facets(gl2rep.root_datum, moved)
+    checked = []
+    real = rep._minus_w0_facets
+    monkeypatch.setattr(rep, "_minus_w0_facets", lambda datum, half: (
+        checked.append(half), real(datum, half))[1])
+    built = [catalog.torus_rep((1,), (-1,)), QSRep.build(RootDatum.gl(2), catalog.GL2_WEIGHTS)]
+    assert len(checked) == 2 and all(h is r.half_sigma for h, r in zip(checked, built))
+
+
 def test_zero_width_slab_leaves_nabla_nonempty():
     """GL(2) on std + dual has a slab with eta = 0; only eta < 0 empties nabla."""
     datum, weights = RootDatum.gl(2), ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -59,7 +80,7 @@ def slab_oracle(datum, weights) -> geometry.Polytope:
         normal, rescale = linalg.primitive_scale(linalg.mat_vec(datum.pairing, lam))
         offset = -rep.eta(datum, weights, lam) / 2 * rescale
         halfspaces += [HalfSpace(normal, offset), HalfSpace(linalg.neg(normal), offset)]
-    return geometry.from_halfspaces(halfspaces, center=(Fraction(0),) * datum.rank)
+    return geometry.from_halfspaces(halfspaces)
 
 
 # a Weyl-invariant pairing of a rank-two torus that is not the identity

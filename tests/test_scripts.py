@@ -60,6 +60,25 @@ def test_every_src_definition_is_used_outside_the_tests():
     assert unused == []
 
 
+def test_every_src_field_is_read():
+    """Each annotated field of each class under src/qswindows is read as
+    an attribute, ``x.field``, somewhere in src/, scripts/ or benchmark/.
+    A field only the tests read belongs in the tests."""
+    read, fields = set(), []
+    for folder in ("src", "scripts", "benchmark"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            read |= {n.attr for n in ast.walk(tree)
+                     if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+            if path.parent.name == "qswindows":
+                fields += [(f"{path.name}:{node.name}.{stmt.target.id}", stmt.target.id)
+                           for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                           for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    assert fields
+    assert [name for name, field in fields if field not in read] == []
+
+
 UNREAD_PARAMETERS_ALLOWED = {
     "complexes.py:summand_sets(ctx)":
         "benchmark/workloads.py passes it positionally; it goes when those rows are restated",

@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +11,8 @@ from qswindows.arrangement import Arrangement
 from qswindows.errors import InputError, InternalInconsistencyError, NotAdjacentError, OnWallError
 from qswindows.rep import QSRep
 from qswindows.root_data import RootDatum
+from test_acceptance import CORPUS_COUNTS, CORPUS_SEED
+from test_geometry import barycenter
 from test_root_data import weyl_lengths
 
 F = Fraction
@@ -75,8 +76,8 @@ def test_face_of_torus_examples(torus22, ctx22):
 def test_dagger_torus(torus22, ctx22):
     fd = windows.face_of(torus22, (0,), ((1,), 1), ctx22)
     dag = windows.dagger(torus22, fd, ctx22)
-    # the sample lies on (1/2)Sigma; moved to the wall point 1 it is 2
-    assert linalg.add(dag.face.sample, (F(1),)) == (2,)
+    # its barycenter lies on (1/2)Sigma; moved to the wall point 1 it is 2
+    assert linalg.add(barycenter(ctx22.half_sigma, dag.face), (F(1),)) == (2,)
     again = windows.dagger(torus22, dag, ctx22)
     assert again.key == fd.key
 
@@ -188,7 +189,7 @@ def test_face_data_weyl_equivariance(gl2rep, ctxgl2):
     for face in poly.faces():
         fd = windows.face_data_from_face(gl2rep, poly, face)
         for w in weyl_lengths(datum):
-            image_sample = datum.apply(w, face.sample)
+            image_sample = datum.apply(w, barycenter(poly, face))
             image_face = poly.face_at(image_sample)
             imaged = windows.face_data_from_face(gl2rep, poly, image_face)
             moved = Counter(tuple(datum.apply(w, gl2rep.weights[i]))
@@ -329,10 +330,10 @@ def _gl3_std_dual():
 
 def _assert_face_of_translate(rep, fd, moved, point, delta0):
     """fd, a face of (1/2)Sigma, is the face of moved = delta_0 + (1/2)Sigma
-    through the point, with its sample moved back by delta_0."""
+    through the point, its barycenter moved by delta_0."""
     got = windows.face_data_from_face(rep, moved, moved.face_at(point))
-    assert got.face.sample == linalg.add(fd.face.sample, delta0)
-    assert replace(got, face=replace(got.face, sample=fd.face.sample)) == fd
+    assert barycenter(moved, got.face) == linalg.add(barycenter(rep.half_sigma, fd.face), delta0)
+    assert got == fd
 
 
 def _check_wall_faces_on_half_sigma(rep):
@@ -364,12 +365,64 @@ def _check_wall_faces_on_half_sigma(rep):
                     windows.dagger(rep, fd, ctx)
                 continue
             dag = windows.dagger(rep, fd, ctx)
-            assert dag.face == half.face_at(
-                datum.apply(datum.w0, half.dual_point(fd.face.sample)))
-            image = datum.apply(datum.w0, moved.dual_point(linalg.add(fd.face.sample, delta0)))
+            dual = linalg.neg(barycenter(half, fd.face))
+            assert dag.face == half.face_at(datum.apply(datum.w0, dual))
+            # on moved, symmetric about delta_0, the dual of the moved
+            # barycenter is delta_0 + dual, and w0 fixes delta_0
+            image = datum.apply(datum.w0, linalg.add(delta0, dual))
             _assert_face_of_translate(rep, dag, moved, image, delta0)
             daggers += 1
     return faces, daggers
+
+
+def _dominant_faces(rep):
+    """The dominant faces of (1/2)Sigma, with their data."""
+    half = rep.half_sigma
+    return [fd for fd in (windows.face_data_from_face(rep, half, f) for f in half.faces())
+            if fd.dominant]
+
+
+def _assert_dagger_is_the_dual_point_face(rep, monkeypatch):
+    """The independent oracle of ``dagger``: for every dominant face F of
+    (1/2)Sigma, which is symmetric about 0, F^dagger has the tight set of
+    the face that ``face_at`` finds through w0(-barycenter of F).  The
+    permutation that dagger reads is an involution that keeps offsets, and
+    dagger, on a fresh Context, calls no ``face_at``.  Returns the number
+    of dominant faces."""
+    half, datum, perm = rep.half_sigma, rep.root_datum, rep.dagger_facets
+    assert sorted(perm) == list(range(len(half.halfspaces)))
+    assert all(perm[perm[i]] == i for i in range(len(perm)))
+    assert all(half.halfspaces[j].offset == h.offset for h, j in zip(half.halfspaces, perm))
+    faces = _dominant_faces(rep)
+    expected = [half.face_at(datum.apply(datum.w0, linalg.neg(barycenter(half, fd.face))))
+                for fd in faces]
+
+    def refuse(*_):
+        raise AssertionError("dagger called face_at")
+    ctx = windows.Context(rep)
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry.Polytope, "face_at", refuse)
+        got = [windows.dagger(rep, fd, ctx) for fd in faces]
+    assert [d.face for d in got] == expected
+    assert [d.key for d in (windows.dagger(rep, d, ctx) for d in got)] == [
+        fd.key for fd in faces]
+    return len(faces)
+
+
+def test_dagger_matches_the_dual_point_route(monkeypatch):
+    """The bundled reps, GL(2) on std + dual, GL(3) on 4 x (std + dual) and
+    the CY models' g1 reps."""
+    reps = [*catalog.bundled_reps().values(), _gl3_std_dual(),
+            QSRep.build(RootDatum.gl(2), ((1, 0), (-1, 0), (0, 1), (0, -1))),
+            *(model.g1_rep for model in catalog.bundled_cy_models().values())]
+    assert all(_assert_dagger_is_the_dual_point_face(r, monkeypatch) > 0 for r in reps)
+
+
+def test_dagger_matches_the_dual_point_route_on_the_corpus(monkeypatch):
+    """The acceptance corpus (seed 20250810), every one of its 210 reps."""
+    reps = catalog.random_corpus(CORPUS_SEED, CORPUS_COUNTS)
+    assert len(reps) == 210
+    assert all(_assert_dagger_is_the_dual_point_face(r, monkeypatch) > 0 for r in reps)
 
 
 def test_wall_faces_live_on_half_sigma(small_corpus, gl2rep):
@@ -511,7 +564,7 @@ def test_translate_scans_and_builds_once(small_corpus, monkeypatch):
     """Crossing (delta, delta') and then (delta + m, delta' + m) scans one
     window per chamber class and builds one pair per exact chamber pair,
     whose faces come from one store; neither crossing rebuilds its points,
-    and a dagger is worked out once per face."""
+    and a dagger is read from that store with no ``face_at``."""
     rep_obj = next(r for r in small_corpus if r.rank == 2)
     ctx = windows.Context(rep_obj)
     arr = ctx.arrangement
@@ -519,8 +572,7 @@ def test_translate_scans_and_builds_once(small_corpus, monkeypatch):
     shift = arr.character((1, -2))
     calls = []
     for owner, name in ((geometry.Polytope, "lattice_points"), (geometry.Polytope, "face_at"),
-                        (geometry.Polytope, "dual_point"), (windows._PairCrossing, "__init__"),
-                        (Arrangement, "to_ambient")):
+                        (windows._PairCrossing, "__init__"), (Arrangement, "to_ambient")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, real=real, name=name, **k: (
             calls.append(name), real(*a, **k))[1])
@@ -534,7 +586,7 @@ def test_translate_scans_and_builds_once(small_corpus, monkeypatch):
     assert (moved.delta, moved.delta_prime) == ends
     fd = next(iter(first.faces.values()))
     assert windows.dagger(rep_obj, fd, ctx) is windows.dagger(rep_obj, fd, ctx)
-    assert calls.count("dual_point") == 1
+    assert calls.count("face_at") == len(first.faces)
 
 
 @pytest.mark.parametrize("name", ["torus-1x3pairs", "gl2-cube-pair"])
