@@ -20,7 +20,12 @@ candidates and vertices finds every tight set, keeps the facets, and
 checks what it kept without enumerating vertices (vertices are feasible,
 tight normals have full rank at each, and every ridge of every facet lies
 in exactly two facets).  Those tight sets are the polytope's vertex-facet
-incidence table, stored at construction.
+incidence table, stored at construction.  A facet's ridges come from its
+own vertices: a segment's are its endpoints, a simplex's its vertex
+subsets, and a polygon's its edges, read off its boundary cycle with
+integer cross products, so every facet of a polytope of dimension <= 3
+is checked without trying vertex subsets; only facets of dimension >= 3
+try them.
 
 Queries run over the integers too.  Each polytope holds its half-spaces
 once as integer normals n_i and offset numerators o_i over one common
@@ -40,6 +45,7 @@ members, and each subset's normal is one integer kernel (``_line``).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -69,6 +75,8 @@ class HalfSpace:
             raise InputError("half-space normal must be nonzero")
         if linalg.vec_gcd(self.normal) != 1:
             raise InputError("half-space normal must be primitive")
+        if isinstance(self.offset, (float, bool)):
+            linalg._exact(self.offset)  # refuses it with a one-line InputError
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,13 +145,18 @@ class Polytope:
         )
 
     def scale(self, c) -> "Polytope":
-        c = Fraction(c)
+        """The polytope scaled by c > 0 about the origin.  The offset
+        numerators take c's numerator and the denominator c's denominator,
+        and the incidence table is carried over."""
+        c = linalg._exact(c)
         if c <= 0:
             raise InputError("scale factor must be positive")
+        normals, offsets, den = self._table
         return Polytope(
             dim=self.dim,
             halfspaces=tuple(HalfSpace(h.normal, c * h.offset) for h in self.halfspaces),
             vertices=tuple(linalg.scale(c, x) for x in self.vertices),
+            _table=(normals, tuple(o * c.numerator for o in offsets), den * c.denominator),
             _incidence=self._incidence,
         )
 
@@ -299,8 +312,8 @@ def _vertex_enumeration(halfspaces, dim) -> list[Vec]:
         if det < 0:
             det, adj = -det, [[-a for a in row] for row in adj]
         for rhs in itertools.product(*(sorted(offsets[k]) for k in combo)):
-            nums = [linalg.dot(row, rhs) for row in adj]
-            if all(linalg.dot(nrm, nums) >= off * det for nrm, off in tests):
+            nums = [sum(map(mul, row, rhs)) for row in adj]
+            if all(sum(map(mul, nrm, nums)) >= off * det for nrm, off in tests):
                 g = gcd(det, *nums)
                 found.setdefault((det // g, tuple(x // g for x in nums)), (combo, rhs))
     verts = []
@@ -369,7 +382,10 @@ def _facets(hs, verts) -> tuple[tuple[HalfSpace, ...], tuple[frozenset[int], ...
     * for k >= 1 at least one supports a (relative) facet, a
       (k-1)-dimensional vertex set;
     * every ridge of every (relative) facet, found from that facet's own
-      vertices, lies in exactly two facets.
+      vertices by ``_ridges`` (for a polygon, its edges in boundary order;
+      vertex subsets only for facets of dimension >= 3), lies in exactly
+      two facets.  The vertex-rank check comes first, so each vertex a
+      polygon's boundary cycle runs through is extreme.
 
     Without the last condition a dropped facet of a non-simple polytope
     goes unseen: the octahedron without one facet still has three tight
@@ -438,20 +454,37 @@ def _in_cone(target, gens) -> bool:
 def _ridges(facet, pts) -> set[frozenset[int]]:
     """Facets of the facet, as vertex-index sets, from its vertices alone.
 
-    The vertices go to integer coordinates in a basis of the facet's
-    direction space, where the facet is d-dimensional.  Each affinely
-    independent d-subset of them spans a hyperplane; it bounds a ridge
-    when all the facet's vertices lie on one side.
+    A facet of at most two vertices is a point or a segment, whose ridges
+    are nothing or its two endpoints.  Otherwise the vertices go to integer
+    coordinates in a basis of the facet's direction space, where the facet
+    is d-dimensional.  A simplex's ridges are its d-subsets.  A polygon's
+    (d = 2) are its edges, read off its boundary cycle: the vertices sorted
+    around the lexicographically least one by integer cross products, each
+    consecutive turn checked to be strictly convex.  They are in convex
+    position, as ``_facets`` checks that each vertex is extreme before it
+    asks for ridges; the turn check re-checks it, and a non-extreme point
+    fails it.  For d >= 3 each affinely independent d-subset of the
+    vertices spans a hyperplane; it bounds a ridge when all the facet's
+    vertices lie on one side.
     """
     idx = sorted(facet)
+    if len(idx) <= 2:
+        return {frozenset((i,)) for i in idx if len(idx) == 2}
     diffs = {i: linalg.sub(pts[i], pts[idx[0]]) for i in idx}
     basis = [row for row in _bareiss(list(diffs.values()), len(pts[0]))[1] if any(row)]
     d = len(basis)
-    if d == 0:
-        return set()
     if len(idx) == d + 1:  # a simplex: every d of its vertices span a ridge
         return {frozenset(c) for c in itertools.combinations(idx, d)}
-    coords = {i: tuple(linalg.dot(b, diff) for b in basis) for i, diff in diffs.items()}
+    coords = {i: tuple(sum(map(mul, b, diff)) for b in basis) for i, diff in diffs.items()}
+    if d == 2:  # a polygon: counterclockwise around its least vertex, turning left
+        first = min(idx, key=coords.__getitem__)
+        ring = [first, *sorted(set(idx) - {first}, key=functools.cmp_to_key(
+            lambda i, j: _cross(coords[first], coords[j], coords[i])))]
+        for k in range(len(ring)):
+            if _cross(coords[ring[k - 2]], coords[ring[k - 1]], coords[ring[k]]) <= 0:
+                raise InternalInconsistencyError(
+                    "the vertices of a polygonal facet are not in strictly convex position")
+        return {frozenset((ring[k - 1], ring[k])) for k in range(len(ring))}
     ridges: set[frozenset[int]] = set()
     for combo in _subsets(idx, d):
         if any(set(combo) <= r for r in ridges):
@@ -464,6 +497,11 @@ def _ridges(facet, pts) -> set[frozenset[int]]:
         if min(values.values()) >= 0 or max(values.values()) <= 0:
             ridges.add(frozenset(i for i, v in values.items() if v == 0))
     return ridges
+
+
+def _cross(o, a, b) -> int:
+    """The integer cross product of a - o and b - o in the plane."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def _line(rows, dim) -> IntVec | None:

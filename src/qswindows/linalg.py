@@ -109,8 +109,9 @@ def primitive(x: Sequence) -> IntVec:
 
 
 def primitive_scale(x: Sequence) -> tuple[IntVec, Fraction]:
-    """The primitive integer vector c x of a nonzero rational vector x, and c > 0."""
-    ints, den = _numerators(x)
+    """The primitive integer vector c x of a nonzero rational vector x, and
+    c > 0.  An all-int x is its own numerators over 1, as in ``_integer_rows``."""
+    ints, den = (x, 1) if all(type(a) is int for a in x) else _numerators(x)
     g = vec_gcd(ints)
     if not g:
         raise ValueError("zero vector has no primitive form")

@@ -72,7 +72,7 @@ class QSRep:
             raise InputError("weight length does not match the lattice rank")
         if not check_quasi_symmetric(weights):
             raise InputError("weights are not quasi-symmetric")
-        if linalg.rank(weights) != root_datum.rank:
+        if geometry._rank(weights) != root_datum.rank:
             raise InputError("weights do not span the weight lattice over the rationals")
         _check_w_invariance(root_datum, weights)
         sigma = geometry.zonotope(weights)

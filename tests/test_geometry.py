@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from qswindows.errors import InputError, InternalInconsistencyError, Unsupported
 from qswindows.geometry import HalfSpace, Polytope
 from qswindows.rep import QSRep
 from qswindows.root_data import RootDatum
+from test_acceptance import CORPUS_COUNTS, CORPUS_SEED
 from test_linalg import frac_rref, frac_solve
 
 
@@ -472,6 +474,162 @@ def test_h_v_check_on_lower_dimensional_polytopes():
     assert sorted(segment.vertices) == [(0, 0), (1, 0)]
     with pytest.raises(InternalInconsistencyError):
         geometry._check_h_v(Polytope(2, segment.halfspaces, ((0, 0),)))
+
+
+def test_h_v_check_catches_a_dropped_triangle_of_the_cuboctahedron():
+    """Without one triangle every cuboctahedron vertex keeps a triangle and
+    two squares, whose normals have rank 3, so only the ridge check sees
+    the gap: each square next to the dropped triangle has an edge that lies
+    in no other kept facet.  Triangles meet only squares, so the squares'
+    edges, read off their boundary cycles, must catch it."""
+    signs = list(itertools.product((1, -1), repeat=3))
+    cubo = geometry.from_halfspaces(cube(3) + [halfspace(s, -2) for s in signs])
+    assert len(cubo.vertices) == 12 and len(cubo.halfspaces) == 14
+    geometry._check_h_v(cubo)
+    kept = tuple(h for h in cubo.halfspaces if h.normal != (-1, -1, -1))
+    bad = Polytope(3, kept, cubo.vertices)
+    assert all(geometry._rank([kept[i].normal for i in t]) == 3 for t in bad._incidence)
+    with pytest.raises(InternalInconsistencyError, match="ridge does not lie in exactly two facets"):
+        geometry._check_h_v(bad)
+
+
+# -- facet ridges: the polygon route against the subset route -------------------
+
+def subset_ridges(facet, pts):
+    """Reference oracle: the ridges of a facet of any dimension by the
+    subset route, as ``geometry._ridges`` found them before polygons read
+    their edges off the boundary cycle.  Each affinely independent d-subset
+    of the facet's vertices, in integer coordinates on the facet, spans a
+    hyperplane that bounds a ridge when every vertex lies on one side."""
+    idx = sorted(facet)
+    diffs = {i: linalg.sub(pts[i], pts[idx[0]]) for i in idx}
+    basis = [row for row in geometry._bareiss(list(diffs.values()), len(pts[0]))[1] if any(row)]
+    d = len(basis)
+    if d == 0:
+        return set()
+    if len(idx) == d + 1:
+        return {frozenset(c) for c in itertools.combinations(idx, d)}
+    coords = {i: tuple(linalg.dot(b, diff) for b in basis) for i, diff in diffs.items()}
+    ridges = set()
+    for combo in itertools.combinations(idx, d):
+        if any(set(combo) <= r for r in ridges):
+            continue
+        base = coords[combo[0]]
+        y = geometry._line([linalg.sub(coords[i], base) for i in combo[1:]], d)
+        if y is None:
+            continue
+        values = {i: linalg.dot(y, linalg.sub(coords[i], base)) for i in idx}
+        if min(values.values()) >= 0 or max(values.values()) <= 0:
+            ridges.add(frozenset(i for i, v in values.items() if v == 0))
+    return ridges
+
+
+def assert_ridge_routes_agree(poly) -> int:
+    """Both routes give the same ridges on every facet of the polytope, in
+    the integer coordinates ``_facets`` hands them; returns how many of the
+    facets are polygons."""
+    _, pts, _ = geometry._scaled(poly.halfspaces, poly.vertices)
+    polygons = 0
+    for j in range(len(poly.halfspaces)):
+        facet = frozenset(i for i, t in enumerate(poly._incidence) if j in t)
+        assert geometry._ridges(facet, pts) == subset_ridges(facet, pts)
+        polygons += len(facet) > 3 and geometry._affine_rank([pts[i] for i in facet]) == 2
+    return polygons
+
+
+def rep_polytopes(reps):
+    return [p for rep in reps for p in (rep.sigma, rep.half_sigma, rep.nabla)]
+
+
+@pytest.fixture(scope="module")
+def corpus_and_ridge_subsets():
+    """The acceptance corpus (seed 20250810), built while counting the
+    subset enumerations that ``_ridges`` asks for."""
+    callers = []
+    subsets = geometry._subsets
+
+    def counted(items, k):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return subsets(items, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_subsets", counted)
+        reps = catalog.random_corpus(CORPUS_SEED, CORPUS_COUNTS)
+        # a 4-cube's facets are 3-cubes, whose ridges still come from subsets
+        geometry.zonotope(linalg.identity_matrix(4))
+    return reps, callers
+
+
+def test_no_corpus_build_enumerates_ridge_subsets(corpus_and_ridge_subsets):
+    """Every facet of a rank <= 3 corpus polytope is a point, a segment or a
+    polygon, so no build tries vertex subsets for ridges; the one 4-cube
+    built after the corpus does."""
+    reps, callers = corpus_and_ridge_subsets
+    assert max(r.rank for r in reps) == 3
+    assert callers[-1] == "_ridges" and callers.count("_ridges") == 8
+    assert "_vertex_enumeration" in callers
+
+
+def test_polygon_ridges_match_the_subset_route_on_the_corpus(corpus_and_ridge_subsets):
+    reps, _ = corpus_and_ridge_subsets
+    assert len(reps) == 210
+    assert sum(map(assert_ridge_routes_agree, rep_polytopes(reps))) > 0
+
+
+def test_polygon_ridges_match_the_subset_route():
+    """The bundled reps, GL(2) on std + dual, GL(3) on 4 x (std + dual) and
+    the CY models' g1 reps."""
+    from test_windows import _gl3_std_dual  # test_windows imports this module
+    reps = [*catalog.bundled_reps().values(), _gl3_std_dual(),
+            QSRep.build(RootDatum.gl(2), ((1, 0), (-1, 0), (0, 1), (0, -1))),
+            *(model.g1_rep for model in catalog.bundled_cy_models().values())]
+    assert sum(map(assert_ridge_routes_agree, rep_polytopes(reps))) > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=3, max_size=7)
+       .filter(lambda gens: linalg.rank(gens) == 3))
+def test_polygon_ridges_match_the_subset_route_on_zonotopes(gens):
+    """Zonotopes of random integer generators in dimension 3, whose facets
+    are centrally symmetric polygons."""
+    assert_ridge_routes_agree(geometry.zonotope(gens))
+
+
+@pytest.mark.parametrize("extra", [(1, 1, 0), (1, 0, 0), (2, 1, 0)])
+def test_polygon_ridges_refuse_a_point_that_is_no_vertex(extra):
+    """A polygon's vertex list holding its centre, an edge midpoint or a
+    point inside fails the turn check."""
+    square = [(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0)]
+    assert geometry._ridges(frozenset(range(4)), square) == {
+        frozenset(e) for e in ((0, 1), (1, 2), (2, 3), (3, 0))}
+    with pytest.raises(InternalInconsistencyError, match="not in strictly convex position"):
+        geometry._ridges(frozenset(range(5)), [*square, extra])
+
+
+def test_short_facets_have_their_endpoints_as_ridges():
+    pts = [(0, 0), (3, 1)]
+    assert geometry._ridges(frozenset({0}), pts) == set()
+    assert geometry._ridges(frozenset({0, 1}), pts) == {frozenset({0}), frozenset({1})}
+
+
+def test_scale_and_half_space_offsets_refuse_floats_and_bools():
+    """A float's binary value is not the rational it spells, so a float or
+    bool scale factor or half-space offset is refused, not coerced; ints
+    and Fractions are kept as they are."""
+    segment = geometry.zonotope([(1,), (1,)])
+    for bad in (0.1, True):
+        message = f"^{bad!r} is a {type(bad).__name__}, not an exact rational; give it as p/q$"
+        with pytest.raises(InputError, match=message):
+            segment.scale(bad)
+        with pytest.raises(InputError, match=message):
+            geometry.from_halfspaces([HalfSpace((1,), bad), halfspace((-1,), -1)])
+        with pytest.raises(InputError, match=message):
+            Polytope(1, (HalfSpace((1,), bad),), ((Fraction(1),),))
+        with pytest.raises(InputError, match=message):
+            segment.lattice_points(extra=(HalfSpace((1,), bad),))
+    assert segment.scale(3).vertices == ((0,), (6,))
+    assert HalfSpace((1,), 2).offset == 2 and type(HalfSpace((1,), 2).offset) is int
+    assert segment.lattice_points(extra=(HalfSpace((1,), Fraction(1, 2)),)) == [(1,), (2,)]
 
 
 # -- the integer read side against the Fraction oracle -------------------------

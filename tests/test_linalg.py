@@ -32,6 +32,15 @@ def test_primitive_scale_matches_fraction_oracle(x):
     assert linalg.primitive(x) == p
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=4).filter(any))
+def test_primitive_scale_int_path_matches_numerators_path(x):
+    """An all-int vector skips ``_numerators``; as Fractions it takes that
+    path, and both give the same primitive vector and scale."""
+    assert linalg.primitive_scale(x) == linalg.primitive_scale([Fraction(a) for a in x])
+    assert linalg.primitive_scale(x) == linalg.primitive_scale(tuple(x))
+
+
 def test_sign_normalized():
     assert linalg.sign_normalized((0, -2, 1)) == (0, 2, -1)
     assert linalg.sign_normalized((3, -1)) == (3, -1)
