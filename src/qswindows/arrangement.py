@@ -38,6 +38,15 @@ integer pair (p, q) with q > 0.  ``Fraction``s are made only for output: a
 wall's ``offset`` when it is printed or compared with user input, a
 chamber's sample when it is read, the coordinates ``to_coords`` returns and
 the ambient point of invariant coordinates.
+
+In rank one every wall normal is (1,), so a wall is a coordinate.  Two
+distinct walls of the cosets b + sZ and c + tZ, integers over a common
+scale, differ by a nonzero element of d + gZ, for g = gcd(s, t) and
+d = (b - c) mod g; so the least distance between them is min(d, g - d), or
+g when d = 0, and one family's own walls lie its step apart.  The least
+such gap over all pairs of families is worked out once per arrangement,
+and ``across`` steps half of it past a wall: the step lands strictly inside
+the chamber beyond, however the families interleave.
 """
 from __future__ import annotations
 
@@ -206,6 +215,21 @@ class Arrangement:
 
     def _walls_on(self, indices) -> list[Wall]:
         return self._walls((i, k) for i, (k, r) in enumerate(indices) if not r)
+
+    @cached_property
+    def _half_gap(self) -> tuple[int, int]:
+        """Half the least distance between two distinct rank-one walls, as
+        an integer numerator over a positive denominator."""
+        scale = lcm(*(f.scale for f in self.families))
+        cosets = [(f.base_num * k, f.step_num * k) for f in self.families for k in [scale // f.scale]]
+        return min(min(d, g - d) or g for b, s in cosets for c, t in cosets
+                   for g in [gcd(s, t)] for d in [(b - c) % g]), 2 * scale
+
+    def across(self, offset: Fraction, direction: int) -> Vec:
+        """The rank-one point half the least wall gap past the wall at
+        ``offset`` in ``direction`` (+1 or -1), inside the chamber beyond it."""
+        (num, den), q = self._half_gap, offset.denominator
+        return (Fraction(offset.numerator * den + direction * num * q, q * den),)
 
     # -- queries -------------------------------------------------------------
 

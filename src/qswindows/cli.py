@@ -203,12 +203,13 @@ def cmd_groupoid(args) -> int:
 
 def _parse_path_dsl(arr, text: str | None, start: tuple[Fraction, ...] | None):
     """Paths like "x(1,+);t(1);x(2,-)": x crosses exactly the wall at the
-    given offset from the current point; t translates by a lattice vector."""
+    given offset from the current point, by default from half the least
+    wall gap before it, to half that gap past it; t translates by a lattice
+    vector."""
     if not text:
         raise InputError("--path is required, e.g. \"x(1,+);t(1)\"")
     if arr.dim != 1:
         raise UnsupportedDimensionError("the path DSL is rank-one only")
-    family = arr.families[0]
     if start is not None and arr.on_wall(start):
         raise InputError("--start must be off the walls")
     arrows = []
@@ -234,9 +235,8 @@ def _parse_path_dsl(arr, text: str | None, start: tuple[Fraction, ...] | None):
             if direction is None:
                 raise InputError(f"bad crossing direction {sign_text!r}")
             if point is None:
-                point = (offset - direction * family.offset_step / 2,)
-                origin = point
-            dst = (offset + direction * family.offset_step / 2,)
+                point = origin = arr.across(offset, -direction)
+            dst = arr.across(offset, direction)
             moves.append((len(arrows), offset, sign_text, point[0]))
             arrows.append(groupoid.Cross(point, dst, (Fraction(direction),)))
             point = dst

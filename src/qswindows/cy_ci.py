@@ -75,11 +75,10 @@ def build(a, d) -> CYModel:
 
 def crossing_data(model: CYModel, wall, ctx: Context) -> tuple[int, int]:
     """(d^+ of the upward face, d^+ of its dual) at a given wall point."""
-    wall = Fraction(wall)
-    if not ctx.arrangement.on_wall((wall,)):
+    wall, arr = Fraction(wall), ctx.arrangement
+    if not arr.on_wall((wall,)):
         raise InputError(f"{wall} is not a wall of this model")
-    half = ctx.arrangement.families[0].offset_step / 2
-    crossing = wall_crossing(model.g1_rep, (wall - half,), (wall + half,), ctx)
+    crossing = wall_crossing(model.g1_rep, arr.across(wall, -1), arr.across(wall, 1), ctx)
     (fd,) = crossing.faces.values()
     return fd.d_plus, fd.d_minus
 

@@ -9,7 +9,10 @@ the chambers of its hops, cut once from those walls.  Nothing below cuts a
 segment or locates a point again: positivity, minimality and rank-one words
 read the recorded walls, and both transcripts cross the recorded hops.  Word
 reduction is implemented only in rank one, where the groupoid is free on
-single-wall crossings and translations commute to the end of the word.
+single-wall crossings and translations commute to the end of the word; a
+reduced path rebuilds each letter as one crossing that ends
+``Arrangement.across`` its wall, half the least wall gap past it, so it
+crosses that wall alone however the wall families interleave.
 """
 from __future__ import annotations
 
@@ -183,15 +186,14 @@ def _freely_reduce(letters: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 def reduce_rank1(arr: Arrangement, path: Path) -> Path:
     """Unique normal form: freely reduced adjacent crossings, then one
-    translation.  Rebuilt samples sit at chamber midpoints (rank-one wall
-    normals are always the covector (1,), so values are coordinates)."""
+    translation.  The first crossing starts at the path's start, and each
+    ends ``Arrangement.across`` its wall, half the least wall gap past it,
+    where the next one starts."""
     letters, shift, scale = _letters(arr, path)
     arrows: list[Arrow] = []
     point = path.start
-    # the first family's step over the common scale
-    step = arr.families[0].step_num * arr._wall_keys[0][1]
     for pos, direction in _freely_reduce(letters):
-        dst = (Fraction(2 * pos + direction * step, 2 * scale),)
+        dst = arr.across(Fraction(pos, scale), direction)
         arrows.append(Cross(point, dst, (Fraction(direction),)))
         point = dst
     if shift != 0:

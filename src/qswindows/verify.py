@@ -331,7 +331,7 @@ def check_groupoid(name: str, rep: QSRep, ctx: Context, seed: int,
     arr = ctx.arrangement
     rng = random.Random(seed)
     agree = True
-    reduction_ok = True
+    reduction_ok, reduction_detail = True, ""
     transcript_ok = True
     minimal_words = {}
     for _ in range(n_paths):
@@ -344,23 +344,25 @@ def check_groupoid(name: str, rep: QSRep, ctx: Context, seed: int,
             agree = False
             continue
         if arr.dim == 1:
-            reduced = groupoid.reduce_rank1(arr, path)
-            again = groupoid.reduce_rank1(arr, reduced)
-            if [repr(a) for a in again.arrows] != [repr(a) for a in reduced.arrows]:
-                reduction_ok = False
-            if minimal:
-                key = (path.origin.sign_vector, path.chambers[-1].sign_vector)
-                word = groupoid.normal_form_word(arr, path)
-                if key in minimal_words and minimal_words[key] != word:
+            try:
+                reduced = groupoid.reduce_rank1(arr, path)
+                again = groupoid.reduce_rank1(arr, reduced)
+                if [repr(a) for a in again.arrows] != [repr(a) for a in reduced.arrows]:
                     reduction_ok = False
-                minimal_words[key] = word
+                if minimal:
+                    key = (path.origin.sign_vector, path.chambers[-1].sign_vector)
+                    word = groupoid.normal_form_word(arr, path)
+                    if minimal_words.setdefault(key, word) != word:
+                        reduction_ok = False
+            except QSWindowsError as exc:
+                reduction_ok, reduction_detail = False, str(exc)
         try:
             groupoid.transcript_window_map(rep, path, ctx)
         except QSWindowsError:
             transcript_ok = False
     out.append(_result("minimality-criteria-agree", name, agree))
     if arr.dim == 1:
-        out.append(_result("rank1-reduction-normal-form", name, reduction_ok))
+        out.append(_result("rank1-reduction-normal-form", name, reduction_ok, reduction_detail))
     out.append(_result("transcript-window-bijections", name, transcript_ok))
     return out
 

@@ -231,15 +231,10 @@ def _index_sum(rep: QSRep, indices) -> Weight:
 def face_of(rep: QSRep, chi, delta0: tuple[IntVec, int], ctx: Context) -> FaceData:
     """The maximal-codimension face of (1/2)Sigma through rho + chi - delta_0,
     for delta_0 = d/e given as integer numerators d over e > 0: the point is
-    (e 2rho + 2e chi - 2d) / 2e."""
-    (d, e), two_rho = delta0, rep.root_datum.two_rho
-    return _face(rep, ctx, [e * r + 2 * e * c - 2 * x for r, c, x in zip(two_rho, chi, d)], 2 * e)
-
-
-def _face(rep: QSRep, ctx: Context, nums, den: int) -> FaceData:
-    """The face of (1/2)Sigma through the point nums/den, den > 0, built once
-    per tight set.  One excess pass gives the tight set and containment."""
-    half = ctx.half_sigma
+    (e 2rho + 2e chi - 2d) / 2e.  The face is built once per tight set; one
+    excess pass gives the tight set and containment."""
+    (d, e), two_rho, half = delta0, rep.root_datum.two_rho, ctx.half_sigma
+    nums, den = [e * r + 2 * e * c - 2 * x for r, c, x in zip(two_rho, chi, d)], 2 * e
     excess = list(half._excess(nums, den))
     fd = ctx._faces.get(frozenset(i for i, v in enumerate(excess) if not v))
     if fd is None or min(excess) < 0:

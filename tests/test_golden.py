@@ -33,6 +33,10 @@ INPUTS = {
     # nabla is the point 0, cut out by the half-spaces +-e1 and +-e2
     "gl2-std-dual": {"root_datum": {"builtin": "gl", "n": 2},
                      "weights": [[1, 0], [-1, 0], [0, 1], [0, -1]]},
+    # walls Z/3 and Z/2 on one normal, interleaved: the least wall gap is 1/6
+    "gl2-interleaved": {"root_datum": {"builtin": "gl", "n": 2},
+                        "weights": [[2, -1], [-2, 1], [1, -2], [-1, 2],
+                                    [2, -2], [-2, 2], [2, -2], [-2, 2]]},
     # the S3-orbit of +-(2,1,0): nabla has 20 vertices and 18 facets
     "gl3-orbit": {"root_datum": {"builtin": "gl", "n": 3},
                   "weights": [[s * x for x in p] for p in
@@ -64,6 +68,9 @@ CALLS = {
     "gl2-complex": ("complex", "gl2", "--delta", "0,0", "--delta2", "1,1", "--chi", "-2,-2"),
     "gl2-wallcross-back": ("wallcross", "gl2", "--delta", "1,1", "--delta2", "0,0"),
     "gl2-groupoid": ("groupoid", "gl2", "--path", "x(1/2,+);t(1)"),
+    "gl2-interleaved-arrangement": ("arrangement", "gl2-interleaved"),
+    "gl2-interleaved-groupoid": ("groupoid", "gl2-interleaved", "--path", "x(1/3,+);x(1/2,+);t(1)"),
+    "gl2-interleaved-verify-input": ("verify", "gl2-interleaved", "--suites", "input"),
     "gl2-std-dual-rep": ("rep", "gl2-std-dual"),
     "gl3-orbit-rep": ("rep", "gl3-orbit"),
     "gl3-window": ("window", "gl3", "--delta", "1/4,1/4,1/4"),
@@ -73,8 +80,9 @@ CALLS = {
     "verify-bundled": ("verify", None, "--suites", "bundled"),
     "gl3-verify-input": ("verify", "gl3", "--suites", "input"),
 }
-# GL(3) 4x(std+dual) FAILs 18 rows: its wall faces are not all dominant
-EXIT_CODES = {"gl3-verify-input": 1}
+# GL(3) 4x(std+dual) FAILs 18 rows and the interleaved GL(2) rep 6, on the
+# pair (-1/6,-1/6) <-> (1/6,1/6): their wall faces are not all dominant
+EXIT_CODES = {"gl3-verify-input": 1, "gl2-interleaved-verify-input": 1}
 
 SVG_CALLS = {
     "gl2-svg": ("gl2", "--delta", "0,0", "--delta2", "1,1"),

@@ -1,15 +1,16 @@
 import dataclasses
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qswindows import catalog, groupoid, linalg, verify
 from qswindows.arrangement import Arrangement, WallFamily
-from qswindows.errors import InputError, OnWallError, UnsupportedDimensionError
+from qswindows.errors import InputError, UnsupportedDimensionError
 from qswindows.groupoid import Cross, Translate
 from qswindows.rep import QSRep
 from qswindows.root_data import RootDatum
@@ -170,10 +171,15 @@ def test_reduce_rank1_equal_endpoints_equal_words(arr22):
     assert groupoid.normal_form_word(arr22, p) == groupoid.normal_form_word(arr22, q)
 
 
-# -- the Fraction oracle for rank-one words --------------------------------------
-# The letters that integer wall positions replaced: Fraction wall offsets
-# less the translation so far, and reduced arrows half a step of the first
-# family past each letter's wall.
+# -- rank-one reduction --------------------------------------------------------
+# ``_oracle_word`` reads the letters off Fraction wall offsets less the
+# translation so far.  Reduced arrows are checked by what they must do, not
+# by where they land: they keep the word, the start and end chambers, and
+# cross one wall each, and reduction is idempotent.
+
+# GL(2) weights whose two wall families, steps 1/3 and 1/2, interleave
+INTERLEAVED_WEIGHTS = [(2, -1), (-2, 1), (1, -2), (-1, 2), (2, -2), (-2, 2), (2, -2), (-2, 2)]
+RANK1_NAMES = ("t22", "t33", "gl2", "overlap", "hand-made", "shifted", "interleaved")
 
 
 def _oracle_word(arr, path):
@@ -189,60 +195,75 @@ def _oracle_word(arr, path):
     return tuple(groupoid._freely_reduce(letters)), shift
 
 
-def _oracle_reduced(arr, path):
-    word, shift = _oracle_word(arr, path)
-    arrows, point = [], path.start
-    for off, direction in word:
-        dst = (off + direction * arr.families[0].offset_step / 2,)
-        arrows.append(Cross(point, dst, (F(direction),)))
-        point = dst
-    if shift:
-        arrows.append(Translate((int(shift),)))
-    return groupoid.make_path(arr, arrows, start=path.start).arrows
-
-
-def _arrows_or_error(fn, *args):
-    try:
-        return fn(*args)
-    except OnWallError as exc:
-        return str(exc)
-
-
 @pytest.fixture(scope="module")
 def rank1_arrangements(ctx22, ctx33, ctxgl2):
-    """The bundled reps, the GL(2) rep with two families on one normal, and
-    hand-made families with scales 2, 3, 4 and 6."""
-    overlap = Context(QSRep.build(RootDatum.gl(2), OVERLAP_WEIGHTS)).arrangement
-    scales = dataclasses.replace(ctx22.arrangement, families=(
+    """The bundled reps, the GL(2) reps with two families on one normal,
+    overlapping and interleaved, hand-made families with scales 2, 3, 4 and
+    6, and hand-made families Z/2 and 1/5 + Z/3, whose closest walls, 1/2
+    and 8/15, belong to cosets with distinct residues, by the names in
+    ``RANK1_NAMES``."""
+    overlap, interleaved = (Context(QSRep.build(RootDatum.gl(2), w)).arrangement
+                            for w in (OVERLAP_WEIGHTS, INTERLEAVED_WEIGHTS))
+    hand_made = dataclasses.replace(ctx22.arrangement, families=(
         WallFamily((1,), F(0), F(1, 2), 0), WallFamily((1,), F(1, 3), F(1, 3), 1),
         WallFamily((1,), F(1, 4), F(1, 4), 2), WallFamily((1,), F(1, 6), F(5, 6), 3)))
-    return [ctx22.arrangement, ctx33.arrangement, ctxgl2.arrangement, overlap, scales]
+    shifted = dataclasses.replace(ctx22.arrangement, families=(
+        WallFamily((1,), F(0), F(1, 2), 0), WallFamily((1,), F(1, 5), F(1, 3), 1)))
+    return dict(zip(RANK1_NAMES, (ctx22.arrangement, ctx33.arrangement, ctxgl2.arrangement,
+                                  overlap, hand_made, shifted, interleaved)))
 
 
-@settings(deadline=None, max_examples=100)
-@given(data=st.data())
-def test_rank1_words_match_fraction_oracle(rank1_arrangements, data):
-    arr = data.draw(st.sampled_from(rank1_arrangements))
-    point = (data.draw(st.fractions(-4, 4, max_denominator=8)),)
-    assume(not arr.on_wall(point))
-    start, arrows = point, []
-    for _ in range(data.draw(st.integers(1, 6))):
-        if data.draw(st.booleans()):
-            m = data.draw(st.integers(-3, 3))
-            arrows.append(Translate((m,)))
-            point = (point[0] + m,)
-            # the hand-made family with step 5/6 is not periodic under
-            # integer translations, so a translate can land on one of its walls
-            assume(not arr.on_wall(point))
+def test_half_gap_is_the_least_wall_distance(rank1_arrangements):
+    """Twice the cached half gap is the least difference of consecutive wall
+    offsets over two joint periods of the families' steps."""
+    for name, arr in rank1_arrangements.items():
+        den = math.lcm(*(f.offset_step.denominator for f in arr.families))
+        period = F(math.lcm(*(int(f.offset_step * den) for f in arr.families)), den)
+        offsets = sorted({w.offset for w in arr.walls_in_box(math.ceil(2 * period))})
+        assert 2 * F(*arr._half_gap) == min(b - a for a, b in zip(offsets, offsets[1:])), name
+    for name, half_gap in (("hand-made", F(1, 24)), ("shifted", F(1, 60)),
+                           ("interleaved", F(1, 12))):
+        assert F(*rank1_arrangements[name]._half_gap) == half_gap
+
+
+@settings(deadline=None, max_examples=150)
+@given(name=st.sampled_from(RANK1_NAMES), start=st.fractions(-4, 4, max_denominator=8),
+       moves=st.lists(st.one_of(st.integers(-3, 3).map(lambda m: Translate((m,))),
+                                st.fractions(-6, 6, max_denominator=8)), min_size=1, max_size=6))
+# half the first family's step past the wall at 1/3 is past the wall at 1/2 too
+@example(name="hand-made", start=F(7, 24), moves=[F(3, 8)])
+def test_rank1_reduction_keeps_the_morphism(rank1_arrangements, name, start, moves):
+    """A move is a translation, or a crossing to the point it names."""
+    arr = rank1_arrangements[name]
+    assume(not arr.on_wall((start,)))
+    point, arrows = start, []
+    for move in moves:
+        if isinstance(move, Translate):
+            arrows.append(move)
+            point += move.m[0]
         else:
-            dst = (data.draw(st.fractions(-6, 6, max_denominator=8)),)
-            assume(dst != point and not arr.on_wall(dst))
-            arrows.append(Cross(point, dst, (F(1 if dst > point else -1),)))
-            point = dst
-    path = groupoid.make_path(arr, arrows, start=start)
-    assert groupoid.normal_form_word(arr, path) == _oracle_word(arr, path)
-    assert (_arrows_or_error(lambda: groupoid.reduce_rank1(arr, path).arrows)
-            == _arrows_or_error(_oracle_reduced, arr, path))
+            assume(move != point)
+            arrows.append(Cross((point,), (move,), (F(1 if move > point else -1),)))
+            point = move
+        # the hand-made family with step 5/6 is not periodic under
+        # integer translations, so a translate can land on one of its walls
+        assume(not arr.on_wall((point,)))
+    path = groupoid.make_path(arr, arrows, start=(start,))
+    word = groupoid.normal_form_word(arr, path)
+    assert word == _oracle_word(arr, path)
+    if name == "hand-made" and not all(isinstance(a, Cross) for a in arrows):
+        # nor does a translation commute with crossings there: the letter of
+        # a wall crossed after t(m) sits at its offset less m, which need not
+        # be a wall, so the reduced path keeps the morphism on paths without
+        # translations only
+        return
+    reduced = groupoid.reduce_rank1(arr, path)
+    assert groupoid.normal_form_word(arr, reduced) == word
+    assert [len(arr.separating_walls(a.src, a.dst)) for a in reduced.arrows
+            if isinstance(a, Cross)] == [1] * len(word[0])
+    assert reduced.chambers[0] == path.chambers[0]
+    assert reduced.chambers[-1] == path.chambers[-1]
+    assert groupoid.reduce_rank1(arr, reduced).arrows == reduced.arrows
 
 
 def test_reduce_rank1_rejects_higher_rank():

@@ -1,11 +1,14 @@
+import contextlib
 import dataclasses
+import io
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from qswindows import groupoid, linalg, mutation, verify
-from qswindows.errors import InternalInconsistencyError
+from qswindows import cli, groupoid, linalg, mutation, verify
+from qswindows.errors import InternalInconsistencyError, OnWallError
 from qswindows.windows import Context
 
 
@@ -121,3 +124,32 @@ def test_random_path_lets_internal_errors_through(ctx22, monkeypatch):
     monkeypatch.setattr(groupoid, "_hop_chambers", boom)
     with pytest.raises(InternalInconsistencyError, match="boom"):
         verify._random_positive_path(ctx22.arrangement, random.Random(0))
+
+
+def test_reduction_error_fails_its_row_and_no_other(torus22, ctx22, monkeypatch, tmp_path):
+    """A package error in rank-one reduction FAILs rank1-reduction-normal-form
+    with its message as the detail; every other row still runs and prints,
+    and ``verify`` exits 1, not 2."""
+    wall = ctx22.arrangement.walls_at((1,))[0]
+
+    def on_wall(arr, path):
+        raise OnWallError((Fraction(1),), wall)
+
+    monkeypatch.setattr(groupoid, "reduce_rank1", on_wall)
+    rows = verify.check_groupoid("t22", torus22, ctx22, seed=1, n_paths=20)
+    message = "point (1) lies on the wall of family 0 at offset 1"
+    assert [(r.name, r.passed, r.detail) for r in rows] == [
+        ("minimality-criteria-agree", True, ""),
+        ("rank1-reduction-normal-form", False, message),
+        ("transcript-window-bijections", True, "")]
+    rep = tmp_path / "t2.json"
+    rep.write_text(json.dumps({"root_datum": {"builtin": "torus", "rank": 1},
+                               "weights": [[1], [1], [-1], [-1]]}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["verify", "--suites", "input", "--input", str(rep)])
+    assert code == 1
+    *lines, total = out.getvalue().splitlines()
+    assert total == "132/133 checks passed"
+    assert [line for line in lines if not line.startswith("[pass]")] == [
+        f"[FAIL] rank1-reduction-normal-form :: input ({message})"]
