@@ -37,7 +37,8 @@ and a crossing time t, where the segment a + t(b - a) meets a wall, is an
 integer pair (p, q) with q > 0.  ``Fraction``s are made only for output: a
 wall's ``offset`` when it is printed or compared with user input, a
 chamber's sample when it is read, the coordinates ``to_coords`` returns and
-the ambient point of invariant coordinates.
+the ambient point ``to_ambient`` returns, whose numerators ``character``
+gives over the same denominator.
 
 In rank one every wall normal is (1,), so a wall is a coordinate.  Two
 distinct walls of the cosets b + sZ and c + tZ, integers over a common
@@ -103,7 +104,7 @@ class Chamber:
     sign_vector: tuple[int, ...]
     nums: IntVec = field(repr=False)  # the sample over one positive denominator
     den: int = field(repr=False)
-    sample = cached_property(lambda self: tuple(Fraction(x, self.den) for x in self.nums))
+    sample = cached_property(lambda self: linalg._fractions(self.nums, self.den))
 
     def __eq__(self, other):
         return isinstance(other, Chamber) and self.sign_vector == other.sign_vector
@@ -138,8 +139,7 @@ class Arrangement:
 
     def to_coords(self, point) -> Vec:
         """Invariant coordinates of an ambient point (must be W-invariant)."""
-        nums, den = self._coords(point)
-        return tuple(Fraction(x, den) for x in nums)
+        return linalg._fractions(*self._coords(point))
 
     def _coords(self, point) -> tuple[IntVec, int]:
         """``to_coords`` as integer numerators over one positive denominator,
@@ -171,13 +171,11 @@ class Arrangement:
         return coords, den, tuple(linalg._integer_rows(row[k:] for row in reduced[k:]))
 
     def to_ambient(self, point) -> Vec:
-        """The ambient point sum_i c_i b_i of coordinates or of a chamber."""
-        return self._ambient(*self._scaled(point))
-
-    def _ambient(self, nums: IntVec, den: int) -> Vec:
-        """``to_ambient`` of the coordinates nums/den: the character of the
-        numerators, over the one denominator."""
-        return tuple(Fraction(x, den) for x in self.character(nums))
+        """The ambient point sum_i c_i b_i of coordinates or of a chamber, as
+        ``Fraction``s: the character of the numerators over their one
+        denominator.  Crossings keep that pair and make no ``Fraction``."""
+        nums, den = self._scaled(point)
+        return linalg._fractions(self.character(nums), den)
 
     def character(self, m: IntVec) -> IntVec:
         """The ambient integer vector sum_i m_i b_i of integer invariant
@@ -252,7 +250,7 @@ class Arrangement:
         ``named``, the point the caller was given, if that is not nums/den."""
         indices = self._indices(nums, den)
         if not all(r for _, r in indices):
-            raise OnWallError(named or tuple(Fraction(x, den) for x in nums),
+            raise OnWallError(named or linalg._fractions(nums, den),
                               self._walls_on(indices)[0])
         return Chamber(tuple(k for k, _ in indices), nums, den)
 
@@ -264,13 +262,13 @@ class Arrangement:
         return self._walls((i, k) for i, (ka, kb) in enumerate(zip(a, b))
                            for k in range(min(ka, kb) + 1, max(ka, kb) + 1))
 
-    def require_adjacent(self, a: Chamber, b: Chamber, named=None) -> Wall:
+    def require_adjacent(self, a: Chamber, b: Chamber) -> Wall:
         """The one wall separating two chambers.  Chambers that are not
-        adjacent are refused, named as ``named``, the two points the caller
-        was given, if not by their samples."""
+        adjacent are refused, named by their samples' ambient points, which
+        are the points a caller located them from."""
         walls = self.separating_walls(a, b)
         if len(walls) != 1:
-            raise NotAdjacentError(*(named or (a.sample, b.sample)), len(walls))
+            raise NotAdjacentError(self.to_ambient(a), self.to_ambient(b), len(walls))
         return walls[0]
 
     def crossing_times(self, a, b, walls) -> list[tuple[int, int]]:
@@ -357,22 +355,23 @@ def build_arrangement(rep: QSRep) -> Arrangement:
         raise InputError(
             "a zonotope facet hyperplane contains the invariant subspace; "
             "no generic labels exist")
+    normals, offsets, den = rep.nabla._table
     families: dict[tuple, int] = {}
-    for idx, h in enumerate(rep.nabla.halfspaces):
-        restricted = tuple(linalg.dot(b, h.normal) for b in basis)
-        if linalg.is_zero(restricted):
+    for idx, (normal, o) in enumerate(zip(normals, offsets)):
+        restricted = tuple(linalg.dot(b, normal) for b in basis)
+        g = linalg.vec_gcd(restricted)
+        if not g:
             continue
-        # scaling the covector to be primitive scales its offsets and unit step alike
-        primitive, step = linalg.primitive_scale(restricted)
+        # the covector restricted = s g n, n primitive and sign-normalized, s = +-1,
+        # has its walls <t, n> = s o/(g den) + k/g in ((s o) mod den)/(g den) + Z/g;
+        # keyed on -g, so that the families sort by their offset step 1/g
+        primitive = tuple(a // g for a in restricted)
         normalized = linalg.sign_normalized(primitive)
-        rescale = step if normalized == primitive else -step
-        key = (normalized, step, h.offset * rescale % step)
+        key = (normalized, -g, (o if normalized == primitive else -o) % den)
         if key not in families:
             families[key] = idx
-    fams = tuple(
-        WallFamily(normal=key[0], base_offset=key[2], offset_step=key[1], source_facet=idx)
-        for key, idx in sorted(families.items(), key=lambda kv: kv[0])
-    )
+    fams = tuple(WallFamily(n, Fraction(r, -minus_g * den), Fraction(1, -minus_g), idx)
+                 for (n, minus_g, r), idx in sorted(families.items()))
     if not fams:
         raise InputError("every window facet direction contains the invariant subspace")
     return Arrangement(rep=rep, families=fams, invariant_basis=basis,

@@ -125,6 +125,12 @@ def _numerators(point: Sequence) -> tuple[IntVec, int]:
     return tuple(x.numerator * (den // x.denominator) for x in point), den
 
 
+def _fractions(nums: Sequence[int], den: int) -> Vec:
+    """The point of integer numerators over one positive denominator, as
+    ``Fraction``s: the inverse of ``_numerators``."""
+    return tuple(Fraction(x, den) for x in nums)
+
+
 def sign_normalized(x: Sequence[int]) -> IntVec:
     """Flip the sign so the first nonzero entry is positive."""
     for a in x:

@@ -38,10 +38,17 @@ stored wall and its direction pairing positively with the inward normals.
 
 Points stay integers on the crossing path.  An ambient delta is located by
 two integer products (``Arrangement`` keeps the inverse of its basis), with
-no solve, and the locating makes no ``Fraction`` of its own.  A pair keeps
-its wall point as ambient numerators d over e > 0: an outgoing character chi
-sits on the boundary of delta_0 + nabla when the least excess of
-(e chi - d)/e on nabla is zero, and its face is read at
+no solve, and the locating makes no ``Fraction`` of its own.  A window keeps
+delta, and a crossing its wall point, as ambient integer numerators over one
+positive denominator: the character of the chamber sample's numerators, or
+of the wall point's invariant numerators, over their denominator.  Invariant
+numerators are kept in lowest terms and the basis is independent, so equal
+points give equal pairs.  ``delta``, ``delta_prime`` and ``delta0`` make
+``Fraction``s only when they are read (for JSON, figures, checks and
+messages), and the orientation test reads the numerators.  With the wall
+point d over e > 0, an outgoing character chi sits on the boundary of
+delta_0 + nabla when the least excess of (e chi - d)/e on nabla is zero,
+and its face is read at
 rho + chi - delta_0 = (e 2rho + 2e chi - 2d)/2e, where one excess pass gives
 both the tight set and containment.  A face's subset sums of positive
 weights, which the complexes read, are worked out once per face.
@@ -62,7 +69,6 @@ zero with s.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from operator import add, mul
 
@@ -70,18 +76,24 @@ from . import linalg
 from .arrangement import Arrangement, Chamber, Wall
 from .errors import InputError, InternalInconsistencyError, _fmt
 from .geometry import Face, Polytope
-from .linalg import IntVec, Vec
+from .linalg import IntVec
 from .rep import QSRep
 from .root_data import Weight, _lattice_weight
 
 
 @dataclass(frozen=True)
 class Window:
-    delta: Vec
+    """The window characters at delta, with delta kept as ``point``: its
+    ambient integer numerators over one positive denominator.  ``delta``
+    reads it as ``Fraction``s."""
+
+    point: tuple[IntVec, int]
     chars: tuple[Weight, ...]
 
+    delta = property(lambda self: linalg._fractions(*self.point))
+
     def to_json(self) -> dict:
-        return {"delta": [str(Fraction(x)) for x in self.delta],
+        return {"delta": [str(x) for x in self.delta],
                 "chars": [list(c) for c in self.chars]}
 
 
@@ -156,13 +168,12 @@ class Context:
         self._faces: dict = {}      # tight set -> FaceData of that face
 
     def window(self, delta) -> Window:
-        """The window at an off-wall ambient delta, or at its chamber."""
-        return self._window(_located(self.arrangement, delta), delta)
-
-    def _window(self, chamber: Chamber, delta) -> Window:
-        """``window`` of delta, an ambient point or the chamber, in the chamber."""
+        """The window at an off-wall ambient delta, or at its chamber's
+        sample; either way the point is the sample's character over its
+        denominator."""
         arr = self.arrangement
-        delta = arr.to_ambient(chamber) if chamber is delta else linalg.vec(delta)
+        chamber = _located(arr, delta)
+        point = arr.character(chamber.nums), chamber.den
         chars = self._windows.get(chamber.sign_vector)
         if chars is None:
             key, shift = _class_key(arr, chamber)
@@ -171,6 +182,7 @@ class Context:
                 step = linalg.sub(shift, hit[1])
                 chars = tuple(tuple(map(add, c, step)) for c in hit[0])
             else:
+                delta = linalg._fractions(*point)
                 shifted = self.rep.nabla.translate(delta)
                 chars = tuple(shifted.lattice_points(extra=self.rep.root_datum.dominant_cone))
                 boundary = [c for c in chars if shifted.tight_indices(c)]
@@ -180,7 +192,7 @@ class Context:
                         f"at off-wall {_fmt(delta)}")
                 self._classes[key] = chars, shift
             self._windows[chamber.sign_vector] = chars
-        return Window(delta=delta, chars=chars)
+        return Window(point, chars)
 
 
 def _located(arr: Arrangement, delta) -> Chamber:
@@ -238,7 +250,7 @@ def face_of(rep: QSRep, chi, delta0: tuple[IntVec, int], ctx: Context) -> FaceDa
     excess = list(half._excess(nums, den))
     fd = ctx._faces.get(frozenset(i for i, v in enumerate(excess) if not v))
     if fd is None or min(excess) < 0:
-        fd = face_data_from_face(rep, half, half.face_at(tuple(Fraction(x, den) for x in nums)))
+        fd = face_data_from_face(rep, half, half.face_at(linalg._fractions(nums, den)))
         ctx._faces[fd.face.facet_indices] = fd
     return fd
 
@@ -261,15 +273,19 @@ def dagger(rep: QSRep, fd: FaceData, ctx: Context) -> FaceData:
 
 @dataclass(frozen=True)
 class WallCrossing:
-    """One ordered adjacent pair: its windows, wall point and chamber-pair data."""
+    """One ordered adjacent pair: its windows, wall point and chamber-pair
+    data.  The wall point delta_0 is kept as ``wall_point``, ambient integer
+    numerators over one positive denominator; ``delta``, ``delta_prime`` and
+    ``delta0`` read the points as ``Fraction``s."""
 
     window: Window
     window_prime: Window
-    delta0: Vec
+    wall_point: tuple[IntVec, int]
     pair: _PairCrossing
 
     delta = property(lambda self: self.window.delta)
     delta_prime = property(lambda self: self.window_prime.delta)
+    delta0 = property(lambda self: linalg._fractions(*self.wall_point))
     wall = property(lambda self: self.pair.wall)
     common = property(lambda self: self.pair.common)
     outgoing = property(lambda self: self.pair.outgoing)
@@ -282,7 +298,7 @@ class WallCrossing:
         inward normal of every wall face."""
         # with delta = u/e and delta' = v/e' over positive denominators,
         # <delta' - delta, lam> > 0 exactly when e <v, lam> > e' <u, lam>
-        (u, e), (v, e_p) = map(linalg._numerators, (self.delta, self.delta_prime))
+        (u, e), (v, e_p) = self.window.point, self.window_prime.point
         return all(e * sum(map(mul, v, lam)) > e_p * sum(map(mul, u, lam))
                    for fd in self.faces.values() for lam in fd.inward_normals)
 
@@ -329,16 +345,15 @@ class _PairCrossing:
 
 
 def wall_crossing(rep: QSRep, delta, delta_prime, ctx: Context) -> WallCrossing:
-    """The crossing from delta to delta', each an off-wall ambient point,
-    kept as given, or its chamber."""
+    """The crossing from delta to delta', each an off-wall ambient point or
+    its chamber."""
     arr = ctx.arrangement
     chamber, chamber_p = _located(arr, delta), _located(arr, delta_prime)
     key = (chamber.sign_vector, chamber_p.sign_vector)
     pair = ctx._crossings.get(key)
     # adjacency depends only on the two sign vectors: checked once per pair
-    wall = pair.wall if pair is not None else arr.require_adjacent(
-        chamber, chamber_p, [d.sample if type(d) is Chamber else d for d in (delta, delta_prime)])
-    win, win_p = ctx._window(chamber, delta), ctx._window(chamber_p, delta_prime)
+    wall = pair.wall if pair is not None else arr.require_adjacent(chamber, chamber_p)
+    win, win_p = ctx.window(chamber), ctx.window(chamber_p)
     # the wall point is where the segment meets the wall (for a symmetric
     # pair, the exact midpoint), over the integers in invariant coordinates;
     # it lies on no other hyperplane, as both ends are off-wall
@@ -346,11 +361,10 @@ def wall_crossing(rep: QSRep, delta, delta_prime, ctx: Context) -> WallCrossing:
     nums, den = arr._on_segment(chamber, chamber_p, p, q)
     if arr._walls_on(arr._indices(nums, den)) != [wall]:
         raise InternalInconsistencyError("computed wall point is not on the wall")
-    delta0 = arr._ambient(nums, den)
+    wall_point = arr.character(nums), den
     if pair is None:
-        pair = ctx._crossings[key] = _PairCrossing(
-            rep, ctx, wall, win, win_p, arr.character(nums), den)
-    crossing = WallCrossing(window=win, window_prime=win_p, delta0=delta0, pair=pair)
+        pair = ctx._crossings[key] = _PairCrossing(rep, ctx, wall, win, win_p, *wall_point)
+    crossing = WallCrossing(window=win, window_prime=win_p, wall_point=wall_point, pair=pair)
     # wall faces carry a dominance flag but are not required to be dominant
     # here: faces of large nonabelian representations can cross Weyl walls
     # even though the crossing bijection still lands correctly (the

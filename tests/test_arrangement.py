@@ -3,12 +3,13 @@ import math
 from collections import namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qswindows import catalog, errors, groupoid, linalg, windows
+from qswindows import catalog, errors, geometry, groupoid, linalg, windows
 from qswindows.arrangement import Arrangement, Wall, WallFamily, build_arrangement
 from qswindows.errors import InputError, NotAdjacentError, OnWallError
 from qswindows.rep import QSRep
@@ -148,6 +149,51 @@ def test_arrangement_needs_generic_labels():
     r = QSRep.build(RootDatum.torus(2), [(1, 0), (-1, 0), (0, 1), (0, -1)])
     ctx = Context(r)  # fine: full-rank torus, no facet contains M^W
     assert ctx.arrangement.dim == 2
+
+
+def _oracle_families(rep) -> tuple[WallFamily, ...]:
+    """The wall families by the Fraction route: each facet covector of nabla
+    restricted to the invariant basis and scaled to be primitive, which
+    scales its offset and unit step alike."""
+    families = {}
+    for idx, h in enumerate(rep.nabla.halfspaces):
+        restricted = tuple(linalg.dot(b, h.normal) for b in rep.root_datum.invariant_basis)
+        if linalg.is_zero(restricted):
+            continue
+        primitive, step = linalg.primitive_scale(restricted)
+        normalized = linalg.sign_normalized(primitive)
+        rescale = step if normalized == primitive else -step
+        families.setdefault((normalized, step, h.offset * rescale % step), idx)
+    return tuple(WallFamily(n, base, step, idx)
+                 for (n, step, base), idx in sorted(families.items()))
+
+
+def test_wall_families_match_fraction_oracle_on_reps(small_corpus, gl2rep):
+    for rep in [*small_corpus, gl2rep, QSRep.build(RootDatum.gl(2), OVERLAP_WEIGHTS)]:
+        assert rep.arrangement.families == _oracle_families(rep)
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_wall_families_match_fraction_oracle_on_halfspaces(data):
+    """Offsets in sixths and fifths, with no half-space paired with its
+    opposite: the covector's sign moves a family's coset, as o + Z and
+    -o + Z differ unless 2o is an integer."""
+    vectors = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
+    basis = tuple(data.draw(st.lists(vectors, min_size=1, max_size=2)))
+    halfspaces = tuple(
+        geometry.HalfSpace(linalg.primitive(n), F(k, q)) for n, k, q in data.draw(st.lists(
+            st.tuples(vectors, st.integers(-12, 12), st.sampled_from([1, 2, 3, 5, 6])),
+            min_size=1, max_size=5)))
+    rep = SimpleNamespace(root_datum=SimpleNamespace(invariant_basis=basis),
+                          sigma=SimpleNamespace(halfspaces=()),
+                          nabla=geometry.Polytope(2, halfspaces, ()))
+    expected = _oracle_families(rep)
+    if not expected:
+        with pytest.raises(InputError, match="every window facet direction"):
+            build_arrangement(rep)
+    else:
+        assert build_arrangement(rep).families == expected
 
 
 def test_overlapping_families_count_hyperplanes_once():

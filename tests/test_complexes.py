@@ -108,6 +108,42 @@ def test_complex_terms_refuses_a_character_of_the_wrong_length():
         complexes.complex_terms(rep, fd, (0,))
 
 
+# observed, not claimed correct: on bundled GL(2) these outgoing characters
+# of the sampled pairs have terms above degree 0 outside the target window,
+# on the face with the given key, and their Euler class is zero; a complex
+# from chi to mu(chi) with common middle terms would have a nonzero one
+GL2_TERMS_OUTSIDE = {
+    ((0, 0), (1, 1), (0, -2)): ((2, 4), [(0, -2), (2, -1)]),
+    ((1, 1), (0, 0), (3, 1)): ((0, 1), [(2, -1), (3, 1)]),
+    ((1, 1), (2, 2), (1, -1)): ((2, 4), [(1, -1), (3, 0)]),
+    ((2, 2), (1, 1), (4, 2)): ((0, 1), [(3, 0), (4, 2)]),
+}
+
+
+def test_gl2_complex_terms_outside_the_target_window_pinned():
+    """A pin of present output, not a claim: of the 12 outgoing characters
+    of the sampled GL(2) pairs, exactly the four above put terms above
+    degree 0 outside the target window, and each has Euler class zero."""
+    rep = catalog.bundled_reps()["gl2-cube-pair"]
+    ctx = Context(rep)
+    found, outgoing = {}, 0
+    for delta, delta_prime in catalog.adjacent_pairs(ctx, periods=2, per_wall=2, max_pairs=6):
+        crossing = windows.wall_crossing(rep, delta, delta_prime, ctx)
+        target = set(crossing.window_prime.chars)
+        for chi in crossing.outgoing:
+            outgoing += 1
+            fd = crossing.face_of_char(chi)
+            table = complexes.complex_terms(rep, fd, chi)
+            outside = sorted({w for d, tally in table.terms.items() if d > 0
+                              for w in tally if w not in target})
+            if outside:
+                assert table.euler_class() == {}
+                found[(*(tuple(map(int, p)) for p in (delta, delta_prime)), chi)] = (
+                    fd.key, outside)
+    assert outgoing == 12
+    assert found == GL2_TERMS_OUTSIDE
+
+
 def test_summand_sets_torus(torus22, ctx22):
     crossing = windows.wall_crossing(torus22, (F(1, 2),), (F(3, 2),), ctx22)
     (fd,) = crossing.faces.values()

@@ -24,6 +24,9 @@ INPUTS = {
            "weights": [[1], [1], [-1], [-1]]},
     "t3": {"root_datum": {"builtin": "torus", "rank": 1},
            "weights": [[1], [1], [1], [-1], [-1], [-1]]},
+    # walls x, y and x - y in Z: the plane cut into triangles
+    "t22": {"root_datum": {"builtin": "torus", "rank": 2},
+            "weights": [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1]]},
     "gl2": {"root_datum": {"builtin": "gl", "n": 2},
             "weights": [[3, 0], [2, 1], [1, 2], [0, 3],
                         [-3, 0], [-2, -1], [-1, -2], [0, -3]]},
@@ -60,6 +63,9 @@ CALLS = {
     "t3-complex": ("complex", "t3", "--delta", "0", "--delta2", "1", "--chi", "-1"),
     "t3-mutate": ("mutate", "t3", "--delta", "0", "--delta2", "1", "--direction", "right"),
     "t3-groupoid": ("groupoid", "t3", "--path", "x(1/2,+);x(3/2,+);t(-1)"),
+    # the segment meets the wall x = y a third of the way: delta0 is not the midpoint
+    "t22-wallcross": ("wallcross", "t22", "--delta", "1/3,1/4", "--delta2", "1/2,2/3"),
+    "t22-window": ("window", "t22", "--delta", "1/2,2/3"),
     "gl2-rep": ("rep", "gl2"),
     "gl2-arrangement": ("arrangement", "gl2"),
     "gl2-window": ("window", "gl2", "--delta", "-1/4,-1/4"),

@@ -490,6 +490,43 @@ def test_located_chamber_stands_for_its_point(gl2rep, ctxgl2):
     assert moved.window.chars == plain.window.chars
 
 
+@pytest.mark.parametrize("name", ["gl2-cube-pair", "torus-1x3pairs"])
+def test_crossing_again_makes_no_fraction(name, monkeypatch):
+    """Windows and crossings keep their points as integer numerators: a
+    second crossing of one chamber pair, with its mu map, constructs no
+    ``Fraction``, and the points read afterwards are the first crossing's."""
+    rep_obj = catalog.bundled_reps()[name]
+    ctx = windows.Context(rep_obj)
+    arr = ctx.arrangement
+    here, there = arr.chamber_of((F(1, 3),)), arr.chamber_of((F(2, 3),))
+    first = windows.wall_crossing(rep_obj, here, there, ctx)
+    windows.mu_map(rep_obj, first)
+    made = []
+    real = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: (
+        made.append(a), real(cls, *a, **k))[1])
+    again = windows.wall_crossing(rep_obj, here, there, ctx)
+    windows.mu_map(rep_obj, again)
+    assert made == []
+    monkeypatch.undo()
+    assert again == first
+    assert (again.delta, again.delta_prime, again.delta0) == (
+        first.delta, first.delta_prime, first.delta0)
+    assert again.delta == arr.to_ambient(here) and again.delta_prime == arr.to_ambient(there)
+
+
+def test_not_adjacent_names_both_ends_as_ambient_points(gl2rep, ctxgl2):
+    """A chamber and a point that are not adjacent are both named by ambient
+    points, not the chamber by its invariant coordinates."""
+    arr = ctxgl2.arrangement
+    with pytest.raises(NotAdjacentError,
+                       match=r"^\(0, 0\) and \(3, 3\) are at distance 3, not 1$"):
+        windows.wall_crossing(gl2rep, arr.chamber_of((0,)), (3, 3), ctxgl2)
+    with pytest.raises(NotAdjacentError,
+                       match=r"^\(3, 3\) and \(3/4, 3/4\) are at distance 2, not 1$"):
+        windows.wall_crossing(gl2rep, (3, 3), arr.chamber_of((F(3, 4),)), ctxgl2)
+
+
 # -- lattice translates ------------------------------------------------------------
 
 
