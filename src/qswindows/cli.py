@@ -154,7 +154,7 @@ def cmd_faces(args) -> int:
         if args.face is not None and list(fd.key) != list(args.face):
             continue
         out.append(fd.to_json())
-    _emit({"delta": [str(Fraction(x)) for x in delta], "faces": out})
+    _emit({"delta": [str(x) for x in delta], "faces": out})
     return 0
 
 

@@ -31,9 +31,12 @@ Queries run over the integers too.  Each polytope holds its half-spaces
 once as integer normals n_i and offset numerators o_i over one common
 denominator D, and ``translate`` shifts the numerators.  A point enters a
 query once, as integer numerators over its own denominator, p = x/e, and
-<p, n_i> >= o_i/D becomes <x, n_i> D >= o_i e.  The lattice scan compares
-each integer box point with the thresholds ceil(o_i/D).  Faces are read off
-the incidence table; a translate or a scaling carries it over, since
+<p, n_i> >= o_i/D becomes <x, n_i> D >= o_i e.  The lattice scan reads the
+table at a shift d/e without building the moved polytope: each integer box
+point is compared with the thresholds ceil(q_i/De), q_i = o_i e + D <d, n_i>,
+and the same dot products show which points are tight.  Its box is the
+vertices' box, kept as integer numerators and moved by d/e.  Faces are read
+off the incidence table; a translate or a scaling carries it over, since
 neither changes any vertex's tight set.
 
 Zonotopes are built only from generators that span the space, as the
@@ -160,32 +163,54 @@ class Polytope:
             _incidence=self._incidence,
         )
 
-    def bounding_box(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        if not self.vertices:
-            raise InputError("empty polytope has no bounding box")
-        columns = list(zip(*self.vertices))
-        return tuple(math.ceil(min(c)) for c in columns), tuple(math.floor(max(c)) for c in columns)
+    @functools.cached_property
+    def _box(self) -> list[tuple[int, int, int]]:
+        """The vertices' bounding box over the integers: per coordinate, the
+        least and greatest vertex numerator over the vertices' common
+        denominator, and that denominator; worked out on first use."""
+        nums, den = _numerators([x for v in self.vertices for x in v])
+        return [(min(nums[i::self.dim]), max(nums[i::self.dim]), den) for i in range(self.dim)]
 
-    def lattice_points(self, extra: tuple[HalfSpace, ...] = ()) -> list[IntVec]:
-        """All integer points, optionally also satisfying extra half-spaces,
-        in lexicographic order.  An integer point meets <p, n> >= o/den
-        exactly when <p, n> >= ceil(o/den), so each box point costs one
-        integer dot product and comparison per half-space.  A box of more
-        than ``LATTICE_SCAN_LIMIT`` points is refused before the scan."""
+    def lattice_points(self, extra: tuple[HalfSpace, ...] = (),
+                       at: tuple[IntVec, int] | None = None) -> tuple[list[IntVec], list[IntVec]]:
+        """The integer points of the polytope moved by d/e, ``at`` = (d, e)
+        with integer numerators d over e > 0 (unmoved when omitted), that
+        also satisfy the extra half-spaces, in lexicographic order; and
+        those of them on the moved polytope's boundary.
+
+        The moved half-space <p, n> >= o/D + <d, n>/e holds at an integer
+        point exactly when <p, n> >= ceil(q/De) with q = o e + D <d, n>, and
+        is tight there when De <p, n> = q.  So one pass over the box, one
+        integer dot product per half-space and point, gives membership and
+        the boundary.  The box is the vertices' box moved by d/e; a box of
+        more than ``LATTICE_SCAN_LIMIT`` points is refused before the scan."""
         normals, offsets, den = self._table
-        tests = [(n, -(-o // den)) for n, o in zip(normals, offsets)]
-        tests += [(h.normal, math.ceil(h.offset)) for h in extra]
-        lo, hi = self.bounding_box()
-        count = math.prod(max(0, b - a + 1) for a, b in zip(lo, hi))
+        d, e = at or ((0,) * self.dim, 1)
+        q = [(n, o * e + den * sum(map(mul, d, n))) for n, o in zip(normals, offsets)]
+        tests = [(n, -(-x // (den * e)), None if x % (den * e) else x // (den * e)) for n, x in q]
+        tests += [(h.normal, math.ceil(h.offset), None) for h in extra]
+        box = [(-((-a * e - x * v) // (v * e)), (b * e + x * v) // (v * e))
+               for (a, b, v), x in zip(self._box, d)]
+        count = math.prod(max(0, b - a + 1) for a, b in box)
         if count > LATTICE_SCAN_LIMIT:
             raise UnsupportedDimensionError(
                 f"lattice scan of a box of {count} points exceeds the limit {LATTICE_SCAN_LIMIT}")
-        ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
-        return [p for p in itertools.product(*ranges)
-                if all(sum(map(mul, p, n)) >= t for n, t in tests)]
+        points, boundary = [], []
+        for p in itertools.product(*(range(a, b + 1) for a, b in box)):
+            on = False
+            for n, t, tight in tests:
+                value = sum(map(mul, p, n))
+                if value < t:
+                    break
+                on = on or value == tight
+            else:
+                points.append(p)
+                if on:
+                    boundary.append(p)
+        return points, boundary
 
     def boundary_lattice_points(self) -> list[IntVec]:
-        return [p for p in self.lattice_points() if self.tight_indices(p)]
+        return self.lattice_points()[1]
 
     def is_full_dimensional(self) -> bool:
         if not self.vertices:
@@ -204,29 +229,15 @@ class Polytope:
         """
         if not self.is_full_dimensional():
             raise InputError("face enumeration requires a full-dimensional polytope")
-        tight_of_vertex = self._incidence
-        known: set[frozenset[int]] = set()
-        for i in range(len(self.halfspaces)):
-            vs = frozenset(k for k, t in enumerate(tight_of_vertex) if i in t)
-            if vs:
-                known.add(vs)
-        frontier = set(known)
+        incidence = self._incidence
+        known = {frozenset(k for k, t in enumerate(incidence) if i in t)
+                 for i in range(len(self.halfspaces))} - {frozenset()}
+        frontier = known
         while frontier:
-            new = set()
-            for a in frontier:
-                for b in known:
-                    c = a & b
-                    if c and c not in known and c not in new:
-                        new.add(c)
-            known |= new
-            frontier = new
-        out = []
-        for vs in known:
-            face = self._face(frozenset.intersection(*(tight_of_vertex[i] for i in vs)))
-            if face.codim >= 1:
-                out.append(face)
-        out.sort(key=lambda f: (f.codim, f.key))
-        return out
+            frontier = {a & b for a in frontier for b in known} - known - {frozenset()}
+            known = known | frontier
+        faces = [self._face(frozenset.intersection(*(incidence[i] for i in vs))) for vs in known]
+        return sorted((f for f in faces if f.codim >= 1), key=lambda f: (f.codim, f.key))
 
     def _face(self, tight) -> Face:
         """The face on which the half-spaces of ``tight`` are tight: its

@@ -104,18 +104,21 @@ def primitive(x: Sequence) -> IntVec:
     """Scale a nonzero rational vector to a primitive integer vector.
 
     The sign is preserved (the result is a positive multiple of the input).
+    An all-int x is its own numerators over 1, as in ``_integer_rows``.
     """
-    return primitive_scale(x)[0]
+    ints = x if all(type(a) is int for a in x) else _numerators(x)[0]
+    g = vec_gcd(ints)
+    if not g:
+        raise ValueError("zero vector has no primitive form")
+    return tuple(a // g for a in ints)
 
 
 def primitive_scale(x: Sequence) -> tuple[IntVec, Fraction]:
     """The primitive integer vector c x of a nonzero rational vector x, and
-    c > 0.  An all-int x is its own numerators over 1, as in ``_integer_rows``."""
-    ints, den = (x, 1) if all(type(a) is int for a in x) else _numerators(x)
-    g = vec_gcd(ints)
-    if not g:
-        raise ValueError("zero vector has no primitive form")
-    return tuple(a // g for a in ints), Fraction(den, g)
+    c > 0, read off one nonzero entry as its primitive entry over x's."""
+    p = primitive(x)
+    k = next(i for i, a in enumerate(p) if a)
+    return p, Fraction(p[k] * x[k].denominator, x[k].numerator)
 
 
 def _numerators(point: Sequence) -> tuple[IntVec, int]:

@@ -131,7 +131,7 @@ def window_figure(rep: QSRep, ctx: Context, delta, box: int = 3) -> str:
         canvas.point(place(wp), "red", r=3, cls="wall")
     if rep.rank == 2:
         canvas.point(place(delta), "#007700", r=3, cls="delta")
-    canvas.text((10, 16), f"window at {[str(Fraction(x)) for x in delta]}")
+    canvas.text((10, 16), f"window at {[str(x) for x in delta]}")
     return canvas.render()
 
 

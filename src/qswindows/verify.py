@@ -191,7 +191,7 @@ def _face_lattice_point_check(rep: QSRep, ctx: Context, cross) -> bool:
     shifted = ctx.half_sigma.translate(linalg.sub(cross.delta0, rho))
     near = ctx.half_sigma.translate(cross.delta)
     faces = {fd.face.facet_indices: fd for fd in cross.faces.values()}
-    for chi in shifted.lattice_points(extra=rep.root_datum.dominant_cone):
+    for chi in shifted.lattice_points(extra=rep.root_datum.dominant_cone)[0]:
         fd = faces.get(shifted.tight_indices(chi))
         if fd is None:
             continue

@@ -29,7 +29,10 @@ data per ordered pair of sign vectors.  A
 window missing there is looked up by class modulo the W-invariant
 characters, on which ``invariant_basis`` is a Z-basis: a sample nums/den,
 with m = floor(nums/den), has the sign vector of (nums - den m)/den as class
-key and sum_i m_i b_i as shift; only a class miss scans the lattice.  A
+key and sum_i m_i b_i as shift.  Only a class miss scans the lattice, and
+it reads nabla's integer half-space table at delta's numerators d over e:
+no translated polytope and no ``Fraction`` are made, and the one pass that
+finds the characters also finds any on the boundary, which is refused.  A
 face of (1/2)Sigma is its tight set, so its data is stored per tight set,
 daggers included.  Each exact pair is checked adjacent and built
 once, at its first wall point, and every crossing still has both endpoints
@@ -182,14 +185,13 @@ class Context:
                 step = linalg.sub(shift, hit[1])
                 chars = tuple(tuple(map(add, c, step)) for c in hit[0])
             else:
-                delta = linalg._fractions(*point)
-                shifted = self.rep.nabla.translate(delta)
-                chars = tuple(shifted.lattice_points(extra=self.rep.root_datum.dominant_cone))
-                boundary = [c for c in chars if shifted.tight_indices(c)]
+                rep = self.rep
+                points, boundary = rep.nabla.lattice_points(rep.root_datum.dominant_cone, point)
                 if boundary:
                     raise InternalInconsistencyError(
                         f"window characters {', '.join(map(_fmt, boundary))} on the boundary "
-                        f"at off-wall {_fmt(delta)}")
+                        f"at off-wall {_fmt(linalg._fractions(*point))}")
+                chars = tuple(points)
                 self._classes[key] = chars, shift
             self._windows[chamber.sign_vector] = chars
         return Window(point, chars)

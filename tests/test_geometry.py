@@ -13,7 +13,7 @@ from qswindows.errors import InputError, InternalInconsistencyError, Unsupported
 from qswindows.geometry import HalfSpace, Polytope
 from qswindows.rep import QSRep
 from qswindows.root_data import RootDatum
-from test_acceptance import CORPUS_COUNTS, CORPUS_SEED
+from test_acceptance import CORPUS_COUNTS, CORPUS_SEED, box_points
 from test_linalg import frac_rref, frac_solve
 
 
@@ -218,11 +218,11 @@ def test_lattice_points_examples():
     seg = geometry.from_halfspaces([
         HalfSpace((1,), Fraction(-1, 2)), HalfSpace((-1,), Fraction(-3, 2)),
     ])
-    assert seg.lattice_points() == [(0,), (1,)]
+    assert seg.lattice_points() == ([(0,), (1,)], [])
     seg2 = geometry.from_halfspaces([
         HalfSpace((1,), Fraction(-3, 2)), HalfSpace((-1,), Fraction(-3, 2)),
     ])
-    assert seg2.lattice_points() == [(-1,), (0,), (1,)]
+    assert seg2.lattice_points() == ([(-1,), (0,), (1,)], [])
 
 
 def test_lattice_points_non_integral_point():
@@ -230,17 +230,13 @@ def test_lattice_points_non_integral_point():
         HalfSpace((1,), Fraction(1, 2)), HalfSpace((-1,), Fraction(-1, 2)),
     ])
     assert half.vertices == ((Fraction(1, 2),),)
-    assert half.lattice_points() == []
+    assert half.lattice_points() == ([], [])
 
 
 def test_lattice_points_match_scan_oracle():
     z = geometry.zonotope(GL2_WEIGHTS).scale(Fraction(1, 2))
-    lo, hi = z.bounding_box()
-    oracle = [
-        p for p in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-        if all(frac_contains(h, p) for h in z.halfspaces)
-    ]
-    assert z.lattice_points() == sorted(oracle)
+    oracle = [p for p in box_points(z) if all(frac_contains(h, p) for h in z.halfspaces)]
+    assert z.lattice_points()[0] == sorted(oracle)
 
 
 def test_subset_limit_refuses_before_enumerating():
@@ -629,15 +625,18 @@ def test_scale_and_half_space_offsets_refuse_floats_and_bools():
             segment.lattice_points(extra=(HalfSpace((1,), bad),))
     assert segment.scale(3).vertices == ((0,), (6,))
     assert HalfSpace((1,), 2).offset == 2 and type(HalfSpace((1,), 2).offset) is int
-    assert segment.lattice_points(extra=(HalfSpace((1,), Fraction(1, 2)),)) == [(1,), (2,)]
+    assert segment.lattice_points(extra=(HalfSpace((1,), Fraction(1, 2)),)) == ([(1,), (2,)], [(2,)])
 
 
 # -- the integer read side against the Fraction oracle -------------------------
 
 def frac_lattice_points(poly, extra=()):
-    lo, hi = poly.bounding_box()
-    return [p for p in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-            if all(frac_contains(h, p) for h in poly.halfspaces + tuple(extra))]
+    """The integer points of the polytope meeting the extra half-spaces, by
+    ``Fraction`` tests over the vertices' box, and those of them on the
+    polytope's boundary."""
+    points = [p for p in box_points(poly)
+              if all(frac_contains(h, p) for h in poly.halfspaces + tuple(extra))]
+    return points, [p for p in points if any(frac_tight(h, p) for h in poly.halfspaces)]
 
 
 small_fractions = st.fractions(-3, 3, max_denominator=6)
@@ -674,10 +673,56 @@ def test_integer_half_space_tests_match_fraction_oracle(poly, data):
     _check_against_fraction_oracle(data.draw(st.sampled_from((poly, moved))), data)
 
 
+def _scan_shift(data, poly):
+    """A drawn shift: mixed denominators, or one that moves a vertex onto a
+    lattice point, so that the moved polytope has a boundary lattice point."""
+    shift = data.draw(st.tuples(*[small_fractions] * poly.dim))
+    if data.draw(st.booleans()):
+        vertex = data.draw(st.sampled_from(poly.vertices))
+        shift = tuple(round(a) - x for a, x in zip(shift, vertex))
+    return shift
+
+
+def _check_shifted_scan(poly, extra, shift, k):
+    """``lattice_points`` at (d, e), d/e = shift over a denominator k times
+    its least, against the translate route (the moved polytope scanned,
+    its boundary read with ``tight_indices``) and the ``Fraction`` oracle."""
+    d, e = linalg._numerators(shift)
+    moved = poly.translate(shift)
+    points = moved.lattice_points(extra)[0]
+    route = points, [p for p in points if moved.tight_indices(p)]
+    assert poly.lattice_points(extra, (tuple(k * x for x in d), k * e)) == route
+    assert route == frac_lattice_points(moved, extra)
+
+
+@settings(deadline=None, max_examples=150)
+@given(poly=rational_polytopes(), data=st.data())
+def test_shifted_scan_matches_translate_route(poly, data):
+    extra = ()
+    if data.draw(st.booleans()):
+        nrm = data.draw(st.tuples(*[st.integers(-2, 2)] * poly.dim).filter(any))
+        extra = (HalfSpace(linalg.primitive(nrm), data.draw(small_fractions)),)
+    _check_shifted_scan(poly, extra, _scan_shift(data, poly), data.draw(st.integers(1, 3)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_shifted_scan_on_bundled_nablas(bundled_reps, data):
+    """Each bundled nabla with its rep's dominant cone, as a window scans it."""
+    rep = data.draw(st.sampled_from(bundled_reps))
+    _check_shifted_scan(rep.nabla, rep.root_datum.dominant_cone,
+                        _scan_shift(data, rep.nabla), data.draw(st.integers(1, 3)))
+
+
 @pytest.fixture(scope="module")
-def bundled_polytopes():
+def bundled_reps():
+    return list(catalog.bundled_reps().values())
+
+
+@pytest.fixture(scope="module")
+def bundled_polytopes(bundled_reps):
     """(1/2)Sigma and nabla of each bundled rep."""
-    return [p for rep in catalog.bundled_reps().values() for p in (rep.half_sigma, rep.nabla)]
+    return [p for rep in bundled_reps for p in (rep.half_sigma, rep.nabla)]
 
 
 @settings(deadline=None, max_examples=40)

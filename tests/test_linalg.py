@@ -41,6 +41,22 @@ def test_primitive_scale_int_path_matches_numerators_path(x):
     assert linalg.primitive_scale(x) == linalg.primitive_scale(tuple(x))
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(st.lists(st.integers(-50, 50), min_size=1, max_size=4),
+                 st.lists(st.fractions(-20, 20, max_denominator=12), min_size=1, max_size=4))
+       .filter(any))
+def test_primitive_makes_no_fraction(x):
+    """``primitive`` reads int or ``Fraction`` entries and constructs no
+    ``Fraction``; its vector is ``primitive_scale``'s."""
+    made = []
+    real = Fraction.__new__
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__new__", lambda cls, *a, **k: (made.append(a), real(cls, *a, **k))[1])
+        p = linalg.primitive(x)
+    assert made == []
+    assert p == linalg.primitive_scale(x)[0]
+
+
 def test_sign_normalized():
     assert linalg.sign_normalized((0, -2, 1)) == (0, 2, -1)
     assert linalg.sign_normalized((3, -1)) == (3, -1)

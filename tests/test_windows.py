@@ -1,5 +1,5 @@
-import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qswindows import catalog, complexes, geometry, groupoid, linalg, verify, windows
-from qswindows.arrangement import Arrangement
-from qswindows.errors import InputError, InternalInconsistencyError, NotAdjacentError, OnWallError
+from qswindows.arrangement import Arrangement, Chamber
+from qswindows.errors import (InputError, InternalInconsistencyError, NotAdjacentError, OnWallError,
+                              _fmt)
 from qswindows.rep import QSRep
 from qswindows.root_data import RootDatum
-from test_acceptance import CORPUS_COUNTS, CORPUS_SEED
+from test_acceptance import CORPUS_COUNTS, CORPUS_SEED, box_points
 from test_geometry import barycenter
 from test_root_data import weyl_lengths
 
@@ -29,9 +30,8 @@ GL2_MU_ARROWS = {(-2, -2): (3, 2), (-1, -2): (3, 3), (0, -2): (3, 1)}
 def brute_window(rep, delta):
     """Independent oracle: scan a box and test every defining inequality."""
     shifted = rep.nabla.translate(delta)
-    lo, hi = shifted.bounding_box()
     out = []
-    for p in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+    for p in box_points(shifted):
         if shifted.contains(p) and rep.root_datum.is_dominant(p):
             out.append(p)
     return tuple(sorted(out))
@@ -513,6 +513,49 @@ def test_crossing_again_makes_no_fraction(name, monkeypatch):
     assert (again.delta, again.delta_prime, again.delta0) == (
         first.delta, first.delta_prime, first.delta0)
     assert again.delta == arr.to_ambient(here) and again.delta_prime == arr.to_ambient(there)
+
+
+@pytest.mark.parametrize("name", ["torus-1x3pairs", "gl2-cube-pair"])
+def test_class_miss_builds_no_polytope_and_no_fraction(name, monkeypatch):
+    """A window missing from every store scans nabla's integer table at
+    delta's numerators: it builds no ``Polytope`` and constructs no
+    ``Fraction``, and it holds the characters of the brute-force scan."""
+    rep_obj = catalog.bundled_reps()[name]
+    ctx = windows.Context(rep_obj)
+    delta = ctx.arrangement.to_ambient((F(1, 3),))
+    ctx.arrangement.to_coords(delta)  # the arrangement's inverse is worked out once, here
+    built, made = [], []
+    real_new, real_post = Fraction.__new__, geometry.Polytope.__post_init__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: (
+        made.append(a), real_new(cls, *a, **k))[1])
+    monkeypatch.setattr(geometry.Polytope, "__post_init__", lambda self: (
+        built.append(self), real_post(self))[1])
+    chars = ctx.window(delta).chars
+    assert (built, made) == ([], [])
+    monkeypatch.undo()
+    assert chars == brute_window(rep_obj, delta)
+
+
+@pytest.mark.parametrize("name", ["torus-1x3pairs", "gl2-cube-pair"])
+def test_class_miss_on_a_wall_is_refused(name):
+    """A chamber whose sample lies on a wall has window characters on the
+    boundary of delta + nabla; the class miss refuses it, naming the
+    characters that the translate route finds tight, and delta."""
+    rep_obj = catalog.bundled_reps()[name]
+    ctx = windows.Context(rep_obj)
+    arr = ctx.arrangement
+    wall = arr.walls_in_box(1)[0]
+    delta = arr.to_ambient((wall.offset / arr.families[wall.family_index].normal[0],))
+    with pytest.raises(OnWallError):
+        ctx.window(delta)
+    shifted = rep_obj.nabla.translate(delta)
+    boundary = [c for c in shifted.lattice_points(rep_obj.root_datum.dominant_cone)[0]
+                if shifted.tight_indices(c)]
+    assert boundary
+    message = (f"window characters {', '.join(map(_fmt, boundary))} on the boundary "
+               f"at off-wall {_fmt(delta)}")
+    with pytest.raises(InternalInconsistencyError, match=f"^{re.escape(message)}$"):
+        ctx.window(Chamber(("on-wall",), *arr._coords(delta)))
 
 
 def test_not_adjacent_names_both_ends_as_ambient_points(gl2rep, ctxgl2):
