@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Print the size of the qswindows package, per module and in total: all
-lines, and code lines.  A code line holds a token other than a comment and
-lies outside every docstring (the first string statement of a module,
-class or function, found with the AST); blank and comment-only lines do not
-count.  Run from anywhere: ``python scripts/code_size.py``."""
+lines, code lines, and ``Fraction(...)`` call sites.  A code line holds a
+token other than a comment and lies outside every docstring (the first
+string statement of a module, class or function, found with the AST);
+blank and comment-only lines do not count.  A call site is a call, found
+with the AST, of the name ``Fraction`` or of an attribute ``.Fraction``.
+Run from anywhere: ``python scripts/code_size.py``."""
 import ast
 import io
 import sys
@@ -35,16 +37,21 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+def fraction_calls(source: str) -> int:
+    return sum(1 for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+               and (getattr(node.func, "id", None) == "Fraction"
+                    or getattr(node.func, "attr", None) == "Fraction"))
+
+
 def main() -> int:
-    total_lines = total_code = 0
-    print(f"{'module':<16} {'lines':>6} {'code':>6}")
+    totals = [0, 0, 0]
+    print(f"{'module':<16} {'lines':>6} {'code':>6} {'Fraction(':>9}")
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text()
-        n_lines, n_code = len(source.splitlines()), code_lines(source)
-        total_lines += n_lines
-        total_code += n_code
-        print(f"{path.name:<16} {n_lines:>6} {n_code:>6}")
-    print(f"{'total':<16} {total_lines:>6} {total_code:>6}")
+        row = len(source.splitlines()), code_lines(source), fraction_calls(source)
+        totals = [t + n for t, n in zip(totals, row)]
+        print(f"{path.name:<16} {row[0]:>6} {row[1]:>6} {row[2]:>9}")
+    print(f"{'total':<16} {totals[0]:>6} {totals[1]:>6} {totals[2]:>9}")
     return 0
 
 

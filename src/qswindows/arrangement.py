@@ -349,8 +349,7 @@ def build_arrangement(rep: QSRep) -> Arrangement:
         raise InputError("the invariant subspace is zero; no arrangement exists")
     # (M_R^W)_gen is empty iff some zonotope facet hyperplane contains the
     # whole invariant subspace
-    label_normals = tuple(tuple(linalg.dot(b, h.normal) for b in basis)
-                          for h in rep.sigma.halfspaces)
+    label_normals = tuple(tuple(linalg.dot(b, n) for b in basis) for n in rep.sigma._table[0])
     if any(linalg.is_zero(n) for n in label_normals):
         raise InputError(
             "a zonotope facet hyperplane contains the invariant subspace; "

@@ -1,7 +1,12 @@
 """Exact rational convex polytopes: H/V representations, faces, lattice points.
 
-Polytopes are stored as irredundant half-space lists together with their
-vertex sets, both exact.  Half-spaces use the standard dot product; callers
+Polytopes are stored as integer tables over one positive denominator D,
+kept least: the irredundant half-spaces <p, n_i> >= o_i/D as integer
+normals n_i and offset numerators o_i, and the vertices x_k/D as integer
+numerators x_k.  Every construction below reads and writes these tables;
+``halfspaces`` (``HalfSpace``s with ``Fraction`` offsets) and ``vertices``
+(``Fraction`` points) are made from them only when read, as output and
+error messages do.  Half-spaces use the standard dot product; callers
 working with a nontrivial invariant form convert their normals first.  All
 polytopes here are bounded.
 
@@ -10,11 +15,12 @@ and each ``dim``-subset of hyperplane directions costs one fraction-free
 (Bareiss) elimination giving its determinant and adjugate, so every vertex
 candidate is a vector of Cramer numerators over the determinant, screened
 with integer dot products.  Each distinct vertex is re-derived once with
-``linalg.solve``, which runs the same elimination but checks its answer
-against every equation: the system is nonsingular, so it has one
-solution, and a faulty elimination cannot pass.  ``intersect`` enumerates
-nothing either: it cuts a polytope from its own vertices and incidence
-table, one double-description step per half-space.  Both hand their
+``linalg.solve`` of the integer system, which runs the same elimination
+but checks its answer against every equation: the system is nonsingular,
+so it has one solution, and a faulty elimination cannot pass.
+``intersect`` enumerates nothing either: it cuts a polytope from its own
+vertices and incidence table, one double-description step per
+half-space.  Both hand their
 vertices and candidate half-spaces to ``_facets``: one integer pass over
 candidates and vertices finds every tight set, keeps the facets, and
 checks what it kept without enumerating vertices (vertices are feasible,
@@ -27,10 +33,9 @@ integer cross products, so every facet of a polytope of dimension <= 3
 is checked without trying vertex subsets; only facets of dimension >= 3
 try them.
 
-Queries run over the integers too.  Each polytope holds its half-spaces
-once as integer normals n_i and offset numerators o_i over one common
-denominator D, and ``translate`` shifts the numerators.  A point enters a
-query once, as integer numerators over its own denominator, p = x/e, and
+Queries run over the integers too; ``translate`` and ``scale`` move the
+numerators and D and carry everything else.  A point enters a query
+once, as integer numerators over its own denominator, p = x/e, and
 <p, n_i> >= o_i/D becomes <x, n_i> D >= o_i e.  The lattice scan reads the
 table at a shift d/e without building the moved polytope: each integer box
 point is compared with the thresholds ceil(q_i/De), q_i = o_i e + D <d, n_i>,
@@ -98,23 +103,34 @@ class Face:
 
 @dataclass(frozen=True)
 class Polytope:
+    """A bounded polytope over the integers, over one positive denominator
+    D: ``_table`` holds its facet half-spaces <p, n> >= o/D as (normals,
+    offset numerators o, D), sorted by normal; ``_points`` its vertices
+    x/D as their numerators x, sorted; and ``_incidence`` per vertex the
+    indices of the half-spaces tight at it.  D is kept least, so equal
+    polytopes have equal fields.  ``halfspaces`` and ``vertices`` are made
+    from the integers on first read."""
+
     dim: int
-    halfspaces: tuple[HalfSpace, ...]
-    vertices: tuple[Vec, ...]
-    # the half-spaces over the integers: (normals, offset numerators, their
-    # common denominator); derived from ``halfspaces`` when not given
-    _table: tuple | None = field(default=None, repr=False, compare=False)
-    # per vertex, the indices of the half-spaces tight at it; derived from
-    # the vertices when not given
-    _incidence: tuple | None = field(default=None, repr=False, compare=False)
+    _table: tuple
+    _points: tuple
+    _incidence: tuple = field(repr=False, compare=False)
 
     def __post_init__(self):
-        if self._table is None:
-            offsets, den = _numerators([h.offset for h in self.halfspaces])
-            object.__setattr__(self, "_table", (tuple(h.normal for h in self.halfspaces),
-                                                offsets, den))
-        if self._incidence is None:
-            object.__setattr__(self, "_incidence", tuple(map(self.tight_indices, self.vertices)))
+        normals, offsets, den = self._table
+        g = gcd(den, *offsets, *itertools.chain.from_iterable(self._points))
+        if g > 1:
+            object.__setattr__(self, "_table", (normals, tuple(o // g for o in offsets), den // g))
+            object.__setattr__(self, "_points",
+                               tuple(tuple(x // g for x in p) for p in self._points))
+
+    @functools.cached_property
+    def halfspaces(self) -> tuple[HalfSpace, ...]:
+        return tuple(map(HalfSpace, self._table[0], linalg._fractions(*self._table[1:])))
+
+    @functools.cached_property
+    def vertices(self) -> tuple[Vec, ...]:
+        return tuple(linalg._fractions(p, self._table[2]) for p in self._points)
 
     def _excess(self, nums, e: int):
         """Per half-space, the sign-exact excess den * e * (<p, n> - offset)
@@ -130,46 +146,36 @@ class Polytope:
         return frozenset(i for i, v in enumerate(self._excess(*_numerators(point))) if not v)
 
     def translate(self, v) -> "Polytope":
-        """The polytope moved by v.  The offset numerators move by <v, n>,
-        over the least common denominator of theirs and v's.  Each vertex
-        keeps its tight set, so the incidence table is carried over."""
-        v = linalg.vec(v)
-        nums, e = _numerators(v)
+        """The polytope moved by v.  The offset numerators move by <v, n>
+        and the vertex numerators by v, over the least common denominator
+        of theirs and v's.  Each vertex keeps its tight set, so the
+        incidence table is carried over."""
+        nums, e = _numerators(linalg.vec(v))
         normals, offsets, den = self._table
         common = lcm(den, e)
         a, b = common // den, common // e
         moved = tuple(o * a + sum(map(mul, nums, n)) * b for n, o in zip(normals, offsets))
-        return Polytope(
-            dim=self.dim,
-            halfspaces=tuple(HalfSpace(n, Fraction(o, common)) for n, o in zip(normals, moved)),
-            vertices=tuple(linalg.add(x, v) for x in self.vertices),
-            _table=(normals, moved, common),
-            _incidence=self._incidence,
-        )
+        return Polytope(self.dim, (normals, moved, common), tuple(
+            tuple(x * a + y * b for x, y in zip(p, nums)) for p in self._points), self._incidence)
 
     def scale(self, c) -> "Polytope":
-        """The polytope scaled by c > 0 about the origin.  The offset
-        numerators take c's numerator and the denominator c's denominator,
-        and the incidence table is carried over."""
+        """The polytope scaled by c > 0 about the origin.  The offset and
+        vertex numerators take c's numerator and the denominator c's
+        denominator, and the incidence table is carried over."""
         c = linalg._exact(c)
         if c <= 0:
             raise InputError("scale factor must be positive")
         normals, offsets, den = self._table
-        return Polytope(
-            dim=self.dim,
-            halfspaces=tuple(HalfSpace(h.normal, c * h.offset) for h in self.halfspaces),
-            vertices=tuple(linalg.scale(c, x) for x in self.vertices),
-            _table=(normals, tuple(o * c.numerator for o in offsets), den * c.denominator),
-            _incidence=self._incidence,
-        )
+        p = c.numerator
+        return Polytope(self.dim, (normals, tuple(o * p for o in offsets), den * c.denominator),
+                        tuple(tuple(x * p for x in v) for v in self._points), self._incidence)
 
     @functools.cached_property
     def _box(self) -> list[tuple[int, int, int]]:
         """The vertices' bounding box over the integers: per coordinate, the
-        least and greatest vertex numerator over the vertices' common
-        denominator, and that denominator; worked out on first use."""
-        nums, den = _numerators([x for v in self.vertices for x in v])
-        return [(min(nums[i::self.dim]), max(nums[i::self.dim]), den) for i in range(self.dim)]
+        least and greatest vertex numerator, and the denominator; worked
+        out on first use."""
+        return [(min(column), max(column), self._table[2]) for column in zip(*self._points)]
 
     def lattice_points(self, extra: tuple[HalfSpace, ...] = (),
                        at: tuple[IntVec, int] | None = None) -> tuple[list[IntVec], list[IntVec]]:
@@ -213,10 +219,7 @@ class Polytope:
         return self.lattice_points()[1]
 
     def is_full_dimensional(self) -> bool:
-        if not self.vertices:
-            return False
-        diffs = [linalg.sub(v, self.vertices[0]) for v in self.vertices[1:]]
-        return bool(diffs) and linalg.rank(diffs) == self.dim
+        return bool(self._points) and _affine_rank(self._points) == self.dim
 
     # -- faces ---------------------------------------------------------------
 
@@ -231,7 +234,7 @@ class Polytope:
             raise InputError("face enumeration requires a full-dimensional polytope")
         incidence = self._incidence
         known = {frozenset(k for k, t in enumerate(incidence) if i in t)
-                 for i in range(len(self.halfspaces))} - {frozenset()}
+                 for i in range(len(self._table[0]))} - {frozenset()}
         frontier = known
         while frontier:
             frontier = {a & b for a in frontier for b in known} - known - {frozenset()}
@@ -246,7 +249,7 @@ class Polytope:
         vs = tuple(k for k, t in enumerate(self._incidence) if tight <= t)
         if not vs:
             raise InternalInconsistencyError("boundary point with no tight vertices")
-        pts = [self.vertices[i] for i in vs]
+        pts = [self._points[i] for i in vs]
         span = linalg.rank([linalg.sub(p, pts[0]) for p in pts[1:]])
         return Face(facet_indices=tight, codim=self.dim - span, vertex_indices=vs)
 
@@ -268,10 +271,10 @@ class Polytope:
     def to_json(self) -> dict:
         return {
             "halfspaces": [
-                {"normal": list(h.normal), "offset": str(Fraction(h.offset))}
+                {"normal": list(h.normal), "offset": str(h.offset)}
                 for h in self.halfspaces
             ],
-            "vertices": sorted([str(Fraction(x)) for x in v] for v in self.vertices),
+            "vertices": sorted([str(x) for x in v] for v in self.vertices),
         }
 
 
@@ -285,29 +288,25 @@ def _subsets(items, k):
     return itertools.combinations(items, k)
 
 
-def _scaled(halfspaces, vertices) -> tuple[IntVec, list[IntVec], int]:
-    """Offsets and vertices as integers over one common denominator, and
-    that denominator."""
-    k, d = len(halfspaces), len(vertices[0])
-    nums, den = _numerators([h.offset for h in halfspaces] + [x for v in vertices for x in v])
-    return nums[:k], [nums[i:i + d] for i in range(k, len(nums), d)], den
+def _vertex_enumeration(table) -> tuple[tuple, tuple[IntVec, ...]]:
+    """Vertices of the intersection of the half-spaces of an integer table:
+    the table over a multiple of its denominator, and the sorted vertex
+    numerators over that denominator.
 
-
-def _vertex_enumeration(halfspaces, dim) -> list[Vec]:
-    """Vertices of the intersection of the half-spaces, over the integers.
-
-    Offsets are scaled to one common denominator D.  For each ``dim``-subset
-    of distinct hyperplane directions one Bareiss elimination gives the
-    determinant and the adjugate; a zero determinant skips the subset, and
-    every choice of offsets along those directions then costs one
-    matrix-vector product for its Cramer numerators.  A candidate survives
-    if it satisfies every half-space, tested with integer dot products
-    against offset*det.  Each distinct survivor is re-derived once with
-    ``linalg.solve`` and must agree; that solve checks its answer against
-    every equation, so it does not rest on the elimination being right.
+    The offsets are numerators over one common denominator D.  For each
+    ``dim``-subset of distinct hyperplane directions one Bareiss
+    elimination gives the determinant and the adjugate; a zero determinant
+    skips the subset, and every choice of offsets along those directions
+    then costs one matrix-vector product for its Cramer numerators.  A
+    candidate survives if it satisfies every half-space, tested with
+    integer dot products against offset*det.  Each distinct survivor is
+    re-derived once with ``linalg.solve`` of the integer system A y = b,
+    y = D x, and must agree; that solve checks its answer against every
+    equation, so it does not rest on the elimination being right.
     """
-    scaled, denom = _numerators([h.offset for h in halfspaces])
-    tests = [(h.normal, off) for h, off in zip(halfspaces, scaled)]
+    normals, scaled, denom = table
+    dim = len(normals[0])
+    tests = list(zip(normals, scaled))
     offsets: dict[IntVec, set[int]] = {}
     for nrm, off in tests:
         key = linalg.sign_normalized(nrm)
@@ -327,56 +326,63 @@ def _vertex_enumeration(halfspaces, dim) -> list[Vec]:
             if all(sum(map(mul, nrm, nums)) >= off * det for nrm, off in tests):
                 g = gcd(det, *nums)
                 found.setdefault((det // g, tuple(x // g for x in nums)), (combo, rhs))
+    common = lcm(*(det for det, _ in found))
     verts = []
     for (det, nums), (combo, rhs) in found.items():
-        point = tuple(Fraction(x, det * denom) for x in nums)
-        if linalg.solve(combo, [Fraction(b, denom) for b in rhs]) != point:
-            raise InternalInconsistencyError(
-                f"integer vertex {_fmt(point)} disagrees with the exact solve")
-        verts.append(point)
-    return sorted(verts)
+        solved = linalg.solve(combo, rhs)
+        if solved is None or _numerators(solved) != (nums, det):
+            point = _fmt(linalg._fractions(nums, det * denom))
+            raise InternalInconsistencyError(f"integer vertex {point} disagrees with the exact solve")
+        verts.append(tuple(x * (common // det) for x in nums))
+    return (normals, tuple(o * common for o in scaled), denom * common), tuple(sorted(verts))
 
 
 def from_halfspaces(halfspaces) -> Polytope:
     """Build a polytope from possibly redundant half-spaces, by vertex
     enumeration and then the facet rule of ``_facets``."""
-    hs = _tightest(halfspaces)
-    if not hs:
+    offsets, den = _numerators([h.offset for h in halfspaces])
+    table = _tightest([tuple(h.normal) for h in halfspaces], offsets, den)
+    if not table[0]:
         raise InputError("a polytope needs at least one half-space")
-    verts = _vertex_enumeration(hs, len(hs[0].normal))
-    if not verts:
+    table, pts = _vertex_enumeration(table)
+    if not pts:
         raise InputError("half-spaces have empty intersection")
-    return _polytope(hs, verts)
+    return _polytope(table, pts)
 
 
-def _tightest(halfspaces) -> list[HalfSpace]:
-    """Per normal only the tightest offset, sorted by normal: sorting puts
-    the largest offset along each normal last, and the dict keeps it."""
-    best = dict(sorted((tuple(h.normal), Fraction(h.offset)) for h in halfspaces))
-    return [HalfSpace(nrm, off) for nrm, off in best.items()]
+def _tightest(normals, offsets, den) -> tuple:
+    """The integer table with per normal only the tightest offset, sorted
+    by normal: sorting puts the largest offset along each normal last, and
+    the dict keeps it."""
+    best = dict(sorted(zip(normals, offsets)))
+    return tuple(best), tuple(best.values()), den
 
 
-def _polytope(hs, verts) -> Polytope:
-    """The polytope with the given vertices whose half-spaces are those of
-    ``hs`` (one per normal, sorted, each holding on every vertex) that
+def _polytope(table, pts) -> Polytope:
+    """The polytope with the given vertices, integer numerators over the
+    table's denominator, whose half-spaces are those rows of the integer
+    table (one per normal, sorted, each holding on every vertex) that
     ``_facets`` keeps, with the tight sets it found as the incidence table."""
-    verts = tuple(sorted(verts))
-    kept, incidence = _facets(hs, verts)
-    return Polytope(dim=len(verts[0]), halfspaces=kept, vertices=verts, _incidence=incidence)
+    normals, offsets, den = table
+    pts = tuple(sorted(pts))
+    keep, incidence = _facets(table, pts)
+    return Polytope(len(pts[0]), (tuple(normals[j] for j in keep),
+                                  tuple(offsets[j] for j in keep), den), pts, incidence)
 
 
 def _check_h_v(poly: Polytope) -> None:
     """Check that the half-spaces cut out exactly the hull of the vertices:
     rebuilt from its own H and V by ``_facets``, the polytope keeps every
     half-space."""
-    if len(_facets(poly.halfspaces, poly.vertices)[0]) != len(poly.halfspaces):
+    if len(_facets(poly._table, poly._points)[0]) != len(poly._table[0]):
         raise InternalInconsistencyError("a half-space does not support a facet of the vertex hull")
 
 
-def _facets(hs, verts) -> tuple[tuple[HalfSpace, ...], tuple[frozenset[int], ...]]:
-    """The facet rule and its check: the candidate half-spaces that support
-    facets of the hull of the vertices, and per vertex the indices of the
-    kept ones tight at it.
+def _facets(table, pts) -> tuple[tuple[int, ...], tuple[frozenset[int], ...]]:
+    """The facet rule and its check: the indices of the candidate
+    half-spaces, rows of the integer table, that support facets of the hull
+    of the vertices, integer numerators over the table's denominator; and
+    per vertex the indices, among the kept ones, of those tight at it.
 
     One pass of V*F integer dot products finds each candidate's tight
     vertex set.  With k the affine dimension of the vertices, a candidate
@@ -403,25 +409,26 @@ def _facets(hs, verts) -> tuple[tuple[HalfSpace, ...], tuple[frozenset[int], ...
     normals of rank 3 at every old vertex.  With it the facets found are
     every facet, as the facet-ridge graph of a polytope is connected.
     """
-    dim = len(verts[0])
-    offsets, pts, _ = _scaled(hs, verts)
-    on: list[set[int]] = [set() for _ in hs]
+    normals, offsets, den = table
+    dim = len(pts[0])
+    on: list[set[int]] = [set() for _ in normals]
     for i, p in enumerate(pts):
-        for j, (h, off) in enumerate(zip(hs, offsets)):
-            value = linalg.dot(h.normal, p)
+        for j, (nrm, off) in enumerate(zip(normals, offsets)):
+            value = linalg.dot(nrm, p)
             if value < off:
-                raise InternalInconsistencyError(f"vertex {_fmt(verts[i])} violates a half-space")
+                raise InternalInconsistencyError(
+                    f"vertex {_fmt(linalg._fractions(p, den))} violates a half-space")
             if value == off:
                 on[j].add(i)
     k = _affine_rank(pts)
     ranks = [_affine_rank([pts[i] for i in ts]) if ts else -1 for ts in on]
-    keep = [j for j, r in enumerate(ranks) if r >= 0 and (k < dim or r == dim - 1)]
-    kept = tuple(hs[j] for j in keep)
+    keep = tuple(j for j, r in enumerate(ranks) if r >= 0 and (k < dim or r == dim - 1))
     incidence = tuple(frozenset(a for a, j in enumerate(keep) if i in on[j]) for i in range(len(pts)))
-    for v, tight in zip(verts, incidence):
-        if _rank([kept[a].normal for a in tight]) != dim:
-            raise InternalInconsistencyError(f"{_fmt(v)} is not a vertex of the half-spaces")
-    equalities = [hs[j].normal for j in keep if len(on[j]) == len(pts)]
+    for p, tight in zip(pts, incidence):
+        if _rank([normals[keep[a]] for a in tight]) != dim:
+            raise InternalInconsistencyError(
+                f"{_fmt(linalg._fractions(p, den))} is not a vertex of the half-spaces")
+    equalities = [normals[j] for j in keep if len(on[j]) == len(pts)]
     if _rank(equalities) != dim - k or not all(
             _in_cone(linalg.neg(n), equalities) for n in equalities):
         raise InternalInconsistencyError("half-spaces do not cut out the affine hull of the vertices")
@@ -433,7 +440,7 @@ def _facets(hs, verts) -> tuple[tuple[HalfSpace, ...], tuple[frozenset[int], ...
             if sum(1 for f in facets if ridge <= f) != 2:
                 raise InternalInconsistencyError(
                     "a ridge does not lie in exactly two facets: H and V representations disagree")
-    return kept, incidence
+    return keep, incidence
 
 
 def _rank(rows) -> int:
@@ -549,7 +556,7 @@ def zonotope(generators) -> Polytope:
     halfspaces = []
     for nrm in spanned_normals(gens, dim):
         upper = sum(max(0, linalg.dot(g, nrm)) for g in gens)
-        halfspaces.append(HalfSpace(linalg.neg(nrm), Fraction(-upper)))
+        halfspaces.append(HalfSpace(linalg.neg(nrm), -upper))
     return from_halfspaces(halfspaces)
 
 
@@ -590,22 +597,26 @@ def intersect(poly: Polytope, halfspaces) -> Polytope:
     dim - 1, and the new point is tight on those and the cut.  The facet
     rule of ``_facets`` then keeps the facets and checks the result.
     """
-    hs = [*poly.halfspaces, *halfspaces]
-    offsets, pts, den = _scaled(hs, poly.vertices)
+    normals, offsets, den = poly._table
+    extra, e = _numerators([h.offset for h in halfspaces])
+    common = lcm(den, e)
+    normals = (*normals, *(tuple(h.normal) for h in halfspaces))
+    offsets = [o * (common // den) for o in offsets] + [o * (common // e) for o in extra]
     # each point as (*x, e), tight on the half-spaces of its index set
-    rows = [((*x, 1), t) for x, t in zip(pts, poly._incidence)]
-    for j in range(len(poly.halfspaces), len(hs)):
-        cut = (*hs[j].normal, -offsets[j])
+    rows = [((*linalg.scale(common // den, p), 1), t) for p, t in zip(poly._points, poly._incidence)]
+    for j in range(len(poly._table[0]), len(normals)):
+        cut = (*normals[j], -offsets[j])
         signed = [(sum(map(mul, p, cut)), p, t) for p, t in rows]
         rows = [(p, t | {j} if s == 0 else t) for s, p, t in signed if s >= 0]
         for (s, p, t), (s2, p2, t2) in itertools.product(
                 [r for r in signed if r[0] > 0], [r for r in signed if r[0] < 0]):
-            common = t & t2
-            if len(common) >= poly.dim - 1 and _rank([hs[i].normal for i in common]) == poly.dim - 1:
+            both = t & t2
+            if len(both) >= poly.dim - 1 and _rank([normals[i] for i in both]) == poly.dim - 1:
                 y = [s * b - s2 * a for a, b in zip(p, p2)]
                 g = gcd(*y)
-                rows.append((tuple(a // g for a in y), common | {j}))
+                rows.append((tuple(a // g for a in y), both | {j}))
         if not rows:
             raise InputError("half-spaces have empty intersection")
-    verts = [tuple(Fraction(a, p[-1] * den) for a in p[:-1]) for p, _ in rows]
-    return _polytope(_tightest(hs), verts)
+    scale = lcm(*(p[-1] for p, _ in rows))
+    return _polytope(_tightest(normals, [o * scale for o in offsets], common * scale),
+                     [tuple(a * (scale // p[-1]) for a in p[:-1]) for p, _ in rows])

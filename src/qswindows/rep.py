@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import sub
 
 from . import geometry, linalg
@@ -79,7 +80,7 @@ class QSRep:
         half_sigma = sigma.scale(Fraction(1, 2))
         nabla = build_nabla(root_datum, weights, half_sigma)
         dagger_facets = _minus_w0_facets(root_datum, half_sigma)
-        generic = check_generic(root_datum, weights, [h.normal for h in sigma.halfspaces])
+        generic = check_generic(root_datum, weights, sigma._table[0])
         if assert_generic is not None and generic is Ternary.UNKNOWN:
             generic = Ternary.YES if assert_generic else Ternary.NO
         return cls(
@@ -202,18 +203,28 @@ def _weyl_hull(root_datum, dominant: Polytope, slabs) -> Polytope:
     tightest slab offset, and ``geometry._polytope`` keeps the facets
     among them: nabla is the slab polytope, so each of its facets is a
     tightest slab."""
-    offsets, pts, den = geometry._scaled(slabs, dominant.vertices)
+    tightest, pts, den = _over_one_denominator(slabs, dominant)
     new = pts = set(pts)
     while new:
         new = {root_datum.apply(s, p) for s in root_datum.simple_reflections for p in new} - pts
         pts |= new
-    # sorted, so the last and tightest offset along each normal is kept
-    tightest = dict(sorted(zip((h.normal for h in slabs), offsets)))
     low = {n: min(linalg.dot(n, p) for p in pts) for n in tightest}
     verts = [p for p in pts
              if geometry._rank([n for n in low if linalg.dot(n, p) == low[n]]) == dominant.dim]
-    hs = [HalfSpace(n, Fraction(m, den)) for n, m in low.items() if m == tightest[n]]
-    return geometry._polytope(hs, [tuple(Fraction(x, den) for x in p) for p in verts])
+    kept = [n for n, m in low.items() if m == tightest[n]]
+    return geometry._polytope((tuple(kept), tuple(low[n] for n in kept), den), verts)
+
+
+def _over_one_denominator(slabs, poly: Polytope) -> tuple[dict, list[IntVec], int]:
+    """The tightest slab offset along each slab normal, sorted by normal,
+    and the polytope's vertices, all as integer numerators over one
+    common denominator, and that denominator."""
+    offsets, den = linalg._numerators([h.offset for h in slabs])
+    common = lcm(den, poly._table[2])
+    a, b = common // den, common // poly._table[2]
+    # sorted, so the last and tightest offset along each normal is kept
+    tightest = dict(sorted(zip((h.normal for h in slabs), (o * a for o in offsets))))
+    return tightest, [linalg.scale(b, p) for p in poly._points], common
 
 
 def _minus_w0_facets(root_datum: RootDatum, half_sigma: Polytope) -> tuple[int, ...]:
@@ -224,16 +235,15 @@ def _minus_w0_facets(root_datum: RootDatum, half_sigma: Polytope) -> tuple[int, 
     transpose: <x, n> >= o becomes <y, -w0^T n> >= o at y = -w0 x, as
     w0 is an involution; the offset stays.  A half-space with no such
     image is an internal inconsistency, named by its normal and offset."""
-    index = {(h.normal, h.offset): i for i, h in enumerate(half_sigma.halfspaces)}
+    rows = tuple(zip(*half_sigma._table[:2]))
+    index = {row: i for i, row in enumerate(rows)}
     w0_t = linalg.transpose(root_datum.w0)
-    images = []
-    for h in half_sigma.halfspaces:
-        j = index.get((linalg.neg(linalg.mat_vec(w0_t, h.normal)), h.offset))
-        if j is None:
-            raise InternalInconsistencyError(
-                f"facet {_fmt(h.normal)} >= {h.offset} of (1/2)Sigma has no image under -w0")
-        images.append(j)
-    return tuple(images)
+    images = tuple(index.get((linalg.neg(linalg.mat_vec(w0_t, n)), o)) for n, o in rows)
+    if None in images:
+        h = half_sigma.halfspaces[images.index(None)]
+        raise InternalInconsistencyError(
+            f"facet {_fmt(h.normal)} >= {h.offset} of (1/2)Sigma has no image under -w0")
+    return images
 
 
 def _slabs(root_datum: RootDatum, weights) -> list[HalfSpace]:
@@ -260,14 +270,16 @@ def _cross_check_nabla(root_datum, half_sigma, nabla, slabs, dominant=None) -> N
     over one denominator: each vertex meets the tightest slab along each
     normal (nabla in S), and each facet is a slab with the same normal and
     an offset at least as tight (S in nabla)."""
-    k = len(nabla.halfspaces)
-    offsets, pts, _ = geometry._scaled([*nabla.halfspaces, *slabs], nabla.vertices)
+    tightest, pts, den = _over_one_denominator(slabs, nabla)
     if not root_datum.is_torus:
         cone = root_datum.dominant_cone
         if dominant is None:
             dominant = geometry.intersect(half_sigma.translate(linalg.neg(root_datum.rho)), cone)
-        # both are checked polytopes, so they are equal when their vertices are
-        if geometry.intersect(nabla, cone).vertices != dominant.vertices:
+        # both are checked polytopes, so they are equal when their vertices
+        # are: x/d = y/e exactly when e x = d y
+        sliced = geometry.intersect(nabla, cone)
+        if ([linalg.scale(dominant._table[2], x) for x in sliced._points]
+                != [linalg.scale(sliced._table[2], y) for y in dominant._points]):
             raise InternalInconsistencyError(
                 "dominant slice of the window polytope does not match the shifted zonotope")
         # nabla is convex and the simple reflections generate W; an involution
@@ -275,16 +287,16 @@ def _cross_check_nabla(root_datum, half_sigma, nabla, slabs, dominant=None) -> N
         if any({root_datum.apply(s, p) for p in pts} != set(pts)
                for s in root_datum.simple_reflections):
             raise InternalInconsistencyError("window polytope is not Weyl invariant")
-    # sorted, so the last and tightest offset along each normal is kept
-    tightest = dict(sorted(zip((h.normal for h in slabs), offsets[k:])))
-    for v, p in zip(nabla.vertices, pts):
+    for i, p in enumerate(pts):
         for n, off in tightest.items():
             if linalg.dot(n, p) < off:
-                raise InternalInconsistencyError(f"vertex {_fmt(v)} lies outside slab {_fmt(n)}")
-    for h, off in zip(nabla.halfspaces, offsets[:k]):
-        if h.normal not in tightest or tightest[h.normal] < off:
+                raise InternalInconsistencyError(
+                    f"vertex {_fmt(nabla.vertices[i])} lies outside slab {_fmt(n)}")
+    normals, offsets, e = nabla._table
+    for i, (n, o) in enumerate(zip(normals, offsets)):
+        if n not in tightest or tightest[n] < o * (den // e):
             raise InternalInconsistencyError(
-                f"facet {_fmt(h.normal)} >= {h.offset} has no slab as tight")
+                f"facet {_fmt(n)} >= {nabla.halfspaces[i].offset} has no slab as tight")
 
 
 def _check_w_invariance(root_datum, weights) -> None:

@@ -10,7 +10,6 @@ lines.  Everything above rank 2 is rejected.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import linalg, windows
 from .errors import UnsupportedDimensionError
@@ -110,7 +109,7 @@ def _wall_points(ctx: Context, box: int):
     if arr.dim != 1:
         return pts
     for wall in arr.walls_in_box(box):
-        x = Fraction(wall.offset) / arr.families[wall.family_index].normal[0]
+        x = wall.offset / arr.families[wall.family_index].normal[0]
         pts += [arr.to_ambient((x,)), arr.to_ambient((-x,))]
     return sorted(set(map(tuple, pts)))
 

@@ -211,7 +211,7 @@ def _class_key(arr: Arrangement, chamber: Chamber) -> tuple[tuple, IntVec]:
 
 
 def face_data_from_face(rep: QSRep, poly: Polytope, face: Face) -> FaceData:
-    normals = tuple(sorted(poly.halfspaces[i].normal for i in face.facet_indices))
+    normals = tuple(sorted(poly._table[0][i] for i in face.facet_indices))
     plus, minus, zero = [], [], []
     for i, b in enumerate(rep.weights):
         values = [linalg.dot(b, n) for n in normals]
@@ -223,9 +223,8 @@ def face_data_from_face(rep: QSRep, poly: Polytope, face: Face) -> FaceData:
             zero.append(i)
     if set(plus) & set(minus):
         raise InternalInconsistencyError("a weight pairs both ways with a face's normals")
-    dominant = all(
-        rep.root_datum.is_dominant(poly.vertices[i]) for i in face.vertex_indices
-    )
+    # a sign test, so the vertices' one positive denominator cannot change it
+    dominant = all(rep.root_datum.is_dominant(poly._points[i]) for i in face.vertex_indices)
     return FaceData(
         face=face,
         inward_normals=normals,

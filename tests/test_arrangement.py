@@ -15,6 +15,7 @@ from qswindows.errors import InputError, NotAdjacentError, OnWallError
 from qswindows.rep import QSRep
 from qswindows.root_data import RootDatum
 from qswindows.windows import Context
+from test_geometry import frac_polytope
 from test_windows import _criterion6_hops
 
 F = Fraction
@@ -186,8 +187,8 @@ def test_wall_families_match_fraction_oracle_on_halfspaces(data):
             st.tuples(vectors, st.integers(-12, 12), st.sampled_from([1, 2, 3, 5, 6])),
             min_size=1, max_size=5)))
     rep = SimpleNamespace(root_datum=SimpleNamespace(invariant_basis=basis),
-                          sigma=SimpleNamespace(halfspaces=()),
-                          nabla=geometry.Polytope(2, halfspaces, ()))
+                          sigma=SimpleNamespace(_table=((), (), 1)),
+                          nabla=frac_polytope(2, halfspaces, ()))
     expected = _oracle_families(rep)
     if not expected:
         with pytest.raises(InputError, match="every window facet direction"):

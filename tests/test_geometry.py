@@ -394,6 +394,27 @@ def named_cases():
     return cases
 
 
+def kernel_vertices(halfspaces):
+    """The integer vertex kernel's vertices, read as ``Fraction`` points."""
+    offsets, den = linalg._numerators([h.offset for h in halfspaces])
+    (_, _, den), pts = geometry._vertex_enumeration(
+        (tuple(h.normal for h in halfspaces), offsets, den))
+    return [linalg._fractions(p, den) for p in pts]
+
+
+def frac_polytope(dim, halfspaces, vertices) -> Polytope:
+    """A polytope with exactly the given half-spaces and vertices, which
+    need not agree: its integer tables are read off them, and its
+    incidence table by ``Fraction`` tight tests."""
+    k = len(halfspaces)
+    nums, den = linalg._numerators([h.offset for h in halfspaces]
+                                   + [Fraction(x) for v in vertices for x in v])
+    return Polytope(dim, (tuple(h.normal for h in halfspaces), nums[:k], den),
+                    tuple(nums[i:i + dim] for i in range(k, len(nums), dim)),
+                    tuple(frozenset(i for i, h in enumerate(halfspaces) if frac_tight(h, v))
+                          for v in vertices))
+
+
 def test_vertex_kernel_matches_rref_oracle():
     rng = random.Random(20250810)
     cases = named_cases()
@@ -402,7 +423,7 @@ def test_vertex_kernel_matches_rref_oracle():
     nonempty = 0
     for hs in cases:
         dim = len(hs[0].normal)
-        verts = geometry._vertex_enumeration(hs, dim)
+        verts = kernel_vertices(hs)
         assert verts == rref_vertex_enumeration(hs, dim)
         if verts:
             nonempty += 1
@@ -415,7 +436,7 @@ def test_vertex_kernel_empty_intersection():
     for hs in ([halfspace((1,), 1), halfspace((-1,), 0)],
                cube(3) + [halfspace((1, 1, 1), Fraction(7, 2))]):
         dim = len(hs[0].normal)
-        assert geometry._vertex_enumeration(hs, dim) == []
+        assert kernel_vertices(hs) == []
         assert rref_vertex_enumeration(hs, dim) == []
         with pytest.raises(InputError):
             geometry.from_halfspaces(hs)
@@ -423,7 +444,7 @@ def test_vertex_kernel_empty_intersection():
 
 def test_h_v_check_catches_a_dropped_vertex():
     octa = geometry.from_halfspaces(cross_polytope(3))
-    bad = Polytope(octa.dim, octa.halfspaces, octa.vertices[1:])
+    bad = frac_polytope(octa.dim, octa.halfspaces, octa.vertices[1:])
     with pytest.raises(InternalInconsistencyError):
         geometry._check_h_v(bad)
 
@@ -431,7 +452,7 @@ def test_h_v_check_catches_a_dropped_vertex():
 def test_h_v_check_catches_an_added_point():
     octa = geometry.from_halfspaces(cross_polytope(3))
     for extra in ((0, 0, 0), (Fraction(1, 2), Fraction(1, 2), 0)):
-        bad = Polytope(octa.dim, octa.halfspaces, octa.vertices + (linalg.vec(extra),))
+        bad = frac_polytope(octa.dim, octa.halfspaces, octa.vertices + (linalg.vec(extra),))
         with pytest.raises(InternalInconsistencyError):
             geometry._check_h_v(bad)
 
@@ -442,7 +463,7 @@ def test_h_v_check_catches_a_dropped_facet_of_a_non_simple_polytope():
     kept = tuple(h for h in octa.halfspaces if h.normal != (-1, -1, -1))
     assert len(kept) == 7
     with pytest.raises(InternalInconsistencyError):
-        geometry._check_h_v(Polytope(3, kept, octa.vertices))
+        geometry._check_h_v(frac_polytope(3, kept, octa.vertices))
     # the remaining half-spaces have the extra vertex (1, 1, 1)
     assert (1, 1, 1) in rref_vertex_enumeration(kept, 3)
 
@@ -456,7 +477,7 @@ def test_h_v_check_refuses_a_supporting_half_space_that_is_no_facet():
     assert [v for v in box.vertices if sum(v) == -3] == [(-1, -1, -1)]
     assert geometry.from_halfspaces([*cube(3), corner]) == box
     with pytest.raises(InternalInconsistencyError, match="does not support a facet"):
-        geometry._check_h_v(Polytope(3, box.halfspaces + (corner,), box.vertices))
+        geometry._check_h_v(frac_polytope(3, box.halfspaces + (corner,), box.vertices))
 
 
 def test_h_v_check_on_lower_dimensional_polytopes():
@@ -464,12 +485,12 @@ def test_h_v_check_on_lower_dimensional_polytopes():
                                       halfspace((-1,), Fraction(-1, 2))])
     upper = tuple(h for h in point.halfspaces if h.normal == (1,))
     with pytest.raises(InternalInconsistencyError):
-        geometry._check_h_v(Polytope(1, upper, point.vertices))
+        geometry._check_h_v(frac_polytope(1, upper, point.vertices))
     segment = geometry.from_halfspaces([halfspace((0, 1), 0), halfspace((0, -1), 0),
                                         halfspace((1, 0), 0), halfspace((-1, 0), -1)])
     assert sorted(segment.vertices) == [(0, 0), (1, 0)]
     with pytest.raises(InternalInconsistencyError):
-        geometry._check_h_v(Polytope(2, segment.halfspaces, ((0, 0),)))
+        geometry._check_h_v(frac_polytope(2, segment.halfspaces, ((0, 0),)))
 
 
 def test_h_v_check_catches_a_dropped_triangle_of_the_cuboctahedron():
@@ -483,7 +504,7 @@ def test_h_v_check_catches_a_dropped_triangle_of_the_cuboctahedron():
     assert len(cubo.vertices) == 12 and len(cubo.halfspaces) == 14
     geometry._check_h_v(cubo)
     kept = tuple(h for h in cubo.halfspaces if h.normal != (-1, -1, -1))
-    bad = Polytope(3, kept, cubo.vertices)
+    bad = frac_polytope(3, kept, cubo.vertices)
     assert all(geometry._rank([kept[i].normal for i in t]) == 3 for t in bad._incidence)
     with pytest.raises(InternalInconsistencyError, match="ridge does not lie in exactly two facets"):
         geometry._check_h_v(bad)
@@ -524,7 +545,7 @@ def assert_ridge_routes_agree(poly) -> int:
     """Both routes give the same ridges on every facet of the polytope, in
     the integer coordinates ``_facets`` hands them; returns how many of the
     facets are polygons."""
-    _, pts, _ = geometry._scaled(poly.halfspaces, poly.vertices)
+    pts = poly._points
     polygons = 0
     for j in range(len(poly.halfspaces)):
         facet = frozenset(i for i, t in enumerate(poly._incidence) if j in t)
@@ -620,7 +641,7 @@ def test_scale_and_half_space_offsets_refuse_floats_and_bools():
         with pytest.raises(InputError, match=message):
             geometry.from_halfspaces([HalfSpace((1,), bad), halfspace((-1,), -1)])
         with pytest.raises(InputError, match=message):
-            Polytope(1, (HalfSpace((1,), bad),), ((Fraction(1),),))
+            frac_polytope(1, (HalfSpace((1,), bad),), ((Fraction(1),),))
         with pytest.raises(InputError, match=message):
             segment.lattice_points(extra=(HalfSpace((1,), bad),))
     assert segment.scale(3).vertices == ((0,), (6,))
@@ -643,11 +664,11 @@ small_fractions = st.fractions(-3, 3, max_denominator=6)
 
 
 @st.composite
-def rational_polytopes(draw):
+def rational_halfspaces(draw, max_dim=4):
     """A box |x_i| <= r_i cut by random half-spaces, all with mixed
     denominators; every cut keeps the origin, and an opposite pair through
     the origin makes it lower-dimensional."""
-    dim = draw(st.integers(1, 4))
+    dim = draw(st.integers(1, max_dim))
     hs = []
     for e in linalg.identity_matrix(dim):
         for s in (1, -1):
@@ -660,7 +681,11 @@ def rational_polytopes(draw):
             hs += [HalfSpace(nrm, Fraction(0)), HalfSpace(linalg.neg(nrm), Fraction(0))]
         else:
             hs.append(HalfSpace(nrm, draw(st.fractions(-3, 0, max_denominator=7))))
-    return geometry.from_halfspaces(hs)
+    return hs
+
+
+def rational_polytopes():
+    return rational_halfspaces().map(geometry.from_halfspaces)
 
 
 @settings(deadline=None, max_examples=100)
@@ -841,3 +866,114 @@ def test_intersect_cuts_the_octahedron(cuts, count):
     assert cut == geometry.from_halfspaces([*octa.halfspaces, *cuts])
     with pytest.raises(InputError, match="^half-spaces have empty intersection$"):
         geometry.intersect(octa, [*cuts, halfspace((1, 1, 1), 2)])
+
+
+# -- the integer tables against the Fraction route -----------------------------
+
+@dataclasses.dataclass(frozen=True)
+class FracPolytope:
+    """A polytope built the way it was before its tables were integers:
+    ``Fraction`` half-spaces and vertices, from ``Fraction`` vertex
+    enumeration and the facet rule over ``Fraction`` ranks, moved and
+    scaled point by point."""
+
+    halfspaces: tuple
+    vertices: tuple
+    incidence: tuple
+
+    def translate(self, v):
+        return FracPolytope(tuple(HalfSpace(h.normal, h.offset + frac_value(h, v))
+                                  for h in self.halfspaces),
+                            tuple(tuple(a + b for a, b in zip(x, v)) for x in self.vertices),
+                            self.incidence)
+
+    def scale(self, c):
+        return FracPolytope(tuple(HalfSpace(h.normal, c * h.offset) for h in self.halfspaces),
+                            tuple(tuple(c * a for a in x) for x in self.vertices), self.incidence)
+
+    def intersect(self, cuts):
+        return frac_from_halfspaces([*self.halfspaces, *cuts])
+
+
+def frac_affine_rank(points):
+    return linalg.rank([linalg.sub(p, points[0]) for p in points[1:]])
+
+
+def frac_from_halfspaces(halfspaces):
+    """The tightest half-space per normal, sorted, the sorted vertices by
+    ``rref_vertex_enumeration``, and the half-spaces tight on a
+    (dim-1)-dimensional vertex set (on every tight one when the vertices
+    are lower-dimensional); None for an empty intersection."""
+    best = dict(sorted((tuple(h.normal), Fraction(h.offset)) for h in halfspaces))
+    hs = [HalfSpace(n, o) for n, o in best.items()]
+    dim = len(hs[0].normal)
+    verts = tuple(rref_vertex_enumeration(hs, dim))
+    if not verts:
+        return None
+    k = frac_affine_rank(verts)
+    kept = tuple(h for h in hs if any(frac_tight(h, v) for v in verts) and (
+        k < dim or frac_affine_rank([v for v in verts if frac_tight(h, v)]) == dim - 1))
+    return FracPolytope(kept, verts, tuple(
+        frozenset(i for i, h in enumerate(kept) if frac_tight(h, v)) for v in verts))
+
+
+def frac_zonotope(gens):
+    dim = len(gens[0])
+    return frac_from_halfspaces([
+        HalfSpace(linalg.neg(n), -Fraction(sum(max(0, linalg.dot(g, n)) for g in gens)))
+        for n in frac_spanned_normals(gens, dim)])
+
+
+def spy_on_fraction_reads(monkeypatch) -> list:
+    """Record, by name, each read of ``Polytope.vertices`` and
+    ``Polytope.halfspaces``."""
+    read = []
+    for name in ("vertices", "halfspaces"):
+        lazy = getattr(Polytope, name)
+        monkeypatch.setattr(Polytope, name, property(
+            lambda self, lazy=lazy, name=name: (read.append(name), lazy.__get__(self))[1]))
+    return read
+
+
+def assert_tables_read_as(poly, frac):
+    """What the integer tables read as, values, types and order, is what
+    the Fraction route built; and equal values make equal polytopes."""
+    assert poly.vertices == frac.vertices
+    assert poly.halfspaces == frac.halfspaces
+    assert poly._incidence == frac.incidence
+    assert {type(x) for v in poly.vertices for x in v} == {Fraction}
+    assert {type(h.offset) for h in poly.halfspaces} == {Fraction}
+    same = frac_polytope(poly.dim, frac.halfspaces, frac.vertices)
+    assert poly == same and hash(poly) == hash(same)
+
+
+@settings(deadline=None, max_examples=80)
+@given(data=st.data())
+def test_integer_tables_match_the_fraction_route(data):
+    """Polytopes in dimensions 1-3 from ``from_halfspaces`` or ``zonotope``,
+    then moved by up to three of ``translate``, ``scale`` and
+    ``intersect``, each step taken on the Fraction route too."""
+    if data.draw(st.booleans()):
+        gens = data.draw(generator_sets())
+        poly, frac = geometry.zonotope(gens), frac_zonotope(gens)
+    else:
+        hs = data.draw(rational_halfspaces(max_dim=3))
+        poly, frac = geometry.from_halfspaces(hs), frac_from_halfspaces(hs)
+    for step in data.draw(st.lists(st.sampled_from(["translate", "scale", "intersect"]),
+                                   max_size=3)):
+        assert_tables_read_as(poly, frac)
+        if step == "translate":
+            v = data.draw(st.tuples(*[small_fractions] * poly.dim))
+            poly, frac = poly.translate(v), frac.translate(v)
+        elif step == "scale":
+            c = data.draw(st.fractions(Fraction(1, 5), 5, max_denominator=6))
+            poly, frac = poly.scale(c), frac.scale(c)
+        else:
+            cuts = _cut(data, poly)
+            frac = frac.intersect(cuts)
+            if frac is None:
+                with pytest.raises(InputError, match="^half-spaces have empty intersection$"):
+                    geometry.intersect(poly, cuts)
+                return
+            poly = geometry.intersect(poly, cuts)
+    assert_tables_read_as(poly, frac)

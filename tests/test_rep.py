@@ -13,6 +13,7 @@ from qswindows.geometry import HalfSpace
 from qswindows.rep import QSRep, Ternary
 from qswindows.root_data import RootDatum
 from test_acceptance import CORPUS_COUNTS, CORPUS_SEED
+from test_geometry import spy_on_fraction_reads
 from test_root_data import weyl_lengths
 
 GL2_NABLA_VERTICES = {
@@ -409,3 +410,41 @@ def test_weight_indices_carry_identity(torus22):
     # repeated values stay distinguishable by index
     assert torus22.weights == ((1,), (1,), (-1,), (-1,))
     assert len(torus22.weights) == 4
+
+
+# the Fractions each build makes, as observed (Python 3.11) once polytopes
+# were built on integer tables; building through Fraction vertices made 30,
+# 30, 270 and 427
+BUILD_FRACTIONS = {"torus-1x2pairs": 18, "torus-1x3pairs": 18, "gl2-cube-pair": 112,
+                   "gl3-4x-std-dual": 235}
+
+
+def test_builds_read_no_fraction_vertices_or_half_spaces(monkeypatch):
+    """Building each bundled rep and GL(3) on 4 x (std + dual) reads
+    neither ``Polytope.vertices`` nor ``Polytope.halfspaces``: every
+    construction and check on the build path runs on the integer tables.
+    Each build makes at most its pinned number of ``Fraction``s (its root
+    datum is made fresh, outside the count), so a round trip through
+    ``Fraction`` points that comes back fails here."""
+    cases = {"torus-1x2pairs": (RootDatum.torus(1), ((1,), (1,), (-1,), (-1,))),
+             "torus-1x3pairs": (RootDatum.torus(1), ((1,),) * 3 + ((-1,),) * 3),
+             "gl2-cube-pair": (RootDatum.gl(2), catalog.GL2_WEIGHTS),
+             "gl3-4x-std-dual": (RootDatum.gl(3), std_dual(3, 4))}
+    made, read = [0], spy_on_fraction_reads(monkeypatch)
+    real_new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made[0] += 1
+        return real_new(cls, *args, **kwargs)
+
+    built, counts = {}, {}
+    for name, (datum, weights) in cases.items():
+        made[0] = 0
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        built[name] = QSRep.build(datum, weights)
+        monkeypatch.setattr(Fraction, "__new__", real_new)
+        counts[name] = made[0]
+    assert read == []
+    monkeypatch.undo()
+    assert {name: built[name] for name in catalog.bundled_reps()} == catalog.bundled_reps()
+    assert all(counts[name] <= BUILD_FRACTIONS[name] for name in cases), counts

@@ -29,11 +29,17 @@ def test_mutation_orbit():
 
 
 def test_code_size():
-    code_lines = runpy.run_path(str(SCRIPTS / "code_size.py"))["code_lines"]
-    assert code_lines('"""Module\ndocstring."""\n\n# a comment\nx = 1  # trailing\n\n\n'
-                      'def f():\n    """Doc."""\n    return """a\nb"""\n') == 4
-    name, lines, code = run_script("code_size.py").splitlines()[-1].split()
+    script = runpy.run_path(str(SCRIPTS / "code_size.py"))
+    assert script["code_lines"]('"""Module\ndocstring."""\n\n# a comment\nx = 1  # trailing\n\n\n'
+                                'def f():\n    """Doc."""\n    return """a\nb"""\n') == 4
+    assert script["fraction_calls"]('import fractions\nfrom fractions import Fraction\n'
+                                    'x = Fraction(1, 2) + fractions.Fraction(3)  # Fraction(4)\n'
+                                    'y = "Fraction(5)", Fraction, x.Fraction\n') == 2
+    rows = [line.split() for line in run_script("code_size.py").splitlines()]
+    assert rows[0] == ["module", "lines", "code", "Fraction("]
+    name, lines, code, calls = rows[-1]
     assert name == "total" and 0 < int(code) < int(lines)
+    assert int(calls) == sum(int(row[3]) for row in rows[1:-1]) > 0
 
 
 def test_every_src_definition_is_used_outside_the_tests():

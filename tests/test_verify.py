@@ -10,6 +10,7 @@ import pytest
 from qswindows import cli, groupoid, linalg, mutation, verify
 from qswindows.errors import InternalInconsistencyError, OnWallError
 from qswindows.windows import Context
+from test_geometry import frac_polytope
 
 
 def test_bundled_suite_all_pass():
@@ -66,8 +67,7 @@ def test_cross_check_row_fails_a_shrunk_torus_nabla(torus33, ctx33):
     shrunk = torus33.nabla.scale(Fraction(1, 2))
     row = cross_check(shrunk)
     assert not row.passed and row.detail == "facet (-1) >= -3/4 has no slab as tight"
-    mixed = dataclasses.replace(shrunk, halfspaces=torus33.nabla.halfspaces, _table=None,
-                                _incidence=None)
+    mixed = frac_polytope(shrunk.dim, torus33.nabla.halfspaces, shrunk.vertices)
     row = cross_check(mixed)
     assert not row.passed and row.detail == "(-3/4) is not a vertex of the half-spaces"
 

@@ -13,7 +13,7 @@ from qswindows.errors import (InputError, InternalInconsistencyError, NotAdjacen
 from qswindows.rep import QSRep
 from qswindows.root_data import RootDatum
 from test_acceptance import CORPUS_COUNTS, CORPUS_SEED, box_points
-from test_geometry import barycenter
+from test_geometry import barycenter, spy_on_fraction_reads
 from test_root_data import weyl_lengths
 
 F = Fraction
@@ -672,10 +672,11 @@ def test_translate_scans_and_builds_once(small_corpus, monkeypatch):
 @pytest.mark.parametrize("name", ["torus-1x3pairs", "gl2-cube-pair"])
 def test_face_data_built_once_per_tight_set(name, monkeypatch):
     """Crossing sampled pairs and taking each wall face's dagger builds the
-    data of each face of (1/2)Sigma once per Context."""
+    data of each face of (1/2)Sigma once per Context, from the integer
+    tables: no ``Fraction`` vertex or half-space of a polytope is read."""
     rep_obj = catalog.bundled_reps()[name]
     ctx = windows.Context(rep_obj)
-    built = []
+    built, read = [], spy_on_fraction_reads(monkeypatch)
     real = windows.face_data_from_face
     monkeypatch.setattr(windows, "face_data_from_face", lambda rep, poly, face: (
         built.append(face.facet_indices), real(rep, poly, face))[1])
@@ -684,6 +685,7 @@ def test_face_data_built_once_per_tight_set(name, monkeypatch):
         for fd in windows.wall_crossing(rep_obj, delta, delta2, ctx).faces.values():
             seen |= {fd.face.facet_indices, windows.dagger(rep_obj, fd, ctx).face.facet_indices}
     assert len(built) == len(set(built)) and set(built) == seen
+    assert read == []
 
 
 def test_locating_and_subset_sums_run_once(monkeypatch):
