@@ -157,18 +157,16 @@ class Arrangement:
         return tuple(a // g for a in nums), den * e // g
 
     @cached_property
-    def _inverse(self) -> tuple[tuple[IntVec, ...], int, tuple[IntVec, ...]]:
+    def _inverse(self) -> tuple[list[list[int]], int, list[list[int]]]:
         """Integer rows E, their denominator D and rows N with E B^T = D I
-        and N B^T = 0, from one reduction of [B^T | I].  A row [r | s] of
-        its row space has r = s B^T; B has independent rows, so the reduced
-        form is [I | E/D] over [0 | N] and N spans the equations of the
-        invariant subspace."""
-        n, k = self.rep.rank, self.dim
-        reduced = linalg.rref([(*col, *unit) for col, unit in zip(
-            linalg.transpose(self.invariant_basis), linalg.identity_matrix(n))])
-        flat, den = linalg._numerators([x for row in reduced[:k] for x in row[k:]])
-        coords = tuple(flat[i:i + n] for i in range(0, len(flat), n))
-        return coords, den, tuple(linalg._integer_rows(row[k:] for row in reduced[k:]))
+        and N B^T = 0, read straight off one reduction of [B^T | I].  A row
+        [r | s] of its row space has r = s B^T; B has independent rows, so
+        ``rref`` returns [D I | E] over [0 | N], and N spans the equations
+        of the invariant subspace."""
+        k = self.dim
+        reduced, den = linalg.rref([(*col, *unit) for col, unit in zip(
+            linalg.transpose(self.invariant_basis), linalg.identity_matrix(self.rep.rank))])
+        return [row[k:] for row in reduced[:k]], den, [row[k:] for row in reduced[k:]]
 
     def to_ambient(self, point) -> Vec:
         """The ambient point sum_i c_i b_i of coordinates or of a chamber, as

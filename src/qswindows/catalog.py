@@ -129,7 +129,8 @@ def _wall_samples(arr: Arrangement, wall: Wall, periods: int, grid: Fraction,
     base_point = linalg.scale(wall.offset / norm_sq, nrm)
     if arr.dim == 1:
         return [base_point] if arr.walls_at(base_point) == [wall] else []
-    directions = [linalg.vec(b) for b in linalg.kernel_basis([list(nrm)])]
+    vectors, den = linalg.kernel_basis([list(nrm)])
+    directions = [linalg._fractions(b, den) for b in vectors]
     ticks = int(periods / grid)
     offsets = [grid * k + grid / 7 for k in range(-ticks, ticks + 1)]
     out = []

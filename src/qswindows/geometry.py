@@ -215,9 +215,6 @@ class Polytope:
                     boundary.append(p)
         return points, boundary
 
-    def boundary_lattice_points(self) -> list[IntVec]:
-        return self.lattice_points()[1]
-
     def is_full_dimensional(self) -> bool:
         return bool(self._points) and _affine_rank(self._points) == self.dim
 
@@ -329,8 +326,7 @@ def _vertex_enumeration(table) -> tuple[tuple, tuple[IntVec, ...]]:
     common = lcm(*(det for det, _ in found))
     verts = []
     for (det, nums), (combo, rhs) in found.items():
-        solved = linalg.solve(combo, rhs)
-        if solved is None or _numerators(solved) != (nums, det):
+        if linalg.solve(combo, rhs) != (nums, det):
             point = _fmt(linalg._fractions(nums, det * denom))
             raise InternalInconsistencyError(f"integer vertex {point} disagrees with the exact solve")
         verts.append(tuple(x * (common // det) for x in nums))

@@ -4,10 +4,12 @@ Row reduction has one implementation, ``_bareiss``: fraction-free
 Gauss-Jordan elimination over the integers (Bareiss 1968), in which every
 division is exact.  ``rref`` writes each row as integer numerators over its
 own positive denominator (a positive row scale leaves the reduced form
-unchanged), eliminates once, and divides each pivot row by its pivot, so
-Fractions are made only for the output; ``rank``, ``kernel_basis`` and
-``solve`` read that form, and ``solve`` checks its answer against every
-equation over the integers.  No floating point.
+unchanged), eliminates once, and returns the result as it stands: integer
+rows over one positive denominator, the form every other layer keeps its
+points in.  ``rank``, ``kernel_basis`` and ``solve`` read that form and
+answer in it too, so none of them makes a ``Fraction``; ``solve`` checks
+its answer against every equation over the integers.  ``_fractions`` is
+the one way back to ``Fraction``s, for output.  No floating point.
 """
 from __future__ import annotations
 
@@ -113,14 +115,6 @@ def primitive(x: Sequence) -> IntVec:
     return tuple(a // g for a in ints)
 
 
-def primitive_scale(x: Sequence) -> tuple[IntVec, Fraction]:
-    """The primitive integer vector c x of a nonzero rational vector x, and
-    c > 0, read off one nonzero entry as its primitive entry over x's."""
-    p = primitive(x)
-    k = next(i for i, a in enumerate(p) if a)
-    return p, Fraction(p[k] * x[k].denominator, x[k].numerator)
-
-
 def _numerators(point: Sequence) -> tuple[IntVec, int]:
     """A rational point as integer numerators over one positive denominator,
     the least common multiple of its entries' denominators."""
@@ -182,69 +176,66 @@ def _integer_rows(rows) -> list[Sequence[int]]:
     return [row if all(type(a) is int for a in row) else _numerators(row)[0] for row in rows]
 
 
-def rref(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Reduced row echelon form (returns a fresh list of Fraction rows).
-
-    One Bareiss elimination over the integer rows, then each pivot row is
-    divided by its pivot; zero rows stay at the bottom."""
+def rref(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """The reduced row echelon form as integer rows over one positive
+    denominator p: one Bareiss elimination over the integer rows, whose
+    pivot rows all hold the last pivot, so with its sign fixed the result
+    is p times the reduced form; zero rows stay at the bottom."""
     if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots, m = _bareiss(_integer_rows(rows), ncols)
-    zero = Fraction(0)
-    reduced = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(m, pivots)]
-    return reduced + [[zero] * ncols for _ in m[len(pivots):]]
+        return [], 1
+    pivots, m = _bareiss(_integer_rows(rows), len(rows[0]))
+    p = m[len(pivots) - 1][pivots[-1]] if pivots else 1
+    return (m, p) if p > 0 else ([[-x for x in row] for row in m], -p)
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return sum(1 for row in rref(rows) if any(a != 0 for a in row))
+    return sum(1 for row in rref(rows)[0] if any(row))
 
 
-def kernel_basis(rows: Sequence[Sequence]) -> list[Vec]:
-    """Rational basis of {x : A x = 0} for the matrix with the given rows."""
+def kernel_basis(rows: Sequence[Sequence]) -> tuple[list[IntVec], int]:
+    """A basis of {x : A x = 0} for the matrix with the given rows, as
+    integer vectors over one positive denominator p: per free column, the
+    vector with p there, zero in the other free columns and minus that
+    column of p RREF(A) in the pivot columns."""
     if not rows:
         raise ValueError("kernel_basis needs at least one row to fix the dimension")
     ncols = len(rows[0])
-    m = rref(rows)
-    pivots: dict[int, int] = {}
-    for i, row in enumerate(m):
-        for j in range(ncols):
-            if row[j] != 0:
-                pivots[j] = i
-                break
-    free = [j for j in range(ncols) if j not in pivots]
+    m, p = rref(rows)
+    pivots = {next(j for j, a in enumerate(row) if a): i for i, row in enumerate(m) if any(row)}
     basis = []
-    for j in free:
-        v = [Fraction(0)] * ncols
-        v[j] = Fraction(1)
-        for p, i in pivots.items():
-            v[p] = -m[i][j]
-        basis.append(tuple(v))
-    return basis
+    for j in range(ncols):
+        if j not in pivots:
+            v = [0] * ncols
+            v[j] = p
+            for c, i in pivots.items():
+                v[c] = -m[i][j]
+            basis.append(tuple(v))
+    return basis, p
 
 
-def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
-    """One exact solution of A x = b, or None if inconsistent.
+def solve(rows: Sequence[Sequence], rhs: Sequence) -> tuple[IntVec, int] | None:
+    """One exact solution of A x = b as integer numerators over one positive
+    denominator, in lowest terms, or None if inconsistent.
 
     The solution read off the reduced form is checked against every
     equation over the integers, so a faulty elimination cannot pass a
     system with one solution."""
     ncols = len(rows[0])
     aug = _integer_rows([*row, b] for row, b in zip(rows, rhs, strict=True))
-    m = rref(aug)
-    x = [Fraction(0)] * ncols
+    m, p = rref(aug)
+    x = [0] * ncols
     for row in m:
-        nz = next((j for j in range(ncols + 1) if row[j] != 0), None)
-        if nz is None:
-            continue
+        nz = next((j for j, a in enumerate(row) if a), None)
         if nz == ncols:
             return None
-        x[nz] = row[ncols]
-    nums, den = _numerators(x)
+        if nz is not None:
+            x[nz] = row[ncols]
+    g = gcd(p, *x)
+    nums, den = tuple(a // g for a in x), p // g
     for row in aug:
         if sum(map(mul, row, nums)) != row[ncols] * den:
             return None
-    return tuple(x)
+    return nums, den
 
 
 def hnf_with_transform(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:

@@ -140,16 +140,21 @@ def eta(root_datum: RootDatum, weights, lam) -> Fraction:
     """Weighted count of the negative-side weights minus the root correction.
 
     For a one-parameter subgroup lam, sums <-b, lam> over weights pairing
-    negatively with lam and subtracts the same sum over the roots.  Each
-    pairing is an integer dot product with Q lam, the paired column over
-    the pairing's one denominator.
+    negatively with lam and subtracts the same sum over the roots: the
+    integer ``_eta_numerator`` at the paired column Q lam, over the
+    pairing's one denominator.
     """
     if linalg.is_zero(lam):
         raise InputError("eta is undefined at lambda = 0")
     col, den = root_datum._paired(lam)
-    weight_part = sum(max(0, -linalg.dot(b, col)) for b in weights)
-    root_part = sum(max(0, linalg.dot(a, col)) for a in root_datum.roots)
-    return Fraction(weight_part - root_part, den)
+    return Fraction(_eta_numerator(root_datum, weights, col), den)
+
+
+def _eta_numerator(root_datum: RootDatum, weights, col) -> int:
+    """eta's numerator over the pairing's denominator, at the paired column
+    col = Q lam: each pairing is an integer dot product with col."""
+    return (sum(max(0, -linalg.dot(b, col)) for b in weights)
+            - sum(max(0, linalg.dot(a, col)) for a in root_datum.roots))
 
 
 def slab_candidates(root_datum: RootDatum, weights) -> list[IntVec]:
@@ -171,7 +176,7 @@ def slab_candidates(root_datum: RootDatum, weights) -> list[IntVec]:
     # rows with the same kernel, which is a line exactly when they are
     # independent
     for combo in _subsets(geometry._lines([*weights, *root_datum.roots]), n - 1):
-        kernel = linalg.kernel_basis([root_datum._paired(v)[0] for v in combo])
+        kernel = linalg.kernel_basis([root_datum._paired(v)[0] for v in combo])[0]
         if len(kernel) == 1:
             found.add(linalg.sign_normalized(linalg.primitive(kernel[0])))
     return sorted(found)
@@ -247,17 +252,23 @@ def _minus_w0_facets(root_datum: RootDatum, half_sigma: Polytope) -> tuple[int, 
 
 
 def _slabs(root_datum: RootDatum, weights) -> list[HalfSpace]:
-    """Both sides of each candidate slab, as dot-product half-spaces."""
+    """Both sides of each candidate slab, as dot-product half-spaces.
+
+    The slab of lam is |<x, Q lam>| <= q eta_lam / 2, P = Q/q the pairing.
+    With Q lam = g n, n primitive, and eta_lam = w/q, w its integer
+    numerator, both sides are <x, +-n> >= -w/2g: one ``Fraction`` per slab.
+    """
     halfspaces = []
     for lam in slab_candidates(root_datum, weights):
-        eta_lam = eta(root_datum, weights, lam)
+        col = root_datum._paired(lam)[0]
+        w = _eta_numerator(root_datum, weights, col)
         # every slab contains 0 unless its width is negative
-        if eta_lam < 0:
-            raise InputError(f"the window polytope is empty: eta = {eta_lam} < 0 at "
-                             f"lambda = {_fmt(lam)}")
-        converted, rescale = linalg.primitive_scale(root_datum._paired(lam)[0])
-        offset = -eta_lam / 2 * rescale * root_datum._pairing_den
-        halfspaces += [HalfSpace(converted, offset), HalfSpace(linalg.neg(converted), offset)]
+        if w < 0:
+            raise InputError(f"the window polytope is empty: eta = {eta(root_datum, weights, lam)} "
+                             f"< 0 at lambda = {_fmt(lam)}")
+        g = linalg.vec_gcd(col)
+        normal, offset = tuple(a // g for a in col), Fraction(-w, 2 * g)
+        halfspaces += [HalfSpace(normal, offset), HalfSpace(linalg.neg(normal), offset)]
     return halfspaces
 
 

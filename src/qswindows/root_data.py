@@ -310,7 +310,8 @@ def _derive_positive_roots(roots, simples):
         coeffs = linalg.solve(linalg.transpose(simple_roots), r)
         if coeffs is None:
             raise InputError("a root lies outside the span of the simple roots")
-        if all(c >= 0 for c in coeffs):
+        # the numerators over a positive denominator have the coordinates' signs
+        if all(c >= 0 for c in coeffs[0]):
             positive.append(r)
     if 2 * len(positive) != len(roots):
         raise InputError("positive-root derivation did not split the roots in half")

@@ -65,9 +65,9 @@ def check_rep_invariants(name: str, rep: QSRep, ctx: Context) -> list[CheckResul
     ok = True
     bad = ""
     for coords in default_grid(arr.dim):
-        ambient = arr.to_ambient(coords)
         on_wall = arr.on_wall(coords)
-        boundary = rep.nabla.translate(ambient).boundary_lattice_points()
+        nums, den = arr._scaled(coords)
+        boundary = rep.nabla.lattice_points(at=(arr.character(nums), den))[1]
         if on_wall != bool(boundary):
             ok = False
             bad = f"delta={_fmt(coords)}"

@@ -80,7 +80,7 @@ def test_criterion_1_gl2_figures(gl2):
     # wall set on the diagonal against the boundary-lattice-point oracle
     for k in range(0, 13):
         coords = (F(k, 4),)
-        boundary = rep.nabla.translate(arr.to_ambient(coords)).boundary_lattice_points()
+        boundary = rep.nabla.translate(arr.to_ambient(coords)).lattice_points()[1]
         on_wall = (F(k, 4) - F(1, 2)) % 1 == 0
         ok = ok and arr.on_wall(coords) == bool(boundary) == on_wall
     # window of the origin chamber against a brute scan

@@ -16,6 +16,7 @@ from qswindows.rep import QSRep
 from qswindows.root_data import RootDatum
 from qswindows.windows import Context
 from test_geometry import frac_polytope
+from test_linalg import primitive_scale
 from test_windows import _criterion6_hops
 
 F = Fraction
@@ -136,7 +137,7 @@ def test_boundary_point_criterion_on_grid(torus22, ctx22, gl2rep, ctxgl2):
         for k in range(0, 12 + 1):
             coords = (F(k, 4),)
             ambient = arr.to_ambient(coords)
-            boundary = rep_obj.nabla.translate(ambient).boundary_lattice_points()
+            boundary = rep_obj.nabla.translate(ambient).lattice_points()[1]
             assert arr.on_wall(coords) == bool(boundary)
 
 
@@ -161,7 +162,7 @@ def _oracle_families(rep) -> tuple[WallFamily, ...]:
         restricted = tuple(linalg.dot(b, h.normal) for b in rep.root_datum.invariant_basis)
         if linalg.is_zero(restricted):
             continue
-        primitive, step = linalg.primitive_scale(restricted)
+        primitive, step = primitive_scale(restricted)
         normalized = linalg.sign_normalized(primitive)
         rescale = step if normalized == primitive else -step
         families.setdefault((normalized, step, h.offset * rescale % step), idx)
@@ -563,7 +564,8 @@ def test_to_coords_matches_solve(coords_arrangements, data):
         point = arr.to_ambient(data.draw(st.tuples(*[entry] * arr.dim)))
     else:
         point = linalg.vec(data.draw(st.tuples(*[entry] * arr.rep.rank)))
-    expected = linalg.solve(linalg.transpose(arr.invariant_basis), point)
+    solved = linalg.solve(linalg.transpose(arr.invariant_basis), point)
+    expected = None if solved is None else linalg._fractions(*solved)
     if expected is None:
         message = f"point {errors._fmt(point)} does not lie in the invariant subspace"
         with pytest.raises(InputError) as info:

@@ -14,7 +14,7 @@ from qswindows.geometry import HalfSpace, Polytope
 from qswindows.rep import QSRep
 from qswindows.root_data import RootDatum
 from test_acceptance import CORPUS_COUNTS, CORPUS_SEED, box_points
-from test_linalg import frac_rref, frac_solve
+from test_linalg import frac_kernel_basis, frac_rref, frac_solve
 
 
 def interval_oracle(generators, scale=Fraction(1)):
@@ -141,7 +141,7 @@ def frac_spanned_normals(vectors, dim):
     nonzero = sorted({tuple(v) for v in vectors if any(v)})
     normals = set()
     for combo in itertools.combinations(nonzero, dim - 1):
-        kernel = linalg.kernel_basis(combo) if combo else [(Fraction(1),)]
+        kernel = frac_kernel_basis(combo) if combo else [(Fraction(1),)]
         if len(kernel) == 1:
             nrm = linalg.primitive(kernel[0])
             normals |= {nrm, linalg.neg(nrm)}

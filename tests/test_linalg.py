@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,15 @@ def test_vec_refuses_floats():
         linalg.vec((1, 0.5))
 
 
+def primitive_scale(x):
+    """The primitive integer vector c x of a nonzero rational vector x, and
+    c > 0, read off one nonzero entry as its primitive entry over x's: the
+    oracles' helper for scaling a normal and its offset alike."""
+    p = linalg.primitive(x)
+    k = next(i for i, a in enumerate(p) if a)
+    return p, Fraction(p[k] * Fraction(x[k]).denominator, Fraction(x[k]).numerator)
+
+
 def test_primitive():
     assert linalg.primitive((2, 4, -6)) == (1, 2, -3)
     assert linalg.primitive((Fraction(1, 2), Fraction(3, 4))) == (2, 3)
@@ -26,7 +36,7 @@ def test_primitive():
 @given(st.lists(st.fractions(-20, 20, max_denominator=12), min_size=1, max_size=4)
        .filter(lambda x: any(x)))
 def test_primitive_scale_matches_fraction_oracle(x):
-    p, c = linalg.primitive_scale(x)
+    p, c = primitive_scale(x)
     assert c > 0 and tuple(c * Fraction(a) for a in x) == p
     assert all(type(a) is int for a in p) and linalg.vec_gcd(p) == 1
     assert linalg.primitive(x) == p
@@ -37,8 +47,8 @@ def test_primitive_scale_matches_fraction_oracle(x):
 def test_primitive_scale_int_path_matches_numerators_path(x):
     """An all-int vector skips ``_numerators``; as Fractions it takes that
     path, and both give the same primitive vector and scale."""
-    assert linalg.primitive_scale(x) == linalg.primitive_scale([Fraction(a) for a in x])
-    assert linalg.primitive_scale(x) == linalg.primitive_scale(tuple(x))
+    assert primitive_scale(x) == primitive_scale([Fraction(a) for a in x])
+    assert primitive_scale(x) == primitive_scale(tuple(x))
 
 
 @settings(deadline=None, max_examples=200)
@@ -54,7 +64,7 @@ def test_primitive_makes_no_fraction(x):
         mp.setattr(Fraction, "__new__", lambda cls, *a, **k: (made.append(a), real(cls, *a, **k))[1])
         p = linalg.primitive(x)
     assert made == []
-    assert p == linalg.primitive_scale(x)[0]
+    assert p == primitive_scale(x)[0]
 
 
 def test_sign_normalized():
@@ -64,12 +74,13 @@ def test_sign_normalized():
 
 def test_solve_and_kernel():
     rows = [(1, 1), (1, -1)]
-    assert linalg.solve(rows, (3, 1)) == (2, 1)
+    assert linalg._fractions(*linalg.solve(rows, (3, 1))) == (2, 1)
     assert linalg.solve([(1, 1), (2, 2)], (1, 3)) is None
-    kb = linalg.kernel_basis([(1, 1, 0)])
-    assert len(kb) == 2
+    assert linalg.solve(rows, (1, 0)) == ((1, 1), 2)
+    kb, p = linalg.kernel_basis([(1, 1, 0)])
+    assert len(kb) == 2 and p > 0
     for v in kb:
-        assert linalg.dot((1, 1, 0), v) == 0
+        assert linalg.dot((1, 1, 0), linalg._fractions(v, p)) == 0
 
 
 def test_integer_kernel_is_saturated():
@@ -91,9 +102,10 @@ def test_kernel_vectors_annihilate(rows):
     rows = [r for r in rows if any(r)]
     if not rows:
         return
-    for v in linalg.kernel_basis(rows):
+    vectors, p = linalg.kernel_basis(rows)
+    for v in vectors:
         for r in rows:
-            assert linalg.dot(r, v) == 0
+            assert linalg.dot(r, linalg._fractions(v, p)) == 0
 
 
 @given(st.tuples(ints, ints), st.tuples(ints, ints), st.tuples(ints, ints))
@@ -102,7 +114,7 @@ def test_solve_reproduces_rhs(r1, r2, x):
     rhs = linalg.mat_vec(rows, x)
     sol = linalg.solve(rows, rhs)
     assert sol is not None
-    assert linalg.mat_vec(rows, sol) == tuple(rhs)
+    assert linalg.mat_vec(rows, linalg._fractions(*sol)) == tuple(rhs)
 
 
 @given(st.lists(st.tuples(ints, ints), min_size=1, max_size=6))
@@ -210,11 +222,13 @@ def rational_matrices(draw):
 @given(rational_matrices())
 def test_rref_rank_kernel_match_fraction_oracle(rows):
     expected = frac_rref(rows)
-    got = linalg.rref(rows)
-    assert got == expected
-    assert all(type(a) is Fraction for row in got for a in row)
+    got, p = linalg.rref(rows)
+    assert p > 0 and all(type(a) is int for row in got for a in row)
+    assert [list(linalg._fractions(row, p)) for row in got] == expected
     assert linalg.rank(rows) == len(_frac_pivots(expected))
-    assert linalg.kernel_basis(rows) == frac_kernel_basis(rows)
+    vectors, p = linalg.kernel_basis(rows)
+    assert p > 0 and all(type(a) is int for v in vectors for a in v)
+    assert [linalg._fractions(v, p) for v in vectors] == frac_kernel_basis(rows)
 
 
 @settings(deadline=None, max_examples=200)
@@ -227,18 +241,37 @@ def test_solve_matches_fraction_oracle(rows, data):
     else:
         rhs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
     expected = frac_solve(rows, rhs)
-    assert linalg.solve(rows, rhs) == expected
+    got = linalg.solve(rows, rhs)
+    assert (None if got is None else linalg._fractions(*got)) == expected
+    if got is not None:
+        nums, den = got
+        assert den > 0 and math.gcd(den, *nums) == 1
     if expected is not None:
         assert linalg.mat_vec(rows, expected) == tuple(rhs)
 
 
 def test_rref_edge_cases():
-    assert linalg.rref([]) == []
-    assert linalg.rref([[0, 0], [0, 0]]) == [[0, 0], [0, 0]]
+    assert linalg.rref([]) == ([], 1)
+    assert linalg.rref([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], 1)
     # negative pivots, a zero column and a dependent row
     rows = [(0, -2, 4, Fraction(-1, 3)), (0, 3, -6, Fraction(1, 2)), (0, -1, 1, 0)]
-    assert linalg.rref(rows) == frac_rref(rows)
+    got, p = linalg.rref(rows)
+    assert [list(linalg._fractions(row, p)) for row in got] == frac_rref(rows)
     assert linalg.rank(rows) == 2
+
+
+@settings(deadline=None, max_examples=100)
+@given(rational_matrices(), st.data())
+def test_eliminations_make_no_fraction(rows, data):
+    """``rref``, ``rank``, ``kernel_basis`` and ``solve`` read int or
+    ``Fraction`` entries and construct no ``Fraction``."""
+    rhs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    made = []
+    real = Fraction.__new__
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__new__", lambda cls, *a, **k: (made.append(a), real(cls, *a, **k))[1])
+        linalg.rref(rows), linalg.rank(rows), linalg.kernel_basis(rows), linalg.solve(rows, rhs)
+    assert made == []
 
 
 def test_dot_rejects_mismatched_lengths():

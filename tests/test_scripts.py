@@ -42,6 +42,21 @@ def test_code_size():
     assert int(calls) == sum(int(row[3]) for row in rows[1:-1]) > 0
 
 
+def test_fraction_count():
+    """One row per benchmark workload, each with a whole count and its
+    mean over the ops of one pass; no op fails but cli-oneshot's
+    known-failure probe, at most once per round of 25 calls."""
+    rows = [line.split() for line in run_script("fraction_count.py").splitlines()]
+    assert rows[0] == ["workload", "ops", "failed", "Fractions", "per", "op"]
+    assert [row[0] for row in rows[1:]] == [
+        "corpus-build", "crossing-sweep", "groupoid-paths", "cli-oneshot"]
+    for _, ops, failed, made, per_op in rows[1:]:
+        assert int(ops) > 0 and int(made) >= 0
+        assert float(per_op) == round(int(made) / int(ops), 2)
+    assert [row[2] for row in rows[1:4]] == ["0", "0", "0"]
+    assert int(rows[4][2]) <= int(rows[4][1]) // 25
+
+
 def test_every_src_definition_is_used_outside_the_tests():
     """Each function, class and method defined under src/qswindows is named
     somewhere in src/, scripts/ or benchmark/ outside its own definition.
