@@ -144,11 +144,10 @@ class Arrangement:
     def _coords(self, point) -> tuple[IntVec, int]:
         """``to_coords`` as integer numerators over one positive denominator,
         in lowest terms."""
-        point = linalg.vec(point)
-        if len(point) == self.dim and self.rep.rank != self.dim:
+        x, e = linalg._numerators(point)
+        if len(x) == self.dim and self.rep.rank != self.dim:
             raise InputError("pass ambient coordinates, not invariant ones")
         _require_length(point, self.rep.rank)
-        x, e = linalg._numerators(point)
         coords, den, equations = self._inverse
         if any(sum(map(mul, row, x)) for row in equations):
             raise InputError(f"point {_fmt(point)} does not lie in the invariant subspace")
@@ -185,9 +184,9 @@ class Arrangement:
         numerators over one positive denominator."""
         if type(point) is Chamber:
             return point.nums, point.den
-        point = linalg.vec(point)
+        scaled = linalg._numerators(point)
         _require_length(point, self.dim, "invariant coordinates")
-        return linalg._numerators(point)
+        return scaled
 
     def _indices(self, nums: IntVec, den: int) -> list[tuple[int, int]]:
         """Per family, the interval index of the point nums/den and a remainder
@@ -221,11 +220,11 @@ class Arrangement:
         return min(min(d, g - d) or g for b, s in cosets for c, t in cosets
                    for g in [gcd(s, t)] for d in [(b - c) % g]), 2 * scale
 
-    def across(self, offset: Fraction, direction: int) -> Vec:
-        """The rank-one point half the least wall gap past the wall at
-        ``offset`` in ``direction`` (+1 or -1), inside the chamber beyond it."""
-        (num, den), q = self._half_gap, offset.denominator
-        return (Fraction(offset.numerator * den + direction * num * q, q * den),)
+    def across(self, p: int, q: int, direction: int) -> Vec:
+        """The rank-one point half the least wall gap past the wall at offset
+        p/q, q > 0, in ``direction`` (+1 or -1), inside the chamber beyond it."""
+        num, den = self._half_gap
+        return (Fraction(p * den + direction * num * q, q * den),)
 
     # -- queries -------------------------------------------------------------
 

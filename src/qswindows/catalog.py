@@ -161,10 +161,9 @@ def adjacent_pairs(ctx: Context, periods: int = 2, per_wall: int = 3,
         f = arr.families[wall.family_index]
         for x in _wall_samples(arr, wall, periods, grid, per_wall):
             h = f.offset_step / (2 * linalg.dot(f.normal, f.normal))
-            step_vec = linalg.vec(f.normal)
             for _ in range(12):
-                lo = linalg.sub(x, linalg.scale(h, step_vec))
-                hi = linalg.add(x, linalg.scale(h, step_vec))
+                lo = linalg.sub(x, linalg.scale(h, f.normal))
+                hi = linalg.add(x, linalg.scale(h, f.normal))
                 try:
                     ends = arr.chamber_of(lo), arr.chamber_of(hi)
                 except OnWallError:

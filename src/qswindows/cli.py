@@ -235,8 +235,8 @@ def _parse_path_dsl(arr, text: str | None, start: tuple[Fraction, ...] | None):
             if direction is None:
                 raise InputError(f"bad crossing direction {sign_text!r}")
             if point is None:
-                point = origin = arr.across(offset, -direction)
-            dst = arr.across(offset, direction)
+                point = origin = arr.across(*offset.as_integer_ratio(), -direction)
+            dst = arr.across(*offset.as_integer_ratio(), direction)
             moves.append((len(arrows), offset, sign_text, point[0]))
             arrows.append(groupoid.Cross(point, dst, (Fraction(direction),)))
             point = dst

@@ -78,7 +78,8 @@ def crossing_data(model: CYModel, wall, ctx: Context) -> tuple[int, int]:
     wall, arr = Fraction(wall), ctx.arrangement
     if not arr.on_wall((wall,)):
         raise InputError(f"{wall} is not a wall of this model")
-    crossing = wall_crossing(model.g1_rep, arr.across(wall, -1), arr.across(wall, 1), ctx)
+    ends = [arr.across(*wall.as_integer_ratio(), d) for d in (-1, 1)]
+    crossing = wall_crossing(model.g1_rep, *ends, ctx)
     (fd,) = crossing.faces.values()
     return fd.d_plus, fd.d_minus
 

@@ -150,7 +150,7 @@ class Polytope:
         and the vertex numerators by v, over the least common denominator
         of theirs and v's.  Each vertex keeps its tight set, so the
         incidence table is carried over."""
-        nums, e = _numerators(linalg.vec(v))
+        nums, e = _numerators(v)
         normals, offsets, den = self._table
         common = lcm(den, e)
         a, b = common // den, common // e
@@ -162,12 +162,11 @@ class Polytope:
         """The polytope scaled by c > 0 about the origin.  The offset and
         vertex numerators take c's numerator and the denominator c's
         denominator, and the incidence table is carried over."""
-        c = linalg._exact(c)
-        if c <= 0:
+        (p,), q = _numerators((c,))
+        if p <= 0:
             raise InputError("scale factor must be positive")
         normals, offsets, den = self._table
-        p = c.numerator
-        return Polytope(self.dim, (normals, tuple(o * p for o in offsets), den * c.denominator),
+        return Polytope(self.dim, (normals, tuple(o * p for o in offsets), den * q),
                         tuple(tuple(x * p for x in v) for v in self._points), self._incidence)
 
     @functools.cached_property

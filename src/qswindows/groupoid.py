@@ -193,7 +193,7 @@ def reduce_rank1(arr: Arrangement, path: Path) -> Path:
     arrows: list[Arrow] = []
     point = path.start
     for pos, direction in _freely_reduce(letters):
-        dst = arr.across(Fraction(pos, scale), direction)
+        dst = arr.across(pos, scale, direction)
         arrows.append(Cross(point, dst, (Fraction(direction),)))
         point = dst
     if shift != 0:

@@ -8,8 +8,11 @@ unchanged), eliminates once, and returns the result as it stands: integer
 rows over one positive denominator, the form every other layer keeps its
 points in.  ``rank``, ``kernel_basis`` and ``solve`` read that form and
 answer in it too, so none of them makes a ``Fraction``; ``solve`` checks
-its answer against every equation over the integers.  ``_fractions`` is
-the one way back to ``Fraction``s, for output.  No floating point.
+its answer against every equation over the integers.  ``_numerators`` is
+the one way into integer numerators: it checks each point it is given, so
+a float or a bool is refused with one ``InputError`` wherever it enters.
+``_fractions`` is the one way back to ``Fraction``s, for output.  No
+floating point.
 """
 from __future__ import annotations
 
@@ -106,18 +109,28 @@ def primitive(x: Sequence) -> IntVec:
     """Scale a nonzero rational vector to a primitive integer vector.
 
     The sign is preserved (the result is a positive multiple of the input).
-    An all-int x is its own numerators over 1, as in ``_integer_rows``.
     """
-    ints = x if all(type(a) is int for a in x) else _numerators(x)[0]
+    ints = _numerators(x)[0]
     g = vec_gcd(ints)
     if not g:
         raise ValueError("zero vector has no primitive form")
     return tuple(a // g for a in ints)
 
 
+_INT, _EXACT = frozenset({int}), frozenset({int, Fraction})
+
+
 def _numerators(point: Sequence) -> tuple[IntVec, int]:
     """A rational point as integer numerators over one positive denominator,
-    the least common multiple of its entries' denominators."""
+    the least common multiple of its entries' denominators.  An all-int
+    point is its own numerators over 1, and ints with ``Fraction``s make no
+    ``Fraction``; any other entry goes through ``vec``, which refuses a
+    float or a bool."""
+    kinds = set(map(type, point))
+    if kinds <= _INT:
+        return tuple(point), 1
+    if not kinds <= _EXACT:
+        point = vec(point)
     den = lcm(*(x.denominator for x in point))
     return tuple(x.numerator * (den // x.denominator) for x in point), den
 
@@ -168,22 +181,17 @@ def _bareiss(rows, ncols):
     return pivots, m
 
 
-def _integer_rows(rows) -> list[Sequence[int]]:
-    """Each row as integer numerators over its own positive denominator.
-
-    Scaling a row by a positive integer changes neither its row space nor
-    the reduced echelon form, so ``rref`` and ``solve`` work on these."""
-    return [row if all(type(a) is int for a in row) else _numerators(row)[0] for row in rows]
-
-
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     """The reduced row echelon form as integer rows over one positive
     denominator p: one Bareiss elimination over the integer rows, whose
     pivot rows all hold the last pivot, so with its sign fixed the result
-    is p times the reduced form; zero rows stay at the bottom."""
+    is p times the reduced form; zero rows stay at the bottom.  Each row
+    enters as its numerators over its own positive denominator: scaling a
+    row by a positive integer changes neither its row space nor the
+    reduced form."""
     if not rows:
         return [], 1
-    pivots, m = _bareiss(_integer_rows(rows), len(rows[0]))
+    pivots, m = _bareiss([_numerators(row)[0] for row in rows], len(rows[0]))
     p = m[len(pivots) - 1][pivots[-1]] if pivots else 1
     return (m, p) if p > 0 else ([[-x for x in row] for row in m], -p)
 
@@ -221,7 +229,7 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> tuple[IntVec, int] | None:
     equation over the integers, so a faulty elimination cannot pass a
     system with one solution."""
     ncols = len(rows[0])
-    aug = _integer_rows([*row, b] for row, b in zip(rows, rhs, strict=True))
+    aug = [_numerators([*row, b])[0] for row, b in zip(rows, rhs, strict=True)]
     m, p = rref(aug)
     x = [0] * ncols
     for row in m:

@@ -21,7 +21,7 @@ from operator import sub
 
 from . import geometry, linalg
 from .errors import InputError, InternalInconsistencyError, _fmt
-from .geometry import HalfSpace, Polytope, _subsets
+from .geometry import Polytope, _subsets
 from .linalg import IntVec, int_rows
 from .root_data import RootDatum, Weight
 
@@ -221,15 +221,13 @@ def _weyl_hull(root_datum, dominant: Polytope, slabs) -> Polytope:
 
 
 def _over_one_denominator(slabs, poly: Polytope) -> tuple[dict, list[IntVec], int]:
-    """The tightest slab offset along each slab normal, sorted by normal,
-    and the polytope's vertices, all as integer numerators over one
-    common denominator, and that denominator."""
-    offsets, den = linalg._numerators([h.offset for h in slabs])
+    """``_slabs``' tightest offsets and the polytope's vertices, all as
+    integer numerators over one common denominator, and that denominator."""
+    tightest, den = slabs
     common = lcm(den, poly._table[2])
     a, b = common // den, common // poly._table[2]
-    # sorted, so the last and tightest offset along each normal is kept
-    tightest = dict(sorted(zip((h.normal for h in slabs), (o * a for o in offsets))))
-    return tightest, [linalg.scale(b, p) for p in poly._points], common
+    return ({n: o * a for n, o in tightest.items()}, [linalg.scale(b, p) for p in poly._points],
+            common)
 
 
 def _minus_w0_facets(root_datum: RootDatum, half_sigma: Polytope) -> tuple[int, ...]:
@@ -251,14 +249,16 @@ def _minus_w0_facets(root_datum: RootDatum, half_sigma: Polytope) -> tuple[int, 
     return images
 
 
-def _slabs(root_datum: RootDatum, weights) -> list[HalfSpace]:
-    """Both sides of each candidate slab, as dot-product half-spaces.
+def _slabs(root_datum: RootDatum, weights) -> tuple[dict[IntVec, int], int]:
+    """The tightest side of the candidate slabs along each normal, sorted by
+    normal, as dot-product half-spaces <x, n> >= o/D: the offset numerators
+    o per normal n, over one positive denominator D.
 
     The slab of lam is |<x, Q lam>| <= q eta_lam / 2, P = Q/q the pairing.
     With Q lam = g n, n primitive, and eta_lam = w/q, w its integer
-    numerator, both sides are <x, +-n> >= -w/2g: one ``Fraction`` per slab.
+    numerator, both sides are <x, +-n> >= -w/2g, and D = 2 lcm(g).
     """
-    halfspaces = []
+    sides = []
     for lam in slab_candidates(root_datum, weights):
         col = root_datum._paired(lam)[0]
         w = _eta_numerator(root_datum, weights, col)
@@ -267,9 +267,10 @@ def _slabs(root_datum: RootDatum, weights) -> list[HalfSpace]:
             raise InputError(f"the window polytope is empty: eta = {eta(root_datum, weights, lam)} "
                              f"< 0 at lambda = {_fmt(lam)}")
         g = linalg.vec_gcd(col)
-        normal, offset = tuple(a // g for a in col), Fraction(-w, 2 * g)
-        halfspaces += [HalfSpace(normal, offset), HalfSpace(linalg.neg(normal), offset)]
-    return halfspaces
+        sides += [(tuple(sign * a // g for a in col), w, g) for sign in (1, -1)]
+    den = 2 * lcm(*(g for _, _, g in sides))
+    # sorted, so the last and tightest offset along each normal is kept
+    return dict(sorted((n, -w * (den // (2 * g))) for n, w, g in sides)), den
 
 
 def _cross_check_nabla(root_datum, half_sigma, nabla, slabs, dominant=None) -> None:

@@ -154,7 +154,7 @@ class RootDatum:
         pos = set(self.positive_roots)
         if pos | {linalg.neg(r) for r in pos} != root_set or pos & {linalg.neg(r) for r in pos}:
             raise InputError("positive roots do not split the root set")
-        basis = linalg.identity_matrix(n)
+        int_pairing = self._int_pairing
         # the simple reflections generate W, so checking them checks all of W
         for s in self.simple_reflections:
             if {self.apply(s, r) for r in root_set} != root_set:
@@ -166,21 +166,19 @@ class RootDatum:
             rest = pos - set(negated)
             if {self.apply(s, r) for r in rest} != rest:
                 raise InputError("a simple reflection does not permute the other positive roots")
-            for x in basis:
-                for y in basis:
-                    if self.pair(self.apply(s, x), self.apply(s, y)) != self.pair(x, y):
-                        raise InputError("pairing is not Weyl invariant")
+            # <s x, s y> = <x, y> for all x, y exactly when s^T Q s = Q
+            if linalg.mat_mul(linalg.transpose(s), linalg.mat_mul(int_pairing, s)) != int_pairing:
+                raise InputError("pairing is not Weyl invariant")
         # wall points are W-invariant, so moving by one must keep dominance
         for v in self.invariant_basis:
             for a in self.roots:
-                value = self.pair(v, a)
-                if value:
-                    raise InputError(f"root {_fmt(a)} pairs to {value} with the W-invariant "
-                                     f"vector {_fmt(v)}, not to 0")
+                if sum(map(mul, v, self._paired(a)[0])):
+                    raise InputError(f"root {_fmt(a)} pairs to {self.pair(v, a)} with the "
+                                     f"W-invariant vector {_fmt(v)}, not to 0")
         # -2rho must descend through every positive root for w0 to be longest
         if any(sum(map(mul, self.two_rho, c)) <= 0 for c in self._columns):
             raise InputError("2rho does not pair positively with every positive root")
-        if linalg.mat_mul(self.w0, self.w0) != basis:
+        if linalg.mat_mul(self.w0, self.w0) != linalg.identity_matrix(n):
             raise InputError("longest element is not an involution")
         p = self.pairing
         for i, j in ((i, j) for i in range(n) for j in range(i) if p[i][j] != p[j][i]):
@@ -203,8 +201,7 @@ class RootDatum:
         return linalg.mat_vec(w, chi)
 
     def is_dominant(self, chi) -> bool:
-        # an all-int character is its own numerator; anything else is checked by vec
-        nums = chi if all(type(x) is int for x in chi) else _numerators(linalg.vec(chi))[0]
+        nums = _numerators(chi)[0]
         return all(sum(map(mul, nums, c)) >= 0 for c in self._columns)
 
     @cached_property
@@ -218,7 +215,7 @@ class RootDatum:
 
     def _doubled(self, chi) -> IntVec:
         """2d(chi + rho) as an integer vector, with d the denominator of chi."""
-        nums, den = _numerators(linalg.vec(chi))
+        nums, den = _numerators(chi)
         return tuple(2 * x + den * r for x, r in zip(nums, self.two_rho, strict=True))
 
     @cached_property

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from . import linalg, windows
+from . import windows
 from .errors import UnsupportedDimensionError
 from .rep import QSRep
 from .windows import Context
@@ -117,7 +117,7 @@ def _wall_points(ctx: Context, box: int):
 def window_figure(rep: QSRep, ctx: Context, delta, box: int = 3) -> str:
     proj = _project(rep.rank)
     win = ctx.window(delta)
-    shifted = rep.nabla.translate(linalg.vec(delta))
+    shifted = rep.nabla.translate(delta)
     walls = _wall_points(ctx, box)
     place, w, h = _placement(proj, [*shifted.vertices, *win.chars, *walls])
     canvas = _Canvas(w, h)

@@ -631,8 +631,8 @@ def test_short_facets_have_their_endpoints_as_ridges():
 
 def test_scale_and_half_space_offsets_refuse_floats_and_bools():
     """A float's binary value is not the rational it spells, so a float or
-    bool scale factor or half-space offset is refused, not coerced; ints
-    and Fractions are kept as they are."""
+    bool scale factor, half-space offset or point is refused, not coerced;
+    ints and Fractions are kept as they are."""
     segment = geometry.zonotope([(1,), (1,)])
     for bad in (0.1, True):
         message = f"^{bad!r} is a {type(bad).__name__}, not an exact rational; give it as p/q$"
@@ -644,6 +644,9 @@ def test_scale_and_half_space_offsets_refuse_floats_and_bools():
             frac_polytope(1, (HalfSpace((1,), bad),), ((Fraction(1),),))
         with pytest.raises(InputError, match=message):
             segment.lattice_points(extra=(HalfSpace((1,), bad),))
+        for read in (segment.contains, segment.tight_indices, segment.translate):
+            with pytest.raises(InputError, match=message):
+                read((bad,))
     assert segment.scale(3).vertices == ((0,), (6,))
     assert HalfSpace((1,), 2).offset == 2 and type(HalfSpace((1,), 2).offset) is int
     assert segment.lattice_points(extra=(HalfSpace((1,), Fraction(1, 2)),)) == ([(1,), (2,)], [(2,)])

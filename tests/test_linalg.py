@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -45,8 +46,9 @@ def test_primitive_scale_matches_fraction_oracle(x):
 @settings(deadline=None, max_examples=200)
 @given(st.lists(st.integers(-50, 50), min_size=1, max_size=4).filter(any))
 def test_primitive_scale_int_path_matches_numerators_path(x):
-    """An all-int vector skips ``_numerators``; as Fractions it takes that
-    path, and both give the same primitive vector and scale."""
+    """An all-int vector takes ``_numerators``' int path; as Fractions it
+    takes the ``Fraction`` path, and both give the same primitive vector
+    and scale."""
     assert primitive_scale(x) == primitive_scale([Fraction(a) for a in x])
     assert primitive_scale(x) == primitive_scale(tuple(x))
 
@@ -65,6 +67,24 @@ def test_primitive_makes_no_fraction(x):
         p = linalg.primitive(x)
     assert made == []
     assert p == primitive_scale(x)[0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda bad: linalg.primitive((1, bad)),
+    lambda bad: linalg.rref([(1, Fraction(1, 2)), (0, bad)]),
+    lambda bad: linalg.rank([(bad, 1)]),
+    lambda bad: linalg.kernel_basis([(1, 0, bad)]),
+    lambda bad: linalg.solve([(1, 0), (0, 1)], (1, bad)),
+], ids=["primitive", "rref", "rank", "kernel_basis", "solve"])
+@pytest.mark.parametrize("bad", [0.5, True], ids=["float", "bool"])
+def test_entry_points_refuse_floats_and_bools(call, bad):
+    """``_numerators`` checks what it is given, so a float or a bool entry
+    is refused with one line, not coerced to 0/1 or failing on a missing
+    ``denominator``."""
+    message = (f"^{re.escape(repr(bad))} is a {type(bad).__name__}, "
+               f"not an exact rational; give it as p/q$")
+    with pytest.raises(InputError, match=message):
+        call(bad)
 
 
 def test_sign_normalized():

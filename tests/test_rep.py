@@ -243,11 +243,9 @@ def test_one_spanned_normals_per_torus_build(small_corpus, monkeypatch):
 
 
 @pytest.mark.parametrize("change, message", [
-    (lambda h, facet: None if h.normal == facet else h, "has no slab as tight"),
-    (lambda h, facet: HalfSpace(h.normal, h.offset - Fraction(1, 2)) if h.normal == facet else h,
-     "has no slab as tight"),
-    (lambda h, facet: HalfSpace(h.normal, h.offset + Fraction(1, 2)) if h.normal == facet else h,
-     "lies outside slab"),
+    (lambda o, half: None, "has no slab as tight"),
+    (lambda o, half: o - half, "has no slab as tight"),
+    (lambda o, half: o + half, "lies outside slab"),
 ], ids=["missing", "widened", "narrowed"])
 def test_slab_check_rejects_a_missing_widened_or_narrowed_slab(small_corpus, gl2rep, change,
                                                                message):
@@ -258,12 +256,16 @@ def test_slab_check_rejects_a_missing_widened_or_narrowed_slab(small_corpus, gl2
     gl3 = QSRep.build(RootDatum.gl(3), std_dual(3, 4))
     for r in [*small_corpus, gl2rep, gl3]:
         datum, nabla = r.root_datum, r.nabla
-        slabs = rep._slabs(datum, r.weights)
+        slabs = tightest, den = rep._slabs(datum, r.weights)
         rep._cross_check_nabla(datum, r.half_sigma, nabla, slabs)
-        for facet in {h.normal for h in nabla.halfspaces}:
-            changed = [c for c in (change(h, facet) for h in slabs) if c is not None]
+        # the offsets are numerators over den, so 1/2 is den // 2 (den is even)
+        for facet in nabla._table[0]:
+            changed = dict(tightest)
+            offset = change(changed.pop(facet), den // 2)
+            if offset is not None:
+                changed[facet] = offset
             with pytest.raises(InternalInconsistencyError, match=message):
-                rep._cross_check_nabla(datum, r.half_sigma, nabla, changed)
+                rep._cross_check_nabla(datum, r.half_sigma, nabla, (changed, den))
 
 
 def test_torus_nabla_is_half_sigma(small_corpus):
@@ -413,12 +415,13 @@ def test_weight_indices_carry_identity(torus22):
     assert len(torus22.weights) == 4
 
 
-# the Fractions each build makes, as observed (Python 3.11) once the
-# eliminations answered in integers and the slabs were built from eta's
-# numerator; building through Fraction vertices made 30, 30, 270 and 427,
-# and through Fraction elimination outputs 18, 18, 112 and 235
-BUILD_FRACTIONS = {"torus-1x2pairs": 3, "torus-1x3pairs": 3, "gl2-cube-pair": 12,
-                   "gl3-4x-std-dual": 18}
+# the Fractions each build makes, as observed (Python 3.11) once the slab
+# offsets and the scale factor were read as integer numerators; building
+# through Fraction vertices made 30, 30, 270 and 427, through Fraction
+# elimination outputs 18, 18, 112 and 235, and through one Fraction per
+# slab 3, 3, 12 and 18
+BUILD_FRACTIONS = {"torus-1x2pairs": 1, "torus-1x3pairs": 1, "gl2-cube-pair": 6,
+                   "gl3-4x-std-dual": 10}
 
 
 def test_builds_read_no_fraction_vertices_or_half_spaces(monkeypatch):

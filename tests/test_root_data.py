@@ -375,6 +375,24 @@ def test_integer_weyl_action_matches_fraction_oracle(data):
     assert datum.invariant_basis == frac_invariant_basis(datum)
 
 
+def test_validate_makes_no_fraction():
+    """``_validate`` checks Weyl invariance as s^T Q s = Q on the integer
+    pairing and the invariant basis by integer dot products with Q a, so
+    GL(3) and a datum with a non-identity p/q pairing make no ``Fraction``;
+    a pairing that a simple reflection does not keep is still refused."""
+    made = []
+    real = Fraction.__new__
+    for datum in (RootDatum.gl(3), ORACLE_DATA[3]):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Fraction, "__new__",
+                       lambda cls, *a, **k: (made.append(a), real(cls, *a, **k))[1])
+            datum._validate()
+    assert made == []
+    gl2 = RootDatum.gl(2)
+    with pytest.raises(InputError, match="^pairing is not Weyl invariant$"):
+        RootDatum.from_data(2, ((1, 0), (0, 2)), gl2.roots, gl2.simple_reflections)
+
+
 # -- the integer-scaled pairing against the Fraction oracle ---------------------
 
 def frac_eta(datum, weights, lam) -> Fraction:

@@ -125,3 +125,41 @@ def test_every_src_parameter_is_read():
             name = getattr(node, "name", "<lambda>")
             unread += [f"{path.name}:{name}({p})" for p in params if p not in read]
     assert sorted(unread) == sorted(UNREAD_PARAMETERS_ALLOWED)
+
+
+def _called(call: ast.Call) -> str | None:
+    """The name a call calls, bare or as an attribute."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _is_int_type_test(node) -> bool:
+    """A comparison such as ``type(x) is int``."""
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+    return (any(isinstance(o, ast.Call) and _called(o) == "type" for o in operands)
+            and any(isinstance(o, ast.Name) and o.id == "int" for o in operands))
+
+
+def test_points_enter_numerators_through_one_check():
+    """``linalg._numerators`` checks its own entries, so no call under
+    src/qswindows wraps its argument in ``vec`` first, and no
+    ``type(x) is int`` shortcut sits in front of it: such a test appears
+    only in ``linalg._numerators`` and ``root_data._lattice_weight``."""
+    nested, owners = [], {}
+    for path in sorted((ROOT / "src" / "qswindows").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        nested += [f"{path.name}:{call.lineno}" for call in ast.walk(tree)
+                   if isinstance(call, ast.Call) and _called(call) == "_numerators"
+                   for inner in ast.walk(call)
+                   if inner is not call and isinstance(inner, ast.Call) and _called(inner) == "vec"]
+        # ast.walk visits an outer function before the ones inside it, so
+        # each test ends up named after its innermost function
+        for scope in ast.walk(tree):
+            if scope is tree or isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = path.stem + ("" if scope is tree else f".{scope.name}")
+                owners.update({id(n): name for n in ast.walk(scope) if _is_int_type_test(n)})
+    assert nested == []
+    assert "root_data._lattice_weight" in owners.values()
+    assert set(owners.values()) <= {"linalg._numerators", "root_data._lattice_weight"}
