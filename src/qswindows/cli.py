@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import complexes, cy_ci, groupoid, mutation, svg, verify, windows
@@ -331,7 +332,10 @@ def _write_svg(args, name: str, content: str) -> None:
     print(f"wrote {path}", file=sys.stderr)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one:
+    ``main`` never changes it, and each ``parse_args`` fills a new namespace."""
     parser = argparse.ArgumentParser(
         prog="qswindows",
         description="Exact wall-crossing combinatorics of quasi-symmetric representations",

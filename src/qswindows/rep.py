@@ -99,6 +99,7 @@ class QSRep:
         if not isinstance(data, dict):
             raise InputError("a representation must be a JSON object")
         try:
+            _check_declared_rank(data)
             datum = RootDatum.from_dict(data["root_datum"])
             weights = data["weights"]
         except KeyError as exc:
@@ -134,6 +135,21 @@ class QSRep:
             "sigma": self.sigma.to_json(),
             "nabla": self.nabla.to_json(),
         }
+
+
+def _check_declared_rank(data: dict) -> None:
+    """Weights of the wrong length for a builtin block's declared rank are
+    refused before its datum is built, which for GL(n) takes about n^5
+    steps.  Only inputs that pass every check ``from_dict`` and ``build``
+    make before the length check are looked at, so the message is the one
+    they give."""
+    block, generic = data["root_datum"], data.get("assert_generic")
+    if (isinstance(block, dict) and block.get("builtin") in ("gl", "torus") and "weights" in data
+            and (generic is None or isinstance(generic, bool))):
+        rank = block.get("n" if block["builtin"] == "gl" else "rank")
+        if (isinstance(rank, int) and not isinstance(rank, bool) and rank > 0
+                and any(len(b) != rank for b in int_rows(data["weights"], "weights"))):
+            raise InputError("weight length does not match the lattice rank")
 
 
 def eta(root_datum: RootDatum, weights, lam) -> Fraction:

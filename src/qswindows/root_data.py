@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from operator import mul
 
 from . import linalg
@@ -75,25 +75,11 @@ class RootDatum:
 
     @classmethod
     def torus(cls, rank: int) -> "RootDatum":
-        if rank < 1:
-            raise InputError("torus rank must be positive")
-        return cls.from_data(rank, linalg.identity_matrix(rank), [], [])
+        return _builtin("torus", _positive(rank, "torus rank"))
 
     @classmethod
     def gl(cls, n: int) -> "RootDatum":
-        if n < 1:
-            raise InputError("gl rank must be positive")
-        roots = []
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    roots.append(tuple(1 if k == i else -1 if k == j else 0 for k in range(n)))
-        simples = []
-        for i in range(n - 1):
-            perm = list(range(n))
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-            simples.append(tuple(tuple(1 if perm[r] == c else 0 for c in range(n)) for r in range(n)))
-        return cls.from_data(n, linalg.identity_matrix(n), roots, simples)
+        return _builtin("gl", _positive(n, "gl rank"))
 
     @classmethod
     def from_data(cls, rank, pairing, roots, simple_reflections,
@@ -271,6 +257,31 @@ class RootDatum:
     @property
     def is_torus(self) -> bool:
         return not self.roots
+
+
+def _positive(n, what: str) -> int:
+    """A builtin's rank, checked before the memo lookup, where True would
+    pass as 1 and 2.0 as 2."""
+    if _int_entry(n, f"{what} must be an integer") < 1:
+        raise InputError(f"{what} must be positive")
+    return n
+
+
+@cache
+def _builtin(kind: str, n: int) -> RootDatum:
+    """The torus or GL(n) datum of rank n, built and validated once per
+    process and shared: a RootDatum is frozen, and its cached tables are
+    then worked out once too."""
+    roots, simples = [], []
+    if kind == "gl":
+        roots = [tuple(1 if k == i else -1 if k == j else 0 for k in range(n))
+                 for i in range(n) for j in range(n) if i != j]
+        for i in range(n - 1):
+            perm = list(range(n))
+            perm[i], perm[i + 1] = perm[i + 1], perm[i]
+            simples.append(tuple(tuple(1 if perm[r] == c else 0 for c in range(n))
+                                 for r in range(n)))
+    return RootDatum.from_data(n, linalg.identity_matrix(n), roots, simples)
 
 
 def _lattice_weight(chi) -> Weight:

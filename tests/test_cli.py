@@ -300,6 +300,18 @@ def test_assert_generic_must_be_a_bool(tmp_path, capsys):
         assert err.startswith("input error: assert_generic must be") and err.count("\n") == 1
 
 
+
+def test_gl40_weight_of_the_wrong_length_exits_2_at_once(tmp_path, capsys):
+    """The weight is checked against n = 40 before GL(40) is built, which
+    took 25 s; the message is the one the full build gives."""
+    path = tmp_path / "gl40.json"
+    path.write_text(json.dumps({"root_datum": {"builtin": "gl", "n": 40}, "weights": [[1]]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rep", "--input", str(path))
+    assert (code, out, err) == (2, "", "input error: weight length does not match the "
+                                "lattice rank\n")
+    assert time.perf_counter() - start < 5
+
 def test_closed_stdout_exits_1_without_a_traceback(inputs):
     """A reader that stops early (``| head -c 10``) closes the pipe while
     the JSON is still being written; the output is far larger than the pipe
@@ -315,6 +327,20 @@ def test_closed_stdout_exits_1_without_a_traceback(inputs):
     err = proc.stderr.read()
     assert (proc.wait(timeout=120), err) == (1, b"")
 
+
+
+def test_parser_is_built_by_the_first_main_not_by_the_import():
+    script = ("from qswindows import cli; info = cli.build_parser.cache_info\n"
+              "print(info().misses)\n"
+              "for _ in range(2): cli.main(['verify', '--suites', ''])\n"
+              "print(info().misses, info().hits)\n")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    lines = proc.stdout.splitlines()
+    assert (proc.returncode, lines[0], lines[-1]) == (0, "0", "1 1")
 
 def test_verify_empty_suites(capsys):
     for suites in (" ", ""):

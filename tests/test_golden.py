@@ -159,6 +159,25 @@ def test_format_writes_json_svg_or_both(tmp_path):
     assert (out_dir / "arrangement.svg").read_text().startswith("<svg")
 
 
+
+def test_shared_parser_carries_no_state_between_calls(tmp_path):
+    """The parser is built once per process; a flag given to one call, or a
+    call that fails, leaves the next call with the defaults."""
+    code, _ = _run(_argv("arrangement", "t2", ["--box", "1"], tmp_path))
+    assert code == 0
+    assert _run(["bogus"]) == (2, "")
+    assert _stdout("t2-arrangement", tmp_path) == (0, (GOLDEN / "t2-arrangement.out").read_text())
+    assert _stdout("t3-mutate", tmp_path) == (0, (GOLDEN / "t3-mutate.out").read_text())
+    code, out = _run(_argv("mutate", "t3", ["--delta", "0", "--delta2", "1"], tmp_path))
+    assert code == 0 and json.loads(out)["direction"] == "left"
+    out_dir = tmp_path / "both"
+    code, _ = _run(_argv("window", "t2", ["--delta", "1/2", "--format", "both",
+                                          "--out", str(out_dir)], tmp_path))
+    assert code == 0 and [p.name for p in out_dir.iterdir()] == ["window.svg"]
+    (out_dir / "window.svg").unlink()
+    assert _stdout("t2-window", tmp_path) == (0, (GOLDEN / "t2-window.out").read_text())
+    assert list(out_dir.iterdir()) == [] and not (tmp_path / "window.svg").exists()
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name in CALLS:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qswindows import catalog, cli, geometry, linalg, rep
+from qswindows import catalog, cli, geometry, linalg, rep, root_data
 from qswindows.errors import InputError, InternalInconsistencyError
 from qswindows.geometry import HalfSpace
 from qswindows.rep import QSRep, Ternary
@@ -396,6 +396,23 @@ def test_invalid_reps_rejected():
     with pytest.raises(InputError):
         QSRep.build(RootDatum.torus(2), [(1, 0), (-1, 0)])
 
+
+
+@pytest.mark.parametrize("block, weights, message", [
+    ({"builtin": "gl", "n": 40}, [[1]], "weight length does not match the lattice rank"),
+    ({"builtin": "torus", "rank": 40}, [[1], [-1]], "weight length does not match the lattice rank"),
+    ({"builtin": "gl", "n": 40}, [[1.5]], "weights must hold integers only, got 1.5"),
+    ({"builtin": "gl", "n": 40}, "abc", "weights must be a list of integer lists"),
+], ids=["gl", "torus", "float", "string"])
+def test_weights_of_the_wrong_shape_are_refused_before_the_builtin_is_built(
+        block, weights, message, monkeypatch):
+    """Building GL(40) takes about n^5 steps, so weights that cannot fit a
+    builtin's declared rank are refused, with the message the full build
+    gives, before its datum is made."""
+    monkeypatch.setattr(root_data, "_builtin", lambda kind, n: pytest.fail(f"built {kind}({n})"))
+    with pytest.raises(InputError) as err:
+        QSRep.from_dict({"root_datum": block, "weights": weights})
+    assert str(err.value) == message
 
 @settings(deadline=None, max_examples=20)
 @given(st.integers(0, 10_000))

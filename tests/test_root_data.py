@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 from functools import cache
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qswindows import linalg, rep
+from qswindows import catalog, linalg, rep, root_data
 from qswindows.errors import InputError, _fmt
+from qswindows.rep import QSRep
 from qswindows.root_data import DominantRep, RootDatum
 
 chi2 = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
@@ -266,6 +268,67 @@ def test_rho_and_dominant_cone_are_built_once():
     assert gl3.dominant_cone is gl3.dominant_cone
     assert [h.normal for h in gl3.dominant_cone] == [(0, 1, -1), (1, -1, 0), (1, 0, -1)]
 
+
+
+@pytest.mark.parametrize("kind, arg, message", [
+    ("torus", True, "torus rank must be an integer, got True"),
+    ("gl", True, "gl rank must be an integer, got True"),
+    ("torus", 1.0, "torus rank must be an integer, got 1.0"),
+    ("gl", 2.0, "gl rank must be an integer, got 2.0"),
+])
+def test_builtins_refuse_floats_and_bools(kind, arg, message):
+    """A bool or a float is no rank: refused before the shared data are
+    looked up, where True would pass as 1 and 2.0 as 2."""
+    with pytest.raises(InputError) as err:
+        getattr(RootDatum, kind)(arg)
+    assert str(err.value) == message
+
+
+def fresh_builtin(kind, n):
+    """The torus or GL(n) datum built from its generators, outside the
+    shared builtins: the roots e_i - e_j and the adjacent transpositions."""
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    if kind == "torus":
+        return RootDatum.from_data(n, identity, [], [])
+    roots = [[(k == i) - (k == j) for k in range(n)]
+             for i in range(n) for j in range(n) if i != j]
+    simples = [[identity[i + 1] if r == i else identity[i] if r == i + 1 else identity[r]
+                for r in range(n)] for i in range(n - 1)]
+    return RootDatum.from_data(n, identity, roots, simples)
+
+
+@pytest.mark.parametrize("kind", ["torus", "gl"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_builtin_data_are_shared_and_equal_fresh_ones(kind, n):
+    shared = getattr(RootDatum, kind)(n)
+    assert getattr(RootDatum, kind)(n) is shared
+    fresh = fresh_builtin(kind, n)
+    assert fresh is not shared
+    for name in [f.name for f in dataclasses.fields(RootDatum)] + [
+            "w0", "rho", "dominant_cone", "_simple_columns"]:
+        assert getattr(shared, name) == getattr(fresh, name), name
+
+
+def test_reps_on_shared_data_equal_reps_on_fresh_ones():
+    std_dual = [[s * (j == i) for j in range(3)] for i in range(3) for s in (1, -1)] * 4
+    cases = [(r.root_datum, r.weights) for r in catalog.bundled_reps().values()]
+    for shared, weights in [*cases, (RootDatum.gl(3), std_dual)]:
+        fresh = fresh_builtin("torus" if shared.is_torus else "gl", shared.rank)
+        assert (QSRep.build(shared, weights).to_json()
+                == QSRep.build(fresh, weights).to_json())
+
+
+def test_builtins_are_validated_once(monkeypatch):
+    """Building the bundled reps twice builds and validates the rank-one
+    torus and GL(2) once each."""
+    validated = []
+    real = RootDatum._validate
+    monkeypatch.setattr(RootDatum, "_validate",
+                        lambda self: (validated.append((self.is_torus, self.rank)), real(self))[1])
+    root_data._builtin.cache_clear()
+    for _ in range(2):
+        catalog.bundled_reps()
+    assert validated == [(True, 1), (False, 2)]
 
 # -- the integer Weyl action against the Fraction oracle ------------------------
 # The Fraction dominance tests and dotted action that the integer versions
