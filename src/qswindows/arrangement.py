@@ -57,8 +57,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from . import linalg
-from .errors import InputError, NotAdjacentError, OnWallError, _fmt, _require_length
+from . import geometry, linalg
+from .errors import (InputError, NotAdjacentError, OnWallError, UnsupportedDimensionError,
+                     _fmt, _require_length)
 from .linalg import IntVec, Vec
 from .rep import QSRep
 
@@ -311,7 +312,8 @@ class Arrangement:
 
     def walls_in_box(self, periods: int = 3) -> list[Wall]:
         """All walls meeting the box [0, periods]^dim in invariant coords,
-        one record per hyperplane."""
+        one record per hyperplane.  They are counted before they are made,
+        and more than ``geometry.LATTICE_SCAN_LIMIT`` of them are refused."""
         def ks(f: WallFamily) -> range:
             # the extreme values of <t, normal> over the box's corners
             ends = (periods * sum(x for x in f.normal if x < 0),
@@ -319,7 +321,12 @@ class Arrangement:
             lo, hi = min(ends), max(ends)
             return range(-((f.base_num - f.scale * lo) // f.step_num),
                          (f.scale * hi - f.base_num) // f.step_num + 1)
-        return self._walls((i, k) for i, f in enumerate(self.families) for k in ks(f))
+        ranges = [ks(f) for f in self.families]
+        # not len(), which overflows past 2**63; each range has stop >= start
+        if (count := sum(r.stop - r.start for r in ranges)) > geometry.LATTICE_SCAN_LIMIT:
+            raise UnsupportedDimensionError(
+                f"enumeration of {count} walls exceeds the limit {geometry.LATTICE_SCAN_LIMIT}")
+        return self._walls((i, k) for i, r in enumerate(ranges) for k in r)
 
     def to_json(self) -> dict:
         return {

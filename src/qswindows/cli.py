@@ -206,17 +206,14 @@ def _parse_path_dsl(arr, text: str | None, start: tuple[Fraction, ...] | None):
     """Paths like "x(1,+);t(1);x(2,-)": x crosses exactly the wall at the
     given offset from the current point, by default from half the least
     wall gap before it, to half that gap past it; t translates by a lattice
-    vector."""
+    vector.  The text is parsed into a word for ``groupoid.path_of_word``."""
     if not text:
         raise InputError("--path is required, e.g. \"x(1,+);t(1)\"")
     if arr.dim != 1:
         raise UnsupportedDimensionError("the path DSL is rank-one only")
     if start is not None and arr.on_wall(start):
         raise InputError("--start must be off the walls")
-    arrows = []
-    # per x(o,±): its arrow's index, o, ± and the point it starts from
-    moves = []
-    point = origin = start
+    word = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
@@ -235,30 +232,19 @@ def _parse_path_dsl(arr, text: str | None, start: tuple[Fraction, ...] | None):
             direction = {"+": 1, "-": -1}.get(sign_text)
             if direction is None:
                 raise InputError(f"bad crossing direction {sign_text!r}")
-            if point is None:
-                point = origin = arr.across(*offset.as_integer_ratio(), -direction)
-            dst = arr.across(*offset.as_integer_ratio(), direction)
-            moves.append((len(arrows), offset, sign_text, point[0]))
-            arrows.append(groupoid.Cross(point, dst, (Fraction(direction),)))
-            point = dst
+            word.append((*offset.as_integer_ratio(), direction))
         elif kind == "t":
             m = _parse_int_vector(body)
             if len(m) != arr.dim:
                 raise InputError(f"translation {chunk!r} has {len(m)} entries, not {arr.dim}")
-            if point is None:
+            if start is None and not word:
                 raise InputError("a path starting with a translation needs --start")
-            arrows.append(groupoid.Translate(m))
-            point = tuple(p + x for p, x in zip(point, m))
+            word.append(groupoid.Translate(m))
         else:
             raise InputError(f"unknown path move {kind!r}")
-    if origin is None:
+    if start is None and not word:
         raise InputError("empty path")
-    path = groupoid.make_path(arr, arrows, start=origin)
-    for i, offset, sign_text, src in moves:
-        if [w.offset for w in path.steps[i].walls] != [offset]:
-            raise InputError(f"x({offset},{sign_text}) does not cross the wall at {offset} "
-                             f"from {src}")
-    return path
+    return groupoid.path_of_word(arr, word, start)
 
 
 def cmd_cy(args) -> int:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalInconsistencyError
-from .linalg import _int_entry
+from .groupoid import path_of_word
+from .linalg import _exact, _int_entry
 from .mutation import ModuleSpec, toric_wall
 from .rep import QSRep
 from .root_data import RootDatum
@@ -75,11 +76,11 @@ def build(a, d) -> CYModel:
 
 def crossing_data(model: CYModel, wall, ctx: Context) -> tuple[int, int]:
     """(d^+ of the upward face, d^+ of its dual) at a given wall point."""
-    wall, arr = Fraction(wall), ctx.arrangement
+    wall, arr = _exact(wall), ctx.arrangement
     if not arr.on_wall((wall,)):
         raise InputError(f"{wall} is not a wall of this model")
-    ends = [arr.across(*wall.as_integer_ratio(), d) for d in (-1, 1)]
-    crossing = wall_crossing(model.g1_rep, *ends, ctx)
+    (step,) = path_of_word(arr, [(*wall.as_integer_ratio(), 1)]).steps
+    crossing = wall_crossing(model.g1_rep, step.here, step.there, ctx)
     (fd,) = crossing.faces.values()
     return fd.d_plus, fd.d_minus
 

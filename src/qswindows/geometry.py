@@ -83,8 +83,8 @@ class HalfSpace:
             raise InputError("half-space normal must be nonzero")
         if linalg.vec_gcd(self.normal) != 1:
             raise InputError("half-space normal must be primitive")
-        if isinstance(self.offset, (float, bool)):
-            linalg._exact(self.offset)  # refuses it with a one-line InputError
+        if type(self.offset) not in (int, Fraction):
+            linalg._exact(self.offset)  # refuses a float, bool or string with one line
 
 
 @dataclass(frozen=True, slots=True)

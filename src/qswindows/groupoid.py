@@ -9,10 +9,12 @@ the chambers of its hops, cut once from those walls.  Nothing below cuts a
 segment or locates a point again: positivity, minimality and rank-one words
 read the recorded walls, and both transcripts cross the recorded hops.  Word
 reduction is implemented only in rank one, where the groupoid is free on
-single-wall crossings and translations commute to the end of the word; a
-reduced path rebuilds each letter as one crossing that ends
-``Arrangement.across`` its wall, half the least wall gap past it, so it
-crosses that wall alone however the wall families interleave.
+single-wall crossings and translations commute to the end of the word.
+``path_of_word`` is the one way from a rank-one word to a path, for the
+CLI's path DSL, the reduced path and the Calabi-Yau crossings: it builds
+each letter as one crossing that ends ``Arrangement.across`` its wall, half
+the least wall gap past it, so it crosses that wall alone however the wall
+families interleave.
 """
 from __future__ import annotations
 
@@ -184,21 +186,42 @@ def _freely_reduce(letters: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return out
 
 
+def path_of_word(arr: Arrangement, word, start=None) -> Path:
+    """The rank-one path of a word of letters (p, q, d) and ``Translate``s.
+    A letter crosses the wall at p/q, q > 0, in direction d = +1 or -1, from
+    the current point to ``Arrangement.across`` that wall; a translation
+    moves the current point.  With no start the path starts across the
+    first letter's wall before it.  A letter whose step does not cross
+    exactly its own wall is refused."""
+    if start is None and word and not isinstance(word[0], Translate):
+        start = arr.across(word[0][0], word[0][1], -word[0][2])
+    arrows, point = [], start
+    for letter in word:
+        if isinstance(letter, Translate):
+            # with no start a leading translation has no point: make_path refuses it
+            arrow, point = letter, point and linalg.add(point, letter.m)
+        else:
+            arrow = Cross(point, arr.across(*letter), (Fraction(letter[2]),))
+            point = arrow.dst
+        arrows.append(arrow)
+    path = make_path(arr, arrows, start=start)
+    for letter, a, step in zip(word, arrows, path.steps):
+        if isinstance(a, Cross) and (len(step.walls) != 1
+                                     or step.walls[0].num * letter[1]
+                                     != letter[0] * step.walls[0].scale):
+            o, sign = Fraction(letter[0], letter[1]), "+" if letter[2] > 0 else "-"
+            raise InputError(f"x({o},{sign}) does not cross the wall at {o} from {a.src[0]}")
+    return path
+
+
 def reduce_rank1(arr: Arrangement, path: Path) -> Path:
     """Unique normal form: freely reduced adjacent crossings, then one
     translation.  The first crossing starts at the path's start, and each
     ends ``Arrangement.across`` its wall, half the least wall gap past it,
     where the next one starts."""
     letters, shift, scale = _letters(arr, path)
-    arrows: list[Arrow] = []
-    point = path.start
-    for pos, direction in _freely_reduce(letters):
-        dst = arr.across(pos, scale, direction)
-        arrows.append(Cross(point, dst, (Fraction(direction),)))
-        point = dst
-    if shift != 0:
-        arrows.append(Translate((shift,)))
-    return make_path(arr, arrows, start=path.start)
+    word = [(pos, scale, d) for pos, d in _freely_reduce(letters)]
+    return path_of_word(arr, word + [Translate((shift,))] if shift else word, start=path.start)
 
 
 def normal_form_word(arr: Arrangement, path: Path):

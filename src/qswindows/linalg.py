@@ -10,7 +10,8 @@ points in.  ``rank``, ``kernel_basis`` and ``solve`` read that form and
 answer in it too, so none of them makes a ``Fraction``; ``solve`` checks
 its answer against every equation over the integers.  ``_numerators`` is
 the one way into integer numerators: it checks each point it is given, so
-a float or a bool is refused with one ``InputError`` wherever it enters.
+an entry that is not an int or a ``Fraction`` (a float, a bool, a string)
+is refused with one ``InputError`` wherever it enters.
 ``_fractions`` is the one way back to ``Fraction``s, for output.  No
 floating point.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -29,14 +31,17 @@ IntVec = tuple[int, ...]
 
 def vec(xs: Iterable) -> Vec:
     """A Fraction tuple; one that is already all Fraction is returned as is.
-    A float is refused, as its binary value is not the rational it spells."""
+    A float is refused, as its binary value is not the rational it spells,
+    and so is a string, which only the p/q grammar of the inputs may read."""
     if type(xs) is tuple and all(type(x) is Fraction for x in xs):
         return xs
     return tuple(x if type(x) is Fraction else _exact(x) for x in xs)
 
 
 def _exact(x) -> Fraction:
-    if isinstance(x, (float, bool)):
+    """An int or ``Fraction`` (any exact rational) as a ``Fraction``; a float,
+    a bool, a string or anything else is refused, never parsed or coerced."""
+    if isinstance(x, bool) or not isinstance(x, Rational):
         raise InputError(f"{x!r} is a {type(x).__name__}, not an exact rational; give it as p/q")
     return Fraction(x)
 

@@ -46,6 +46,9 @@ GL3_CYCLIC = {"root_datum": {
     "positive_roots": [[1, -1, 0], [0, 1, -1], [-1, 0, 1]],
     "simple_reflections": [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1], [0, 1, 0]]]},
     "weights": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]]}
+NUMBER_DATUM = dict(TORUS22, root_datum=1)
+EMPTY_PAIRING = dict(TORUS22, root_datum={"rank": 1, "pairing": []})
+SHORT_PAIRING = dict(RANK2, root_datum={"rank": 2, "pairing": [1, 0, 1]})
 RANK3 = {"root_datum": {"builtin": "torus", "rank": 3},
          "weights": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
                      [0, 0, 1], [0, 0, -1], [1, 1, 1], [-1, -1, -1]]}
@@ -61,10 +64,15 @@ def inputs(tmp_path):
                           ("singular_pairing", SINGULAR_PAIRING), ("skew_pairing", SKEW_PAIRING),
                           ("half_skew_pairing", HALF_SKEW_PAIRING),
                           ("root_off_invariants", ROOT_OFF_INVARIANTS), ("huge", HUGE),
-                          ("gl8", GL8), ("gl4", GL4), ("gl3_cyclic", GL3_CYCLIC)):
+                          ("gl8", GL8), ("gl4", GL4), ("gl3_cyclic", GL3_CYCLIC),
+                          ("number_datum", NUMBER_DATUM), ("empty_pairing", EMPTY_PAIRING),
+                          ("short_pairing", SHORT_PAIRING)):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(payload))
         paths[name] = str(p)
+    (tmp_path / "not_json.json").write_text("{")
+    paths["not_json"] = str(tmp_path / "not_json.json")
+    paths["missing"] = str(tmp_path / "missing.json")
     return paths
 
 
@@ -256,6 +264,13 @@ def test_error_codes(inputs, capsys):
     assert time.perf_counter() - start < 10
     assert code == 2 and out == "" and err.count("\n") == 1
     assert err.startswith("unsupported: enumeration of 94525795200 subsets exceeds the limit")
+    # so is a wall enumeration over a huge box, which never finished before
+    start = time.perf_counter()
+    code, out, err = run(capsys, "arrangement", "--input", inputs["torus22"],
+                         "--box", "1000000000000")
+    assert time.perf_counter() - start < 10
+    assert (code, out, err) == (2, "", "unsupported: enumeration of 1000000000001 walls "
+                                "exceeds the limit 1000000\n")
     code, out, err = run(capsys, "groupoid", "--input", inputs["torus22"], "--path", "x(1/3,+)")
     assert (code, out, err) == (2, "", "input error: 1/3 is not a wall of this arrangement\n")
     # a crossing must cross exactly its wall from the current point
@@ -287,6 +302,49 @@ def test_error_codes(inputs, capsys):
                          "--delta=1/2", "--delta2=3/2", "--chi=9")
     assert (code, out, err) == (2, "", "input error: (9) does not leave the window "
                                 "across this wall\n")
+    # every path DSL refusal, each before make_path runs: a parse fault is
+    # named before a crossing fault, and the first parse fault is named
+    for name, argv, message in (
+            ("torus22", (), 'input error: --path is required, e.g. "x(1,+);t(1)"'),
+            ("rank3", ("--path", "x(1,+)"), "unsupported: the path DSL is rank-one only"),
+            ("torus22", ("--path", "x(1,+)", "--start", "1"),
+             "input error: --start must be off the walls"),
+            ("torus22", ("--path", "x1"), "input error: bad path chunk 'x1'"),
+            ("torus22", ("--path", "x(1,*)"), "input error: bad crossing direction '*'"),
+            ("torus22", ("--path", "t(1)"),
+             "input error: a path starting with a translation needs --start"),
+            ("torus22", ("--path", "t(1);x(1/3,+)"),
+             "input error: a path starting with a translation needs --start"),
+            ("torus22", ("--path", "y(1)"), "input error: unknown path move 'y'"),
+            ("torus22", ("--path", "x(1,+);x(0,+);y(1)"), "input error: unknown path move 'y'"),
+            ("torus22", ("--path", ";"), "input error: empty path")):
+        code, out, err = run(capsys, "groupoid", "--input", inputs[name], *argv)
+        assert (code, out, err) == (2, "", f"{message}\n"), argv
+    # a path of no moves from a given start is the identity
+    code, out, _ = run(capsys, "groupoid", "--input", inputs["torus22"], "--path", ";",
+                       "--start", "1/2")
+    assert code == 0 and json.loads(out)["normal_form"] == []
+    # missing or unreadable input, missing flags, and malformed root data blocks
+    for argv, message in (
+            (("rep",), "input error: this subcommand needs --input FILE"),
+            (("rep", "--input", inputs["missing"]),
+             f"input error: cannot read {inputs['missing']}"),
+            (("rep", "--input", inputs["not_json"]),
+             f"input error: cannot read {inputs['not_json']}"),
+            (("complex", "--input", inputs["torus22"], *halves), "input error: --chi is required"),
+            (("cy",), "input error: cy needs --a and --d degree lists"),
+            (("cy", "--a", "1,1,1,1,1"), "input error: cy needs --a and --d degree lists"),
+            (("verify", "--suites", "bogus"),
+             "input error: unknown suite 'bogus' (use bundled,input)"),
+            (("rep", "--input", inputs["number_datum"]),
+             "input error: the root datum block must be a JSON object"),
+            (("rep", "--input", inputs["empty_pairing"]),
+             "input error: pairing must be a non-empty list"),
+            (("rep", "--input", inputs["short_pairing"]),
+             "input error: row-major pairing has the wrong length")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1, argv
+        assert err.startswith(message), argv
 
 
 def test_assert_generic_must_be_a_bool(tmp_path, capsys):

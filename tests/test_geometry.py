@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -630,12 +631,13 @@ def test_short_facets_have_their_endpoints_as_ridges():
 
 
 def test_scale_and_half_space_offsets_refuse_floats_and_bools():
-    """A float's binary value is not the rational it spells, so a float or
-    bool scale factor, half-space offset or point is refused, not coerced;
-    ints and Fractions are kept as they are."""
+    """A float's binary value is not the rational it spells, so a float,
+    bool, string or None scale factor, half-space offset or point is
+    refused, not coerced; ints and Fractions are kept as they are."""
     segment = geometry.zonotope([(1,), (1,)])
-    for bad in (0.1, True):
-        message = f"^{bad!r} is a {type(bad).__name__}, not an exact rational; give it as p/q$"
+    for bad in (0.1, True, "1/2", None):
+        message = (f"^{re.escape(repr(bad))} is a {type(bad).__name__}, "
+                   f"not an exact rational; give it as p/q$")
         with pytest.raises(InputError, match=message):
             segment.scale(bad)
         with pytest.raises(InputError, match=message):

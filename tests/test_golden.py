@@ -27,6 +27,10 @@ INPUTS = {
     # walls x, y and x - y in Z: the plane cut into triangles
     "t22": {"root_datum": {"builtin": "torus", "rank": 2},
             "weights": [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1]]},
+    # x and y doubled: walls x, y in 1/2 + Z and x - y in Z; verify samples its rank-2 grid
+    "t22-doubled": {"root_datum": {"builtin": "torus", "rank": 2},
+                    "weights": [[1, 0], [1, 0], [-1, 0], [-1, 0], [0, 1], [0, 1],
+                                [0, -1], [0, -1], [1, 1], [-1, -1]]},
     "gl2": {"root_datum": {"builtin": "gl", "n": 2},
             "weights": [[3, 0], [2, 1], [1, 2], [0, 3],
                         [-3, 0], [-2, -1], [-1, -2], [0, -3]]},
@@ -66,6 +70,7 @@ CALLS = {
     # the segment meets the wall x = y a third of the way: delta0 is not the midpoint
     "t22-wallcross": ("wallcross", "t22", "--delta", "1/3,1/4", "--delta2", "1/2,2/3"),
     "t22-window": ("window", "t22", "--delta", "1/2,2/3"),
+    "t22-doubled-verify-input": ("verify", "t22-doubled", "--suites", "input"),
     "gl2-rep": ("rep", "gl2"),
     "gl2-arrangement": ("arrangement", "gl2"),
     "gl2-window": ("window", "gl2", "--delta", "-1/4,-1/4"),

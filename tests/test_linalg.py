@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qswindows import linalg
+from qswindows import cy_ci, linalg
 from qswindows.errors import InputError
+from qswindows.rep import QSRep
+from qswindows.root_data import RootDatum
+from qswindows.windows import Context
 
 ints = st.integers(min_value=-6, max_value=6)
 
@@ -69,18 +72,37 @@ def test_primitive_makes_no_fraction(x):
     assert p == primitive_scale(x)[0]
 
 
+def _torus_context() -> Context:
+    return Context(QSRep.build(RootDatum.torus(1), [(1,), (1,), (-1,), (-1,)]))
+
+
+def _cy_crossing(wall):
+    """The crossing data of (1,1; 2), whose walls are 1/2 + Z: read as 1/2,
+    0.5 or "0.5" would be a wall."""
+    model = cy_ci.build((1, 1), (2,))
+    return cy_ci.crossing_data(model, wall, model.context())
+
+
 @pytest.mark.parametrize("call", [
     lambda bad: linalg.primitive((1, bad)),
     lambda bad: linalg.rref([(1, Fraction(1, 2)), (0, bad)]),
     lambda bad: linalg.rank([(bad, 1)]),
     lambda bad: linalg.kernel_basis([(1, 0, bad)]),
     lambda bad: linalg.solve([(1, 0), (0, 1)], (1, bad)),
-], ids=["primitive", "rref", "rank", "kernel_basis", "solve"])
-@pytest.mark.parametrize("bad", [0.5, True], ids=["float", "bool"])
+    lambda bad: RootDatum.from_data(1, [[bad]], [], []),
+    lambda bad: _torus_context().arrangement.chamber_of((bad,)),
+    lambda bad: _torus_context().window((bad,)),
+    lambda bad: _torus_context().rep.nabla.contains((bad,)),
+    _cy_crossing,
+], ids=["primitive", "rref", "rank", "kernel_basis", "solve", "from_data", "chamber_of",
+        "window", "contains", "crossing_data"])
+@pytest.mark.parametrize("bad", [0.5, True, "1e3", " 1/2 ", None],
+                         ids=["float", "bool", "decimal_str", "spaced_str", "none"])
 def test_entry_points_refuse_floats_and_bools(call, bad):
-    """``_numerators`` checks what it is given, so a float or a bool entry
-    is refused with one line, not coerced to 0/1 or failing on a missing
-    ``denominator``."""
+    """``_numerators`` checks what it is given, so a float, bool, string or
+    None entry is refused with one line, not coerced to 0/1, parsed by
+    ``Fraction()`` past the p/q grammar of the inputs, or failing on a
+    missing ``denominator``."""
     message = (f"^{re.escape(repr(bad))} is a {type(bad).__name__}, "
                f"not an exact rational; give it as p/q$")
     with pytest.raises(InputError, match=message):
