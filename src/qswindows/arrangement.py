@@ -66,25 +66,26 @@ from .rep import QSRep
 
 @dataclass(frozen=True)
 class WallFamily:
-    """Walls {t : <t, normal> = base_offset + k * offset_step, k in Z}.
+    """Walls {t : <t, normal> = (base_num + k * step_num) / scale, k in Z}.
 
-    ``base_num`` and ``step_num`` are base and step over the positive
-    denominator ``scale``.
+    ``scale`` is the least positive denominator of base and step, so equal
+    families have equal fields; ``base_offset`` and ``offset_step`` are
+    made as ``Fraction``s only when read.
     """
 
     normal: IntVec
-    base_offset: Fraction
-    offset_step: Fraction
+    base_num: int
+    step_num: int
+    scale: int
     source_facet: int
-    scale: int = field(init=False, repr=False, compare=False)
-    base_num: int = field(init=False, repr=False, compare=False)
-    step_num: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        (base, step), scale = linalg._numerators((self.base_offset, self.offset_step))
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "base_num", base)
-        object.__setattr__(self, "step_num", step)
+    @property
+    def base_offset(self) -> Fraction:
+        return Fraction(self.base_num, self.scale)
+
+    @property
+    def offset_step(self) -> Fraction:
+        return Fraction(self.step_num, self.scale)
 
 
 @dataclass(frozen=True, slots=True)
@@ -373,8 +374,10 @@ def build_arrangement(rep: QSRep) -> Arrangement:
         key = (normalized, -g, (o if normalized == primitive else -o) % den)
         if key not in families:
             families[key] = idx
-    fams = tuple(WallFamily(n, Fraction(r, -minus_g * den), Fraction(1, -minus_g), idx)
-                 for (n, minus_g, r), idx in sorted(families.items()))
+    # base r/(g den) and step 1/g over their least common denominator g den/t
+    fams = tuple(WallFamily(n, r // t, den // t, -minus_g * den // t, idx)
+                 for (n, minus_g, r), idx in sorted(families.items())
+                 for t in [gcd(r, den)])
     if not fams:
         raise InputError("every window facet direction contains the invariant subspace")
     return Arrangement(rep=rep, families=fams, invariant_basis=basis,

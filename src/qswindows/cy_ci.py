@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalInconsistencyError
-from .groupoid import path_of_word
+from .groupoid import Path, path_of_word
 from .linalg import _exact, _int_entry
 from .mutation import ModuleSpec, toric_wall
 from .rep import QSRep
@@ -65,13 +65,13 @@ def build(a, d) -> CYModel:
     weights = [(1,)] + [(ai,) for ai in a] + [(-1,)] + [(-dj,) for dj in d]
     g1 = QSRep.build(RootDatum.torus(1), weights)
     families = g1.arrangement.families
-    if len(families) != 1 or families[0].offset_step != 1:
+    if len(families) != 1 or families[0].step_num != families[0].scale:
         raise InternalInconsistencyError("the rank-one model must have unit wall spacing")
-    offset = families[0].base_offset
-    if offset != (Fraction(1, 2) if alpha % 2 == 0 else Fraction(0)):
+    # the walls are Z + (alpha + 1)/2, and base_num/scale lies in [0, 1)
+    if 2 * families[0].base_num != (alpha + 1) % 2 * families[0].scale:
         raise InternalInconsistencyError("computed wall pattern contradicts the parity rule")
     return CYModel(a=a, d=d, alpha=alpha, bigraded_weights=tuple(bigraded), g1_rep=g1,
-                   arrangement_offset=offset)
+                   arrangement_offset=families[0].base_offset)
 
 
 def crossing_data(model: CYModel, wall, ctx: Context) -> tuple[int, int]:
@@ -85,17 +85,26 @@ def crossing_data(model: CYModel, wall, ctx: Context) -> tuple[int, int]:
     return fd.d_plus, fd.d_minus
 
 
-def spherical_twist_word(model: CYModel, m: int, ctx: Context) -> dict:
-    """The down-then-up loop at delta = m + alpha/2 + 1 around the wall below.
+def twist_loop(model: CYModel, m: int, ctx: Context) -> Path:
+    """The down-then-up loop at delta = m + alpha/2 + 1 around the wall
+    below it, delta - 1/2 = p/2 for p = 2m + alpha + 1, as the path of the
+    word x(p/2,-) x(p/2,+).  The walls are a unit apart (``build`` checks
+    it), so the word starts half a gap above its wall, at delta, and its
+    first step ends at delta - 1."""
+    p = 2 * _int_entry(m, "twist degree must be an integer") + model.alpha + 1
+    return path_of_word(ctx.arrangement, [(p, 2, -1), (p, 2, 1)])
 
-    Both legs walk one mutation cycle of that wall: down takes d_F^+ - 1
-    steps to the module of the window below, up takes d_F*^+ - 1 steps back.
-    The loop is one full period, n + r steps.
+
+def spherical_twist_word(model: CYModel, m: int, ctx: Context) -> dict:
+    """The twist loop's mutation word.
+
+    Both legs walk one mutation cycle of the loop's wall: down takes
+    d_F^+ - 1 steps to the module of the window below, up takes
+    d_F*^+ - 1 steps back.  The loop is one full period, n + r steps.
     """
-    delta = Fraction(m) + Fraction(model.alpha, 2) + 1
-    if ctx.arrangement.on_wall((delta,)):
-        raise InternalInconsistencyError("twist base point unexpectedly on a wall")
-    wall = toric_wall(model.g1_rep, (delta,), (delta - 1,), ctx)
+    loop = twist_loop(model, m, ctx)
+    (delta,), down_step = loop.start, loop.steps[0]
+    wall = toric_wall(model.g1_rep, down_step.here, down_step.there, ctx)
     down, up = wall.face.d_plus - 1, wall.dual_face.d_plus - 1
     # the crossing located both windows already
     start = ModuleSpec.of_window(wall.crossing.window.chars)

@@ -100,7 +100,6 @@ class ToricWall:
             raise InputError("stepwise mutation is implemented for torus actions only")
         if len(crossing.faces) != 1:
             raise InternalInconsistencyError("a toric wall must carry exactly one face")
-        self.rep = rep
         self.crossing = crossing
         self.face = next(iter(crossing.faces.values()))
         if self.face.d_plus < 2:

@@ -51,25 +51,26 @@ class DominantRep:
 @dataclass(frozen=True)
 class RootDatum:
     rank: int
-    pairing: tuple[tuple[Fraction, ...], ...]
+    # the pairing P as integer rows Q over one positive denominator q, P = Q/q,
+    # in lowest terms, so that equal pairings compare equal
+    _int_pairing: tuple[IntVec, ...]
+    _pairing_den: int
     roots: tuple[Weight, ...]
     positive_roots: tuple[Weight, ...]
     simple_reflections: tuple[WeylMatrix, ...]
     two_rho: Weight
     invariant_basis: tuple[Weight, ...]
-    # the pairing P as integer rows Q over one positive denominator q, P = Q/q
-    _int_pairing: tuple[IntVec, ...] = field(init=False, repr=False, compare=False)
-    _pairing_den: int = field(init=False, repr=False, compare=False)
     # each positive root's paired column Q a = q P a
     _columns: tuple[IntVec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        flat, den = _numerators([x for row in self.pairing for x in row])
-        object.__setattr__(self, "_int_pairing", tuple(
-            flat[i:i + self.rank] for i in range(0, len(flat), self.rank)))
-        object.__setattr__(self, "_pairing_den", den)
         object.__setattr__(self, "_columns", tuple(self._paired(a)[0]
                                                    for a in self.positive_roots))
+
+    @property
+    def pairing(self) -> tuple[Vec, ...]:
+        """The pairing matrix P as ``Fraction`` rows, made when read."""
+        return tuple(linalg._fractions(row, self._pairing_den) for row in self._int_pairing)
 
     # -- construction ------------------------------------------------------
 
@@ -84,7 +85,8 @@ class RootDatum:
     @classmethod
     def from_data(cls, rank, pairing, roots, simple_reflections,
                   positive_roots=None) -> "RootDatum":
-        pairing = tuple(tuple(map(linalg._exact, row)) for row in pairing)
+        pairing = tuple(map(tuple, pairing))
+        flat, den = _numerators([x for row in pairing for x in row])
         if len(pairing) != rank or any(len(row) != rank for row in pairing):
             raise InputError(f"pairing must be a {rank} x {rank} matrix")
         roots = tuple(sorted(set(int_rows(roots, "roots"))))
@@ -101,7 +103,8 @@ class RootDatum:
         inv = _invariant_lattice_basis(rank, simples)
         datum = cls(
             rank=rank,
-            pairing=pairing,
+            _int_pairing=tuple(flat[i:i + rank] for i in range(0, len(flat), rank)),
+            _pairing_den=den,
             roots=roots,
             positive_roots=positive,
             simple_reflections=simples,
@@ -140,7 +143,7 @@ class RootDatum:
         pos = set(self.positive_roots)
         if pos | {linalg.neg(r) for r in pos} != root_set or pos & {linalg.neg(r) for r in pos}:
             raise InputError("positive roots do not split the root set")
-        int_pairing = self._int_pairing
+        rows = self._int_pairing
         # the simple reflections generate W, so checking them checks all of W
         for s in self.simple_reflections:
             if {self.apply(s, r) for r in root_set} != root_set:
@@ -153,7 +156,7 @@ class RootDatum:
             if {self.apply(s, r) for r in rest} != rest:
                 raise InputError("a simple reflection does not permute the other positive roots")
             # <s x, s y> = <x, y> for all x, y exactly when s^T Q s = Q
-            if linalg.mat_mul(linalg.transpose(s), linalg.mat_mul(int_pairing, s)) != int_pairing:
+            if linalg.mat_mul(linalg.transpose(s), linalg.mat_mul(rows, s)) != rows:
                 raise InputError("pairing is not Weyl invariant")
         # wall points are W-invariant, so moving by one must keep dominance
         for v in self.invariant_basis:
@@ -166,12 +169,12 @@ class RootDatum:
             raise InputError("2rho does not pair positively with every positive root")
         if linalg.mat_mul(self.w0, self.w0) != linalg.identity_matrix(n):
             raise InputError("longest element is not an involution")
-        p = self.pairing
-        for i, j in ((i, j) for i in range(n) for j in range(i) if p[i][j] != p[j][i]):
+        for i, j in ((i, j) for i in range(n) for j in range(i) if rows[i][j] != rows[j][i]):
+            p = self.pairing
             raise InputError(f"pairing is not symmetric: entry ({i + 1}, {j + 1}) is {p[i][j]} "
                              f"but entry ({j + 1}, {i + 1}) is {p[j][i]}")
-        if len(_bareiss(self._int_pairing, n)[0]) < n:
-            raise InputError(f"pairing with rows {', '.join(map(_fmt, p))} is singular")
+        if len(_bareiss(rows, n)[0]) < n:
+            raise InputError(f"pairing with rows {', '.join(map(_fmt, self.pairing))} is singular")
 
     # -- basic operations --------------------------------------------------
 
@@ -197,7 +200,7 @@ class RootDatum:
     @cached_property
     def dominant_cone(self) -> tuple[HalfSpace, ...]:
         """Dot-product half-spaces cutting out the dominant cone, one per positive root."""
-        return tuple(HalfSpace(linalg.primitive(c), Fraction(0)) for c in self._columns)
+        return tuple(HalfSpace(linalg.primitive(c), 0) for c in self._columns)
 
     def _doubled(self, chi) -> IntVec:
         """2d(chi + rho) as an integer vector, with d the denominator of chi."""
@@ -354,10 +357,11 @@ def _parse_matrix(entries, rank):
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
-def _rational_entry(x) -> Fraction:
-    """A pairing entry: a JSON integer or a "p/q" / "n" string, nothing else."""
+def _rational_entry(x) -> int | Fraction:
+    """A pairing entry: a JSON integer, kept as that int, or a "p/q" / "n"
+    string, nothing else."""
     if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
+        return x
     if isinstance(x, str) and _RATIONAL.fullmatch(x):
         return Fraction(x)
     raise InputError(f"pairing entries must be integers or \"p/q\" strings, got {x!r}")

@@ -430,20 +430,11 @@ def check_cy_models() -> list[CheckResult]:
         delta = tw["delta"]
         window = ctx.window((delta,))
         ok = ok and len(window.chars) == model.alpha + 1
-        loop = _cy_loop_map(model, ctx, delta)
-        ok = ok and loop
+        loop = cy_ci.twist_loop(model, 0, ctx)
+        mapping = groupoid.transcript_window_map(model.g1_rep, loop, ctx)
+        ok = ok and all(src == dst for src, dst in mapping.items())
         out.append(_result("cy-model-facts", name, ok))
     return out
-
-
-def _cy_loop_map(model, ctx, delta) -> bool:
-    arr = ctx.arrangement
-    start = arr.to_coords((delta,))
-    down = groupoid.Cross(start, (start[0] - 1,), (Fraction(-1),))
-    up = groupoid.Cross((start[0] - 1,), start, (Fraction(1),))
-    path = groupoid.make_path(arr, [down, up])
-    mapping = groupoid.transcript_window_map(model.g1_rep, path, ctx)
-    return all(src == dst for src, dst in mapping.items())
 
 
 # -- top level ----------------------------------------------------------------------

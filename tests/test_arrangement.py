@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qswindows import catalog, errors, geometry, groupoid, linalg, windows
+from qswindows import catalog, errors, geometry, groupoid, linalg, root_data, windows
 from qswindows.arrangement import Arrangement, Wall, WallFamily, build_arrangement
 from qswindows.errors import InputError, NotAdjacentError, OnWallError
 from qswindows.rep import QSRep
@@ -166,8 +166,33 @@ def _oracle_families(rep) -> tuple[WallFamily, ...]:
         normalized = linalg.sign_normalized(primitive)
         rescale = step if normalized == primitive else -step
         families.setdefault((normalized, step, h.offset * rescale % step), idx)
-    return tuple(WallFamily(n, base, step, idx)
+    return tuple(frac_family(n, base, step, idx)
                  for (n, step, base), idx in sorted(families.items()))
+
+
+def frac_family(normal, base, step, source_facet) -> WallFamily:
+    """The family with walls <t, normal> = base + k step, for rational base
+    and step, spelled as their numerators over their least common scale."""
+    base, step = F(base), F(step)
+    scale = math.lcm(base.denominator, step.denominator)
+    return WallFamily(normal, int(base * scale), int(step * scale), scale, source_facet)
+
+
+def test_builtin_data_and_arrangements_make_no_fraction(monkeypatch):
+    """A root datum keeps its pairing, and a wall family its base and step,
+    as integers from birth: a fresh torus(1), GL(2) or GL(3) datum, and the
+    arrangement of each bundled rep, make no ``Fraction``."""
+    reps = catalog.bundled_reps()
+    made = []
+    real = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *a, **k: (made.append(a), real(cls, *a, **k))[1])
+    for kind, n in (("torus", 1), ("gl", 2), ("gl", 3)):
+        root_data._builtin.__wrapped__(kind, n)
+        assert made == [], (kind, n)
+    for name, rep in reps.items():
+        build_arrangement(rep)
+        assert made == [], name
 
 
 def test_wall_families_match_fraction_oracle_on_reps(small_corpus, gl2rep):
@@ -502,12 +527,12 @@ def wall_key_arrangements(arr22, arrgl2):
     built = [build_arrangement(r) for r in catalog.random_corpus(20250810)]
     built += [arrgl2, build_arrangement(QSRep.build(RootDatum.gl(3), gl3)),
               build_arrangement(QSRep.build(RootDatum.gl(2), OVERLAP_WEIGHTS))]
-    several = (WallFamily((1,), F(0), F(1, 2), 0), WallFamily((1,), F(1, 3), F(1, 3), 1),
-               WallFamily((1,), F(1, 4), F(1, 4), 2), WallFamily((1,), F(1, 6), F(5, 6), 3))
+    several = (frac_family((1,), F(0), F(1, 2), 0), frac_family((1,), F(1, 3), F(1, 3), 1),
+               frac_family((1,), F(1, 4), F(1, 4), 2), frac_family((1,), F(1, 6), F(5, 6), 3))
     built.append(dataclasses.replace(arr22, families=several))
     plane = dataclasses.replace(arr22, invariant_basis=((1, 0), (0, 1)), families=(
-        WallFamily((1, 0), F(0), F(1, 2), 0), WallFamily((1, 0), F(1, 3), F(2, 3), 1),
-        WallFamily((1, 1), F(1, 5), F(1, 2), 2), WallFamily((1, 1), F(0), F(1, 3), 3)))
+        frac_family((1, 0), F(0), F(1, 2), 0), frac_family((1, 0), F(1, 3), F(2, 3), 1),
+        frac_family((1, 1), F(1, 5), F(1, 2), 2), frac_family((1, 1), F(0), F(1, 3), 3)))
     return built + [plane]
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from qswindows import cli
+from qswindows.errors import InternalInconsistencyError
 
 TORUS22 = {"root_datum": {"builtin": "torus", "rank": 1},
            "weights": [[1], [1], [-1], [-1]]}
@@ -172,6 +173,16 @@ def test_determinism(inputs, capsys):
     assert outs[0] == outs[1]
 
 
+def test_package_error_exits_one(inputs, capsys, monkeypatch):
+    """A package error that is not an input error is the program's fault:
+    one ``error:`` line on stderr and exit 1."""
+    def fail(args):
+        raise InternalInconsistencyError("boom")
+    monkeypatch.setitem(cli.HANDLERS, "window", fail)
+    assert run(capsys, "window", "--input", inputs["torus22"], "--delta", "1/2") == (
+        1, "", "error: boom\n")
+
+
 def test_error_codes(inputs, capsys):
     # rationals are p/q strings: no zero denominator, decimal or digit separator
     for delta in ("1/0", "0.5", "1_0/3"):
@@ -192,6 +203,9 @@ def test_error_codes(inputs, capsys):
     assert code == 2 and "(1/4, 1/4) and (9/4, 9/4) are at distance 2, not 1" in err
     code, _, err = run(capsys, "window", "--input", inputs["gl2"], "--delta=1,0")
     assert code == 2 and "point (1, 0) does not lie in the invariant subspace" in err
+    code, out, err = run(capsys, "window", "--input", inputs["gl2"], "--delta", "1/2")
+    assert (code, out, err) == (2, "", "input error: pass ambient coordinates, "
+                                "not invariant ones\n")
     code, _, err = run(capsys, "rep", "--input", inputs["bad"])
     assert code == 2 and "quasi-symmetric" in err
     code, _, err = run(capsys, "window", "--input", inputs["torus22"])

@@ -1,3 +1,5 @@
+import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -121,20 +123,51 @@ def test_twist_matches_two_leg_route(quintic, cy33, m):
         assert (down.face.d_plus - 1, up.face.d_plus - 1) == (tw["down"], tw["up"])
 
 
-def test_twist_loop_is_window_identity(quintic):
-    ctx = quintic.context()
-    arr = ctx.arrangement
-    tw = cy_ci.spherical_twist_word(quintic, 0, ctx)
-    delta = tw["delta"]
-    start = arr.to_coords((delta,))
-    loop = groupoid.make_path(arr, [
-        groupoid.Cross(start, (start[0] - 1,), (F(-1),)),
-        groupoid.Cross((start[0] - 1,), start, (F(1),)),
+# (a; d) with equal sums: the quintic, (3, 3) and eleven more, both parities of alpha
+CY_DEGREES = [((1,) * 5, (5,)), ((1,) * 6, (3, 3)), ((1, 1, 1, 1, 2), (6,)), ((1,) * 3, (3,)),
+              ((1, 1), (2,)), ((1, 1, 2, 2, 2), (8,)), ((1, 1, 1, 1, 4), (8,)),
+              ((1, 1, 1, 2, 5), (10,)), ((1,) * 6, (2, 4)), ((1,) * 7, (2, 2, 3)),
+              ((1, 2, 3), (6,)), ((1, 1, 1, 3), (6,)), ((2, 2, 2, 1, 1), (4, 4))]
+
+
+@pytest.fixture(scope="module")
+def cy_models():
+    return [cy_ci.build(a, d) for a, d in CY_DEGREES]
+
+
+def _hand_built_loop(model, m, ctx):
+    """Oracle: the loop crossed by points, from delta = m + alpha/2 + 1 down
+    to delta - 1 and back up."""
+    delta = m + F(model.alpha, 2) + 1
+    return groupoid.make_path(ctx.arrangement, [
+        groupoid.Cross((delta,), (delta - 1,), (F(-1),)),
+        groupoid.Cross((delta - 1,), (delta,), (F(1),)),
     ])
-    entries = groupoid.mutation_transcript(quintic.g1_rep, loop, ctx)
-    assert sum(e.step_count for e in entries) == quintic.n + quintic.r
-    mapping = groupoid.transcript_window_map(quintic.g1_rep, loop, ctx)
-    assert all(src == dst for src, dst in mapping.items())
+
+
+def test_twist_loop_is_window_identity(cy_models):
+    """On 13 models, for m from -3 to 3, the twist loop is the path crossed
+    by points, arrows and start; its mutation steps make one period, n + r,
+    and it maps each window character to itself."""
+    for model, m in itertools.product(cy_models, range(-3, 4)):
+        ctx = model.context()
+        loop = cy_ci.twist_loop(model, m, ctx)
+        assert loop == _hand_built_loop(model, m, ctx), (model.a, model.d, m)
+        entries = groupoid.mutation_transcript(model.g1_rep, loop, ctx)
+        assert sum(e.step_count for e in entries) == model.n + model.r
+        mapping = groupoid.transcript_window_map(model.g1_rep, loop, ctx)
+        assert all(src == dst for src, dst in mapping.items())
+
+
+@pytest.mark.parametrize("m", [True, 0.25, 0.5, "1"], ids=["bool", "quarter", "half", "str"])
+def test_twist_degree_must_be_an_int(quintic, m):
+    """A twist degree that is not an int is refused with one line: not read
+    as 1 or as the rational it spells, and not ended on a wall as the
+    program's fault."""
+    for call in (cy_ci.twist_loop, cy_ci.spherical_twist_word):
+        with pytest.raises(InputError,
+                           match=f"^twist degree must be an integer, got {re.escape(repr(m))}$"):
+            call(quintic, m, quintic.context())
 
 
 def test_shift_arrow_shifts_window(quintic):

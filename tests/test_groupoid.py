@@ -9,13 +9,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qswindows import catalog, groupoid, linalg, verify
-from qswindows.arrangement import Arrangement, WallFamily
+from qswindows.arrangement import Arrangement
 from qswindows.errors import InputError, UnsupportedDimensionError
 from qswindows.groupoid import Cross, Translate
 from qswindows.rep import QSRep
 from qswindows.root_data import RootDatum
 from qswindows.windows import Context
-from test_arrangement import OVERLAP_WEIGHTS
+from test_arrangement import OVERLAP_WEIGHTS, frac_family
 from test_windows import _criterion6_hops
 
 F = Fraction
@@ -205,10 +205,10 @@ def rank1_arrangements(ctx22, ctx33, ctxgl2):
     overlap, interleaved = (Context(QSRep.build(RootDatum.gl(2), w)).arrangement
                             for w in (OVERLAP_WEIGHTS, INTERLEAVED_WEIGHTS))
     hand_made = dataclasses.replace(ctx22.arrangement, families=(
-        WallFamily((1,), F(0), F(1, 2), 0), WallFamily((1,), F(1, 3), F(1, 3), 1),
-        WallFamily((1,), F(1, 4), F(1, 4), 2), WallFamily((1,), F(1, 6), F(5, 6), 3)))
+        frac_family((1,), F(0), F(1, 2), 0), frac_family((1,), F(1, 3), F(1, 3), 1),
+        frac_family((1,), F(1, 4), F(1, 4), 2), frac_family((1,), F(1, 6), F(5, 6), 3)))
     shifted = dataclasses.replace(ctx22.arrangement, families=(
-        WallFamily((1,), F(0), F(1, 2), 0), WallFamily((1,), F(1, 5), F(1, 3), 1)))
+        frac_family((1,), F(0), F(1, 2), 0), frac_family((1,), F(1, 5), F(1, 3), 1)))
     return dict(zip(RANK1_NAMES, (ctx22.arrangement, ctx33.arrangement, ctxgl2.arrangement,
                                   overlap, hand_made, shifted, interleaved)))
 

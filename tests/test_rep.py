@@ -432,13 +432,13 @@ def test_weight_indices_carry_identity(torus22):
     assert len(torus22.weights) == 4
 
 
-# the Fractions each build makes, as observed (Python 3.11) once the slab
-# offsets and the scale factor were read as integer numerators; building
-# through Fraction vertices made 30, 30, 270 and 427, through Fraction
-# elimination outputs 18, 18, 112 and 235, and through one Fraction per
-# slab 3, 3, 12 and 18
-BUILD_FRACTIONS = {"torus-1x2pairs": 1, "torus-1x3pairs": 1, "gl2-cube-pair": 6,
-                   "gl3-4x-std-dual": 10}
+# the Fractions each build makes, as observed (Python 3.11) once the
+# dominant cone's offsets were the int 0; building through Fraction vertices
+# made 30, 30, 270 and 427, through Fraction elimination outputs 18, 18, 112
+# and 235, through one Fraction per slab 3, 3, 12 and 18, and with a
+# Fraction(0) offset per positive root 1, 1, 6 and 10
+BUILD_FRACTIONS = {"torus-1x2pairs": 1, "torus-1x3pairs": 1, "gl2-cube-pair": 5,
+                   "gl3-4x-std-dual": 7}
 
 
 def test_builds_read_no_fraction_vertices_or_half_spaces(monkeypatch):

@@ -262,6 +262,25 @@ def test_from_data_refuses_floats_and_bools():
             RootDatum.from_data(2, **args)
 
 
+def test_pairing_is_integer_rows_over_one_denominator():
+    """A datum keeps its pairing as integer rows over their least positive
+    denominator, so one pairing given as ints, ``Fraction``s or p/q strings
+    makes one datum; ``pairing`` is the ``Fraction`` view of those rows."""
+    gl2 = RootDatum.gl(2)
+    halves = RootDatum.from_data(2, [[Fraction(1, 2), 0], [0, Fraction(2, 4)]],
+                                 gl2.roots, gl2.simple_reflections)
+    assert (halves._int_pairing, halves._pairing_den) == (((1, 0), (0, 1)), 2)
+    assert halves.pairing == ((Fraction(1, 2), 0), (0, Fraction(1, 2)))
+    assert halves != gl2
+    assert halves == RootDatum.from_dict({
+        "rank": 2, "pairing": [["1/2", 0], ["0", "2/4"]],
+        "roots": [list(r) for r in gl2.roots],
+        "simple_reflections": [[list(row) for row in s] for s in gl2.simple_reflections]})
+    ones = RootDatum.from_data(2, [[Fraction(1), Fraction(0)], [0, 1]],
+                               gl2.roots, gl2.simple_reflections)
+    assert ones == gl2 and ones._pairing_den == 1
+
+
 def test_rho_and_dominant_cone_are_built_once():
     gl3 = RootDatum.gl(3)
     assert gl3.rho is gl3.rho and gl3.rho == (1, 0, -1)
