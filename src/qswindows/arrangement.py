@@ -61,7 +61,6 @@ from . import geometry, linalg
 from .errors import (InputError, NotAdjacentError, OnWallError, UnsupportedDimensionError,
                      _fmt, _require_length)
 from .linalg import IntVec, Vec
-from .rep import QSRep
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import complexes, cy_ci, groupoid, mutation, svg, verify, windows
 from .errors import (InputError, NotAdjacentError, OnWallError, QSWindowsError,
-                     UnsupportedDimensionError, _require_length)
+                     UnsupportedDimensionError, _fmt, _require_length)
 from .rep import QSRep
 from .root_data import _RATIONAL
 from .windows import Context
@@ -149,13 +149,14 @@ def cmd_faces(args) -> int:
     rep_obj, ctx = _rep_and_context(args)
     delta = _delta(args)
     ctx.arrangement.to_coords(delta)  # delta must be a W-invariant point
-    out = []
-    for face in ctx.half_sigma.faces():
-        fd = windows.face_data_from_face(rep_obj, ctx.half_sigma, face)
-        if args.face is not None and list(fd.key) != list(args.face):
-            continue
-        out.append(fd.to_json())
-    _emit({"delta": [str(x) for x in delta], "faces": out})
+    faces = ctx.half_sigma.faces()
+    if args.face is not None:
+        faces = [face for face in faces if face.key == args.face]
+        if not faces:
+            raise InputError(f"no face of (1/2)Sigma has key {_fmt(args.face)}")
+    _emit({"delta": [str(x) for x in delta],
+           "faces": [windows.face_data_from_face(rep_obj, ctx.half_sigma, face).to_json()
+                     for face in faces]})
     return 0
 
 
@@ -312,9 +313,12 @@ def cmd_export_svg(args) -> int:
 
 def _write_svg(args, name: str, content: str) -> None:
     out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    path.write_text(content)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path.write_text(content)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
     print(f"wrote {path}", file=sys.stderr)
 
 

@@ -27,11 +27,10 @@ checks what it kept without enumerating vertices (vertices are feasible,
 tight normals have full rank at each, and every ridge of every facet lies
 in exactly two facets).  Those tight sets are the polytope's vertex-facet
 incidence table, stored at construction.  A facet's ridges come from its
-own vertices: a segment's are its endpoints, a simplex's its vertex
-subsets, and a polygon's its edges, read off its boundary cycle with
-integer cross products, so every facet of a polytope of dimension <= 3
-is checked without trying vertex subsets; only facets of dimension >= 3
-try them.
+own vertices: a segment's are its endpoints, and a polygon's its edges,
+read off its boundary cycle with integer cross products, so every facet
+of a polytope of dimension <= 3 is checked without trying vertex subsets;
+only facets of dimension >= 3 try them.
 
 Queries run over the integers too; ``translate`` and ``scale`` move the
 numerators and D and carry everything else.  A point enters a query
@@ -470,9 +469,9 @@ def _ridges(facet, pts) -> set[frozenset[int]]:
     A facet of at most two vertices is a point or a segment, whose ridges
     are nothing or its two endpoints.  Otherwise the vertices go to integer
     coordinates in a basis of the facet's direction space, where the facet
-    is d-dimensional.  A simplex's ridges are its d-subsets.  A polygon's
-    (d = 2) are its edges, read off its boundary cycle: the vertices sorted
-    around the lexicographically least one by integer cross products, each
+    is d-dimensional.  A polygon's ridges (d = 2, triangles included) are
+    its edges, read off its boundary cycle: the vertices sorted around the
+    lexicographically least one by integer cross products, each
     consecutive turn checked to be strictly convex.  They are in convex
     position, as ``_facets`` checks that each vertex is extreme before it
     asks for ridges; the turn check re-checks it, and a non-extreme point
@@ -486,8 +485,6 @@ def _ridges(facet, pts) -> set[frozenset[int]]:
     diffs = {i: linalg.sub(pts[i], pts[idx[0]]) for i in idx}
     basis = [row for row in _bareiss(list(diffs.values()), len(pts[0]))[1] if any(row)]
     d = len(basis)
-    if len(idx) == d + 1:  # a simplex: every d of its vertices span a ridge
-        return {frozenset(c) for c in itertools.combinations(idx, d)}
     coords = {i: tuple(sum(map(mul, b, diff)) for b in basis) for i, diff in diffs.items()}
     if d == 2:  # a polygon: counterclockwise around its least vertex, turning left
         first = min(idx, key=coords.__getitem__)
@@ -529,8 +526,7 @@ def _line(rows, dim) -> IntVec | None:
     y[free] = m[len(pivots) - 1][pivots[-1]] if pivots else 1
     for row, c in zip(m, pivots):
         y[c] = -row[free]
-    g = linalg.vec_gcd(y)
-    return tuple(a // g for a in y)
+    return linalg.primitive(y)
 
 
 def zonotope(generators) -> Polytope:
@@ -607,9 +603,7 @@ def intersect(poly: Polytope, halfspaces) -> Polytope:
                 [r for r in signed if r[0] > 0], [r for r in signed if r[0] < 0]):
             both = t & t2
             if len(both) >= poly.dim - 1 and _rank([normals[i] for i in both]) == poly.dim - 1:
-                y = [s * b - s2 * a for a, b in zip(p, p2)]
-                g = gcd(*y)
-                rows.append((tuple(a // g for a in y), both | {j}))
+                rows.append((linalg.primitive([s * b - s2 * a for a, b in zip(p, p2)]), both | {j}))
         if not rows:
             raise InputError("half-spaces have empty intersection")
     scale = lcm(*(p[-1] for p, _ in rows))

@@ -147,7 +147,7 @@ def is_minimal(arr: Arrangement, path: Path) -> bool:
                                          arr.orientations(displacement, crossed)))
     votes = {additive, disjoint_union, pairwise, oriented}
     if len(votes) != 1:
-        raise InputError(
+        raise InternalInconsistencyError(
             f"minimality criteria disagree: {additive}, {disjoint_union}, {pairwise}, {oriented}")
     return additive
 

@@ -20,6 +20,7 @@ from math import lcm
 from operator import sub
 
 from . import geometry, linalg
+from .arrangement import build_arrangement
 from .errors import InputError, InternalInconsistencyError, _fmt
 from .geometry import Polytope, _subsets
 from .linalg import IntVec, int_rows
@@ -120,8 +121,6 @@ class QSRep:
     @cached_property
     def arrangement(self):
         """The wall arrangement, built on first use."""
-        # arrangement imports rep (for QSRep), so rep imports it here
-        from .arrangement import build_arrangement
         return build_arrangement(self)
 
     def to_json(self) -> dict:

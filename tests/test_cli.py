@@ -50,6 +50,65 @@ GL3_CYCLIC = {"root_datum": {
 NUMBER_DATUM = dict(TORUS22, root_datum=1)
 EMPTY_PAIRING = dict(TORUS22, root_datum={"rank": 1, "pairing": []})
 SHORT_PAIRING = dict(RANK2, root_datum={"rank": 2, "pairing": [1, 0, 1]})
+SWAP = [[[0, 1], [1, 0]]]
+E1_E2 = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+E_PM3 = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+# rep files each refused by one check, with the subcommand that reaches it
+REFUSED = {
+    "no_weights": (dict(TORUS22, weights=[]), ("rep",),
+                   "a representation needs at least one weight"),
+    "no_weights_key": ({"root_datum": TORUS22["root_datum"]}, ("rep",),
+                       "rep input missing 'weights'"),
+    "not_weyl_invariant": ({"root_datum": {"builtin": "gl", "n": 2},
+                            "weights": [[1, 0], [-1, 0], [1, 1], [-1, -1]]}, ("rep",),
+                           "weight multiset is not Weyl invariant"),
+    "torus_rank_0": ({"root_datum": {"builtin": "torus", "rank": 0}, "weights": [[1]]}, ("rep",),
+                     "torus rank must be positive"),
+    "gl_0": ({"root_datum": {"builtin": "gl", "n": 0}, "weights": [[1]]}, ("rep",),
+             "gl rank must be positive"),
+    "roots_not_symmetric": (dict(RANK2, root_datum={
+        "rank": 2, "pairing": [1, 0, 0, 1], "roots": [[1, -1]], "positive_roots": [[1, -1]],
+        "simple_reflections": SWAP}), ("rep",), "root set is not symmetric under negation"),
+    "roots_not_split": (dict(RANK2, root_datum={
+        "rank": 2, "pairing": [1, 0, 0, 1], "roots": [[1, -1], [-1, 1]],
+        "positive_roots": [[1, -1], [-1, 1]], "simple_reflections": SWAP}), ("rep",),
+        "positive roots do not split the root set"),
+    "negates_no_root": (dict(RANK2, root_datum={
+        "rank": 2, "pairing": [1, 0, 0, 1], "roots": [[1, 0], [-1, 0]],
+        "simple_reflections": [[[1, 0], [0, 1]]]}), ("rep",),
+        "a simple reflection negates no root"),
+    "root_off_span": (dict(RANK2, root_datum={
+        "rank": 2, "pairing": [1, 0, 0, 1], "roots": E1_E2,
+        "simple_reflections": [[[-1, 0], [0, 1]]]}), ("rep",),
+        "a root lies outside the span of the simple roots"),
+    "roots_not_halved": (dict(RANK2, root_datum={
+        "rank": 2, "pairing": [1, 0, 0, 1], "roots": [*E1_E2, [1, -1], [-1, 1]],
+        "simple_reflections": [[[-1, 0], [0, 1]], [[1, 0], [0, -1]]]}), ("rep",),
+        "positive-root derivation did not split the roots in half"),
+    # s negates e1 and turns the (e2, e3) plane by a quarter: w0 = s has order 4
+    "w0_order_4": ({"root_datum": {
+        "rank": 3, "pairing": [1, 0, 0, 0, 1, 0, 0, 0, 1], "roots": [[1, 0, 0], [-1, 0, 0]],
+        "positive_roots": [[1, 0, 0]], "simple_reflections": [[[-1, 0, 0], [0, 0, -1], [0, 1, 0]]]},
+        "weights": E_PM3}, ("rep",), "longest element is not an involution"),
+    # all three simple reflections negate e2 or e3, so no descent ends e1's negativity
+    "no_simple_descent": ({"root_datum": {
+        "rank": 3, "pairing": [1, 0, 0, 0, 1, 0, 0, 0, 1], "roots": E_PM3,
+        "positive_roots": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "simple_reflections": [[[1, 0, 0], [0, 1, 0], [0, 0, -1]], [[1, 0, 0], [0, -1, 0], [0, 0, 1]],
+                               [[0, 1, 0], [1, 0, 0], [0, 0, -1]]]},
+        "weights": E_PM3}, ("rep",),
+        "no simple root is negative on a weight outside the dominant cone"),
+    # SL(2) on two copies of std + dual: W fixes no nonzero vector
+    "sl2": ({"root_datum": {"rank": 1, "pairing": [1], "roots": [[2], [-2]],
+                            "simple_reflections": [[[-1]]]},
+             "weights": [[1], [-1], [1], [-1]]}, ("arrangement",),
+            "the invariant subspace is zero; no arrangement exists"),
+    # the wall at 1/2 of C* on std + dual has one positive weight
+    "torus11": (dict(TORUS22, weights=[[1], [-1]]),
+                ("mutate", "--delta", "0", "--delta2", "1"),
+                "mutation around a wall face with a single positive weight is undefined "
+                "(the representation is not generic)"),
+}
 RANK3 = {"root_datum": {"builtin": "torus", "rank": 3},
          "weights": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
                      [0, 0, 1], [0, 0, -1], [1, 1, 1], [-1, -1, -1]]}
@@ -67,7 +126,8 @@ def inputs(tmp_path):
                           ("root_off_invariants", ROOT_OFF_INVARIANTS), ("huge", HUGE),
                           ("gl8", GL8), ("gl4", GL4), ("gl3_cyclic", GL3_CYCLIC),
                           ("number_datum", NUMBER_DATUM), ("empty_pairing", EMPTY_PAIRING),
-                          ("short_pairing", SHORT_PAIRING)):
+                          ("short_pairing", SHORT_PAIRING),
+                          *((name, row[0]) for name, row in REFUSED.items())):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(payload))
         paths[name] = str(p)
@@ -246,6 +306,10 @@ def test_error_codes(inputs, capsys):
     for command in ("rep", "faces", "verify"):
         code, out, err = run(capsys, command, "--face", "a", "--input", inputs["torus22"])
         assert (code, out, err) == (2, "", "input error: bad integer vector 'a'\n")
+    # so is a --face key that names no face of (1/2)Sigma
+    for face, key in (("99", "(99)"), ("0,0", "(0, 0)")):
+        assert run(capsys, "faces", "--input", inputs["torus22"], "--delta", "1/2",
+                   "--face", face) == (2, "", f"input error: no face of (1/2)Sigma has key {key}\n")
     # integers are digits with an optional minus sign, counts are not negative
     halves = ("--delta", "1/2", "--delta2", "3/2")
     for argv in (("complex", *halves, "--chi", "0_0"), ("complex", *halves, "--chi", "+0"),
@@ -359,6 +423,10 @@ def test_error_codes(inputs, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.count("\n") == 1, argv
         assert err.startswith(message), argv
+    # each check on a rep file, root datum block or wall face names its fault
+    for name, (_, argv, message) in REFUSED.items():
+        assert run(capsys, *argv, "--input", inputs[name]) == (
+            2, "", f"input error: {message}\n"), name
 
 
 def test_assert_generic_must_be_a_bool(tmp_path, capsys):
@@ -449,6 +517,22 @@ def test_svg_export(inputs, tmp_path, capsys):
     assert crossing_svg.count('class="mu-head"') == 3
     assert faces_svg.count('class="face"') >= 2
     assert faces_svg.count('class="dagger"') >= 2
+
+
+def test_unwritable_out_is_an_input_error(inputs, capsys):
+    """An --out that is a file, or lies under one (the inputs sit in
+    tmp_path), is one stderr line with exit 2 and nothing on stdout,
+    however the figure was asked for."""
+    rep_file = inputs["torus22"]
+    text = Path(rep_file).read_text()
+    for out_dir, reason in ((rep_file, "File exists"), (f"{rep_file}/sub", "Not a directory")):
+        for argv in (("export-svg",), ("window", "--format", "svg"),
+                     ("window", "--format", "both")):
+            code, out, err = run(capsys, *argv, "--input", rep_file, "--delta", "1/2",
+                                 "--out", out_dir)
+            assert (code, out, err) == (
+                2, "", f"input error: cannot write {out_dir}/window.svg: {reason}\n"), argv
+    assert Path(rep_file).read_text() == text
 
 
 def test_svg_rank3_rejected(inputs, tmp_path, capsys):

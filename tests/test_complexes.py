@@ -153,6 +153,15 @@ def test_summand_sets_torus(torus22, ctx22):
     assert set(l_set) <= set(crossing.common)
 
 
+def test_summand_sets_refuses_a_face_of_another_crossing(torus22, ctx22):
+    crossing = windows.wall_crossing(torus22, (F(1, 2),), (F(3, 2),), ctx22)
+    half = torus22.half_sigma
+    (other,) = [fd for fd in (windows.face_data_from_face(torus22, half, f) for f in half.faces())
+                if fd.key not in crossing.faces]
+    with pytest.raises(InputError, match="^face does not occur in this wall crossing$"):
+        complexes.summand_sets(torus22, crossing, other, ctx22)
+
+
 def test_summand_sets_gl2_membership(gl2rep, ctxgl2):
     crossing = windows.wall_crossing(gl2rep, (F(0), F(0)), (F(1), F(1)), ctxgl2)
     wall_window = ctxgl2.rep.nabla.translate(crossing.delta0)

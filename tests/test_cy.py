@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qswindows import arrangement, cy_ci, groupoid, mutation
+from qswindows import cy_ci, groupoid, mutation, rep
 from qswindows.errors import InputError
 
 F = Fraction
@@ -56,9 +56,8 @@ def test_degrees_must_be_ints(a, d, bad):
 def test_one_arrangement_per_model(monkeypatch):
     """The model's wall offset and its Contexts read one arrangement, the
     rank-one representation's own."""
-    real, calls = arrangement.build_arrangement, []
-    monkeypatch.setattr(arrangement, "build_arrangement",
-                        lambda rep: calls.append(rep) or real(rep))
+    real, calls = rep.build_arrangement, []
+    monkeypatch.setattr(rep, "build_arrangement", lambda r: calls.append(r) or real(r))
     model = cy_ci.build((1, 1, 1, 1, 1), (5,))
     for ctx in (model.context(), model.context()):
         assert ctx.arrangement is model.g1_rep.arrangement

@@ -595,13 +595,17 @@ def test_polygon_ridges_match_the_subset_route_on_the_corpus(corpus_and_ridge_su
 
 
 def test_polygon_ridges_match_the_subset_route():
-    """The bundled reps, GL(2) on std + dual, GL(3) on 4 x (std + dual) and
-    the CY models' g1 reps."""
+    """The bundled reps, GL(2) on std + dual, GL(3) on 4 x (std + dual),
+    the CY models' g1 reps, the octahedron, whose facets are triangles,
+    and the 4-simplex, whose facets are tetrahedra."""
     from test_windows import _gl3_std_dual  # test_windows imports this module
     reps = [*catalog.bundled_reps().values(), _gl3_std_dual(),
             QSRep.build(RootDatum.gl(2), ((1, 0), (-1, 0), (0, 1), (0, -1))),
             *(model.g1_rep for model in catalog.bundled_cy_models().values())]
-    assert sum(map(assert_ridge_routes_agree, rep_polytopes(reps))) > 0
+    simplex = [halfspace(e, 0) for e in linalg.identity_matrix(4)] + [halfspace((-1,) * 4, -1)]
+    polys = [*rep_polytopes(reps), geometry.from_halfspaces(cross_polytope(3)),
+             geometry.from_halfspaces(simplex)]
+    assert sum(map(assert_ridge_routes_agree, polys)) > 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -628,6 +632,21 @@ def test_short_facets_have_their_endpoints_as_ridges():
     pts = [(0, 0), (3, 1)]
     assert geometry._ridges(frozenset({0}), pts) == set()
     assert geometry._ridges(frozenset({0, 1}), pts) == {frozenset({0}), frozenset({1})}
+
+
+def test_malformed_half_spaces_scales_and_polytopes_are_refused():
+    segment = geometry.zonotope([(1,), (1,)])
+    flat = geometry.from_halfspaces([halfspace((1, 0), 0), halfspace((-1, 0), 0),
+                                     halfspace((0, 1), 0), halfspace((0, -1), -1)])
+    for make, message in (
+            (lambda: HalfSpace((0, 0), 0), "half-space normal must be nonzero"),
+            (lambda: HalfSpace((2, 0), 1), "half-space normal must be primitive"),
+            (lambda: segment.scale(0), "scale factor must be positive"),
+            (lambda: segment.scale(Fraction(-1, 2)), "scale factor must be positive"),
+            (lambda: geometry.from_halfspaces([]), "a polytope needs at least one half-space"),
+            (flat.faces, "face enumeration requires a full-dimensional polytope")):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            make()
 
 
 def test_scale_and_half_space_offsets_refuse_floats_and_bools():

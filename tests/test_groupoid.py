@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qswindows import catalog, groupoid, linalg, verify
 from qswindows.arrangement import Arrangement
-from qswindows.errors import InputError, UnsupportedDimensionError
+from qswindows.errors import InputError, InternalInconsistencyError, UnsupportedDimensionError
 from qswindows.groupoid import Cross, Translate
 from qswindows.rep import QSRep
 from qswindows.root_data import RootDatum
@@ -54,6 +54,24 @@ def test_minimality_examples(arr22, ctx22):
                    [up(F(1, 2), F(3, 2)), Translate((1,))]):
         with pytest.raises(InputError, match="positive paths only"):
             groupoid.is_minimal(arr22, groupoid.make_path(arr22, arrows))
+
+
+def test_disagreeing_minimality_criteria_are_an_internal_fault(arr22, monkeypatch):
+    """For a positive path the four criteria are equivalent, so when they
+    disagree the program is at fault, not the path: here the endpoints'
+    separating set is emptied after the path is made, so distance
+    additivity and the disjoint union fail while the other two hold."""
+    p = groupoid.make_path(arr22, [up(F(1, 2), F(3, 2)), up(F(3, 2), F(5, 2))])
+    monkeypatch.setattr(Arrangement, "separating_walls", lambda self, a, b: ())
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"^minimality criteria disagree: False, False, True, True$"):
+        groupoid.is_minimal(arr22, p)
+
+
+def test_transcripts_refuse_a_crossing_that_is_not_positive(torus22, ctx22, arr22):
+    p = groupoid.make_path(arr22, [down(F(1, 2), F(3, 2))])
+    with pytest.raises(InputError, match="^transcripts are defined for positive crossings$"):
+        groupoid.mutation_transcript(torus22, p, ctx22)
 
 
 def test_minimality_criteria_agree_on_random_paths(torus22, ctx22):

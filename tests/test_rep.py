@@ -395,6 +395,8 @@ def test_invalid_reps_rejected():
         QSRep.build(t1, [(1,), (1,), (-1,)])
     with pytest.raises(InputError):
         QSRep.build(RootDatum.torus(2), [(1, 0), (-1, 0)])
+    with pytest.raises(InputError, match="^weight length does not match the lattice rank$"):
+        QSRep.build(t1, [(1, 0), (-1, 0)])
 
 
 

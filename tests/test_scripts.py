@@ -1,5 +1,6 @@
 """The command-line scripts run to completion and print their summaries."""
 import ast
+import graphlib
 import re
 import runpy
 import subprocess
@@ -163,3 +164,18 @@ def test_points_enter_numerators_through_one_check():
     assert nested == []
     assert "root_data._lattice_weight" in owners.values()
     assert set(owners.values()) <= {"linalg._numerators", "root_data._lattice_weight"}
+
+
+def test_package_imports_are_top_level_and_acyclic():
+    """Every relative import under src/qswindows sits at its module's top
+    level, not inside a function or class, and the modules' relative
+    imports form no cycle, so no module has to defer one."""
+    graph, nested = {}, []
+    for path in sorted((ROOT / "src" / "qswindows").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level]
+        nested += [f"{path.name}:{n.lineno}" for n in imports if n not in tree.body]
+        graph[path.stem] = {n.module or alias.name for n in imports for alias in n.names}
+    assert nested == []
+    assert set().union(*graph.values()) <= set(graph)
+    graphlib.TopologicalSorter(graph).prepare()
