@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Print the ``Fraction``s made per op on each benchmark workload: seed 1,
+"""Print the ``Fraction``s made and the fraction-free eliminations
+(``linalg._bareiss`` calls) run per op on each benchmark workload: seed 1,
 one pass over the schedule from ``fresh_state()``, probes included, with
-the ops of the pass and how many of them failed.  A counter wraps
-``Fraction.__new__`` while each op runs, so the workload's set-up and
-each op's check are not counted.  The workloads and the program come from
+the ops of the pass and how many of them failed.  Counters wrap
+``Fraction.__new__`` and ``_bareiss``, under each name the package
+imports it by, while each op runs, so the workload's set-up and each op's
+check are not counted.  The workloads and the program come from
 ``benchmark/``, which this script only imports.  Takes a few seconds.
 Run from anywhere: ``python scripts/fraction_count.py``."""
 import sys
@@ -19,21 +21,29 @@ from workloads import WORKLOADS  # noqa: E402
 SEED = 1
 
 
-def count_pass(wl) -> tuple[int, int]:
-    """The ``Fraction``s made by the ops of one pass over the schedule, and
-    the ops that failed: an op that raises or fails its check is counted
-    and passed over, as the benchmark does."""
-    made = failed = 0
-    real = Fraction.__new__
+def count_pass(qs, wl) -> tuple[int, int, int]:
+    """The ``Fraction``s made and the eliminations run by the ops of one
+    pass over the schedule, and the ops that failed: an op that raises or
+    fails its check is counted and passed over, as the benchmark does."""
+    made = eliminations = failed = 0
+    real, bareiss = Fraction.__new__, qs.linalg._bareiss
+    holders = (qs.linalg, qs.geometry, qs.root_data)
 
     def counted(cls, *args, **kwargs):
         nonlocal made
         made += 1
         return real(cls, *args, **kwargs)
 
+    def eliminated(*args):
+        nonlocal eliminations
+        eliminations += 1
+        return bareiss(*args)
+
     state = wl.fresh_state()
     for op in wl.schedule:
         Fraction.__new__ = counted
+        for m in holders:
+            m._bareiss = eliminated
         try:
             out = wl.run(op, state)
         except Exception:  # a failed op, as in the benchmark's run loop
@@ -41,23 +51,27 @@ def count_pass(wl) -> tuple[int, int]:
             continue
         finally:
             Fraction.__new__ = real
+            for m in holders:
+                m._bareiss = bareiss
         try:
             wl.check(op, out, state)
         except Exception:
             failed += 1
-    return made, failed
+    return made, eliminations, failed
 
 
 def main() -> int:
     qs = worker.load_program()
-    print(f"{'workload':<16} {'ops':>5} {'failed':>6} {'Fractions':>10} {'per op':>8}")
+    print(f"{'workload':<16} {'ops':>5} {'failed':>6} {'Fractions':>10} {'per op':>8}"
+          f" {'eliminations':>12} {'per op':>8}")
     with tempfile.TemporaryDirectory() as tmp:
         for name, cls in WORKLOADS.items():
             wl = cls(qs, SEED, Path(tmp) / name)
             wl.setup()
-            made, failed = count_pass(wl)
+            made, eliminations, failed = count_pass(qs, wl)
             ops = len(wl.schedule)
-            print(f"{name:<16} {ops:>5} {failed:>6} {made:>10} {made / ops:>8.2f}")
+            print(f"{name:<16} {ops:>5} {failed:>6} {made:>10} {made / ops:>8.2f}"
+                  f" {eliminations:>12} {eliminations / ops:>8.2f}")
     return 0
 
 

@@ -10,14 +10,21 @@ error messages do.  Half-spaces use the standard dot product; callers
 working with a nontrivial invariant form convert their normals first.  All
 polytopes here are bounded.
 
+Four integer kernels serve everything below: a rank, a kernel line, a
+determinant with its adjugate, and a facet's ridges.  For vectors of at
+most three entries, every polytope of rank <= 3, each is closed-form: the
+first nonzero row, cross products and triple products, with no
+elimination.  Longer vectors take one fraction-free (Bareiss) elimination,
+the route the tests hold the closed forms to.
+
 Vertex enumeration runs over the integers: offsets share one denominator,
-and each ``dim``-subset of hyperplane directions costs one fraction-free
-(Bareiss) elimination giving its determinant and adjugate, so every vertex
-candidate is a vector of Cramer numerators over the determinant, screened
-with integer dot products.  Each distinct vertex is re-derived once with
-``linalg.solve`` of the integer system, which runs the same elimination
-but checks its answer against every equation: the system is nonsingular,
-so it has one solution, and a faulty elimination cannot pass.
+and each ``dim``-subset of hyperplane directions gives its determinant and
+adjugate (``_adjugate``), so every vertex candidate is a vector of Cramer
+numerators over the determinant, screened with integer dot products.
+Each distinct vertex is re-derived once with ``linalg.solve`` of the
+integer system, which eliminates and checks its answer against every
+equation: the system is nonsingular, so it has one solution, and a faulty
+determinant or adjugate cannot pass.
 ``intersect`` enumerates nothing either: it cuts a polytope from its own
 vertices and incidence table, one double-description step per
 half-space.  Both hand their
@@ -28,9 +35,10 @@ tight normals have full rank at each, and every ridge of every facet lies
 in exactly two facets).  Those tight sets are the polytope's vertex-facet
 incidence table, stored at construction.  A facet's ridges come from its
 own vertices: a segment's are its endpoints, and a polygon's its edges,
-read off its boundary cycle with integer cross products, so every facet
-of a polytope of dimension <= 3 is checked without trying vertex subsets;
-only facets of dimension >= 3 try them.
+read off its boundary cycle with integer cross products, in the
+coordinate plane that drops the largest entry of its normal when it lies
+in 3-space, so every facet of a polytope of dimension <= 3 is checked
+without trying vertex subsets; only facets of dimension >= 3 try them.
 
 Queries run over the integers too; ``translate`` and ``scale`` move the
 numerators and D and carry everything else.  A point enters a query
@@ -48,7 +56,7 @@ weights of a representation span its character lattice, so every zonotope
 is full-dimensional; ``spanned_normals`` asks the same of its vectors.
 Hyperplanes spanned by vectors are found with subsets over lines: the
 distinct lines through the vectors, not the vectors, are the subsets'
-members, and each subset's normal is one integer kernel (``_line``).
+members, and each subset's normal is one kernel line (``_line``).
 """
 from __future__ import annotations
 
@@ -61,7 +69,8 @@ from math import gcd, lcm
 from operator import mul
 
 from . import linalg
-from .errors import InputError, InternalInconsistencyError, UnsupportedDimensionError, _fmt
+from .errors import (InputError, InternalInconsistencyError, UnsupportedDimensionError, _fmt,
+                     _require_length)
 from .linalg import IntVec, Vec, _bareiss, _numerators
 
 # the most integer points a lattice scan's bounding box may hold
@@ -131,6 +140,13 @@ class Polytope:
     def vertices(self) -> tuple[Vec, ...]:
         return tuple(linalg._fractions(p, self._table[2]) for p in self._points)
 
+    def _nums(self, point) -> tuple[IntVec, int]:
+        """The point as integer numerators x over e > 0; a point of other
+        than ``dim`` coordinates is refused, not truncated."""
+        nums, e = _numerators(point)
+        _require_length(point, self.dim)
+        return nums, e
+
     def _excess(self, nums, e: int):
         """Per half-space, the sign-exact excess den * e * (<p, n> - offset)
         of the point p = x/e, given as integer numerators x over e > 0: the
@@ -139,17 +155,17 @@ class Polytope:
         return (sum(map(mul, nums, n)) * den - o * e for n, o in zip(normals, offsets))
 
     def contains(self, point) -> bool:
-        return all(v >= 0 for v in self._excess(*_numerators(point)))
+        return all(v >= 0 for v in self._excess(*self._nums(point)))
 
     def tight_indices(self, point) -> frozenset[int]:
-        return frozenset(i for i, v in enumerate(self._excess(*_numerators(point))) if not v)
+        return frozenset(i for i, v in enumerate(self._excess(*self._nums(point))) if not v)
 
     def translate(self, v) -> "Polytope":
         """The polytope moved by v.  The offset numerators move by <v, n>
         and the vertex numerators by v, over the least common denominator
         of theirs and v's.  Each vertex keeps its tight set, so the
         incidence table is carried over."""
-        nums, e = _numerators(v)
+        nums, e = self._nums(v)
         normals, offsets, den = self._table
         common = lcm(den, e)
         a, b = common // den, common // e
@@ -187,9 +203,11 @@ class Polytope:
         is tight there when De <p, n> = q.  So one pass over the box, one
         integer dot product per half-space and point, gives membership and
         the boundary.  The box is the vertices' box moved by d/e; a box of
-        more than ``LATTICE_SCAN_LIMIT`` points is refused before the scan."""
+        more than ``LATTICE_SCAN_LIMIT`` points is refused before the scan,
+        and so is a shift of other than ``dim`` coordinates."""
         normals, offsets, den = self._table
         d, e = at or ((0,) * self.dim, 1)
+        _require_length(d, self.dim)
         q = [(n, o * e + den * sum(map(mul, d, n))) for n, o in zip(normals, offsets)]
         tests = [(n, -(-x // (den * e)), None if x % (den * e) else x // (den * e)) for n, x in q]
         tests += [(h.normal, math.ceil(h.offset), None) for h in extra]
@@ -289,15 +307,15 @@ def _vertex_enumeration(table) -> tuple[tuple, tuple[IntVec, ...]]:
     numerators over that denominator.
 
     The offsets are numerators over one common denominator D.  For each
-    ``dim``-subset of distinct hyperplane directions one Bareiss
-    elimination gives the determinant and the adjugate; a zero determinant
+    ``dim``-subset of distinct hyperplane directions ``_adjugate`` gives
+    the determinant and the adjugate; a zero determinant
     skips the subset, and every choice of offsets along those directions
     then costs one matrix-vector product for its Cramer numerators.  A
     candidate survives if it satisfies every half-space, tested with
     integer dot products against offset*det.  Each distinct survivor is
     re-derived once with ``linalg.solve`` of the integer system A y = b,
     y = D x, and must agree; that solve checks its answer against every
-    equation, so it does not rest on the elimination being right.
+    equation, so it does not rest on the adjugate being right.
     """
     normals, scaled, denom = table
     dim = len(normals[0])
@@ -306,14 +324,11 @@ def _vertex_enumeration(table) -> tuple[tuple, tuple[IntVec, ...]]:
     for nrm, off in tests:
         key = linalg.sign_normalized(nrm)
         offsets.setdefault(key, set()).add(off if key == tuple(nrm) else -off)
-    unit = linalg.identity_matrix(dim)
     found: dict[tuple, tuple] = {}
     for combo in _subsets(sorted(offsets), dim):
-        pivots, m = _bareiss([list(n) + list(e) for n, e in zip(combo, unit)], dim)
-        if len(pivots) < dim:
+        det, adj = _adjugate(combo)
+        if not det:
             continue
-        det = m[-1][dim - 1]
-        adj = [row[dim:] for row in m]
         if det < 0:
             det, adj = -det, [[-a for a in row] for row in adj]
         for rhs in itertools.product(*(sorted(offsets[k]) for k in combo)):
@@ -329,6 +344,25 @@ def _vertex_enumeration(table) -> tuple[tuple, tuple[IntVec, ...]]:
             raise InternalInconsistencyError(f"integer vertex {point} disagrees with the exact solve")
         verts.append(tuple(x * (common // det) for x in nums))
     return (normals, tuple(o * common for o in scaled), denom * common), tuple(sorted(verts))
+
+
+def _adjugate(rows) -> tuple[int, list]:
+    """A determinant d of the square integer matrix A and the matrix M with
+    M A = d I: of a nonsingular A, d = +-det A and M = d A^-1.  Up to three
+    rows, d = det A and M = adj A, whose columns are the cross products of
+    pairs of rows (of one row's perpendicular in the plane); d is 0 when A
+    is singular.  Larger, one Bareiss elimination of A | I gives them."""
+    dim = len(rows)
+    if dim == 1:
+        return rows[0][0], [[1]]
+    if dim == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c, [[d, -b], [-c, a]]
+    if dim == 3:
+        cols = (_cross3(rows[1], rows[2]), _cross3(rows[2], rows[0]), _cross3(rows[0], rows[1]))
+        return sum(map(mul, rows[0], cols[0])), list(zip(*cols))
+    pivots, m = _bareiss([[*r, *e] for r, e in zip(rows, linalg.identity_matrix(dim))], dim)
+    return (m[-1][dim - 1] if len(pivots) == dim else 0), [row[dim:] for row in m]
 
 
 def from_halfspaces(halfspaces) -> Polytope:
@@ -408,7 +442,7 @@ def _facets(table, pts) -> tuple[tuple[int, ...], tuple[frozenset[int], ...]]:
     on: list[set[int]] = [set() for _ in normals]
     for i, p in enumerate(pts):
         for j, (nrm, off) in enumerate(zip(normals, offsets)):
-            value = linalg.dot(nrm, p)
+            value = sum(map(mul, nrm, p))
             if value < off:
                 raise InternalInconsistencyError(
                     f"vertex {_fmt(linalg._fractions(p, den))} violates a half-space")
@@ -438,7 +472,20 @@ def _facets(table, pts) -> tuple[tuple[int, ...], tuple[frozenset[int], ...]]:
 
 
 def _rank(rows) -> int:
-    return len(_bareiss(rows, len(rows[0]))[0]) if rows else 0
+    """The rank of the integer rows.  Of at most three entries: the first
+    nonzero row, a row whose cross product with it is nonzero and a row
+    with a nonzero triple product against both, as far as they exist;
+    longer rows go through one Bareiss elimination."""
+    n = len(rows[0]) if rows else 0
+    if n > 3:
+        return len(_bareiss(rows, n)[0])
+    a = next((r for r in rows if any(r)), None)
+    if a is None or n == 1:
+        return int(a is not None)
+    if n == 2:
+        return 2 if any(a[0] * r[1] - a[1] * r[0] for r in rows) else 1
+    c = next((c for c in (_cross3(a, r) for r in rows) if any(c)), None)
+    return 1 if c is None else 3 if any(sum(map(mul, c, r)) for r in rows) else 2
 
 
 def _affine_rank(pts) -> int:
@@ -468,8 +515,11 @@ def _ridges(facet, pts) -> set[frozenset[int]]:
 
     A facet of at most two vertices is a point or a segment, whose ridges
     are nothing or its two endpoints.  Otherwise the vertices go to integer
-    coordinates in a basis of the facet's direction space, where the facet
-    is d-dimensional.  A polygon's ridges (d = 2, triangles included) are
+    coordinates where the facet is d-dimensional: a polygon in 3-space, one
+    whose vertex differences have a kernel line (its normal), to the
+    coordinate plane that drops the normal's largest entry, which maps it
+    one to one; any other facet to a basis of its direction space, found by
+    Bareiss elimination.  A polygon's ridges (d = 2, triangles included) are
     its edges, read off its boundary cycle: the vertices sorted around the
     lexicographically least one by integer cross products, each
     consecutive turn checked to be strictly convex.  They are in convex
@@ -483,9 +533,14 @@ def _ridges(facet, pts) -> set[frozenset[int]]:
     if len(idx) <= 2:
         return {frozenset((i,)) for i in idx if len(idx) == 2}
     diffs = {i: linalg.sub(pts[i], pts[idx[0]]) for i in idx}
-    basis = [row for row in _bareiss(list(diffs.values()), len(pts[0]))[1] if any(row)]
-    d = len(basis)
-    coords = {i: tuple(sum(map(mul, b, diff)) for b in basis) for i, diff in diffs.items()}
+    normal = _line(list(diffs.values()), 3) if len(pts[0]) == 3 else None
+    if normal:  # a polygon in 3-space, read where the normal's largest entry is dropped
+        drop = max(range(3), key=lambda c: abs(normal[c]))
+        d, coords = 2, {i: diff[:drop] + diff[drop + 1:] for i, diff in diffs.items()}
+    else:
+        basis = [row for row in _bareiss(list(diffs.values()), len(pts[0]))[1] if any(row)]
+        d = len(basis)
+        coords = {i: tuple(sum(map(mul, b, diff)) for b in basis) for i, diff in diffs.items()}
     if d == 2:  # a polygon: counterclockwise around its least vertex, turning left
         first = min(idx, key=coords.__getitem__)
         ring = [first, *sorted(set(idx) - {first}, key=functools.cmp_to_key(
@@ -514,10 +569,27 @@ def _cross(o, a, b) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _cross3(a, b) -> IntVec:
+    """The cross product of two integer vectors of three entries."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
 def _line(rows, dim) -> IntVec | None:
-    """The primitive integer vector spanning the kernel of the integer rows,
-    read off the free column of one Bareiss elimination, or None when the
-    kernel is not a line."""
+    """The sign-normalized primitive integer vector spanning the kernel of
+    the integer rows, or None when the kernel is not a line.  Up to three
+    entries it is the first nonzero row's perpendicular in the plane, or
+    its first nonzero cross product with another row, if every row is
+    orthogonal to that; longer, it is read off the free column of one
+    Bareiss elimination."""
+    if dim <= 3:
+        a = next((r for r in rows if any(r)), None)
+        if a is None:
+            return (1,) if dim == 1 else None
+        y = None if dim == 1 else (-a[1], a[0]) if dim == 2 else next(
+            (c for c in (_cross3(a, r) for r in rows) if any(c)), None)
+        if y is None or any(sum(map(mul, y, r)) for r in rows):
+            return None
+        return linalg.sign_normalized(linalg.primitive(y))
     pivots, m = _bareiss(rows, dim)
     if len(pivots) != dim - 1:
         return None
@@ -526,7 +598,7 @@ def _line(rows, dim) -> IntVec | None:
     y[free] = m[len(pivots) - 1][pivots[-1]] if pivots else 1
     for row, c in zip(m, pivots):
         y[c] = -row[free]
-    return linalg.primitive(y)
+    return linalg.sign_normalized(linalg.primitive(y))
 
 
 def zonotope(generators) -> Polytope:
@@ -546,7 +618,7 @@ def zonotope(generators) -> Polytope:
         raise InputError("zonotope generators must span the space")
     halfspaces = []
     for nrm in spanned_normals(gens, dim):
-        upper = sum(max(0, linalg.dot(g, nrm)) for g in gens)
+        upper = sum(max(0, sum(map(mul, g, nrm))) for g in gens)
         halfspaces.append(HalfSpace(linalg.neg(nrm), -upper))
     return from_halfspaces(halfspaces)
 
@@ -564,8 +636,8 @@ def spanned_normals(vectors, dim) -> list[IntVec]:
 
     Subsets over lines: a subset's kernel depends only on the lines its
     vectors lie on, and a subset that repeats a line is dependent, so each
-    (dim-1)-subset of the distinct lines costs one ``_line`` elimination,
-    and a dependent subset leaves a kernel of dimension two or more.
+    (dim-1)-subset of the distinct lines costs one ``_line``, and a
+    dependent subset leaves a kernel of dimension two or more.
     """
     normals = set()
     for combo in _subsets(_lines(vectors), dim - 1):

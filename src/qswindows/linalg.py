@@ -2,7 +2,9 @@
 
 Row reduction has one implementation, ``_bareiss``: fraction-free
 Gauss-Jordan elimination over the integers (Bareiss 1968), in which every
-division is exact.  ``rref`` writes each row as integer numerators over its
+division is exact.  ``geometry``'s rank, kernel-line and adjugate kernels
+answer vectors of at most three entries in closed form, with cross
+products, and call it only for longer ones.  ``rref`` writes each row as integer numerators over its
 own positive denominator (a positive row scale leaves the reduced form
 unchanged), eliminates once, and returns the result as it stands: integer
 rows over one positive denominator, the form every other layer keeps its

@@ -32,8 +32,8 @@ from functools import cache, cached_property
 from operator import mul
 
 from . import linalg
-from .errors import InputError, _fmt
-from .geometry import HalfSpace
+from .errors import InputError, InternalInconsistencyError, _fmt
+from .geometry import HalfSpace, _in_cone
 from .linalg import IntVec, Vec, _bareiss, _int_entry, _numerators, int_rows
 
 Weight = IntVec
@@ -167,6 +167,17 @@ class RootDatum:
         # -2rho must descend through every positive root for w0 to be longest
         if any(sum(map(mul, self.two_rho, c)) <= 0 for c in self._columns):
             raise InputError("2rho does not pair positively with every positive root")
+        # and each step needs a simple root negative where a positive root is: the
+        # negated roots are a base, distinct, with every positive root in their cone
+        simple, first = [_negated(s, pos)[0] for s in self.simple_reflections], {}
+        for j, a in enumerate(simple, 1):
+            if first.setdefault(a, j) != j:
+                raise InputError(f"simple reflections {first[a]} and {j} both negate the "
+                                 f"positive root {_fmt(a)}")
+        for r in sorted(pos):
+            if not _in_cone(r, simple):
+                raise InputError(f"positive root {_fmt(r)} is not a nonnegative combination "
+                                 f"of the simple roots {', '.join(map(_fmt, simple))}")
         if linalg.mat_mul(self.w0, self.w0) != linalg.identity_matrix(n):
             raise InputError("longest element is not an involution")
         for i, j in ((i, j) for i in range(n) for j in range(i) if rows[i][j] != rows[j][i]):
@@ -217,13 +228,16 @@ class RootDatum:
     def _descent(self, u, length: int) -> tuple[IntVec, list[WeylMatrix]]:
         """u carried into the open dominant cone, with the simple reflections
         applied, in order; ``length`` is the number of positive roots
-        negative on u, and none may be orthogonal to it."""
+        negative on u, and none may be orthogonal to it.  ``_validate``
+        checked that the simple roots are a base, so each step finds one
+        negative on u."""
         steps = []
         for _ in range(length):
             s = next((s for s, c in zip(self.simple_reflections, self._simple_columns)
                       if sum(map(mul, u, c)) < 0), None)
             if s is None:
-                raise InputError("no simple root is negative on a weight outside the dominant cone")
+                raise InternalInconsistencyError(
+                    "no simple root is negative on a weight outside the dominant cone")
             u = self.apply(s, u)
             steps.append(s)
         return u, steps

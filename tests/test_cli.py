@@ -90,14 +90,15 @@ REFUSED = {
         "rank": 3, "pairing": [1, 0, 0, 0, 1, 0, 0, 0, 1], "roots": [[1, 0, 0], [-1, 0, 0]],
         "positive_roots": [[1, 0, 0]], "simple_reflections": [[[-1, 0, 0], [0, 0, -1], [0, 1, 0]]]},
         "weights": E_PM3}, ("rep",), "longest element is not an involution"),
-    # all three simple reflections negate e2 or e3, so no descent ends e1's negativity
+    # reflections 1 and 3 both negate e3, so the negated roots are no base and no
+    # descent ends e1's negativity
     "no_simple_descent": ({"root_datum": {
         "rank": 3, "pairing": [1, 0, 0, 0, 1, 0, 0, 0, 1], "roots": E_PM3,
         "positive_roots": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
         "simple_reflections": [[[1, 0, 0], [0, 1, 0], [0, 0, -1]], [[1, 0, 0], [0, -1, 0], [0, 0, 1]],
                                [[0, 1, 0], [1, 0, 0], [0, 0, -1]]]},
         "weights": E_PM3}, ("rep",),
-        "no simple root is negative on a weight outside the dominant cone"),
+        "simple reflections 1 and 3 both negate the positive root (0, 0, 1)"),
     # SL(2) on two copies of std + dual: W fixes no nonzero vector
     "sl2": ({"root_datum": {"rank": 1, "pairing": [1], "roots": [[2], [-2]],
                             "simple_reflections": [[[-1]]]},

@@ -511,6 +511,88 @@ def test_h_v_check_catches_a_dropped_triangle_of_the_cuboctahedron():
         geometry._check_h_v(bad)
 
 
+# -- closed-form kernels of at most three entries against the Bareiss route ----
+
+def padded(rows, dim):
+    """Integer rows of ``dim`` entries taken to four: zero entries appended,
+    and one unit row per appended coordinate.  The rank grows by 4 - dim,
+    the kernel is the rows' own with zeros appended, and a square matrix A
+    becomes diag(A, I), of the same determinant, whose adjugate holds A's.
+    ``geometry``'s kernels answer rows of four entries by Bareiss
+    elimination, so this is the oracle for their closed forms."""
+    extra = 4 - dim
+    return ([(*r, *(0,) * extra) for r in rows]
+            + [(*(0,) * dim, *(1 if j == k else 0 for j in range(extra))) for k in range(extra)])
+
+
+def bareiss_line(rows, dim):
+    y = geometry._line(padded(rows, dim), 4)
+    return y and y[:dim]
+
+
+def sign_fixed(det, adj, dim):
+    """A determinant made nonnegative with the matrix M, M A = det I, cut
+    to its first dim rows and columns and given the same sign change."""
+    sign = -1 if det < 0 else 1
+    return sign * det, [[sign * x for x in row[:dim]] for row in adj[:dim]]
+
+
+@st.composite
+def small_int_rows(draw, square=False):
+    """Integer rows of 1-3 entries, often rank-deficient: each row is a
+    small combination of at most ``dim`` drawn generators, and zero rows,
+    repeated rows and an empty list are all drawn."""
+    dim = draw(st.integers(1, 3))
+    gens = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * dim), min_size=1, max_size=dim))
+    count = dim if square else draw(st.integers(0, 4))
+    coeffs = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * len(gens)),
+                           min_size=count, max_size=count))
+    return dim, [tuple(sum(c * g[j] for c, g in zip(cs, gens)) for j in range(dim))
+                 for cs in coeffs]
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_int_rows())
+def test_closed_form_rank_and_line_match_the_bareiss_route(drawn):
+    dim, rows = drawn
+    assert geometry._rank(rows) == geometry._rank(padded(rows, dim)) - (4 - dim)
+    assert geometry._line(rows, dim) == bareiss_line(rows, dim)
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_int_rows(square=True))
+def test_closed_form_adjugate_matches_the_bareiss_route(drawn):
+    """The determinant and adjugate of a vertex-enumeration subset, with
+    the determinant made positive as ``_vertex_enumeration`` does, equal
+    the Bareiss route's; a singular subset has determinant 0 on both."""
+    dim, rows = drawn
+    det, adj = geometry._adjugate(rows)
+    oracle = geometry._adjugate(padded(rows, dim))
+    assert (det == 0) == (oracle[0] == 0)
+    if det:
+        assert sign_fixed(det, adj, dim) == sign_fixed(*oracle, dim)
+        assert linalg.mat_mul(adj, rows) == tuple(linalg.scale(det, e)
+                                                 for e in linalg.identity_matrix(dim))
+
+
+def test_small_kernels_take_the_closed_forms():
+    """Rows of at most three entries run no elimination in ``_rank``,
+    ``_line`` or ``_adjugate``; four entries take the Bareiss route."""
+    calls = []
+    real = geometry._bareiss
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_bareiss", lambda *a: (calls.append(a), real(*a))[1])
+        for dim in (1, 2, 3):
+            rows = linalg.identity_matrix(dim)
+            assert geometry._rank(rows) == dim and geometry._rank(rows[1:]) == dim - 1
+            assert geometry._line(rows[1:], dim) == rows[0]
+            det, adj = geometry._adjugate(rows)
+            assert det == 1 and list(map(tuple, adj)) == list(rows)
+        assert calls == []
+        assert geometry._line(linalg.identity_matrix(4)[1:], 4) == (1, 0, 0, 0)
+    assert len(calls) == 1
+
+
 # -- facet ridges: the polygon route against the subset route -------------------
 
 def subset_ridges(facet, pts):
@@ -518,7 +600,8 @@ def subset_ridges(facet, pts):
     subset route, as ``geometry._ridges`` found them before polygons read
     their edges off the boundary cycle.  Each affinely independent d-subset
     of the facet's vertices, in integer coordinates on the facet, spans a
-    hyperplane that bounds a ridge when every vertex lies on one side."""
+    hyperplane that bounds a ridge when every vertex lies on one side; its
+    normal is the Bareiss route's kernel line."""
     idx = sorted(facet)
     diffs = {i: linalg.sub(pts[i], pts[idx[0]]) for i in idx}
     basis = [row for row in geometry._bareiss(list(diffs.values()), len(pts[0]))[1] if any(row)]
@@ -533,7 +616,7 @@ def subset_ridges(facet, pts):
         if any(set(combo) <= r for r in ridges):
             continue
         base = coords[combo[0]]
-        y = geometry._line([linalg.sub(coords[i], base) for i in combo[1:]], d)
+        y = bareiss_line([linalg.sub(coords[i], base) for i in combo[1:]], d)
         if y is None:
             continue
         values = {i: linalg.dot(y, linalg.sub(coords[i], base)) for i in idx}
@@ -543,14 +626,19 @@ def subset_ridges(facet, pts):
 
 
 def assert_ridge_routes_agree(poly) -> int:
-    """Both routes give the same ridges on every facet of the polytope, in
-    the integer coordinates ``_facets`` hands them; returns how many of the
-    facets are polygons."""
+    """Three routes give the same ridges on every facet of the polytope, in
+    the integer coordinates ``_facets`` hands them: ``_ridges`` itself,
+    which reads a polygon in 3-space in a coordinate plane; ``_ridges`` on
+    the points with a zero entry appended, which reads it in a basis of its
+    plane found by Bareiss elimination; and the subset route.  Returns how
+    many of the facets are polygons."""
     pts = poly._points
+    lifted = [(*p, 0) for p in pts]
     polygons = 0
     for j in range(len(poly.halfspaces)):
         facet = frozenset(i for i, t in enumerate(poly._incidence) if j in t)
-        assert geometry._ridges(facet, pts) == subset_ridges(facet, pts)
+        assert geometry._ridges(facet, pts) == geometry._ridges(facet, lifted) == subset_ridges(
+            facet, pts)
         polygons += len(facet) > 3 and geometry._affine_rank([pts[i] for i in facet]) == 2
     return polygons
 
@@ -638,13 +726,23 @@ def test_malformed_half_spaces_scales_and_polytopes_are_refused():
     segment = geometry.zonotope([(1,), (1,)])
     flat = geometry.from_halfspaces([halfspace((1, 0), 0), halfspace((-1, 0), 0),
                                      halfspace((0, 1), 0), halfspace((0, -1), -1)])
+    square = geometry.zonotope([(1, 0), (0, 1)])
     for make, message in (
             (lambda: HalfSpace((0, 0), 0), "half-space normal must be nonzero"),
             (lambda: HalfSpace((2, 0), 1), "half-space normal must be primitive"),
             (lambda: segment.scale(0), "scale factor must be positive"),
             (lambda: segment.scale(Fraction(-1, 2)), "scale factor must be positive"),
             (lambda: geometry.from_halfspaces([]), "a polytope needs at least one half-space"),
-            (flat.faces, "face enumeration requires a full-dimensional polytope")):
+            (flat.faces, "face enumeration requires a full-dimensional polytope"),
+            # a point of the wrong length is refused, not zipped short against the normals
+            (lambda: square.contains((1, 1, 9)), r"point \(1, 1, 9\) has 3 coordinates, not 2"),
+            (lambda: square.tight_indices((0, 0, 7)),
+             r"point \(0, 0, 7\) has 3 coordinates, not 2"),
+            (lambda: square.face_at((0, 0, 7)), r"point \(0, 0, 7\) has 3 coordinates, not 2"),
+            (lambda: square.translate((1,)), r"point \(1\) has 1 coordinates, not 2"),
+            (lambda: square.translate((Fraction(1, 2), 0, 0)),
+             r"point \(1/2, 0, 0\) has 3 coordinates, not 2"),
+            (lambda: square.lattice_points(at=((1,), 2)), r"point \(1\) has 1 coordinates, not 2")):
         with pytest.raises(InputError, match=f"^{message}$"):
             make()
 
@@ -710,6 +808,15 @@ def rational_halfspaces(draw, max_dim=4):
 
 def rational_polytopes():
     return rational_halfspaces().map(geometry.from_halfspaces)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_halfspaces(max_dim=3).map(geometry.from_halfspaces))
+def test_polygon_ridges_match_the_other_routes_on_cut_boxes(poly):
+    """Boxes of dimension <= 3 cut by random half-spaces, whose facets are
+    polygons of any shape, and flat ones, whose relative facets are
+    segments."""
+    assert_ridge_routes_agree(poly)
 
 
 @settings(deadline=None, max_examples=100)

@@ -1,6 +1,8 @@
+import collections
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -195,6 +197,39 @@ def test_one_vertex_enumeration_per_nonabelian_build(n, monkeypatch):
                         lambda *args: calls.append(args) or enumerate_vertices(*args))
     QSRep.build(RootDatum.gl(n), catalog.GL2_WEIGHTS if n == 2 else std_dual(3, 4))
     assert len(calls) == 1
+
+
+def test_builds_eliminate_only_in_the_public_routines(small_corpus, monkeypatch):
+    """Vectors of at most three entries take the closed forms of ``_rank``,
+    ``_line``, ``_adjugate`` and ``_ridges``: a build of GL(3) on
+    4 x (std + dual), of GL(2) or of a rank-3 corpus rep eliminates only
+    inside ``linalg.rref``, for the zonotope's span check (``rank``), the
+    per-vertex re-derivation (``solve``) and the slab normals
+    (``kernel_basis``).  ``_bareiss`` is watched under every name it is
+    imported by."""
+    callers = []
+    bareiss = linalg._bareiss
+
+    def spy(rows, ncols):
+        frame = sys._getframe(1)
+        callers.append((frame.f_code.co_name, frame.f_back.f_code.co_name))
+        return bareiss(rows, ncols)
+
+    builds = {"gl3": (RootDatum.gl(3), std_dual(3, 4)),
+              "gl2": (RootDatum.gl(2), catalog.GL2_WEIGHTS),
+              "rank3": (small_corpus[-1].root_datum, small_corpus[-1].weights)}
+    assert small_corpus[-1].rank == 3
+    for module in (linalg, geometry, root_data):
+        monkeypatch.setattr(module, "_bareiss", spy)
+    counts = {}
+    for name, (datum, weights) in builds.items():
+        callers.clear()
+        QSRep.build(datum, weights)
+        counts[name] = collections.Counter(outer for inner, outer in callers if inner == "rref")
+        assert {inner for inner, _ in callers} == {"rref"}
+    assert counts == {"gl3": {"rank": 1, "solve": 8, "kernel_basis": 15},
+                      "gl2": {"rank": 1, "solve": 8, "kernel_basis": 5},
+                      "rank3": {"rank": 1, "solve": 14, "kernel_basis": 6}}
 
 
 def up_to_scale(points):

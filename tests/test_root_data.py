@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qswindows import catalog, linalg, rep, root_data
-from qswindows.errors import InputError, _fmt
+from qswindows.errors import InputError, InternalInconsistencyError, _fmt
 from qswindows.rep import QSRep
 from qswindows.root_data import DominantRep, RootDatum
 
@@ -188,6 +188,14 @@ def test_from_dict_roundtrip():
     assert flat.pair((1, 0), (1, 0)) == 2
 
 
+# the roots +-e1, +-e2, +-e3 with two simple reflections: s1 negates e1, and s2
+# negates e2 and swaps e1 and e3.  Each negates one positive root and permutes
+# the others, and together they fix no nonzero vector, but e3 lies in no cone
+# of the simple roots e1 and e2.
+AXES3 = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+NO_BASE = (((-1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 0, 1), (0, -1, 0), (1, 0, 0)))
+
+
 def test_bad_inputs_rejected():
     with pytest.raises(InputError):
         RootDatum.from_dict({"builtin": "so", "n": 3})
@@ -210,6 +218,14 @@ def test_bad_inputs_rejected():
                             positive_roots=[(1, -1, 0), (0, 1, -1), (-1, 0, 1)])
     with pytest.raises(InputError, match="2rho does not pair positively"):
         RootDatum.from_data(2, ((0, 0), (0, 0)), gl2.roots, gl2.simple_reflections)
+    # and the negated roots to be a base.  Here no simple root is negative on
+    # (1, 1, -1), where only e3 is; the descent from -2rho never meets such a
+    # weight, so w0 alone would not show it
+    with pytest.raises(InputError, match=r"^positive root \(0, 0, 1\) is not a nonnegative "
+                                         r"combination of the simple roots \(1, 0, 0\), "
+                                         r"\(0, 1, 0\)$"):
+        RootDatum.from_data(3, linalg.identity_matrix(3), AXES3, NO_BASE,
+                            positive_roots=linalg.identity_matrix(3))
     # shapes are checked before anything is multiplied by them
     for roots, simples, positive in (([(1,), (-1,)], gl2.simple_reflections, None),
                                      (gl2.roots, [((0, 1),)], None),
@@ -219,6 +235,18 @@ def test_bad_inputs_rejected():
             RootDatum.from_data(2, gl2.pairing, roots, simples, positive_roots=positive)
     with pytest.raises(InputError, match="pairing must be a 1 x 1 matrix"):
         RootDatum.from_dict({"rank": 1, "pairing": [[1, 2]]})
+
+
+def test_a_descent_with_no_negative_simple_root_is_an_internal_fault():
+    """``_validate`` refuses simple roots that are no base, so a descent that
+    finds no simple root negative is a fault of the program, not of the
+    input.  The datum of e1 and e2 as simple roots, built without
+    ``_validate``, reaches it at a weight on which only e3 is negative."""
+    rows = linalg.identity_matrix(3)
+    datum = RootDatum(3, rows, 1, tuple(sorted(AXES3)), rows, NO_BASE, (1, 1, 1), ())
+    with pytest.raises(InternalInconsistencyError,
+                       match="^no simple root is negative on a weight outside the dominant cone$"):
+        datum.dominant_representative((0, 0, -1))
 
 
 @pytest.mark.parametrize("key, value, message", [
