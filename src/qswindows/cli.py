@@ -60,18 +60,19 @@ def _parse_int_vector(text: str) -> tuple[int, ...]:
     return tuple(map(int, parts))
 
 
-def _load_rep(args) -> QSRep:
+def _read_input(args):
+    """The JSON value of the --input file; a file that cannot be read, is
+    not JSON or nests too deep for the parser is an input error."""
     if args.input is None:
         raise InputError("this subcommand needs --input FILE")
     try:
-        data = json.loads(Path(args.input).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        return json.loads(Path(args.input).read_text())
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read {args.input}: {exc}") from exc
-    return QSRep.from_dict(data)
 
 
 def _rep_and_context(args) -> tuple[QSRep, Context]:
-    rep_obj = _load_rep(args)
+    rep_obj = QSRep.from_dict(_read_input(args))
     return rep_obj, Context(rep_obj)
 
 
@@ -97,7 +98,7 @@ def _delta(args, name="delta"):
 
 
 def cmd_rep(args) -> int:
-    _emit(_load_rep(args).to_json())
+    _emit(QSRep.from_dict(_read_input(args)).to_json())
     return 0
 
 
@@ -255,7 +256,7 @@ def cmd_cy(args) -> int:
     ctx = model.context()
     payload = model.to_json()
     payload["d_plus"], payload["d_minus"] = cy_ci.crossing_data(
-        model, model.arrangement_offset, ctx)
+        model.arrangement_offset, ctx)
     if args.twist is not None:
         tw = cy_ci.spherical_twist_word(model, args.twist, ctx)
         payload["twist"] = {
@@ -279,13 +280,15 @@ def cmd_verify(args) -> int:
         return 0
     if "input" in suites and args.input is None:
         raise InputError("the input suite needs --input FILE")
+    # a file that cannot be read is refused before any suite runs; one that
+    # reads but is not a valid representation FAILs its row below
+    data = _read_input(args) if "input" in suites else None
     for suite in suites:
         if suite == "bundled":
             results.extend(verify.run_bundled(seed=args.seed))
         elif suite == "input":
             try:
-                rep_obj = _load_rep(args)
-                results.extend(verify.run_rep("input", rep_obj, seed=args.seed))
+                results.extend(verify.run_rep("input", QSRep.from_dict(data), seed=args.seed))
             except InputError as exc:
                 results.append(verify.CheckResult(
                     name="input-validity", subject=str(args.input),

@@ -18,7 +18,7 @@ from .linalg import _exact, _int_entry
 from .mutation import ModuleSpec, toric_wall
 from .rep import QSRep
 from .root_data import RootDatum
-from .windows import Context, wall_crossing
+from .windows import Context
 
 
 @dataclass(frozen=True)
@@ -74,14 +74,14 @@ def build(a, d) -> CYModel:
                    arrangement_offset=families[0].base_offset)
 
 
-def crossing_data(model: CYModel, wall, ctx: Context) -> tuple[int, int]:
-    """(d^+ of the upward face, d^+ of its dual) at a given wall point."""
+def crossing_data(wall, ctx: Context) -> tuple[int, int]:
+    """(d^+ of the upward face, d^+ of its dual) at a given wall point of
+    the model whose Context this is."""
     wall, arr = _exact(wall), ctx.arrangement
     if not arr.on_wall((wall,)):
         raise InputError(f"{wall} is not a wall of this model")
     (step,) = path_of_word(arr, [(*wall.as_integer_ratio(), 1)]).steps
-    crossing = wall_crossing(model.g1_rep, step.here, step.there, ctx)
-    (fd,) = crossing.faces.values()
+    (fd,) = ctx.pair(step.here, step.there).faces.values()
     return fd.d_plus, fd.d_minus
 
 

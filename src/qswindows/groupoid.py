@@ -7,7 +7,9 @@ sign vector from the arrangement.  ``make_path`` records each arrow's step:
 the chambers of its two ends and, for a crossing, the walls between them and
 the chambers of its hops, cut once from those walls.  Nothing below cuts a
 segment or locates a point again: positivity, minimality and rank-one words
-read the recorded walls, and both transcripts cross the recorded hops.  Word
+read the recorded walls, and both transcripts read each recorded hop as a
+chamber pair through ``Context.pair``, which crosses a pair once and checks
+every hop's own wall point and direction against it.  Word
 reduction is implemented only in rank one, where the groupoid is free on
 single-wall crossings and translations commute to the end of the word.
 ``path_of_word`` is the one way from a rank-one word to a path, for the
@@ -28,7 +30,7 @@ from .errors import InputError, InternalInconsistencyError, UnsupportedDimension
 from .linalg import Vec
 from .mutation import per_face_counts
 from .rep import QSRep
-from .windows import Context, mu_map, wall_crossing
+from .windows import Context, mu_map
 
 
 @dataclass(frozen=True)
@@ -291,13 +293,13 @@ def mutation_transcript(rep: QSRep, path: Path, ctx: Context) -> list[Transcript
         if not arrow_is_positive(ctx.arrangement, a, step.walls):
             raise InputError("transcripts are defined for positive crossings")
         for here, there in zip(step.hops, step.hops[1:]):
-            crossing = wall_crossing(rep, here, there, ctx)
-            counts = per_face_counts(rep, crossing)
+            pair = ctx.pair(here, there)
+            counts = per_face_counts(rep, pair)
             toric_steps = None
             if rep.root_datum.is_torus:
                 (toric_steps,) = counts.values()
             entries.append(TranscriptEntry(
-                kind="cross", src=here.sample, dst=there.sample, pivot_chars=crossing.common,
+                kind="cross", src=here.sample, dst=there.sample, pivot_chars=pair.common,
                 step_count=toric_steps, per_face_counts=counts))
     return entries
 
@@ -312,13 +314,13 @@ def transcript_window_map(rep: QSRep, path: Path, ctx: Context) -> dict:
             mapping = {src: tuple(linalg.add(dst, shift)) for src, dst in mapping.items()}
             continue
         for here, there in zip(step.hops, step.hops[1:]):
-            crossing = wall_crossing(rep, here, there, ctx)
-            bijection = dict(zip(crossing.window.chars, crossing.window.chars))
-            bijection.update(mu_map(rep, crossing))
+            pair = ctx.pair(here, there)
+            bijection = dict(zip(pair.common, pair.common))
+            bijection.update(mu_map(rep, pair))
             try:
                 mapping = {src: bijection[dst] for src, dst in mapping.items()}
             except KeyError as exc:
-                lost, near = _fmt(exc.args[0]), _fmt(crossing.delta)
+                lost, near = _fmt(exc.args[0]), _fmt(arr.to_ambient(here))
                 raise InternalInconsistencyError(
                     f"hops do not chain: {lost} is not in the window at {near}") from None
     end_window = set(ctx.window(path.chambers[-1]).chars)

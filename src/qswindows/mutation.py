@@ -153,8 +153,9 @@ def toric_wall(rep: QSRep, delta, delta_prime, ctx: Context) -> ToricWall:
     return ToricWall(rep, wall_crossing(rep, delta, delta_prime, ctx), ctx)
 
 
-def per_face_counts(rep: QSRep, crossing: WallCrossing) -> dict:
-    """The exchange count d_F^+ + l(w0) - 1 of every wall face."""
+def per_face_counts(rep: QSRep, crossing) -> dict:
+    """The exchange count d_F^+ + l(w0) - 1 of every wall face of a
+    crossing or of its chamber pair."""
     return {key: top_degree(rep, fd) - 1 for key, fd in crossing.faces.items()}
 
 

@@ -423,7 +423,7 @@ def check_cy_models() -> list[CheckResult]:
         wall = model.arrangement_offset
         ok = (info["arrangement"] == want["arrangement"]
               and info["window_size"] == want["window_size"]
-              and cy_ci.crossing_data(model, wall, ctx) == want["crossing"])
+              and cy_ci.crossing_data(wall, ctx) == want["crossing"])
         tw = cy_ci.spherical_twist_word(model, 0, ctx)
         ok = ok and tw["length"] == want["twist_len"]
         ok = ok and tw["length"] == model.n + model.r

@@ -35,9 +35,14 @@ no translated polytope and no ``Fraction`` are made, and the one pass that
 finds the characters also finds any on the boundary, which is refused.  A
 face of (1/2)Sigma is its tight set, so its data is stored per tight set,
 daggers included.  Each exact pair is checked adjacent and built
-once, at its first wall point, and every crossing still has both endpoints
-located and off-wall, its wall point (formed over the integers) on the
-stored wall and its direction pairing positively with the inward normals.
+once, at its first wall point, by ``wall_crossing``; ``Context.pair`` hands
+a stored pair to a caller holding two adjacent chambers (a transcript's
+hop) and crosses only on a miss.  Both still check every call: its wall
+point (formed over the integers) lies on the stored wall and on no other,
+and its direction pairs positively with the inward normals, the pair's own
+``check_oriented``.  A pair keeps the far window's characters, the tuple
+``Context`` stores for that chamber, so mu is worked out from the pair
+alone, once, when first asked.
 
 Points stay integers on the crossing path.  An ambient delta is located by
 two integer products (``Arrangement`` keeps the inverse of its basis), with
@@ -114,9 +119,10 @@ class FaceData:
     dominant: bool
     _sums: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> tuple[int, ...]:
-        return self.face.key
+    key = property(lambda self: self.face.key)
+    codim = property(lambda self: self.face.codim)
+    d_plus = property(lambda self: len(self.plus_indices))
+    d_minus = property(lambda self: len(self.minus_indices))
 
     def subset_sums(self, rep: QSRep) -> tuple[tuple[Weight, ...], ...]:
         """Per size m = 0..d_F^+, the sums of the weights over the m-subsets
@@ -127,18 +133,6 @@ class FaceData:
                 tuple(_index_sum(rep, combo) for combo in combinations(self.plus_indices, m))
                 for m in range(self.d_plus + 1)))
         return self._sums
-
-    @property
-    def d_plus(self) -> int:
-        return len(self.plus_indices)
-
-    @property
-    def d_minus(self) -> int:
-        return len(self.minus_indices)
-
-    @property
-    def codim(self) -> int:
-        return self.face.codim
 
     def to_json(self) -> dict:
         return {
@@ -196,6 +190,19 @@ class Context:
             self._windows[chamber.sign_vector] = chars
         return Window(point, chars)
 
+    def pair(self, here: Chamber, there: Chamber) -> _PairCrossing:
+        """The chamber-pair data of two adjacent chambers, made by
+        ``wall_crossing`` on first use.  Every call still checks its own hop:
+        the wall point of the segment between the two samples lies on the
+        pair's wall and on no other, and the direction from here to there
+        pairs positively with every inward normal of every wall face."""
+        pair = self._crossings.get((here.sign_vector, there.sign_vector))
+        if pair is None:
+            return wall_crossing(self.rep, here, there, self).pair
+        _wall_point(self.arrangement, here, there, pair.wall)
+        pair.check_oriented(self.arrangement, here, there)
+        return pair
+
 
 def _located(arr: Arrangement, delta) -> Chamber:
     """The chamber of an off-wall ambient point, which names the point if it
@@ -212,15 +219,13 @@ def _class_key(arr: Arrangement, chamber: Chamber) -> tuple[tuple, IntVec]:
 
 def face_data_from_face(rep: QSRep, poly: Polytope, face: Face) -> FaceData:
     normals = tuple(sorted(poly._table[0][i] for i in face.facet_indices))
-    plus, minus, zero = [], [], []
+    plus, minus = [], []
     for i, b in enumerate(rep.weights):
         values = [linalg.dot(b, n) for n in normals]
         if any(v > 0 for v in values):
             plus.append(i)
         if any(v < 0 for v in values):
             minus.append(i)
-        if all(v == 0 for v in values):
-            zero.append(i)
     if set(plus) & set(minus):
         raise InternalInconsistencyError("a weight pairs both ways with a face's normals")
     # a sign test, so the vertices' one positive denominator cannot change it
@@ -230,7 +235,7 @@ def face_data_from_face(rep: QSRep, poly: Polytope, face: Face) -> FaceData:
         inward_normals=normals,
         plus_indices=tuple(plus),
         minus_indices=tuple(minus),
-        zero_indices=tuple(zero),
+        zero_indices=tuple(i for i in range(len(rep.weights)) if i not in plus + minus),
         beta_plus=_index_sum(rep, plus),
         dominant=dominant,
     )
@@ -287,39 +292,26 @@ class WallCrossing:
     delta = property(lambda self: self.window.delta)
     delta_prime = property(lambda self: self.window_prime.delta)
     delta0 = property(lambda self: linalg._fractions(*self.wall_point))
-    wall = property(lambda self: self.pair.wall)
     common = property(lambda self: self.pair.common)
     outgoing = property(lambda self: self.pair.outgoing)
+    far = property(lambda self: self.pair.far)
     faces = property(lambda self: self.pair.faces)
     chars_by_face = property(lambda self: self.pair.chars_by_face)
-
-    @property
-    def oriented(self) -> bool:
-        """Whether the direction delta -> delta' pairs positively with every
-        inward normal of every wall face."""
-        # with delta = u/e and delta' = v/e' over positive denominators,
-        # <delta' - delta, lam> > 0 exactly when e <v, lam> > e' <u, lam>
-        (u, e), (v, e_p) = self.window.point, self.window_prime.point
-        return all(e * sum(map(mul, v, lam)) > e_p * sum(map(mul, u, lam))
-                   for fd in self.faces.values() for lam in fd.inward_normals)
-
-    def face_of_char(self, chi) -> FaceData:
-        for key, chars in self.chars_by_face.items():
-            if tuple(chi) in chars:
-                return self.faces[key]
-        raise InputError(f"{_fmt(chi)} does not leave the window across this wall")
+    face_of_char = property(lambda self: self.pair.face_of_char)
 
 
 @dataclass(slots=True, init=False)
 class _PairCrossing:
     """The chamber-pair part of a crossing: the wall the two chambers share,
-    the common and outgoing characters, the outgoing characters' wall faces
-    with the characters on each, and the mu images once mu_map has asked
-    for them."""
+    the common and outgoing characters, the far window's characters (the
+    tuple ``Context`` stores for that chamber), the outgoing characters'
+    wall faces with the characters on each, and the mu images once mu_map
+    has asked for them."""
 
     wall: Wall
     common: tuple[Weight, ...]
     outgoing: tuple[Weight, ...]
+    far: tuple[Weight, ...]
     faces: dict
     chars_by_face: dict
     mu_images: tuple | None = field(compare=False)
@@ -332,6 +324,7 @@ class _PairCrossing:
         outgoing = set(win.chars) - set(win_p.chars)
         self.outgoing = tuple(sorted(outgoing))
         self.common = tuple(c for c in win.chars if c not in outgoing)
+        self.far = win_p.chars
         self.faces, chars_by_face = {}, {}
         for chi in self.outgoing:
             # chi - delta_0 = (e chi - d)/e is on the boundary of nabla
@@ -344,6 +337,35 @@ class _PairCrossing:
         self.chars_by_face = {key: tuple(sorted(chars)) for key, chars in chars_by_face.items()}
         self.mu_images = None
 
+    def check_oriented(self, arr: Arrangement, here: Chamber, there: Chamber):
+        """Refuse a direction from here's sample to there's that does not pair
+        positively with every inward normal of every wall face."""
+        # with the ambient samples u/e and v/e' over positive denominators,
+        # <v/e' - u/e, lam> > 0 exactly when e <v, lam> > e' <u, lam>
+        (u, e), (v, e_p) = ((arr.character(c.nums), c.den) for c in (here, there))
+        if not all(e * sum(map(mul, v, lam)) > e_p * sum(map(mul, u, lam))
+                   for fd in self.faces.values() for lam in fd.inward_normals):
+            raise InternalInconsistencyError(
+                "crossing direction must pair positively with inward normals")
+
+    def face_of_char(self, chi) -> FaceData:
+        for key, chars in self.chars_by_face.items():
+            if tuple(chi) in chars:
+                return self.faces[key]
+        raise InputError(f"{_fmt(chi)} does not leave the window across this wall")
+
+
+def _wall_point(arr: Arrangement, here: Chamber, there: Chamber, wall: Wall) -> tuple[IntVec, int]:
+    """Where the segment between the two samples meets the wall (for a
+    symmetric pair, the exact midpoint), as invariant numerators over one
+    positive denominator, formed over the integers.  It lies on no other
+    hyperplane, as both ends are off-wall; one that does is refused."""
+    ((p, q),) = arr.crossing_times(here, there, [wall])
+    nums, den = arr._on_segment(here, there, p, q)
+    if arr._walls_on(arr._indices(nums, den)) != [wall]:
+        raise InternalInconsistencyError("computed wall point is not on the wall")
+    return nums, den
+
 
 def wall_crossing(rep: QSRep, delta, delta_prime, ctx: Context) -> WallCrossing:
     """The crossing from delta to delta', each an off-wall ambient point or
@@ -355,31 +377,23 @@ def wall_crossing(rep: QSRep, delta, delta_prime, ctx: Context) -> WallCrossing:
     # adjacency depends only on the two sign vectors: checked once per pair
     wall = pair.wall if pair is not None else arr.require_adjacent(chamber, chamber_p)
     win, win_p = ctx.window(chamber), ctx.window(chamber_p)
-    # the wall point is where the segment meets the wall (for a symmetric
-    # pair, the exact midpoint), over the integers in invariant coordinates;
-    # it lies on no other hyperplane, as both ends are off-wall
-    ((p, q),) = arr.crossing_times(chamber, chamber_p, [wall])
-    nums, den = arr._on_segment(chamber, chamber_p, p, q)
-    if arr._walls_on(arr._indices(nums, den)) != [wall]:
-        raise InternalInconsistencyError("computed wall point is not on the wall")
+    nums, den = _wall_point(arr, chamber, chamber_p, wall)
     wall_point = arr.character(nums), den
     if pair is None:
         pair = ctx._crossings[key] = _PairCrossing(rep, ctx, wall, win, win_p, *wall_point)
-    crossing = WallCrossing(window=win, window_prime=win_p, wall_point=wall_point, pair=pair)
     # wall faces carry a dominance flag but are not required to be dominant
     # here: faces of large nonabelian representations can cross Weyl walls
     # even though the crossing bijection still lands correctly (the
     # per-character checks in mu_of_crossing enforce that).
-    if not crossing.oriented:
-        raise InternalInconsistencyError(
-            "crossing direction must pair positively with inward normals")
-    return crossing
+    pair.check_oriented(arr, chamber, chamber_p)
+    return WallCrossing(window=win, window_prime=win_p, wall_point=wall_point, pair=pair)
 
 
-def mu_of_crossing(rep: QSRep, crossing: WallCrossing, chi) -> Weight:
-    """The wall-crossing image (chi + beta_F^+)^+ of an outgoing character."""
+def mu_of_crossing(rep: QSRep, crossing: WallCrossing | _PairCrossing, chi) -> Weight:
+    """The wall-crossing image (chi + beta_F^+)^+ of an outgoing character
+    of a crossing or of its chamber pair."""
     chi = _lattice_weight(chi)
-    if chi not in set(crossing.outgoing):
+    if chi not in crossing.outgoing:
         raise InputError(f"{_fmt(chi)} is not in the outgoing part of the window")
     fd = crossing.face_of_char(chi)
     shifted = linalg.add(chi, fd.beta_plus)
@@ -387,14 +401,16 @@ def mu_of_crossing(rep: QSRep, crossing: WallCrossing, chi) -> Weight:
     if rep_result is None:
         raise InternalInconsistencyError("wall-crossing image is never singular")
     image = rep_result.weight
-    if image not in set(crossing.window_prime.chars) or image in set(crossing.window.chars):
+    # the near window is the common characters and the outgoing ones, none of them far
+    if image not in crossing.far or image in crossing.common:
         raise InternalInconsistencyError("wall-crossing image must land in the far window only")
     return image
 
 
-def mu_map(rep: QSRep, crossing: WallCrossing) -> dict:
-    """mu on every outgoing character; worked out once per chamber pair."""
-    pair = crossing.pair
+def mu_map(rep: QSRep, crossing: WallCrossing | _PairCrossing) -> dict:
+    """mu on every outgoing character of a crossing or of its chamber pair;
+    worked out once per chamber pair."""
+    pair = crossing.pair if type(crossing) is WallCrossing else crossing
     if pair.mu_images is None:
-        pair.mu_images = tuple(mu_of_crossing(rep, crossing, chi) for chi in crossing.outgoing)
-    return dict(zip(crossing.outgoing, pair.mu_images))
+        pair.mu_images = tuple(mu_of_crossing(rep, pair, chi) for chi in pair.outgoing)
+    return dict(zip(pair.outgoing, pair.mu_images))

@@ -178,7 +178,7 @@ def test_criterion_7_cy_scenarios():
     ctx = quintic.context()
     ok = ok and quintic.to_json()["arrangement"] == "Z"
     ok = ok and quintic.to_json()["window_size"] == 6
-    ok = ok and cy_ci.crossing_data(quintic, 3, ctx) == (6, 2)
+    ok = ok and cy_ci.crossing_data(3, ctx) == (6, 2)
     tw = cy_ci.spherical_twist_word(quintic, 0, ctx)
     wall = mutation.toric_wall(quintic.g1_rep, (tw["delta"],), (tw["delta"] - 1,), ctx)
     ok = ok and tw["length"] == 6 == wall.period
@@ -187,7 +187,7 @@ def test_criterion_7_cy_scenarios():
     ctx = cy33.context()
     ok = ok and cy33.to_json()["arrangement"] == "Z+1/2"
     ok = ok and cy33.to_json()["window_size"] == 7
-    ok = ok and cy_ci.crossing_data(cy33, F(1, 2), ctx) == (7, 3)
+    ok = ok and cy_ci.crossing_data(F(1, 2), ctx) == (7, 3)
     ok = ok and cy_ci.spherical_twist_word(cy33, -1, ctx)["length"] == 8
     elapsed = time.time() - t0
     report(7, "calabi-yau scenarios", ok and elapsed < 1.0, f"({elapsed:.2f}s)")

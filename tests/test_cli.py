@@ -134,6 +134,10 @@ def inputs(tmp_path):
         paths[name] = str(p)
     (tmp_path / "not_json.json").write_text("{")
     paths["not_json"] = str(tmp_path / "not_json.json")
+    (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe{}")
+    paths["not_utf8"] = str(tmp_path / "not_utf8.json")
+    (tmp_path / "too_deep.json").write_text("[" * 100_000)
+    paths["too_deep"] = str(tmp_path / "too_deep.json")
     paths["missing"] = str(tmp_path / "missing.json")
     return paths
 
@@ -410,6 +414,15 @@ def test_error_codes(inputs, capsys):
              f"input error: cannot read {inputs['missing']}"),
             (("rep", "--input", inputs["not_json"]),
              f"input error: cannot read {inputs['not_json']}"),
+            (("rep", "--input", inputs["not_utf8"]),
+             f"input error: cannot read {inputs['not_utf8']}"),
+            (("rep", "--input", inputs["too_deep"]),
+             f"input error: cannot read {inputs['too_deep']}"),
+            # the input suite refuses an unreadable file before any suite runs
+            *((("verify", "--suites", suites, "--input", inputs[name]),
+               f"input error: cannot read {inputs[name]}")
+              for suites in ("input", "bundled,input")
+              for name in ("missing", "not_json", "not_utf8", "too_deep")),
             (("complex", "--input", inputs["torus22"], *halves), "input error: --chi is required"),
             (("cy",), "input error: cy needs --a and --d degree lists"),
             (("cy", "--a", "1,1,1,1,1"), "input error: cy needs --a and --d degree lists"),

@@ -65,15 +65,15 @@ def test_one_arrangement_per_model(monkeypatch):
 
 
 def test_crossing_data(quintic, cy33):
-    assert cy_ci.crossing_data(quintic, 3, quintic.context()) == (6, 2)
-    assert cy_ci.crossing_data(cy33, F(1, 2), cy33.context()) == (7, 3)
+    assert cy_ci.crossing_data(3, quintic.context()) == (6, 2)
+    assert cy_ci.crossing_data(F(1, 2), cy33.context()) == (7, 3)
     with pytest.raises(InputError, match="^1/2 is not a wall of this model$"):
-        cy_ci.crossing_data(quintic, F(1, 2), quintic.context())
+        cy_ci.crossing_data(F(1, 2), quintic.context())
 
 
 def test_counting_identity(quintic, cy33):
     for model in (quintic, cy33):
-        d_plus, d_minus = cy_ci.crossing_data(model, model.arrangement_offset, model.context())
+        d_plus, d_minus = cy_ci.crossing_data(model.arrangement_offset, model.context())
         assert (d_plus - 1) + (d_minus - 1) == model.n + model.r
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qswindows import catalog, groupoid, linalg, verify
+from qswindows import catalog, groupoid, linalg, verify, windows
 from qswindows.arrangement import Arrangement
 from qswindows.errors import InputError, InternalInconsistencyError, UnsupportedDimensionError
 from qswindows.groupoid import Cross, Translate
@@ -473,3 +473,144 @@ def test_transcripts_solve_only_for_their_end_windows(name, monkeypatch):
     groupoid.transcript_window_map(rep, path, ctx)
     groupoid.mutation_transcript(rep, path, ctx)
     assert calls == Counter(separating_walls=len(ctx._crossings))
+
+
+def _seeded_paths(arr, seed, count):
+    rng, paths = random.Random(seed), []
+    while len(paths) < count:
+        path = verify._random_positive_path(arr, rng)
+        if path is not None:
+            paths.append(path)
+    return paths
+
+
+def _spy_on_crossings(monkeypatch):
+    """The ordered chamber pairs ``windows.wall_crossing`` is called on."""
+    crossed, real = [], windows.wall_crossing
+    monkeypatch.setattr(windows, "wall_crossing", lambda rep, a, b, ctx: (
+        crossed.append((a.sign_vector, b.sign_vector)), real(rep, a, b, ctx))[1])
+    return crossed
+
+
+@pytest.mark.parametrize("name", sorted(catalog.bundled_reps()))
+def test_transcripts_cross_each_chamber_pair_once(name, monkeypatch):
+    """A crossing's data depend only on its ordered pair of chambers, so one
+    pass of both transcripts over seeded paths calls wall_crossing once per
+    distinct ordered pair of hop chambers; every other hop reads its pair
+    from ``Context.pair``."""
+    rep = catalog.bundled_reps()[name]
+    ctx = Context(rep)
+    paths = _seeded_paths(ctx.arrangement, 3, 40)
+    crossed = _spy_on_crossings(monkeypatch)
+    for path in paths:
+        groupoid.transcript_window_map(rep, path, ctx)
+        groupoid.mutation_transcript(rep, path, ctx)
+    hops = [(here.sign_vector, there.sign_vector) for path in paths for step in path.steps
+            for here, there in zip(step.hops, step.hops[1:])]
+    assert sorted(crossed) == sorted(set(hops)) == sorted(ctx._crossings)
+    assert 2 * len(crossed) < len(hops)
+
+
+def _normals_flipped(monkeypatch, ctx):
+    """Every stored wall face has its inward normals negated."""
+    for pair in ctx._crossings.values():
+        pair.faces = {key: dataclasses.replace(fd, inward_normals=tuple(
+            map(linalg.neg, fd.inward_normals))) for key, fd in pair.faces.items()}
+
+
+def _wall_point_off_the_wall(monkeypatch, ctx):
+    """Every segment point is the segment's first end, which is off every wall."""
+    monkeypatch.setattr(Arrangement, "_on_segment", lambda self, a, b, p, q: self._scaled(a))
+
+
+@pytest.mark.parametrize("name", sorted(catalog.bundled_reps()))
+@pytest.mark.parametrize("fault, message", [
+    (_normals_flipped, "crossing direction must pair positively with inward normals"),
+    (_wall_point_off_the_wall, "computed wall point is not on the wall")])
+def test_hop_checks_run_on_a_pair_hit(name, fault, message, monkeypatch):
+    """Both per-hop checks run on every lookup, not only when a pair is
+    first crossed: with every pair stored, a fault in a hop's direction or
+    wall point makes each transcript raise, and no crossing is made."""
+    rep = catalog.bundled_reps()[name]
+    ctx = Context(rep)
+    (path,) = _seeded_paths(ctx.arrangement, 3, 1)
+    groupoid.transcript_window_map(rep, path, ctx)
+    crossed = _spy_on_crossings(monkeypatch)
+    fault(monkeypatch, ctx)
+    for transcript in (groupoid.transcript_window_map, groupoid.mutation_transcript):
+        with pytest.raises(InternalInconsistencyError, match=message):
+            transcript(rep, path, ctx)
+    assert crossed == []
+
+
+def _closed_form_window(P, delta):
+    """The integers in (delta - P/2, delta + P/2), delta off the walls Z + P/2."""
+    return range(math.floor(delta - F(P, 2)) + 1, math.floor(delta + F(P, 2)) + 1)
+
+
+def _closed_form_map(P, start, arrows):
+    """The transcript map of a rank-one torus path, composed from closed forms."""
+    mapping = {chi: chi for chi in _closed_form_window(P, start)}
+    for a in arrows:
+        if isinstance(a, Translate):
+            mapping = {src: dst + a.m[0] for src, dst in mapping.items()}
+            continue
+        lo, hi = sorted((a.src[0], a.dst[0]))
+        # the walls w = k + P/2 with lo < w < hi, and a point between each two
+        walls = [k + F(P, 2) for k in range(math.floor(lo - F(P, 2)) + 1,
+                                            math.ceil(hi - F(P, 2)))]
+        inner = [w + F(1, 2) for w in walls[:-1]]
+        points = [a.src[0], *(inner if a.dst[0] > a.src[0] else inner[::-1]), a.dst[0]]
+        sign = 1 if a.dst[0] > a.src[0] else -1
+        for s, t in zip(points, points[1:]):
+            near, far = _closed_form_window(P, s), _closed_form_window(P, t)
+            assert set(mapping.values()) == set(near)
+            mapping = {src: dst if dst in far else dst + sign * P
+                       for src, dst in mapping.items()}
+    return mapping
+
+
+def test_rank1_transcripts_match_closed_forms(small_corpus):
+    """On a rank-one torus rho = 0, every character is dominant and (1/2)Sigma
+    = [-P/2, P/2], P the sum of the positive weights (quasi-symmetry makes
+    the negative ones sum to -P).  So the window at an off-wall delta is
+    Z cap (delta - P/2, delta + P/2), the walls are Z + P/2, and crossing one
+    wall upwards moves the character w - P/2 leaving the window to
+    w + P/2 = (w - P/2) + P: the wall face is the end -P/2 of (1/2)Sigma,
+    whose positive weights sum to P (and to -P downwards).  A translation by
+    m moves delta and the window by m.  transcript_window_map of seeded
+    positive paths with translations must equal the map composed from these
+    closed forms, with no window or crossing code."""
+    reps = [*(catalog.bundled_reps()[n] for n in ("torus-1x2pairs", "torus-1x3pairs")),
+            *(r for r in small_corpus if r.rank == 1)]
+    rng = random.Random(5)
+    checked = 0
+    for rep in reps:
+        ctx = Context(rep)
+        arr = ctx.arrangement
+        assert arr.invariant_basis == ((1,),)
+        P = sum(w[0] for w in rep.weights if w[0] > 0)
+        for _ in range(12):
+            point = F(rng.randrange(-48, 48), 8)
+            if arr.on_wall((point,)):
+                continue
+            start, arrows = point, []
+            for _ in range(rng.randint(1, 4)):
+                if rng.random() < 0.3:
+                    m = rng.choice((-2, -1, 1, 2))
+                    arrows.append(Translate((m,)))
+                    point += m
+                    continue
+                target = point + F(rng.choice((-1, 1)) * rng.randrange(1, 40), 8)
+                if arr.on_wall((target,)) or not arr.separating_walls((point,), (target,)):
+                    continue
+                arrows.append(Cross((point,), (target,), (F(1 if target > point else -1),)))
+                point = target
+            if not arrows:
+                continue
+            path = groupoid.make_path(arr, arrows, start=(start,))
+            got = groupoid.transcript_window_map(rep, path, ctx)
+            assert {src[0]: dst[0] for src, dst in got.items()} == _closed_form_map(
+                P, start, arrows)
+            checked += 1
+    assert checked > 5 * len(reps)

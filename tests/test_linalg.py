@@ -80,7 +80,7 @@ def _cy_crossing(wall):
     """The crossing data of (1,1; 2), whose walls are 1/2 + Z: read as 1/2,
     0.5 or "0.5" would be a wall."""
     model = cy_ci.build((1, 1), (2,))
-    return cy_ci.crossing_data(model, wall, model.context())
+    return cy_ci.crossing_data(wall, model.context())
 
 
 @pytest.mark.parametrize("call", [

@@ -45,20 +45,24 @@ def test_code_size():
 
 def test_fraction_count():
     """One row per benchmark workload, each with whole counts of
-    ``Fraction``s and eliminations and their means over the ops of one
-    pass; no op fails but cli-oneshot's known-failure probe, at most once
-    per round of 25 calls.  corpus-build and cli-oneshot build reps, so
-    they eliminate."""
+    ``Fraction``s, eliminations and crossings and their means over the ops
+    of one pass; no op fails but cli-oneshot's known-failure probe, at most
+    once per round of 25 calls.  corpus-build and cli-oneshot build reps, so
+    they eliminate.  groupoid-paths crosses each chamber pair once, so its
+    few pairs take at most one crossing per op."""
     rows = [line.split() for line in run_script("fraction_count.py").splitlines()]
     assert rows[0] == ["workload", "ops", "failed", "Fractions", "per", "op", "eliminations",
-                       "per", "op"]
+                       "per", "op", "crossings", "per", "op"]
     assert [row[0] for row in rows[1:]] == [
         "corpus-build", "crossing-sweep", "groupoid-paths", "cli-oneshot"]
-    for _, ops, failed, made, per_op, eliminations, eliminations_per_op in rows[1:]:
+    for (_, ops, failed, made, per_op, eliminations, eliminations_per_op,
+         crossings, crossings_per_op) in rows[1:]:
         assert int(ops) > 0 and int(made) >= 0
         assert float(per_op) == round(int(made) / int(ops), 2)
         assert float(eliminations_per_op) == round(int(eliminations) / int(ops), 2)
+        assert float(crossings_per_op) == round(int(crossings) / int(ops), 2)
     assert int(rows[1][5]) > 0 and int(rows[4][5]) > 0
+    assert int(rows[2][7]) > 0 and float(rows[3][8]) <= 1.0
     assert [row[2] for row in rows[1:4]] == ["0", "0", "0"]
     assert int(rows[4][2]) <= int(rows[4][1]) // 25
 

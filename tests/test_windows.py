@@ -320,6 +320,20 @@ def test_cached_crossings_equal_fresh_on_groupoid_hops(name):
             point_pairs.append((arr.to_ambient(hop.src), arr.to_ambient(hop.dst)))
     _assert_cached_equals_fresh(rep_obj, ctx, point_pairs)
     assert len(ctx._crossings) < len(point_pairs)
+    # the chamber pairs the transcripts read: every hop of seeded paths,
+    # looked up warm, equals a crossing of its two chambers from a fresh Context
+    rng, hops = random.Random(7), []
+    while len(hops) < 200:
+        path = verify._random_positive_path(arr, rng)
+        if path is not None:
+            hops += [hop for step in path.steps for hop in zip(step.hops, step.hops[1:])]
+    for here, there in hops:
+        warm = ctx.pair(here, there)
+        cold = windows.wall_crossing(rep_obj, here, there, windows.Context(rep_obj)).pair
+        for field in ("wall", "common", "outgoing", "faces", "chars_by_face"):
+            assert getattr(warm, field) == getattr(cold, field), field
+        assert windows.mu_map(rep_obj, warm) == windows.mu_map(rep_obj, cold)
+        assert warm.mu_images == cold.mu_images
 
 
 def _gl3_std_dual():
@@ -590,7 +604,7 @@ def _assert_equals_fresh(rep_obj, crossing):
     """The crossing, and its mu map, equal the ones a fresh Context builds."""
     fresh = windows.wall_crossing(rep_obj, crossing.delta, crossing.delta_prime,
                                   windows.Context(rep_obj))
-    assert crossing == fresh and crossing.wall == fresh.wall
+    assert crossing == fresh and crossing.pair.wall == fresh.pair.wall
     assert windows.mu_map(rep_obj, crossing) == windows.mu_map(rep_obj, fresh)
 
 
@@ -741,5 +755,5 @@ def test_outgoing_characters_off_the_wall_point_boundary_raise(torus22):
     assert crossing.outgoing == ((0,),) and crossing.delta0 == (1,)
     for d, e in (((3,), 4), ((5,), 2)):  # (0) - delta_0 inside, then outside, nabla
         with pytest.raises(InternalInconsistencyError, match="window boundary"):
-            windows._PairCrossing(torus22, ctx, crossing.wall, crossing.window,
+            windows._PairCrossing(torus22, ctx, crossing.pair.wall, crossing.window,
                                   crossing.window_prime, d, e)
